@@ -31,8 +31,6 @@ from .hashing_measurements import (
     MeasurementSet,
     acquire_measurements,
     hash_to_bins,
-    load_measurement_set,
-    save_measurement_set,
     update_residual_measurements,
 )
 from .location import LocationResult, check_balanced, locate_signal
@@ -91,8 +89,6 @@ __all__ = [
     "acquire_measurements",
     "hash_to_bins",
     "update_residual_measurements",
-    "save_measurement_set",
-    "load_measurement_set",
     "LocationResult",
     "locate_signal",
     "check_balanced",

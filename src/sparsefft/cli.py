@@ -3,8 +3,9 @@
 `run` executes the spec in a JSON file and prints one line per seed,
 `sweep` reruns a spec across values of one parameter and emits a tidy CSV,
 and `selftest` runs a built-in battery of correctness checks (transform
-round trip, filter bounds, permutation identity, bucket leakage, exact
-end-to-end recovery, measurement reuse) and exits 0 only if all pass.
+round trip, filter bounds, permutation identity, bucket leakage, chi
+subtraction, exact end-to-end recovery, measurement reuse) and exits 0 only
+if all pass.
 """
 
 from __future__ import annotations
@@ -99,6 +100,25 @@ def _check_bucket_leakage(rng: np.random.Generator) -> str | None:
     return None
 
 
+def _check_chi_subtraction(rng: np.random.Generator) -> str | None:
+    n, d, B, F = 8, 3, 64, 6
+    filt = build_bucket_filter(n, d, B, F)
+    hashing = Hashing(sample_permutation(n, d, rng), B, F, filt)
+    shape = (n,) * d
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spikes = rng.integers(0, n, size=(4, d))
+    chi = SparseApprox(
+        n, d, {GridIndex.from_array(n, row): 1.0 - 0.5j for row in spikes}
+    )
+    a = GridIndex.from_array(n, rng.integers(0, n, size=d))
+    got = hash_to_bins(forward_dft(DenseSignal(n, d, x, "time")), chi, hashing, a)
+    residual = DenseSignal(n, d, x - chi.to_dense(domain="time").values, "time")
+    want = hash_to_bins(forward_dft(residual), SparseApprox.empty(n, d), hashing, a)
+    if np.abs(got - want).max() > 1e-9 * max(np.abs(want).max(), 1.0):
+        return "bucket-space chi subtraction disagrees with the explicit residual"
+    return None
+
+
 def _check_exact_recovery(rng: np.random.Generator) -> str | None:
     spec = ExperimentSpec(n=512, d=1, k=5, signal_model="exact-sparse", seeds=[7])
     record = run_experiment(spec)[0]
@@ -130,6 +150,7 @@ _SELFTEST_CHECKS = (
     ("filter-bounds", _check_filter_bounds),
     ("permutation-identity", _check_permutation_identity),
     ("bucket-leakage", _check_bucket_leakage),
+    ("chi-subtraction", _check_chi_subtraction),
     ("exact-recovery", _check_exact_recovery),
     ("measurement-reuse", _check_measurement_reuse),
 )

@@ -376,8 +376,6 @@ class Tunables:
     inf_threshold_scale: float = 5.0
     # Constant-SNR stage keeps the top snr_keep_factor * k estimates.
     snr_keep_factor: int = 4
-    # Semi-equispaced subtraction precision exponent (raised at tiny N).
-    semi_equi_c: int = 3
     # Relative floor replacing mu = 0 on exact-sparse inputs.
     mu_floor_rel: float = 1e-10
     # Zero-drop floor for nu = 0 estimation and the final support prune,

@@ -24,7 +24,7 @@ from .core import (
     next_power_of_two,
 )
 from .filters import cached_bucket_filter
-from .hashing_measurements import hash_to_bins
+from .hashing_measurements import _chi_buckets, hash_to_bins
 from .permutation import Hashing, sample_permutation
 
 __all__ = ["EstimateBatch", "coordinatewise_median", "quantile", "estimate_values"]
@@ -84,15 +84,17 @@ def estimate_values(
     nu: float,
     r_max: int,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     alpha: float = 0.25,
     tunables: Tunables | None = None,
     b_override: int | None = None,
 ) -> EstimateBatch:
     """Estimate the residual (x - chi) at each location in L.
 
-    Draws r_max fresh hashings; each consumes |supp(G-hat)| spectrum reads,
-    tallied in the result. kept holds exactly the estimates with |w_f| > nu.
+    Draws r_max fresh hashings from rng; each bins the spectrum alone and
+    consumes |supp(G-hat)| spectrum reads, tallied in the result. chi is
+    subtracted exactly at the buckets read, without touching the spectrum.
+    kept holds exactly the estimates with |w_f| > nu.
     """
     if xhat.domain != "frequency":
         raise ParameterError("estimation expects a frequency-domain signal")
@@ -102,7 +104,6 @@ def estimate_values(
         raise ParameterError("need k >= 1, epsilon > 0, nu >= 0, r_max >= 1")
     n, d = xhat.n, xhat.d
     tun = tunables or Tunables()
-    rng = rng if rng is not None else np.random.default_rng()
 
     locations = list(dict.fromkeys(L))
     batch = EstimateBatch(n=n, d=d)
@@ -124,12 +125,13 @@ def estimate_values(
 
     coords = np.stack([f.to_array() for f in locations])
     m = coords.shape[0]
+    spectrum_only = SparseApprox.empty(n, d)
     w = np.empty((r_max, m), dtype=np.complex128)
     for rep in range(r_max):
         perm = sample_permutation(n, d, rng)
         z = GridIndex.from_array(n, rng.integers(0, n, size=d))
         hashing = Hashing(perm=perm, B=B, F=F, filter=filt)
-        u = hash_to_bins(xhat, chi, hashing, z).reshape(-1)
+        u = hash_to_bins(xhat, spectrum_only, hashing, z).reshape(-1)
         batch.samples += filt.support_size
 
         pi = perm.forward_array(coords)
@@ -137,13 +139,14 @@ def estimate_values(
         flat = np.zeros(m, dtype=np.int64)
         for ax in range(d):
             flat = flat * b + buckets[:, ax]
+        read = u[flat]
+        if len(chi):
+            read = read - _chi_buckets(chi, hashing, z.to_array()[None, :], buckets)[0]
         offsets = (pi - (n // b) * buckets) % n
         gain = filt.g_at(offsets)
         sig_f = (coords @ perm.sigma.T) % n
         expo = (sig_f @ z.to_array()) % n
-        w[rep] = (
-            u[flat] / gain * np.exp(-2j * np.pi * expo / n)
-        )
+        w[rep] = read / gain * np.exp(-2j * np.pi * expo / n)
 
     for col, f in enumerate(locations):
         est = coordinatewise_median(w[:, col])

@@ -3,21 +3,20 @@
 hash_to_bins reduces the grid to B buckets: weight the sampled spectrum by
 the bucket filter on its compact support, fold onto the [b]^d ring, and take
 one B-point inverse FFT. Bucket h(i) then holds
-sum_j G_{o_i(j)} (x - chi)_j omega^(a . Sigma j) up to filter leakage and a
-N^{-Omega(c)} subtraction error; the chi term never touches new samples.
+sum_j G_{o_i(j)} (x - chi)_j omega^(a . Sigma j) up to filter leakage. The
+chi term is subtracted exactly in bucket space, from the filter's time-domain
+table (_chi_buckets), so it reads no spectrum samples.
 
 acquire_measurements fills the full table the recovery loop consumes: r_max
 hashings, c_max probe pairs each (redrawn until digit-balanced), and one
 measurement per shift vector in the location ladder. All later subtraction
-of recovered mass goes through update_residual_measurements, which adjusts
-the stored tables exactly and keeps the sample counter frozen.
+of recovered mass goes through update_residual_measurements, which applies
+the same exact rule to the stored tables and keeps the sample counter frozen.
 """
 from __future__ import annotations
 
-import math
-import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -29,31 +28,21 @@ from .core import (
     ProbePair,
     RecoveryParams,
     SparseApprox,
-    next_power_of_two,
     star,
 )
 from .dense_dft import fft_axes
 from .filters import cached_bucket_filter
 from .location import check_balanced
-from .permutation import Hashing, SpectrumPermutation, sample_permutation
-from .semi_equispaced import shifted_semi_equispaced
+from .permutation import Hashing, sample_permutation
 
 __all__ = [
     "MeasurementSet",
     "hash_to_bins",
     "acquire_measurements",
     "update_residual_measurements",
-    "save_measurement_set",
-    "load_measurement_set",
 ]
 
 _GATHER_CHUNK = 4_000_000  # complex entries per batched spectrum gather
-
-
-def _subtraction_precision(N: int) -> int:
-    """Exponent c for the chi subtraction; raised on tiny grids so the
-    absolute error stays below every downstream tolerance."""
-    return max(3, math.ceil(9.0 / math.log10(max(N, 2))))
 
 
 def _support_grid(hashing: Hashing) -> np.ndarray:
@@ -124,23 +113,35 @@ def _gather_spectrum(
     return out
 
 
-def _chi_on_support(
-    chi: SparseApprox, hashing: Hashing, grid: np.ndarray, a: GridIndex
+def _chi_buckets(
+    chi: SparseApprox,
+    hashing: Hashing,
+    mods: np.ndarray,
+    cells: np.ndarray | None = None,
 ) -> np.ndarray:
-    """chi-hat at Sigma^T (i - a) on the support grid, via the permuted-box
-    transform (semi-equispaced; exact dense fallback on coarse grids)."""
-    n, d = chi.n, chi.d
-    b_eff = next_power_of_two(hashing.F * hashing.b)
-    perm_t = SpectrumPermutation(n, hashing.perm.sigma.T % n, a)
-    box = shifted_semi_equispaced(
-        chi, perm_t, b_eff**d, _subtraction_precision(n**d)
-    )
-    side = 2 * b_eff
-    idx = grid % side
-    flat = np.zeros(grid.shape[0], dtype=np.int64)
-    for ax in range(d):
-        flat = flat * side + idx[:, ax]
-    return box.reshape(-1)[flat]
+    """Exact bucket contributions of chi under each modulation.
+
+    Entry t adds G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t) to bucket j
+    under modulation a. Returns an (M, B) array over every bucket, or
+    (M, m) at the bucket coordinates `cells` (an (m, d) array), which costs
+    O(m * |chi| * d) and builds no (|chi|, B) table. Reads no samples.
+    """
+    n, d, b = hashing.n, hashing.d, hashing.b
+    coords = chi.coords_array()
+    pi = hashing.perm.forward_array(coords)
+    g_axis = hashing.filter.g_axis
+    if cells is None:
+        centers = (n // b) * np.arange(b, dtype=np.int64)
+        weights = g_axis[(pi[:, 0, None] - centers) % n]
+        for ax in range(1, d):
+            extra = g_axis[(pi[:, ax, None] - centers) % n]
+            weights = (weights[:, :, None] * extra[:, None, :]).reshape(len(coords), -1)
+    else:
+        offsets = (pi[:, None, :] - (n // b) * cells[None, :, :]) % n
+        weights = g_axis[offsets].prod(axis=-1)
+    sig_t = (coords @ hashing.perm.sigma.T) % n
+    expo = (mods @ sig_t.T) % n
+    return (np.exp(2j * np.pi * expo / n) * chi.values_array()) @ weights
 
 
 def hash_to_bins(
@@ -165,10 +166,11 @@ def hash_to_bins(
         )
     grid = _support_grid(hashing)
     row = _support_row(hashing, grid)
-    samples = _gather_spectrum(xhat, hashing, grid, a.to_array()[None, :])[0]
+    mods = a.to_array()[None, :]
+    samples = _gather_spectrum(xhat, hashing, grid, mods)
+    u = _fold_and_invert(samples * row, hashing)[0]
     if len(chi):
-        samples = samples - _chi_on_support(chi, hashing, grid, a)
-    u = _fold_and_invert((samples * row)[None, :], hashing)[0]
+        u = u - _chi_buckets(chi, hashing, mods)[0]
     return u.reshape((hashing.b,) * hashing.d)
 
 
@@ -331,83 +333,8 @@ def update_residual_measurements(
         raise ParameterError("chi_delta does not live on the measurement grid")
     if len(chi_delta) == 0:
         return mset
-    n, d = mset.n, mset.d
-    coords = chi_delta.coords_array()
-    vals = chi_delta.values_array()
     for r, (hashing, probes) in enumerate(zip(mset.hashings, mset.probes)):
-        b = hashing.b
-        g_axis = hashing.filter.g_axis
-        pi = hashing.perm.forward_array(coords)
-        centers = (n // b) * np.arange(b, dtype=np.int64)
-        gax = [g_axis[(pi[:, ax, None] - centers[None, :]) % n] for ax in range(d)]
-        weights = gax[0]
-        for extra in gax[1:]:
-            weights = weights[..., :, None] * extra[:, None, ...].reshape(
-                (coords.shape[0],) + (1,) * (weights.ndim - 1) + (b,)
-            )
-        weights = weights.reshape(coords.shape[0], b**d)
-        sig_t = (coords @ hashing.perm.sigma.T) % n
-        mods = _modulations(probes, mset.shifts, n, d)
-        expo = (mods @ sig_t.T) % n
-        phases = np.exp(2j * np.pi * expo / n) * vals[None, :]
-        increment = phases @ weights
+        mods = _modulations(probes, mset.shifts, mset.n, mset.d)
+        increment = _chi_buckets(chi_delta, hashing, mods)
         mset.buckets[r] -= increment.reshape(mset.buckets[r].shape)
     return mset
-
-
-_DUMP_MAGIC = b"BKTS"
-_DUMP_VERSION = 1
-
-
-def save_measurement_set(mset: MeasurementSet, path: str) -> None:
-    """Binary dump: versioned header, then the complex64 bucket tables."""
-    p = mset.params
-    header = struct.pack(
-        "<4sIIIIIIIq",
-        _DUMP_MAGIC,
-        _DUMP_VERSION,
-        p.n,
-        p.d,
-        p.B,
-        p.F,
-        p.r_max,
-        p.c_max,
-        p.seed,
-    )
-    tables = mset.buckets.astype(np.complex64)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<I", len(mset.shifts)))
-        fh.write(struct.pack("<q", mset.sample_counter))
-        fh.write(tables.tobytes())
-
-
-def load_measurement_set(path: str) -> tuple[dict, np.ndarray]:
-    """Read a dump back as (header fields, complex64 bucket tables)."""
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIIIIIIIq"))
-        magic, version, n, d, B, F, r_max, c_max, seed = struct.unpack(
-            "<4sIIIIIIIq", head
-        )
-        if magic != _DUMP_MAGIC:
-            raise ParameterError(f"not a measurement dump: magic {magic!r}")
-        if version != _DUMP_VERSION:
-            raise ParameterError(f"unsupported dump version {version}")
-        (n_shifts,) = struct.unpack("<I", fh.read(4))
-        (counter,) = struct.unpack("<q", fh.read(8))
-        raw = fh.read()
-    tables = np.frombuffer(raw, dtype=np.complex64).reshape(
-        r_max, c_max, n_shifts, B
-    )
-    meta = {
-        "n": n,
-        "d": d,
-        "B": B,
-        "F": F,
-        "r_max": r_max,
-        "c_max": c_max,
-        "seed": seed,
-        "n_shifts": n_shifts,
-        "sample_counter": counter,
-    }
-    return meta, tables

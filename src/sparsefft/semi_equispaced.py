@@ -15,6 +15,12 @@ computes internally on the smallest wide-enough box and folds the result
 back onto the requested one. When even the widest usable box falls short,
 or the box is as fine as the grid itself (2b >= n), a dense FFT answers
 exactly.
+
+This module is not on the recovery path: hashing_measurements subtracts chi
+exactly in bucket space, from the filter's time-domain table. The module and
+FlatWindow stay only because the recovery benchmark (perfbench/) imports
+this module in its tracer and smoke tests; they can be deleted together
+with that import.
 """
 from __future__ import annotations
 

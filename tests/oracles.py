@@ -1,9 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is written from the mathematical definitions with plain
-index arithmetic and lookup tables, deliberately avoiding the library's
-radix-2 butterflies, folding tricks, and cached filter machinery. Costs
-are quadratic or worse, so keep the grids small.
+index arithmetic and lookup tables, deliberately avoiding numpy's FFT (which
+backs the library's dense_dft), folding tricks, and cached filter
+machinery. Costs are quadratic or worse, so keep the grids small.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsefft import DenseSignal, ParameterError
-from sparsefft.dense_dft import forward_dft, inverse_dft
+from sparsefft.dense_dft import fft_axes, forward_dft, inverse_dft
 
 from oracles import direct_transform
 
@@ -80,3 +80,20 @@ def test_domain_mismatch_is_rejected(rng):
         forward_dft(random_signal(8, 1, rng, domain="frequency"))
     with pytest.raises(ParameterError):
         inverse_dft(random_signal(8, 1, rng, domain="time"))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fft_axes_transforms_each_batch_entry(inverse, rng):
+    # Axes 0 and 2 of an (8, 3, 8) array: a 2-D transform per middle index.
+    vals = rng.standard_normal((8, 3, 8)) + 1j * rng.standard_normal((8, 3, 8))
+    got = fft_axes(vals, (0, 2), inverse=inverse)
+    for j in range(3):
+        want = direct_transform(vals[:, j, :], 8, 2, inverse=inverse)
+        np.testing.assert_allclose(got[:, j, :], want, atol=1e-10)
+
+
+def test_fft_axes_rejects_non_power_of_two_axis(rng):
+    vals = rng.standard_normal((6, 8)) + 0j
+    with pytest.raises(ParameterError):
+        fft_axes(vals, (0,))
+    assert fft_axes(vals, (1,)).shape == (6, 8)

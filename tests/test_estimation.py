@@ -107,6 +107,29 @@ class TestExactTones:
         )
         assert abs(batch.estimates[i0] - 0.75 * x.get(i0)) < 1e-6
 
+    @pytest.mark.parametrize("n,d", [(256, 1), (16, 2), (8, 3)])
+    def test_chi_subtraction_matches_explicit_residual(self, n, d, rng):
+        # Subtracting chi in bucket space must give the estimates of the
+        # explicit residual spectrum, repetition by repetition.
+        shape = (n,) * d
+        x_time = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        chi = random_sparse_time(n, d, 5, rng)
+        extra = rng.integers(0, n, size=(4, d))
+        L = list(chi.support()) + [GridIndex.from_array(n, row) for row in extra]
+        args = (L, 3, 0.5, 0.0, 5)
+        with_chi = estimate_values(
+            lib_freq(x_time, n, d), chi, *args, rng=np.random.default_rng(5)
+        )
+        residual = estimate_values(
+            lib_freq(x_time - dense_time(chi).values, n, d),
+            SparseApprox(n, d, {}),
+            *args,
+            rng=np.random.default_rng(5),
+        )
+        got = np.array([with_chi.estimates[f] for f in residual.estimates])
+        want = np.array(list(residual.estimates.values()))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
     def test_well_spread_tones_estimated_together(self, rng):
         n, d, k = 1024, 1, 5
         x = random_sparse_time(n, d, k, rng)

@@ -359,7 +359,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "all checks passed" in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         assert "FAIL" not in out
 
 

@@ -5,6 +5,8 @@ measurement and subtraction steps are exact up to float arithmetic there.
 Noisy instances get contract-level checks: geometric head-mass reduction,
 sup-norm capping, and residual energy within a constant factor of the tail.
 """
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sparsefft import (
     RecoveryParams,
     SparseApprox,
 )
+from sparsefft import dense_dft, semi_equispaced
 from sparsefft.dense_dft import fft_grid
 from sparsefft.hashing_measurements import acquire_measurements
 from sparsefft.recovery import (
@@ -236,6 +239,27 @@ class TestFullPipeline:
         out = sparse_fft(lib_freq(dense_time(x).values, n, d), k, seed=5)
         assert out.support() == x.support()
         assert max(abs(x.get(f) - out.get(f)) for f in x.support()) < 1e-6
+
+    @pytest.mark.parametrize("n,d,k", [(1024, 1, 4), (8, 3, 3)])
+    def test_recovery_makes_no_dense_transform(self, n, d, k, monkeypatch, rng):
+        # chi is subtracted in bucket space, so neither the semi-equispaced
+        # box transform nor a full-grid FFT may run. Every module-level
+        # binding is replaced, including names imported into other modules.
+        x = random_sparse_time(n, d, k, rng)
+        values = np.fft.fftn(dense_time(x).values, norm="ortho")
+        xhat = DenseSignal(n=n, d=d, values=values, domain="frequency")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full-grid transform on the recovery path")
+
+        banned = (semi_equispaced.shifted_semi_equispaced, dense_dft.fft_grid)
+        for name, module in list(sys.modules.items()):
+            if name == "sparsefft" or name.startswith("sparsefft."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in banned):
+                        monkeypatch.setattr(module, attr, forbidden)
+        out, _ = sparse_fft_with_stats(xhat, k, seed=3)
+        assert out.support() == x.support()
 
     def test_zero_signal_gives_empty_output(self):
         out = sparse_fft(DenseSignal.zeros(1024, 1, "frequency"), 4, seed=1)
