@@ -189,7 +189,8 @@ def _print_records(records) -> None:
         print(
             f"seed={rec.seed} l2_ratio={rec.l2_error_ratio:.4g} "
             f"precision={rec.support_precision:.3f} recall={rec.support_recall:.3f} "
-            f"samples={rec.samples_total} wall_ms={rec.wall_time_ms:.1f}"
+            f"samples={rec.samples_total} generate_ms={rec.generate_ms:.1f} "
+            f"recover_ms={rec.recover_ms:.1f}"
         )
     ratios = [rec.l2_error_ratio for rec in records]
     recalls = [rec.support_recall for rec in records]

@@ -442,6 +442,14 @@ class RecoveryParams:
             raise ParameterError(f"need B >= k, got B={self.B} < k={self.k}")
         if min(self.r_max, self.c_max, self.T) < 1:
             raise ParameterError("repetition counts and T must be >= 1")
+        # Location tests each probe against its nearest root only; that is
+        # exact when the tolerance disks of adjacent roots cannot overlap.
+        # Every ladder base is <= delta, so delta is the binding case.
+        if self.tunables.ratio_tolerance >= math.sin(math.pi / self.delta):
+            raise ParameterError(
+                f"ratio_tolerance {self.tunables.ratio_tolerance} must lie below "
+                f"sin(pi/{self.delta}) = {math.sin(math.pi / self.delta):.4f}"
+            )
 
     @property
     def N(self) -> int:

@@ -30,13 +30,21 @@ from .permutation import Hashing, sample_permutation
 __all__ = ["EstimateBatch", "coordinatewise_median", "quantile", "estimate_values"]
 
 
-def coordinatewise_median(values) -> complex:
+def coordinatewise_median(values) -> complex | np.ndarray:
     """Median of the real parts plus i times the median of the imaginary
-    parts. For any complex a, |result - a| <= 2 * median_i |values_i - a|."""
-    arr = np.asarray(values, dtype=np.complex128).reshape(-1)
+    parts, taken along axis 0. For any complex a,
+    |result - a| <= 2 * median_i |values_i - a|.
+
+    A 1-D input gives a complex scalar; an (s, m) table gives the m column
+    medians as a complex array, each equal to the scalar median of its column.
+    """
+    arr = np.asarray(values, dtype=np.complex128)
     if arr.size == 0:
         raise ParameterError("median of an empty list")
-    return complex(np.median(arr.real), np.median(arr.imag))
+    out = np.empty(arr.shape[1:], dtype=np.complex128)
+    out.real = np.median(arr.real, axis=0)
+    out.imag = np.median(arr.imag, axis=0)
+    return complex(out) if out.ndim == 0 else out
 
 
 def quantile(values, gamma: float) -> float:
@@ -148,8 +156,7 @@ def estimate_values(
         expo = (sig_f @ z.to_array()) % n
         w[rep] = read / gain * np.exp(-2j * np.pi * expo / n)
 
-    for col, f in enumerate(locations):
-        est = coordinatewise_median(w[:, col])
+    for f, est in zip(locations, coordinatewise_median(w).tolist()):
         batch.estimates[f] = est
         if abs(est) > nu:
             batch.kept[f] = est

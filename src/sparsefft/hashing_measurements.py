@@ -28,7 +28,6 @@ from .core import (
     ProbePair,
     RecoveryParams,
     SparseApprox,
-    star,
 )
 from .dense_dft import fft_axes
 from .filters import cached_bucket_filter
@@ -97,18 +96,21 @@ def _gather_spectrum(
     modulation a, gathered in one fancy index per chunk of modulations."""
     n, d = xhat.n, xhat.d
     sigma = hashing.perm.sigma
-    base = (grid @ sigma) % n
-    shift = (np.asarray(mods, dtype=np.int64) @ sigma) % n
-    strides = np.array([n ** (d - 1 - ax) for ax in range(d)], dtype=np.int64)
+    # n is a power of two, so "& mask" is "mod n" (also for negative
+    # differences) and a row-major stride of n is a shift by log2(n) bits.
+    mask, bits = n - 1, n.bit_length() - 1
+    base = (grid @ sigma) & mask
+    shift = (np.asarray(mods, dtype=np.int64) @ sigma) & mask
     xflat = xhat.values.reshape(-1)
     P = base.shape[0]
     out = np.empty((shift.shape[0], P), dtype=np.complex128)
     step = max(1, _GATHER_CHUNK // max(P, 1))
     for lo in range(0, shift.shape[0], step):
         hi = min(lo + step, shift.shape[0])
-        flat = np.zeros((hi - lo, P), dtype=np.int64)
-        for ax in range(d):
-            flat += ((base[None, :, ax] - shift[lo:hi, ax, None]) % n) * strides[ax]
+        flat = (base[None, :, 0] - shift[lo:hi, 0, None]) & mask
+        for ax in range(1, d):
+            flat <<= bits
+            flat |= (base[None, :, ax] - shift[lo:hi, ax, None]) & mask
         out[lo:hi] = xflat[flat]
     return out
 
@@ -263,12 +265,13 @@ def _sample_balanced_probes(
 def _modulations(
     probes: list[ProbePair], shifts: list[GridIndex], n: int, d: int
 ) -> np.ndarray:
-    """Modulation vectors a*(1, w) for every (probe, shift), probe-major."""
-    ones = GridIndex.ones(n, d)
-    rows = [
-        star(p, ProbePair(ones, w)).to_array() for p in probes for w in shifts
-    ]
-    return np.stack(rows).astype(np.int64)
+    """Modulation vectors a*(1, w) = alpha + beta*w mod n for every
+    (probe, shift), probe-major, as a (len(probes) * len(shifts), d) array."""
+    alphas = np.array([p.alpha.coords for p in probes], dtype=np.int64)
+    betas = np.array([p.beta.coords for p in probes], dtype=np.int64)
+    ws = np.array([w.coords for w in shifts], dtype=np.int64)
+    mods = (alphas[:, None, :] + betas[:, None, :] * ws[None, :, :]) % n
+    return mods.reshape(-1, d)
 
 
 def acquire_measurements(

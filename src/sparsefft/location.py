@@ -12,6 +12,15 @@ digits is dropped.
 Digits run through base Delta groups, with a final group of base
 n / Delta^(G-1) so every bit of f is covered. Decoding is deterministic
 given the measurement tables.
+
+Each probe's corrected ratio is tested against one root only: the one
+nearest to it in phase, found with a single np.angle. That is exact: the
+tolerance disks around two distinct base-th roots are disjoint when
+ratio_tolerance < sin(pi / base) (RecoveryParams enforces it for every
+ladder base), so no other root can accept the ratio. A probe then votes for
+every digit whose root index digit * beta_s mod base is that nearest root.
+Buckets that fail a group are dropped from the working set, so later groups
+decode only the survivors.
 """
 from __future__ import annotations
 
@@ -79,7 +88,8 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
     invalid = np.abs(ref) < tun.near_zero
     safe_ref = np.where(invalid, 1.0, ref)
 
-    alive = np.ones(B, dtype=bool)
+    # Surviving bucket numbers, ascending, and their partial decodes.
+    live = np.arange(B)
     fvec = np.zeros((B, d), dtype=np.int64)
     min_votes = tun.vote_fraction * c_max - 1e-9
 
@@ -87,27 +97,31 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
         betas = np.array([p.beta.coords[s] for p in probes], dtype=np.int64)
         scale = 1
         for g, base in enumerate(mset.group_bases, start=1):
+            if live.size == 0:
+                break
             step = n // (scale * base)
-            meas = mset.buckets[r, :, mset.shift_slot(g, s), :]
-            xi = meas / safe_ref
+            meas = mset.buckets[r, :, mset.shift_slot(g, s)][:, live]
+            xi = meas / safe_ref[:, live]
             corr_expo = (step * betas[:, None] * fvec[None, :, s]) % n
             corrected = xi * np.exp(-2j * np.pi * corr_expo / n)
-            votes = np.empty((base, B), dtype=np.int64)
-            for digit in range(base):
-                root = np.exp(-2j * np.pi * ((digit * betas) % base) / base)
-                eta = root[:, None] * corrected
-                ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
-                votes[digit] = ok.sum(axis=0)
+            nearest = np.rint(np.angle(corrected) * (base / (2 * np.pi)))
+            nearest = nearest.astype(np.int64) % base
+            roots = np.exp(-2j * np.pi * np.arange(base) / base)
+            eta = roots[nearest] * corrected
+            ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid[:, live]
+            targets = (np.arange(base)[:, None] * betas[None, :]) % base
+            votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)
             passed = votes >= min_votes
-            n_pass = passed.sum(axis=0)
-            alive &= n_pass == 1
+            unique = passed.sum(axis=0) == 1
             chosen = passed.argmax(axis=0)
-            fvec[:, s] += scale * np.where(n_pass == 1, chosen, 0)
+            live = live[unique]
+            fvec = fvec[unique]
+            fvec[:, s] += scale * chosen[unique]
             scale *= base
 
+    failed = np.ones(B, dtype=bool)
+    failed[live] = False
     found: dict[GridIndex, None] = {}
-    if alive.any():
-        idx = (fvec[alive] @ hashing.perm.sigma_inv.T) % n
-        for row in idx:
-            found.setdefault(GridIndex.from_array(n, row))
-    return LocationResult(found=list(found), failed=~alive)
+    for row in (fvec @ hashing.perm.sigma_inv.T) % n:
+        found.setdefault(GridIndex.from_array(n, row))
+    return LocationResult(found=list(found), failed=failed)

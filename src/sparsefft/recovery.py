@@ -125,8 +125,10 @@ def reduce_l1_norm(
     Runs ~log2(log^4 N) inner rounds; each unions location candidates over
     all hashings, estimates the residual there with a geometrically falling
     acceptance threshold, and folds the kept values into both chi and the
-    bucket tables. Returns the updated total approximation (chi plus every
-    accepted increment); mset is updated in place to match it.
+    bucket tables. Decoding reads the bucket tables alone, so the candidates
+    are reused until an increment changes the tables. Returns the updated
+    total approximation (chi plus every accepted increment); mset is updated
+    in place to match it.
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)
@@ -140,10 +142,12 @@ def reduce_l1_norm(
     inner = max(1, math.ceil(tun.inner_iters_coeff * _loglog2(N)))
 
     total = chi
+    locations = None
     for t in range(inner):
         head_term = tun.l1_threshold_frac * nu * 0.5**t
         threshold = head_term + tun.head_bias * mu_eff
-        locations = _union_locations(mset, total)
+        if locations is None:
+            locations = _union_locations(mset, total)
         increment = SparseApprox.empty(n, d)
         if locations:
             batch = estimate_values(
@@ -165,6 +169,7 @@ def reduce_l1_norm(
         if len(increment) > 0:
             update_residual_measurements(mset, increment)
             total = total + increment
+            locations = None
         elif head_term <= tun.head_bias * mu_eff:
             # The threshold has bottomed out at the noise floor; later
             # rounds would re-test the same empty candidate set.
@@ -189,8 +194,9 @@ def reduce_inf_norm(
 
     Self-contained: draws its own ~log N hashings (more than the l1 loop
     uses, because at most k_tilde survivors must all be caught), then halves
-    the threshold for ceil(log2 r_star) rounds. Returns only the increment
-    found here, not chi plus the increment.
+    the threshold for ceil(log2 r_star) rounds. As in the l1 loop, the
+    candidates are decoded again only after kept values change the tables.
+    Returns only the increment found here, not chi plus the increment.
     """
     tun = tunables or Tunables()
     if k_tilde < 1:
@@ -218,9 +224,11 @@ def reduce_inf_norm(
     reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
 
     increment = SparseApprox.empty(n, d)
+    locations = None
     for t in range(T):
         threshold = tun.inf_threshold_scale * (nu * 2.0 ** (T - (t + 1)) + mu)
-        locations = _union_locations(mset, chi + increment)
+        if locations is None:
+            locations = _union_locations(mset, chi + increment)
         if not locations:
             continue
         batch = estimate_values(
@@ -241,6 +249,7 @@ def reduce_inf_norm(
         if len(kept) > 0:
             update_residual_measurements(mset, kept)
             increment = increment + kept
+            locations = None
     return increment
 
 

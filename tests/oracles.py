@@ -108,3 +108,47 @@ def modulation_of(pair, shift: GridIndex) -> GridIndex:
     n = alpha.n
     coords = (alpha.to_array() + beta.to_array() * shift.to_array()) % n
     return GridIndex.from_array(n, coords)
+
+
+def reference_locate(mset, r: int) -> tuple[list[GridIndex], np.ndarray]:
+    """Per-digit location vote over every bucket: (found, failed).
+
+    The straightforward decoder: for every digit group and every candidate
+    digit, rotate each probe's corrected ratio by that digit's root and
+    count the probes landing within ratio_tolerance of 1, over all B
+    buckets, including those that already failed an earlier group.
+    """
+    params = mset.params
+    tun = params.tunables
+    n, d, B = mset.n, mset.d, params.B
+    probes = mset.probes[r]
+    c_max = len(probes)
+    ref = mset.buckets[r, :, 0, :]
+    invalid = np.abs(ref) < tun.near_zero
+    safe_ref = np.where(invalid, 1.0, ref)
+    alive = np.ones(B, dtype=bool)
+    fvec = np.zeros((B, d), dtype=np.int64)
+    min_votes = tun.vote_fraction * c_max - 1e-9
+    for s in range(d):
+        betas = np.array([p.beta.coords[s] for p in probes], dtype=np.int64)
+        scale = 1
+        for g, base in enumerate(mset.group_bases, start=1):
+            step = n // (scale * base)
+            xi = mset.buckets[r, :, mset.shift_slot(g, s), :] / safe_ref
+            corr_expo = (step * betas[:, None] * fvec[None, :, s]) % n
+            corrected = xi * np.exp(-2j * np.pi * corr_expo / n)
+            votes = np.empty((base, B), dtype=np.int64)
+            for digit in range(base):
+                root = np.exp(-2j * np.pi * ((digit * betas) % base) / base)
+                eta = root[:, None] * corrected
+                ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
+                votes[digit] = ok.sum(axis=0)
+            passed = votes >= min_votes
+            n_pass = passed.sum(axis=0)
+            alive &= n_pass == 1
+            fvec[:, s] += scale * np.where(n_pass == 1, passed.argmax(axis=0), 0)
+            scale *= base
+    found: dict[GridIndex, None] = {}
+    for row in (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n:
+        found.setdefault(GridIndex.from_array(n, row))
+    return list(found), ~alive

@@ -188,6 +188,17 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError):
             RecoveryParams.derive(64, 1, 5, alpha=1.5)
 
+    def test_ratio_tolerance_must_keep_root_disks_apart(self):
+        # delta = 4 at n = 2^16: sin(pi/4) ~ 0.707, so 0.75 lets the
+        # tolerance disks of adjacent roots overlap.
+        with pytest.raises(ParameterError, match="ratio_tolerance"):
+            RecoveryParams.derive(2**16, 1, 8, tunables=Tunables(ratio_tolerance=0.75))
+        p = RecoveryParams.derive(2**16, 1, 8)
+        assert p.delta == 4
+        assert p.tunables.ratio_tolerance < math.sin(math.pi / p.delta)
+        # Base 2 roots sit at distance 2 apart, so 0.75 is still exact there.
+        RecoveryParams.derive(1024, 1, 8, tunables=Tunables(ratio_tolerance=0.75))
+
     def test_with_overrides_replaces_fields(self):
         p = RecoveryParams.derive(256, 1, 4)
         q = p.with_overrides(r_max=3)

@@ -52,6 +52,16 @@ class TestCoordinatewiseMedian:
             assert abs(est - a) <= 2.0 * med_dev + 1e-12
 
 
+    @pytest.mark.parametrize("reps", [1, 2, 5, 8])
+    def test_table_columns_match_scalar_medians(self, reps, rng):
+        # Rounding makes ties, which the even-count average must handle too.
+        table = np.round(rng.normal(size=(reps, 40)) + 1j * rng.normal(size=(reps, 40)), 1)
+        batched = coordinatewise_median(table)
+        assert batched.shape == (40,)
+        scalar = [coordinatewise_median(table[:, col]) for col in range(40)]
+        assert batched.tolist() == scalar
+
+
 class TestQuantile:
     def test_pinned_ranks(self):
         assert quantile([5, 4, 3, 2, 1], 0.2) == 5.0

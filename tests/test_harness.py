@@ -142,6 +142,7 @@ class TestRunExperiment:
             )
             assert rec.samples_location > 0
             assert rec.samples_estimation > 0
+            assert rec.generate_ms > 0.0 and rec.recover_ms > 0.0
 
     def test_noisy_models_keep_full_recall(self):
         for model in SIGNAL_MODELS[1:]:
@@ -165,7 +166,8 @@ class TestRunExperiment:
                 samples_infnorm=0,
                 samples_constsnr=0,
                 samples_total=21,
-                wall_time_ms=1.0,
+                generate_ms=1.0,
+                recover_ms=1.0,
             )
 
 
@@ -262,7 +264,7 @@ class TestReproducibility:
         first = run_experiment(spec)
         second = run_experiment(spec)
         for a, b in zip(first, second):
-            assert a.row()[:-1] == b.row()[:-1]
+            assert a.row()[:-2] == b.row()[:-2]
 
     def test_worker_pool_matches_serial_run(self, monkeypatch):
         spec = ExperimentSpec(n=512, d=1, k=5, seeds=[0, 1, 2])
@@ -272,7 +274,7 @@ class TestReproducibility:
         pooled = run_experiment(spec)
         assert [r.seed for r in pooled] == [0, 1, 2]
         for a, b in zip(serial, pooled):
-            assert a.row()[:-1] == b.row()[:-1]
+            assert a.row()[:-2] == b.row()[:-2]
 
     def test_nonpositive_worker_count_is_rejected(self, monkeypatch):
         monkeypatch.setenv("SPARSEFFT_WORKERS", "0")
@@ -307,6 +309,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "seed=0" in out
+        assert "generate_ms=" in out and "recover_ms=" in out
         assert "summary: runs=1" in out
         assert len(read_csv(str(csv_path))) == 1
         assert "spec_hash" in json.loads(json_path.read_text())

@@ -4,7 +4,9 @@ A single tone makes every measurement ratio an exact root of unity, so
 location must return the tone's index and nothing else; that pins the whole
 shift ladder arithmetic, including multi-axis grids. Probe balance rules are
 checked at their integer boundaries, and noisy-tail recall is measured
-against the supermajority voting threshold.
+against the supermajority voting threshold. The nearest-root decoder with
+survivor compaction must return exactly what the per-digit vote over every
+bucket (oracles.reference_locate) returns.
 """
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from sparsefft.hashing_measurements import (
 from sparsefft.location import LocationResult, check_balanced, locate_signal
 from sparsefft.permutation import bucket_of
 
-from oracles import dense_time, random_sparse_time
+from oracles import dense_time, random_sparse_time, reference_locate
 
 
 def lib_freq(values_time: np.ndarray, n: int, d: int) -> DenseSignal:
@@ -194,3 +196,65 @@ class TestNoisyRecall:
             locate_signal(mset, params.r_max, SparseApprox(n, d, {}))
         with pytest.raises(ParameterError):
             locate_signal(mset, 0, SparseApprox(2 * n, d, {}))
+
+
+def assert_matches_reference(mset):
+    for r in range(len(mset.hashings)):
+        result = locate_signal(mset, r, SparseApprox.empty(mset.n, mset.d))
+        found, failed = reference_locate(mset, r)
+        assert result.found == found
+        assert np.array_equal(result.failed, failed)
+
+
+class TestMatchesPerDigitVote:
+    GRIDS = [
+        (1024, 1, 4, None),
+        (64, 2, 4, None),
+        (16, 3, 3, None),
+        # delta = 4: base-4 groups on a large 1-D grid, few buckets.
+        (2**16, 1, 4, 64),
+    ]
+
+    @pytest.mark.parametrize("n,d,k,B", GRIDS)
+    @pytest.mark.parametrize("tail_rel", [0.0, 0.3, 1.0])
+    def test_acquired_tables(self, n, d, k, B, tail_rel, rng):
+        params = RecoveryParams.derive(n, d, k, B=B)
+        x = random_sparse_time(n, d, k, rng)
+        xt = dense_time(x).values
+        if tail_rel:
+            tail = rng.normal(size=xt.shape) + 1j * rng.normal(size=xt.shape)
+            xt = xt + tail * (tail_rel / np.linalg.norm(tail))
+        mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
+        assert_matches_reference(mset)
+
+    @pytest.mark.parametrize("n,d,k,B", GRIDS)
+    def test_random_tables(self, n, d, k, B, rng):
+        # Each bucket's ratios follow a random planted index, jittered at
+        # spreads from "always inside the tolerance" to "mostly outside".
+        # Odd hashings get even betas, so several digits can win at once;
+        # some references are zeroed on half the probes while their shifted
+        # entries sit exactly on roots; some entries are pure noise.
+        params = RecoveryParams.derive(n, d, k, B=B)
+        mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
+        for r in range(1, len(mset.probes), 2):
+            mset.probes[r] = [ProbePair(p.alpha, p.beta.scaled(2)) for p in mset.probes[r]]
+        R, C, S, nb = mset.buckets.shape
+        planted = rng.integers(0, n, size=(R, nb, d))
+        ref = rng.normal(size=(R, C, nb)) * np.exp(2j * np.pi * rng.random((R, C, nb)))
+        ref[:, :, ::11] = 1.0
+        spread = rng.choice([0.0, 0.03, 0.1, 0.3], size=(R, 1, nb))
+        scale = 1
+        mset.buckets[:, :, 0] = ref
+        for g, base in enumerate(mset.group_bases, start=1):
+            step = n // (scale * base)
+            for s in range(d):
+                betas = np.array([[p.beta.coords[s] for p in ps] for ps in mset.probes])
+                expo = (step * betas[:, :, None] * planted[:, None, :, s]) % n
+                jitter = rng.normal(size=(R, C, nb)) + 1j * rng.normal(size=(R, C, nb))
+                mset.buckets[:, :, mset.shift_slot(g, s)] = ref * (
+                    np.exp(2j * np.pi * expo / n) + spread * jitter
+                )
+            scale *= base
+        mset.buckets[:, ::2, 0, ::11] = 0.0
+        mset.buckets[:, :, 1:, 5::7] = rng.normal(size=(R, C, S - 1, len(range(5, nb, 7))))
+        assert_matches_reference(mset)

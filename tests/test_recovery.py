@@ -5,6 +5,7 @@ measurement and subtraction steps are exact up to float arithmetic there.
 Noisy instances get contract-level checks: geometric head-mass reduction,
 sup-norm capping, and residual energy within a constant factor of the tail.
 """
+import hashlib
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ from sparsefft import (
     SparseApprox,
 )
 from sparsefft import dense_dft, semi_equispaced
+from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
 from sparsefft.hashing_measurements import acquire_measurements
 from sparsefft.recovery import (
@@ -103,6 +105,49 @@ class TestReduceL1:
         )
         assert stats.samples_estimation > 0
         assert mset.sample_counter == base + stats.samples_estimation
+
+
+def count_decodes(monkeypatch) -> list:
+    """Record (measurement set, hashing, table digest) for each decode."""
+    calls = []
+    real = recovery_module.locate_signal
+
+    def counting(mset, r, chi):
+        digest = hashlib.sha256(mset.buckets[r].tobytes()).hexdigest()
+        calls.append((id(mset), r, digest))
+        return real(mset, r, chi)
+
+    monkeypatch.setattr(recovery_module, "locate_signal", counting)
+    return calls
+
+
+class TestLocationReuse:
+    """Decoding reads the bucket tables alone, so within one stage call a
+    hashing is decoded again only after an increment changed its table."""
+
+    @pytest.mark.parametrize("tail_rel", [0.0, 0.05])
+    def test_l1_loop_decodes_each_table_once(self, tail_rel, monkeypatch, rng):
+        n, d, k = 1024, 1, 5
+        params = RecoveryParams.derive(n, d, k)
+        x, xt, _ = noisy_instance(n, d, k, rng, tail_rel=tail_rel)
+        mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
+        calls = count_decodes(monkeypatch)
+        reduce_l1_norm(
+            mset, SparseApprox.empty(n, d), params, 2.0 * x.norm_inf(), 0.0, rng=rng
+        )
+        assert len(calls) >= params.r_max
+        assert len(set(calls)) == len(calls)
+
+    def test_inf_loop_decodes_each_table_once(self, monkeypatch, rng):
+        n, d, k = 1024, 1, 3
+        x = random_sparse_time(n, d, k, rng)
+        xhat = lib_freq(dense_time(x).values, n, d)
+        calls = count_decodes(monkeypatch)
+        reduce_inf_norm(
+            xhat, SparseApprox.empty(n, d), k, x.norm_inf(), 16.0, 0.0, rng
+        )
+        assert calls
+        assert len(set(calls)) == len(calls)
 
 
 class TestReduceInfNorm:
