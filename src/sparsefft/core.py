@@ -7,7 +7,9 @@ signed index ranges map onto these via the circular distance min(r, n-r).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -19,6 +21,8 @@ __all__ = [
     "DivergenceError",
     "is_power_of_two",
     "next_power_of_two",
+    "unit_roots",
+    "capped_bucket_count",
     "digit_base",
     "GridIndex",
     "ProbePair",
@@ -56,6 +60,41 @@ def next_power_of_two(m: int) -> int:
     if m < 1:
         raise ParameterError(f"need a positive size, got {m}")
     return 1 << (int(m) - 1).bit_length()
+
+
+@lru_cache(maxsize=32)
+def unit_roots(n: int, sign: int) -> np.ndarray:
+    """Read-only table of exp(sign * 2*pi*i * e / n) for e = 0..n-1.
+
+    Built with the same elementwise expression the kernels used to evaluate
+    per call, so table[e] is bit-identical to np.exp(sign*2j*np.pi*e/n).
+    """
+    if sign not in (1, -1):
+        raise ParameterError(f"root sign must be +1 or -1, got {sign}")
+    table = np.exp(sign * 2j * np.pi * np.arange(n) / n)
+    table.flags.writeable = False
+    return table
+
+
+def capped_bucket_count(n: int, d: int, target: float) -> int:
+    """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with B >= target.
+
+    When the per-axis side needed for the target exceeds n/2, b is clamped
+    there and a RuntimeWarning names the requested and the capped side: the
+    clamped B no longer meets the target, and a bucketing pass at b = n/2
+    reads about as many samples as a dense transform.
+    """
+    b = next_power_of_two(max(4, math.ceil(target ** (1.0 / d))))
+    cap = max(4, n // 2)
+    if b > cap:
+        warnings.warn(
+            f"bucket side b={b} needed for B >= {target:.4g} exceeds the n/2 "
+            f"cap on the n={n} grid; capped at b={cap} (B={cap**d})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        b = cap
+    return b**d
 
 
 def positive_part(v: float) -> float:
@@ -364,8 +403,6 @@ class Tunables:
     # Fraction of probes that must accept a digit, and the acceptance radius.
     vote_fraction: float = 3.0 / 5.0
     ratio_tolerance: float = 1.0 / 3.0
-    # Fraction of roots required in the closed left half-plane per digit.
-    balance_fraction: float = 49.0 / 100.0
     # Thresholding inside the L1 loop: (l1_threshold_frac * nu * 2^-t) + head_bias * mu.
     l1_threshold_frac: float = 1.0 / 1000.0
     head_bias: float = 4.0
@@ -468,11 +505,9 @@ class RecoveryParams:
     def bucket_count(
         n: int, d: int, k: int, alpha: float, scale: float
     ) -> int:
-        """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with B >= scale*k/alpha^d."""
-        target = scale * k / alpha**d
-        b = next_power_of_two(max(4, math.ceil(target ** (1.0 / d))))
-        b = min(b, max(4, n // 2))
-        return b**d
+        """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with
+        B >= scale*k/alpha^d; see `capped_bucket_count`."""
+        return capped_bucket_count(n, d, scale * k / alpha**d)
 
     @classmethod
     def derive(

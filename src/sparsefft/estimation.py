@@ -2,7 +2,10 @@
 
 Each repetition hashes the residual under a fresh permutation and reads one
 bucket per candidate: u at h(f), unwound by the filter gain at f's own
-offset and the modulation phase. The coordinatewise median over repetitions
+offset and the modulation phase. The repetitions are batched: every
+repetition's (permutation, modulation) is drawn first, their spectrum
+samples go into one (r_max, P) table, and one fold and one batched IFFT
+give all r_max bucket tables. The coordinatewise median over repetitions
 is within twice the typical per-repetition error of the true value, so a
 handful of repetitions drives the failure probability down geometrically.
 Estimates at or below the magnitude threshold nu are discarded.
@@ -20,11 +23,19 @@ from .core import (
     ParameterError,
     SparseApprox,
     Tunables,
+    capped_bucket_count,
     is_power_of_two,
-    next_power_of_two,
+    unit_roots,
 )
 from .filters import cached_bucket_filter
-from .hashing_measurements import _chi_buckets, hash_to_bins
+from .hashing_measurements import (
+    _chi_buckets,
+    _fold_and_invert,
+    _gather_spectrum,
+    _support_grid,
+    _support_row,
+    _support_values,
+)
 from .permutation import Hashing, sample_permutation
 
 __all__ = ["EstimateBatch", "coordinatewise_median", "quantile", "estimate_values"]
@@ -76,11 +87,8 @@ def _estimation_buckets(
     n: int, d: int, k: int, epsilon: float, alpha: float, scale: float
 ) -> int:
     """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with
-    B >= scale * k / (epsilon * alpha^(2d))."""
-    target = scale * max(k, 1) / (epsilon * alpha ** (2 * d))
-    b = next_power_of_two(max(4, math.ceil(target ** (1.0 / d))))
-    b = min(b, max(4, n // 2))
-    return b**d
+    B >= scale * k / (epsilon * alpha^(2d)); see `capped_bucket_count`."""
+    return capped_bucket_count(n, d, scale * max(k, 1) / (epsilon * alpha ** (2 * d)))
 
 
 def estimate_values(
@@ -100,9 +108,10 @@ def estimate_values(
     """Estimate the residual (x - chi) at each location in L.
 
     Draws r_max fresh hashings from rng; each bins the spectrum alone and
-    consumes |supp(G-hat)| spectrum reads, tallied in the result. chi is
-    subtracted exactly at the buckets read, without touching the spectrum.
-    kept holds exactly the estimates with |w_f| > nu.
+    consumes |supp(G-hat)| spectrum reads, tallied in the result. All r_max
+    binnings share one fold and one batched IFFT. chi is subtracted exactly
+    at the buckets read, without touching the spectrum. kept holds exactly
+    the estimates with |w_f| > nu.
     """
     if xhat.domain != "frequency":
         raise ParameterError("estimation expects a frequency-domain signal")
@@ -133,28 +142,37 @@ def estimate_values(
 
     coords = np.stack([f.to_array() for f in locations])
     m = coords.shape[0]
-    spectrum_only = SparseApprox.empty(n, d)
-    w = np.empty((r_max, m), dtype=np.complex128)
-    for rep in range(r_max):
+    hashings, zs = [], []
+    for _ in range(r_max):
         perm = sample_permutation(n, d, rng)
-        z = GridIndex.from_array(n, rng.integers(0, n, size=d))
-        hashing = Hashing(perm=perm, B=B, F=F, filter=filt)
-        u = hash_to_bins(xhat, spectrum_only, hashing, z).reshape(-1)
-        batch.samples += filt.support_size
+        zs.append(rng.integers(0, n, size=d))
+        hashings.append(Hashing(perm=perm, B=B, F=F, filter=filt))
 
+    grid = _support_grid(filt)
+    gv = _support_values(filt)
+    samples = np.empty((r_max, grid.shape[0]), dtype=np.complex128)
+    for rep, (hashing, z) in enumerate(zip(hashings, zs)):
+        samples[rep] = _gather_spectrum(xhat, hashing, grid, z[None, :])[0]
+        samples[rep] *= _support_row(hashing, grid, gv)
+    u = _fold_and_invert(samples, filt)
+    batch.samples += r_max * filt.support_size
+
+    w = np.empty((r_max, m), dtype=np.complex128)
+    for rep, (hashing, z) in enumerate(zip(hashings, zs)):
+        perm = hashing.perm
         pi = perm.forward_array(coords)
         buckets = ((2 * pi * b + n) // (2 * n)) % b
         flat = np.zeros(m, dtype=np.int64)
         for ax in range(d):
             flat = flat * b + buckets[:, ax]
-        read = u[flat]
+        read = u[rep, flat]
         if len(chi):
-            read = read - _chi_buckets(chi, hashing, z.to_array()[None, :], buckets)[0]
+            read = read - _chi_buckets(chi, hashing, z[None, :], buckets)[0]
         offsets = (pi - (n // b) * buckets) % n
         gain = filt.g_at(offsets)
         sig_f = (coords @ perm.sigma.T) % n
-        expo = (sig_f @ z.to_array()) % n
-        w[rep] = read / gain * np.exp(-2j * np.pi * expo / n)
+        expo = (sig_f @ z) % n
+        w[rep] = read / gain * unit_roots(n, -1)[expo]
 
     for f, est in zip(locations, coordinatewise_median(w).tolist()):
         batch.estimates[f] = est

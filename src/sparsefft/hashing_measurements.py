@@ -12,6 +12,16 @@ hashings, c_max probe pairs each (redrawn until digit-balanced), and one
 measurement per shift vector in the location ladder. All later subtraction
 of recovered mass goes through update_residual_measurements, which applies
 the same exact rule to the stored tables and keeps the sample counter frozen.
+
+The kernel is built to make few passes over memory:
+
+- the spectrum gather runs in chunks of _GATHER_CHUNK = 2^16 entries, so
+  the int64 index temporaries (8 bytes each, 512 KiB per chunk) stay in
+  cache instead of streaming a multi-megabyte index array through memory;
+- the weighted samples are folded onto [b]^d in one pass (one pad, one
+  reshape, one sum per axis, one roll) before the batched IFFT;
+- every root of unity is a lookup in core.unit_roots, so no call evaluates
+  a complex exponential.
 """
 from __future__ import annotations
 
@@ -28,10 +38,11 @@ from .core import (
     ProbePair,
     RecoveryParams,
     SparseApprox,
+    unit_roots,
 )
 from .dense_dft import fft_axes
-from .filters import cached_bucket_filter
-from .location import check_balanced
+from .filters import BucketFilter, cached_bucket_filter
+from .location import _balanced_axes
 from .permutation import Hashing, sample_permutation
 
 __all__ = [
@@ -41,59 +52,69 @@ __all__ = [
     "update_residual_measurements",
 ]
 
-_GATHER_CHUNK = 4_000_000  # complex entries per batched spectrum gather
+_GATHER_CHUNK = 1 << 16  # spectrum entries gathered per index batch
 
 
-def _support_grid(hashing: Hashing) -> np.ndarray:
+def _support_grid(filt: BucketFilter) -> np.ndarray:
     """All filter-support offsets as one (P, d) signed integer array."""
-    supp = hashing.filter.support
-    if hashing.d == 1:
+    supp = filt.support
+    if filt.d == 1:
         return supp[:, None].copy()
-    mesh = np.meshgrid(*([supp] * hashing.d), indexing="ij")
+    mesh = np.meshgrid(*([supp] * filt.d), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _support_row(hashing: Hashing, grid: np.ndarray) -> np.ndarray:
-    """Filter value times the omega^(i . Sigma q) modulation, per offset."""
+def _support_values(filt: BucketFilter) -> np.ndarray:
+    """Filter value per support offset, flattened row-major over the grid."""
+    sv = filt.support_values()
+    return sv if filt.d == 1 else reduce(np.multiply.outer, [sv] * filt.d).ravel()
+
+
+def _support_row(hashing: Hashing, grid: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """Filter values gv times the omega^(i . Sigma q) modulation, per offset."""
     n = hashing.n
-    sv = hashing.filter.support_values()
-    axes = [sv] * hashing.d
-    gv = axes[0] if hashing.d == 1 else reduce(np.multiply.outer, axes).ravel()
     sq = (hashing.perm.sigma @ hashing.perm.q.to_array()) % n
     expo = (grid @ sq) % n
-    return gv * np.exp(2j * np.pi * expo / n)
+    return gv * unit_roots(n, 1)[expo]
 
 
-def _fold_axis(arr: np.ndarray, axis: int, b: int, first: int) -> np.ndarray:
-    """Collapse one support axis onto residues mod b (first = leading offset)."""
-    a = np.moveaxis(arr, axis, -1)
-    width = a.shape[-1]
+def _fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
+    """(M, support-grid) weighted samples -> (M, B) bucket values.
+
+    Folds every support axis onto residues mod b in one pass: one zero pad
+    (only when the support width is not a multiple of b), one reshape to
+    (M, chunks, b, ..., chunks, b), and one sum per chunk axis in axis
+    order, which adds each entry's terms in the same order as folding one
+    axis at a time. The leading support offset becomes one roll.
+    """
+    d, b = filt.d, filt.b
+    M = y.shape[0]
+    width = len(filt.support)
     chunks = -(-width // b)
+    y = y.reshape((M,) + (width,) * d)
     pad = chunks * b - width
     if pad:
-        a = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, pad)])
-    s = a.reshape(a.shape[:-1] + (chunks, b)).sum(axis=-2)
-    s = np.roll(s, first, axis=-1)
-    return np.moveaxis(s, -1, axis)
-
-
-def _fold_and_invert(y: np.ndarray, hashing: Hashing) -> np.ndarray:
-    """(M, support-grid) weighted samples -> (M, B) bucket values."""
-    d, b = hashing.d, hashing.b
-    first = int(hashing.filter.support[0])
-    width = len(hashing.filter.support)
-    y = y.reshape((y.shape[0],) + (width,) * d)
+        y = np.pad(y, [(0, 0)] + [(0, pad)] * d)
+    y = y.reshape((M,) + (chunks, b) * d)
     for axis in range(1, d + 1):
-        y = _fold_axis(y, axis, b, first)
-    u = fft_axes(y, tuple(range(1, d + 1)), inverse=True)
-    return (u * float(b) ** (d / 2.0)).reshape(y.shape[0], b**d)
+        y = y.sum(axis=axis)
+    shift = int(filt.support[0]) % b
+    axes = tuple(range(1, d + 1))
+    if shift:
+        y = np.roll(y, (shift,) * d, axis=axes)
+    u = fft_axes(y, axes, inverse=True)
+    u *= float(b) ** (d / 2.0)
+    return u.reshape(M, b**d)
 
 
 def _gather_spectrum(
     xhat: DenseSignal, hashing: Hashing, grid: np.ndarray, mods: np.ndarray
 ) -> np.ndarray:
     """Spectrum samples x-hat[Sigma^T (i - a)] for every offset i and
-    modulation a, gathered in one fancy index per chunk of modulations."""
+    modulation a, as an (M, P) array.
+
+    Gathers one fancy index per chunk of whole modulations, each chunk about
+    _GATHER_CHUNK entries, so its index temporaries stay cache-resident."""
     n, d = xhat.n, xhat.d
     sigma = hashing.perm.sigma
     # n is a power of two, so "& mask" is "mod n" (also for negative
@@ -143,7 +164,7 @@ def _chi_buckets(
         weights = g_axis[offsets].prod(axis=-1)
     sig_t = (coords @ hashing.perm.sigma.T) % n
     expo = (mods @ sig_t.T) % n
-    return (np.exp(2j * np.pi * expo / n) * chi.values_array()) @ weights
+    return (unit_roots(n, 1)[expo] * chi.values_array()) @ weights
 
 
 def hash_to_bins(
@@ -166,11 +187,12 @@ def hash_to_bins(
             RuntimeWarning,
             stacklevel=2,
         )
-    grid = _support_grid(hashing)
-    row = _support_row(hashing, grid)
+    grid = _support_grid(hashing.filter)
+    row = _support_row(hashing, grid, _support_values(hashing.filter))
     mods = a.to_array()[None, :]
     samples = _gather_spectrum(xhat, hashing, grid, mods)
-    u = _fold_and_invert(samples * row, hashing)[0]
+    samples *= row
+    u = _fold_and_invert(samples, hashing.filter)[0]
     if len(chi):
         u = u - _chi_buckets(chi, hashing, mods)[0]
     return u.reshape((hashing.b,) * hashing.d)
@@ -246,17 +268,18 @@ def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], list[Gri
 def _sample_balanced_probes(
     n: int, d: int, c_max: int, delta: int, rng: np.random.Generator
 ) -> list[ProbePair]:
-    """Uniform probe pairs, redrawn until every axis is digit-balanced."""
+    """Uniform probe pairs, redrawn until every axis is digit-balanced.
+
+    Draws alpha_t, beta_t, alpha_{t+1}, ... with one rng call per index, so
+    the random stream matches drawing the pairs one by one."""
     for _ in range(1000):
-        probes = [
-            ProbePair(
-                GridIndex.from_array(n, rng.integers(0, n, size=d)),
-                GridIndex.from_array(n, rng.integers(0, n, size=d)),
-            )
-            for _ in range(c_max)
-        ]
-        if all(check_balanced(probes, s, delta) for s in range(d)):
-            return probes
+        draws = np.array([rng.integers(0, n, size=d) for _ in range(2 * c_max)])
+        betas = draws[1::2]
+        if _balanced_axes(betas, delta).all():
+            return [
+                ProbePair(GridIndex.from_array(n, a), GridIndex.from_array(n, b))
+                for a, b in zip(draws[0::2], betas)
+            ]
     raise RuntimeError(
         f"no digit-balanced probe set of size {c_max} found for delta={delta}"
     )
@@ -300,12 +323,13 @@ def acquire_measurements(
     S = len(shifts)
     buckets = np.empty((params.r_max, params.c_max, S, params.B), dtype=np.complex128)
     counter = 0
+    grid = _support_grid(filt)
+    gv = _support_values(filt)
     for r, (hashing, probes) in enumerate(zip(hashings, probe_sets)):
-        grid = _support_grid(hashing)
-        row = _support_row(hashing, grid)
         mods = _modulations(probes, shifts, n, d)
         samples = _gather_spectrum(xhat, hashing, grid, mods)
-        buckets[r] = _fold_and_invert(samples * row, hashing).reshape(
+        samples *= _support_row(hashing, grid, gv)
+        buckets[r] = _fold_and_invert(samples, filt).reshape(
             params.c_max, S, params.B
         )
         counter += mods.shape[0] * filt.support_size

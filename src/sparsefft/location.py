@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import GridIndex, ParameterError, ProbePair, SparseApprox
+from .core import GridIndex, ParameterError, ProbePair, SparseApprox, unit_roots
 
 if TYPE_CHECKING:
     from .hashing_measurements import MeasurementSet
@@ -37,24 +37,27 @@ if TYPE_CHECKING:
 __all__ = ["LocationResult", "locate_signal", "check_balanced"]
 
 
-def check_balanced(probes: list[ProbePair], s: int, delta: int) -> bool:
-    """Whether the probe set spreads digit phases on axis s.
+def _balanced_axes(betas: np.ndarray, delta: int) -> np.ndarray:
+    """Per column s of a (c, d) beta array, whether the probes spread digit
+    phases on axis s.
 
     For every digit r = 1..delta-1, at least 49/100 of the roots
     omega_delta^(r * beta_s) must lie in the closed left half-plane;
     integer form: 4 * (r * beta_s mod delta) in [delta, 3*delta].
     """
+    digits = np.arange(1, delta, dtype=np.int64)[:, None, None]
+    quarter = 4 * ((digits * betas[None]) % delta)
+    hits = ((delta <= quarter) & (quarter <= 3 * delta)).sum(axis=1)
+    return (hits * 100 >= 49 * betas.shape[0]).all(axis=0)
+
+
+def check_balanced(probes: list[ProbePair], s: int, delta: int) -> bool:
+    """Whether the probe set spreads digit phases on axis s (see
+    `_balanced_axes` for the rule)."""
     if not probes:
         return False
-    betas = [p.beta.coords[s] for p in probes]
-    need = 49 * len(betas)
-    for digit in range(1, delta):
-        hits = sum(
-            1 for b_s in betas if delta <= 4 * ((digit * b_s) % delta) <= 3 * delta
-        )
-        if hits * 100 < need:
-            return False
-    return True
+    betas = np.array([[p.beta.coords[s]] for p in probes], dtype=np.int64)
+    return bool(_balanced_axes(betas, delta)[0])
 
 
 @dataclass
@@ -103,11 +106,10 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
             meas = mset.buckets[r, :, mset.shift_slot(g, s)][:, live]
             xi = meas / safe_ref[:, live]
             corr_expo = (step * betas[:, None] * fvec[None, :, s]) % n
-            corrected = xi * np.exp(-2j * np.pi * corr_expo / n)
+            corrected = xi * unit_roots(n, -1)[corr_expo]
             nearest = np.rint(np.angle(corrected) * (base / (2 * np.pi)))
             nearest = nearest.astype(np.int64) % base
-            roots = np.exp(-2j * np.pi * np.arange(base) / base)
-            eta = roots[nearest] * corrected
+            eta = unit_roots(base, -1)[nearest] * corrected
             ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid[:, live]
             targets = (np.arange(base)[:, None] * betas[None, :]) % base
             votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)

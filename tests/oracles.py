@@ -1,9 +1,15 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here is written from the mathematical definitions with plain
-index arithmetic and lookup tables, deliberately avoiding numpy's FFT (which
+Most of this is written from the mathematical definitions with plain index
+arithmetic and lookup tables, deliberately avoiding numpy's FFT (which
 backs the library's dense_dft), folding tricks, and cached filter
 machinery. Costs are quadratic or worse, so keep the grids small.
+
+The reference_* functions are different: they are the straightforward
+versions of optimized library kernels (per-digit location vote, per-axis
+fold, per-repetition estimation, per-draw probe sampling). The optimized
+kernels must match them exactly, with np.array_equal, so they share the
+library's arithmetic on purpose.
 """
 
 from __future__ import annotations
@@ -12,8 +18,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from sparsefft import DenseSignal, GridIndex, SparseApprox
-from sparsefft.permutation import Hashing
+from sparsefft import DenseSignal, GridIndex, ProbePair, SparseApprox
+from sparsefft.dense_dft import fft_axes
+from sparsefft.estimation import coordinatewise_median
+from sparsefft.filters import BucketFilter
+from sparsefft.hashing_measurements import _chi_buckets, hash_to_bins
+from sparsefft.permutation import Hashing, sample_permutation
 
 
 @lru_cache(maxsize=32)
@@ -152,3 +162,94 @@ def reference_locate(mset, r: int) -> tuple[list[GridIndex], np.ndarray]:
     for row in (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n:
         found.setdefault(GridIndex.from_array(n, row))
     return list(found), ~alive
+
+
+def _fold_axis(arr: np.ndarray, axis: int, b: int, first: int) -> np.ndarray:
+    """Collapse one support axis onto residues mod b (first = leading offset)."""
+    a = np.moveaxis(arr, axis, -1)
+    width = a.shape[-1]
+    chunks = -(-width // b)
+    pad = chunks * b - width
+    if pad:
+        a = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, pad)])
+    s = a.reshape(a.shape[:-1] + (chunks, b)).sum(axis=-2)
+    s = np.roll(s, first, axis=-1)
+    return np.moveaxis(s, -1, axis)
+
+
+def reference_fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
+    """(M, support-grid) weighted samples -> (M, B) bucket values, folding
+    one support axis at a time, then one batched inverse transform."""
+    d, b = filt.d, filt.b
+    first = int(filt.support[0])
+    width = len(filt.support)
+    y = y.reshape((y.shape[0],) + (width,) * d)
+    for axis in range(1, d + 1):
+        y = _fold_axis(y, axis, b, first)
+    u = fft_axes(y, tuple(range(1, d + 1)), inverse=True)
+    return (u * float(b) ** (d / 2.0)).reshape(y.shape[0], b**d)
+
+
+def reference_estimate(
+    xhat: DenseSignal,
+    chi: SparseApprox,
+    locations: list,
+    filt: BucketFilter,
+    r_max: int,
+    rng: np.random.Generator,
+) -> tuple[dict, int]:
+    """Median estimates at each location from r_max separate hash_to_bins
+    calls, one repetition at a time: (estimates, samples read)."""
+    n, d, b, B, F = xhat.n, xhat.d, filt.b, filt.B, filt.F
+    coords = np.stack([f.to_array() for f in locations])
+    m = coords.shape[0]
+    w = np.empty((r_max, m), dtype=np.complex128)
+    samples = 0
+    for rep in range(r_max):
+        perm = sample_permutation(n, d, rng)
+        z = GridIndex.from_array(n, rng.integers(0, n, size=d))
+        hashing = Hashing(perm=perm, B=B, F=F, filter=filt)
+        u = hash_to_bins(xhat, SparseApprox.empty(n, d), hashing, z).reshape(-1)
+        samples += filt.support_size
+        pi = perm.forward_array(coords)
+        buckets = ((2 * pi * b + n) // (2 * n)) % b
+        flat = np.zeros(m, dtype=np.int64)
+        for ax in range(d):
+            flat = flat * b + buckets[:, ax]
+        read = u[flat]
+        if len(chi):
+            read = read - _chi_buckets(chi, hashing, z.to_array()[None, :], buckets)[0]
+        offsets = (pi - (n // b) * buckets) % n
+        gain = filt.g_at(offsets)
+        sig_f = (coords @ perm.sigma.T) % n
+        expo = (sig_f @ z.to_array()) % n
+        w[rep] = read / gain * np.exp(-2j * np.pi * expo / n)
+    return dict(zip(locations, coordinatewise_median(w).tolist())), samples
+
+
+def _reference_balanced(probes: list[ProbePair], s: int, delta: int) -> bool:
+    """The 49/100 left-half-plane rule on axis s, one digit and probe at a time."""
+    betas = [p.beta.coords[s] for p in probes]
+    for digit in range(1, delta):
+        hits = sum(1 for b_s in betas if delta <= 4 * ((digit * b_s) % delta) <= 3 * delta)
+        if hits * 100 < 49 * len(betas):
+            return False
+    return True
+
+
+def reference_balanced_probes(
+    n: int, d: int, c_max: int, delta: int, rng: np.random.Generator
+) -> tuple[list[ProbePair], int]:
+    """Probe pairs drawn one pair at a time and redrawn until every axis is
+    balanced: (probes, number of sets drawn)."""
+    for attempt in range(1, 1001):
+        probes = [
+            ProbePair(
+                GridIndex.from_array(n, rng.integers(0, n, size=d)),
+                GridIndex.from_array(n, rng.integers(0, n, size=d)),
+            )
+            for _ in range(c_max)
+        ]
+        if all(_reference_balanced(probes, s, delta) for s in range(d)):
+            return probes, attempt
+    raise RuntimeError("no balanced probe set")

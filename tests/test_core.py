@@ -1,6 +1,7 @@
 """Grid arithmetic, probe pairing, and parameter derivation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from sparsefft import (
     positive_part,
     star,
 )
+from sparsefft.core import unit_roots
+from sparsefft.estimation import _estimation_buckets
 
 
 def pair(n, alpha, beta):
@@ -205,10 +208,54 @@ class TestRecoveryParams:
         assert q.r_max == 3 and q.B == p.B
 
 
+class TestBucketCountCap:
+    def test_warns_with_requested_and_capped_side(self):
+        with pytest.warns(RuntimeWarning, match=r"b=4096 .*capped at b=8 \(B=8\)"):
+            assert RecoveryParams.bucket_count(16, 1, 100, 0.25, 8.0) == 8
+        # 8*8 / (0.1 * 0.25^2) = 10240 buckets need b = 16384 > 512.
+        with pytest.warns(RuntimeWarning, match=r"b=16384 .*capped at b=512 \(B=512\)"):
+            assert _estimation_buckets(1024, 1, 8, 0.1, 0.25, 8.0) == 512
+        with pytest.warns(RuntimeWarning, match=r"b=128 .*capped at b=8 \(B=64\)"):
+            assert RecoveryParams.bucket_count(16, 2, 50, 0.25, 8.0) == 64
+
+    def test_silent_below_and_at_the_cap(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert RecoveryParams.bucket_count(1024, 1, 5, 0.25, 8.0) == 256
+            # 8*16/0.25 = 512 = n/2 exactly: met, not clamped.
+            assert RecoveryParams.bucket_count(1024, 1, 16, 0.25, 8.0) == 512
+            assert _estimation_buckets(2**16, 1, 4, 1.0, 0.25, 8.0) == 512
+            assert RecoveryParams.derive(64, 2, 8).B == 1024
+
+
+class TestUnitRoots:
+    @pytest.mark.parametrize("n", [1, 2, 8, 1024, 2**16])
+    def test_table_is_the_direct_exponential(self, n):
+        e = np.arange(n)
+        assert np.array_equal(unit_roots(n, 1), np.exp(2j * np.pi * e / n))
+        assert np.array_equal(unit_roots(n, -1), np.exp(-2j * np.pi * e / n))
+
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_lookup_equals_per_call_exponential(self, n, rng):
+        expo = rng.integers(0, n, size=(7, 333))
+        assert np.array_equal(unit_roots(n, 1)[expo], np.exp(2j * np.pi * expo / n))
+        assert np.array_equal(unit_roots(n, -1)[expo], np.exp(-2j * np.pi * expo / n))
+
+    def test_table_is_read_only_and_shared(self):
+        table = unit_roots(64, 1)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+        assert unit_roots(64, 1) is table
+
+    def test_sign_must_be_plus_or_minus_one(self):
+        with pytest.raises(ParameterError):
+            unit_roots(8, 2)
+
+
 def test_tunables_defaults_are_the_documented_constants():
     t = Tunables()
     assert t.bucket_scale == 8.0
     assert t.vote_fraction == pytest.approx(3 / 5)
     assert t.ratio_tolerance == pytest.approx(1 / 3)
-    assert t.balance_fraction == pytest.approx(49 / 100)
     assert math.isclose(t.l1_threshold_frac, 1e-3)

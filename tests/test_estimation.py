@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sparsefft import DenseSignal, GridIndex, ParameterError, SparseApprox
 from sparsefft.dense_dft import fft_grid
+from sparsefft.filters import cached_bucket_filter
 from sparsefft.estimation import (
     EstimateBatch,
     coordinatewise_median,
@@ -19,7 +20,7 @@ from sparsefft.estimation import (
     quantile,
 )
 
-from oracles import dense_time, random_sparse_time
+from oracles import dense_time, random_sparse_time, reference_estimate
 
 
 def lib_freq(values_time, n, d):
@@ -162,6 +163,40 @@ class TestExactTones:
             assert f in batch.kept
         for g in ghosts:
             assert g not in batch.kept
+
+
+class TestMatchesPerRepetitionLoop:
+    """Batched repetitions equal one hash_to_bins call per repetition."""
+
+    @pytest.mark.parametrize(
+        "n,d,b",
+        [(256, 1, 16), (64, 1, 32), (16, 2, 8), (32, 2, 4), (8, 3, 4), (16, 3, 8)],
+    )
+    @pytest.mark.parametrize("tail", [0.0, 0.3])
+    def test_bit_identical(self, n, d, b, tail, rng):
+        x = random_sparse_time(n, d, 4, rng)
+        shape = (n,) * d
+        x_time = dense_time(x).values + tail * (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        )
+        xhat = lib_freq(x_time, n, d)
+        entries = list(x.items())
+        chi = SparseApprox(n, d, {f: 0.5 * v for f, v in entries[:2]})
+        chi = chi + SparseApprox(n, d, {GridIndex.from_array(n, rng.integers(0, n, size=d)): 0.2j})
+        extra = [GridIndex.from_array(n, row) for row in rng.integers(0, n, size=(5, d))]
+        L = list(dict.fromkeys(list(x.support()) + extra))
+        r_max = 5
+        fast = np.random.default_rng(11)
+        batch = estimate_values(xhat, chi, L, 3, 0.5, 0.0, r_max, rng=fast, b_override=b)
+        slow = np.random.default_rng(11)
+        filt = cached_bucket_filter(n, d, b**d, 2 * d)
+        want, samples = reference_estimate(xhat, chi, L, filt, r_max, slow)
+        assert list(batch.estimates) == list(want)
+        assert np.array_equal(
+            np.array(list(batch.estimates.values())), np.array(list(want.values()))
+        )
+        assert batch.samples == samples
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestThresholding:

@@ -19,6 +19,8 @@ from sparsefft import (
 )
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import (
+    _fold_and_invert,
+    _sample_balanced_probes,
     acquire_measurements,
     hash_to_bins,
     update_residual_measurements,
@@ -31,6 +33,8 @@ from oracles import (
     dense_time,
     direct_transform,
     random_sparse_time,
+    reference_balanced_probes,
+    reference_fold_and_invert,
     root_table,
 )
 
@@ -253,3 +257,50 @@ class TestResidualUpdates:
         with pytest.raises(ParameterError):
             update_residual_measurements(mset, SparseApprox(128, 1, {}))
 
+
+
+class TestFoldMatchesPerAxisFold:
+    """The one-pass fold equals folding one support axis at a time."""
+
+    @pytest.mark.parametrize(
+        "n,d,b,F,full",
+        [
+            (64, 1, 16, 4, True),  # support is the ring: width 64 = 4b
+            (1024, 1, 16, 2, False),  # width F*b + 1 = 33
+            (16, 1, 16, 2, True),  # b = n: leading offset -n/2 needs a roll
+            (32, 2, 8, 4, True),
+            (256, 2, 8, 4, False),
+            (8, 2, 8, 4, True),
+            (16, 3, 8, 6, True),
+            (64, 3, 4, 6, False),
+        ],
+    )
+    def test_bit_identical(self, n, d, b, F, full, rng):
+        filt = cached_bucket_filter(n, d, b**d, F)
+        width = len(filt.support)
+        if full:
+            assert width == n and width % b == 0
+        else:
+            assert width == F * b + 1
+        y = rng.normal(size=(3, width**d)) + 1j * rng.normal(size=(3, width**d))
+        got = _fold_and_invert(y, filt)
+        assert got.shape == (3, b**d)
+        assert np.array_equal(got, reference_fold_and_invert(y, filt))
+
+
+class TestProbeSamplingStream:
+    """Array-based balance checks draw the same probes from the same stream."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [2, 4])
+    def test_same_probes_and_rng_state(self, d, delta):
+        attempts = []
+        for seed in range(6):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_balanced_probes(64, d, 8, delta, fast)
+            want, tries = reference_balanced_probes(64, d, 8, delta, slow)
+            assert got == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+            attempts.append(tries)
+        # Some sets were rejected, so redraws followed the same stream too.
+        assert max(attempts) > 1
