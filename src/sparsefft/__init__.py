@@ -19,8 +19,6 @@ from .core import (
     SparseApprox,
     Tunables,
     digit_base,
-    positive_part,
-    star,
 )
 from .dense_dft import forward_dft, inverse_dft
 from .diagnostics import NoiseProfile, compute_noise_profile
@@ -63,9 +61,7 @@ __all__ = [
     "DivergenceError",
     "GridIndex",
     "ProbePair",
-    "star",
     "digit_base",
-    "positive_part",
     "DenseSignal",
     "SparseApprox",
     "Tunables",

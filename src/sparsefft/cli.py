@@ -86,7 +86,7 @@ def _check_bucket_leakage(rng: np.random.Generator) -> str | None:
     n, d, b = 64, 1, 8
     filt = build_bucket_filter(n, d, b, 2)
     perm = sample_permutation(n, d, rng)
-    hashing = Hashing(perm, b, 2, filt)
+    hashing = Hashing(perm, filt)
     i = GridIndex(n, (int(rng.integers(n)),))
     coeff = complex(1.3, -0.4)
     x = DenseSignal.zeros(n, d, domain="time")
@@ -103,7 +103,7 @@ def _check_bucket_leakage(rng: np.random.Generator) -> str | None:
 def _check_chi_subtraction(rng: np.random.Generator) -> str | None:
     n, d, B, F = 8, 3, 64, 6
     filt = build_bucket_filter(n, d, B, F)
-    hashing = Hashing(sample_permutation(n, d, rng), B, F, filt)
+    hashing = Hashing(sample_permutation(n, d, rng), filt)
     shape = (n,) * d
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     spikes = rng.integers(0, n, size=(4, d))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -26,8 +26,6 @@ __all__ = [
     "digit_base",
     "GridIndex",
     "ProbePair",
-    "star",
-    "positive_part",
     "DenseSignal",
     "SparseApprox",
     "Tunables",
@@ -95,11 +93,6 @@ def capped_bucket_count(n: int, d: int, target: float) -> int:
         )
         b = cap
     return b**d
-
-
-def positive_part(v: float) -> float:
-    """max(v, 0)."""
-    return v if v > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -182,7 +175,7 @@ class GridIndex:
 
 @dataclass(frozen=True)
 class ProbePair:
-    """A probe a = (alpha, beta): two grid vectors combined through `star`."""
+    """A probe a = (alpha, beta); shift w modulates by alpha + beta * w mod n."""
 
     alpha: GridIndex
     beta: GridIndex
@@ -197,25 +190,6 @@ class ProbePair:
     @property
     def d(self) -> int:
         return self.alpha.d
-
-
-def star(pair1: ProbePair, pair2: ProbePair) -> GridIndex:
-    """Componentwise pairing (a1,b1) * (a2,b2) -> a1*a2 + b1*b2 mod n.
-
-    Bilinear over componentwise pair addition: a*b + a*c == a*(b+c) mod n.
-    """
-    if pair1.n != pair2.n or pair1.d != pair2.d:
-        raise DimensionError(
-            f"incompatible probe pairs: ({pair1.n},{pair1.d}) vs ({pair2.n},{pair2.d})"
-        )
-    n = pair1.n
-    coords = tuple(
-        (a1 * a2 + b1 * b2) % n
-        for a1, b1, a2, b2 in zip(
-            pair1.alpha.coords, pair1.beta.coords, pair2.alpha.coords, pair2.beta.coords
-        )
-    )
-    return GridIndex(n, coords)
 
 
 @dataclass
@@ -340,14 +314,6 @@ class SparseApprox:
 
     def norm_inf(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
-
-    def restricted(self, keep: Iterable[GridIndex]) -> "SparseApprox":
-        keep_set = set(keep)
-        return SparseApprox(
-            self.n,
-            self.d,
-            {idx: v for idx, v in self.entries.items() if idx in keep_set},
-        )
 
     def largest(self, m: int) -> "SparseApprox":
         """Restriction to the m entries of largest magnitude."""
@@ -558,6 +524,3 @@ class RecoveryParams:
             seed=seed,
             tunables=tun,
         )
-
-    def with_overrides(self, **kwargs) -> "RecoveryParams":
-        return replace(self, **kwargs)

@@ -3,16 +3,17 @@
 Each repetition hashes the residual under a fresh permutation and reads one
 bucket per candidate: u at h(f), unwound by the filter gain at f's own
 offset and the modulation phase. The repetitions are batched: every
-repetition's (permutation, modulation) is drawn first, their spectrum
-samples go into one (r_max, P) table, and one fold and one batched IFFT
-give all r_max bucket tables. The coordinatewise median over repetitions
-is within twice the typical per-repetition error of the true value, so a
-handful of repetitions drives the failure probability down geometrically.
+repetition's (permutation, modulation) is drawn first, and one call to the
+bucket-table primitive (hashing_measurements._bucket_tables) gives all r_max
+bucket tables. chi is subtracted only at the buckets read, by the same
+exact rule the stored tables use (_chi_buckets). The coordinatewise median
+over repetitions is within twice the typical per-repetition error of the
+true value, so a handful of repetitions drives the failure probability
+down geometrically.
 Estimates at or below the magnitude threshold nu are discarded.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,17 +29,10 @@ from .core import (
     unit_roots,
 )
 from .filters import cached_bucket_filter
-from .hashing_measurements import (
-    _chi_buckets,
-    _fold_and_invert,
-    _gather_spectrum,
-    _support_grid,
-    _support_row,
-    _support_values,
-)
+from .hashing_measurements import _bucket_tables, _chi_buckets
 from .permutation import Hashing, sample_permutation
 
-__all__ = ["EstimateBatch", "coordinatewise_median", "quantile", "estimate_values"]
+__all__ = ["EstimateBatch", "coordinatewise_median", "estimate_values"]
 
 
 def coordinatewise_median(values) -> complex | np.ndarray:
@@ -56,17 +50,6 @@ def coordinatewise_median(values) -> complex | np.ndarray:
     out.real = np.median(arr.real, axis=0)
     out.imag = np.median(arr.imag, axis=0)
     return complex(out) if out.ndim == 0 else out
-
-
-def quantile(values, gamma: float) -> float:
-    """The ceil(gamma * s)-th largest element of a nonempty list."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise ParameterError("quantile of an empty list")
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
-    rank = math.ceil(gamma * arr.size)
-    return float(np.sort(arr)[arr.size - rank])
 
 
 @dataclass
@@ -141,37 +124,23 @@ def estimate_values(
     b = filt.b
 
     coords = np.stack([f.to_array() for f in locations])
-    m = coords.shape[0]
     hashings, zs = [], []
     for _ in range(r_max):
-        perm = sample_permutation(n, d, rng)
-        zs.append(rng.integers(0, n, size=d))
-        hashings.append(Hashing(perm=perm, B=B, F=F, filter=filt))
-
-    grid = _support_grid(filt)
-    gv = _support_values(filt)
-    samples = np.empty((r_max, grid.shape[0]), dtype=np.complex128)
-    for rep, (hashing, z) in enumerate(zip(hashings, zs)):
-        samples[rep] = _gather_spectrum(xhat, hashing, grid, z[None, :])[0]
-        samples[rep] *= _support_row(hashing, grid, gv)
-    u = _fold_and_invert(samples, filt)
+        hashings.append(Hashing(sample_permutation(n, d, rng), filt))
+        zs.append(rng.integers(0, n, size=d)[None, :])
+    u = _bucket_tables(xhat, filt, hashings, zs)
     batch.samples += r_max * filt.support_size
 
-    w = np.empty((r_max, m), dtype=np.complex128)
+    w = np.empty((r_max, coords.shape[0]), dtype=np.complex128)
     for rep, (hashing, z) in enumerate(zip(hashings, zs)):
         perm = hashing.perm
-        pi = perm.forward_array(coords)
-        buckets = ((2 * pi * b + n) // (2 * n)) % b
-        flat = np.zeros(m, dtype=np.int64)
-        for ax in range(d):
-            flat = flat * b + buckets[:, ax]
-        read = u[rep, flat]
+        cells = hashing.bucket_of_array(coords)
+        read = u[rep, np.ravel_multi_index(cells.T, (b,) * d)]
         if len(chi):
-            read = read - _chi_buckets(chi, hashing, z[None, :], buckets)[0]
-        offsets = (pi - (n // b) * buckets) % n
+            read = read - _chi_buckets(chi, hashing, z, cells)[0]
+        offsets = (perm.forward_array(coords) - hashing.center_of_array(coords)) % n
         gain = filt.g_at(offsets)
-        sig_f = (coords @ perm.sigma.T) % n
-        expo = (sig_f @ z) % n
+        expo = (((coords @ perm.sigma.T) % n) @ z[0]) % n
         w[rep] = read / gain * unit_roots(n, -1)[expo]
 
     for f, est in zip(locations, coordinatewise_median(w).tolist()):

@@ -119,12 +119,6 @@ class BucketFilter:
         gathered = self.g_axis[np.asarray(offsets, dtype=np.int64) % self.n]
         return gathered.prod(axis=-1)
 
-    def ghat_value(self, v: GridIndex) -> float:
-        out = 1.0
-        for c in v.coords:
-            out *= self.ghat_axis[c % self.n]
-        return out
-
     def support_values(self) -> np.ndarray:
         """ghat on the per-axis support offsets, aligned with `support`."""
         return self.ghat_axis[self.support % self.n]

@@ -1,25 +1,31 @@
 """Bucketed measurements of a sparse residual from spectrum samples.
 
-hash_to_bins reduces the grid to B buckets: weight the sampled spectrum by
-the bucket filter on its compact support, fold onto the [b]^d ring, and take
-one B-point inverse FFT. Bucket h(i) then holds
-sum_j G_{o_i(j)} (x - chi)_j omega^(a . Sigma j) up to filter leakage. The
-chi term is subtracted exactly in bucket space, from the filter's time-domain
-table (_chi_buckets), so it reads no spectrum samples.
+Every bucket table in the library comes from one primitive, _bucket_tables:
+for a hashing and a modulation a it reads the spectrum on the filter's
+compact support, weights the samples by the filter, folds them onto the
+[b]^d ring, and takes one B-point inverse FFT. Bucket h(i) then holds
+sum_j G_{o_i(j)} x_j omega^(a . Sigma j) up to filter leakage. Any number of
+(hashing, modulation) rows share one sample table, one fold and one batched
+IFFT. The chi term is subtracted exactly in bucket space, from the filter's
+time-domain table (_chi_buckets), so it reads no spectrum samples.
 
-acquire_measurements fills the full table the recovery loop consumes: r_max
-hashings, c_max probe pairs each (redrawn until digit-balanced), and one
-measurement per shift vector in the location ladder. All later subtraction
-of recovered mass goes through update_residual_measurements, which applies
-the same exact rule to the stored tables and keeps the sample counter frozen.
+The callers are hash_to_bins (one row), acquire_measurements (one call per
+hashing, to bound memory) and estimation.estimate_values (one call for all
+its repetitions). acquire_measurements fills the full table the recovery
+loop consumes: r_max hashings, c_max probe pairs each (redrawn until
+digit-balanced), and one measurement per shift vector in the location
+ladder. All later subtraction of recovered mass goes through
+update_residual_measurements, which applies the same exact rule to the
+stored tables and keeps the sample counter frozen.
 
-The kernel is built to make few passes over memory:
+The primitive is built to make few passes over memory:
 
 - the spectrum gather runs in chunks of _GATHER_CHUNK = 2^16 entries, so
   the int64 index temporaries (8 bytes each, 512 KiB per chunk) stay in
   cache instead of streaming a multi-megabyte index array through memory;
-- the weighted samples are folded onto [b]^d in one pass (one pad, one
-  reshape, one sum per axis, one roll) before the batched IFFT;
+- samples land straight in the preallocated table and are weighted there
+  in place, then folded onto [b]^d in one pass (one pad, one reshape, one
+  sum per axis, one roll) before the batched IFFT;
 - every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
 """
@@ -108,10 +114,14 @@ def _fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
 
 
 def _gather_spectrum(
-    xhat: DenseSignal, hashing: Hashing, grid: np.ndarray, mods: np.ndarray
-) -> np.ndarray:
-    """Spectrum samples x-hat[Sigma^T (i - a)] for every offset i and
-    modulation a, as an (M, P) array.
+    xhat: DenseSignal,
+    hashing: Hashing,
+    grid: np.ndarray,
+    mods: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write the spectrum samples x-hat[Sigma^T (i - a)] for every offset i
+    and modulation a into the (M, P) array out.
 
     Gathers one fancy index per chunk of whole modulations, each chunk about
     _GATHER_CHUNK entries, so its index temporaries stay cache-resident."""
@@ -124,7 +134,6 @@ def _gather_spectrum(
     shift = (np.asarray(mods, dtype=np.int64) @ sigma) & mask
     xflat = xhat.values.reshape(-1)
     P = base.shape[0]
-    out = np.empty((shift.shape[0], P), dtype=np.complex128)
     step = max(1, _GATHER_CHUNK // max(P, 1))
     for lo in range(0, shift.shape[0], step):
         hi = min(lo + step, shift.shape[0])
@@ -133,7 +142,32 @@ def _gather_spectrum(
             flat <<= bits
             flat |= (base[None, :, ax] - shift[lo:hi, ax, None]) & mask
         out[lo:hi] = xflat[flat]
-    return out
+
+
+def _bucket_tables(
+    xhat: DenseSignal,
+    filt: BucketFilter,
+    hashings: list[Hashing],
+    mods: list[np.ndarray],
+) -> np.ndarray:
+    """Bucket values of x-hat for every (hashing, modulation) row.
+
+    mods[h] is an (M_h, d) array of modulations for hashings[h], and every
+    hashing uses filt. The rows are gathered hashing-major into one
+    (sum M_h, P) sample table, weighted in place by their hashing's filter
+    row, and folded and inverted together, giving a (sum M_h, B) array.
+    Reads P = filt.support_size samples per row; the caller accounts them.
+    """
+    grid = _support_grid(filt)
+    gv = _support_values(filt)
+    samples = np.empty((sum(len(m) for m in mods), grid.shape[0]), dtype=np.complex128)
+    lo = 0
+    for hashing, m in zip(hashings, mods):
+        rows = samples[lo : lo + len(m)]
+        _gather_spectrum(xhat, hashing, grid, m, rows)
+        rows *= _support_row(hashing, grid, gv)
+        lo += len(m)
+    return _fold_and_invert(samples, filt)
 
 
 def _chi_buckets(
@@ -187,12 +221,8 @@ def hash_to_bins(
             RuntimeWarning,
             stacklevel=2,
         )
-    grid = _support_grid(hashing.filter)
-    row = _support_row(hashing, grid, _support_values(hashing.filter))
     mods = a.to_array()[None, :]
-    samples = _gather_spectrum(xhat, hashing, grid, mods)
-    samples *= row
-    u = _fold_and_invert(samples, hashing.filter)[0]
+    u = _bucket_tables(xhat, hashing.filter, [hashing], [mods])[0]
     if len(chi):
         u = u - _chi_buckets(chi, hashing, mods)[0]
     return u.reshape((hashing.b,) * hashing.d)
@@ -236,10 +266,6 @@ class MeasurementSet:
     def shift_slot(self, g: int, s: int) -> int:
         """Flat index of the shift for digit group g (1-based) and axis s."""
         return 1 + (g - 1) * self.d + s
-
-    def reference(self, r: int) -> np.ndarray:
-        """Unshifted measurements m[r, :, 0] as a (c_max, B) view."""
-        return self.buckets[r, :, 0]
 
 
 def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], list[GridIndex]]:
@@ -315,21 +341,15 @@ def acquire_measurements(
     hashings = []
     probe_sets = []
     for _ in range(params.r_max):
-        hashings.append(
-            Hashing(perm=sample_permutation(n, d, rng), B=params.B, F=params.F, filter=filt)
-        )
+        hashings.append(Hashing(sample_permutation(n, d, rng), filt))
         probe_sets.append(_sample_balanced_probes(n, d, params.c_max, delta, rng))
 
     S = len(shifts)
     buckets = np.empty((params.r_max, params.c_max, S, params.B), dtype=np.complex128)
     counter = 0
-    grid = _support_grid(filt)
-    gv = _support_values(filt)
     for r, (hashing, probes) in enumerate(zip(hashings, probe_sets)):
         mods = _modulations(probes, shifts, n, d)
-        samples = _gather_spectrum(xhat, hashing, grid, mods)
-        samples *= _support_row(hashing, grid, gv)
-        buckets[r] = _fold_and_invert(samples, filt).reshape(
+        buckets[r] = _bucket_tables(xhat, filt, [hashing], [mods]).reshape(
             params.c_max, S, params.B
         )
         counter += mods.shape[0] * filt.support_size

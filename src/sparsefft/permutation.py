@@ -24,7 +24,6 @@ __all__ = [
     "SpectrumPermutation",
     "Hashing",
     "sample_permutation",
-    "permute_index",
     "apply_P",
     "bucket_of",
     "offset",
@@ -107,10 +106,6 @@ class SpectrumPermutation:
         v = (self.sigma_inv @ y.to_array()) % self.n
         return GridIndex.from_array(self.n, v) + self.q
 
-    def solve_sigma(self, f: GridIndex) -> GridIndex:
-        """The index i with Sigma i = f mod n (no q shift)."""
-        return GridIndex.from_array(self.n, (self.sigma_inv @ f.to_array()) % self.n)
-
 
 def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPermutation:
     """Uniform odd-determinant Sigma (by rejection) and uniform shift q."""
@@ -120,10 +115,6 @@ def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPerm
             break
     q = GridIndex.from_array(n, rng.integers(0, n, size=d, dtype=np.int64))
     return SpectrumPermutation(n=n, sigma=sigma, q=q)
-
-
-def permute_index(perm: SpectrumPermutation, i: GridIndex) -> GridIndex:
-    return perm.forward(i)
 
 
 def apply_P(perm: SpectrumPermutation, a: GridIndex, xhat: DenseSignal) -> DenseSignal:
@@ -148,16 +139,13 @@ def apply_P(perm: SpectrumPermutation, a: GridIndex, xhat: DenseSignal) -> Dense
 
 @dataclass(frozen=True, eq=False)
 class Hashing:
-    """A permutation plus bucket geometry: H = (pi, B, F) with its filter."""
+    """A permutation plus a bucket filter: H = (pi, B, F), with B and F read
+    from the filter."""
 
     perm: SpectrumPermutation
-    B: int
-    F: int
     filter: BucketFilter
 
     def __post_init__(self) -> None:
-        if self.filter.B != self.B or self.filter.F != self.F:
-            raise ParameterError("filter does not match the hashing's (B, F)")
         if self.filter.n != self.perm.n or self.filter.d != self.perm.d:
             raise ParameterError("filter grid does not match the permutation grid")
 
@@ -168,6 +156,14 @@ class Hashing:
     @property
     def d(self) -> int:
         return self.perm.d
+
+    @property
+    def B(self) -> int:
+        return self.filter.B
+
+    @property
+    def F(self) -> int:
+        return self.filter.F
 
     @property
     def b(self) -> int:

@@ -6,12 +6,19 @@ optional inf-norm reduction knocks down stray large coefficients with fresh
 measurements, and a final constant-SNR pass re-estimates everything once the
 residual is flat. `sparse_fft` wires the stages together; each stage is also
 callable on its own.
+
+The l1 and inf-norm stages run one shared loop, `_threshold_rounds`: locate
+candidates in every hashing, estimate the residual there, keep the estimates
+above the round's threshold, and fold them into the bucket tables. They
+differ only in their threshold schedules and measurement sets. The inf-norm
+and constant-SNR stages draw their measurement sets the same way, as a fresh
+acquisition with chi already subtracted (`_fresh_measurements`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +41,6 @@ from .location import locate_signal
 
 __all__ = [
     "RunStats",
-    "SnrLoopState",
     "reduce_l1_norm",
     "reduce_inf_norm",
     "recover_at_constant_snr",
@@ -65,16 +71,6 @@ class RunStats:
             + self.samples_infnorm
             + self.samples_constsnr
         )
-
-
-@dataclass
-class SnrLoopState:
-    """Mutable state threaded through the outer SNR-reduction loop."""
-
-    chi: SparseApprox
-    t: int
-    nu: float
-    stats: RunStats = field(default_factory=RunStats)
 
 
 def _log4(N: int) -> float:
@@ -109,6 +105,72 @@ def _l1_estimate_reps(
     )
 
 
+def _fresh_measurements(
+    xhat: DenseSignal, chi: SparseApprox, k: int, rng: np.random.Generator, **derive
+) -> MeasurementSet:
+    """A new measurement set of `RecoveryParams.derive(n, d, k, **derive)`
+    geometry, with chi subtracted from its tables. Its sample counter holds
+    the acquisition reads."""
+    params = RecoveryParams.derive(xhat.n, xhat.d, k, **derive)
+    mset = acquire_measurements(xhat, params, rng)
+    update_residual_measurements(mset, chi)
+    return mset
+
+
+def _threshold_rounds(
+    mset: MeasurementSet,
+    chi: SparseApprox,
+    rounds: list[tuple[float, bool]],
+    k: int,
+    reps: int,
+    rng: np.random.Generator,
+    *,
+    alpha: float,
+    tunables: Tunables,
+) -> tuple[SparseApprox, SparseApprox]:
+    """Locate, estimate above a threshold, and fold, once per round.
+
+    Each (threshold, last_if_idle) round unions location candidates over all
+    hashings, estimates the residual against chi plus everything kept so far
+    from reps fresh hashings of mset.source, and folds the estimates above
+    threshold into the bucket tables. Decoding reads the tables alone, so the
+    candidates are reused until a round keeps something. A round that keeps
+    nothing ends the loop when marked last_if_idle. Estimation reads are
+    added to mset.sample_counter. Returns (total, increment): chi plus the
+    kept values, added round by round, and the kept values alone.
+    """
+    total = chi
+    increment = SparseApprox.empty(chi.n, chi.d)
+    locations = None
+    for threshold, last_if_idle in rounds:
+        if locations is None:
+            locations = _union_locations(mset, total)
+        kept = SparseApprox.empty(chi.n, chi.d)
+        if locations:
+            batch = estimate_values(
+                mset.source,
+                total,
+                locations,
+                k,
+                1.0,
+                threshold,
+                reps,
+                rng=rng,
+                alpha=alpha,
+                tunables=tunables,
+            )
+            mset.sample_counter += batch.samples
+            kept = batch.kept_sparse()
+        if len(kept) > 0:
+            update_residual_measurements(mset, kept)
+            total = total + kept
+            increment = increment + kept
+            locations = None
+        elif last_if_idle:
+            break
+    return total, increment
+
+
 def reduce_l1_norm(
     mset: MeasurementSet,
     chi: SparseApprox,
@@ -116,22 +178,19 @@ def reduce_l1_norm(
     nu: float,
     mu: float,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     stats: RunStats | None = None,
 ) -> SparseApprox:
     """Shrink the residual head l1 mass from nu * k toward mu * k.
 
     Precondition: mset's buckets already reflect the residual against chi.
-    Runs ~log2(log^4 N) inner rounds; each unions location candidates over
-    all hashings, estimates the residual there with a geometrically falling
-    acceptance threshold, and folds the kept values into both chi and the
-    bucket tables. Decoding reads the bucket tables alone, so the candidates
-    are reused until an increment changes the tables. Returns the updated
-    total approximation (chi plus every accepted increment); mset is updated
-    in place to match it.
+    Runs ~log2(log^4 N) rounds of `_threshold_rounds` over all hashings with
+    a geometrically falling acceptance threshold, and stops early once the
+    threshold has bottomed out at the noise floor and a round keeps nothing.
+    rng draws the estimation hashings; it must not replay the acquisition's
+    stream. Returns the updated total approximation (chi plus every
+    accepted increment); mset is updated in place to match it.
     """
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     if mset.source is None:
         raise ParameterError("measurement set lost its source spectrum")
     tun = params.tunables
@@ -140,40 +199,21 @@ def reduce_l1_norm(
     k_est = 4 * params.k
     reps = _l1_estimate_reps(n, d, k_est, 1.0, params.alpha, tun)
     inner = max(1, math.ceil(tun.inner_iters_coeff * _loglog2(N)))
-
-    total = chi
-    locations = None
-    for t in range(inner):
-        head_term = tun.l1_threshold_frac * nu * 0.5**t
-        threshold = head_term + tun.head_bias * mu_eff
-        if locations is None:
-            locations = _union_locations(mset, total)
-        increment = SparseApprox.empty(n, d)
-        if locations:
-            batch = estimate_values(
-                mset.source,
-                total,
-                locations,
-                k_est,
-                1.0,
-                threshold,
-                reps,
-                rng=rng,
-                alpha=params.alpha,
-                tunables=tun,
-            )
-            mset.sample_counter += batch.samples
-            if stats is not None:
-                stats.samples_estimation += batch.samples
-            increment = batch.kept_sparse()
-        if len(increment) > 0:
-            update_residual_measurements(mset, increment)
-            total = total + increment
-            locations = None
-        elif head_term <= tun.head_bias * mu_eff:
-            # The threshold has bottomed out at the noise floor; later
-            # rounds would re-test the same empty candidate set.
-            break
+    floor = tun.head_bias * mu_eff
+    heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(inner)]
+    before = mset.sample_counter
+    total, _ = _threshold_rounds(
+        mset,
+        chi,
+        [(head + floor, head <= floor) for head in heads],
+        k_est,
+        reps,
+        rng,
+        alpha=params.alpha,
+        tunables=tun,
+    )
+    if stats is not None:
+        stats.samples_estimation += mset.sample_counter - before
     return total
 
 
@@ -193,22 +233,22 @@ def reduce_inf_norm(
     """Chase the few coefficients still above the target sup-norm bound.
 
     Self-contained: draws its own ~log N hashings (more than the l1 loop
-    uses, because at most k_tilde survivors must all be caught), then halves
-    the threshold for ceil(log2 r_star) rounds. As in the l1 loop, the
-    candidates are decoded again only after kept values change the tables.
-    Returns only the increment found here, not chi plus the increment.
+    uses, because at most k_tilde survivors must all be caught), then runs
+    `_threshold_rounds` with a threshold that halves over ceil(log2 r_star)
+    rounds. Returns only the increment found here, not chi plus the
+    increment.
     """
     tun = tunables or Tunables()
     if k_tilde < 1:
         raise ParameterError(f"need k_tilde >= 1, got {k_tilde}")
-    n, d = xhat.n, xhat.d
-    N = n**d
+    N = xhat.n**xhat.d
     r_max = max(3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / math.sqrt(alpha)))
     T = max(1, math.ceil(math.log2(max(r_star, 2.0))))
-    params = RecoveryParams.derive(
-        n,
-        d,
+    mset = _fresh_measurements(
+        xhat,
+        chi,
         k_tilde,
+        rng,
         epsilon=1.0,
         mu=mu,
         r_star=max(r_star, 2.0),
@@ -217,39 +257,16 @@ def reduce_inf_norm(
         T=T,
         tunables=tun,
     )
-    mset = acquire_measurements(xhat, params, rng)
+    reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
+    rounds = [
+        (tun.inf_threshold_scale * (nu * 2.0 ** (T - (t + 1)) + mu), False)
+        for t in range(T)
+    ]
+    _, increment = _threshold_rounds(
+        mset, chi, rounds, k_tilde, reps, rng, alpha=alpha, tunables=tun
+    )
     if stats is not None:
         stats.samples_infnorm += mset.sample_counter
-    update_residual_measurements(mset, chi)
-    reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
-
-    increment = SparseApprox.empty(n, d)
-    locations = None
-    for t in range(T):
-        threshold = tun.inf_threshold_scale * (nu * 2.0 ** (T - (t + 1)) + mu)
-        if locations is None:
-            locations = _union_locations(mset, chi + increment)
-        if not locations:
-            continue
-        batch = estimate_values(
-            xhat,
-            chi + increment,
-            locations,
-            k_tilde,
-            1.0,
-            threshold,
-            reps,
-            rng=rng,
-            alpha=alpha,
-            tunables=tun,
-        )
-        if stats is not None:
-            stats.samples_infnorm += batch.samples
-        kept = batch.kept_sparse()
-        if len(kept) > 0:
-            update_residual_measurements(mset, kept)
-            increment = increment + kept
-            locations = None
     return increment
 
 
@@ -276,43 +293,30 @@ def recover_at_constant_snr(
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     n, d = xhat.n, xhat.d
-    N = n**d
     B = RecoveryParams.bucket_count(n, d, k, alpha, tun.bucket_scale / epsilon)
-    params = RecoveryParams.derive(
-        n,
-        d,
-        k,
-        epsilon=epsilon,
-        alpha=alpha,
-        B=B,
-        r_max=1,
-        T=1,
-        tunables=tun,
+    mset = _fresh_measurements(
+        xhat, chi, k, rng, epsilon=epsilon, alpha=alpha, B=B, r_max=1, T=1, tunables=tun
     )
-    mset = acquire_measurements(xhat, params, rng)
+    kept = SparseApprox.empty(n, d)
+    locations = locate_signal(mset, 0, chi).found
+    if locations:
+        batch = estimate_values(
+            xhat,
+            chi,
+            locations,
+            k,
+            epsilon,
+            tun.zero_floor_rel * mset.initial_scale,
+            max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(n**d))),
+            rng=rng,
+            alpha=alpha,
+            tunables=tun,
+        )
+        mset.sample_counter += batch.samples
+        kept = batch.kept_sparse().largest(tun.snr_keep_factor * k)
     if stats is not None:
         stats.samples_constsnr += mset.sample_counter
-    floor = tun.zero_floor_rel * mset.initial_scale
-    update_residual_measurements(mset, chi)
-    locations = locate_signal(mset, 0, chi).found
-    if not locations:
-        return SparseApprox.empty(n, d)
-    reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
-    batch = estimate_values(
-        xhat,
-        chi,
-        locations,
-        k,
-        epsilon,
-        floor,
-        reps,
-        rng=rng,
-        alpha=alpha,
-        tunables=tun,
-    )
-    if stats is not None:
-        stats.samples_constsnr += batch.samples
-    return batch.kept_sparse().largest(tun.snr_keep_factor * k)
+    return kept
 
 
 def sparse_fft_with_stats(
@@ -364,20 +368,17 @@ def sparse_fft_with_stats(
     L4 = _log4(N)
     k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / L4))
 
-    state = SnrLoopState(chi=SparseApprox.empty(n, d), t=0, nu=0.0, stats=stats)
+    chi = SparseApprox.empty(n, d)
     norm_baseline = 0.0
     for t in range(params.T):
-        state.t = t
-        state.nu = 4.0 * mu_eff * L4 ** (params.T - t)
-        state.chi = reduce_l1_norm(
-            mset, state.chi, params, state.nu, mu_eff, rng=rng, stats=stats
-        )
+        nu = 4.0 * mu_eff * L4 ** (params.T - t)
+        chi = reduce_l1_norm(mset, chi, params, nu, mu_eff, rng=rng, stats=stats)
         nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
         if nu_prime > 0.0:
-            r_star_inf = max(2.0, state.nu / nu_prime)
+            r_star_inf = max(2.0, nu / nu_prime)
             increment = reduce_inf_norm(
                 xhat,
-                state.chi,
+                chi,
                 k_tilde,
                 nu_prime,
                 r_star_inf,
@@ -389,8 +390,8 @@ def sparse_fft_with_stats(
             )
             if len(increment) > 0:
                 update_residual_measurements(mset, increment)
-                state.chi = state.chi + increment
-        norm_now = state.chi.norm1()
+                chi = chi + increment
+        norm_now = chi.norm1()
         if norm_baseline == 0.0:
             norm_baseline = norm_now
         elif norm_now > tun.divergence_factor * norm_baseline:
@@ -401,7 +402,7 @@ def sparse_fft_with_stats(
 
     final = recover_at_constant_snr(
         xhat,
-        state.chi,
+        chi,
         2 * k,
         epsilon,
         rng,
@@ -409,7 +410,7 @@ def sparse_fft_with_stats(
         tunables=tun,
         stats=stats,
     )
-    result = (state.chi + final).drop_below(tun.zero_floor_rel * mset.initial_scale)
+    result = (chi + final).drop_below(tun.zero_floor_rel * mset.initial_scale)
     return result, stats
 
 

@@ -208,7 +208,7 @@ def reference_estimate(
     for rep in range(r_max):
         perm = sample_permutation(n, d, rng)
         z = GridIndex.from_array(n, rng.integers(0, n, size=d))
-        hashing = Hashing(perm=perm, B=B, F=F, filter=filt)
+        hashing = Hashing(perm, filt)
         u = hash_to_bins(xhat, SparseApprox.empty(n, d), hashing, z).reshape(-1)
         samples += filt.support_size
         pi = perm.forward_array(coords)

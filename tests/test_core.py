@@ -17,8 +17,6 @@ from sparsefft import (
     SparseApprox,
     Tunables,
     digit_base,
-    positive_part,
-    star,
 )
 from sparsefft.core import unit_roots
 from sparsefft.estimation import _estimation_buckets
@@ -55,36 +53,6 @@ class TestGridIndex:
             GridIndex(8, (1,)) + GridIndex(16, (1,))
         with pytest.raises(ParameterError):
             GridIndex(12, (1,))
-
-
-class TestStar:
-    def test_pinned_values_on_the_eight_ring(self):
-        a = pair(8, (3,), (5,))
-        assert star(a, pair(8, (1,), (0,))) == GridIndex(8, (3,))
-        assert star(a, pair(8, (1,), (2,))) == GridIndex(8, (5,))
-
-    def test_second_slot_zero_one_picks_beta(self):
-        a = pair(16, (7, 3), (2, 9))
-        assert star(a, pair(16, (0, 0), (1, 1))) == GridIndex(16, (2, 9))
-
-    def test_bilinear_over_componentwise_addition(self, rng):
-        n, d = 16, 2
-        for _ in range(100):
-            a1, b1, a2, b2, c1, c2 = (rng.integers(0, n, size=d) for _ in range(6))
-            left = star(
-                pair(n, tuple((a1 + a2) % n), tuple((b1 + b2) % n)),
-                pair(n, tuple(c1), tuple(c2)),
-            )
-            right = star(pair(n, tuple(a1), tuple(b1)), pair(n, tuple(c1), tuple(c2))) + star(
-                pair(n, tuple(a2), tuple(b2)), pair(n, tuple(c1), tuple(c2))
-            )
-            assert left == right
-
-
-def test_positive_part():
-    assert positive_part(3.5) == 3.5
-    assert positive_part(-2.0) == 0.0
-    assert positive_part(0.0) == 0.0
 
 
 class TestDenseSignal:
@@ -201,11 +169,6 @@ class TestRecoveryParams:
         assert p.tunables.ratio_tolerance < math.sin(math.pi / p.delta)
         # Base 2 roots sit at distance 2 apart, so 0.75 is still exact there.
         RecoveryParams.derive(1024, 1, 8, tunables=Tunables(ratio_tolerance=0.75))
-
-    def test_with_overrides_replaces_fields(self):
-        p = RecoveryParams.derive(256, 1, 4)
-        q = p.with_overrides(r_max=3)
-        assert q.r_max == 3 and q.B == p.B
 
 
 class TestBucketCountCap:

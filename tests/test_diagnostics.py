@@ -8,6 +8,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsefft import (
     DenseSignal,
@@ -36,7 +38,7 @@ def lib_freq(values_time, n, d):
 
 def identity_hashing(n: int, B: int, F: int) -> Hashing:
     perm = SpectrumPermutation(n, np.array([[1]], dtype=np.int64), GridIndex.zero(n, 1))
-    return Hashing(perm=perm, B=B, F=F, filter=cached_bucket_filter(n, 1, B, F))
+    return Hashing(perm, cached_bucket_filter(n, 1, B, F))
 
 
 def plain_probes(n: int, count: int) -> list[ProbePair]:
@@ -50,6 +52,18 @@ class TestQuantileTop:
         assert quantile_top(np.array([5.0, 4, 3, 2, 1]), 0.2) == 5.0
         assert quantile_top(np.arange(1.0, 11.0), 0.5) == 6.0
         assert quantile_top(np.array([[1.0, 9.0], [3.0, 2.0]]), 1.0, axis=1)[0] == 1.0
+        assert quantile_top(np.array([7.0]), 1.0) == 7.0
+        assert quantile_top(np.array([3.0, 9.0]), 1.0) == 3.0
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_descending_sort(self, vals, gamma):
+        rank = int(np.ceil(gamma * len(vals)))
+        expected = sorted(vals, reverse=True)[rank - 1]
+        assert quantile_top(np.array(vals), gamma) == expected
 
     def test_axis_selection(self):
         arr = np.array([[1.0, 2.0, 3.0], [6.0, 5.0, 4.0]])
@@ -62,6 +76,8 @@ class TestQuantileTop:
             quantile_top(np.zeros((0,)), 0.5)
         with pytest.raises(ParameterError):
             quantile_top(np.ones(3), 0.0)
+        with pytest.raises(ParameterError):
+            quantile_top(np.ones(3), 1.5)
 
 
 class TestClosedForms:

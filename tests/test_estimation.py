@@ -1,14 +1,12 @@
 """Median-of-repetitions value estimation.
 
-The scalar building blocks (coordinatewise median, descending quantile) are
-pinned against sorting oracles, then estimate_values is checked on exact
-tones, mixed-magnitude thresholding, and a Monte Carlo failure-rate curve
-that must drop sharply as repetitions grow.
+The coordinatewise median is pinned against sorting oracles, then
+estimate_values is checked on exact tones, mixed-magnitude thresholding,
+and a Monte Carlo failure-rate curve that must drop sharply as repetitions
+grow.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sparsefft import DenseSignal, GridIndex, ParameterError, SparseApprox
 from sparsefft.dense_dft import fft_grid
@@ -17,7 +15,6 @@ from sparsefft.estimation import (
     EstimateBatch,
     coordinatewise_median,
     estimate_values,
-    quantile,
 )
 
 from oracles import dense_time, random_sparse_time, reference_estimate
@@ -61,32 +58,6 @@ class TestCoordinatewiseMedian:
         assert batched.shape == (40,)
         scalar = [coordinatewise_median(table[:, col]) for col in range(40)]
         assert batched.tolist() == scalar
-
-
-class TestQuantile:
-    def test_pinned_ranks(self):
-        assert quantile([5, 4, 3, 2, 1], 0.2) == 5.0
-        assert quantile(list(range(1, 11)), 0.5) == 6.0
-        assert quantile([7.0], 1.0) == 7.0
-        assert quantile([3.0, 9.0], 1.0) == 3.0
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-        st.floats(0.01, 1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_descending_sort(self, vals, gamma):
-        rank = int(np.ceil(gamma * len(vals)))
-        expected = sorted(vals, reverse=True)[rank - 1]
-        assert quantile(vals, gamma) == expected
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            quantile([], 0.5)
-        with pytest.raises(ParameterError):
-            quantile([1.0], 0.0)
-        with pytest.raises(ParameterError):
-            quantile([1.0], 1.5)
 
 
 class TestExactTones:

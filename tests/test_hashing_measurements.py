@@ -13,13 +13,16 @@ from sparsefft import (
     DenseSignal,
     GridIndex,
     ParameterError,
+    ProbePair,
     RecoveryParams,
     SparseApprox,
     digit_base,
 )
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import (
+    _bucket_tables,
     _fold_and_invert,
+    _modulations,
     _sample_balanced_probes,
     acquire_measurements,
     hash_to_bins,
@@ -41,7 +44,7 @@ from oracles import (
 
 def make_hashing(n, d, B, F, rng):
     filt = cached_bucket_filter(n, d, B, F)
-    return Hashing(perm=sample_permutation(n, d, rng), B=B, F=F, filter=filt)
+    return Hashing(sample_permutation(n, d, rng), filt)
 
 
 def freq_signal(values_time, n, d):
@@ -187,21 +190,47 @@ class TestAcquisition:
             reach *= base
         assert reach == n
 
+    def test_modulations_pair_probes_with_shifts(self):
+        # Probe (alpha, beta) under shift w modulates by alpha + beta * w mod n.
+        probe = ProbePair(GridIndex(8, (3,)), GridIndex(8, (5,)))
+        shifts = [GridIndex(8, (0,)), GridIndex(8, (2,))]
+        assert _modulations([probe], shifts, 8, 1).tolist() == [[3], [5]]
+        probe = ProbePair(GridIndex(16, (7, 3)), GridIndex(16, (2, 9)))
+        shifts = [GridIndex.zero(16, 2), GridIndex.ones(16, 2)]
+        assert _modulations([probe], shifts, 16, 2).tolist() == [[7, 3], [9, 12]]
+
     def test_bucket_tables_match_direct_bucketing(self, rng):
         # Acquisition fills m[r, t, w] with hash_to_bins of the modulation
         # a*(1, w_shift) for probe t; spot-check a few cells.
-        from sparsefft.core import ProbePair, star
-
         params = RecoveryParams.derive(256, 1, 4)
         x_time = rng.normal(size=256) + 1j * rng.normal(size=256)
         xhat = freq_signal(x_time, 256, 1)
         mset = acquire_measurements(xhat, params, rng)
-        ones = GridIndex.ones(256, 1)
         empty = SparseApprox(256, 1, {})
         for r, t, w in [(0, 0, 0), (1, 2, 1), (2, 1, 3)]:
-            a = star(mset.probes[r][t], ProbePair(ones, mset.shifts[w]))
+            p = mset.probes[r][t]
+            a = p.alpha + p.beta.scaled(mset.shifts[w].coords[0])
             direct = hash_to_bins(xhat, empty, mset.hashings[r], a)
             assert np.allclose(mset.buckets[r, t, w], direct.reshape(-1), atol=1e-10)
+
+
+class TestBucketTables:
+    @pytest.mark.parametrize("n,d,B,F", [(64, 1, 16, 2), (16, 2, 16, 4), (8, 3, 64, 6)])
+    def test_batched_rows_equal_one_call_per_row(self, n, d, B, F, rng):
+        # Rows of several hashings share one table, fold and IFFT; each row
+        # must come out exactly as a single-row call gives it.
+        xhat = freq_signal(rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d), n, d)
+        filt = cached_bucket_filter(n, d, B, F)
+        hashings = [make_hashing(n, d, B, F, rng) for _ in range(3)]
+        mods = [rng.integers(0, n, size=(count, d)) for count in (1, 4, 2)]
+        batched = _bucket_tables(xhat, filt, hashings, mods)
+        single = [
+            _bucket_tables(xhat, filt, [h], [m[j : j + 1]])[0]
+            for h, m in zip(hashings, mods)
+            for j in range(len(m))
+        ]
+        assert batched.shape == (7, B)
+        assert np.array_equal(batched, np.array(single))
 
 
 class TestResidualUpdates:
@@ -232,15 +261,13 @@ class TestResidualUpdates:
         assert mset.sample_counter == counter
 
     def test_update_matches_fresh_bucketing(self, rng):
-        from sparsefft.core import ProbePair, star
-
         params, x, xhat, mset = self._setup(rng)
         chi = x.largest(2)
         update_residual_measurements(mset, chi)
-        ones = GridIndex.ones(256, 1)
         scale = float(np.abs(mset.buckets).max())
         for r, t, w in [(0, 0, 0), (1, 3, 2)]:
-            a = star(mset.probes[r][t], ProbePair(ones, mset.shifts[w]))
+            p = mset.probes[r][t]
+            a = p.alpha + p.beta.scaled(mset.shifts[w].coords[0])
             fresh = hash_to_bins(xhat, chi, mset.hashings[r], a)
             assert np.max(np.abs(mset.buckets[r, t, w] - fresh.reshape(-1))) < 1e-6 * max(
                 scale, 1.0

@@ -20,7 +20,6 @@ from sparsefft.permutation import (
     bucket_of,
     is_isolated,
     offset,
-    permute_index,
     sample_permutation,
 )
 
@@ -29,7 +28,7 @@ from oracles import all_indices, direct_transform, root_table
 
 def make_hashing(n, d, B, F, rng):
     filt = cached_bucket_filter(n, d, B, F)
-    return Hashing(perm=sample_permutation(n, d, rng), B=B, F=F, filter=filt)
+    return Hashing(sample_permutation(n, d, rng), filt)
 
 
 class TestSampling:
@@ -88,17 +87,17 @@ class TestSampling:
 class TestPermuteIndex:
     def test_shift_origin_maps_to_zero(self, rng):
         perm = sample_permutation(32, 2, rng)
-        assert permute_index(perm, perm.q) == GridIndex.zero(32, 2)
+        assert perm.forward(perm.q) == GridIndex.zero(32, 2)
 
     def test_identity_permutation(self):
         perm = SpectrumPermutation(n=8, sigma=np.eye(2, dtype=np.int64), q=GridIndex.zero(8, 2))
         for coords in [(0, 0), (3, 5), (7, 7)]:
             i = GridIndex(8, coords)
-            assert permute_index(perm, i) == i
+            assert perm.forward(i) == i
 
     def test_exhaustive_bijectivity_n8_d2(self, rng):
         perm = sample_permutation(8, 2, rng)
-        images = {permute_index(perm, GridIndex(8, tuple(row))) for row in all_indices(8, 2)}
+        images = {perm.forward(GridIndex(8, tuple(row))) for row in all_indices(8, 2)}
         assert len(images) == 64
 
     def test_inverse_index_round_trip(self, rng):
@@ -219,7 +218,7 @@ class TestOffsets:
         n = 16
         perm = SpectrumPermutation(n=n, sigma=np.eye(1, dtype=np.int64), q=GridIndex.zero(n, 1))
         filt = cached_bucket_filter(n, 1, 16, 4)
-        h = Hashing(perm=perm, B=16, F=4, filter=filt)
+        h = Hashing(perm, filt)
         i, j = GridIndex(n, (5,)), GridIndex(n, (9,))
         assert offset(h, i, j) == j - i
 
@@ -230,7 +229,7 @@ class TestOffsets:
         h = make_hashing(64, 2, 64, 4, rng)
         i = GridIndex(64, (raw % 64, (raw // 64) % 64))
         j = GridIndex(64, (int(rng.integers(64)), int(rng.integers(64))))
-        pi_j = permute_index(h.perm, j)
+        pi_j = h.perm.forward(j)
         center = GridIndex.from_array(64, (64 // 8) * bucket_of(h, i).to_array())
         assert offset(h, i, j) == pi_j - center
 
@@ -253,7 +252,7 @@ class TestIsolation:
         S = [GridIndex(n, (int(v),)) for v in coords]
         target = S[0]
         for _ in range(trials):
-            h = Hashing(perm=sample_permutation(n, d, rng), B=B, F=2, filter=filt)
+            h = Hashing(sample_permutation(n, d, rng), filt)
             if is_isolated(target, S, h, alpha=alpha):
                 hits += 1
         assert hits / trials >= 1 - np.sqrt(alpha)

@@ -6,6 +6,8 @@ Noisy instances get contract-level checks: geometric head-mass reduction,
 sup-norm capping, and residual energy within a constant factor of the tail.
 """
 import hashlib
+import json
+import pathlib
 import sys
 
 import numpy as np
@@ -21,6 +23,7 @@ from sparsefft import (
 from sparsefft import dense_dft, semi_equispaced
 from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
+from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal
 from sparsefft.hashing_measurements import acquire_measurements
 from sparsefft.recovery import (
     RunStats,
@@ -86,6 +89,15 @@ class TestReduceL1:
             )
             wins += head_l1(x, chi) <= before / 4.0
         assert wins >= trials - 1
+
+    def test_rng_is_required(self, rng):
+        # The acquisition stream is seeded from params.seed, so a fallback to
+        # that seed would replay it for the estimation permutations.
+        n, d = 256, 1
+        params = RecoveryParams.derive(n, d, 2)
+        mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
+        with pytest.raises(TypeError):
+            reduce_l1_norm(mset, SparseApprox.empty(n, d), params, 1.0, 0.0)
 
     def test_counter_tracks_estimation_samples(self, rng):
         n, d, k = 1024, 1, 3
@@ -348,3 +360,43 @@ class TestFullPipeline:
         x = random_sparse_time(256, 1, 2, rng)
         with pytest.raises(ParameterError):
             sparse_fft(dense_time(x), 2)
+
+
+PINNED = json.loads((pathlib.Path(__file__).parent / "pinned_recovery.json").read_text())
+PINNED_SEED = 5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", SIGNAL_MODELS)
+@pytest.mark.parametrize("n,d,k", [(256, 1, 4), (16, 2, 3), (8, 3, 2)])
+def test_seeded_output_matches_pinned_record(n, d, k, model):
+    """Seeded harness-style runs reproduce outputs recorded before the
+    measurement primitive and the shared threshold loop were factored out.
+
+    The ledger and the support order must match exactly, values to 1e-12
+    relative. A change that means to alter seeded outputs re-records
+    pinned_recovery.json and says so; any other difference is a regression.
+    """
+    spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
+    x, _, mu = generate_signal(spec, PINNED_SEED)
+    xhat = DenseSignal(n, d, np.fft.fftn(x.values, norm="ortho"), "frequency")
+    out, stats = sparse_fft_with_stats(
+        xhat,
+        k,
+        epsilon=spec.epsilon,
+        r_star=spec.effective_r_star(),
+        mu=mu,
+        seed=PINNED_SEED,
+        params=spec.recovery_params(mu, PINNED_SEED),
+    )
+    want = PINNED[f"{n}^{d} k={k} {model}"]
+    assert [
+        stats.samples_location,
+        stats.samples_estimation,
+        stats.samples_infnorm,
+        stats.samples_constsnr,
+    ] == want["stats"]
+    assert [list(f.coords) for f in out] == want["support"]
+    expected = np.array([complex(re, im) for re, im in want["values"]])
+    got = np.array(list(out.entries.values()), dtype=np.complex128)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
