@@ -1,7 +1,7 @@
 """Median-of-repetitions value estimation.
 
-The coordinatewise median is pinned against sorting oracles, then
-estimate_values is checked on exact tones, mixed-magnitude thresholding,
+The scalar building blocks (coordinatewise median, descending quantile) are
+pinned against sorting oracles, then estimate_values is checked on exact tones, mixed-magnitude thresholding,
 and a Monte Carlo failure-rate curve that must drop sharply as repetitions
 grow.
 """
@@ -10,6 +10,7 @@ import pytest
 
 from sparsefft import DenseSignal, GridIndex, ParameterError, SparseApprox
 from sparsefft.dense_dft import fft_grid
+from sparsefft.diagnostics import quantile_top
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.estimation import (
     EstimateBatch,
@@ -58,6 +59,25 @@ class TestCoordinatewiseMedian:
         assert batched.shape == (40,)
         scalar = [coordinatewise_median(table[:, col]) for col in range(40)]
         assert batched.tolist() == scalar
+
+
+class TestQuantile:
+    """The descending quantile on plain scalar lists, as the estimation
+    lemmas state it: the ceil(gamma * m)-th largest of m values."""
+
+    def test_pinned_ranks(self):
+        assert quantile_top([5, 4, 3, 2, 1], 0.2) == 5.0
+        assert quantile_top(list(range(1, 11)), 0.5) == 6.0
+        assert quantile_top([7.0], 1.0) == 7.0
+        assert quantile_top([3.0, 9.0], 1.0) == 3.0
+
+    def test_validation(self):
+        with pytest.raises(ParameterError):
+            quantile_top([], 0.5)
+        with pytest.raises(ParameterError):
+            quantile_top([1.0], 0.0)
+        with pytest.raises(ParameterError):
+            quantile_top([1.0], 1.5)
 
 
 class TestExactTones:
