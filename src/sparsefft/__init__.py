@@ -13,7 +13,6 @@ from .core import (
     DivergenceError,
     GridIndex,
     ParameterError,
-    ProbePair,
     RecoveryParams,
     ScaleGuardError,
     SparseApprox,
@@ -31,7 +30,7 @@ from .hashing_measurements import (
     hash_to_bins,
     update_residual_measurements,
 )
-from .location import LocationResult, check_balanced, locate_signal
+from .location import LocationResult, locate_signal
 from .permutation import (
     Hashing,
     SpectrumPermutation,
@@ -60,7 +59,6 @@ __all__ = [
     "ScaleGuardError",
     "DivergenceError",
     "GridIndex",
-    "ProbePair",
     "digit_base",
     "DenseSignal",
     "SparseApprox",
@@ -87,7 +85,6 @@ __all__ = [
     "update_residual_measurements",
     "LocationResult",
     "locate_signal",
-    "check_balanced",
     "EstimateBatch",
     "estimate_values",
     "RunStats",

@@ -3,6 +3,13 @@
 Everything downstream works over the d-dimensional ring [0, n)^d with n a
 power of two. Indices are stored as nonnegative residues; formulas stated for
 signed index ranges map onto these via the circular distance min(r, n-r).
+
+Inside the recovery pipeline an index is a row-major flat int64 in
+[0, n^d), so sets of indices are plain int64 arrays and N = n^d must stay
+below 2^63. SparseApprox stores (flat, values) arrays. GridIndex, a hashable
+coordinate tuple, is the format at the boundary: single-point helpers,
+hash_to_bins, diagnostics, and SparseApprox's mapping constructor and
+read view.
 """
 from __future__ import annotations
 
@@ -25,7 +32,6 @@ __all__ = [
     "capped_bucket_count",
     "digit_base",
     "GridIndex",
-    "ProbePair",
     "DenseSignal",
     "SparseApprox",
     "Tunables",
@@ -95,6 +101,12 @@ def capped_bucket_count(n: int, d: int, target: float) -> int:
     return b**d
 
 
+def _first_seen(flat: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, in order of first appearance."""
+    _, first = np.unique(flat, return_index=True)
+    return flat[np.sort(first)]
+
+
 @dataclass(frozen=True)
 class GridIndex:
     """An element of [0, n)^d with wrap-around arithmetic.
@@ -127,19 +139,6 @@ class GridIndex:
         return GridIndex(n, (0,) * d)
 
     @staticmethod
-    def ones(n: int, d: int) -> "GridIndex":
-        return GridIndex(n, (1,) * d)
-
-    @staticmethod
-    def unit(n: int, d: int, axis: int) -> "GridIndex":
-        """The standard basis vector for one axis."""
-        if not 0 <= axis < d:
-            raise ParameterError(f"axis {axis} out of range for d={d}")
-        coords = [0] * d
-        coords[axis] = 1
-        return GridIndex(n, tuple(coords))
-
-    @staticmethod
     def from_array(n: int, arr: Iterable[int]) -> "GridIndex":
         return GridIndex(n, tuple(int(a) % n for a in arr))
 
@@ -163,33 +162,6 @@ class GridIndex:
         return GridIndex(
             self.n, tuple((a - b) % self.n for a, b in zip(self.coords, other.coords))
         )
-
-    def scaled(self, factor: int) -> "GridIndex":
-        """Componentwise multiple mod n."""
-        return GridIndex(self.n, tuple((factor * c) % self.n for c in self.coords))
-
-    def circular_norm(self) -> int:
-        """max over coordinates of the wrap-around distance to zero."""
-        return max(min(c, self.n - c) for c in self.coords)
-
-
-@dataclass(frozen=True)
-class ProbePair:
-    """A probe a = (alpha, beta); shift w modulates by alpha + beta * w mod n."""
-
-    alpha: GridIndex
-    beta: GridIndex
-
-    def __post_init__(self) -> None:
-        self.alpha._check_compatible(self.beta)
-
-    @property
-    def n(self) -> int:
-        return self.alpha.n
-
-    @property
-    def d(self) -> int:
-        return self.alpha.d
 
 
 @dataclass
@@ -245,11 +217,18 @@ class DenseSignal:
 class SparseApprox:
     """A sparse map from grid indices to complex values (the running chi).
 
-    Zero-valued entries are never stored; addition merges supports and drops
-    exact cancellations.
+    Stored as two aligned arrays: `flat`, distinct row-major flat indices
+    in [0, n^d) (int64), and `values` (complex128), both read-only and in
+    first-seen order. Zero-valued entries are never stored; addition merges
+    supports and drops exact cancellations. Magnitudes are
+    np.hypot(re, im), which equals Python's abs() bit for bit.
+
+    The mapping constructor and `entries` (with `items`, iteration, `get`,
+    `in` and `support`) are the GridIndex view for callers outside the
+    pipeline; `entries` is rebuilt on every access.
     """
 
-    __slots__ = ("n", "d", "entries")
+    __slots__ = ("n", "d", "flat", "values")
 
     def __init__(
         self, n: int, d: int, entries: Mapping[GridIndex, complex] | None = None
@@ -258,34 +237,76 @@ class SparseApprox:
             raise ParameterError(f"grid side must be a power of two, got n={n}")
         if d < 1:
             raise ParameterError(f"dimension must be >= 1, got d={d}")
+        if n**d >= 2**63:
+            raise ParameterError(f"n^d = {n}^{d} overflows an int64 flat index")
         self.n = n
         self.d = d
-        self.entries: dict[GridIndex, complex] = {}
-        if entries:
-            for idx, val in entries.items():
-                if idx.n != n or idx.d != d:
-                    raise DimensionError(
-                        f"entry {idx} does not live on the ({n},{d}) grid"
-                    )
-                v = complex(val)
-                if v != 0:
-                    self.entries[idx] = v
+        entries = entries or {}
+        for idx in entries:
+            if idx.n != n or idx.d != d:
+                raise DimensionError(f"entry {idx} does not live on the ({n},{d}) grid")
+        coords = np.array([idx.coords for idx in entries], dtype=np.int64).reshape(-1, d)
+        self._store(
+            np.ravel_multi_index(coords.T, (n,) * d),
+            np.array([complex(v) for v in entries.values()], dtype=np.complex128),
+        )
+
+    @classmethod
+    def from_flat(cls, n: int, d: int, flat, values) -> "SparseApprox":
+        """The map flat[t] -> values[t]; flat holds distinct indices in [0, n^d)."""
+        out = cls(n, d)
+        flat = np.asarray(flat, dtype=np.int64)
+        values = np.asarray(values, dtype=np.complex128)
+        if flat.ndim != 1 or flat.shape != values.shape:
+            raise ParameterError(
+                f"need aligned 1-D index and value arrays, got {flat.shape} and {values.shape}"
+            )
+        if flat.size and (flat.min() < 0 or flat.max() >= n**d):
+            raise ParameterError(f"flat index outside [0, {n}^{d})")
+        if np.unique(flat).size != flat.size:
+            raise ParameterError("flat indices must be distinct")
+        out._store(flat, values)
+        return out
+
+    def _store(self, flat: np.ndarray, values: np.ndarray) -> None:
+        keep = values != 0
+        self.flat, self.values = flat[keep], values[keep]
+        self.flat.flags.writeable = False
+        self.values.flags.writeable = False
 
     @staticmethod
     def empty(n: int, d: int) -> "SparseApprox":
         return SparseApprox(n, d)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.flat)
+
+    def _magnitudes(self) -> np.ndarray:
+        return np.hypot(self.values.real, self.values.imag)
+
+    @property
+    def entries(self) -> dict[GridIndex, complex]:
+        """{GridIndex: value} in storage order, built on each access."""
+        return {
+            GridIndex(self.n, tuple(c)): v
+            for c, v in zip(self.coords_array().tolist(), self.values.tolist())
+        }
 
     def __iter__(self) -> Iterator[GridIndex]:
         return iter(self.entries)
 
     def __contains__(self, idx: GridIndex) -> bool:
-        return idx in self.entries
+        return self._position(idx) is not None
 
     def get(self, idx: GridIndex) -> complex:
-        return self.entries.get(idx, 0j)
+        pos = self._position(idx)
+        return 0j if pos is None else complex(self.values[pos])
+
+    def _position(self, idx: GridIndex) -> int | None:
+        if idx.n != self.n or idx.d != self.d:
+            return None
+        hit = np.flatnonzero(self.flat == np.ravel_multi_index(idx.coords, (self.n,) * self.d))
+        return int(hit[0]) if hit.size else None
 
     def items(self):
         return self.entries.items()
@@ -296,54 +317,44 @@ class SparseApprox:
     def __add__(self, other: "SparseApprox") -> "SparseApprox":
         if other.n != self.n or other.d != self.d:
             raise DimensionError("cannot add approximations over different grids")
-        merged = dict(self.entries)
-        for idx, val in other.entries.items():
-            merged[idx] = merged.get(idx, 0j) + val
-        return SparseApprox(self.n, self.d, merged)
+        flat = np.concatenate([self.flat, other.flat])
+        unique, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        sums = np.zeros(unique.size, dtype=np.complex128)
+        np.add.at(sums, inverse, np.concatenate([self.values, other.values]))
+        order = np.argsort(first)
+        return SparseApprox.from_flat(self.n, self.d, unique[order], sums[order])
 
     def __neg__(self) -> "SparseApprox":
-        return SparseApprox(
-            self.n, self.d, {idx: -val for idx, val in self.entries.items()}
-        )
+        return SparseApprox.from_flat(self.n, self.d, self.flat, -self.values)
 
     def norm1(self) -> float:
-        return float(sum(abs(v) for v in self.entries.values()))
+        return float(self._magnitudes().sum())
 
     def norm2(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.entries.values()))
+        return float(np.linalg.norm(self.values))
 
     def norm_inf(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
+        return float(self._magnitudes().max(initial=0.0))
 
     def largest(self, m: int) -> "SparseApprox":
-        """Restriction to the m entries of largest magnitude."""
-        if m <= 0:
-            return SparseApprox(self.n, self.d)
-        ranked = sorted(self.entries.items(), key=lambda kv: -abs(kv[1]))[:m]
-        return SparseApprox(self.n, self.d, dict(ranked))
+        """Restriction to the m entries of largest magnitude, largest first;
+        ties keep insertion order."""
+        order = np.argsort(-self._magnitudes(), kind="stable")[: max(m, 0)]
+        return SparseApprox.from_flat(self.n, self.d, self.flat[order], self.values[order])
 
     def drop_below(self, floor: float) -> "SparseApprox":
         """Remove entries with magnitude <= floor."""
-        return SparseApprox(
-            self.n, self.d, {i: v for i, v in self.entries.items() if abs(v) > floor}
-        )
+        keep = self._magnitudes() > floor
+        return SparseApprox.from_flat(self.n, self.d, self.flat[keep], self.values[keep])
 
     def to_dense(self, domain: str = "frequency") -> DenseSignal:
         sig = DenseSignal.zeros(self.n, self.d, domain)
-        for idx, val in self.entries.items():
-            sig.values[idx.coords] = val
+        sig.values.reshape(-1)[self.flat] = self.values
         return sig
 
     def coords_array(self) -> np.ndarray:
-        """Support as an (m, d) int array, insertion-ordered."""
-        if not self.entries:
-            return np.zeros((0, self.d), dtype=np.int64)
-        return np.array([idx.coords for idx in self.entries], dtype=np.int64)
-
-    def values_array(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros(0, dtype=np.complex128)
-        return np.array(list(self.entries.values()), dtype=np.complex128)
+        """Support as an (m, d) int64 array, insertion-ordered."""
+        return np.stack(np.unravel_index(self.flat, (self.n,) * self.d), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,13 @@ from .core import (
     DenseSignal,
     GridIndex,
     ParameterError,
-    ProbePair,
     ScaleGuardError,
     SparseApprox,
     Tunables,
     digit_base,
 )
 from .dense_dft import fft_axes
-from .location import check_balanced
+from .location import _balanced_axes
 from .permutation import Hashing, is_isolated
 
 __all__ = ["NoiseProfile", "compute_noise_profile", "quantile_top"]
@@ -112,27 +111,23 @@ def _heavy_order(S) -> list[GridIndex]:
     return ordered
 
 
-def _flat_indices(coords: np.ndarray, n: int, d: int) -> np.ndarray:
-    flat = np.zeros(coords.shape[0], dtype=np.int64)
-    for ax in range(d):
-        flat = flat * n + coords[:, ax]
-    return flat
-
-
 def compute_noise_profile(
     x: DenseSignal,
     chi: SparseApprox,
     S,
     hashings: list[Hashing],
-    probes: list[list[ProbePair]],
-    shifts: list[GridIndex],
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    shifts: np.ndarray,
     *,
     tunables: Tunables | None = None,
 ) -> NoiseProfile:
     """Evaluate head, tail, and mu noise for each element of S.
 
     x is the time-domain signal and chi the current approximation; S names
-    the heavy elements the quantities are defined against. For hashing H
+    the heavy elements the quantities are defined against. alphas and betas
+    are (len(hashings), c, d) probe arrays and shifts is (W, d), laid out as
+    in MeasurementSet. For hashing H
     with permutation (Sigma, q) and element i with bucket offsets o_i(j):
 
       head_i(H)   = G(o_i(i))^-1 sum_{j in S, j != i} G(o_i(j)) |y_j|
@@ -153,7 +148,7 @@ def compute_noise_profile(
         raise ParameterError("chi does not live on the signal grid")
     if not hashings:
         raise ParameterError("need at least one hashing")
-    if len(probes) != len(hashings):
+    if len(alphas) != len(hashings) or len(betas) != len(hashings):
         raise ParameterError("need one probe set per hashing")
     heavy = _heavy_order(S)
     if not heavy:
@@ -178,14 +173,13 @@ def compute_noise_profile(
     x_flat = x.values.reshape(N)
     tail_mask = np.ones(N, dtype=bool)
     s_coords = np.array([f.coords for f in heavy], dtype=np.int64)
-    s_flat = _flat_indices(s_coords, n, d)
+    s_flat = np.ravel_multi_index(s_coords.T, (n,) * d)
     tail_mask[s_flat] = False
 
     # y = (x - chi) on S, -chi off S; only |y| at S and chi's support matters.
     y_flat = np.zeros(N, dtype=np.complex128)
     y_flat[s_flat] = x_flat[s_flat]
-    for f, v in chi.items():
-        y_flat[_flat_indices(np.array([f.coords], dtype=np.int64), n, d)[0]] -= v
+    y_flat[chi.flat] -= chi.values
     residual = {f: abs(x_flat[s_flat[pos]] - chi.get(f)) for pos, f in enumerate(heavy)}
 
     head = np.zeros((R, S_count))
@@ -225,19 +219,15 @@ def compute_noise_profile(
             inverse=True,
         ).reshape(S_count, N) * math.sqrt(N)
 
-        probe_alpha = np.array([p.alpha.coords for p in probes[r]], dtype=np.int64)
-        probe_beta = np.array([p.beta.coords for p in probes[r]], dtype=np.int64)
-        shift_arr = np.array([w.coords for w in shifts], dtype=np.int64)
         for w_pos in range(W):
-            z = (probe_alpha + probe_beta * shift_arr[w_pos][None, :]) % n
+            z = (alphas[r] + betas[r] * shifts[w_pos][None, :]) % n
             zt = (z @ perm.sigma) % n
-            vals = np.abs(T[:, _flat_indices(zt, n, d)]) / own[:, None]
+            vals = np.abs(T[:, np.ravel_multi_index(zt.T, (n,) * d)]) / own[:, None]
             tail_w[r, w_pos] = quantile_top(vals.T, 0.2, axis=0)
 
         floor = _MU_FLOOR_FACTOR * mu_h[r]
         tail_h[r] = floor + np.maximum(tail_w[r] - floor[None, :], 0.0).sum(axis=0)
-        for s_ax in range(d):
-            balanced[r, s_ax] = check_balanced(probes[r], s_ax, delta)
+        balanced[r] = _balanced_axes(betas[r], delta)
 
     heavy_set = set(heavy)
     scales = range(max(1, int(math.log2(hashings[0].b))))

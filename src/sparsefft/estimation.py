@@ -10,20 +10,22 @@ exact rule the stored tables use (_chi_buckets). The coordinatewise median
 over repetitions is within twice the typical per-repetition error of the
 true value, so a handful of repetitions drives the failure probability
 down geometrically.
-Estimates at or below the magnitude threshold nu are discarded.
+Locations are row-major flat int64 indices; an EstimateBatch holds them and
+their estimates as aligned arrays. Estimates at or below the magnitude
+threshold nu (by np.hypot, which equals abs()) are left out of `kept`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DenseSignal,
-    GridIndex,
     ParameterError,
     SparseApprox,
     Tunables,
+    _first_seen,
     capped_bucket_count,
     is_power_of_two,
     unit_roots,
@@ -54,16 +56,16 @@ def coordinatewise_median(values) -> complex | np.ndarray:
 
 @dataclass
 class EstimateBatch:
-    """Estimates w_f at every requested location, and the kept subset."""
+    """Estimates w_f at every requested location, and the kept subset.
 
-    n: int
-    d: int
-    estimates: dict[GridIndex, complex] = field(default_factory=dict)
-    kept: dict[GridIndex, complex] = field(default_factory=dict)
+    locations are the distinct requested flat indices in first-seen order
+    and estimates[t] belongs to locations[t].
+    """
+
+    locations: np.ndarray
+    estimates: np.ndarray
+    kept: SparseApprox
     samples: int = 0
-
-    def kept_sparse(self) -> SparseApprox:
-        return SparseApprox(self.n, self.d, self.kept)
 
 
 def _estimation_buckets(
@@ -88,7 +90,7 @@ def estimate_values(
     tunables: Tunables | None = None,
     b_override: int | None = None,
 ) -> EstimateBatch:
-    """Estimate the residual (x - chi) at each location in L.
+    """Estimate the residual (x - chi) at each flat index in L.
 
     Draws r_max fresh hashings from rng; each bins the spectrum alone and
     consumes |supp(G-hat)| spectrum reads, tallied in the result. All r_max
@@ -105,13 +107,14 @@ def estimate_values(
     n, d = xhat.n, xhat.d
     tun = tunables or Tunables()
 
-    locations = list(dict.fromkeys(L))
-    batch = EstimateBatch(n=n, d=d)
-    if not locations:
-        return batch
-    for f in locations:
-        if f.n != n or f.d != d:
-            raise ParameterError(f"location {f} does not live on the signal grid")
+    L = np.asarray(L, dtype=np.int64)
+    if L.ndim != 1:
+        raise ParameterError(f"locations must be a 1-D array of flat indices, got {L.shape}")
+    locations = _first_seen(L)
+    if not locations.size:
+        return EstimateBatch(locations, np.zeros(0, np.complex128), SparseApprox(n, d))
+    if locations.min() < 0 or locations.max() >= xhat.N:
+        raise ParameterError("a location does not live on the signal grid")
 
     if b_override is not None:
         if not is_power_of_two(b_override) or not 4 <= b_override <= n:
@@ -123,13 +126,12 @@ def estimate_values(
     filt = cached_bucket_filter(n, d, B, F)
     b = filt.b
 
-    coords = np.stack([f.to_array() for f in locations])
+    coords = np.stack(np.unravel_index(locations, (n,) * d), axis=-1)
     hashings, zs = [], []
     for _ in range(r_max):
         hashings.append(Hashing(sample_permutation(n, d, rng), filt))
         zs.append(rng.integers(0, n, size=d)[None, :])
     u = _bucket_tables(xhat, filt, hashings, zs)
-    batch.samples += r_max * filt.support_size
 
     w = np.empty((r_max, coords.shape[0]), dtype=np.complex128)
     for rep, (hashing, z) in enumerate(zip(hashings, zs)):
@@ -143,8 +145,7 @@ def estimate_values(
         expo = (((coords @ perm.sigma.T) % n) @ z[0]) % n
         w[rep] = read / gain * unit_roots(n, -1)[expo]
 
-    for f, est in zip(locations, coordinatewise_median(w).tolist()):
-        batch.estimates[f] = est
-        if abs(est) > nu:
-            batch.kept[f] = est
-    return batch
+    estimates = coordinatewise_median(w)
+    keep = np.hypot(estimates.real, estimates.imag) > nu
+    kept = SparseApprox.from_flat(n, d, locations[keep], estimates[keep])
+    return EstimateBatch(locations, estimates, kept, r_max * filt.support_size)

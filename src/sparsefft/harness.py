@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     DenseSignal,
-    GridIndex,
     ParameterError,
     RecoveryParams,
     SparseApprox,
@@ -211,10 +210,7 @@ def _ball_coords(n: int, d: int, center: np.ndarray, radius: int) -> np.ndarray:
     side = np.arange(-radius, radius + 1)
     offsets = np.stack(np.meshgrid(*([side] * d), indexing="ij"), axis=-1).reshape(-1, d)
     coords = (center[None, :] + offsets) % n
-    flat = np.zeros(coords.shape[0], dtype=np.int64)
-    for ax in range(d):
-        flat = flat * n + coords[:, ax]
-    return flat
+    return np.ravel_multi_index(coords.T, (n,) * d)
 
 
 def generate_signal(
@@ -266,19 +262,10 @@ def generate_signal(
     phases = np.exp(2j * np.pi * rng.random(k))
     scale = spec.snr * mu_true if mu_true > 0.0 else 1.0
     mags = scale * (1.0 + rng.random(k))
-    values[head_flat] = mags * phases
-
-    entries = {}
-    for pos, flat in enumerate(head_flat):
-        coords = []
-        rem = int(flat)
-        for _ in range(d):
-            coords.append(rem % n)
-            rem //= n
-        coords.reverse()
-        entries[GridIndex(n, tuple(coords))] = complex(mags[pos] * phases[pos])
+    head = mags * phases
+    values[head_flat] = head
     x = DenseSignal(n, d, values.reshape((n,) * d), domain="time")
-    return x, SparseApprox(n, d, entries), mu_true
+    return x, SparseApprox.from_flat(n, d, head_flat, head), mu_true
 
 
 def _run_one(spec: ExperimentSpec, seed: int, digest: str) -> RunRecord:
@@ -307,11 +294,9 @@ def _run_one(spec: ExperimentSpec, seed: int, digest: str) -> RunRecord:
     # subtraction accuracy.
     denom = max(tail_energy, (1e-9 * x_norm) ** 2, 1e-300)
 
-    found = output.support()
-    true_supp = truth.support()
-    hits = len(found & true_supp)
-    precision = hits / len(found) if found else 1.0
-    recall = hits / len(true_supp) if true_supp else 1.0
+    hits = np.intersect1d(output.flat, truth.flat).size
+    precision = hits / len(output) if len(output) else 1.0
+    recall = hits / len(truth) if len(truth) else 1.0
 
     return RunRecord(
         spec_hash=digest,

@@ -14,9 +14,10 @@ hashing, to bound memory) and estimation.estimate_values (one call for all
 its repetitions). acquire_measurements fills the full table the recovery
 loop consumes: r_max hashings, c_max probe pairs each (redrawn until
 digit-balanced), and one measurement per shift vector in the location
-ladder. All later subtraction of recovered mass goes through
-update_residual_measurements, which applies the same exact rule to the
-stored tables and keeps the sample counter frozen.
+ladder. Probes and shifts are plain int64 arrays: MeasurementSet.alphas and
+.betas are (r_max, c_max, d), .shifts is (S, d). All later subtraction of
+recovered mass goes through update_residual_measurements, which applies the
+same exact rule to the stored tables and keeps the sample counter frozen.
 
 The primitive is built to make few passes over memory:
 
@@ -41,7 +42,6 @@ from .core import (
     DenseSignal,
     GridIndex,
     ParameterError,
-    ProbePair,
     RecoveryParams,
     SparseApprox,
     unit_roots,
@@ -198,7 +198,7 @@ def _chi_buckets(
         weights = g_axis[offsets].prod(axis=-1)
     sig_t = (coords @ hashing.perm.sigma.T) % n
     expo = (mods @ sig_t.T) % n
-    return (unit_roots(n, 1)[expo] * chi.values_array()) @ weights
+    return (unit_roots(n, 1)[expo] * chi.values) @ weights
 
 
 def hash_to_bins(
@@ -233,14 +233,18 @@ class MeasurementSet:
     """Every bucket value the recovery loop is allowed to look at.
 
     buckets[r, t, w] is the [b]^d table (flattened row-major) for hashing r,
-    probe pair t, and shift slot w; slot 0 is the unshifted reference. The
-    sample counter tracks spectrum reads and is immune to residual updates.
+    probe pair t = (alphas[r, t], betas[r, t]), and shift shifts[w]; it was
+    taken under the modulation alphas[r, t] + betas[r, t] * shifts[w] mod n.
+    alphas and betas are (r_max, c_max, d) and shifts is (S, d), all int64;
+    shift 0 is the unshifted reference. The sample counter tracks spectrum
+    reads and is immune to residual updates.
     """
 
     params: RecoveryParams
     hashings: list[Hashing]
-    probes: list[list[ProbePair]]
-    shifts: list[GridIndex]
+    alphas: np.ndarray
+    betas: np.ndarray
+    shifts: np.ndarray
     group_bases: tuple[int, ...]
     buckets: np.ndarray
     sample_counter: int = 0
@@ -268,8 +272,9 @@ class MeasurementSet:
         return 1 + (g - 1) * self.d + s
 
 
-def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], list[GridIndex]]:
-    """Shift vectors 0, then n/(Delta^(g-1) * base_g) e_s per digit group.
+def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Shift vectors 0, then n/(Delta^(g-1) * base_g) e_s per digit group,
+    as an (S, d) array.
 
     The last group uses the leftover base n / Delta^(G-1), which keeps every
     shift integral and covers all log2(n) bits.
@@ -281,46 +286,39 @@ def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], list[Gri
         groups += 1
     groups = max(groups, 1)
     bases = []
-    shifts = [GridIndex.zero(n, d)]
+    shifts = [np.zeros((1, d), dtype=np.int64)]
     for g in range(1, groups + 1):
         base = delta if g < groups else n // delta ** (groups - 1)
         bases.append(base)
-        step = n // (delta ** (g - 1) * base)
-        for s in range(d):
-            shifts.append(GridIndex.unit(n, d, s).scaled(step))
-    return tuple(bases), shifts
+        shifts.append((n // (delta ** (g - 1) * base)) * np.eye(d, dtype=np.int64))
+    return tuple(bases), np.concatenate(shifts)
 
 
 def _sample_balanced_probes(
     n: int, d: int, c_max: int, delta: int, rng: np.random.Generator
-) -> list[ProbePair]:
-    """Uniform probe pairs, redrawn until every axis is digit-balanced.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform probe pairs as (alphas, betas), two (c_max, d) arrays, redrawn
+    until every axis is digit-balanced.
 
     Draws alpha_t, beta_t, alpha_{t+1}, ... with one rng call per index, so
     the random stream matches drawing the pairs one by one."""
     for _ in range(1000):
         draws = np.array([rng.integers(0, n, size=d) for _ in range(2 * c_max)])
-        betas = draws[1::2]
-        if _balanced_axes(betas, delta).all():
-            return [
-                ProbePair(GridIndex.from_array(n, a), GridIndex.from_array(n, b))
-                for a, b in zip(draws[0::2], betas)
-            ]
+        if _balanced_axes(draws[1::2], delta).all():
+            return draws[0::2], draws[1::2]
     raise RuntimeError(
         f"no digit-balanced probe set of size {c_max} found for delta={delta}"
     )
 
 
 def _modulations(
-    probes: list[ProbePair], shifts: list[GridIndex], n: int, d: int
+    alphas: np.ndarray, betas: np.ndarray, shifts: np.ndarray, n: int
 ) -> np.ndarray:
     """Modulation vectors a*(1, w) = alpha + beta*w mod n for every
-    (probe, shift), probe-major, as a (len(probes) * len(shifts), d) array."""
-    alphas = np.array([p.alpha.coords for p in probes], dtype=np.int64)
-    betas = np.array([p.beta.coords for p in probes], dtype=np.int64)
-    ws = np.array([w.coords for w in shifts], dtype=np.int64)
-    mods = (alphas[:, None, :] + betas[:, None, :] * ws[None, :, :]) % n
-    return mods.reshape(-1, d)
+    (probe, shift), probe-major: (c, d) probes and (S, d) shifts give a
+    (c * S, d) array."""
+    mods = (alphas[:, None, :] + betas[:, None, :] * shifts[None, :, :]) % n
+    return mods.reshape(-1, shifts.shape[1])
 
 
 def acquire_measurements(
@@ -339,16 +337,17 @@ def acquire_measurements(
     filt = cached_bucket_filter(n, d, params.B, params.F)
 
     hashings = []
-    probe_sets = []
-    for _ in range(params.r_max):
+    alphas = np.empty((params.r_max, params.c_max, d), dtype=np.int64)
+    betas = np.empty_like(alphas)
+    for r in range(params.r_max):
         hashings.append(Hashing(sample_permutation(n, d, rng), filt))
-        probe_sets.append(_sample_balanced_probes(n, d, params.c_max, delta, rng))
+        alphas[r], betas[r] = _sample_balanced_probes(n, d, params.c_max, delta, rng)
 
     S = len(shifts)
     buckets = np.empty((params.r_max, params.c_max, S, params.B), dtype=np.complex128)
     counter = 0
-    for r, (hashing, probes) in enumerate(zip(hashings, probe_sets)):
-        mods = _modulations(probes, shifts, n, d)
+    for r, hashing in enumerate(hashings):
+        mods = _modulations(alphas[r], betas[r], shifts, n)
         buckets[r] = _bucket_tables(xhat, filt, [hashing], [mods]).reshape(
             params.c_max, S, params.B
         )
@@ -356,7 +355,8 @@ def acquire_measurements(
     return MeasurementSet(
         params=params,
         hashings=hashings,
-        probes=probe_sets,
+        alphas=alphas,
+        betas=betas,
         shifts=shifts,
         group_bases=bases,
         buckets=buckets,
@@ -380,8 +380,8 @@ def update_residual_measurements(
         raise ParameterError("chi_delta does not live on the measurement grid")
     if len(chi_delta) == 0:
         return mset
-    for r, (hashing, probes) in enumerate(zip(mset.hashings, mset.probes)):
-        mods = _modulations(probes, mset.shifts, mset.n, mset.d)
+    for r, hashing in enumerate(mset.hashings):
+        mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
         increment = _chi_buckets(chi_delta, hashing, mods)
         mset.buckets[r] -= increment.reshape(mset.buckets[r].shape)
     return mset

@@ -20,7 +20,8 @@ ratio_tolerance < sin(pi / base) (RecoveryParams enforces it for every
 ladder base), so no other root can accept the ratio. A probe then votes for
 every digit whose root index digit * beta_s mod base is that nearest root.
 Buckets that fail a group are dropped from the working set, so later groups
-decode only the survivors.
+decode only the survivors. `found` lists the decoded indices as row-major
+flat int64 indices in bucket order, each once.
 """
 from __future__ import annotations
 
@@ -29,12 +30,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import GridIndex, ParameterError, ProbePair, SparseApprox, unit_roots
+from .core import ParameterError, SparseApprox, _first_seen, unit_roots
 
 if TYPE_CHECKING:
     from .hashing_measurements import MeasurementSet
 
-__all__ = ["LocationResult", "locate_signal", "check_balanced"]
+__all__ = ["LocationResult", "locate_signal"]
 
 
 def _balanced_axes(betas: np.ndarray, delta: int) -> np.ndarray:
@@ -43,28 +44,20 @@ def _balanced_axes(betas: np.ndarray, delta: int) -> np.ndarray:
 
     For every digit r = 1..delta-1, at least 49/100 of the roots
     omega_delta^(r * beta_s) must lie in the closed left half-plane;
-    integer form: 4 * (r * beta_s mod delta) in [delta, 3*delta].
+    integer form: 4 * (r * beta_s mod delta) in [delta, 3*delta]. An empty
+    probe set balances no axis.
     """
     digits = np.arange(1, delta, dtype=np.int64)[:, None, None]
     quarter = 4 * ((digits * betas[None]) % delta)
     hits = ((delta <= quarter) & (quarter <= 3 * delta)).sum(axis=1)
-    return (hits * 100 >= 49 * betas.shape[0]).all(axis=0)
-
-
-def check_balanced(probes: list[ProbePair], s: int, delta: int) -> bool:
-    """Whether the probe set spreads digit phases on axis s (see
-    `_balanced_axes` for the rule)."""
-    if not probes:
-        return False
-    betas = np.array([[p.beta.coords[s]] for p in probes], dtype=np.int64)
-    return bool(_balanced_axes(betas, delta)[0])
+    return (hits * 100 >= 49 * betas.shape[0]).all(axis=0) & (betas.shape[0] > 0)
 
 
 @dataclass
 class LocationResult:
     """Indices recovered from one hashing, plus which buckets gave up."""
 
-    found: list[GridIndex]
+    found: np.ndarray  # (m,) int64 flat indices, bucket order, distinct
     failed: np.ndarray  # (B,) bool; True where no unique digit path survived
 
 
@@ -72,8 +65,8 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
     """Decode every bucket of hashing r into a candidate index.
 
     The bucket tables must already reflect the residual against chi (the
-    argument names the subtracted approximation and pins its grid). Output
-    order follows bucket order; duplicates across buckets are merged.
+    argument names the subtracted approximation and pins its grid). `found`
+    holds flat indices in bucket order; duplicates across buckets are merged.
     """
     params = mset.params
     tun = params.tunables
@@ -83,8 +76,7 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
     if not 0 <= r < len(mset.hashings):
         raise ParameterError(f"hashing index {r} out of range")
     hashing = mset.hashings[r]
-    probes = mset.probes[r]
-    c_max = len(probes)
+    c_max = mset.betas.shape[1]
     B = params.B
 
     ref = mset.buckets[r, :, 0, :]  # (c_max, B)
@@ -97,7 +89,7 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
     min_votes = tun.vote_fraction * c_max - 1e-9
 
     for s in range(d):
-        betas = np.array([p.beta.coords[s] for p in probes], dtype=np.int64)
+        betas = mset.betas[r, :, s]
         scale = 1
         for g, base in enumerate(mset.group_bases, start=1):
             if live.size == 0:
@@ -123,7 +115,6 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
 
     failed = np.ones(B, dtype=bool)
     failed[live] = False
-    found: dict[GridIndex, None] = {}
-    for row in (fvec @ hashing.perm.sigma_inv.T) % n:
-        found.setdefault(GridIndex.from_array(n, row))
-    return LocationResult(found=list(found), failed=failed)
+    rows = (fvec @ hashing.perm.sigma_inv.T) % n
+    found = _first_seen(np.ravel_multi_index(rows.T, (n,) * d))
+    return LocationResult(found=found, failed=failed)

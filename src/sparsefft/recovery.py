@@ -13,6 +13,10 @@ above the round's threshold, and fold them into the bucket tables. They
 differ only in their threshold schedules and measurement sets. The inf-norm
 and constant-SNR stages draw their measurement sets the same way, as a fresh
 acquisition with chi already subtracted (`_fresh_measurements`).
+
+Candidates travel between stages as int64 arrays of row-major flat indices:
+`_union_locations` concatenates every hashing's `found` array and keeps
+each index once, in first-seen order, and estimation takes that array as is.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .core import (
     RecoveryParams,
     SparseApprox,
     Tunables,
+    _first_seen,
     _loglog2,
 )
 from .estimation import _estimation_buckets, estimate_values
@@ -78,13 +83,10 @@ def _log4(N: int) -> float:
     return math.log2(max(4, N)) ** 4
 
 
-def _union_locations(mset: MeasurementSet, chi: SparseApprox) -> list:
-    """Candidate indices from every hashing, deduped in first-seen order."""
-    seen: dict = {}
-    for r in range(len(mset.hashings)):
-        for f in locate_signal(mset, r, chi).found:
-            seen.setdefault(f, None)
-    return list(seen)
+def _union_locations(mset: MeasurementSet, chi: SparseApprox) -> np.ndarray:
+    """Candidate flat indices from every hashing, deduped in first-seen order."""
+    found = [locate_signal(mset, r, chi).found for r in range(len(mset.hashings))]
+    return _first_seen(np.concatenate(found))
 
 
 def _l1_estimate_reps(
@@ -146,7 +148,7 @@ def _threshold_rounds(
         if locations is None:
             locations = _union_locations(mset, total)
         kept = SparseApprox.empty(chi.n, chi.d)
-        if locations:
+        if locations.size:
             batch = estimate_values(
                 mset.source,
                 total,
@@ -160,7 +162,7 @@ def _threshold_rounds(
                 tunables=tunables,
             )
             mset.sample_counter += batch.samples
-            kept = batch.kept_sparse()
+            kept = batch.kept
         if len(kept) > 0:
             update_residual_measurements(mset, kept)
             total = total + kept
@@ -299,7 +301,7 @@ def recover_at_constant_snr(
     )
     kept = SparseApprox.empty(n, d)
     locations = locate_signal(mset, 0, chi).found
-    if locations:
+    if locations.size:
         batch = estimate_values(
             xhat,
             chi,
@@ -313,7 +315,7 @@ def recover_at_constant_snr(
             tunables=tun,
         )
         mset.sample_counter += batch.samples
-        kept = batch.kept_sparse().largest(tun.snr_keep_factor * k)
+        kept = batch.kept.largest(tun.snr_keep_factor * k)
     if stats is not None:
         stats.samples_constsnr += mset.sample_counter
     return kept

@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .core import GridIndex, ParameterError, SparseApprox, is_power_of_two
+from .core import ParameterError, SparseApprox, is_power_of_two
 from .dense_dft import fft_grid, forward_dft
 from .filters import (
     FlatWindow,
@@ -155,9 +155,5 @@ def shifted_semi_equispaced(
     sq = (perm.sigma @ perm.q.to_array()) % n
     expo = (coords @ sq) % n
     phases = np.exp(2j * np.pi * expo / n)
-    moved = (coords @ perm.sigma) % n
-    entries = {
-        GridIndex.from_array(n, row): val * phase
-        for row, val, phase in zip(moved, x.values_array(), phases)
-    }
-    return semi_equispaced_fft(SparseApprox(n, d, entries), B, c)
+    moved = np.ravel_multi_index(((coords @ perm.sigma) % n).T, (n,) * d)
+    return semi_equispaced_fft(SparseApprox.from_flat(n, d, moved, x.values * phases), B, c)

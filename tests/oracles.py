@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sparsefft import DenseSignal, GridIndex, ProbePair, SparseApprox
+from sparsefft import DenseSignal, GridIndex, SparseApprox
 from sparsefft.dense_dft import fft_axes
 from sparsefft.estimation import coordinatewise_median
 from sparsefft.filters import BucketFilter
@@ -62,7 +62,7 @@ def exact_spectrum_at(x: SparseApprox, points: np.ndarray) -> np.ndarray:
     n, d = x.n, x.d
     N = n**d
     coords = x.coords_array()
-    vals = x.values_array()
+    vals = x.values
     if coords.size == 0:
         return np.zeros(len(points), dtype=np.complex128)
     table = root_table(n)
@@ -107,21 +107,25 @@ def random_sparse_time(
     return SparseApprox(n, d, entries)
 
 
+def flat_of(indices) -> np.ndarray:
+    """Row-major flat indices of GridIndex objects, by plain arithmetic."""
+    out = []
+    for idx in indices:
+        flat = 0
+        for c in idx.coords:
+            flat = flat * idx.n + c
+        out.append(flat)
+    return np.array(out, dtype=np.int64)
+
+
 def dense_time(x: SparseApprox) -> DenseSignal:
     """The sparse map as a dense time-domain signal."""
     return x.to_dense(domain="time")
 
 
-def modulation_of(pair, shift: GridIndex) -> GridIndex:
-    """The measurement modulation a*(1, w) for probe pair a and shift w."""
-    alpha, beta = pair.alpha, pair.beta
-    n = alpha.n
-    coords = (alpha.to_array() + beta.to_array() * shift.to_array()) % n
-    return GridIndex.from_array(n, coords)
-
-
-def reference_locate(mset, r: int) -> tuple[list[GridIndex], np.ndarray]:
-    """Per-digit location vote over every bucket: (found, failed).
+def reference_locate(mset, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-digit location vote over every bucket: (found, failed), found as
+    flat indices in bucket order, each once.
 
     The straightforward decoder: for every digit group and every candidate
     digit, rotate each probe's corrected ratio by that digit's root and
@@ -131,8 +135,7 @@ def reference_locate(mset, r: int) -> tuple[list[GridIndex], np.ndarray]:
     params = mset.params
     tun = params.tunables
     n, d, B = mset.n, mset.d, params.B
-    probes = mset.probes[r]
-    c_max = len(probes)
+    c_max = mset.betas.shape[1]
     ref = mset.buckets[r, :, 0, :]
     invalid = np.abs(ref) < tun.near_zero
     safe_ref = np.where(invalid, 1.0, ref)
@@ -140,7 +143,7 @@ def reference_locate(mset, r: int) -> tuple[list[GridIndex], np.ndarray]:
     fvec = np.zeros((B, d), dtype=np.int64)
     min_votes = tun.vote_fraction * c_max - 1e-9
     for s in range(d):
-        betas = np.array([p.beta.coords[s] for p in probes], dtype=np.int64)
+        betas = mset.betas[r, :, s]
         scale = 1
         for g, base in enumerate(mset.group_bases, start=1):
             step = n // (scale * base)
@@ -158,10 +161,9 @@ def reference_locate(mset, r: int) -> tuple[list[GridIndex], np.ndarray]:
             alive &= n_pass == 1
             fvec[:, s] += scale * np.where(n_pass == 1, passed.argmax(axis=0), 0)
             scale *= base
-    found: dict[GridIndex, None] = {}
-    for row in (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n:
-        found.setdefault(GridIndex.from_array(n, row))
-    return list(found), ~alive
+    rows = (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n
+    found = dict.fromkeys(flat_of(GridIndex.from_array(n, row) for row in rows).tolist())
+    return np.array(list(found), dtype=np.int64), ~alive
 
 
 def _fold_axis(arr: np.ndarray, axis: int, b: int, first: int) -> np.ndarray:
@@ -193,13 +195,14 @@ def reference_fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
 def reference_estimate(
     xhat: DenseSignal,
     chi: SparseApprox,
-    locations: list,
+    locations: list[GridIndex],
     filt: BucketFilter,
     r_max: int,
     rng: np.random.Generator,
-) -> tuple[dict, int]:
-    """Median estimates at each location from r_max separate hash_to_bins
-    calls, one repetition at a time: (estimates, samples read)."""
+) -> tuple[np.ndarray, int]:
+    """Median estimates at each (distinct) location from r_max separate
+    hash_to_bins calls, one repetition at a time: (estimates in location
+    order, samples read)."""
     n, d, b, B, F = xhat.n, xhat.d, filt.b, filt.B, filt.F
     coords = np.stack([f.to_array() for f in locations])
     m = coords.shape[0]
@@ -224,12 +227,12 @@ def reference_estimate(
         sig_f = (coords @ perm.sigma.T) % n
         expo = (sig_f @ z.to_array()) % n
         w[rep] = read / gain * np.exp(-2j * np.pi * expo / n)
-    return dict(zip(locations, coordinatewise_median(w).tolist())), samples
+    return coordinatewise_median(w), samples
 
 
-def _reference_balanced(probes: list[ProbePair], s: int, delta: int) -> bool:
-    """The 49/100 left-half-plane rule on axis s, one digit and probe at a time."""
-    betas = [p.beta.coords[s] for p in probes]
+def _reference_balanced(betas: list[int], delta: int) -> bool:
+    """The 49/100 left-half-plane rule on one axis's betas, one digit and
+    probe at a time."""
     for digit in range(1, delta):
         hits = sum(1 for b_s in betas if delta <= 4 * ((digit * b_s) % delta) <= 3 * delta)
         if hits * 100 < 49 * len(betas):
@@ -239,17 +242,14 @@ def _reference_balanced(probes: list[ProbePair], s: int, delta: int) -> bool:
 
 def reference_balanced_probes(
     n: int, d: int, c_max: int, delta: int, rng: np.random.Generator
-) -> tuple[list[ProbePair], int]:
-    """Probe pairs drawn one pair at a time and redrawn until every axis is
-    balanced: (probes, number of sets drawn)."""
+) -> tuple[list[tuple[list[int], list[int]]], int]:
+    """Probe pairs (alpha, beta) drawn one pair at a time and redrawn until
+    every axis is balanced: (probes, number of sets drawn)."""
     for attempt in range(1, 1001):
         probes = [
-            ProbePair(
-                GridIndex.from_array(n, rng.integers(0, n, size=d)),
-                GridIndex.from_array(n, rng.integers(0, n, size=d)),
-            )
+            (rng.integers(0, n, size=d).tolist(), rng.integers(0, n, size=d).tolist())
             for _ in range(c_max)
         ]
-        if all(_reference_balanced(probes, s, delta) for s in range(d)):
+        if all(_reference_balanced([b[s] for _, b in probes], delta) for s in range(d)):
             return probes, attempt
     raise RuntimeError("no balanced probe set")

@@ -1,4 +1,4 @@
-"""Grid arithmetic, probe pairing, and parameter derivation."""
+"""Grid arithmetic, sparse approximations, and parameter derivation."""
 
 import math
 import warnings
@@ -12,7 +12,6 @@ from sparsefft import (
     DenseSignal,
     GridIndex,
     ParameterError,
-    ProbePair,
     RecoveryParams,
     SparseApprox,
     Tunables,
@@ -20,10 +19,6 @@ from sparsefft import (
 )
 from sparsefft.core import unit_roots
 from sparsefft.estimation import _estimation_buckets
-
-
-def pair(n, alpha, beta):
-    return ProbePair(GridIndex(n, alpha), GridIndex(n, beta))
 
 
 class TestGridIndex:
@@ -34,19 +29,13 @@ class TestGridIndex:
     def test_adding_a_full_turn_is_identity(self):
         i = GridIndex(16, (3, 11))
         for axis in range(2):
-            e = GridIndex.unit(16, 2, axis).scaled(16)
+            e = GridIndex(16, tuple(16 * np.eye(2, dtype=np.int64)[axis]))
             assert i + e == i
 
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_add_sub_roundtrip(self, a, b):
         i, j = GridIndex(64, (a,)), GridIndex(64, (b,))
         assert (i + j) - j == i
-
-    def test_circular_norm_is_distance_to_zero(self):
-        for r in range(16):
-            assert GridIndex(16, (r,)).circular_norm() == min(r, 16 - r)
-        assert GridIndex(16, (1, 15)).circular_norm() == 1
-        assert GridIndex(16, (7, 2)).circular_norm() == 7
 
     def test_incompatible_grids_rejected(self):
         with pytest.raises(ParameterError):
@@ -106,6 +95,45 @@ class TestSparseApprox:
     def test_drop_below_prunes_small_entries(self):
         x = SparseApprox(16, 1, {GridIndex(16, (0,)): 1.0, GridIndex(16, (1,)): 1e-9})
         assert x.drop_below(1e-6).support() == {GridIndex(16, (0,))}
+
+    def test_magnitude_order_follows_abs(self):
+        # np.abs rounds |v| one ulp above abs(v) = 1.1870274009931936, onto
+        # |w|; with it, largest would keep v on the tie and drop_below would
+        # keep v above the floor abs(v).
+        v = -0.1321048632913019 - 1.179653489717825j
+        w = 1.1870274009931938 + 0j
+        assert abs(v) < abs(w)
+        x = SparseApprox(16, 1, {GridIndex(16, (0,)): v, GridIndex(16, (1,)): w})
+        assert x.largest(1).support() == {GridIndex(16, (1,))}
+        assert x.drop_below(abs(v)).support() == {GridIndex(16, (1,))}
+
+    def test_sum_keeps_first_seen_order_and_drops_cancellations(self):
+        a = SparseApprox.from_flat(16, 1, [5, 2, 9], [1.0, 2.0 + 1j, 0.1])
+        b = SparseApprox.from_flat(16, 1, [7, 9, 2], [4.0, 0.2, -2.0 - 1j])
+        total = a + b
+        assert total.flat.tolist() == [5, 9, 7]
+        assert total.values.tolist() == [1.0, 0.1 + 0.2, 4.0]
+        assert list(total) == [GridIndex(16, (f,)) for f in (5, 9, 7)]
+
+    def test_largest_keeps_insertion_order_on_ties(self):
+        x = SparseApprox.from_flat(16, 1, [3, 1, 4, 2], [1.0, 2.0, -2.0, 2j])
+        assert x.largest(2).flat.tolist() == [1, 4]
+        assert x.largest(3).flat.tolist() == [1, 4, 2]
+
+    def test_array_constructor_validation(self):
+        with pytest.raises(ParameterError):
+            SparseApprox.from_flat(16, 1, [1, 2], [1.0])
+        with pytest.raises(ParameterError):
+            SparseApprox.from_flat(16, 2, [256], [1.0])
+        with pytest.raises(ParameterError):
+            SparseApprox.from_flat(16, 1, [-1], [1.0])
+        with pytest.raises(ParameterError):
+            SparseApprox.from_flat(16, 1, [3, 3], [1.0, 2.0])
+        # 2^21 cubed is 2^63, one past the largest int64 flat index.
+        with pytest.raises(ParameterError):
+            SparseApprox.from_flat(2**21, 3, [0], [1.0])
+        top = SparseApprox.from_flat(2**31, 2, [2**62 - 1], [1.0])
+        assert top.support() == {GridIndex(2**31, (2**31 - 1, 2**31 - 1))}
 
     def test_to_dense_roundtrips_support(self, rng):
         x = SparseApprox(16, 2, {GridIndex(16, (3, 4)): 2.0 + 1j})

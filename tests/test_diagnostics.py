@@ -15,7 +15,6 @@ from sparsefft import (
     DenseSignal,
     GridIndex,
     ParameterError,
-    ProbePair,
     ScaleGuardError,
     SparseApprox,
     Tunables,
@@ -41,10 +40,13 @@ def identity_hashing(n: int, B: int, F: int) -> Hashing:
     return Hashing(perm, cached_bucket_filter(n, 1, B, F))
 
 
-def plain_probes(n: int, count: int) -> list[ProbePair]:
-    return [
-        ProbePair(GridIndex(n, (j,)), GridIndex(n, (2 * j + 1,))) for j in range(count)
-    ]
+def plain_probes(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """One hashing's probes (j, 2j + 1), j < count, as (alphas, betas)."""
+    j = np.arange(count, dtype=np.int64).reshape(1, count, 1)
+    return j, 2 * j + 1
+
+
+ORIGIN = np.zeros((1, 1), dtype=np.int64)
 
 
 class TestQuantileTop:
@@ -87,8 +89,8 @@ class TestClosedForms:
             SparseApprox(n, d, {}),
             [i0],
             [hashing],
-            [plain_probes(n, 8)],
-            [GridIndex.zero(n, d)],
+            *plain_probes(8),
+            ORIGIN,
         )
         assert profile.e_head[i0] == 0.0
         assert profile.mu_Hi[i0] == 0.0
@@ -111,8 +113,8 @@ class TestClosedForms:
             SparseApprox(n, d, {}),
             [i0, j0],
             [hashing],
-            [plain_probes(n, 8)],
-            [GridIndex.zero(n, d)],
+            *plain_probes(8),
+            ORIGIN,
         )
         expected = filt.g_axis[3] * abs(vj) / filt.g_axis[0]
         assert abs(profile.e_head[i0] - expected) < 1e-12
@@ -131,8 +133,8 @@ class TestClosedForms:
             SparseApprox(n, d, {}),
             [i0],
             [hashing],
-            [plain_probes(n, 8)],
-            [GridIndex.zero(n, d), GridIndex(n, (16,))],
+            *plain_probes(8),
+            np.array([[0], [16]]),
         )
         own = filt.g_axis[0]
         leak = filt.g_axis[3] * tail_mag
@@ -153,8 +155,8 @@ class TestClosedForms:
             chi,
             [i0, j0],
             [hashing],
-            [plain_probes(n, 8)],
-            [GridIndex.zero(n, d)],
+            *plain_probes(8),
+            ORIGIN,
         )
         # j0's residual is zero after subtraction, so i0 sees no head leak.
         assert profile.e_head[i0] < 1e-12
@@ -179,14 +181,17 @@ class TestCertificationImpliesLocation:
                 empty,
                 list(x.support()),
                 mset.hashings,
-                mset.probes,
+                mset.alphas,
+                mset.betas,
                 mset.shifts,
             )
-            found_by_r = [set(locate_signal(mset, r, empty).found) for r in range(params.r_max)]
-            for i in x.support():
+            found_by_r = [
+                set(locate_signal(mset, r, empty).found.tolist()) for r in range(params.r_max)
+            ]
+            for i, flat in zip(x, x.flat.tolist()):
                 for r in profile.certified_hashings(i):
                     certified_pairs += 1
-                    assert i in found_by_r[r]
+                    assert flat in found_by_r[r]
         assert certified_pairs >= 50
 
     def test_profile_shapes_and_nonnegativity(self, rng):
@@ -201,7 +206,8 @@ class TestCertificationImpliesLocation:
             SparseApprox(n, d, {}),
             list(x.support()),
             mset.hashings,
-            mset.probes,
+            mset.alphas,
+            mset.betas,
             mset.shifts,
         )
         R, W, S = params.r_max, len(mset.shifts), k
@@ -232,8 +238,8 @@ class TestGuardsAndValidation:
                 SparseApprox(n, d, {}),
                 list(x.support()),
                 [identity_hashing(n, 8, 4)],
-                [plain_probes(n, 8)],
-                [GridIndex.zero(n, d)],
+                *plain_probes(8),
+                ORIGIN,
                 tunables=tight,
             )
 
@@ -241,8 +247,9 @@ class TestGuardsAndValidation:
         n, d = 64, 1
         x = random_sparse_time(n, d, 2, rng)
         hashing = identity_hashing(n, 8, 4)
-        probes = [plain_probes(n, 8)]
-        shifts = [GridIndex.zero(n, d)]
+        probes = plain_probes(8)
+        no_probes = (probes[0][:0], probes[1][:0])
+        shifts = ORIGIN
         S = list(x.support())
         with pytest.raises(ParameterError):
             compute_noise_profile(
@@ -250,16 +257,16 @@ class TestGuardsAndValidation:
                 SparseApprox(n, d, {}),
                 S,
                 [hashing],
-                probes,
+                *probes,
                 shifts,
             )
         with pytest.raises(ParameterError):
             compute_noise_profile(
-                dense_time(x), SparseApprox(n, d, {}), [], [hashing], probes, shifts
+                dense_time(x), SparseApprox(n, d, {}), [], [hashing], *probes, shifts
             )
         with pytest.raises(ParameterError):
             compute_noise_profile(
-                dense_time(x), SparseApprox(n, d, {}), S, [hashing], [], shifts
+                dense_time(x), SparseApprox(n, d, {}), S, [hashing], *no_probes, shifts
             )
         with pytest.raises(ParameterError):
             compute_noise_profile(
@@ -267,6 +274,6 @@ class TestGuardsAndValidation:
                 SparseApprox(n, d, {}),
                 [GridIndex(128, (0,))],
                 [hashing],
-                probes,
+                *probes,
                 shifts,
             )

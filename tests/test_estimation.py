@@ -18,7 +18,7 @@ from sparsefft.estimation import (
     estimate_values,
 )
 
-from oracles import dense_time, random_sparse_time, reference_estimate
+from oracles import dense_time, flat_of, random_sparse_time, reference_estimate
 
 
 def lib_freq(values_time, n, d):
@@ -89,14 +89,14 @@ class TestExactTones:
             batch = estimate_values(
                 lib_freq(dense_time(x).values, n, d),
                 SparseApprox(n, d, {}),
-                [i0],
+                flat_of([i0]),
                 1,
                 0.5,
                 0.0,
                 5,
                 rng=rng,
             )
-            assert abs(batch.estimates[i0] - x.get(i0)) < 1e-7
+            assert abs(batch.estimates[0] - x.get(i0)) < 1e-7
             assert i0 in batch.kept
 
     def test_residual_estimation_subtracts_chi(self, rng):
@@ -105,9 +105,9 @@ class TestExactTones:
         i0 = next(iter(x))
         part = SparseApprox(n, d, {i0: 0.25 * x.get(i0)})
         batch = estimate_values(
-            lib_freq(dense_time(x).values, n, d), part, [i0], 1, 0.5, 0.0, 5, rng=rng
+            lib_freq(dense_time(x).values, n, d), part, flat_of([i0]), 1, 0.5, 0.0, 5, rng=rng
         )
-        assert abs(batch.estimates[i0] - 0.75 * x.get(i0)) < 1e-6
+        assert abs(batch.estimates[0] - 0.75 * x.get(i0)) < 1e-6
 
     @pytest.mark.parametrize("n,d", [(256, 1), (16, 2), (8, 3)])
     def test_chi_subtraction_matches_explicit_residual(self, n, d, rng):
@@ -117,7 +117,7 @@ class TestExactTones:
         x_time = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         chi = random_sparse_time(n, d, 5, rng)
         extra = rng.integers(0, n, size=(4, d))
-        L = list(chi.support()) + [GridIndex.from_array(n, row) for row in extra]
+        L = np.concatenate([chi.flat, np.ravel_multi_index(extra.T, shape)])
         args = (L, 3, 0.5, 0.0, 5)
         with_chi = estimate_values(
             lib_freq(x_time, n, d), chi, *args, rng=np.random.default_rng(5)
@@ -128,8 +128,8 @@ class TestExactTones:
             *args,
             rng=np.random.default_rng(5),
         )
-        got = np.array([with_chi.estimates[f] for f in residual.estimates])
-        want = np.array(list(residual.estimates.values()))
+        assert np.array_equal(with_chi.locations, residual.locations)
+        got, want = with_chi.estimates, residual.estimates
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_well_spread_tones_estimated_together(self, rng):
@@ -137,20 +137,19 @@ class TestExactTones:
         x = random_sparse_time(n, d, k, rng)
         ghosts = [GridIndex(n, (int(g),)) for g in rng.integers(0, n, size=3)]
         ghosts = [g for g in ghosts if g not in x.support()]
-        L = list(x.support()) + ghosts
         floor = min(abs(v) for v in x.entries.values())
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
-            L,
+            np.concatenate([x.flat, flat_of(ghosts)]),
             k,
             0.5,
             0.25 * floor,
             7,
             rng=rng,
         )
-        for f in x.support():
-            assert abs(batch.estimates[f] - x.get(f)) < 0.05 * floor
+        for f, est in zip(x, batch.estimates):
+            assert abs(est - x.get(f)) < 0.05 * floor
             assert f in batch.kept
         for g in ghosts:
             assert g not in batch.kept
@@ -178,14 +177,14 @@ class TestMatchesPerRepetitionLoop:
         L = list(dict.fromkeys(list(x.support()) + extra))
         r_max = 5
         fast = np.random.default_rng(11)
-        batch = estimate_values(xhat, chi, L, 3, 0.5, 0.0, r_max, rng=fast, b_override=b)
+        batch = estimate_values(
+            xhat, chi, flat_of(L), 3, 0.5, 0.0, r_max, rng=fast, b_override=b
+        )
         slow = np.random.default_rng(11)
         filt = cached_bucket_filter(n, d, b**d, 2 * d)
         want, samples = reference_estimate(xhat, chi, L, filt, r_max, slow)
-        assert list(batch.estimates) == list(want)
-        assert np.array_equal(
-            np.array(list(batch.estimates.values())), np.array(list(want.values()))
-        )
+        assert np.array_equal(batch.locations, flat_of(L))
+        assert np.array_equal(batch.estimates, want)
         assert batch.samples == samples
         assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -202,15 +201,16 @@ class TestThresholding:
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
-            list(entries),
+            flat_of(entries),
             3,
             0.5,
             0.5,
             5,
             rng=rng,
         )
-        expected = {f for f, e in batch.estimates.items() if abs(e) > 0.5}
-        assert set(batch.kept) == expected == {GridIndex(n, (10,)), GridIndex(n, (200,))}
+        expected = {f for f, e in zip(entries, batch.estimates) if abs(e) > 0.5}
+        assert batch.kept.support() == expected == {GridIndex(n, (10,)), GridIndex(n, (200,))}
+        assert batch.kept.values.tolist() == [e for e in batch.estimates if abs(e) > 0.5]
 
     def test_nu_above_everything_keeps_nothing(self, rng):
         n, d = 256, 1
@@ -218,14 +218,14 @@ class TestThresholding:
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
-            list(x.support()),
+            x.flat,
             2,
             0.5,
             10.0 * x.norm_inf(),
             5,
             rng=rng,
         )
-        assert batch.kept == {}
+        assert len(batch.kept) == 0
         assert len(batch.estimates) == 2
 
 
@@ -234,7 +234,7 @@ class TestBookkeeping:
         n, d = 256, 1
         x = random_sparse_time(n, d, 2, rng)
         xhat = lib_freq(dense_time(x).values, n, d)
-        L = list(x.support())
+        L = x.flat
         for r in (1, 4, 9):
             batch = estimate_values(
                 xhat, SparseApprox(n, d, {}), L, 2, 0.5, 0.0, r, rng=rng, b_override=16
@@ -249,7 +249,7 @@ class TestBookkeeping:
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
-            [i0, i0, i0],
+            flat_of([i0, i0, i0]),
             1,
             0.5,
             0.0,
@@ -257,7 +257,8 @@ class TestBookkeeping:
             rng=rng,
             b_override=16,
         )
-        assert list(batch.estimates) == [i0]
+        assert batch.locations.tolist() == flat_of([i0]).tolist()
+        assert batch.estimates.shape == (1,)
         assert batch.samples == 3 * 33
 
     def test_empty_location_list(self, rng):
@@ -273,13 +274,14 @@ class TestBookkeeping:
             3,
             rng=rng,
         )
-        assert batch.estimates == {} and batch.kept == {} and batch.samples == 0
+        assert batch.locations.size == batch.estimates.size == len(batch.kept) == 0
+        assert batch.samples == 0
 
     def test_seeded_runs_are_identical(self, rng):
         n, d = 256, 1
         x = random_sparse_time(n, d, 3, rng)
         xhat = lib_freq(dense_time(x).values, n, d)
-        L = list(x.support())
+        L = x.flat
         runs = []
         for _ in range(2):
             batch = estimate_values(
@@ -293,14 +295,14 @@ class TestBookkeeping:
                 rng=np.random.default_rng(99),
             )
             runs.append(batch.estimates)
-        assert runs[0] == runs[1]
+        assert np.array_equal(runs[0], runs[1])
 
     def test_validation_errors(self, rng):
         n, d = 64, 1
         x = random_sparse_time(n, d, 1, rng)
         xhat = lib_freq(dense_time(x).values, n, d)
         chi = SparseApprox(n, d, {})
-        L = [next(iter(x))]
+        L = x.flat
         with pytest.raises(ParameterError):
             estimate_values(dense_time(x), chi, L, 1, 0.5, 0.0, 3, rng=rng)
         with pytest.raises(ParameterError):
@@ -314,7 +316,11 @@ class TestBookkeeping:
         with pytest.raises(ParameterError):
             estimate_values(xhat, chi, L, 1, 0.5, 0.0, 3, rng=rng, b_override=5)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, [GridIndex(128, (0,))], 1, 0.5, 0.0, 3, rng=rng)
+            estimate_values(xhat, chi, [n], 1, 0.5, 0.0, 3, rng=rng)
+        with pytest.raises(ParameterError):
+            estimate_values(xhat, chi, [-1], 1, 0.5, 0.0, 3, rng=rng)
+        with pytest.raises(ParameterError):
+            estimate_values(xhat, chi, [[0]], 1, 0.5, 0.0, 3, rng=rng)
 
 
 class TestFailureRateDecay:
@@ -327,7 +333,6 @@ class TestFailureRateDecay:
         eps, alpha, nu, mu = 0.1, 0.25, 0.5, 0.5
         thr = np.sqrt(eps * alpha) * (nu + mu)
         empty = SparseApprox(n, d, {})
-        i0 = GridIndex(n, (37,))
         rates = {}
         trials = 250
         for r in (7, 15):
@@ -341,7 +346,7 @@ class TestFailureRateDecay:
                 batch = estimate_values(
                     lib_freq(xt, n, d),
                     empty,
-                    [i0],
+                    [37],
                     1,
                     eps,
                     0.0,
@@ -350,7 +355,7 @@ class TestFailureRateDecay:
                     alpha=alpha,
                     b_override=8,
                 )
-                fails += abs(batch.estimates[i0] - xt[37]) > thr
+                fails += abs(batch.estimates[0] - xt[37]) > thr
             rates[r] = fails / trials
         assert rates[7] > 0.2
         assert rates[15] <= 0.5 * rates[7]

@@ -13,7 +13,6 @@ from sparsefft import (
     DenseSignal,
     GridIndex,
     ParameterError,
-    ProbePair,
     RecoveryParams,
     SparseApprox,
     digit_base,
@@ -28,7 +27,7 @@ from sparsefft.hashing_measurements import (
     hash_to_bins,
     update_residual_measurements,
 )
-from sparsefft.location import check_balanced
+from sparsefft.location import _balanced_axes
 from sparsefft.permutation import Hashing, bucket_of, offset, sample_permutation
 
 from oracles import (
@@ -157,8 +156,8 @@ class TestAcquisition:
         xhat = freq_signal(rng.normal(size=1024), 1024, 1)
         mset = acquire_measurements(xhat, params, rng)
         assert params.delta == 2
-        assert len(mset.shifts) == 1 + 1 * 10
-        assert mset.shifts[0] == GridIndex.zero(1024, 1)
+        assert mset.shifts.shape == (1 + 1 * 10, 1)
+        assert mset.shifts[0].tolist() == [0]
         support = mset.hashings[0].filter.support_size
         expected = params.r_max * params.c_max * len(mset.shifts) * support
         assert mset.sample_counter == expected
@@ -172,10 +171,9 @@ class TestAcquisition:
         params = RecoveryParams.derive(256, 1, 4)
         xhat = freq_signal(rng.normal(size=256), 256, 1)
         mset = acquire_measurements(xhat, params, rng)
-        for probes in mset.probes:
-            assert len(probes) == params.c_max
-            for s in range(params.d):
-                assert check_balanced(probes, s, params.delta)
+        assert mset.alphas.shape == mset.betas.shape == (params.r_max, params.c_max, 1)
+        for betas in mset.betas:
+            assert _balanced_axes(betas, params.delta).all()
 
     def test_shift_vectors_cover_every_digit_group(self, rng):
         params = RecoveryParams.derive(64, 2, 3)
@@ -192,12 +190,11 @@ class TestAcquisition:
 
     def test_modulations_pair_probes_with_shifts(self):
         # Probe (alpha, beta) under shift w modulates by alpha + beta * w mod n.
-        probe = ProbePair(GridIndex(8, (3,)), GridIndex(8, (5,)))
-        shifts = [GridIndex(8, (0,)), GridIndex(8, (2,))]
-        assert _modulations([probe], shifts, 8, 1).tolist() == [[3], [5]]
-        probe = ProbePair(GridIndex(16, (7, 3)), GridIndex(16, (2, 9)))
-        shifts = [GridIndex.zero(16, 2), GridIndex.ones(16, 2)]
-        assert _modulations([probe], shifts, 16, 2).tolist() == [[7, 3], [9, 12]]
+        alphas, betas, shifts = np.array([[3]]), np.array([[5]]), np.array([[0], [2]])
+        assert _modulations(alphas, betas, shifts, 8).tolist() == [[3], [5]]
+        alphas, betas = np.array([[7, 3]]), np.array([[2, 9]])
+        shifts = np.array([[0, 0], [1, 1]])
+        assert _modulations(alphas, betas, shifts, 16).tolist() == [[7, 3], [9, 12]]
 
     def test_bucket_tables_match_direct_bucketing(self, rng):
         # Acquisition fills m[r, t, w] with hash_to_bins of the modulation
@@ -208,8 +205,7 @@ class TestAcquisition:
         mset = acquire_measurements(xhat, params, rng)
         empty = SparseApprox(256, 1, {})
         for r, t, w in [(0, 0, 0), (1, 2, 1), (2, 1, 3)]:
-            p = mset.probes[r][t]
-            a = p.alpha + p.beta.scaled(mset.shifts[w].coords[0])
+            a = GridIndex(256, tuple(mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]))
             direct = hash_to_bins(xhat, empty, mset.hashings[r], a)
             assert np.allclose(mset.buckets[r, t, w], direct.reshape(-1), atol=1e-10)
 
@@ -266,8 +262,7 @@ class TestResidualUpdates:
         update_residual_measurements(mset, chi)
         scale = float(np.abs(mset.buckets).max())
         for r, t, w in [(0, 0, 0), (1, 3, 2)]:
-            p = mset.probes[r][t]
-            a = p.alpha + p.beta.scaled(mset.shifts[w].coords[0])
+            a = GridIndex(256, tuple(mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]))
             fresh = hash_to_bins(xhat, chi, mset.hashings[r], a)
             assert np.max(np.abs(mset.buckets[r, t, w] - fresh.reshape(-1))) < 1e-6 * max(
                 scale, 1.0
@@ -324,9 +319,9 @@ class TestProbeSamplingStream:
         attempts = []
         for seed in range(6):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _sample_balanced_probes(64, d, 8, delta, fast)
+            alphas, betas = _sample_balanced_probes(64, d, 8, delta, fast)
             want, tries = reference_balanced_probes(64, d, 8, delta, slow)
-            assert got == want
+            assert list(zip(alphas.tolist(), betas.tolist())) == want
             assert fast.bit_generator.state == slow.bit_generator.state
             attempts.append(tries)
         # Some sets were rejected, so redraws followed the same stream too.

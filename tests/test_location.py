@@ -13,9 +13,7 @@ import pytest
 
 from sparsefft import (
     DenseSignal,
-    GridIndex,
     ParameterError,
-    ProbePair,
     RecoveryParams,
     SparseApprox,
 )
@@ -24,10 +22,10 @@ from sparsefft.hashing_measurements import (
     acquire_measurements,
     update_residual_measurements,
 )
-from sparsefft.location import LocationResult, check_balanced, locate_signal
+from sparsefft.location import LocationResult, _balanced_axes, locate_signal
 from sparsefft.permutation import bucket_of
 
-from oracles import dense_time, random_sparse_time, reference_locate
+from oracles import dense_time, flat_of, random_sparse_time, reference_locate
 
 
 def lib_freq(values_time: np.ndarray, n: int, d: int) -> DenseSignal:
@@ -36,37 +34,34 @@ def lib_freq(values_time: np.ndarray, n: int, d: int) -> DenseSignal:
     return DenseSignal(n=n, d=d, values=vals, domain="frequency")
 
 
-def pair(n: int, beta: int) -> ProbePair:
-    return ProbePair(GridIndex(n, (0,)), GridIndex(n, (beta,)))
+def balanced(betas, delta: int) -> bool:
+    """The digit-balance rule on one axis, for a list of betas."""
+    return bool(_balanced_axes(np.array(betas, dtype=np.int64).reshape(-1, 1), delta)[0])
 
 
 class TestCheckBalanced:
+    """The probe digit-balance rule (location._balanced_axes)."""
+
     def test_empty_set_is_unbalanced(self):
-        assert not check_balanced([], 0, 2)
+        assert not balanced([], 2)
 
     def test_zero_betas_are_unbalanced(self):
-        probes = [pair(64, 0) for _ in range(10)]
-        assert not check_balanced(probes, 0, 2)
+        assert not balanced([0] * 10, 2)
 
     def test_threshold_boundary_at_base_two(self):
         # digit 1 hits exactly on the odd betas; 49 of 100 is the floor.
-        almost = [pair(64, 1)] * 48 + [pair(64, 2)] * 52
-        enough = [pair(64, 1)] * 49 + [pair(64, 2)] * 51
-        assert not check_balanced(almost, 0, 2)
-        assert check_balanced(enough, 0, 2)
+        assert not balanced([1] * 48 + [2] * 52, 2)
+        assert balanced([1] * 49 + [2] * 51, 2)
 
     def test_odd_betas_always_balance_bases_two_and_four(self, rng):
         n = 1024
         for delta in (2, 4):
             for _ in range(50):
-                betas = 2 * rng.integers(0, n // 2, size=8) + 1
-                probes = [pair(n, int(b)) for b in betas]
-                assert check_balanced(probes, 0, delta)
+                assert balanced(2 * rng.integers(0, n // 2, size=8) + 1, delta)
 
     def test_even_betas_fail_base_four_on_digit_two(self):
         # 2 * beta = 0 mod 4 for even beta, so digit 2 gets no hits.
-        probes = [pair(64, 2)] * 10
-        assert not check_balanced(probes, 0, 4)
+        assert not balanced([2] * 10, 4)
 
     def test_uniform_draws_balance_at_moderate_rate(self, rng):
         # P[Binomial(12, 1/2) >= 6] is about 0.61; the resampling loop in
@@ -74,17 +69,12 @@ class TestCheckBalanced:
         n, c, trials = 1024, 12, 2000
         hits = 0
         for _ in range(trials):
-            probes = [pair(n, int(b)) for b in rng.integers(0, n, size=c)]
-            hits += check_balanced(probes, 0, 2)
+            hits += balanced(rng.integers(0, n, size=c), 2)
         assert 0.35 < hits / trials < 0.85
 
     def test_multi_axis_reads_requested_axis(self):
-        n = 64
-        probes = [
-            ProbePair(GridIndex.zero(n, 2), GridIndex(n, (1, 2))) for _ in range(10)
-        ]
-        assert check_balanced(probes, 0, 2)
-        assert not check_balanced(probes, 1, 2)
+        betas = np.array([[1, 2]] * 10)
+        assert _balanced_axes(betas, 2).tolist() == [True, False]
 
 
 class TestSingleTone:
@@ -97,9 +87,9 @@ class TestSingleTone:
             i0 = next(iter(x))
             mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
             result = locate_signal(mset, 0, empty)
-            assert i0 in result.found
+            assert flat_of([i0])[0] in result.found
             # Every bucket sees the same tone, so nothing else can decode.
-            assert result.found == [i0]
+            assert result.found.tolist() == flat_of([i0]).tolist()
             own = bucket_of(mset.hashings[0], i0).coords[0]
             assert not result.failed[own]
 
@@ -111,7 +101,7 @@ class TestSingleTone:
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         for r in range(min(3, params.r_max)):
             result = locate_signal(mset, r, SparseApprox(n, d, {}))
-            assert result.found == [i0]
+            assert result.found.tolist() == flat_of([i0]).tolist()
 
     def test_decoding_reads_no_new_samples(self, rng):
         n, d = 1024, 1
@@ -129,7 +119,7 @@ class TestSingleTone:
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         first = locate_signal(mset, 1, SparseApprox(n, d, {}))
         second = locate_signal(mset, 1, SparseApprox(n, d, {}))
-        assert first.found == second.found
+        assert np.array_equal(first.found, second.found)
         assert np.array_equal(first.failed, second.failed)
 
 
@@ -140,7 +130,7 @@ class TestResidualAwareness:
         zero = DenseSignal.zeros(n, d, "frequency")
         mset = acquire_measurements(zero, params, rng)
         result = locate_signal(mset, 0, SparseApprox(n, d, {}))
-        assert result.found == []
+        assert result.found.size == 0
         assert result.failed.all()
 
     def test_subtracted_tone_disappears(self, rng):
@@ -152,8 +142,8 @@ class TestResidualAwareness:
         loud = SparseApprox(n, d, {tones[0][0]: tones[0][1]})
         update_residual_measurements(mset, loud)
         result = locate_signal(mset, 0, loud)
-        assert tones[1][0] in result.found
-        assert tones[0][0] not in result.found
+        assert flat_of([tones[1][0]])[0] in result.found
+        assert flat_of([tones[0][0]])[0] not in result.found
 
     def test_fully_subtracted_signal_goes_silent(self, rng):
         n, d = 1024, 1
@@ -162,7 +152,7 @@ class TestResidualAwareness:
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         update_residual_measurements(mset, x)
         result = locate_signal(mset, 0, x)
-        assert result.found == []
+        assert result.found.size == 0
 
 
 class TestNoisyRecall:
@@ -175,14 +165,14 @@ class TestNoisyRecall:
         full, pairs = 0, 0
         for _ in range(10):
             x = random_sparse_time(n, d, k, rng)
-            spikes = set(x)
+            spikes = set(x.flat.tolist())
             floor = min(abs(v) for v in x.entries.values())
             tail = rng.normal(size=n) + 1j * rng.normal(size=n)
             tail *= 0.01 * floor / np.linalg.norm(tail)
             xt = dense_time(x).values + tail
             mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
             for r in range(params.r_max):
-                found = set(locate_signal(mset, r, empty).found)
+                found = set(locate_signal(mset, r, empty).found.tolist())
                 pairs += 1
                 full += spikes <= found
         assert full >= 0.8 * pairs
@@ -202,7 +192,7 @@ def assert_matches_reference(mset):
     for r in range(len(mset.hashings)):
         result = locate_signal(mset, r, SparseApprox.empty(mset.n, mset.d))
         found, failed = reference_locate(mset, r)
-        assert result.found == found
+        assert np.array_equal(result.found, found)
         assert np.array_equal(result.failed, failed)
 
 
@@ -236,8 +226,7 @@ class TestMatchesPerDigitVote:
         # entries sit exactly on roots; some entries are pure noise.
         params = RecoveryParams.derive(n, d, k, B=B)
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
-        for r in range(1, len(mset.probes), 2):
-            mset.probes[r] = [ProbePair(p.alpha, p.beta.scaled(2)) for p in mset.probes[r]]
+        mset.betas[1::2] = (2 * mset.betas[1::2]) % n
         R, C, S, nb = mset.buckets.shape
         planted = rng.integers(0, n, size=(R, nb, d))
         ref = rng.normal(size=(R, C, nb)) * np.exp(2j * np.pi * rng.random((R, C, nb)))
@@ -248,7 +237,7 @@ class TestMatchesPerDigitVote:
         for g, base in enumerate(mset.group_bases, start=1):
             step = n // (scale * base)
             for s in range(d):
-                betas = np.array([[p.beta.coords[s] for p in ps] for ps in mset.probes])
+                betas = mset.betas[:, :, s]
                 expo = (step * betas[:, :, None] * planted[:, None, :, s]) % n
                 jitter = rng.normal(size=(R, C, nb)) + 1j * rng.normal(size=(R, C, nb))
                 mset.buckets[:, :, mset.shift_slot(g, s)] = ref * (

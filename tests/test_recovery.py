@@ -25,6 +25,7 @@ from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal
 from sparsefft.hashing_measurements import acquire_measurements
+from sparsefft.permutation import SpectrumPermutation
 from sparsefft.recovery import (
     RunStats,
     recover_at_constant_snr,
@@ -317,6 +318,25 @@ class TestFullPipeline:
                         monkeypatch.setattr(module, attr, forbidden)
         out, _ = sparse_fft_with_stats(xhat, k, seed=3)
         assert out.support() == x.support()
+
+    @pytest.mark.parametrize("n,d,k", [(1024, 1, 4), (8, 3, 3)])
+    def test_only_permutation_shifts_are_grid_indices(self, n, d, k, monkeypatch, rng):
+        # Candidates, probes, shifts and chi are flat int64 arrays on the
+        # recovery path; the one GridIndex built per hashing is its shift q.
+        x = random_sparse_time(n, d, k, rng)
+        values = np.fft.fftn(dense_time(x).values, norm="ortho")
+        xhat = DenseSignal(n=n, d=d, values=values, domain="frequency")
+        built = {GridIndex: 0, SpectrumPermutation: 0}
+        for cls in built:
+
+            def counting(self, cls=cls, init=cls.__post_init__):
+                built[cls] += 1
+                init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        sparse_fft_with_stats(xhat, k, seed=3)
+        assert built[SpectrumPermutation] > 0
+        assert built[GridIndex] == built[SpectrumPermutation]
 
     def test_zero_signal_gives_empty_output(self):
         out = sparse_fft(DenseSignal.zeros(1024, 1, "frequency"), 4, seed=1)
