@@ -26,8 +26,6 @@ from .recovery import sparse_fft_with_stats
 
 __all__ = ["main", "selftest"]
 
-_INT_PARAMS = {"n", "d", "k", "B", "F", "r_max", "c_max"}
-
 
 def _check_roundtrip(rng: np.random.Generator) -> str | None:
     n, d = 16, 2
@@ -209,8 +207,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    caster = int if args.param in _INT_PARAMS else float
-    values = [caster(tok) for tok in args.values.split(",") if tok.strip()]
+    values = [tok for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ParameterError("sweep needs at least one value")
     results = run_sweep(spec, args.param, values, csv_path=args.csv)
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rerun a spec across parameter values")
     p_sweep.add_argument("--spec", required=True, help="path to the base spec JSON")
-    p_sweep.add_argument("--param", required=True, help="spec field to vary")
+    p_sweep.add_argument("--param", required=True, help="spec field or tunable to vary")
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated values, e.g. 8,16,32"
     )

@@ -30,6 +30,8 @@ __all__ = [
     "next_power_of_two",
     "unit_roots",
     "capped_bucket_count",
+    "location_bucket_count",
+    "estimation_bucket_count",
     "digit_base",
     "GridIndex",
     "DenseSignal",
@@ -99,6 +101,21 @@ def capped_bucket_count(n: int, d: int, target: float) -> int:
         )
         b = cap
     return b**d
+
+
+def location_bucket_count(n: int, d: int, k: int, epsilon: float, tun: Tunables) -> int:
+    """Location buckets: B >= (bucket_scale / epsilon) * k / alpha^d, capped
+    as in `capped_bucket_count`. epsilon is 1 for the main acquisition and
+    the target accuracy for the constant-SNR stage."""
+    return capped_bucket_count(n, d, tun.bucket_scale / epsilon * k / tun.alpha**d)
+
+
+def estimation_bucket_count(n: int, d: int, k: int, epsilon: float, tun: Tunables) -> int:
+    """Estimation buckets: B >= bucket_scale * k / (epsilon * alpha^(2d)),
+    capped as in `capped_bucket_count`."""
+    return capped_bucket_count(
+        n, d, tun.bucket_scale * max(k, 1) / (epsilon * tun.alpha ** (2 * d))
+    )
 
 
 def _first_seen(flat: np.ndarray) -> np.ndarray:
@@ -364,8 +381,13 @@ class Tunables:
     Asymptotic statements leave multiplicative constants and "sufficiently
     large C" repetition counts open; these defaults are calibrated for grids
     up to n = 2^20, d <= 4, and are all overridable.
+
+    alpha, in (0, 1), is the paper's bucket-size parameter. It sets both
+    bucket counts (`location_bucket_count`, `estimation_bucket_count`) and
+    the 1/sqrt(alpha) growth of the hashing and probe counts.
     """
 
+    alpha: float = 0.25
     # B >= bucket_scale * k / alpha^d (smallest power of 2^d), localization.
     bucket_scale: float = 8.0
     # B_est >= bucket_scale * k / (epsilon * alpha^(2d)) for estimation.
@@ -403,6 +425,10 @@ class Tunables:
     # Cost ceiling for brute-force diagnostics (N * |S| operations).
     diagnostic_budget: int = 200_000_000
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ParameterError(f"alpha must lie in (0,1), got {self.alpha}")
+
 
 def _loglog2(n_total: int) -> float:
     return math.log2(max(2.0, math.log2(max(4, n_total))))
@@ -424,7 +450,6 @@ class RecoveryParams:
     n: int
     d: int
     k: int
-    alpha: float
     epsilon: float
     mu: float
     r_star: float
@@ -441,8 +466,6 @@ class RecoveryParams:
             raise ParameterError(f"grid side must be a power of two, got n={self.n}")
         if self.d < 1 or self.k < 1:
             raise ParameterError(f"need d >= 1 and k >= 1, got d={self.d}, k={self.k}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.epsilon <= 0.0:
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
         if self.mu < 0.0 or self.r_star < 1.0:
@@ -478,14 +501,6 @@ class RecoveryParams:
         """Digit base for location digits; see `digit_base`."""
         return digit_base(self.n)
 
-    @staticmethod
-    def bucket_count(
-        n: int, d: int, k: int, alpha: float, scale: float
-    ) -> int:
-        """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with
-        B >= scale*k/alpha^d; see `capped_bucket_count`."""
-        return capped_bucket_count(n, d, scale * k / alpha**d)
-
     @classmethod
     def derive(
         cls,
@@ -497,7 +512,6 @@ class RecoveryParams:
         mu: float = 0.0,
         r_star: float = 2.0,
         seed: int = 0,
-        alpha: float = 0.25,
         F: int | None = None,
         B: int | None = None,
         r_max: int | None = None,
@@ -511,11 +525,13 @@ class RecoveryParams:
         if F is None:
             F = 2 * d
         if B is None:
-            B = cls.bucket_count(n, d, k, alpha, tun.bucket_scale)
+            B = location_bucket_count(n, d, k, 1.0, tun)
         if r_max is None:
-            r_max = max(3, math.ceil(tun.location_reps_coeff / math.sqrt(alpha) * loglog))
+            r_max = max(
+                3, math.ceil(tun.location_reps_coeff / math.sqrt(tun.alpha) * loglog)
+            )
         if c_max is None:
-            c_max = max(8, math.ceil(tun.probes_coeff / math.sqrt(alpha) * loglog))
+            c_max = max(8, math.ceil(tun.probes_coeff / math.sqrt(tun.alpha) * loglog))
         if T is None:
             log4N = math.log2(N) ** 4
             T = max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(log4N)))
@@ -523,7 +539,6 @@ class RecoveryParams:
             n=n,
             d=d,
             k=k,
-            alpha=alpha,
             epsilon=epsilon,
             mu=mu,
             r_star=r_star,

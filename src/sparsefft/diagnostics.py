@@ -232,7 +232,10 @@ def compute_noise_profile(
     heavy_set = set(heavy)
     scales = range(max(1, int(math.log2(hashings[0].b))))
     isolated = {
-        f: [is_isolated(f, heavy_set, hashings[0], scale=t) for t in scales]
+        f: [
+            is_isolated(f, heavy_set, hashings[0], scale=t, alpha=tun.alpha)
+            for t in scales
+        ]
         for f in heavy
     }
     return NoiseProfile(

@@ -1,15 +1,16 @@
 """Median-of-repetitions value estimation at candidate locations.
 
-Each repetition hashes the residual under a fresh permutation and reads one
-bucket per candidate: u at h(f), unwound by the filter gain at f's own
-offset and the modulation phase. The repetitions are batched: every
-repetition's (permutation, modulation) is drawn first, and one call to the
-bucket-table primitive (hashing_measurements._bucket_tables) gives all r_max
-bucket tables. chi is subtracted only at the buckets read, by the same
-exact rule the stored tables use (_chi_buckets). The coordinatewise median
-over repetitions is within twice the typical per-repetition error of the
-true value, so a handful of repetitions drives the failure probability
-down geometrically.
+Each repetition hashes the residual into B buckets under a fresh
+permutation and reads one bucket per candidate: u at h(f), unwound by the
+filter gain at f's own offset and the modulation phase. The caller picks B;
+the recovery stages size it with `core.estimation_bucket_count`. The
+repetitions are batched: every repetition's (permutation, modulation) is
+drawn first, and one call to the bucket-table primitive
+(hashing_measurements._bucket_tables) gives all r_max bucket tables. chi is
+subtracted only at the buckets read, by the same exact rule the stored
+tables use (_chi_buckets). The coordinatewise median over repetitions is
+within twice the typical per-repetition error of the true value, so a
+handful of repetitions drives the failure probability down geometrically.
 Locations are row-major flat int64 indices; an EstimateBatch holds them and
 their estimates as aligned arrays. Estimates at or below the magnitude
 threshold nu (by np.hypot, which equals abs()) are left out of `kept`.
@@ -24,10 +25,7 @@ from .core import (
     DenseSignal,
     ParameterError,
     SparseApprox,
-    Tunables,
     _first_seen,
-    capped_bucket_count,
-    is_power_of_two,
     unit_roots,
 )
 from .filters import cached_bucket_filter
@@ -68,44 +66,31 @@ class EstimateBatch:
     samples: int = 0
 
 
-def _estimation_buckets(
-    n: int, d: int, k: int, epsilon: float, alpha: float, scale: float
-) -> int:
-    """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with
-    B >= scale * k / (epsilon * alpha^(2d)); see `capped_bucket_count`."""
-    return capped_bucket_count(n, d, scale * max(k, 1) / (epsilon * alpha ** (2 * d)))
-
-
 def estimate_values(
     xhat: DenseSignal,
     chi: SparseApprox,
     L,
-    k: int,
-    epsilon: float,
+    B: int,
     nu: float,
     r_max: int,
     *,
     rng: np.random.Generator,
-    alpha: float = 0.25,
-    tunables: Tunables | None = None,
-    b_override: int | None = None,
 ) -> EstimateBatch:
     """Estimate the residual (x - chi) at each flat index in L.
 
-    Draws r_max fresh hashings from rng; each bins the spectrum alone and
-    consumes |supp(G-hat)| spectrum reads, tallied in the result. All r_max
-    binnings share one fold and one batched IFFT. chi is subtracted exactly
-    at the buckets read, without touching the spectrum. kept holds exactly
-    the estimates with |w_f| > nu.
+    Draws r_max fresh B-bucket hashings from rng; each bins the spectrum
+    alone and consumes |supp(G-hat)| spectrum reads, tallied in the result.
+    All r_max binnings share one fold and one batched IFFT. chi is
+    subtracted exactly at the buckets read, without touching the spectrum.
+    kept holds exactly the estimates with |w_f| > nu.
     """
     if xhat.domain != "frequency":
         raise ParameterError("estimation expects a frequency-domain signal")
     if chi.n != xhat.n or chi.d != xhat.d:
         raise ParameterError("chi does not live on the signal grid")
-    if k < 1 or epsilon <= 0 or nu < 0 or r_max < 1:
-        raise ParameterError("need k >= 1, epsilon > 0, nu >= 0, r_max >= 1")
+    if nu < 0 or r_max < 1:
+        raise ParameterError("need nu >= 0, r_max >= 1")
     n, d = xhat.n, xhat.d
-    tun = tunables or Tunables()
 
     L = np.asarray(L, dtype=np.int64)
     if L.ndim != 1:
@@ -116,12 +101,6 @@ def estimate_values(
     if locations.min() < 0 or locations.max() >= xhat.N:
         raise ParameterError("a location does not live on the signal grid")
 
-    if b_override is not None:
-        if not is_power_of_two(b_override) or not 4 <= b_override <= n:
-            raise ParameterError(f"invalid bucket override b={b_override}")
-        B = b_override**d
-    else:
-        B = _estimation_buckets(n, d, k, epsilon, alpha, tun.bucket_scale)
     F = 2 * d
     filt = cached_bucket_filter(n, d, B, F)
     b = filt.b

@@ -84,10 +84,10 @@ def _signed_range(n: int, halfwidth: int) -> np.ndarray:
 class BucketFilter:
     """Per-axis tables for one bucketing filter (see module docstring).
 
-    `g_axis` holds the length-n time-domain window (g_axis[0] == 1) and
-    `ghat_axis` its orthonormal spectrum, dense over the ring. `support`
-    is the contiguous signed offset range where ghat is nonzero, the set a
-    bucketing measurement has to touch.
+    `g_axis` holds the length-n time-domain window (g_axis[0] == 1).
+    `support` is the contiguous signed offset range where its orthonormal
+    spectrum ghat is nonzero, the set a bucketing measurement has to touch,
+    and `ghat_support` holds ghat on those offsets, aligned with `support`.
     """
 
     n: int
@@ -95,7 +95,7 @@ class BucketFilter:
     B: int
     F: int
     g_axis: np.ndarray
-    ghat_axis: np.ndarray
+    ghat_support: np.ndarray
     support: np.ndarray
 
     @property
@@ -121,7 +121,7 @@ class BucketFilter:
 
     def support_values(self) -> np.ndarray:
         """ghat on the per-axis support offsets, aligned with `support`."""
-        return self.ghat_axis[self.support % self.n]
+        return self.ghat_support
 
 
 def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
@@ -147,10 +147,11 @@ def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
     for _ in range(F - 1):
         coeffs = np.convolve(coeffs, box)
     half = (len(coeffs) - 1) // 2  # F*b/2
-    ghat_axis = np.zeros(n, dtype=np.float64)
-    positions = (np.arange(-half, half + 1, dtype=np.int64)) % n
-    np.add.at(ghat_axis, positions, coeffs)
-    ghat_axis *= math.sqrt(n)
+    support = _signed_range(n, half)
+    ghat_support = np.zeros(len(support), dtype=np.float64)
+    positions = np.arange(-half, half + 1, dtype=np.int64)
+    np.add.at(ghat_support, (positions - support[0]) % n, coeffs)
+    ghat_support *= math.sqrt(n)
 
     return BucketFilter(
         n=n,
@@ -158,8 +159,8 @@ def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
         B=B,
         F=F,
         g_axis=g_axis,
-        ghat_axis=ghat_axis,
-        support=_signed_range(n, half),
+        ghat_support=ghat_support,
+        support=support,
     )
 
 

@@ -17,7 +17,8 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -51,21 +52,7 @@ SIGNAL_MODELS = (
     "sparse-plus-adversarial-bucket-tail",
 )
 
-# Columns of the emitted CSV, in order; RunRecord.row() must match.
-CSV_HEADER = (
-    "spec_hash",
-    "seed",
-    "l2_error_ratio",
-    "support_precision",
-    "support_recall",
-    "samples_location",
-    "samples_estimation",
-    "samples_infnorm",
-    "samples_constsnr",
-    "samples_total",
-    "generate_ms",
-    "recover_ms",
-)
+_TUNABLE_NAMES = frozenset(f.name for f in fields(Tunables))
 
 
 @dataclass
@@ -76,7 +63,7 @@ class ExperimentSpec:
     level mu of the generated signal; noisy models need snr >= 2 so every
     head coefficient clears 2 mu. The optional overrides replace the
     derived recovery geometry, and `constants` overrides individual
-    tunables by name.
+    tunables, alpha included, by name.
     """
 
     n: int
@@ -86,7 +73,6 @@ class ExperimentSpec:
     snr: float = 10.0
     epsilon: float = 0.1
     seeds: list[int] = field(default_factory=lambda: [0])
-    alpha: float = 0.25
     r_star: float | None = None
     B: int | None = None
     F: int | None = None
@@ -114,13 +100,11 @@ class ExperimentSpec:
             )
 
     def tunables(self) -> Tunables:
-        if not self.constants:
-            return Tunables()
-        base = Tunables()
-        unknown = [name for name in self.constants if not hasattr(base, name)]
+        constants = self.constants or {}
+        unknown = [name for name in constants if name not in _TUNABLE_NAMES]
         if unknown:
             raise ParameterError(f"unknown tunable overrides: {', '.join(unknown)}")
-        return replace(base, **self.constants)
+        return Tunables(**constants)
 
     def recovery_params(self, mu: float, seed: int) -> RecoveryParams:
         return RecoveryParams.derive(
@@ -131,7 +115,6 @@ class ExperimentSpec:
             mu=mu,
             r_star=self.effective_r_star(),
             seed=seed,
-            alpha=self.alpha,
             F=self.F,
             B=self.B,
             r_max=self.r_max,
@@ -149,6 +132,20 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ParameterError(f"a spec must be a JSON object, got {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            moved = [name for name in unknown if name in _TUNABLE_NAMES]
+            hint = f'; tunables go under "constants": {", ".join(moved)}' if moved else ""
+            raise ParameterError(f"unknown spec keys: {', '.join(unknown)}{hint}")
+        missing = [
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+        ]
+        if missing:
+            raise ParameterError(f"spec lacks required keys: {', '.join(missing)}")
         return cls(**data)
 
 
@@ -183,20 +180,11 @@ class RunRecord:
             )
 
     def row(self) -> tuple:
-        return (
-            self.spec_hash,
-            self.seed,
-            self.l2_error_ratio,
-            self.support_precision,
-            self.support_recall,
-            self.samples_location,
-            self.samples_estimation,
-            self.samples_infnorm,
-            self.samples_constsnr,
-            self.samples_total,
-            self.generate_ms,
-            self.recover_ms,
-        )
+        return astuple(self)
+
+
+# Columns of the emitted CSV, in RunRecord field order.
+CSV_HEADER = tuple(f.name for f in fields(RunRecord))
 
 
 def spec_digest(spec: ExperimentSpec) -> str:
@@ -360,15 +348,30 @@ def run_sweep(
 ) -> dict:
     """Rerun the experiment with `param` replaced by each value in turn.
 
-    Returns {value: records}; the optional CSV is tidy (one row per run,
-    with the swept parameter and value as leading columns) so error and
-    sample curves can be plotted directly.
+    param names a spec field or a `Tunables` field; a tunable is written
+    into the spec's `constants`. Each value is parsed from its text as the
+    field's declared type (int or float), so strings from the command line
+    and typed values convert alike, and a fractional value for an int field
+    is rejected. Returns {value: records}; the optional CSV is tidy (one row
+    per run, with the swept parameter and value as leading columns) so error
+    and sample curves can be plotted directly.
     """
-    if not hasattr(spec, param) or param in ("seeds", "signal_model", "constants"):
+    spec_fields = {f.name for f in fields(spec)} - {"seeds", "signal_model", "constants"}
+    if param not in spec_fields | _TUNABLE_NAMES:
         raise ParameterError(f"cannot sweep parameter {param!r}")
+    hint = get_type_hints(ExperimentSpec if param in spec_fields else Tunables)[param]
+    kind = int if int in (hint, *get_args(hint)) else float
+    try:
+        values = [kind(str(value)) for value in values]
+    except ValueError as exc:
+        raise ParameterError(f"bad value for {param}: {exc}") from exc
     results: dict = {}
     for value in values:
-        results[value] = run_experiment(replace(spec, **{param: value}))
+        if param in spec_fields:
+            variant = replace(spec, **{param: value})
+        else:
+            variant = replace(spec, constants={**(spec.constants or {}), param: value})
+        results[value] = run_experiment(variant)
     if csv_path is not None:
         try:
             with open(csv_path, "w", newline="") as fh:
@@ -400,25 +403,10 @@ def read_csv(path: str) -> list[RunRecord]:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise OSError(f"reading records CSV {path!r}: {exc}") from exc
-    out = []
-    for row in rows:
-        out.append(
-            RunRecord(
-                spec_hash=row["spec_hash"],
-                seed=int(row["seed"]),
-                l2_error_ratio=float(row["l2_error_ratio"]),
-                support_precision=float(row["support_precision"]),
-                support_recall=float(row["support_recall"]),
-                samples_location=int(row["samples_location"]),
-                samples_estimation=int(row["samples_estimation"]),
-                samples_infnorm=int(row["samples_infnorm"]),
-                samples_constsnr=int(row["samples_constsnr"]),
-                samples_total=int(row["samples_total"]),
-                generate_ms=float(row["generate_ms"]),
-                recover_ms=float(row["recover_ms"]),
-            )
-        )
-    return out
+    types = get_type_hints(RunRecord)
+    return [
+        RunRecord(**{name: types[name](row[name]) for name in CSV_HEADER}) for row in rows
+    ]
 
 
 def write_json(path: str, spec: ExperimentSpec, records: list[RunRecord]) -> None:

@@ -14,6 +14,13 @@ differ only in their threshold schedules and measurement sets. The inf-norm
 and constant-SNR stages draw their measurement sets the same way, as a fresh
 acquisition with chi already subtracted (`_fresh_measurements`).
 
+Every constant comes from `Tunables`, and this module turns the constants
+into stage geometry. Location buckets follow `core.location_bucket_count`:
+through `RecoveryParams.derive` for the main and inf-norm acquisitions, and at
+the target accuracy epsilon for the constant-SNR stage. Each stage sizes its
+estimation buckets once with `core.estimation_bucket_count` and passes that B
+to `estimate_values`; the l1 stage also sizes its repetitions from it.
+
 Candidates travel between stages as int64 arrays of row-major flat indices:
 `_union_locations` concatenates every hashing's `found` array and keeps
 each index once, in first-seen order, and estimation takes that array as is.
@@ -35,8 +42,10 @@ from .core import (
     Tunables,
     _first_seen,
     _loglog2,
+    estimation_bucket_count,
+    location_bucket_count,
 )
-from .estimation import _estimation_buckets, estimate_values
+from .estimation import estimate_values
 from .hashing_measurements import (
     MeasurementSet,
     acquire_measurements,
@@ -89,15 +98,12 @@ def _union_locations(mset: MeasurementSet, chi: SparseApprox) -> np.ndarray:
     return _first_seen(np.concatenate(found))
 
 
-def _l1_estimate_reps(
-    n: int, d: int, k_est: int, epsilon: float, alpha: float, tun: Tunables
-) -> int:
-    """Median repetitions for one l1-stage estimation call.
+def _l1_estimate_reps(n: int, d: int, k_est: int, B_est: int, tun: Tunables) -> int:
+    """Median repetitions for one l1-stage estimation call over B_est buckets.
 
     Grows like loglog N + d^2 + log(B/k) so that a union bound over the
     O(k log N) estimates of a full run still leaves every one accurate.
     """
-    B_est = _estimation_buckets(n, d, k_est, epsilon, alpha, tun.bucket_scale)
     ratio = max(1.0, B_est / max(1, k_est))
     return max(
         1,
@@ -123,23 +129,21 @@ def _threshold_rounds(
     mset: MeasurementSet,
     chi: SparseApprox,
     rounds: list[tuple[float, bool]],
-    k: int,
+    B_est: int,
     reps: int,
     rng: np.random.Generator,
-    *,
-    alpha: float,
-    tunables: Tunables,
 ) -> tuple[SparseApprox, SparseApprox]:
     """Locate, estimate above a threshold, and fold, once per round.
 
     Each (threshold, last_if_idle) round unions location candidates over all
     hashings, estimates the residual against chi plus everything kept so far
-    from reps fresh hashings of mset.source, and folds the estimates above
-    threshold into the bucket tables. Decoding reads the tables alone, so the
-    candidates are reused until a round keeps something. A round that keeps
-    nothing ends the loop when marked last_if_idle. Estimation reads are
-    added to mset.sample_counter. Returns (total, increment): chi plus the
-    kept values, added round by round, and the kept values alone.
+    from reps fresh B_est-bucket hashings of mset.source, and folds the
+    estimates above threshold into the bucket tables. Decoding reads the
+    tables alone, so the candidates are reused until a round keeps
+    something. A round that keeps nothing ends the loop when marked
+    last_if_idle. Estimation reads are added to mset.sample_counter. Returns
+    (total, increment): chi plus the kept values, added round by round, and
+    the kept values alone.
     """
     total = chi
     increment = SparseApprox.empty(chi.n, chi.d)
@@ -150,16 +154,7 @@ def _threshold_rounds(
         kept = SparseApprox.empty(chi.n, chi.d)
         if locations.size:
             batch = estimate_values(
-                mset.source,
-                total,
-                locations,
-                k,
-                1.0,
-                threshold,
-                reps,
-                rng=rng,
-                alpha=alpha,
-                tunables=tunables,
+                mset.source, total, locations, B_est, threshold, reps, rng=rng
             )
             mset.sample_counter += batch.samples
             kept = batch.kept
@@ -199,7 +194,8 @@ def reduce_l1_norm(
     n, d, N = params.n, params.d, params.N
     mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
     k_est = 4 * params.k
-    reps = _l1_estimate_reps(n, d, k_est, 1.0, params.alpha, tun)
+    B_est = estimation_bucket_count(n, d, k_est, 1.0, tun)
+    reps = _l1_estimate_reps(n, d, k_est, B_est, tun)
     inner = max(1, math.ceil(tun.inner_iters_coeff * _loglog2(N)))
     floor = tun.head_bias * mu_eff
     heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(inner)]
@@ -208,11 +204,9 @@ def reduce_l1_norm(
         mset,
         chi,
         [(head + floor, head <= floor) for head in heads],
-        k_est,
+        B_est,
         reps,
         rng,
-        alpha=params.alpha,
-        tunables=tun,
     )
     if stats is not None:
         stats.samples_estimation += mset.sample_counter - before
@@ -228,7 +222,6 @@ def reduce_inf_norm(
     mu: float,
     rng: np.random.Generator,
     *,
-    alpha: float = 0.25,
     tunables: Tunables | None = None,
     stats: RunStats | None = None,
 ) -> SparseApprox:
@@ -243,8 +236,11 @@ def reduce_inf_norm(
     tun = tunables or Tunables()
     if k_tilde < 1:
         raise ParameterError(f"need k_tilde >= 1, got {k_tilde}")
-    N = xhat.n**xhat.d
-    r_max = max(3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / math.sqrt(alpha)))
+    n, d = xhat.n, xhat.d
+    N = n**d
+    r_max = max(
+        3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / math.sqrt(tun.alpha))
+    )
     T = max(1, math.ceil(math.log2(max(r_star, 2.0))))
     mset = _fresh_measurements(
         xhat,
@@ -254,7 +250,6 @@ def reduce_inf_norm(
         epsilon=1.0,
         mu=mu,
         r_star=max(r_star, 2.0),
-        alpha=alpha,
         r_max=r_max,
         T=T,
         tunables=tun,
@@ -264,9 +259,8 @@ def reduce_inf_norm(
         (tun.inf_threshold_scale * (nu * 2.0 ** (T - (t + 1)) + mu), False)
         for t in range(T)
     ]
-    _, increment = _threshold_rounds(
-        mset, chi, rounds, k_tilde, reps, rng, alpha=alpha, tunables=tun
-    )
+    B_est = estimation_bucket_count(n, d, k_tilde, 1.0, tun)
+    _, increment = _threshold_rounds(mset, chi, rounds, B_est, reps, rng)
     if stats is not None:
         stats.samples_infnorm += mset.sample_counter
     return increment
@@ -279,7 +273,6 @@ def recover_at_constant_snr(
     epsilon: float,
     rng: np.random.Generator,
     *,
-    alpha: float = 0.25,
     tunables: Tunables | None = None,
     stats: RunStats | None = None,
 ) -> SparseApprox:
@@ -295,9 +288,9 @@ def recover_at_constant_snr(
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     n, d = xhat.n, xhat.d
-    B = RecoveryParams.bucket_count(n, d, k, alpha, tun.bucket_scale / epsilon)
+    B = location_bucket_count(n, d, k, epsilon, tun)
     mset = _fresh_measurements(
-        xhat, chi, k, rng, epsilon=epsilon, alpha=alpha, B=B, r_max=1, T=1, tunables=tun
+        xhat, chi, k, rng, epsilon=epsilon, B=B, r_max=1, T=1, tunables=tun
     )
     kept = SparseApprox.empty(n, d)
     locations = locate_signal(mset, 0, chi).found
@@ -306,13 +299,10 @@ def recover_at_constant_snr(
             xhat,
             chi,
             locations,
-            k,
-            epsilon,
+            estimation_bucket_count(n, d, k, epsilon, tun),
             tun.zero_floor_rel * mset.initial_scale,
             max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(n**d))),
             rng=rng,
-            alpha=alpha,
-            tunables=tun,
         )
         mset.sample_counter += batch.samples
         kept = batch.kept.largest(tun.snr_keep_factor * k)
@@ -329,7 +319,6 @@ def sparse_fft_with_stats(
     mu: float = 0.0,
     seed: int = 0,
     *,
-    alpha: float = 0.25,
     tunables: Tunables | None = None,
     params: RecoveryParams | None = None,
 ) -> tuple[SparseApprox, RunStats]:
@@ -340,7 +329,8 @@ def sparse_fft_with_stats(
     per-round thresholds. The returned stats split spectrum reads by stage,
     with acquisition (`samples_location`) fixed after startup. Passing
     params overrides the derived geometry (bucket counts, repetitions); its
-    grid must match xhat.
+    grid must match xhat, its k must equal k, and it brings its own
+    tunables, so tunables must then be left out.
     """
     if xhat.domain != "frequency":
         raise ParameterError("recovery expects a frequency-domain signal")
@@ -355,13 +345,15 @@ def sparse_fft_with_stats(
             mu=mu,
             r_star=r_star,
             seed=seed,
-            alpha=alpha,
             tunables=tunables,
         )
     elif params.n != n or params.d != d:
         raise ParameterError("params grid does not match the signal grid")
+    elif params.k != k:
+        raise ParameterError(f"params.k = {params.k} does not match k = {k}")
+    elif tunables is not None:
+        raise ParameterError("pass tunables inside params, not beside it")
     tun = params.tunables
-    alpha = params.alpha
     rng = np.random.default_rng(seed)
     stats = RunStats()
     mset = acquire_measurements(xhat, params, rng)
@@ -386,7 +378,6 @@ def sparse_fft_with_stats(
                 r_star_inf,
                 nu_prime,
                 rng,
-                alpha=alpha,
                 tunables=tun,
                 stats=stats,
             )
@@ -403,14 +394,7 @@ def sparse_fft_with_stats(
             )
 
     final = recover_at_constant_snr(
-        xhat,
-        chi,
-        2 * k,
-        epsilon,
-        rng,
-        alpha=alpha,
-        tunables=tun,
-        stats=stats,
+        xhat, chi, 2 * k, epsilon, rng, tunables=tun, stats=stats
     )
     result = (chi + final).drop_below(tun.zero_floor_rel * mset.initial_scale)
     return result, stats
@@ -424,7 +408,6 @@ def sparse_fft(
     mu: float = 0.0,
     seed: int = 0,
     *,
-    alpha: float = 0.25,
     tunables: Tunables | None = None,
     params: RecoveryParams | None = None,
 ) -> SparseApprox:
@@ -436,14 +419,6 @@ def sparse_fft(
     discarding everything at the mu noise floor.
     """
     result, _ = sparse_fft_with_stats(
-        xhat,
-        k,
-        epsilon,
-        r_star,
-        mu,
-        seed,
-        alpha=alpha,
-        tunables=tunables,
-        params=params,
+        xhat, k, epsilon, r_star, mu, seed, tunables=tunables, params=params
     )
     return result

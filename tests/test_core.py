@@ -17,8 +17,7 @@ from sparsefft import (
     Tunables,
     digit_base,
 )
-from sparsefft.core import unit_roots
-from sparsefft.estimation import _estimation_buckets
+from sparsefft.core import estimation_bucket_count, location_bucket_count, unit_roots
 
 
 class TestGridIndex:
@@ -164,15 +163,15 @@ class TestRecoveryParams:
         assert (p.r_max, p.c_max, p.delta) == (8, 15, 2)
 
     def test_bucket_count_rounds_up_to_a_power_of_two(self):
-        assert RecoveryParams.bucket_count(1024, 1, 5, 0.25, 8.0) == 256
-        assert RecoveryParams.bucket_count(1024, 1, 4, 0.25, 8.0) == 128
+        assert location_bucket_count(1024, 1, 5, 1.0, Tunables()) == 256
+        assert location_bucket_count(1024, 1, 4, 1.0, Tunables()) == 128
         # the per-axis side is capped at n/2
-        assert RecoveryParams.bucket_count(16, 1, 100, 0.25, 8.0) == 8
+        assert location_bucket_count(16, 1, 100, 1.0, Tunables()) == 8
 
     def test_bucket_count_meets_the_target_when_uncapped(self):
         for k in (1, 3, 8, 17):
             for d in (1, 2):
-                B = RecoveryParams.bucket_count(4096, d, k, 0.25, 8.0)
+                B = location_bucket_count(4096, d, k, 1.0, Tunables())
                 assert B >= 8.0 * k / 0.25**d
                 b = round(B ** (1 / d))
                 assert b**d == B and b & (b - 1) == 0
@@ -185,7 +184,7 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError):
             RecoveryParams.derive(64, 1, 32, B=16)
         with pytest.raises(ParameterError):
-            RecoveryParams.derive(64, 1, 5, alpha=1.5)
+            RecoveryParams.derive(64, 1, 5, tunables=Tunables(alpha=1.5))
 
     def test_ratio_tolerance_must_keep_root_disks_apart(self):
         # delta = 4 at n = 2^16: sin(pi/4) ~ 0.707, so 0.75 lets the
@@ -202,20 +201,20 @@ class TestRecoveryParams:
 class TestBucketCountCap:
     def test_warns_with_requested_and_capped_side(self):
         with pytest.warns(RuntimeWarning, match=r"b=4096 .*capped at b=8 \(B=8\)"):
-            assert RecoveryParams.bucket_count(16, 1, 100, 0.25, 8.0) == 8
+            assert location_bucket_count(16, 1, 100, 1.0, Tunables()) == 8
         # 8*8 / (0.1 * 0.25^2) = 10240 buckets need b = 16384 > 512.
         with pytest.warns(RuntimeWarning, match=r"b=16384 .*capped at b=512 \(B=512\)"):
-            assert _estimation_buckets(1024, 1, 8, 0.1, 0.25, 8.0) == 512
+            assert estimation_bucket_count(1024, 1, 8, 0.1, Tunables()) == 512
         with pytest.warns(RuntimeWarning, match=r"b=128 .*capped at b=8 \(B=64\)"):
-            assert RecoveryParams.bucket_count(16, 2, 50, 0.25, 8.0) == 64
+            assert location_bucket_count(16, 2, 50, 1.0, Tunables()) == 64
 
     def test_silent_below_and_at_the_cap(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert RecoveryParams.bucket_count(1024, 1, 5, 0.25, 8.0) == 256
+            assert location_bucket_count(1024, 1, 5, 1.0, Tunables()) == 256
             # 8*16/0.25 = 512 = n/2 exactly: met, not clamped.
-            assert RecoveryParams.bucket_count(1024, 1, 16, 0.25, 8.0) == 512
-            assert _estimation_buckets(2**16, 1, 4, 1.0, 0.25, 8.0) == 512
+            assert location_bucket_count(1024, 1, 16, 1.0, Tunables()) == 512
+            assert estimation_bucket_count(2**16, 1, 4, 1.0, Tunables()) == 512
             assert RecoveryParams.derive(64, 2, 8).B == 1024
 
 
@@ -246,6 +245,7 @@ class TestUnitRoots:
 
 def test_tunables_defaults_are_the_documented_constants():
     t = Tunables()
+    assert t.alpha == 0.25
     assert t.bucket_scale == 8.0
     assert t.vote_fraction == pytest.approx(3 / 5)
     assert t.ratio_tolerance == pytest.approx(1 / 3)

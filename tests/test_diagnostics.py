@@ -99,6 +99,28 @@ class TestClosedForms:
         assert all(profile.isolated[i0])
         assert profile.certifies(i0)
 
+    def test_isolation_flags_use_the_tunables_alpha(self):
+        # Identity permutation, b = 64 on n = 256: 0's two heavy neighbours
+        # at 20 and 25 first enter its ball at scale 3 (radius 32). The
+        # scale-3 budget (2 pi)^-2 sqrt(alpha) 2^7 is 1.6 at alpha = 0.25 and
+        # 3.1 at alpha = 0.9, so only the larger alpha calls 0 isolated there.
+        n, d = 256, 1
+        heavy = [GridIndex(n, (c,)) for c in (0, 20, 25)]
+        x = SparseApprox(n, d, {f: 1.0 + 0j for f in heavy})
+        flags = {}
+        for alpha in (0.25, 0.9):
+            profile = compute_noise_profile(
+                dense_time(x),
+                SparseApprox(n, d, {}),
+                heavy,
+                [identity_hashing(n, 64, 2)],
+                *plain_probes(8),
+                ORIGIN,
+                tunables=Tunables(alpha=alpha),
+            )
+            flags[alpha] = profile.isolated[heavy[0]][3]
+        assert flags == {0.25: False, 0.9: True}
+
     def test_two_heavy_tones_head_leakage_formula(self):
         # Identity permutation, i = 0 sits at its bucket center, j = 3 is in
         # the same bucket: head_0 = G(3) |x_j| / G(0), a direct table lookup.

@@ -90,8 +90,7 @@ class TestExactTones:
                 lib_freq(dense_time(x).values, n, d),
                 SparseApprox(n, d, {}),
                 flat_of([i0]),
-                1,
-                0.5,
+                128,
                 0.0,
                 5,
                 rng=rng,
@@ -105,7 +104,7 @@ class TestExactTones:
         i0 = next(iter(x))
         part = SparseApprox(n, d, {i0: 0.25 * x.get(i0)})
         batch = estimate_values(
-            lib_freq(dense_time(x).values, n, d), part, flat_of([i0]), 1, 0.5, 0.0, 5, rng=rng
+            lib_freq(dense_time(x).values, n, d), part, flat_of([i0]), 128, 0.0, 5, rng=rng
         )
         assert abs(batch.estimates[0] - 0.75 * x.get(i0)) < 1e-6
 
@@ -118,7 +117,7 @@ class TestExactTones:
         chi = random_sparse_time(n, d, 5, rng)
         extra = rng.integers(0, n, size=(4, d))
         L = np.concatenate([chi.flat, np.ravel_multi_index(extra.T, shape)])
-        args = (L, 3, 0.5, 0.0, 5)
+        args = (L, (n // 2) ** d, 0.0, 5)
         with_chi = estimate_values(
             lib_freq(x_time, n, d), chi, *args, rng=np.random.default_rng(5)
         )
@@ -142,8 +141,7 @@ class TestExactTones:
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
             np.concatenate([x.flat, flat_of(ghosts)]),
-            k,
-            0.5,
+            512,
             0.25 * floor,
             7,
             rng=rng,
@@ -177,9 +175,7 @@ class TestMatchesPerRepetitionLoop:
         L = list(dict.fromkeys(list(x.support()) + extra))
         r_max = 5
         fast = np.random.default_rng(11)
-        batch = estimate_values(
-            xhat, chi, flat_of(L), 3, 0.5, 0.0, r_max, rng=fast, b_override=b
-        )
+        batch = estimate_values(xhat, chi, flat_of(L), b**d, 0.0, r_max, rng=fast)
         slow = np.random.default_rng(11)
         filt = cached_bucket_filter(n, d, b**d, 2 * d)
         want, samples = reference_estimate(xhat, chi, L, filt, r_max, slow)
@@ -202,8 +198,7 @@ class TestThresholding:
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
             flat_of(entries),
-            3,
-            0.5,
+            128,
             0.5,
             5,
             rng=rng,
@@ -219,8 +214,7 @@ class TestThresholding:
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
             x.flat,
-            2,
-            0.5,
+            128,
             10.0 * x.norm_inf(),
             5,
             rng=rng,
@@ -236,9 +230,7 @@ class TestBookkeeping:
         xhat = lib_freq(dense_time(x).values, n, d)
         L = x.flat
         for r in (1, 4, 9):
-            batch = estimate_values(
-                xhat, SparseApprox(n, d, {}), L, 2, 0.5, 0.0, r, rng=rng, b_override=16
-            )
+            batch = estimate_values(xhat, SparseApprox(n, d, {}), L, 16, 0.0, r, rng=rng)
             # d=1 and F=2 give a support of F*b + 1 = 33 offsets per pass.
             assert batch.samples == r * 33
 
@@ -250,12 +242,10 @@ class TestBookkeeping:
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
             flat_of([i0, i0, i0]),
-            1,
-            0.5,
+            16,
             0.0,
             3,
             rng=rng,
-            b_override=16,
         )
         assert batch.locations.tolist() == flat_of([i0]).tolist()
         assert batch.estimates.shape == (1,)
@@ -268,8 +258,7 @@ class TestBookkeeping:
             lib_freq(dense_time(x).values, n, d),
             SparseApprox(n, d, {}),
             [],
-            1,
-            0.5,
+            128,
             0.0,
             3,
             rng=rng,
@@ -288,8 +277,7 @@ class TestBookkeeping:
                 xhat,
                 SparseApprox(n, d, {}),
                 L,
-                3,
-                0.5,
+                128,
                 0.0,
                 5,
                 rng=np.random.default_rng(99),
@@ -304,23 +292,22 @@ class TestBookkeeping:
         chi = SparseApprox(n, d, {})
         L = x.flat
         with pytest.raises(ParameterError):
-            estimate_values(dense_time(x), chi, L, 1, 0.5, 0.0, 3, rng=rng)
+            estimate_values(dense_time(x), chi, L, 16, 0.0, 3, rng=rng)
+        # Bucket counts that are not a power of two, or below 4 per axis,
+        # are rejected by the filter construction.
+        for B in (0, 2, 5):
+            with pytest.raises(ParameterError):
+                estimate_values(xhat, chi, L, B, 0.0, 3, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, L, 0, 0.5, 0.0, 3, rng=rng)
+            estimate_values(xhat, chi, L, 16, -1.0, 3, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, L, 1, 0.0, 0.0, 3, rng=rng)
+            estimate_values(xhat, chi, L, 16, 0.0, 0, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, L, 1, 0.5, -1.0, 3, rng=rng)
+            estimate_values(xhat, chi, [n], 16, 0.0, 3, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, L, 1, 0.5, 0.0, 0, rng=rng)
+            estimate_values(xhat, chi, [-1], 16, 0.0, 3, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, L, 1, 0.5, 0.0, 3, rng=rng, b_override=5)
-        with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, [n], 1, 0.5, 0.0, 3, rng=rng)
-        with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, [-1], 1, 0.5, 0.0, 3, rng=rng)
-        with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, [[0]], 1, 0.5, 0.0, 3, rng=rng)
+            estimate_values(xhat, chi, [[0]], 16, 0.0, 3, rng=rng)
 
 
 class TestFailureRateDecay:
@@ -347,13 +334,10 @@ class TestFailureRateDecay:
                     lib_freq(xt, n, d),
                     empty,
                     [37],
-                    1,
-                    eps,
+                    8,
                     0.0,
                     r,
                     rng=rng,
-                    alpha=alpha,
-                    b_override=8,
                 )
                 fails += abs(batch.estimates[0] - xt[37]) > thr
             rates[r] = fails / trials

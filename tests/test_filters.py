@@ -29,6 +29,13 @@ def signed_axis(n):
     return np.where(v < n // 2, v, v - n)
 
 
+def dense_spectrum(filt):
+    """The per-axis spectrum over the whole ring, zero off the support."""
+    dense = np.zeros(filt.n)
+    dense[filt.support % filt.n] = filt.support_values()
+    return dense
+
+
 class TestBucketFilterBounds:
     def test_time_value_is_one_at_origin(self):
         filt = build_bucket_filter(64, 1, 8, 4)
@@ -78,21 +85,27 @@ class TestBucketFilterSpectrum:
     def test_spectrum_matches_direct_transform_of_time_window(self):
         filt = build_bucket_filter(64, 1, 8, 4)
         spectrum = direct_transform(filt.g_axis.astype(np.complex128), 64, 1)
-        assert np.max(np.abs(spectrum - filt.ghat_axis)) < 1e-10
+        assert np.max(np.abs(spectrum - dense_spectrum(filt))) < 1e-10
 
     def test_spectrum_support_half_width(self):
         filt = build_bucket_filter(64, 1, 8, 4)
         sv = np.abs(signed_axis(64))
         half = 4 * 8 // 2
-        assert np.all(filt.ghat_axis[sv > half] == 0.0)
-        assert filt.ghat_axis[0] != 0.0
+        dense = dense_spectrum(filt)
+        assert np.all(dense[sv > half] == 0.0)
+        assert dense[0] != 0.0
         assert filt.support_size == 2 * half + 1
 
     def test_support_array_lists_the_nonzero_offsets(self):
         filt = build_bucket_filter(128, 1, 16, 4)
-        dense = np.zeros(128)
-        dense[filt.support % 128] = filt.support_values()
-        assert np.array_equal(dense, filt.ghat_axis)
+        # Reference: sqrt(n) times the 4-fold self-convolution of the
+        # width-17 box, on offsets -32..32 and zero elsewhere on the ring.
+        box = np.full(17, 1.0 / 17)
+        want = np.zeros(128)
+        want[np.arange(-32, 33) % 128] = (
+            np.convolve(np.convolve(np.convolve(box, box), box), box) * math.sqrt(128)
+        )
+        assert np.array_equal(dense_spectrum(filt), want)
 
 
 class TestBucketFilterTensor:

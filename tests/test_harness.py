@@ -192,9 +192,21 @@ class TestSweep:
         assert lines[1].startswith("k,4,")
         assert lines[2].startswith("k,8,")
 
+    def test_tunables_sweep_by_name(self):
+        spec = ExperimentSpec(n=256, d=1, k=4, seeds=[0, 1])
+        results = run_sweep(spec, "alpha", [0.25, 0.5])
+        # 0.25 is the default, so only the spec hash (which names the swept
+        # constants) and the timings may differ from the plain run.
+        plain = [rec.row()[1:-2] for rec in run_experiment(spec)]
+        assert [rec.row()[1:-2] for rec in results[0.25]] == plain
+        assert [rec.row()[1:-2] for rec in results[0.5]] != plain
+        # Values take the declared type: snr_keep_factor is an int slice bound.
+        with pytest.raises(ParameterError, match="bad value for snr_keep_factor"):
+            run_sweep(spec, "snr_keep_factor", [2.5])
+
     def test_unsweepable_parameters_are_rejected(self):
         base = ExperimentSpec(n=256, d=1, k=4)
-        for param in ("seeds", "signal_model", "constants", "no_such_field"):
+        for param in ("seeds", "signal_model", "constants", "tunables", "no_such_field"):
             with pytest.raises(ParameterError):
                 run_sweep(base, param, [1])
 
@@ -349,6 +361,23 @@ class TestCli:
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",")[:2] == ["param", "value"]
 
+    @pytest.mark.parametrize(
+        "param,values,blocks",
+        [
+            ("snr_keep_factor", "2,4", ("2", "4")),
+            ("bucket_scale", "4,8", ("4.0", "8.0")),
+        ],
+    )
+    def test_sweep_casts_tunables_by_declared_type(
+        self, tmp_path, capsys, param, values, blocks
+    ):
+        spec_path = self.write_spec(tmp_path)
+        code = main(["sweep", "--spec", spec_path, "--param", param, "--values", values])
+        out = capsys.readouterr().out
+        assert code == 0
+        for value in blocks:
+            assert f"--- {param} = {value} ---" in out
+
     def test_sweep_rejects_unsweepable_param(self, tmp_path, capsys):
         spec_path = self.write_spec(tmp_path)
         code = main(
@@ -356,6 +385,23 @@ class TestCli:
         )
         assert code == 2
         assert "cannot sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"n": 64, "d": 1, "k": 2, "alpah": 0.3}, "unknown spec keys: alpah"),
+            ({"n": 64, "d": 1, "k": 2, "alpha": 0.3}, 'go under "constants": alpha'),
+            ({"d": 1, "k": 2}, "spec lacks required keys: n"),
+            ([64, 1, 2], "a spec must be a JSON object"),
+        ],
+    )
+    def test_run_reports_bad_spec_keys(self, tmp_path, capsys, data, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--spec", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
     def test_selftest_passes_and_exits_zero(self, capsys):
         code = main(["selftest"])

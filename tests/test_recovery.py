@@ -19,6 +19,7 @@ from sparsefft import (
     ParameterError,
     RecoveryParams,
     SparseApprox,
+    Tunables,
 )
 from sparsefft import dense_dft, semi_equispaced
 from sparsefft import recovery as recovery_module
@@ -92,8 +93,10 @@ class TestReduceL1:
         assert wins >= trials - 1
 
     def test_rng_is_required(self, rng):
-        # The acquisition stream is seeded from params.seed, so a fallback to
-        # that seed would replay it for the estimation permutations.
+        # The pipeline seeds its acquisition stream from its seed argument
+        # (params.seed is never read). Callers pass that same seed as
+        # params.seed, so a fallback seeded from params.seed would replay the
+        # acquisition stream for the estimation permutations.
         n, d = 256, 1
         params = RecoveryParams.derive(n, d, 2)
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
@@ -380,6 +383,19 @@ class TestFullPipeline:
         x = random_sparse_time(256, 1, 2, rng)
         with pytest.raises(ParameterError):
             sparse_fft(dense_time(x), 2)
+
+    def test_params_must_match_k_and_carry_the_tunables(self, rng):
+        # Every stage must see one k and one set of tunables: params.k sizes
+        # the l1 stage while the k argument sizes the later ones, and params
+        # brings its own tunables.
+        n, d, k = 256, 1, 2
+        xhat = lib_freq(dense_time(random_sparse_time(n, d, k, rng)).values, n, d)
+        params = RecoveryParams.derive(n, d, k)
+        with pytest.raises(ParameterError, match="k"):
+            sparse_fft_with_stats(xhat, k + 1, params=params)
+        with pytest.raises(ParameterError, match="tunables"):
+            sparse_fft_with_stats(xhat, k, params=params, tunables=Tunables())
+        sparse_fft_with_stats(xhat, k, params=params)
 
 
 PINNED = json.loads((pathlib.Path(__file__).parent / "pinned_recovery.json").read_text())
