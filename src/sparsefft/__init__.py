@@ -11,7 +11,6 @@ from .core import (
     DenseSignal,
     DimensionError,
     DivergenceError,
-    GridIndex,
     ParameterError,
     RecoveryParams,
     ScaleGuardError,
@@ -35,9 +34,7 @@ from .permutation import (
     Hashing,
     SpectrumPermutation,
     apply_P,
-    bucket_of,
     is_isolated,
-    offset,
     sample_permutation,
 )
 from .recovery import (
@@ -58,7 +55,6 @@ __all__ = [
     "DimensionError",
     "ScaleGuardError",
     "DivergenceError",
-    "GridIndex",
     "digit_base",
     "DenseSignal",
     "SparseApprox",
@@ -74,8 +70,6 @@ __all__ = [
     "Hashing",
     "sample_permutation",
     "apply_P",
-    "bucket_of",
-    "offset",
     "is_isolated",
     "semi_equispaced_fft",
     "shifted_semi_equispaced",

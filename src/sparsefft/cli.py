@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .core import DenseSignal, GridIndex, ParameterError, RecoveryParams, SparseApprox
+from .core import DenseSignal, ParameterError, RecoveryParams, SparseApprox
 from .dense_dft import forward_dft, inverse_dft
 from .filters import build_bucket_filter
 from .harness import ExperimentSpec, run_experiment, run_sweep
-from .hashing_measurements import acquire_measurements, hash_to_bins
-from .permutation import Hashing, apply_P, bucket_of, offset, sample_permutation
+from .hashing_measurements import hash_to_bins
+from .permutation import Hashing, apply_P, sample_permutation
 from .recovery import sparse_fft_with_stats
 
 __all__ = ["main", "selftest"]
@@ -66,16 +66,14 @@ def _check_permutation_identity(rng: np.random.Generator) -> str | None:
     )
     xhat = forward_dft(x)
     perm = sample_permutation(n, d, rng)
-    a = GridIndex(n, (int(rng.integers(n)),))
+    a = rng.integers(n, size=d)
     permuted = inverse_dft(apply_P(perm, a, xhat))
     omega = np.exp(2j * np.pi / n)
     for _ in range(8):
-        i = GridIndex(n, (int(rng.integers(n)),))
-        lhs = permuted.at(GridIndex(n, tuple(perm.forward(i).coords)))
-        phase = omega ** int(
-            (a.to_array() @ (perm.sigma @ i.to_array())) % n
-        )
-        if abs(lhs - x.at(i) * phase) > 1e-9:
+        i = rng.integers(n, size=d)
+        lhs = permuted.values[tuple(perm.forward_array(i[None, :])[0])]
+        phase = omega ** int((a @ (perm.sigma @ i)) % n)
+        if abs(lhs - x.values[tuple(i)] * phase) > 1e-9:
             return "permuted spectrum disagrees with the pointwise identity"
     return None
 
@@ -85,14 +83,14 @@ def _check_bucket_leakage(rng: np.random.Generator) -> str | None:
     filt = build_bucket_filter(n, d, b, 2)
     perm = sample_permutation(n, d, rng)
     hashing = Hashing(perm, filt)
-    i = GridIndex(n, (int(rng.integers(n)),))
+    i = rng.integers(n, size=(1, d))
     coeff = complex(1.3, -0.4)
     x = DenseSignal.zeros(n, d, domain="time")
-    x.values[i.coords] = coeff
+    x.values[tuple(i[0])] = coeff
     xhat = forward_dft(x)
-    u = hash_to_bins(xhat, SparseApprox.empty(n, d), hashing, GridIndex.zero(n, d))
-    got = u[bucket_of(hashing, i).coords]
-    want = filt.g_value(offset(hashing, i, i)) * coeff
+    u = hash_to_bins(xhat, SparseApprox.empty(n, d), hashing, np.zeros(d, dtype=np.int64))
+    got = u[tuple(hashing.bucket_of_array(i)[0])]
+    want = filt.g_at(perm.forward_array(i) - hashing.center_of_array(i))[0] * coeff
     if abs(got - want) > 1e-7:
         return "single tone lands in its bucket with the wrong gain"
     return None
@@ -104,11 +102,9 @@ def _check_chi_subtraction(rng: np.random.Generator) -> str | None:
     hashing = Hashing(sample_permutation(n, d, rng), filt)
     shape = (n,) * d
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spikes = rng.integers(0, n, size=(4, d))
-    chi = SparseApprox(
-        n, d, {GridIndex.from_array(n, row): 1.0 - 0.5j for row in spikes}
-    )
-    a = GridIndex.from_array(n, rng.integers(0, n, size=d))
+    spikes = np.unique(rng.integers(0, n**d, size=4))
+    chi = SparseApprox.from_flat(n, d, spikes, np.full(spikes.size, 1.0 - 0.5j))
+    a = rng.integers(0, n, size=d)
     got = hash_to_bins(forward_dft(DenseSignal(n, d, x, "time")), chi, hashing, a)
     residual = DenseSignal(n, d, x - chi.to_dense(domain="time").values, "time")
     want = hash_to_bins(forward_dft(residual), SparseApprox.empty(n, d), hashing, a)

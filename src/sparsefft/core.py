@@ -4,20 +4,22 @@ Everything downstream works over the d-dimensional ring [0, n)^d with n a
 power of two. Indices are stored as nonnegative residues; formulas stated for
 signed index ranges map onto these via the circular distance min(r, n-r).
 
-Inside the recovery pipeline an index is a row-major flat int64 in
-[0, n^d), so sets of indices are plain int64 arrays and N = n^d must stay
-below 2^63. SparseApprox stores (flat, values) arrays. GridIndex, a hashable
-coordinate tuple, is the format at the boundary: single-point helpers,
-hash_to_bins, diagnostics, and SparseApprox's mapping constructor and
-read view.
+An index is a row-major flat int64 in [0, n^d), so a set of indices
+(a candidate list, a support, a heavy set) is a plain int64 array and
+N = n^d must stay below 2^63. Where a formula needs coordinates, they are
+an (m, d) int64 array (np.unravel_index of the flat indices), or a (d,)
+array for one point such as a permutation shift or a modulation.
+SparseApprox stores (flat, values) arrays.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import types
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +35,7 @@ __all__ = [
     "location_bucket_count",
     "estimation_bucket_count",
     "digit_base",
-    "GridIndex",
+    "bucket_side",
     "DenseSignal",
     "SparseApprox",
     "Tunables",
@@ -82,6 +84,15 @@ def unit_roots(n: int, sign: int) -> np.ndarray:
     return table
 
 
+def bucket_side(B: int, d: int) -> int:
+    """Per-axis side b of B = b^d buckets, b a power of two; any other B
+    (zero and negative counts included) is a ParameterError."""
+    b = round(B ** (1.0 / d)) if B > 0 else 0
+    if b**d != B or not is_power_of_two(b):
+        raise ParameterError(f"B={B} is not a power of 2^d for d={d}")
+    return b
+
+
 def capped_bucket_count(n: int, d: int, target: float) -> int:
     """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with B >= target.
 
@@ -118,67 +129,52 @@ def estimation_bucket_count(n: int, d: int, k: int, epsilon: float, tun: Tunable
     )
 
 
+def _fits(value, hint) -> bool:
+    """Whether value has the declared type: an int field takes an int (not a
+    bool), a float field an int or a float; unions, lists and dicts check
+    their members."""
+    origin = get_origin(hint)
+    if origin in (Union, types.UnionType):
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if origin is list:
+        (item,) = get_args(hint)
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if origin is dict:
+        key, item = get_args(hint)
+        return isinstance(value, dict) and all(
+            _fits(k, key) and _fits(v, item) for k, v in value.items()
+        )
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, hint)
+
+
+@lru_cache(maxsize=None)
+def _declared_types(cls: type) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def _check_field_types(obj) -> None:
+    """ParameterError naming the first dataclass field whose value does not
+    have its declared type (see `_fits`)."""
+    for name, hint in _declared_types(type(obj)):
+        value = getattr(obj, name)
+        if not _fits(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ParameterError(f"{name} must be of type {kind}, got {value!r}")
+
+
 def _first_seen(flat: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-D array, in order of first appearance."""
     _, first = np.unique(flat, return_index=True)
     return flat[np.sort(first)]
-
-
-@dataclass(frozen=True)
-class GridIndex:
-    """An element of [0, n)^d with wrap-around arithmetic.
-
-    Coordinates are canonical residues mod n. Instances are immutable and
-    hashable, so they serve as sparse-map keys.
-    """
-
-    n: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not is_power_of_two(self.n):
-            raise ParameterError(f"grid side must be a power of two, got n={self.n}")
-        if len(self.coords) < 1:
-            raise ParameterError("grid index needs at least one coordinate")
-        if any(c < 0 or c >= self.n for c in self.coords):
-            object.__setattr__(
-                self, "coords", tuple(int(c) % self.n for c in self.coords)
-            )
-        else:
-            object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
-    @staticmethod
-    def zero(n: int, d: int) -> "GridIndex":
-        return GridIndex(n, (0,) * d)
-
-    @staticmethod
-    def from_array(n: int, arr: Iterable[int]) -> "GridIndex":
-        return GridIndex(n, tuple(int(a) % n for a in arr))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.int64)
-
-    def _check_compatible(self, other: "GridIndex") -> None:
-        if self.n != other.n or self.d != other.d:
-            raise DimensionError(
-                f"incompatible grids: ({self.n},{self.d}) vs ({other.n},{other.d})"
-            )
-
-    def __add__(self, other: "GridIndex") -> "GridIndex":
-        self._check_compatible(other)
-        return GridIndex(
-            self.n, tuple((a + b) % self.n for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "GridIndex") -> "GridIndex":
-        self._check_compatible(other)
-        return GridIndex(
-            self.n, tuple((a - b) % self.n for a, b in zip(self.coords, other.coords))
-        )
 
 
 @dataclass
@@ -227,12 +223,9 @@ class DenseSignal:
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def at(self, idx: GridIndex) -> complex:
-        return complex(self.values[idx.coords])
-
 
 class SparseApprox:
-    """A sparse map from grid indices to complex values (the running chi).
+    """A sparse map from flat grid indices to complex values (the running chi).
 
     Stored as two aligned arrays: `flat`, distinct row-major flat indices
     in [0, n^d) (int64), and `values` (complex128), both read-only and in
@@ -240,16 +233,16 @@ class SparseApprox:
     supports and drops exact cancellations. Magnitudes are
     np.hypot(re, im), which equals Python's abs() bit for bit.
 
-    The mapping constructor and `entries` (with `items`, iteration, `get`,
-    `in` and `support`) are the GridIndex view for callers outside the
-    pipeline; `entries` is rebuilt on every access.
+    `SparseApprox(n, d)` (or `empty`) is the empty map and `from_flat`
+    builds any other. `entries` ({flat index: value}, rebuilt on every
+    access) and `support()` (the set of flat indices) are plain-Python
+    views for comparisons; `coords_array()` gives the support as
+    coordinates.
     """
 
     __slots__ = ("n", "d", "flat", "values")
 
-    def __init__(
-        self, n: int, d: int, entries: Mapping[GridIndex, complex] | None = None
-    ) -> None:
+    def __init__(self, n: int, d: int) -> None:
         if not is_power_of_two(n):
             raise ParameterError(f"grid side must be a power of two, got n={n}")
         if d < 1:
@@ -258,15 +251,7 @@ class SparseApprox:
             raise ParameterError(f"n^d = {n}^{d} overflows an int64 flat index")
         self.n = n
         self.d = d
-        entries = entries or {}
-        for idx in entries:
-            if idx.n != n or idx.d != d:
-                raise DimensionError(f"entry {idx} does not live on the ({n},{d}) grid")
-        coords = np.array([idx.coords for idx in entries], dtype=np.int64).reshape(-1, d)
-        self._store(
-            np.ravel_multi_index(coords.T, (n,) * d),
-            np.array([complex(v) for v in entries.values()], dtype=np.complex128),
-        )
+        self._store(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
 
     @classmethod
     def from_flat(cls, n: int, d: int, flat, values) -> "SparseApprox":
@@ -302,34 +287,12 @@ class SparseApprox:
         return np.hypot(self.values.real, self.values.imag)
 
     @property
-    def entries(self) -> dict[GridIndex, complex]:
-        """{GridIndex: value} in storage order, built on each access."""
-        return {
-            GridIndex(self.n, tuple(c)): v
-            for c, v in zip(self.coords_array().tolist(), self.values.tolist())
-        }
+    def entries(self) -> dict[int, complex]:
+        """{flat index: value} in storage order, built on each access."""
+        return dict(zip(self.flat.tolist(), self.values.tolist()))
 
-    def __iter__(self) -> Iterator[GridIndex]:
-        return iter(self.entries)
-
-    def __contains__(self, idx: GridIndex) -> bool:
-        return self._position(idx) is not None
-
-    def get(self, idx: GridIndex) -> complex:
-        pos = self._position(idx)
-        return 0j if pos is None else complex(self.values[pos])
-
-    def _position(self, idx: GridIndex) -> int | None:
-        if idx.n != self.n or idx.d != self.d:
-            return None
-        hit = np.flatnonzero(self.flat == np.ravel_multi_index(idx.coords, (self.n,) * self.d))
-        return int(hit[0]) if hit.size else None
-
-    def items(self):
-        return self.entries.items()
-
-    def support(self) -> set[GridIndex]:
-        return set(self.entries)
+    def support(self) -> set[int]:
+        return set(self.flat.tolist())
 
     def __add__(self, other: "SparseApprox") -> "SparseApprox":
         if other.n != self.n or other.d != self.d:
@@ -426,12 +389,18 @@ class Tunables:
     diagnostic_budget: int = 200_000_000
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in (0,1), got {self.alpha}")
 
 
 def _loglog2(n_total: int) -> float:
     return math.log2(max(2.0, math.log2(max(4, n_total))))
+
+
+def _log4(n_total: int) -> float:
+    """Fourth power of log2(N), at least 16; the per-round SNR shrink factor."""
+    return math.log2(max(4, n_total)) ** 4
 
 
 def digit_base(n: int) -> int:
@@ -472,9 +441,7 @@ class RecoveryParams:
             raise ParameterError("need mu >= 0 and r_star >= 1")
         if self.F % 2 != 0 or self.F < 2 * self.d:
             raise ParameterError(f"F must be even and >= 2d, got F={self.F}, d={self.d}")
-        b = round(self.B ** (1.0 / self.d))
-        if b**self.d != self.B or not is_power_of_two(b):
-            raise ParameterError(f"B={self.B} is not a power of 2^d for d={self.d}")
+        bucket_side(self.B, self.d)
         if self.B < self.k:
             raise ParameterError(f"need B >= k, got B={self.B} < k={self.k}")
         if min(self.r_max, self.c_max, self.T) < 1:
@@ -494,7 +461,7 @@ class RecoveryParams:
 
     @property
     def b(self) -> int:
-        return round(self.B ** (1.0 / self.d))
+        return bucket_side(self.B, self.d)
 
     @property
     def delta(self) -> int:
@@ -533,8 +500,7 @@ class RecoveryParams:
         if c_max is None:
             c_max = max(8, math.ceil(tun.probes_coeff / math.sqrt(tun.alpha) * loglog))
         if T is None:
-            log4N = math.log2(N) ** 4
-            T = max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(log4N)))
+            T = max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(_log4(N))))
         return cls(
             n=n,
             d=d,

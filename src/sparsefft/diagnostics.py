@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     DenseSignal,
-    GridIndex,
     ParameterError,
     ScaleGuardError,
     SparseApprox,
@@ -56,29 +55,31 @@ def quantile_top(values: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
 class NoiseProfile:
     """Noise quantities for a fixed heavy set S under a list of hashings.
 
-    The dict fields aggregate over hashings with the 1/5-quantile; the array
-    fields keep the per-hashing (and per-shift) resolution that the
-    sufficient-condition checks need. Row order of the arrays follows
-    `heavy`; hashing order follows the input list.
+    `heavy` is S as a sorted int64 array of distinct flat indices, and the
+    dict fields are keyed by those flat indices. The dict fields aggregate
+    over hashings with the 1/5-quantile; the array fields keep the
+    per-hashing (and per-shift) resolution that the sufficient-condition
+    checks need. Row order of the arrays follows `heavy`; hashing order
+    follows the input list.
     """
 
-    heavy: list[GridIndex]
-    e_head: dict[GridIndex, float]
-    e_tail: dict[GridIndex, float]
-    mu_Hi: dict[GridIndex, float]
-    isolated: dict[GridIndex, list[bool]]
-    residual_mag: dict[GridIndex, float]
+    heavy: np.ndarray
+    e_head: dict[int, float]
+    e_tail: dict[int, float]
+    mu_Hi: dict[int, float]
+    isolated: dict[int, list[bool]]
+    residual_mag: dict[int, float]
     head_per_hashing: np.ndarray
     tail_per_shift: np.ndarray
     tail_per_hashing: np.ndarray
     mu_per_hashing: np.ndarray
     balanced: np.ndarray
-    _index: dict[GridIndex, int] = field(init=False, repr=False)
+    _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._index = {f: pos for pos, f in enumerate(self.heavy)}
+        self._index = {f: pos for pos, f in enumerate(self.heavy.tolist())}
 
-    def certified_hashings(self, i: GridIndex) -> list[int]:
+    def certified_hashings(self, i: int) -> list[int]:
         """Hashings under which i provably lands in the location output.
 
         A hashing qualifies when head leakage and every per-shift tail
@@ -101,14 +102,8 @@ class NoiseProfile:
                 out.append(r)
         return out
 
-    def certifies(self, i: GridIndex) -> bool:
+    def certifies(self, i: int) -> bool:
         return bool(self.certified_hashings(i))
-
-
-def _heavy_order(S) -> list[GridIndex]:
-    ordered = list(S)
-    ordered.sort(key=lambda g: g.coords)
-    return ordered
 
 
 def compute_noise_profile(
@@ -124,8 +119,9 @@ def compute_noise_profile(
 ) -> NoiseProfile:
     """Evaluate head, tail, and mu noise for each element of S.
 
-    x is the time-domain signal and chi the current approximation; S names
-    the heavy elements the quantities are defined against. alphas and betas
+    x is the time-domain signal and chi the current approximation; S, an
+    array of flat indices, names the heavy elements the quantities are
+    defined against. alphas and betas
     are (len(hashings), c, d) probe arrays and shifts is (W, d), laid out as
     in MeasurementSet. For hashing H
     with permutation (Sigma, q) and element i with bucket offsets o_i(j):
@@ -150,37 +146,36 @@ def compute_noise_profile(
         raise ParameterError("need at least one hashing")
     if len(alphas) != len(hashings) or len(betas) != len(hashings):
         raise ParameterError("need one probe set per hashing")
-    heavy = _heavy_order(S)
-    if not heavy:
+    s_flat = np.unique(np.asarray(S, dtype=np.int64))
+    if not s_flat.size:
         raise ParameterError("heavy set must be nonempty")
     n, d = x.n, x.d
     N = x.N
-    if N * len(heavy) > tun.diagnostic_budget:
+    if N * s_flat.size > tun.diagnostic_budget:
         raise ScaleGuardError(
-            f"N * |S| = {N * len(heavy)} exceeds the diagnostic budget "
+            f"N * |S| = {N * s_flat.size} exceeds the diagnostic budget "
             f"{tun.diagnostic_budget}"
         )
-    for f in heavy:
-        if f.n != n or len(f.coords) != d:
-            raise ParameterError("heavy set does not live on the signal grid")
+    if s_flat[0] < 0 or s_flat[-1] >= N:
+        raise ParameterError("heavy set does not live on the signal grid")
 
     R = len(hashings)
     W = len(shifts)
-    S_count = len(heavy)
+    S_count = s_flat.size
     delta = digit_base(n)
+    heavy = s_flat.tolist()
 
     all_coords = np.indices((n,) * d).reshape(d, N).T.astype(np.int64)
     x_flat = x.values.reshape(N)
     tail_mask = np.ones(N, dtype=bool)
-    s_coords = np.array([f.coords for f in heavy], dtype=np.int64)
-    s_flat = np.ravel_multi_index(s_coords.T, (n,) * d)
+    s_coords = np.stack(np.unravel_index(s_flat, (n,) * d), axis=-1)
     tail_mask[s_flat] = False
 
     # y = (x - chi) on S, -chi off S; only |y| at S and chi's support matters.
     y_flat = np.zeros(N, dtype=np.complex128)
     y_flat[s_flat] = x_flat[s_flat]
     y_flat[chi.flat] -= chi.values
-    residual = {f: abs(x_flat[s_flat[pos]] - chi.get(f)) for pos, f in enumerate(heavy)}
+    abs_y_S = np.abs(y_flat[s_flat])
 
     head = np.zeros((R, S_count))
     tail_w = np.zeros((R, W, S_count))
@@ -201,7 +196,6 @@ def compute_noise_profile(
         own = gains[np.arange(S_count), s_flat]
 
         g_at_S = gains[:, s_flat]
-        abs_y_S = np.abs(y_flat[s_flat])
         head_sum = g_at_S @ abs_y_S - g_at_S[np.arange(S_count), np.arange(S_count)] * abs_y_S
         head[r] = head_sum / own
 
@@ -229,22 +223,18 @@ def compute_noise_profile(
         tail_h[r] = floor + np.maximum(tail_w[r] - floor[None, :], 0.0).sum(axis=0)
         balanced[r] = _balanced_axes(betas[r], delta)
 
-    heavy_set = set(heavy)
     scales = range(max(1, int(math.log2(hashings[0].b))))
     isolated = {
-        f: [
-            is_isolated(f, heavy_set, hashings[0], scale=t, alpha=tun.alpha)
-            for t in scales
-        ]
+        f: [is_isolated(f, s_flat, hashings[0], scale=t, alpha=tun.alpha) for t in scales]
         for f in heavy
     }
     return NoiseProfile(
-        heavy=heavy,
+        heavy=s_flat,
         e_head={f: float(quantile_top(head[:, pos], 0.2)) for pos, f in enumerate(heavy)},
         e_tail={f: float(quantile_top(tail_h[:, pos], 0.2)) for pos, f in enumerate(heavy)},
         mu_Hi={f: float(quantile_top(mu_h[:, pos], 0.2)) for pos, f in enumerate(heavy)},
         isolated=isolated,
-        residual_mag=residual,
+        residual_mag=dict(zip(heavy, abs_y_S.tolist())),
         head_per_hashing=head,
         tail_per_shift=tail_w,
         tail_per_hashing=tail_h,

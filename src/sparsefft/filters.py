@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridIndex, ParameterError, is_power_of_two
+from .core import ParameterError, bucket_side, is_power_of_two
 from .dense_dft import fft_grid
 
 __all__ = [
@@ -100,19 +100,12 @@ class BucketFilter:
 
     @property
     def b(self) -> int:
-        return round(self.B ** (1.0 / self.d))
+        return bucket_side(self.B, self.d)
 
     @property
     def support_size(self) -> int:
         """Number of frequency samples one bucketing pass reads."""
         return len(self.support) ** self.d
-
-    def g_value(self, j: GridIndex) -> float:
-        """Time-domain filter value at a grid offset (product over axes)."""
-        out = 1.0
-        for c in j.coords:
-            out *= self.g_axis[c % self.n]
-        return out
 
     def g_at(self, offsets: np.ndarray) -> np.ndarray:
         """Vectorized g over an (..., d) array of integer offsets."""
@@ -130,9 +123,7 @@ def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
         raise ParameterError(f"grid side must be a power of two, got n={n}")
     if F % 2 != 0 or F < 2 * d:
         raise ParameterError(f"F must be even and >= 2d, got F={F}, d={d}")
-    b = round(B ** (1.0 / d))
-    if b**d != B or not is_power_of_two(b):
-        raise ParameterError(f"B={B} is not a power of 2^d for d={d}")
+    b = bucket_side(B, d)
     if b < 4:
         raise ParameterError(f"need at least 4 buckets per axis, got b={b}")
     if b > n:
@@ -187,12 +178,6 @@ class FlatWindow:
     offsets: np.ndarray
     g_vals: np.ndarray
     ghat_ideal_axis: np.ndarray
-
-    def ideal_value(self, v: GridIndex) -> float:
-        out = 1.0
-        for coord in v.coords:
-            out *= self.ghat_ideal_axis[coord % self.n]
-        return out
 
     def g_dense_axis(self) -> np.ndarray:
         """Length-n time-domain window with zeros outside the support."""

@@ -28,6 +28,7 @@ from .core import (
     RecoveryParams,
     SparseApprox,
     Tunables,
+    _check_field_types,
     is_power_of_two,
 )
 from .dense_dft import forward_dft
@@ -81,6 +82,7 @@ class ExperimentSpec:
     constants: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not is_power_of_two(self.n):
             raise ParameterError(f"grid side must be a power of two, got n={self.n}")
         if self.d < 1 or self.k < 1:
@@ -188,8 +190,21 @@ CSV_HEADER = tuple(f.name for f in fields(RunRecord))
 
 
 def spec_digest(spec: ExperimentSpec) -> str:
-    """Short stable hash of the full configuration."""
-    payload = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Short stable hash of the full configuration.
+
+    `constants` enter as the overrides that differ from the `Tunables`
+    defaults, each cast to its field's type, and as None when none does, so
+    specs describing the same recovery share a digest.
+    """
+    spec.tunables()  # rejects unknown or mistyped overrides
+    defaults = asdict(Tunables())
+    data = spec.to_dict()
+    data["constants"] = {
+        name: type(defaults[name])(value)
+        for name, value in (spec.constants or {}).items()
+        if value != defaults[name]
+    } or None
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

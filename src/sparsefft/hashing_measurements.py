@@ -14,10 +14,15 @@ hashing, to bound memory) and estimation.estimate_values (one call for all
 its repetitions). acquire_measurements fills the full table the recovery
 loop consumes: r_max hashings, c_max probe pairs each (redrawn until
 digit-balanced), and one measurement per shift vector in the location
-ladder. Probes and shifts are plain int64 arrays: MeasurementSet.alphas and
-.betas are (r_max, c_max, d), .shifts is (S, d). All later subtraction of
-recovered mass goes through update_residual_measurements, which applies the
-same exact rule to the stored tables and keeps the sample counter frozen.
+ladder. All later subtraction of recovered mass goes through
+update_residual_measurements, which applies the same exact rule to the
+stored tables and keeps the sample counter frozen.
+
+Indices follow the library's one format (see `core`). Modulations, probes
+and shifts are int64 coordinate arrays: hash_to_bins takes one (d,)
+modulation a, MeasurementSet.alphas and .betas are (r_max, c_max, d), and
+.shifts is (S, d). chi enters as SparseApprox's flat indices, unravelled
+to (m, d) coordinates where the bucket formula needs them.
 
 The primitive is built to make few passes over memory:
 
@@ -40,7 +45,6 @@ import numpy as np
 
 from .core import (
     DenseSignal,
-    GridIndex,
     ParameterError,
     RecoveryParams,
     SparseApprox,
@@ -79,7 +83,7 @@ def _support_values(filt: BucketFilter) -> np.ndarray:
 def _support_row(hashing: Hashing, grid: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """Filter values gv times the omega^(i . Sigma q) modulation, per offset."""
     n = hashing.n
-    sq = (hashing.perm.sigma @ hashing.perm.q.to_array()) % n
+    sq = (hashing.perm.sigma @ hashing.perm.q) % n
     expo = (grid @ sq) % n
     return gv * unit_roots(n, 1)[expo]
 
@@ -202,9 +206,10 @@ def _chi_buckets(
 
 
 def hash_to_bins(
-    xhat: DenseSignal, chi: SparseApprox, hashing: Hashing, a: GridIndex
+    xhat: DenseSignal, chi: SparseApprox, hashing: Hashing, a: np.ndarray
 ) -> np.ndarray:
-    """One bucketing pass over the residual, returning a (b,)*d array.
+    """One bucketing pass over the residual under the (d,) integer
+    modulation a, returning a (b,)*d array.
 
     Reads |supp(G-hat)| spectrum samples; the caller accounts for them.
     """
@@ -221,7 +226,7 @@ def hash_to_bins(
             RuntimeWarning,
             stacklevel=2,
         )
-    mods = a.to_array()[None, :]
+    mods = np.asarray(a, dtype=np.int64).reshape(1, hashing.d) % hashing.n
     u = _bucket_tables(xhat, hashing.filter, [hashing], [mods])[0]
     if len(chi):
         u = u - _chi_buckets(chi, hashing, mods)[0]

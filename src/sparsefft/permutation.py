@@ -8,16 +8,20 @@ A hashing combines a permutation with a bucket count B = b^d and a bucket
 filter of sharpness F: frequency i lands in bucket h(i), the nearest-bucket
 rounding of pi(i) * b/n, and o_i(j) = pi(j) - (n/b) h(i) is the offset of j
 relative to i's bucket center.
+
+Indices follow the library's one format (see `core`): a single index is a
+row-major flat int, a set of indices a flat int64 array, and where a
+formula needs coordinates they are an (m, d) int64 array (`forward_array`,
+`bucket_of_array`, `center_of_array`) or a (d,) array for one point (the
+shift q, a modulation a).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .core import DenseSignal, GridIndex, ParameterError
+from .core import DenseSignal, ParameterError
 from .filters import BucketFilter
 
 __all__ = [
@@ -25,8 +29,6 @@ __all__ = [
     "Hashing",
     "sample_permutation",
     "apply_P",
-    "bucket_of",
-    "offset",
     "is_isolated",
 ]
 
@@ -68,15 +70,17 @@ class SpectrumPermutation:
 
     n: int
     sigma: np.ndarray  # (d, d) int64, entries reduced mod n
-    q: GridIndex
+    q: np.ndarray  # (d,) int64, entries reduced mod n; read-only
     sigma_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sigma = np.asarray(self.sigma, dtype=np.int64) % self.n
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ParameterError(f"sigma must be square, got shape {sigma.shape}")
-        if self.q.n != self.n or self.q.d != sigma.shape[0]:
+        q = np.asarray(self.q, dtype=np.int64) % self.n
+        if q.shape != (sigma.shape[0],):
             raise ParameterError("shift q does not match the sigma matrix")
+        q.flags.writeable = False
         rows = sigma.tolist()
         det = _int_det(rows)
         if det % 2 == 0:
@@ -85,26 +89,17 @@ class SpectrumPermutation:
         adj = _adjugate(rows)
         inv = [[(det_inv * entry) % self.n for entry in row] for row in adj]
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "sigma_inv", np.array(inv, dtype=np.int64))
 
     @property
     def d(self) -> int:
         return self.sigma.shape[0]
 
-    def forward(self, i: GridIndex) -> GridIndex:
-        """pi(i) = Sigma(i - q) mod n."""
-        v = (i - self.q).to_array()
-        return GridIndex.from_array(self.n, (self.sigma @ v) % self.n)
-
     def forward_array(self, coords: np.ndarray) -> np.ndarray:
         """pi over an (m, d) array of indices, returning residues in [0, n)."""
-        shifted = (np.asarray(coords, dtype=np.int64) - self.q.to_array()) % self.n
+        shifted = (np.asarray(coords, dtype=np.int64) - self.q) % self.n
         return (shifted @ self.sigma.T) % self.n
-
-    def inverse_index(self, y: GridIndex) -> GridIndex:
-        """pi^{-1}(y) = Sigma^{-1} y + q mod n."""
-        v = (self.sigma_inv @ y.to_array()) % self.n
-        return GridIndex.from_array(self.n, v) + self.q
 
 
 def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPermutation:
@@ -113,12 +108,12 @@ def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPerm
         sigma = rng.integers(0, n, size=(d, d), dtype=np.int64)
         if _int_det(sigma.tolist()) % 2 == 1:
             break
-    q = GridIndex.from_array(n, rng.integers(0, n, size=d, dtype=np.int64))
+    q = rng.integers(0, n, size=d, dtype=np.int64)
     return SpectrumPermutation(n=n, sigma=sigma, q=q)
 
 
-def apply_P(perm: SpectrumPermutation, a: GridIndex, xhat: DenseSignal) -> DenseSignal:
-    """Permute and modulate a dense spectrum.
+def apply_P(perm: SpectrumPermutation, a: np.ndarray, xhat: DenseSignal) -> DenseSignal:
+    """Permute and modulate a dense spectrum; a is a (d,) integer vector.
 
     Entry i of the result is xhat[Sigma^T (i - a)] * omega^(i . Sigma q),
     which in time domain shuffles samples to pi(i) and modulates them by
@@ -128,9 +123,9 @@ def apply_P(perm: SpectrumPermutation, a: GridIndex, xhat: DenseSignal) -> Dense
         raise ParameterError("apply_P expects a frequency-domain signal")
     n, d = xhat.n, xhat.d
     coords = np.indices((n,) * d).reshape(d, -1).T
-    src = ((coords - a.to_array()) @ perm.sigma) % n
+    src = ((coords - np.asarray(a, dtype=np.int64)) @ perm.sigma) % n
     flat_src = np.ravel_multi_index(src.T, (n,) * d)
-    sq = (perm.sigma @ perm.q.to_array()) % n
+    sq = (perm.sigma @ perm.q) % n
     expo = (coords @ sq) % n
     phase = np.exp(2j * np.pi * expo / n)
     values = xhat.values.reshape(-1)[flat_src] * phase
@@ -179,38 +174,28 @@ class Hashing:
         return (self.n // self.b) * self.bucket_of_array(coords)
 
 
-def bucket_of(hashing: Hashing, i: GridIndex) -> GridIndex:
-    h = hashing.bucket_of_array(i.to_array()[None, :])[0]
-    return GridIndex.from_array(hashing.b, h)
-
-
-def offset(hashing: Hashing, i: GridIndex, j: GridIndex) -> GridIndex:
-    """o_i(j) = pi(j) - (n/b) h(i) mod n."""
-    pi_j = hashing.perm.forward_array(j.to_array()[None, :])[0]
-    center = hashing.center_of_array(i.to_array()[None, :])[0]
-    return GridIndex.from_array(hashing.n, (pi_j - center) % hashing.n)
-
-
 def is_isolated(
-    i: GridIndex,
-    S: Iterable[GridIndex],
+    i: int,
+    S: np.ndarray,
     hashing: Hashing,
     scale: int | None = None,
     alpha: float = 0.25,
 ) -> bool:
-    """Whether i's bucket neighborhood is sparse enough in pi(S - {i}).
+    """Whether flat index i's bucket neighborhood is sparse enough in
+    pi(S - {i}), S an array of flat indices.
 
     At scale t, at most (2 pi)^(-dF) * alpha^(d/2) * 2^((t+1)d) * 2^t elements
     of pi(S - {i}) may fall in the ell_inf ball of radius (n/b) 2^t around
     i's bucket center. scale=None checks every scale.
     """
     n, d, b = hashing.n, hashing.d, hashing.b
-    others = [j for j in S if j != i]
-    if not others:
+    S = np.asarray(S, dtype=np.int64)
+    others = S[S != i]
+    if not others.size:
         return True
-    coords = np.stack([j.to_array() for j in others])
-    pi = hashing.perm.forward_array(coords)
-    center = hashing.center_of_array(i.to_array()[None, :])[0]
+    coords = np.stack(np.unravel_index(np.append(others, i), (n,) * d), axis=-1)
+    pi = hashing.perm.forward_array(coords[:-1])
+    center = hashing.center_of_array(coords[-1:])[0]
     delta = (pi - center) % n
     dist = np.minimum(delta, n - delta).max(axis=1)
 

@@ -41,6 +41,7 @@ from .core import (
     SparseApprox,
     Tunables,
     _first_seen,
+    _log4,
     _loglog2,
     estimation_bucket_count,
     location_bucket_count,
@@ -85,11 +86,6 @@ class RunStats:
             + self.samples_infnorm
             + self.samples_constsnr
         )
-
-
-def _log4(N: int) -> float:
-    """Fourth power of log2(N); the per-round SNR shrink factor."""
-    return math.log2(max(4, N)) ** 4
 
 
 def _union_locations(mset: MeasurementSet, chi: SparseApprox) -> np.ndarray:

@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .core import ParameterError, SparseApprox, is_power_of_two
+from .core import ParameterError, SparseApprox, bucket_side
 from .dense_dft import fft_grid, forward_dft
 from .filters import (
     FlatWindow,
@@ -45,13 +45,6 @@ __all__ = ["semi_equispaced_fft", "shifted_semi_equispaced"]
 def _cached_window(n: int, d: int, b: int, c: int) -> tuple[FlatWindow, np.ndarray]:
     fw = build_flat_window(n, d, b, c)
     return fw, fw.g_dense_axis()
-
-
-def _axis_side(B: int, d: int) -> int:
-    b = round(B ** (1.0 / d))
-    if b**d != B or not is_power_of_two(b):
-        raise ParameterError(f"B={B} is not a power of 2^d for d={d}")
-    return b
 
 
 def _signed_box_sources(n: int, two_b: int) -> np.ndarray:
@@ -92,11 +85,11 @@ def _windowed_box(x: SparseApprox, b: int, c: int) -> np.ndarray:
     spacing = n // two_b
     sample_times = np.arange(two_b, dtype=np.int64) * spacing
     y = np.zeros((two_b,) * d, dtype=np.complex128)
-    for idx, val in x.items():
+    for coords, val in zip(x.coords_array().tolist(), x.values.tolist()):
         positions = []
         weights = []
         for axis in range(d):
-            w = g_dense[(sample_times - idx.coords[axis]) % n]
+            w = g_dense[(sample_times - coords[axis]) % n]
             nz = np.flatnonzero(w)
             positions.append(nz)
             weights.append(w[nz])
@@ -117,7 +110,7 @@ def semi_equispaced_fft(x: SparseApprox, B: int, c: int) -> np.ndarray:
     if c < 2:
         raise ParameterError(f"precision exponent must be >= 2, got c={c}")
     n, d = x.n, x.d
-    b = _axis_side(B, d)
+    b = bucket_side(B, d)
     two_b = 2 * b
     if len(x) == 0:
         return np.zeros((two_b,) * d, dtype=np.complex128)
@@ -145,14 +138,14 @@ def shifted_semi_equispaced(
     n, d = x.n, x.d
     if perm.n != n or perm.d != d:
         raise ParameterError("permutation grid does not match the signal grid")
-    b = _axis_side(B, d)
+    b = bucket_side(B, d)
     if len(x) == 0:
         return np.zeros((2 * b,) * d, dtype=np.complex128)
 
     # x*_j = omega^(q.j) x_{Sigma^{-T} j}: support moves to Sigma^T t and the
     # value picks up the phase omega^((Sigma q) . t).
     coords = x.coords_array()
-    sq = (perm.sigma @ perm.q.to_array()) % n
+    sq = (perm.sigma @ perm.q) % n
     expo = (coords @ sq) % n
     phases = np.exp(2j * np.pi * expo / n)
     moved = np.ravel_multi_index(((coords @ perm.sigma) % n).T, (n,) * d)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sparsefft import DenseSignal, GridIndex, SparseApprox
+from sparsefft import DenseSignal, SparseApprox
 from sparsefft.dense_dft import fft_axes
 from sparsefft.estimation import coordinatewise_median
 from sparsefft.filters import BucketFilter
@@ -71,9 +71,10 @@ def exact_spectrum_at(x: SparseApprox, points: np.ndarray) -> np.ndarray:
 
 
 def brute_bucket_sums(
-    y_time: np.ndarray, hashing: Hashing, a: GridIndex
+    y_time: np.ndarray, hashing: Hashing, a: np.ndarray
 ) -> np.ndarray:
-    """Bucket values u_h = sum_j G(pi(j) - (n/b) h) y_j w^(a . Sigma j).
+    """Bucket values u_h = sum_j G(pi(j) - (n/b) h) y_j w^(a . Sigma j)
+    for a (d,) modulation a.
 
     y_time is the dense time-domain residual; the sum runs over every grid
     index for every bucket, with G read from the hashing's per-axis window.
@@ -82,7 +83,7 @@ def brute_bucket_sums(
     idx = all_indices(n, d)
     pi = hashing.perm.forward_array(idx)
     table = root_table(n)
-    expo = (idx @ (hashing.perm.sigma.T @ a.to_array())) % n
+    expo = (idx @ (hashing.perm.sigma.T @ np.asarray(a))) % n
     phased = y_time.reshape(-1) * table[expo]
     g_axis = hashing.filter.g_axis
     out = np.empty((b,) * d, dtype=np.complex128)
@@ -96,24 +97,23 @@ def random_sparse_time(
     n: int, d: int, k: int, rng: np.random.Generator, min_mag: float = 0.5
 ) -> SparseApprox:
     """k distinct time-domain spikes with magnitudes in [min_mag, min_mag + 1)."""
-    N = n**d
-    flat = rng.choice(N, size=k, replace=False)
-    coords = np.stack(np.unravel_index(flat, (n,) * d), axis=1)
-    entries = {}
-    for row in coords:
+    flat = rng.choice(n**d, size=k, replace=False)
+    values = []
+    for _ in range(k):
         mag = min_mag + rng.random()
         phase = rng.random() * 2 * np.pi
-        entries[GridIndex.from_array(n, row)] = mag * np.exp(1j * phase)
-    return SparseApprox(n, d, entries)
+        values.append(mag * np.exp(1j * phase))
+    return SparseApprox.from_flat(n, d, flat, values)
 
 
-def flat_of(indices) -> np.ndarray:
-    """Row-major flat indices of GridIndex objects, by plain arithmetic."""
+def flat_of(coords: np.ndarray, n: int) -> np.ndarray:
+    """Row-major flat indices of an (m, d) coordinate array, by plain
+    arithmetic."""
     out = []
-    for idx in indices:
+    for row in np.asarray(coords).tolist():
         flat = 0
-        for c in idx.coords:
-            flat = flat * idx.n + c
+        for c in row:
+            flat = flat * n + c
         out.append(flat)
     return np.array(out, dtype=np.int64)
 
@@ -162,7 +162,7 @@ def reference_locate(mset, r: int) -> tuple[np.ndarray, np.ndarray]:
             fvec[:, s] += scale * np.where(n_pass == 1, passed.argmax(axis=0), 0)
             scale *= base
     rows = (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n
-    found = dict.fromkeys(flat_of(GridIndex.from_array(n, row) for row in rows).tolist())
+    found = dict.fromkeys(flat_of(rows, n).tolist())
     return np.array(list(found), dtype=np.int64), ~alive
 
 
@@ -195,22 +195,22 @@ def reference_fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
 def reference_estimate(
     xhat: DenseSignal,
     chi: SparseApprox,
-    locations: list[GridIndex],
+    locations: np.ndarray,
     filt: BucketFilter,
     r_max: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """Median estimates at each (distinct) location from r_max separate
+    """Median estimates at each (distinct) flat location from r_max separate
     hash_to_bins calls, one repetition at a time: (estimates in location
     order, samples read)."""
     n, d, b, B, F = xhat.n, xhat.d, filt.b, filt.B, filt.F
-    coords = np.stack([f.to_array() for f in locations])
+    coords = np.stack(np.unravel_index(locations, (n,) * d), axis=-1)
     m = coords.shape[0]
     w = np.empty((r_max, m), dtype=np.complex128)
     samples = 0
     for rep in range(r_max):
         perm = sample_permutation(n, d, rng)
-        z = GridIndex.from_array(n, rng.integers(0, n, size=d))
+        z = rng.integers(0, n, size=d)
         hashing = Hashing(perm, filt)
         u = hash_to_bins(xhat, SparseApprox.empty(n, d), hashing, z).reshape(-1)
         samples += filt.support_size
@@ -221,11 +221,11 @@ def reference_estimate(
             flat = flat * b + buckets[:, ax]
         read = u[flat]
         if len(chi):
-            read = read - _chi_buckets(chi, hashing, z.to_array()[None, :], buckets)[0]
+            read = read - _chi_buckets(chi, hashing, z[None, :], buckets)[0]
         offsets = (pi - (n // b) * buckets) % n
         gain = filt.g_at(offsets)
         sig_f = (coords @ perm.sigma.T) % n
-        expo = (sig_f @ z.to_array()) % n
+        expo = (sig_f @ z) % n
         w[rep] = read / gain * np.exp(-2j * np.pi * expo / n)
     return coordinatewise_median(w), samples
 

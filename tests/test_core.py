@@ -5,42 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
 from sparsefft import (
     DenseSignal,
-    GridIndex,
+    DimensionError,
     ParameterError,
     RecoveryParams,
     SparseApprox,
     Tunables,
     digit_base,
 )
-from sparsefft.core import estimation_bucket_count, location_bucket_count, unit_roots
-
-
-class TestGridIndex:
-    def test_wraps_negative_and_large_coords(self):
-        assert GridIndex(8, (9,)).coords == (1,)
-        assert GridIndex(8, (-1,)).coords == (7,)
-
-    def test_adding_a_full_turn_is_identity(self):
-        i = GridIndex(16, (3, 11))
-        for axis in range(2):
-            e = GridIndex(16, tuple(16 * np.eye(2, dtype=np.int64)[axis]))
-            assert i + e == i
-
-    @given(st.integers(0, 63), st.integers(0, 63))
-    def test_add_sub_roundtrip(self, a, b):
-        i, j = GridIndex(64, (a,)), GridIndex(64, (b,))
-        assert (i + j) - j == i
-
-    def test_incompatible_grids_rejected(self):
-        with pytest.raises(ParameterError):
-            GridIndex(8, (1,)) + GridIndex(16, (1,))
-        with pytest.raises(ParameterError):
-            GridIndex(12, (1,))
+from sparsefft.core import (
+    _log4,
+    bucket_side,
+    estimation_bucket_count,
+    location_bucket_count,
+    unit_roots,
+)
 
 
 class TestDenseSignal:
@@ -52,11 +32,6 @@ class TestDenseSignal:
                 n=8, d=1, values=np.zeros(8, dtype=np.complex128), domain="spectral"
             )
 
-    def test_at_reads_single_entries(self, rng):
-        vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        sig = DenseSignal(n=8, d=2, values=vals, domain="time")
-        assert sig.at(GridIndex(8, (3, 5))) == vals[3, 5]
-
     def test_norm2_matches_numpy(self, rng):
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         sig = DenseSignal(n=16, d=1, values=vals, domain="frequency")
@@ -65,35 +40,27 @@ class TestDenseSignal:
 
 class TestSparseApprox:
     def test_zero_values_are_never_stored(self):
-        x = SparseApprox(8, 1, {GridIndex(8, (1,)): 0.0, GridIndex(8, (2,)): 1.0})
+        x = SparseApprox.from_flat(8, 1, [1, 2], [0.0, 1.0])
         assert len(x) == 1
-        y = x + SparseApprox(8, 1, {GridIndex(8, (2,)): -1.0})
+        y = x + SparseApprox.from_flat(8, 1, [2], [-1.0])
         assert len(y) == 0
 
     def test_norms_match_numpy(self, rng):
-        entries = {
-            GridIndex(32, (int(i),)): complex(v)
-            for i, v in zip(
-                rng.choice(32, 6, replace=False),
-                rng.standard_normal(6) + 1j * rng.standard_normal(6),
-            )
-        }
-        x = SparseApprox(32, 1, entries)
-        vals = np.array(list(entries.values()))
+        flat = rng.choice(32, 6, replace=False)
+        vals = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        x = SparseApprox.from_flat(32, 1, flat, vals)
         assert x.norm1() == pytest.approx(np.abs(vals).sum())
         assert x.norm2() == pytest.approx(np.linalg.norm(vals))
         assert x.norm_inf() == pytest.approx(np.abs(vals).max())
 
     def test_largest_keeps_the_m_biggest(self):
-        x = SparseApprox(
-            16, 1, {GridIndex(16, (i,)): float(i + 1) for i in range(5)}
-        )
+        x = SparseApprox.from_flat(16, 1, range(5), [float(i + 1) for i in range(5)])
         top = x.largest(2)
-        assert top.support() == {GridIndex(16, (3,)), GridIndex(16, (4,))}
+        assert top.support() == {3, 4}
 
     def test_drop_below_prunes_small_entries(self):
-        x = SparseApprox(16, 1, {GridIndex(16, (0,)): 1.0, GridIndex(16, (1,)): 1e-9})
-        assert x.drop_below(1e-6).support() == {GridIndex(16, (0,))}
+        x = SparseApprox.from_flat(16, 1, [0, 1], [1.0, 1e-9])
+        assert x.drop_below(1e-6).support() == {0}
 
     def test_magnitude_order_follows_abs(self):
         # np.abs rounds |v| one ulp above abs(v) = 1.1870274009931936, onto
@@ -102,9 +69,9 @@ class TestSparseApprox:
         v = -0.1321048632913019 - 1.179653489717825j
         w = 1.1870274009931938 + 0j
         assert abs(v) < abs(w)
-        x = SparseApprox(16, 1, {GridIndex(16, (0,)): v, GridIndex(16, (1,)): w})
-        assert x.largest(1).support() == {GridIndex(16, (1,))}
-        assert x.drop_below(abs(v)).support() == {GridIndex(16, (1,))}
+        x = SparseApprox.from_flat(16, 1, [0, 1], [v, w])
+        assert x.largest(1).support() == {1}
+        assert x.drop_below(abs(v)).support() == {1}
 
     def test_sum_keeps_first_seen_order_and_drops_cancellations(self):
         a = SparseApprox.from_flat(16, 1, [5, 2, 9], [1.0, 2.0 + 1j, 0.1])
@@ -112,7 +79,7 @@ class TestSparseApprox:
         total = a + b
         assert total.flat.tolist() == [5, 9, 7]
         assert total.values.tolist() == [1.0, 0.1 + 0.2, 4.0]
-        assert list(total) == [GridIndex(16, (f,)) for f in (5, 9, 7)]
+        assert list(total.entries) == [5, 9, 7]
 
     def test_largest_keeps_insertion_order_on_ties(self):
         x = SparseApprox.from_flat(16, 1, [3, 1, 4, 2], [1.0, 2.0, -2.0, 2j])
@@ -132,10 +99,18 @@ class TestSparseApprox:
         with pytest.raises(ParameterError):
             SparseApprox.from_flat(2**21, 3, [0], [1.0])
         top = SparseApprox.from_flat(2**31, 2, [2**62 - 1], [1.0])
-        assert top.support() == {GridIndex(2**31, (2**31 - 1, 2**31 - 1))}
+        assert top.coords_array().tolist() == [[2**31 - 1, 2**31 - 1]]
+
+    def test_incompatible_grids_rejected(self):
+        with pytest.raises(DimensionError):
+            SparseApprox(8, 1) + SparseApprox(16, 1)
+        with pytest.raises(DimensionError):
+            SparseApprox(8, 1) + SparseApprox(8, 2)
+        with pytest.raises(ParameterError):
+            SparseApprox(12, 1)
 
     def test_to_dense_roundtrips_support(self, rng):
-        x = SparseApprox(16, 2, {GridIndex(16, (3, 4)): 2.0 + 1j})
+        x = SparseApprox.from_flat(16, 2, [3 * 16 + 4], [2.0 + 1j])
         dense = x.to_dense(domain="time")
         assert dense.values[3, 4] == 2.0 + 1j
         assert np.count_nonzero(dense.values) == 1
@@ -196,6 +171,28 @@ class TestRecoveryParams:
         assert p.tunables.ratio_tolerance < math.sin(math.pi / p.delta)
         # Base 2 roots sit at distance 2 apart, so 0.75 is still exact there.
         RecoveryParams.derive(1024, 1, 8, tunables=Tunables(ratio_tolerance=0.75))
+
+
+class TestBucketSide:
+    @pytest.mark.parametrize("B,d,b", [(8, 1, 8), (64, 2, 8), (512, 3, 8), (16, 2, 4), (1, 3, 1)])
+    def test_returns_the_axis_side(self, B, d, b):
+        assert bucket_side(B, d) == b
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("B", [-64, -8, -4, -1, 0, 12, 32 * 3])
+    def test_rejects_every_other_count(self, B, d):
+        with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
+            bucket_side(B, d)
+
+    def test_params_read_b_from_it(self):
+        p = RecoveryParams.derive(64, 2, 8)
+        assert p.b == bucket_side(p.B, 2) == 32
+
+
+def test_log4_is_floored_at_four_points():
+    assert _log4(2) == _log4(4) == 16.0
+    for N in (8, 1024, 2**20, 2**40):
+        assert _log4(N) == math.log2(N) ** 4
 
 
 class TestBucketCountCap:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from sparsefft import (
     DenseSignal,
-    GridIndex,
     ParameterError,
     ScaleGuardError,
     SparseApprox,
@@ -36,7 +35,7 @@ def lib_freq(values_time, n, d):
 
 
 def identity_hashing(n: int, B: int, F: int) -> Hashing:
-    perm = SpectrumPermutation(n, np.array([[1]], dtype=np.int64), GridIndex.zero(n, 1))
+    perm = SpectrumPermutation(n, np.array([[1]], dtype=np.int64), np.zeros(1))
     return Hashing(perm, cached_bucket_filter(n, 1, B, F))
 
 
@@ -81,12 +80,12 @@ class TestQuantileTop:
 class TestClosedForms:
     def test_lone_tone_has_zero_noise_everywhere(self, rng):
         n, d = 64, 1
-        i0 = GridIndex(n, (9,))
-        x = SparseApprox(n, d, {i0: 2.0 + 1.0j})
+        i0 = 9
+        x = SparseApprox.from_flat(n, d, [i0], [2.0 + 1.0j])
         hashing = identity_hashing(n, 8, 4)
         profile = compute_noise_profile(
             dense_time(x),
-            SparseApprox(n, d, {}),
+            SparseApprox(n, d),
             [i0],
             [hashing],
             *plain_probes(8),
@@ -105,13 +104,13 @@ class TestClosedForms:
         # scale-3 budget (2 pi)^-2 sqrt(alpha) 2^7 is 1.6 at alpha = 0.25 and
         # 3.1 at alpha = 0.9, so only the larger alpha calls 0 isolated there.
         n, d = 256, 1
-        heavy = [GridIndex(n, (c,)) for c in (0, 20, 25)]
-        x = SparseApprox(n, d, {f: 1.0 + 0j for f in heavy})
+        heavy = np.array([0, 20, 25])
+        x = SparseApprox.from_flat(n, d, heavy, np.ones(3))
         flags = {}
         for alpha in (0.25, 0.9):
             profile = compute_noise_profile(
                 dense_time(x),
-                SparseApprox(n, d, {}),
+                SparseApprox(n, d),
                 heavy,
                 [identity_hashing(n, 64, 2)],
                 *plain_probes(8),
@@ -126,13 +125,13 @@ class TestClosedForms:
         # the same bucket: head_0 = G(3) |x_j| / G(0), a direct table lookup.
         n, d = 64, 1
         filt = cached_bucket_filter(n, 1, 8, 4)
-        i0, j0 = GridIndex(n, (0,)), GridIndex(n, (3,))
+        i0, j0 = 0, 3
         vj = 0.75 - 0.5j
-        x = SparseApprox(n, d, {i0: 1.0 + 0j, j0: vj})
+        x = SparseApprox.from_flat(n, d, [i0, j0], [1.0, vj])
         hashing = identity_hashing(n, 8, 4)
         profile = compute_noise_profile(
             dense_time(x),
-            SparseApprox(n, d, {}),
+            SparseApprox(n, d),
             [i0, j0],
             [hashing],
             *plain_probes(8),
@@ -146,13 +145,13 @@ class TestClosedForms:
     def test_single_tail_spike_mu_and_tail_formula(self):
         n, d = 64, 1
         filt = cached_bucket_filter(n, 1, 8, 4)
-        i0, j0 = GridIndex(n, (0,)), GridIndex(n, (3,))
+        i0, j0 = 0, 3
         tail_mag = 0.25
-        x = SparseApprox(n, d, {i0: 1.0 + 0j, j0: tail_mag + 0j})
+        x = SparseApprox.from_flat(n, d, [i0, j0], [1.0, tail_mag])
         hashing = identity_hashing(n, 8, 4)
         profile = compute_noise_profile(
             dense_time(x),
-            SparseApprox(n, d, {}),
+            SparseApprox(n, d),
             [i0],
             [hashing],
             *plain_probes(8),
@@ -168,9 +167,9 @@ class TestClosedForms:
 
     def test_chi_subtraction_enters_residual_and_head(self):
         n, d = 64, 1
-        i0, j0 = GridIndex(n, (0,)), GridIndex(n, (3,))
-        x = SparseApprox(n, d, {i0: 1.0 + 0j, j0: 1.0 + 0j})
-        chi = SparseApprox(n, d, {j0: 1.0 + 0j})
+        i0, j0 = 0, 3
+        x = SparseApprox.from_flat(n, d, [i0, j0], [1.0, 1.0])
+        chi = SparseApprox.from_flat(n, d, [j0], [1.0])
         hashing = identity_hashing(n, 8, 4)
         profile = compute_noise_profile(
             dense_time(x),
@@ -190,7 +189,7 @@ class TestCertificationImpliesLocation:
     def test_certified_pairs_are_always_found(self, rng):
         n, d, k = 1024, 1, 4
         params = RecoveryParams.derive(n, d, k)
-        empty = SparseApprox(n, d, {})
+        empty = SparseApprox(n, d)
         certified_pairs = 0
         for _ in range(6):
             x = random_sparse_time(n, d, k, rng, min_mag=1.0)
@@ -201,7 +200,7 @@ class TestCertificationImpliesLocation:
             profile = compute_noise_profile(
                 DenseSignal(n=n, d=d, values=xt, domain="time"),
                 empty,
-                list(x.support()),
+                x.flat,
                 mset.hashings,
                 mset.alphas,
                 mset.betas,
@@ -210,10 +209,10 @@ class TestCertificationImpliesLocation:
             found_by_r = [
                 set(locate_signal(mset, r, empty).found.tolist()) for r in range(params.r_max)
             ]
-            for i, flat in zip(x, x.flat.tolist()):
+            for i in x.flat.tolist():
                 for r in profile.certified_hashings(i):
                     certified_pairs += 1
-                    assert flat in found_by_r[r]
+                    assert i in found_by_r[r]
         assert certified_pairs >= 50
 
     def test_profile_shapes_and_nonnegativity(self, rng):
@@ -225,8 +224,8 @@ class TestCertificationImpliesLocation:
         mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
         profile = compute_noise_profile(
             DenseSignal(n=n, d=d, values=xt, domain="time"),
-            SparseApprox(n, d, {}),
-            list(x.support()),
+            SparseApprox(n, d),
+            x.flat,
             mset.hashings,
             mset.alphas,
             mset.betas,
@@ -246,7 +245,7 @@ class TestCertificationImpliesLocation:
             profile.mu_per_hashing,
         ):
             assert (arr >= 0.0).all()
-        assert sorted(profile.heavy, key=lambda g: g.coords) == profile.heavy
+        assert profile.heavy.tolist() == sorted(x.flat.tolist())
 
 
 class TestGuardsAndValidation:
@@ -257,8 +256,8 @@ class TestGuardsAndValidation:
         with pytest.raises(ScaleGuardError):
             compute_noise_profile(
                 dense_time(x),
-                SparseApprox(n, d, {}),
-                list(x.support()),
+                SparseApprox(n, d),
+                x.flat,
                 [identity_hashing(n, 8, 4)],
                 *plain_probes(8),
                 ORIGIN,
@@ -272,11 +271,11 @@ class TestGuardsAndValidation:
         probes = plain_probes(8)
         no_probes = (probes[0][:0], probes[1][:0])
         shifts = ORIGIN
-        S = list(x.support())
+        S = x.flat
         with pytest.raises(ParameterError):
             compute_noise_profile(
                 lib_freq(dense_time(x).values, n, d),
-                SparseApprox(n, d, {}),
+                SparseApprox(n, d),
                 S,
                 [hashing],
                 *probes,
@@ -284,17 +283,17 @@ class TestGuardsAndValidation:
             )
         with pytest.raises(ParameterError):
             compute_noise_profile(
-                dense_time(x), SparseApprox(n, d, {}), [], [hashing], *probes, shifts
+                dense_time(x), SparseApprox(n, d), [], [hashing], *probes, shifts
             )
         with pytest.raises(ParameterError):
             compute_noise_profile(
-                dense_time(x), SparseApprox(n, d, {}), S, [hashing], *no_probes, shifts
+                dense_time(x), SparseApprox(n, d), S, [hashing], *no_probes, shifts
             )
         with pytest.raises(ParameterError):
             compute_noise_profile(
                 dense_time(x),
-                SparseApprox(n, d, {}),
-                [GridIndex(128, (0,))],
+                SparseApprox(n, d),
+                [n],
                 [hashing],
                 *probes,
                 shifts,

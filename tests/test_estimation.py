@@ -8,7 +8,7 @@ grow.
 import numpy as np
 import pytest
 
-from sparsefft import DenseSignal, GridIndex, ParameterError, SparseApprox
+from sparsefft import DenseSignal, ParameterError, SparseApprox
 from sparsefft.dense_dft import fft_grid
 from sparsefft.diagnostics import quantile_top
 from sparsefft.filters import cached_bucket_filter
@@ -18,7 +18,7 @@ from sparsefft.estimation import (
     estimate_values,
 )
 
-from oracles import dense_time, flat_of, random_sparse_time, reference_estimate
+from oracles import dense_time, random_sparse_time, reference_estimate
 
 
 def lib_freq(values_time, n, d):
@@ -85,28 +85,26 @@ class TestExactTones:
         n, d = 256, 1
         for _ in range(5):
             x = random_sparse_time(n, d, 1, rng)
-            i0 = next(iter(x))
             batch = estimate_values(
                 lib_freq(dense_time(x).values, n, d),
-                SparseApprox(n, d, {}),
-                flat_of([i0]),
+                SparseApprox(n, d),
+                x.flat,
                 128,
                 0.0,
                 5,
                 rng=rng,
             )
-            assert abs(batch.estimates[0] - x.get(i0)) < 1e-7
-            assert i0 in batch.kept
+            assert abs(batch.estimates[0] - x.values[0]) < 1e-7
+            assert batch.kept.flat.tolist() == x.flat.tolist()
 
     def test_residual_estimation_subtracts_chi(self, rng):
         n, d = 256, 1
         x = random_sparse_time(n, d, 1, rng)
-        i0 = next(iter(x))
-        part = SparseApprox(n, d, {i0: 0.25 * x.get(i0)})
+        part = SparseApprox.from_flat(n, d, x.flat, 0.25 * x.values)
         batch = estimate_values(
-            lib_freq(dense_time(x).values, n, d), part, flat_of([i0]), 128, 0.0, 5, rng=rng
+            lib_freq(dense_time(x).values, n, d), part, x.flat, 128, 0.0, 5, rng=rng
         )
-        assert abs(batch.estimates[0] - 0.75 * x.get(i0)) < 1e-6
+        assert abs(batch.estimates[0] - 0.75 * x.values[0]) < 1e-6
 
     @pytest.mark.parametrize("n,d", [(256, 1), (16, 2), (8, 3)])
     def test_chi_subtraction_matches_explicit_residual(self, n, d, rng):
@@ -123,7 +121,7 @@ class TestExactTones:
         )
         residual = estimate_values(
             lib_freq(x_time - dense_time(chi).values, n, d),
-            SparseApprox(n, d, {}),
+            SparseApprox(n, d),
             *args,
             rng=np.random.default_rng(5),
         )
@@ -134,23 +132,21 @@ class TestExactTones:
     def test_well_spread_tones_estimated_together(self, rng):
         n, d, k = 1024, 1, 5
         x = random_sparse_time(n, d, k, rng)
-        ghosts = [GridIndex(n, (int(g),)) for g in rng.integers(0, n, size=3)]
-        ghosts = [g for g in ghosts if g not in x.support()]
+        ghosts = np.setdiff1d(rng.integers(0, n, size=3), x.flat)
         floor = min(abs(v) for v in x.entries.values())
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
-            SparseApprox(n, d, {}),
-            np.concatenate([x.flat, flat_of(ghosts)]),
+            SparseApprox(n, d),
+            np.concatenate([x.flat, ghosts]),
             512,
             0.25 * floor,
             7,
             rng=rng,
         )
-        for f, est in zip(x, batch.estimates):
-            assert abs(est - x.get(f)) < 0.05 * floor
-            assert f in batch.kept
-        for g in ghosts:
-            assert g not in batch.kept
+        for v, est in zip(x.values, batch.estimates):
+            assert abs(est - v) < 0.05 * floor
+        assert x.support() <= batch.kept.support()
+        assert not set(ghosts.tolist()) & batch.kept.support()
 
 
 class TestMatchesPerRepetitionLoop:
@@ -168,18 +164,18 @@ class TestMatchesPerRepetitionLoop:
             rng.normal(size=shape) + 1j * rng.normal(size=shape)
         )
         xhat = lib_freq(x_time, n, d)
-        entries = list(x.items())
-        chi = SparseApprox(n, d, {f: 0.5 * v for f, v in entries[:2]})
-        chi = chi + SparseApprox(n, d, {GridIndex.from_array(n, rng.integers(0, n, size=d)): 0.2j})
-        extra = [GridIndex.from_array(n, row) for row in rng.integers(0, n, size=(5, d))]
-        L = list(dict.fromkeys(list(x.support()) + extra))
+        chi = SparseApprox.from_flat(n, d, x.flat[:2], 0.5 * x.values[:2])
+        spike = np.ravel_multi_index(rng.integers(0, n, size=d), shape)
+        chi = chi + SparseApprox.from_flat(n, d, [spike], [0.2j])
+        extra = np.ravel_multi_index(rng.integers(0, n, size=(5, d)).T, shape)
+        L = np.array(list(dict.fromkeys(x.flat.tolist() + extra.tolist())))
         r_max = 5
         fast = np.random.default_rng(11)
-        batch = estimate_values(xhat, chi, flat_of(L), b**d, 0.0, r_max, rng=fast)
+        batch = estimate_values(xhat, chi, L, b**d, 0.0, r_max, rng=fast)
         slow = np.random.default_rng(11)
         filt = cached_bucket_filter(n, d, b**d, 2 * d)
         want, samples = reference_estimate(xhat, chi, L, filt, r_max, slow)
-        assert np.array_equal(batch.locations, flat_of(L))
+        assert np.array_equal(batch.locations, L)
         assert np.array_equal(batch.estimates, want)
         assert batch.samples == samples
         assert fast.bit_generator.state == slow.bit_generator.state
@@ -188,23 +184,18 @@ class TestMatchesPerRepetitionLoop:
 class TestThresholding:
     def test_kept_is_exactly_above_nu(self, rng):
         n, d = 256, 1
-        entries = {
-            GridIndex(n, (10,)): 1.0 + 0j,
-            GridIndex(n, (100,)): 0.2 + 0j,
-            GridIndex(n, (200,)): 0.9j,
-        }
-        x = SparseApprox(n, d, entries)
+        x = SparseApprox.from_flat(n, d, [10, 100, 200], [1.0, 0.2, 0.9j])
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
-            SparseApprox(n, d, {}),
-            flat_of(entries),
+            SparseApprox(n, d),
+            x.flat,
             128,
             0.5,
             5,
             rng=rng,
         )
-        expected = {f for f, e in zip(entries, batch.estimates) if abs(e) > 0.5}
-        assert batch.kept.support() == expected == {GridIndex(n, (10,)), GridIndex(n, (200,))}
+        expected = {f for f, e in zip(x.flat.tolist(), batch.estimates) if abs(e) > 0.5}
+        assert batch.kept.support() == expected == {10, 200}
         assert batch.kept.values.tolist() == [e for e in batch.estimates if abs(e) > 0.5]
 
     def test_nu_above_everything_keeps_nothing(self, rng):
@@ -212,7 +203,7 @@ class TestThresholding:
         x = random_sparse_time(n, d, 2, rng)
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
-            SparseApprox(n, d, {}),
+            SparseApprox(n, d),
             x.flat,
             128,
             10.0 * x.norm_inf(),
@@ -230,24 +221,23 @@ class TestBookkeeping:
         xhat = lib_freq(dense_time(x).values, n, d)
         L = x.flat
         for r in (1, 4, 9):
-            batch = estimate_values(xhat, SparseApprox(n, d, {}), L, 16, 0.0, r, rng=rng)
+            batch = estimate_values(xhat, SparseApprox(n, d), L, 16, 0.0, r, rng=rng)
             # d=1 and F=2 give a support of F*b + 1 = 33 offsets per pass.
             assert batch.samples == r * 33
 
     def test_duplicate_locations_collapse(self, rng):
         n, d = 256, 1
         x = random_sparse_time(n, d, 1, rng)
-        i0 = next(iter(x))
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
-            SparseApprox(n, d, {}),
-            flat_of([i0, i0, i0]),
+            SparseApprox(n, d),
+            np.repeat(x.flat, 3),
             16,
             0.0,
             3,
             rng=rng,
         )
-        assert batch.locations.tolist() == flat_of([i0]).tolist()
+        assert batch.locations.tolist() == x.flat.tolist()
         assert batch.estimates.shape == (1,)
         assert batch.samples == 3 * 33
 
@@ -256,7 +246,7 @@ class TestBookkeeping:
         x = random_sparse_time(n, d, 1, rng)
         batch = estimate_values(
             lib_freq(dense_time(x).values, n, d),
-            SparseApprox(n, d, {}),
+            SparseApprox(n, d),
             [],
             128,
             0.0,
@@ -275,7 +265,7 @@ class TestBookkeeping:
         for _ in range(2):
             batch = estimate_values(
                 xhat,
-                SparseApprox(n, d, {}),
+                SparseApprox(n, d),
                 L,
                 128,
                 0.0,
@@ -289,7 +279,7 @@ class TestBookkeeping:
         n, d = 64, 1
         x = random_sparse_time(n, d, 1, rng)
         xhat = lib_freq(dense_time(x).values, n, d)
-        chi = SparseApprox(n, d, {})
+        chi = SparseApprox(n, d)
         L = x.flat
         with pytest.raises(ParameterError):
             estimate_values(dense_time(x), chi, L, 16, 0.0, 3, rng=rng)
@@ -319,7 +309,7 @@ class TestFailureRateDecay:
         n, d = 256, 1
         eps, alpha, nu, mu = 0.1, 0.25, 0.5, 0.5
         thr = np.sqrt(eps * alpha) * (nu + mu)
-        empty = SparseApprox(n, d, {})
+        empty = SparseApprox(n, d)
         rates = {}
         trials = 250
         for r in (7, 15):

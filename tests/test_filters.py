@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsefft import ParameterError
+from sparsefft import ParameterError, RecoveryParams, SparseApprox
 from sparsefft.filters import (
     build_bucket_filter,
     build_flat_window,
@@ -20,6 +20,8 @@ from sparsefft.filters import (
     max_window_beta,
     required_window_beta,
 )
+
+from sparsefft.semi_equispaced import semi_equispaced_fft
 
 from oracles import direct_transform
 
@@ -111,23 +113,19 @@ class TestBucketFilterSpectrum:
 class TestBucketFilterTensor:
     def test_2d_value_is_product_of_axes(self):
         filt = build_bucket_filter(64, 2, 64, 4)
-        from sparsefft import GridIndex
-
         rng = np.random.default_rng(11)
         for _ in range(50):
             j1, j2 = (int(v) for v in rng.integers(0, 64, 2))
             expected = filt.g_axis[j1] * filt.g_axis[j2]
-            assert filt.g_value(GridIndex(64, (j1, j2))) == pytest.approx(expected)
+            assert filt.g_at(np.array([j1, j2])) == pytest.approx(expected)
 
     def test_vectorized_gather_agrees_with_scalar(self):
         filt = build_bucket_filter(64, 2, 64, 4)
         rng = np.random.default_rng(12)
         offs = rng.integers(0, 64, size=(20, 2))
-        from sparsefft import GridIndex
-
         gathered = filt.g_at(offs)
         for row, got in zip(offs, gathered):
-            assert got == pytest.approx(filt.g_value(GridIndex(64, tuple(int(v) for v in row))))
+            assert got == pytest.approx(filt.g_at(row))
 
     def test_2d_bounds_exhaustive_n64(self):
         filt = build_bucket_filter(64, 2, 64, 4)
@@ -154,6 +152,21 @@ class TestBucketFilterValidation:
         with pytest.raises(ParameterError):
             build_bucket_filter(64, 2, 32, 4)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("B", [-4, -8, -64])
+    def test_negative_bucket_count_is_a_parameter_error(self, d, B):
+        # A negative B has a complex d-th root; it must not reach round().
+        with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
+            build_bucket_filter(16, d, B, 2 * d)
+        with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
+            RecoveryParams(
+                n=16, d=d, k=1, epsilon=1.0, mu=0.0, r_star=2.0, F=2 * d, B=B,
+                r_max=3, c_max=8, T=1,
+            )
+        x = SparseApprox.from_flat(16, d, [1], [1.0])
+        with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
+            semi_equispaced_fft(x, B, 2)
+
     def test_too_few_buckets_rejected(self):
         with pytest.raises(ParameterError):
             build_bucket_filter(64, 1, 2, 4)
@@ -176,15 +189,6 @@ class TestFlatWindowIdeal:
         fw = build_flat_window(256, 1, 32, 2)
         right = fw.ghat_ideal_axis[: 128]
         assert np.all(np.diff(right) <= 1e-15)
-
-    def test_ideal_value_is_product_over_axes(self):
-        from sparsefft import GridIndex
-
-        fw = build_flat_window(64, 2, 16, 2)
-        axis = fw.ghat_ideal_axis
-        for coords in [(0, 0), (7, 60), (9, 3), (20, 20)]:
-            expected = axis[coords[0]] * axis[coords[1]]
-            assert fw.ideal_value(GridIndex(64, coords)) == expected
 
 
 class TestFlatWindowAccuracy:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sparsefft.cli import main
-from sparsefft.core import ParameterError
+from sparsefft.core import ParameterError, Tunables
 from sparsefft.harness import (
     CSV_HEADER,
     SIGNAL_MODELS,
@@ -62,7 +62,7 @@ class TestGenerateSignal:
         )
         x, truth, _ = generate_signal(spec, seed=11)
         for idx, val in truth.entries.items():
-            assert x.values[idx.coords] == val
+            assert x.values.reshape(-1)[idx] == val
 
     def test_heads_clear_twice_mu_at_minimum_snr(self):
         spec = ExperimentSpec(
@@ -195,11 +195,11 @@ class TestSweep:
     def test_tunables_sweep_by_name(self):
         spec = ExperimentSpec(n=256, d=1, k=4, seeds=[0, 1])
         results = run_sweep(spec, "alpha", [0.25, 0.5])
-        # 0.25 is the default, so only the spec hash (which names the swept
-        # constants) and the timings may differ from the plain run.
-        plain = [rec.row()[1:-2] for rec in run_experiment(spec)]
-        assert [rec.row()[1:-2] for rec in results[0.25]] == plain
-        assert [rec.row()[1:-2] for rec in results[0.5]] != plain
+        # 0.25 is the default, so only the timings may differ from the plain
+        # run; the spec hash ignores constants at their default values.
+        plain = [rec.row()[:-2] for rec in run_experiment(spec)]
+        assert [rec.row()[:-2] for rec in results[0.25]] == plain
+        assert [rec.row()[:-2] for rec in results[0.5]] != plain
         # Values take the declared type: snr_keep_factor is an int slice bound.
         with pytest.raises(ParameterError, match="bad value for snr_keep_factor"):
             run_sweep(spec, "snr_keep_factor", [2.5])
@@ -242,6 +242,17 @@ class TestSerialization:
         assert len(spec_digest(spec)) == 12
         assert spec_digest(replace(spec, k=5)) != spec_digest(spec)
         assert spec_digest(replace(spec, seeds=[1])) != spec_digest(spec)
+
+    def test_digest_names_only_constants_that_change_the_recovery(self):
+        spec = ExperimentSpec(n=256, d=1, k=4)
+        digest = spec_digest(spec)
+        assert spec_digest(replace(spec, constants={})) == digest
+        assert spec_digest(replace(spec, constants={"alpha": 0.25})) == digest
+        scaled = spec_digest(replace(spec, constants={"bucket_scale": 6.0}))
+        assert scaled != digest
+        assert spec_digest(replace(spec, constants={"bucket_scale": 6})) == scaled
+        both = {"bucket_scale": 6.0, "alpha": 0.25}
+        assert spec_digest(replace(spec, constants=both)) == scaled
 
     def test_spec_dict_round_trip(self):
         spec = ExperimentSpec(
@@ -403,6 +414,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and message in err
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"n": "64", "d": 1, "k": 2}, "n must be of type int, got '64'"),
+            ({"n": 64, "d": 1, "k": 2.5}, "k must be of type int, got 2.5"),
+            ({"n": 64, "d": 1, "k": 2, "seeds": [0.5]}, "seeds must be of type list[int]"),
+            (
+                {"n": 64, "d": 1, "k": 2, "constants": {"snr_keep_factor": 2.5}},
+                "snr_keep_factor must be of type int, got 2.5",
+            ),
+        ],
+    )
+    def test_run_reports_mistyped_spec_values(self, tmp_path, capsys, data, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--spec", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
     def test_selftest_passes_and_exits_zero(self, capsys):
         code = main(["selftest"])
         out = capsys.readouterr().out
@@ -442,3 +473,16 @@ class TestSpecValidation:
         spec = ExperimentSpec(n=64, d=1, k=4, constants={"no_such_knob": 1.0})
         with pytest.raises(ParameterError):
             spec.tunables()
+
+    def test_rejects_mistyped_fields(self):
+        # An int field takes an int but not a bool; a float field takes both
+        # ints and floats.
+        for bad in ({"d": True}, {"k": 4.0}, {"seeds": [0, "1"]}, {"B": 64.0}):
+            with pytest.raises(ParameterError, match="must be of type"):
+                ExperimentSpec(**{"n": 64, "d": 1, "k": 4, **bad})
+        ExperimentSpec(n=64, d=1, k=4, snr=10, epsilon=1, r_star=4, B=16)
+        with pytest.raises(ParameterError, match="snr_keep_factor must be of type int"):
+            Tunables(snr_keep_factor=4.0)
+        with pytest.raises(ParameterError, match="alpha must be of type float"):
+            Tunables(alpha=True)
+        assert Tunables(bucket_scale=6).bucket_scale == 6

@@ -11,7 +11,6 @@ import pytest
 
 from sparsefft import (
     DenseSignal,
-    GridIndex,
     ParameterError,
     RecoveryParams,
     SparseApprox,
@@ -28,7 +27,7 @@ from sparsefft.hashing_measurements import (
     update_residual_measurements,
 )
 from sparsefft.location import _balanced_axes
-from sparsefft.permutation import Hashing, bucket_of, offset, sample_permutation
+from sparsefft.permutation import Hashing, sample_permutation
 
 from oracles import (
     brute_bucket_sums,
@@ -60,18 +59,19 @@ class TestSingleTone:
         table = root_table(n)
         for _ in range(10):
             hashing = make_hashing(n, d, B, F, rng)
-            i0 = GridIndex(n, (int(rng.integers(n)),))
+            i0 = np.array([[int(rng.integers(n))]])
             v = complex(rng.normal(), rng.normal())
-            x = SparseApprox(n, d, {i0: v})
-            a = GridIndex(n, (int(rng.integers(n)),))
-            u = hash_to_bins(freq_signal(dense_time(x), n, d), SparseApprox(n, d, {}), hashing, a)
+            x = SparseApprox.from_flat(n, d, i0[0], [v])
+            a = np.array([int(rng.integers(n))])
+            u = hash_to_bins(freq_signal(dense_time(x), n, d), SparseApprox(n, d), hashing, a)
 
-            gain = hashing.filter.g_value(offset(hashing, i0, i0))
-            expo = int((a.to_array() @ hashing.perm.sigma @ i0.to_array()) % n)
+            pi = hashing.perm.forward_array(i0)
+            gain = hashing.filter.g_at(pi - hashing.center_of_array(i0))[0]
+            expo = int((a @ hashing.perm.sigma @ i0[0]) % n)
             expected = gain * v * table[expo]
-            assert abs(u[bucket_of(hashing, i0).coords] - expected) < 1e-8
+            assert abs(u[tuple(hashing.bucket_of_array(i0)[0])] - expected) < 1e-8
 
-            pi = hashing.perm.forward(i0).coords[0]
+            pi = int(pi[0, 0])
             for j in range(B):
                 delta = (pi - (n // B) * j) % n
                 dist = min(delta, n - delta)
@@ -83,7 +83,7 @@ class TestSingleTone:
         x = random_sparse_time(n, d, 6, rng)
         xhat = freq_signal(dense_time(x), n, d)
         hashing = make_hashing(n, d, 8, 4, rng)
-        u = hash_to_bins(xhat, x, hashing, GridIndex.zero(n, d))
+        u = hash_to_bins(xhat, x, hashing, np.zeros(d, dtype=np.int64))
         assert np.max(np.abs(u)) <= 1e-6 * x.norm2()
 
 
@@ -97,7 +97,7 @@ class TestBruteForceIdentity:
             hashing = make_hashing(n, d, B, F, rng)
             x_time = rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d)
             chi = random_sparse_time(n, d, k_chi, rng)
-            a = GridIndex.from_array(n, rng.integers(0, n, size=d))
+            a = rng.integers(0, n, size=d)
             u = hash_to_bins(freq_signal(x_time, n, d), chi, hashing, a)
             residual = x_time - dense_time(chi).values
             expected = brute_bucket_sums(residual, hashing, a)
@@ -106,7 +106,7 @@ class TestBruteForceIdentity:
     def test_linearity_of_bucketing(self, rng):
         n, d, B, F = 64, 1, 8, 4
         hashing = make_hashing(n, d, B, F, rng)
-        a = GridIndex(n, (3,))
+        a = np.array([3])
         x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         x2 = rng.normal(size=n) + 1j * rng.normal(size=n)
         chi1 = random_sparse_time(n, d, 3, rng)
@@ -121,12 +121,10 @@ class TestBruteForceIdentity:
         # 300 entries against B=8 exceeds the 4*max(B, 64) advisory line.
         n, d = 512, 1
         hashing = make_hashing(n, d, 8, 4, rng)
-        chi_big = SparseApprox(
-            n, d, {GridIndex(n, (t,)): 1.0 + 0j for t in range(300)}
-        )
+        chi_big = SparseApprox.from_flat(n, d, np.arange(300), np.ones(300))
         xhat = freq_signal(dense_time(chi_big), n, d)
         with pytest.warns(RuntimeWarning):
-            hash_to_bins(xhat, chi_big, hashing, GridIndex.zero(n, d))
+            hash_to_bins(xhat, chi_big, hashing, np.zeros(d, dtype=np.int64))
 
 
 class TestMeanBucketNoise:
@@ -135,7 +133,7 @@ class TestMeanBucketNoise:
         # squared mass per axis is a few times n/b, so C stays single-digit.
         n, d, B, F = 256, 1, 8, 4
         x_time = rng.normal(size=n) + 1j * rng.normal(size=n)
-        i0 = GridIndex(n, (17,))
+        i0 = np.array([[17]])
         energy = float(np.sum(np.abs(x_time) ** 2))
         x_tail = x_time.copy()
         x_tail[17] = 0.0
@@ -144,7 +142,7 @@ class TestMeanBucketNoise:
         for _ in range(trials):
             hashing = make_hashing(n, d, B, F, rng)
             pi_all = hashing.perm.forward_array(np.arange(n)[:, None])
-            center = hashing.center_of_array(i0.to_array()[None, :])[0]
+            center = hashing.center_of_array(i0)[0]
             gains = hashing.filter.g_axis[(pi_all[:, 0] - center[0]) % n]
             total += float((gains**2 * np.abs(x_tail) ** 2).sum())
         assert total / trials <= 4.0 * energy / B
@@ -203,9 +201,9 @@ class TestAcquisition:
         x_time = rng.normal(size=256) + 1j * rng.normal(size=256)
         xhat = freq_signal(x_time, 256, 1)
         mset = acquire_measurements(xhat, params, rng)
-        empty = SparseApprox(256, 1, {})
+        empty = SparseApprox(256, 1)
         for r, t, w in [(0, 0, 0), (1, 2, 1), (2, 1, 3)]:
-            a = GridIndex(256, tuple(mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]))
+            a = (mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]) % 256
             direct = hash_to_bins(xhat, empty, mset.hashings[r], a)
             assert np.allclose(mset.buckets[r, t, w], direct.reshape(-1), atol=1e-10)
 
@@ -241,7 +239,7 @@ class TestResidualUpdates:
         _, _, _, mset = self._setup(rng)
         before = mset.buckets.copy()
         counter = mset.sample_counter
-        update_residual_measurements(mset, SparseApprox(256, 1, {}))
+        update_residual_measurements(mset, SparseApprox(256, 1))
         assert np.array_equal(mset.buckets, before)
         assert mset.sample_counter == counter
 
@@ -262,7 +260,7 @@ class TestResidualUpdates:
         update_residual_measurements(mset, chi)
         scale = float(np.abs(mset.buckets).max())
         for r, t, w in [(0, 0, 0), (1, 3, 2)]:
-            a = GridIndex(256, tuple(mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]))
+            a = (mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]) % 256
             fresh = hash_to_bins(xhat, chi, mset.hashings[r], a)
             assert np.max(np.abs(mset.buckets[r, t, w] - fresh.reshape(-1))) < 1e-6 * max(
                 scale, 1.0
@@ -277,7 +275,7 @@ class TestResidualUpdates:
     def test_grid_mismatch_rejected(self, rng):
         _, _, _, mset = self._setup(rng)
         with pytest.raises(ParameterError):
-            update_residual_measurements(mset, SparseApprox(128, 1, {}))
+            update_residual_measurements(mset, SparseApprox(128, 1))
 
 
 

@@ -11,19 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsefft import DenseSignal, GridIndex, ParameterError
+from sparsefft import DenseSignal, ParameterError
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.permutation import (
     Hashing,
     SpectrumPermutation,
     apply_P,
-    bucket_of,
     is_isolated,
-    offset,
     sample_permutation,
 )
 
-from oracles import all_indices, direct_transform, root_table
+from oracles import all_indices, direct_transform, flat_of, root_table
 
 
 def make_hashing(n, d, B, F, rng):
@@ -53,7 +51,7 @@ class TestSampling:
 
     def test_even_determinant_rejected(self):
         with pytest.raises(ParameterError):
-            SpectrumPermutation(n=16, sigma=np.array([[2]]), q=GridIndex.zero(16, 1))
+            SpectrumPermutation(n=16, sigma=np.array([[2]]), q=np.zeros(1))
 
     def test_limited_independence_collision_bound(self, rng):
         # Pr[|Sigma(i - j)| <= t] <= 2 (2t/n)^d plus sampling slack for
@@ -63,9 +61,7 @@ class TestSampling:
         # (8/3) / (n/2)^2 = 32/(3 n^2), above 8/n^2. The t=1 check pins
         # that parity-exact value instead.
         n, d = 16, 2
-        i = GridIndex(n, (3, 7))
-        j = GridIndex(n, (12, 2))
-        diff = (i - j).to_array()
+        diff = (np.array([3, 7]) - np.array([12, 2])) % n
         trials = 100_000
         hits = {1: 0, 2: 0, 4: 0}
         for _ in range(trials):
@@ -87,32 +83,43 @@ class TestSampling:
 class TestPermuteIndex:
     def test_shift_origin_maps_to_zero(self, rng):
         perm = sample_permutation(32, 2, rng)
-        assert perm.forward(perm.q) == GridIndex.zero(32, 2)
+        assert perm.forward_array(perm.q[None, :]).tolist() == [[0, 0]]
 
     def test_identity_permutation(self):
-        perm = SpectrumPermutation(n=8, sigma=np.eye(2, dtype=np.int64), q=GridIndex.zero(8, 2))
-        for coords in [(0, 0), (3, 5), (7, 7)]:
-            i = GridIndex(8, coords)
-            assert perm.forward(i) == i
+        perm = SpectrumPermutation(n=8, sigma=np.eye(2, dtype=np.int64), q=np.zeros(2))
+        coords = np.array([(0, 0), (3, 5), (7, 7)])
+        assert np.array_equal(perm.forward_array(coords), coords)
 
     def test_exhaustive_bijectivity_n8_d2(self, rng):
         perm = sample_permutation(8, 2, rng)
-        images = {perm.forward(GridIndex(8, tuple(row))) for row in all_indices(8, 2)}
-        assert len(images) == 64
+        images = perm.forward_array(all_indices(8, 2))
+        assert np.unique(flat_of(images, 8)).size == 64
 
     def test_inverse_index_round_trip(self, rng):
+        # pi^-1(y) = Sigma^-1 y + q mod n undoes pi.
         perm = sample_permutation(32, 2, rng)
-        for row in rng.integers(0, 32, size=(25, 2)):
-            i = GridIndex(32, tuple(int(v) for v in row))
-            assert perm.inverse_index(perm.forward(i)) == i
+        coords = rng.integers(0, 32, size=(25, 2))
+        back = (perm.forward_array(coords) @ perm.sigma_inv.T + perm.q) % 32
+        assert np.array_equal(back, coords)
 
     def test_forward_array_matches_scalar(self, rng):
         perm = sample_permutation(32, 2, rng)
         coords = rng.integers(0, 32, size=(10, 2))
         batch = perm.forward_array(coords)
         for row, out in zip(coords, batch):
-            want = perm.forward(GridIndex(32, tuple(int(v) for v in row)))
-            assert tuple(out) == want.coords
+            want = [
+                sum(int(perm.sigma[r, c]) * (int(row[c]) - int(perm.q[c])) for c in range(2)) % 32
+                for r in range(2)
+            ]
+            assert out.tolist() == want
+
+    def test_shift_is_a_read_only_residue_vector(self):
+        perm = SpectrumPermutation(n=8, sigma=np.eye(2, dtype=np.int64), q=[9, -1])
+        assert perm.q.tolist() == [1, 7] and perm.q.dtype == np.int64
+        with pytest.raises(ValueError):
+            perm.q[0] = 0
+        with pytest.raises(ParameterError):
+            SpectrumPermutation(n=8, sigma=np.eye(2, dtype=np.int64), q=[1, 2, 3])
 
 
 class TestApplyP:
@@ -121,8 +128,8 @@ class TestApplyP:
         xhat = DenseSignal(
             n=n, d=d, values=rng.normal(size=n) + 1j * rng.normal(size=n), domain="frequency"
         )
-        perm = SpectrumPermutation(n=n, sigma=np.eye(1, dtype=np.int64), q=GridIndex.zero(n, 1))
-        out = apply_P(perm, GridIndex.zero(n, 1), xhat)
+        perm = SpectrumPermutation(n=n, sigma=np.eye(1, dtype=np.int64), q=np.zeros(1))
+        out = apply_P(perm, np.zeros(1, dtype=np.int64), xhat)
         assert np.allclose(out.values, xhat.values, atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(8, 1), (8, 2)])
@@ -132,20 +139,19 @@ class TestApplyP:
         table = root_table(n)
         for _ in range(10):
             perm = sample_permutation(n, d, rng)
-            a = GridIndex.from_array(n, rng.integers(0, n, size=d))
+            a = rng.integers(0, n, size=d)
             x = rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d)
             xhat = direct_transform(x, n, d).reshape((n,) * d)
             permuted = apply_P(
                 perm, a, DenseSignal(n=n, d=d, values=xhat, domain="frequency")
             )
             back = direct_transform(permuted.values, n, d, inverse=True).reshape((n,) * d)
-            sig_a = (perm.sigma.T @ a.to_array()) % n
-            for row in all_indices(n, d):
-                i = GridIndex(n, tuple(row))
-                pi_i = perm.forward(i)
+            sig_a = (perm.sigma.T @ a) % n
+            rows = all_indices(n, d)
+            for row, pi_i in zip(rows, perm.forward_array(rows)):
                 expo = int(np.dot(sig_a, row)) % n
                 expected = x[tuple(row)] * table[expo]
-                assert abs(back[pi_i.coords] - expected) < 1e-9
+                assert abs(back[tuple(pi_i)] - expected) < 1e-9
 
     def test_l2_norm_preserved(self, rng):
         n, d = 16, 2
@@ -156,7 +162,7 @@ class TestApplyP:
             domain="frequency",
         )
         perm = sample_permutation(n, d, rng)
-        a = GridIndex.from_array(n, rng.integers(0, n, size=d))
+        a = rng.integers(0, n, size=d)
         out = apply_P(perm, a, xhat)
         assert np.linalg.norm(out.values) == pytest.approx(
             np.linalg.norm(xhat.values), abs=1e-10
@@ -166,24 +172,22 @@ class TestApplyP:
         x = DenseSignal(n=8, d=1, values=np.zeros(8, dtype=complex), domain="time")
         perm = sample_permutation(8, 1, rng)
         with pytest.raises(ParameterError):
-            apply_P(perm, GridIndex.zero(8, 1), x)
+            apply_P(perm, np.zeros(1, dtype=np.int64), x)
 
 
 class TestBucketMap:
     def test_zero_lands_in_bucket_zero(self, rng):
         h = make_hashing(64, 1, 8, 4, rng)
-        i = h.perm.inverse_index(GridIndex.zero(64, 1))
-        assert bucket_of(h, i) == GridIndex.zero(8, 1)
+        i = h.perm.q[None, :]  # pi(q) = 0
+        assert h.bucket_of_array(i).tolist() == [[0]]
 
     def test_rounding_example_pi36(self, rng):
         # pi(i) = 36 on a 64-ring with 8 buckets rounds to bucket 5 and the
         # bucket center sits 4 <= 8 away.
-        while True:
-            h = make_hashing(64, 1, 8, 4, rng)
-            i = h.perm.inverse_index(GridIndex(64, (36,)))
-            if h.perm.forward(i).coords == (36,):
-                break
-        assert bucket_of(h, i) == GridIndex(8, (5,))
+        h = make_hashing(64, 1, 8, 4, rng)
+        i = (h.perm.sigma_inv @ [36] + h.perm.q) % 64
+        assert h.perm.forward_array(i[None, :]).tolist() == [[36]]
+        assert h.bucket_of_array(i[None, :]).tolist() == [[5]]
         assert abs(8 * 5 - 36) <= 8
 
     def test_center_distance_invariant_exhaustive(self, rng):
@@ -205,40 +209,47 @@ class TestBucketMap:
         assert int(dist.max()) <= 16 // 4
 
 
+def offset(h, i, j):
+    """o_i(j) = pi(j) - (n/b) h(i) mod n for (m, d) coordinate arrays."""
+    return (h.perm.forward_array(j) - h.center_of_array(i)) % h.n
+
+
 class TestOffsets:
     def test_own_offset_stays_on_filter_plateau(self, rng):
         for _ in range(20):
             h = make_hashing(64, 1, 8, 4, rng)
-            i = GridIndex(64, (int(rng.integers(64)),))
-            o = offset(h, i, i)
-            assert max(min(c, 64 - c) for c in o.coords) <= 64 // 16
-            assert abs(h.filter.g_value(o)) >= (2 * np.pi) ** -4
+            i = rng.integers(64, size=(1, 1))
+            o = offset(h, i, i)[0]
+            assert max(min(c, 64 - c) for c in o.tolist()) <= 64 // 16
+            assert abs(h.filter.g_at(o)) >= (2 * np.pi) ** -4
 
     def test_trivial_geometry_gives_plain_difference(self):
         n = 16
-        perm = SpectrumPermutation(n=n, sigma=np.eye(1, dtype=np.int64), q=GridIndex.zero(n, 1))
+        perm = SpectrumPermutation(n=n, sigma=np.eye(1, dtype=np.int64), q=np.zeros(1))
         filt = cached_bucket_filter(n, 1, 16, 4)
         h = Hashing(perm, filt)
-        i, j = GridIndex(n, (5,)), GridIndex(n, (9,))
-        assert offset(h, i, j) == j - i
+        i, j = np.array([[5]]), np.array([[9]])
+        assert offset(h, i, j).tolist() == ((j - i) % n).tolist()
 
     @given(st.integers(min_value=0, max_value=4095))
     @settings(max_examples=40, deadline=None)
     def test_offset_recomputes_from_parts(self, raw):
+        # The center of i's bucket is (n/b) times the nearest-bucket rounding
+        # (ties up) of pi(i) * b/n, computed here one coordinate at a time.
         rng = np.random.default_rng(raw)
         h = make_hashing(64, 2, 64, 4, rng)
-        i = GridIndex(64, (raw % 64, (raw // 64) % 64))
-        j = GridIndex(64, (int(rng.integers(64)), int(rng.integers(64))))
-        pi_j = h.perm.forward(j)
-        center = GridIndex.from_array(64, (64 // 8) * bucket_of(h, i).to_array())
-        assert offset(h, i, j) == pi_j - center
+        i = np.array([[raw % 64, (raw // 64) % 64]])
+        j = rng.integers(64, size=(1, 2))
+        pi_i, pi_j = h.perm.forward_array(i)[0], h.perm.forward_array(j)[0]
+        center = [8 * ((int(p) + 4) // 8 % 8) for p in pi_i]
+        want = [(int(p) - c) % 64 for p, c in zip(pi_j, center)]
+        assert offset(h, i, j)[0].tolist() == want
 
 
 class TestIsolation:
     def test_empty_rest_is_isolated(self, rng):
         h = make_hashing(64, 1, 8, 4, rng)
-        i = GridIndex(64, (3,))
-        assert is_isolated(i, [i], h)
+        assert is_isolated(3, np.array([3]), h)
 
     def test_isolation_probability_floor(self, rng):
         # Random supports of size 2k under B >= 8 k / alpha^d buckets:
@@ -248,9 +259,8 @@ class TestIsolation:
         filt = cached_bucket_filter(n, d, B, 2)
         hits = 0
         trials = 500
-        coords = rng.choice(n, size=2 * k, replace=False)
-        S = [GridIndex(n, (int(v),)) for v in coords]
-        target = S[0]
+        S = rng.choice(n, size=2 * k, replace=False)
+        target = int(S[0])
         for _ in range(trials):
             h = Hashing(sample_permutation(n, d, rng), filt)
             if is_isolated(target, S, h, alpha=alpha):
