@@ -177,6 +177,17 @@ def _first_seen(flat: np.ndarray) -> np.ndarray:
     return flat[np.sort(first)]
 
 
+# Working set of one block in the streaming kernels (bucketing, residual
+# updates, location): 2^20 bytes, i.e. 2^16 complex128 entries, so a block
+# and its temporaries stay in cache.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes bytes each that fit one block, at least one."""
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
+
+
 @dataclass
 class DenseSignal:
     """A complex signal over the full grid, tagged with its domain.
@@ -390,8 +401,17 @@ class Tunables:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
+        for name, hint in _declared_types(type(self)):
+            value = getattr(self, name)
+            if hint is float and not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in (0,1), got {self.alpha}")
+        if self.vote_fraction > 1.0:
+            raise ParameterError(f"vote_fraction must be <= 1, got {self.vote_fraction}")
+        for name in ("snr_keep_factor", "diagnostic_budget"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _loglog2(n_total: int) -> float:
@@ -441,7 +461,15 @@ class RecoveryParams:
             raise ParameterError("need mu >= 0 and r_star >= 1")
         if self.F % 2 != 0 or self.F < 2 * self.d:
             raise ParameterError(f"F must be even and >= 2d, got F={self.F}, d={self.d}")
-        bucket_side(self.B, self.d)
+        # Checked before the bucket side, which a grid of n <= 2 cannot fit.
+        if self.delta >= self.n:
+            raise ParameterError(
+                f"digit base {self.delta} needs a grid side above {self.delta}"
+            )
+        if bucket_side(self.B, self.d) > self.n:
+            raise ParameterError(
+                f"B={self.B} needs {self.b} buckets per axis, more than n={self.n}"
+            )
         if self.B < self.k:
             raise ParameterError(f"need B >= k, got B={self.B} < k={self.k}")
         if min(self.r_max, self.c_max, self.T) < 1:

@@ -5,14 +5,14 @@ for a hashing and a modulation a it reads the spectrum on the filter's
 compact support, weights the samples by the filter, folds them onto the
 [b]^d ring, and takes one B-point inverse FFT. Bucket h(i) then holds
 sum_j G_{o_i(j)} x_j omega^(a . Sigma j) up to filter leakage. Any number of
-(hashing, modulation) rows share one sample table, one fold and one batched
-IFFT. The chi term is subtracted exactly in bucket space, from the filter's
-time-domain table (_chi_buckets), so it reads no spectrum samples.
+(hashing, modulation) rows can go through one call. The chi term is
+subtracted exactly in bucket space, from the filter's time-domain table
+(_chi_buckets), so it reads no spectrum samples.
 
 The callers are hash_to_bins (one row), acquire_measurements (one call per
-hashing, to bound memory) and estimation.estimate_values (one call for all
-its repetitions). acquire_measurements fills the full table the recovery
-loop consumes: r_max hashings, c_max probe pairs each (redrawn until
+hashing) and estimation.estimate_values (one call for all its
+repetitions). acquire_measurements fills the full table the recovery loop
+consumes: r_max hashings, c_max probe pairs each (redrawn until
 digit-balanced), and one measurement per shift vector in the location
 ladder. All later subtraction of recovered mass goes through
 update_residual_measurements, which applies the same exact rule to the
@@ -24,16 +24,29 @@ modulation a, MeasurementSet.alphas and .betas are (r_max, c_max, d), and
 .shifts is (S, d). chi enters as SparseApprox's flat indices, unravelled
 to (m, d) coordinates where the bucket formula needs them.
 
-The primitive is built to make few passes over memory:
+The kernels stream, so the stored bucket tables are the only arrays that
+grow with rows times B:
 
-- the spectrum gather runs in chunks of _GATHER_CHUNK = 2^16 entries, so
-  the int64 index temporaries (8 bytes each, 512 KiB per chunk) stay in
-  cache instead of streaming a multi-megabyte index array through memory;
-- samples land straight in the preallocated table and are weighted there
-  in place, then folded onto [b]^d in one pass (one pad, one reshape, one
-  sum per axis, one roll) before the batched IFFT;
-- every root of unity is a lookup in core.unit_roots, so no call evaluates
+- _bucket_tables works through its rows in blocks of about
+  core._BLOCK_BYTES (1 MiB) of samples. Each block is gathered with one
+  fancy index, weighted in place, folded, and inverted, and its (rows, B)
+  bucket values are written straight into the caller's array (for
+  acquisition, the hashing's slab of MeasurementSet.buckets). So neither a
+  full (rows, P) sample table nor a second (rows, B) copy ever exists.
+- The fold adds each support axis's length-b chunks in order and the
+  ragged last chunk onto the leading residues, so nothing is copied to pad
+  the support to a multiple of b.
+- update_residual_measurements builds each hashing's (|chi|, B) gains once
+  and subtracts the increment from the slab in row blocks, and the
+  acquisition's initial scale is a maximum over row blocks.
+- Every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
+
+Rows and buckets are independent, so the blocks only regroup work: every
+row and bucket comes out as in one pass over everything. The residual
+update's product is the one step whose rounding is the BLAS's; its blocks
+keep at least two rows, because numpy sends a one-row product to gemv,
+which rounds differently from gemm.
 """
 from __future__ import annotations
 
@@ -48,6 +61,7 @@ from .core import (
     ParameterError,
     RecoveryParams,
     SparseApprox,
+    _block_rows,
     unit_roots,
 )
 from .dense_dft import fft_axes
@@ -61,9 +75,6 @@ __all__ = [
     "acquire_measurements",
     "update_residual_measurements",
 ]
-
-_GATHER_CHUNK = 1 << 16  # spectrum entries gathered per index batch
-
 
 def _support_grid(filt: BucketFilter) -> np.ndarray:
     """All filter-support offsets as one (P, d) signed integer array."""
@@ -88,26 +99,34 @@ def _support_row(hashing: Hashing, grid: np.ndarray, gv: np.ndarray) -> np.ndarr
     return gv * unit_roots(n, 1)[expo]
 
 
+def _fold_axis(y: np.ndarray, axis: int, b: int) -> np.ndarray:
+    """Fold one support axis onto residues mod b: add its length-b chunks in
+    order, the ragged last chunk onto the leading residues only."""
+    width = y.shape[axis]
+    head = [slice(None)] * y.ndim
+    tail = [slice(None)] * y.ndim
+    head[axis] = slice(0, b)
+    out = y[tuple(head)].copy()
+    for lo in range(b, width, b):
+        hi = min(lo + b, width)
+        head[axis], tail[axis] = slice(0, hi - lo), slice(lo, hi)
+        out[tuple(head)] += y[tuple(tail)]
+    return out
+
+
 def _fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
     """(M, support-grid) weighted samples -> (M, B) bucket values.
 
-    Folds every support axis onto residues mod b in one pass: one zero pad
-    (only when the support width is not a multiple of b), one reshape to
-    (M, chunks, b, ..., chunks, b), and one sum per chunk axis in axis
-    order, which adds each entry's terms in the same order as folding one
-    axis at a time. The leading support offset becomes one roll.
+    Folds the support axes onto residues mod b one at a time, in axis
+    order, adding each entry's terms in chunk order, so the sums are those
+    of a zero-padded fold without the padded copy. The leading support
+    offset becomes one roll.
     """
     d, b = filt.d, filt.b
     M = y.shape[0]
-    width = len(filt.support)
-    chunks = -(-width // b)
-    y = y.reshape((M,) + (width,) * d)
-    pad = chunks * b - width
-    if pad:
-        y = np.pad(y, [(0, 0)] + [(0, pad)] * d)
-    y = y.reshape((M,) + (chunks, b) * d)
+    y = y.reshape((M,) + (len(filt.support),) * d)
     for axis in range(1, d + 1):
-        y = y.sum(axis=axis)
+        y = _fold_axis(y, axis, b)
     shift = int(filt.support[0]) % b
     axes = tuple(range(1, d + 1))
     if shift:
@@ -117,61 +136,89 @@ def _fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
     return u.reshape(M, b**d)
 
 
-def _gather_spectrum(
-    xhat: DenseSignal,
-    hashing: Hashing,
-    grid: np.ndarray,
-    mods: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Write the spectrum samples x-hat[Sigma^T (i - a)] for every offset i
-    and modulation a into the (M, P) array out.
-
-    Gathers one fancy index per chunk of whole modulations, each chunk about
-    _GATHER_CHUNK entries, so its index temporaries stay cache-resident."""
-    n, d = xhat.n, xhat.d
-    sigma = hashing.perm.sigma
-    # n is a power of two, so "& mask" is "mod n" (also for negative
-    # differences) and a row-major stride of n is a shift by log2(n) bits.
-    mask, bits = n - 1, n.bit_length() - 1
-    base = (grid @ sigma) & mask
-    shift = (np.asarray(mods, dtype=np.int64) @ sigma) & mask
-    xflat = xhat.values.reshape(-1)
-    P = base.shape[0]
-    step = max(1, _GATHER_CHUNK // max(P, 1))
-    for lo in range(0, shift.shape[0], step):
-        hi = min(lo + step, shift.shape[0])
-        flat = (base[None, :, 0] - shift[lo:hi, 0, None]) & mask
-        for ax in range(1, d):
-            flat <<= bits
-            flat |= (base[None, :, ax] - shift[lo:hi, ax, None]) & mask
-        out[lo:hi] = xflat[flat]
-
-
 def _bucket_tables(
     xhat: DenseSignal,
     filt: BucketFilter,
     hashings: list[Hashing],
     mods: list[np.ndarray],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bucket values of x-hat for every (hashing, modulation) row.
 
     mods[h] is an (M_h, d) array of modulations for hashings[h], and every
-    hashing uses filt. The rows are gathered hashing-major into one
-    (sum M_h, P) sample table, weighted in place by their hashing's filter
-    row, and folded and inverted together, giving a (sum M_h, B) array.
-    Reads P = filt.support_size samples per row; the caller accounts them.
+    hashing uses filt. Rows run hashing-major. They are streamed in blocks
+    of about _BLOCK_BYTES of samples: each block of x-hat[Sigma^T (i - a)]
+    over the support offsets i is gathered, weighted by its hashings'
+    filter rows, folded and inverted, and its (rows, B) bucket values go
+    straight into out, a (sum M_h, B) array (allocated when None), which is
+    returned. Reads P = filt.support_size samples per row; the caller
+    accounts them.
     """
+    n, d = xhat.n, xhat.d
     grid = _support_grid(filt)
     gv = _support_values(filt)
-    samples = np.empty((sum(len(m) for m in mods), grid.shape[0]), dtype=np.complex128)
-    lo = 0
+    P = grid.shape[0]
+    M = sum(len(m) for m in mods)
+    if out is None:
+        out = np.empty((M, filt.B), dtype=np.complex128)
+    step = _block_rows(16 * P)
+    block = np.empty((min(step, M), P), dtype=np.complex128)
+    xflat = xhat.values.reshape(-1)
+    # n is a power of two, so "& mask" is "mod n" (also for negative
+    # differences) and a row-major stride of n is a shift by log2(n) bits.
+    mask, bits = n - 1, n.bit_length() - 1
+    filled = done = 0
     for hashing, m in zip(hashings, mods):
-        rows = samples[lo : lo + len(m)]
-        _gather_spectrum(xhat, hashing, grid, m, rows)
-        rows *= _support_row(hashing, grid, gv)
-        lo += len(m)
-    return _fold_and_invert(samples, filt)
+        sigma = hashing.perm.sigma
+        base = (grid @ sigma) & mask
+        weight = _support_row(hashing, grid, gv)
+        shift = (np.asarray(m, dtype=np.int64) @ sigma) & mask
+        lo = 0
+        while lo < len(shift):
+            hi = min(lo + step - filled, len(shift))
+            flat = (base[None, :, 0] - shift[lo:hi, 0, None]) & mask
+            for ax in range(1, d):
+                flat <<= bits
+                flat |= (base[None, :, ax] - shift[lo:hi, ax, None]) & mask
+            np.multiply(xflat[flat], weight, out=block[filled : filled + hi - lo])
+            filled += hi - lo
+            lo = hi
+            if filled == step:
+                out[done : done + filled] = _fold_and_invert(block, filt)
+                done, filled = done + filled, 0
+    if filled:
+        out[done : done + filled] = _fold_and_invert(block[:filled], filt)
+    return out
+
+
+def _chi_weights(
+    chi: SparseApprox, hashing: Hashing, cells: np.ndarray | None = None
+) -> np.ndarray:
+    """Filter gain G(pi(t) - (n/b) j) of every chi entry t at every bucket j,
+    as a complex (|chi|, B) array, or (|chi|, m) at the bucket coordinates
+    `cells` (an (m, d) array)."""
+    n, d, b = hashing.n, hashing.d, hashing.b
+    pi = hashing.perm.forward_array(chi.coords_array())
+    g_axis = hashing.filter.g_axis
+    if cells is None:
+        centers = (n // b) * np.arange(b, dtype=np.int64)
+        weights = g_axis[(pi[:, 0, None] - centers) % n]
+        for ax in range(1, d):
+            extra = g_axis[(pi[:, ax, None] - centers) % n]
+            weights = (weights[:, :, None] * extra[:, None, :]).reshape(len(chi), -1)
+    else:
+        offsets = (pi[:, None, :] - (n // b) * cells[None, :, :]) % n
+        weights = g_axis[offsets].prod(axis=-1)
+    return weights.astype(np.complex128)
+
+
+def _chi_phases(chi: SparseApprox, hashing: Hashing, mods: np.ndarray) -> np.ndarray:
+    """chi_t * omega^(a . Sigma t) for every modulation row a of the (M, d)
+    array mods and every chi entry t, as an (M, |chi|) array."""
+    n = hashing.n
+    sig_t = (chi.coords_array() @ hashing.perm.sigma.T) % n
+    expo = (mods @ sig_t.T) % n
+    return unit_roots(n, 1)[expo] * chi.values
 
 
 def _chi_buckets(
@@ -187,22 +234,7 @@ def _chi_buckets(
     (M, m) at the bucket coordinates `cells` (an (m, d) array), which costs
     O(m * |chi| * d) and builds no (|chi|, B) table. Reads no samples.
     """
-    n, d, b = hashing.n, hashing.d, hashing.b
-    coords = chi.coords_array()
-    pi = hashing.perm.forward_array(coords)
-    g_axis = hashing.filter.g_axis
-    if cells is None:
-        centers = (n // b) * np.arange(b, dtype=np.int64)
-        weights = g_axis[(pi[:, 0, None] - centers) % n]
-        for ax in range(1, d):
-            extra = g_axis[(pi[:, ax, None] - centers) % n]
-            weights = (weights[:, :, None] * extra[:, None, :]).reshape(len(coords), -1)
-    else:
-        offsets = (pi[:, None, :] - (n // b) * cells[None, :, :]) % n
-        weights = g_axis[offsets].prod(axis=-1)
-    sig_t = (coords @ hashing.perm.sigma.T) % n
-    expo = (mods @ sig_t.T) % n
-    return (unit_roots(n, 1)[expo] * chi.values) @ weights
+    return _chi_phases(chi, hashing, mods) @ _chi_weights(chi, hashing, cells)
 
 
 def hash_to_bins(
@@ -336,8 +368,6 @@ def acquire_measurements(
         raise ParameterError("parameter grid does not match the signal grid")
     n, d = params.n, params.d
     delta = params.delta
-    if delta >= n:
-        raise ParameterError(f"digit base {delta} needs a grid side above {delta}")
     bases, shifts = _digit_ladder(n, d, delta)
     filt = cached_bucket_filter(n, d, params.B, params.F)
 
@@ -353,9 +383,7 @@ def acquire_measurements(
     counter = 0
     for r, hashing in enumerate(hashings):
         mods = _modulations(alphas[r], betas[r], shifts, n)
-        buckets[r] = _bucket_tables(xhat, filt, [hashing], [mods]).reshape(
-            params.c_max, S, params.B
-        )
+        _bucket_tables(xhat, filt, [hashing], [mods], out=buckets[r].reshape(-1, params.B))
         counter += mods.shape[0] * filt.support_size
     return MeasurementSet(
         params=params,
@@ -366,9 +394,30 @@ def acquire_measurements(
         group_bases=bases,
         buckets=buckets,
         sample_counter=counter,
-        initial_scale=float(np.abs(buckets).max()) if buckets.size else 0.0,
+        initial_scale=_max_abs(buckets.reshape(-1, params.B)),
         source=xhat,
     )
+
+
+def _max_abs(table: np.ndarray) -> float:
+    """Largest magnitude in a 2-D complex table (0 when empty), taken one
+    block of rows at a time."""
+    step = _block_rows(16 * table.shape[1])
+    peaks = [np.abs(table[lo : lo + step]).max() for lo in range(0, len(table), step)]
+    return float(np.max(peaks)) if peaks else 0.0
+
+
+def _product_blocks(rows: int, step: int) -> list[tuple[int, int]]:
+    """(lo, hi) row blocks of about step rows for a blocked matrix product.
+
+    numpy hands a one-row product to gemv, which rounds differently from the
+    gemm of the whole product, so a block has at least two rows whenever
+    the product does.
+    """
+    edges = list(range(0, rows, max(2, step))) + [rows]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def update_residual_measurements(
@@ -379,14 +428,21 @@ def update_residual_measurements(
     The contribution of entry t to bucket j under (hashing, modulation a) is
     G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t); it is computed exactly
     from the filter tables, so no spectrum reads happen and repeated updates
-    stay consistent with refreshing from scratch.
+    stay consistent with refreshing from scratch. Each hashing builds its
+    (|chi|, B) weights once and subtracts the increment from its slab one
+    block of rows at a time, so no (M, B) increment is ever formed.
     """
     if chi_delta.n != mset.n or chi_delta.d != mset.d:
         raise ParameterError("chi_delta does not live on the measurement grid")
     if len(chi_delta) == 0:
         return mset
+    B = mset.params.B
+    step = _block_rows(16 * B)
     for r, hashing in enumerate(mset.hashings):
         mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
-        increment = _chi_buckets(chi_delta, hashing, mods)
-        mset.buckets[r] -= increment.reshape(mset.buckets[r].shape)
+        phases = _chi_phases(chi_delta, hashing, mods)
+        weights = _chi_weights(chi_delta, hashing)
+        slab = mset.buckets[r].reshape(-1, B)
+        for lo, hi in _product_blocks(len(slab), step):
+            slab[lo:hi] -= phases[lo:hi] @ weights
     return mset

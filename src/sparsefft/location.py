@@ -22,6 +22,12 @@ every digit whose root index digit * beta_s mod base is that nearest root.
 Buckets that fail a group are dropped from the working set, so later groups
 decode only the survivors. `found` lists the decoded indices as row-major
 flat int64 indices in bucket order, each once.
+
+Every bucket decodes on its own, so locate_signal works through the bucket
+columns in blocks of about core._BLOCK_BYTES per probe-row array and
+concatenates the blocks' results in bucket order; `found` and `failed` are
+those of one pass over all columns, and the (c_max, B) temporaries of a
+large table never exist.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ParameterError, SparseApprox, _first_seen, unit_roots
+from .core import ParameterError, SparseApprox, _block_rows, _first_seen, unit_roots
 
 if TYPE_CHECKING:
     from .hashing_measurements import MeasurementSet
@@ -68,24 +74,42 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
     argument names the subtracted approximation and pins its grid). `found`
     holds flat indices in bucket order; duplicates across buckets are merged.
     """
-    params = mset.params
-    tun = params.tunables
     n, d = mset.n, mset.d
     if chi.n != n or chi.d != d:
         raise ParameterError("chi does not live on the measurement grid")
     if not 0 <= r < len(mset.hashings):
         raise ParameterError(f"hashing index {r} out of range")
-    hashing = mset.hashings[r]
-    c_max = mset.betas.shape[1]
-    B = params.B
+    B = mset.params.B
+    step = _block_rows(16 * mset.betas.shape[1])
+    failed = np.ones(B, dtype=bool)
+    decoded = []
+    for lo in range(0, B, step):
+        live, fvec = _decode_columns(mset, r, lo, min(lo + step, B))
+        failed[live] = False
+        decoded.append(fvec)
+    rows = (np.concatenate(decoded) @ mset.hashings[r].perm.sigma_inv.T) % n
+    found = _first_seen(np.ravel_multi_index(rows.T, (n,) * d))
+    return LocationResult(found=found, failed=failed)
 
-    ref = mset.buckets[r, :, 0, :]  # (c_max, B)
+
+def _decode_columns(
+    mset: "MeasurementSet", r: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode buckets lo..hi-1 of hashing r: (the buckets that decoded,
+    ascending, and their (m, d) permuted coordinates Sigma i0 mod n)."""
+    tun = mset.params.tunables
+    n, d = mset.n, mset.d
+    c_max = mset.betas.shape[1]
+    table = mset.buckets[r, :, :, lo:hi]  # (c_max, S, hi - lo)
+
+    ref = table[:, 0, :]
     invalid = np.abs(ref) < tun.near_zero
     safe_ref = np.where(invalid, 1.0, ref)
 
-    # Surviving bucket numbers, ascending, and their partial decodes.
-    live = np.arange(B)
-    fvec = np.zeros((B, d), dtype=np.int64)
+    # Surviving bucket numbers (relative to lo), ascending, and their
+    # partial decodes.
+    live = np.arange(hi - lo)
+    fvec = np.zeros((hi - lo, d), dtype=np.int64)
     min_votes = tun.vote_fraction * c_max - 1e-9
 
     for s in range(d):
@@ -95,7 +119,7 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
             if live.size == 0:
                 break
             step = n // (scale * base)
-            meas = mset.buckets[r, :, mset.shift_slot(g, s)][:, live]
+            meas = table[:, mset.shift_slot(g, s)][:, live]
             xi = meas / safe_ref[:, live]
             corr_expo = (step * betas[:, None] * fvec[None, :, s]) % n
             corrected = xi * unit_roots(n, -1)[corr_expo]
@@ -112,9 +136,4 @@ def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> Location
             fvec = fvec[unique]
             fvec[:, s] += scale * chosen[unique]
             scale *= base
-
-    failed = np.ones(B, dtype=bool)
-    failed[live] = False
-    rows = (fvec @ hashing.perm.sigma_inv.T) % n
-    found = _first_seen(np.ravel_multi_index(rows.T, (n,) * d))
-    return LocationResult(found=found, failed=failed)
+    return lo + live, fvec

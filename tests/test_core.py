@@ -161,6 +161,22 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError):
             RecoveryParams.derive(64, 1, 5, tunables=Tunables(alpha=1.5))
 
+    def test_more_buckets_per_axis_than_grid_points_rejected(self):
+        with pytest.raises(ParameterError, match="16 buckets per axis, more than n=8"):
+            RecoveryParams(
+                n=8, d=1, k=1, epsilon=0.1, mu=0.0, r_star=2.0, F=2, B=16,
+                r_max=3, c_max=8, T=1,
+            )
+        with pytest.raises(ParameterError, match="8 buckets per axis, more than n=4"):
+            RecoveryParams.derive(4, 2, 1, B=64)
+        RecoveryParams.derive(4, 2, 1, B=16)
+
+    def test_two_point_grid_rejected_at_construction(self):
+        # The bucket rule's floor b = 4 exceeds n = 2; the digit base fails
+        # first, with the message the pipeline reports.
+        with pytest.raises(ParameterError, match="digit base 2"):
+            RecoveryParams.derive(2, 1, 1)
+
     def test_ratio_tolerance_must_keep_root_disks_apart(self):
         # delta = 4 at n = 2^16: sin(pi/4) ~ 0.707, so 0.75 lets the
         # tolerance disks of adjacent roots overlap.

@@ -434,6 +434,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and message in err
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (
+                {"n": 64, "d": 1, "k": 2, "constants": {"vote_fraction": 0}},
+                "vote_fraction must be finite and > 0, got 0",
+            ),
+            (
+                {"n": 64, "d": 1, "k": 2, "constants": {"vote_fraction": 1.5}},
+                "vote_fraction must be <= 1, got 1.5",
+            ),
+            (
+                {"n": 64, "d": 1, "k": 2, "constants": {"ratio_tolerance": -1}},
+                "ratio_tolerance must be finite and > 0, got -1",
+            ),
+            (
+                {"n": 16, "d": 2, "k": 2, "constants": {"bucket_scale": -1}},
+                "bucket_scale must be finite and > 0, got -1",
+            ),
+        ],
+    )
+    def test_run_reports_out_of_range_tunables(self, tmp_path, capsys, data, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--spec", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
     def test_selftest_passes_and_exits_zero(self, capsys):
         code = main(["selftest"])
         out = capsys.readouterr().out
@@ -486,3 +515,18 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="alpha must be of type float"):
             Tunables(alpha=True)
         assert Tunables(bucket_scale=6).bucket_scale == 6
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"head_bias": float("nan")}, "head_bias must be finite and > 0"),
+            ({"mu_floor_rel": float("inf")}, "mu_floor_rel must be finite and > 0"),
+            ({"near_zero": 0.0}, "near_zero must be finite and > 0"),
+            ({"snr_keep_factor": 0}, "snr_keep_factor must be >= 1"),
+            ({"diagnostic_budget": 0}, "diagnostic_budget must be >= 1"),
+        ],
+    )
+    def test_rejects_out_of_range_tunables(self, bad, message):
+        with pytest.raises(ParameterError, match=message):
+            Tunables(**bad)
+        Tunables(vote_fraction=1.0, snr_keep_factor=1, diagnostic_budget=1)

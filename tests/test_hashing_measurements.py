@@ -4,8 +4,12 @@ hash_to_bins is checked three ways: a single tone lands in its bucket with
 the predicted gain and phase, a perfectly subtracted signal leaves only
 transform error, and random residuals match the literal double sum over
 every grid point. Acquisition bookkeeping (shift ladder, probe balance,
-sample counting) and in-place residual updates are pinned separately.
+sample counting) and in-place residual updates are pinned separately. The
+streaming kernels must give the same bits whatever their block size, and
+acquisition must not hold more than its bucket tables in memory.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,11 +20,15 @@ from sparsefft import (
     SparseApprox,
     digit_base,
 )
+from sparsefft import core
+from sparsefft import hashing_measurements as hm
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import (
     _bucket_tables,
+    _chi_buckets,
     _fold_and_invert,
     _modulations,
+    _product_blocks,
     _sample_balanced_probes,
     acquire_measurements,
     hash_to_bins,
@@ -277,6 +285,91 @@ class TestResidualUpdates:
         with pytest.raises(ParameterError):
             update_residual_measurements(mset, SparseApprox(128, 1))
 
+
+
+class TestBlocksAreInvisible:
+    """Blocks regroup independent rows, so any block size gives the same bits."""
+
+    # 1-D: support width F*b + 1 = 33 is not a multiple of b = 16. The 2-D
+    # and 3-D filters cover the whole ring.
+    @pytest.mark.parametrize("n,d,B,F", [(1024, 1, 16, 2), (16, 2, 16, 4), (8, 3, 64, 6)])
+    def test_bucket_tables_equal_single_row_calls(self, n, d, B, F, rng, monkeypatch):
+        xhat = freq_signal(rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d), n, d)
+        filt = cached_bucket_filter(n, d, B, F)
+        hashings = [make_hashing(n, d, B, F, rng) for _ in range(2)]
+        mods = [rng.integers(0, n, size=(count, d)) for count in (5, 2)]
+        single = [
+            _bucket_tables(xhat, filt, [h], [m[j : j + 1]])[0]
+            for h, m in zip(hashings, mods)
+            for j in range(len(m))
+        ]
+        # Three rows per block: the first hashing's five rows span two
+        # blocks, one of them shared with the second hashing, and the last
+        # block is ragged.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 16 * filt.support_size)
+        blocks = []
+        fold = hm._fold_and_invert
+        monkeypatch.setattr(
+            hm, "_fold_and_invert", lambda y, f: blocks.append(len(y)) or fold(y, f)
+        )
+        out = np.full((7, B), np.nan, dtype=np.complex128)
+        assert _bucket_tables(xhat, filt, hashings, mods, out=out) is out
+        assert blocks == [3, 3, 1]
+        assert np.array_equal(out, np.array(single))
+
+    # c_max * len(shifts) = 121 or 91 rows: one more than a multiple of 2,
+    # 3, 5 and 6.
+    @pytest.mark.parametrize(
+        "n,d,k,B,c_max", [(1024, 1, 4, 64, 11), (64, 2, 3, 64, 7), (16, 3, 2, 64, 7)]
+    )
+    @pytest.mark.parametrize("step", [2, 5])
+    def test_update_equals_whole_increment(self, n, d, k, B, c_max, step, rng, monkeypatch):
+        params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max)
+        x = random_sparse_time(n, d, k, rng)
+        mset = acquire_measurements(freq_signal(dense_time(x), n, d), params, rng)
+        chi = random_sparse_time(n, d, 5, rng)
+        expected = mset.buckets.copy()
+        for r, hashing in enumerate(mset.hashings):
+            mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, n)
+            expected[r] -= _chi_buckets(chi, hashing, mods).reshape(expected[r].shape)
+        # A few rows per block, and one row left over: it joins the last
+        # block, since a one-row product rounds differently.
+        assert (c_max * len(mset.shifts)) % step == 1
+        monkeypatch.setattr(core, "_BLOCK_BYTES", step * 16 * B)
+        used = []
+        spans = hm._product_blocks
+        monkeypatch.setattr(
+            hm, "_product_blocks", lambda m, t: used.append(spans(m, t)) or used[-1]
+        )
+        update_residual_measurements(mset, chi)
+        assert len(used) == params.r_max
+        assert all(len(blocks) > 2 and blocks[0] == (0, step) for blocks in used)
+        assert all(hi - lo == step + 1 for blocks in used for lo, hi in blocks[-1:])
+        assert np.array_equal(mset.buckets, expected)
+
+    def test_product_blocks_never_leave_a_single_row(self):
+        assert _product_blocks(7, 3) == [(0, 3), (3, 7)]
+        assert _product_blocks(8, 3) == [(0, 3), (3, 6), (6, 8)]
+        assert _product_blocks(5, 1) == [(0, 2), (2, 5)]
+        assert _product_blocks(4, 10) == [(0, 4)]
+        assert _product_blocks(1, 3) == [(0, 1)]
+
+
+class TestMemoryBound:
+    def test_acquisition_peak_stays_below_two_tables(self, rng):
+        # 240 rows of 8192 buckets: a 31.5 MB table whose filter support is
+        # the whole 2^14 ring.
+        n = 2**14
+        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1)
+        xhat = DenseSignal(n, 1, rng.normal(size=n) + 1j * rng.normal(size=n), "frequency")
+        acquire_measurements(xhat, params, np.random.default_rng(1))  # warm the caches
+        tracemalloc.start()
+        try:
+            mset = acquire_measurements(xhat, params, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * mset.buckets.nbytes
 
 
 class TestFoldMatchesPerAxisFold:

@@ -6,11 +6,13 @@ shift ladder arithmetic, including multi-axis grids. Probe balance rules are
 checked at their integer boundaries, and noisy-tail recall is measured
 against the supermajority voting threshold. The nearest-root decoder with
 survivor compaction must return exactly what the per-digit vote over every
-bucket (oracles.reference_locate) returns.
+bucket (oracles.reference_locate) returns, also when it decodes the
+buckets a few columns at a time.
 """
 import numpy as np
 import pytest
 
+from sparsefft import core
 from sparsefft import (
     DenseSignal,
     ParameterError,
@@ -245,3 +247,22 @@ class TestMatchesPerDigitVote:
         mset.buckets[:, ::2, 0, ::11] = 0.0
         mset.buckets[:, :, 1:, 5::7] = rng.normal(size=(R, C, S - 1, len(range(5, nb, 7))))
         assert_matches_reference(mset)
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("n,d,k,B", [(1024, 1, 4, 64), (64, 2, 4, 64), (16, 3, 3, 64)])
+    def test_blocked_decode_matches_reference(self, n, d, k, B, rng, monkeypatch):
+        params = RecoveryParams.derive(n, d, k, B=B)
+        x = random_sparse_time(n, d, k, rng)
+        xt = dense_time(x).values
+        tail = rng.normal(size=xt.shape) + 1j * rng.normal(size=xt.shape)
+        xt = xt + tail * (0.3 / np.linalg.norm(tail))
+        mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
+        # Five bucket columns per block: 64 buckets split 12 x 5 + 4.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 5 * 16 * params.c_max)
+        assert_matches_reference(mset)
+        decoded = [
+            (~locate_signal(mset, r, SparseApprox.empty(n, d)).failed).sum()
+            for r in range(params.r_max)
+        ]
+        assert 0 < sum(decoded) < params.r_max * B
