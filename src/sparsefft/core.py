@@ -171,6 +171,19 @@ def _check_field_types(obj) -> None:
             raise ParameterError(f"{name} must be of type {kind}, got {value!r}")
 
 
+def _check_targets(**targets: float) -> None:
+    """ParameterError unless every given accuracy target is finite and in
+    range: epsilon > 0, r_star >= 1, and the noise levels mu and nu >= 0."""
+    for name, value in targets.items():
+        floor = 1.0 if name == "r_star" else 0.0
+        strict = name == "epsilon"
+        if not math.isfinite(value) or value < floor or (strict and value == floor):
+            relation = ">" if strict else ">="
+            raise ParameterError(
+                f"{name} must be finite and {relation} {floor:g}, got {value}"
+            )
+
+
 def _first_seen(flat: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-D array, in order of first appearance."""
     _, first = np.unique(flat, return_index=True)
@@ -455,10 +468,7 @@ class RecoveryParams:
             raise ParameterError(f"grid side must be a power of two, got n={self.n}")
         if self.d < 1 or self.k < 1:
             raise ParameterError(f"need d >= 1 and k >= 1, got d={self.d}, k={self.k}")
-        if self.epsilon <= 0.0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.mu < 0.0 or self.r_star < 1.0:
-            raise ParameterError("need mu >= 0 and r_star >= 1")
+        _check_targets(epsilon=self.epsilon, mu=self.mu, r_star=self.r_star)
         if self.F % 2 != 0 or self.F < 2 * self.d:
             raise ParameterError(f"F must be even and >= 2d, got F={self.F}, d={self.d}")
         # Checked before the bucket side, which a grid of n <= 2 cannot fit.

@@ -112,10 +112,6 @@ class BucketFilter:
         gathered = self.g_axis[np.asarray(offsets, dtype=np.int64) % self.n]
         return gathered.prod(axis=-1)
 
-    def support_values(self) -> np.ndarray:
-        """ghat on the per-axis support offsets, aligned with `support`."""
-        return self.ghat_support
-
 
 def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
     """Construct the B-bucket sharpness-F filter for the (n, d) grid."""

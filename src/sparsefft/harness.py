@@ -29,6 +29,7 @@ from .core import (
     SparseApprox,
     Tunables,
     _check_field_types,
+    _check_targets,
     is_power_of_two,
 )
 from .dense_dft import forward_dft
@@ -94,8 +95,11 @@ class ExperimentSpec:
                 f"unknown signal model {self.signal_model!r}; "
                 f"choose one of {', '.join(SIGNAL_MODELS)}"
             )
-        if self.epsilon <= 0.0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not math.isfinite(self.snr):
+            raise ParameterError(f"snr must be finite, got {self.snr}")
+        _check_targets(epsilon=self.epsilon)
+        if self.r_star is not None:
+            _check_targets(r_star=self.r_star)
         if self.signal_model != "exact-sparse" and self.snr < 2.0:
             raise ParameterError(
                 f"noisy models need snr >= 2 so heads clear 2*mu, got {self.snr}"

@@ -16,7 +16,8 @@ consumes: r_max hashings, c_max probe pairs each (redrawn until
 digit-balanced), and one measurement per shift vector in the location
 ladder. All later subtraction of recovered mass goes through
 update_residual_measurements, which applies the same exact rule to the
-stored tables and keeps the sample counter frozen.
+stored tables, records the mass in MeasurementSet.chi, and keeps the sample
+counter frozen.
 
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: hash_to_bins takes one (d,)
@@ -78,17 +79,13 @@ __all__ = [
 
 def _support_grid(filt: BucketFilter) -> np.ndarray:
     """All filter-support offsets as one (P, d) signed integer array."""
-    supp = filt.support
-    if filt.d == 1:
-        return supp[:, None].copy()
-    mesh = np.meshgrid(*([supp] * filt.d), indexing="ij")
+    mesh = np.meshgrid(*([filt.support] * filt.d), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _support_values(filt: BucketFilter) -> np.ndarray:
     """Filter value per support offset, flattened row-major over the grid."""
-    sv = filt.support_values()
-    return sv if filt.d == 1 else reduce(np.multiply.outer, [sv] * filt.d).ravel()
+    return reduce(np.multiply.outer, [filt.ghat_support] * filt.d).ravel()
 
 
 def _support_row(hashing: Hashing, grid: np.ndarray, gv: np.ndarray) -> np.ndarray:
@@ -273,8 +270,9 @@ class MeasurementSet:
     probe pair t = (alphas[r, t], betas[r, t]), and shift shifts[w]; it was
     taken under the modulation alphas[r, t] + betas[r, t] * shifts[w] mod n.
     alphas and betas are (r_max, c_max, d) and shifts is (S, d), all int64;
-    shift 0 is the unshifted reference. The sample counter tracks spectrum
-    reads and is immune to residual updates.
+    shift 0 is the unshifted reference. The tables hold source - chi, chi
+    being the sum of every update since acquisition, in order. The sample
+    counter tracks spectrum reads and is immune to residual updates.
     """
 
     params: RecoveryParams
@@ -284,13 +282,14 @@ class MeasurementSet:
     shifts: np.ndarray
     group_bases: tuple[int, ...]
     buckets: np.ndarray
+    # The spectrum measurements were taken from; estimation stages read it
+    # when they draw fresh hashings.
+    source: DenseSignal
+    chi: SparseApprox
     sample_counter: int = 0
     # Largest bucket magnitude right after acquisition; relative floors for
     # mu = 0 inputs and zero pruning are anchored to it.
     initial_scale: float = 0.0
-    # The spectrum measurements were taken from; estimation stages read it
-    # when they draw fresh hashings.
-    source: DenseSignal | None = None
 
     @property
     def n(self) -> int:
@@ -393,9 +392,10 @@ def acquire_measurements(
         shifts=shifts,
         group_bases=bases,
         buckets=buckets,
+        source=xhat,
+        chi=SparseApprox.empty(n, d),
         sample_counter=counter,
         initial_scale=_max_abs(buckets.reshape(-1, params.B)),
-        source=xhat,
     )
 
 
@@ -423,7 +423,8 @@ def _product_blocks(rows: int, step: int) -> list[tuple[int, int]]:
 def update_residual_measurements(
     mset: MeasurementSet, chi_delta: SparseApprox
 ) -> MeasurementSet:
-    """Subtract chi_delta's bucket contributions from every stored table.
+    """Subtract chi_delta's bucket contributions from every stored table;
+    add chi_delta to mset.chi.
 
     The contribution of entry t to bucket j under (hashing, modulation a) is
     G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t); it is computed exactly
@@ -445,4 +446,5 @@ def update_residual_measurements(
         slab = mset.buckets[r].reshape(-1, B)
         for lo, hi in _product_blocks(len(slab), step):
             slab[lo:hi] -= phases[lo:hi] @ weights
+    mset.chi = mset.chi + chi_delta
     return mset

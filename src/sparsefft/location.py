@@ -1,13 +1,14 @@
 """Per-bucket recovery of dominant indices, digit by digit.
 
-Each bucket of a hashing concentrates (ideally) one dominant residual
-element i0. Writing f = Sigma i0 mod n, the ratio of a shifted measurement
-to its unshifted reference is approximately omega^(step * beta_s * f_s), so
-each digit of each coordinate of f can be read off by testing which root of
-unity makes the ratio land near 1 for most probe pairs. A probe pair votes
-for a digit when the corrected ratio sits within 1/3 of 1; a digit needs a
-3/5 supermajority, and a bucket that produces zero or several winning
-digits is dropped.
+Location decodes the residual a measurement set's tables hold (mset.source
+minus mset.chi) from the tables alone. Each bucket of a hashing concentrates
+(ideally) one dominant residual element i0. Writing f = Sigma i0 mod n, the
+ratio of a shifted measurement to its unshifted reference is approximately
+omega^(step * beta_s * f_s), so each digit of each coordinate of f can be
+read off by testing which root of unity makes the ratio land near 1 for most
+probe pairs. A probe pair votes for a digit when the corrected ratio sits
+within 1/3 of 1; a digit needs a 3/5 supermajority, and a bucket that
+produces zero or several winning digits is dropped.
 
 Digits run through base Delta groups, with a final group of base
 n / Delta^(G-1) so every bit of f is covered. Decoding is deterministic
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ParameterError, SparseApprox, _block_rows, _first_seen, unit_roots
+from .core import ParameterError, _block_rows, _first_seen, unit_roots
 
 if TYPE_CHECKING:
     from .hashing_measurements import MeasurementSet
@@ -67,16 +68,12 @@ class LocationResult:
     failed: np.ndarray  # (B,) bool; True where no unique digit path survived
 
 
-def locate_signal(mset: "MeasurementSet", r: int, chi: SparseApprox) -> LocationResult:
-    """Decode every bucket of hashing r into a candidate index.
-
-    The bucket tables must already reflect the residual against chi (the
-    argument names the subtracted approximation and pins its grid). `found`
-    holds flat indices in bucket order; duplicates across buckets are merged.
+def locate_signal(mset: "MeasurementSet", r: int) -> LocationResult:
+    """Decode every bucket of hashing r into a candidate index of the
+    residual the tables hold. `found` holds flat indices in bucket order;
+    duplicates across buckets are merged.
     """
     n, d = mset.n, mset.d
-    if chi.n != n or chi.d != d:
-        raise ParameterError("chi does not live on the measurement grid")
     if not 0 <= r < len(mset.hashings):
         raise ParameterError(f"hashing index {r} out of range")
     B = mset.params.B

@@ -7,12 +7,14 @@ measurements, and a final constant-SNR pass re-estimates everything once the
 residual is flat. `sparse_fft` wires the stages together; each stage is also
 callable on its own.
 
-The l1 and inf-norm stages run one shared loop, `_threshold_rounds`: locate
-candidates in every hashing, estimate the residual there, keep the estimates
-above the round's threshold, and fold them into the bucket tables. They
-differ only in their threshold schedules and measurement sets. The inf-norm
-and constant-SNR stages draw their measurement sets the same way, as a fresh
-acquisition with chi already subtracted (`_fresh_measurements`).
+A measurement set owns the residual: its tables hold mset.source minus
+mset.chi, so a stage reads the current approximation from mset.chi and adds
+what it keeps into it (`update_residual_measurements`). The l1 and inf-norm
+stages run one shared loop, `_threshold_rounds`: locate candidates in every
+hashing, estimate the residual there, and fold the estimates above the
+round's threshold into the set. They differ only in their threshold
+schedules and measurement sets. The inf-norm and constant-SNR stages draw a
+fresh set from the caller's chi (`_fresh_measurements`).
 
 Every constant comes from `Tunables`, and this module turns the constants
 into stage geometry. Location buckets follow `core.location_bucket_count`:
@@ -40,6 +42,7 @@ from .core import (
     RecoveryParams,
     SparseApprox,
     Tunables,
+    _check_targets,
     _first_seen,
     _log4,
     _loglog2,
@@ -88,9 +91,9 @@ class RunStats:
         )
 
 
-def _union_locations(mset: MeasurementSet, chi: SparseApprox) -> np.ndarray:
+def _union_locations(mset: MeasurementSet) -> np.ndarray:
     """Candidate flat indices from every hashing, deduped in first-seen order."""
-    found = [locate_signal(mset, r, chi).found for r in range(len(mset.hashings))]
+    found = [locate_signal(mset, r).found for r in range(len(mset.hashings))]
     return _first_seen(np.concatenate(found))
 
 
@@ -109,12 +112,18 @@ def _l1_estimate_reps(n: int, d: int, k_est: int, B_est: int, tun: Tunables) -> 
     )
 
 
+def _inf_estimate_reps(N: int, tun: Tunables) -> int:
+    """Median repetitions for one inf-norm or constant-SNR estimation call:
+    ~log2 N, enough for every estimate of a stage to be accurate."""
+    return max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
+
+
 def _fresh_measurements(
     xhat: DenseSignal, chi: SparseApprox, k: int, rng: np.random.Generator, **derive
 ) -> MeasurementSet:
     """A new measurement set of `RecoveryParams.derive(n, d, k, **derive)`
-    geometry, with chi subtracted from its tables. Its sample counter holds
-    the acquisition reads."""
+    geometry, with chi subtracted from its tables and recorded as its chi.
+    Its sample counter holds the acquisition reads."""
     params = RecoveryParams.derive(xhat.n, xhat.d, k, **derive)
     mset = acquire_measurements(xhat, params, rng)
     update_residual_measurements(mset, chi)
@@ -123,69 +132,63 @@ def _fresh_measurements(
 
 def _threshold_rounds(
     mset: MeasurementSet,
-    chi: SparseApprox,
     rounds: list[tuple[float, bool]],
     B_est: int,
     reps: int,
     rng: np.random.Generator,
-) -> tuple[SparseApprox, SparseApprox]:
+) -> SparseApprox:
     """Locate, estimate above a threshold, and fold, once per round.
 
     Each (threshold, last_if_idle) round unions location candidates over all
-    hashings, estimates the residual against chi plus everything kept so far
-    from reps fresh B_est-bucket hashings of mset.source, and folds the
-    estimates above threshold into the bucket tables. Decoding reads the
+    hashings, estimates the residual against mset.chi from reps fresh
+    B_est-bucket hashings of mset.source, and folds the estimates above
+    threshold into the set (its tables and its chi). Decoding reads the
     tables alone, so the candidates are reused until a round keeps
     something. A round that keeps nothing ends the loop when marked
     last_if_idle. Estimation reads are added to mset.sample_counter. Returns
-    (total, increment): chi plus the kept values, added round by round, and
-    the kept values alone.
+    the kept values, added round by round.
     """
-    total = chi
-    increment = SparseApprox.empty(chi.n, chi.d)
+    increment = SparseApprox.empty(mset.n, mset.d)
     locations = None
     for threshold, last_if_idle in rounds:
         if locations is None:
-            locations = _union_locations(mset, total)
-        kept = SparseApprox.empty(chi.n, chi.d)
+            locations = _union_locations(mset)
+        kept = SparseApprox.empty(mset.n, mset.d)
         if locations.size:
             batch = estimate_values(
-                mset.source, total, locations, B_est, threshold, reps, rng=rng
+                mset.source, mset.chi, locations, B_est, threshold, reps, rng=rng
             )
             mset.sample_counter += batch.samples
             kept = batch.kept
         if len(kept) > 0:
             update_residual_measurements(mset, kept)
-            total = total + kept
             increment = increment + kept
             locations = None
         elif last_if_idle:
             break
-    return total, increment
+    return increment
 
 
 def reduce_l1_norm(
     mset: MeasurementSet,
-    chi: SparseApprox,
-    params: RecoveryParams,
     nu: float,
     mu: float,
     *,
     rng: np.random.Generator,
     stats: RunStats | None = None,
 ) -> SparseApprox:
-    """Shrink the residual head l1 mass from nu * k toward mu * k.
+    """Shrink the head l1 mass of the residual mset holds from nu * k toward
+    mu * k.
 
-    Precondition: mset's buckets already reflect the residual against chi.
     Runs ~log2(log^4 N) rounds of `_threshold_rounds` over all hashings with
     a geometrically falling acceptance threshold, and stops early once the
     threshold has bottomed out at the noise floor and a round keeps nothing.
     rng draws the estimation hashings; it must not replay the acquisition's
-    stream. Returns the updated total approximation (chi plus every
-    accepted increment); mset is updated in place to match it.
+    stream. Every accepted increment goes into mset (its tables and its
+    chi); returns the updated total approximation, mset.chi.
     """
-    if mset.source is None:
-        raise ParameterError("measurement set lost its source spectrum")
+    _check_targets(nu=nu, mu=mu)
+    params = mset.params
     tun = params.tunables
     n, d, N = params.n, params.d, params.N
     mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
@@ -195,18 +198,12 @@ def reduce_l1_norm(
     inner = max(1, math.ceil(tun.inner_iters_coeff * _loglog2(N)))
     floor = tun.head_bias * mu_eff
     heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(inner)]
+    rounds = [(head + floor, head <= floor) for head in heads]
     before = mset.sample_counter
-    total, _ = _threshold_rounds(
-        mset,
-        chi,
-        [(head + floor, head <= floor) for head in heads],
-        B_est,
-        reps,
-        rng,
-    )
+    _threshold_rounds(mset, rounds, B_est, reps, rng)
     if stats is not None:
         stats.samples_estimation += mset.sample_counter - before
-    return total
+    return mset.chi
 
 
 def reduce_inf_norm(
@@ -232,31 +229,20 @@ def reduce_inf_norm(
     tun = tunables or Tunables()
     if k_tilde < 1:
         raise ParameterError(f"need k_tilde >= 1, got {k_tilde}")
+    _check_targets(nu=nu, mu=mu, r_star=r_star)
     n, d = xhat.n, xhat.d
     N = n**d
     r_max = max(
         3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / math.sqrt(tun.alpha))
     )
     T = max(1, math.ceil(math.log2(max(r_star, 2.0))))
-    mset = _fresh_measurements(
-        xhat,
-        chi,
-        k_tilde,
-        rng,
-        epsilon=1.0,
-        mu=mu,
-        r_star=max(r_star, 2.0),
-        r_max=r_max,
-        T=T,
-        tunables=tun,
-    )
-    reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
+    mset = _fresh_measurements(xhat, chi, k_tilde, rng, r_max=r_max, tunables=tun)
     rounds = [
         (tun.inf_threshold_scale * (nu * 2.0 ** (T - (t + 1)) + mu), False)
         for t in range(T)
     ]
     B_est = estimation_bucket_count(n, d, k_tilde, 1.0, tun)
-    _, increment = _threshold_rounds(mset, chi, rounds, B_est, reps, rng)
+    increment = _threshold_rounds(mset, rounds, B_est, _inf_estimate_reps(N, tun), rng)
     if stats is not None:
         stats.samples_infnorm += mset.sample_counter
     return increment
@@ -283,13 +269,12 @@ def recover_at_constant_snr(
     tun = tunables or Tunables()
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
+    _check_targets(epsilon=epsilon)
     n, d = xhat.n, xhat.d
     B = location_bucket_count(n, d, k, epsilon, tun)
-    mset = _fresh_measurements(
-        xhat, chi, k, rng, epsilon=epsilon, B=B, r_max=1, T=1, tunables=tun
-    )
+    mset = _fresh_measurements(xhat, chi, k, rng, B=B, r_max=1, tunables=tun)
     kept = SparseApprox.empty(n, d)
-    locations = locate_signal(mset, 0, chi).found
+    locations = locate_signal(mset, 0).found
     if locations.size:
         batch = estimate_values(
             xhat,
@@ -297,7 +282,7 @@ def recover_at_constant_snr(
             locations,
             estimation_bucket_count(n, d, k, epsilon, tun),
             tun.zero_floor_rel * mset.initial_scale,
-            max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(n**d))),
+            _inf_estimate_reps(n**d, tun),
             rng=rng,
         )
         mset.sample_counter += batch.samples
@@ -326,10 +311,12 @@ def sparse_fft_with_stats(
     with acquisition (`samples_location`) fixed after startup. Passing
     params overrides the derived geometry (bucket counts, repetitions); its
     grid must match xhat, its k must equal k, and it brings its own
-    tunables, so tunables must then be left out.
+    tunables, so tunables must then be left out. The epsilon, mu and r_star
+    arguments are checked either way (see `core._check_targets`).
     """
     if xhat.domain != "frequency":
         raise ParameterError("recovery expects a frequency-domain signal")
+    _check_targets(epsilon=epsilon, mu=mu, r_star=r_star)
     n, d = xhat.n, xhat.d
     N = n**d
     if params is None:
@@ -358,17 +345,16 @@ def sparse_fft_with_stats(
     L4 = _log4(N)
     k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / L4))
 
-    chi = SparseApprox.empty(n, d)
     norm_baseline = 0.0
     for t in range(params.T):
         nu = 4.0 * mu_eff * L4 ** (params.T - t)
-        chi = reduce_l1_norm(mset, chi, params, nu, mu_eff, rng=rng, stats=stats)
+        reduce_l1_norm(mset, nu, mu_eff, rng=rng, stats=stats)
         nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
         if nu_prime > 0.0:
             r_star_inf = max(2.0, nu / nu_prime)
             increment = reduce_inf_norm(
                 xhat,
-                chi,
+                mset.chi,
                 k_tilde,
                 nu_prime,
                 r_star_inf,
@@ -379,8 +365,7 @@ def sparse_fft_with_stats(
             )
             if len(increment) > 0:
                 update_residual_measurements(mset, increment)
-                chi = chi + increment
-        norm_now = chi.norm1()
+        norm_now = mset.chi.norm1()
         if norm_baseline == 0.0:
             norm_baseline = norm_now
         elif norm_now > tun.divergence_factor * norm_baseline:
@@ -390,9 +375,9 @@ def sparse_fft_with_stats(
             )
 
     final = recover_at_constant_snr(
-        xhat, chi, 2 * k, epsilon, rng, tunables=tun, stats=stats
+        xhat, mset.chi, 2 * k, epsilon, rng, tunables=tun, stats=stats
     )
-    result = (chi + final).drop_below(tun.zero_floor_rel * mset.initial_scale)
+    result = (mset.chi + final).drop_below(tun.zero_floor_rel * mset.initial_scale)
     return result, stats
 
 

@@ -161,6 +161,23 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError):
             RecoveryParams.derive(64, 1, 5, tunables=Tunables(alpha=1.5))
 
+    @pytest.mark.parametrize(
+        "target,value,message",
+        [
+            ("epsilon", float("nan"), "epsilon must be finite and > 0"),
+            ("epsilon", float("inf"), "epsilon must be finite and > 0"),
+            ("mu", float("nan"), "mu must be finite and >= 0"),
+            ("mu", float("inf"), "mu must be finite and >= 0"),
+            ("r_star", float("nan"), "r_star must be finite and >= 1"),
+            ("r_star", float("inf"), "r_star must be finite and >= 1"),
+        ],
+    )
+    def test_non_finite_targets_rejected(self, target, value, message):
+        # NaN passes every <= and < test, so each range check needs an
+        # explicit finiteness test.
+        with pytest.raises(ParameterError, match=message):
+            RecoveryParams.derive(64, 1, 2, T=1, **{target: value})
+
     def test_more_buckets_per_axis_than_grid_points_rejected(self):
         with pytest.raises(ParameterError, match="16 buckets per axis, more than n=8"):
             RecoveryParams(

@@ -207,7 +207,7 @@ class TestCertificationImpliesLocation:
                 mset.shifts,
             )
             found_by_r = [
-                set(locate_signal(mset, r, empty).found.tolist()) for r in range(params.r_max)
+                set(locate_signal(mset, r).found.tolist()) for r in range(params.r_max)
             ]
             for i in x.flat.tolist():
                 for r in profile.certified_hashings(i):

@@ -34,7 +34,7 @@ def signed_axis(n):
 def dense_spectrum(filt):
     """The per-axis spectrum over the whole ring, zero off the support."""
     dense = np.zeros(filt.n)
-    dense[filt.support % filt.n] = filt.support_values()
+    dense[filt.support % filt.n] = filt.ghat_support
     return dense
 
 

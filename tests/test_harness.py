@@ -463,6 +463,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and message in err
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"n": 64, "d": 1, "k": 2, "epsilon": float("nan")}, "epsilon must be finite"),
+            ({"n": 64, "d": 1, "k": 2, "r_star": float("inf")}, "r_star must be finite"),
+            (
+                {
+                    "n": 64,
+                    "d": 1,
+                    "k": 2,
+                    "signal_model": "sparse-plus-gaussian-tail",
+                    "snr": float("inf"),
+                },
+                "snr must be finite",
+            ),
+            (
+                {
+                    "n": 64,
+                    "d": 1,
+                    "k": 2,
+                    "signal_model": "sparse-plus-gaussian-tail",
+                    "snr": float("nan"),
+                },
+                "snr must be finite",
+            ),
+        ],
+    )
+    def test_run_reports_non_finite_spec_values(self, tmp_path, capsys, data, message):
+        # Python's json reads NaN and Infinity, and NaN passes every range
+        # comparison, so these need their own finiteness check.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--spec", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
     def test_selftest_passes_and_exits_zero(self, capsys):
         code = main(["selftest"])
         out = capsys.readouterr().out

@@ -22,6 +22,7 @@ from sparsefft import (
 )
 from sparsefft import core
 from sparsefft import hashing_measurements as hm
+from sparsefft import recovery
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import (
     _bucket_tables,
@@ -235,7 +236,15 @@ class TestBucketTables:
         assert np.array_equal(batched, np.array(single))
 
 
+def same_map(a, b):
+    """Equal maps with the same flat order: (flat, values) arrays `==`."""
+    return np.array_equal(a.flat, b.flat) and np.array_equal(a.values, b.values)
+
+
 class TestResidualUpdates:
+    """Updates subtract from the tables and add to mset.chi, which then
+    names the approximation the tables no longer hold."""
+
     def _setup(self, rng, n=256, k=5):
         params = RecoveryParams.derive(n, 1, k)
         x = random_sparse_time(n, 1, k, rng)
@@ -245,11 +254,13 @@ class TestResidualUpdates:
 
     def test_empty_delta_is_identity(self, rng):
         _, _, _, mset = self._setup(rng)
+        assert len(mset.chi) == 0 and (mset.chi.n, mset.chi.d) == (256, 1)
         before = mset.buckets.copy()
         counter = mset.sample_counter
         update_residual_measurements(mset, SparseApprox(256, 1))
         assert np.array_equal(mset.buckets, before)
         assert mset.sample_counter == counter
+        assert len(mset.chi) == 0
 
     def test_add_then_remove_restores(self, rng):
         _, x, _, mset = self._setup(rng)
@@ -257,7 +268,11 @@ class TestResidualUpdates:
         counter = mset.sample_counter
         chi = x.largest(3)
         update_residual_measurements(mset, chi)
+        total = SparseApprox(256, 1) + chi
+        assert same_map(mset.chi, total)
         update_residual_measurements(mset, -chi)
+        assert same_map(mset.chi, total + (-chi))
+        assert len(mset.chi) == 0
         scale = max(float(np.abs(before).max()), 1.0)
         assert np.max(np.abs(mset.buckets - before)) < 1e-9 * scale
         assert mset.sample_counter == counter
@@ -266,6 +281,7 @@ class TestResidualUpdates:
         params, x, xhat, mset = self._setup(rng)
         chi = x.largest(2)
         update_residual_measurements(mset, chi)
+        assert same_map(recovery._fresh_measurements(xhat, chi, params.k, rng).chi, chi)
         scale = float(np.abs(mset.buckets).max())
         for r, t, w in [(0, 0, 0), (1, 3, 2)]:
             a = (mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]) % 256
@@ -278,7 +294,9 @@ class TestResidualUpdates:
         _, x, _, mset = self._setup(rng)
         counter = mset.sample_counter
         update_residual_measurements(mset, x.largest(2))
+        update_residual_measurements(mset, x.largest(4))
         assert mset.sample_counter == counter
+        assert same_map(mset.chi, SparseApprox(256, 1) + x.largest(2) + x.largest(4))
 
     def test_grid_mismatch_rejected(self, rng):
         _, _, _, mset = self._setup(rng)

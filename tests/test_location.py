@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from sparsefft import core
-from sparsefft import (
-    DenseSignal,
-    ParameterError,
-    RecoveryParams,
-    SparseApprox,
-)
+from sparsefft import DenseSignal, ParameterError, RecoveryParams
 from sparsefft.dense_dft import fft_grid
 from sparsefft.hashing_measurements import (
     acquire_measurements,
@@ -82,12 +77,11 @@ class TestSingleTone:
     def test_exact_recovery_from_every_live_bucket(self, rng):
         n, d = 1024, 1
         params = RecoveryParams.derive(n, d, 1)
-        empty = SparseApprox(n, d)
         for _ in range(6):
             x = random_sparse_time(n, d, 1, rng)
             i0 = int(x.flat[0])
             mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
-            result = locate_signal(mset, 0, empty)
+            result = locate_signal(mset, 0)
             assert i0 in result.found
             # Every bucket sees the same tone, so nothing else can decode.
             assert result.found.tolist() == [i0]
@@ -100,7 +94,7 @@ class TestSingleTone:
         x = random_sparse_time(n, d, 1, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         for r in range(min(3, params.r_max)):
-            result = locate_signal(mset, r, SparseApprox(n, d))
+            result = locate_signal(mset, r)
             assert result.found.tolist() == x.flat.tolist()
 
     def test_decoding_reads_no_new_samples(self, rng):
@@ -109,7 +103,7 @@ class TestSingleTone:
         x = random_sparse_time(n, d, 1, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         counter = mset.sample_counter
-        locate_signal(mset, 0, SparseApprox(n, d))
+        locate_signal(mset, 0)
         assert mset.sample_counter == counter
 
     def test_decoding_is_deterministic(self, rng):
@@ -117,8 +111,8 @@ class TestSingleTone:
         params = RecoveryParams.derive(n, d, 3)
         x = random_sparse_time(n, d, 3, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
-        first = locate_signal(mset, 1, SparseApprox(n, d))
-        second = locate_signal(mset, 1, SparseApprox(n, d))
+        first = locate_signal(mset, 1)
+        second = locate_signal(mset, 1)
         assert np.array_equal(first.found, second.found)
         assert np.array_equal(first.failed, second.failed)
 
@@ -129,7 +123,7 @@ class TestResidualAwareness:
         params = RecoveryParams.derive(n, d, 2)
         zero = DenseSignal.zeros(n, d, "frequency")
         mset = acquire_measurements(zero, params, rng)
-        result = locate_signal(mset, 0, SparseApprox(n, d))
+        result = locate_signal(mset, 0)
         assert result.found.size == 0
         assert result.failed.all()
 
@@ -141,7 +135,7 @@ class TestResidualAwareness:
         loud = x.largest(1)
         (quiet,) = np.setdiff1d(x.flat, loud.flat)
         update_residual_measurements(mset, loud)
-        result = locate_signal(mset, 0, loud)
+        result = locate_signal(mset, 0)
         assert quiet in result.found
         assert loud.flat[0] not in result.found
 
@@ -151,7 +145,7 @@ class TestResidualAwareness:
         x = random_sparse_time(n, d, 2, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         update_residual_measurements(mset, x)
-        result = locate_signal(mset, 0, x)
+        result = locate_signal(mset, 0)
         assert result.found.size == 0
 
 
@@ -161,7 +155,6 @@ class TestNoisyRecall:
         # spike; each hashing should still locate every spike almost always.
         n, d, k = 1024, 1, 5
         params = RecoveryParams.derive(n, d, k)
-        empty = SparseApprox(n, d)
         full, pairs = 0, 0
         for _ in range(10):
             x = random_sparse_time(n, d, k, rng)
@@ -172,7 +165,7 @@ class TestNoisyRecall:
             xt = dense_time(x).values + tail
             mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
             for r in range(params.r_max):
-                found = set(locate_signal(mset, r, empty).found.tolist())
+                found = set(locate_signal(mset, r).found.tolist())
                 pairs += 1
                 full += spikes <= found
         assert full >= 0.8 * pairs
@@ -183,14 +176,12 @@ class TestNoisyRecall:
         x = random_sparse_time(n, d, 2, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         with pytest.raises(ParameterError):
-            locate_signal(mset, params.r_max, SparseApprox(n, d))
-        with pytest.raises(ParameterError):
-            locate_signal(mset, 0, SparseApprox(2 * n, d))
+            locate_signal(mset, params.r_max)
 
 
 def assert_matches_reference(mset):
     for r in range(len(mset.hashings)):
-        result = locate_signal(mset, r, SparseApprox.empty(mset.n, mset.d))
+        result = locate_signal(mset, r)
         found, failed = reference_locate(mset, r)
         assert np.array_equal(result.found, found)
         assert np.array_equal(result.failed, failed)
@@ -262,7 +253,7 @@ class TestColumnBlocks:
         monkeypatch.setattr(core, "_BLOCK_BYTES", 5 * 16 * params.c_max)
         assert_matches_reference(mset)
         decoded = [
-            (~locate_signal(mset, r, SparseApprox.empty(n, d)).failed).sum()
+            (~locate_signal(mset, r).failed).sum()
             for r in range(params.r_max)
         ]
         assert 0 < sum(decoded) < params.r_max * B

@@ -68,9 +68,7 @@ class TestReduceL1:
         params = RecoveryParams.derive(n, d, k)
         x = random_sparse_time(n, d, k, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
-        chi = reduce_l1_norm(
-            mset, SparseApprox.empty(n, d), params, 2.0 * x.norm_inf(), 0.0, rng=rng
-        )
+        chi = reduce_l1_norm(mset, 2.0 * x.norm_inf(), 0.0, rng=rng)
         assert max(head_errors(x, chi)) < 1e-6
         assert chi.support() <= x.support()
         # The tables now hold the residual, which should be near zero.
@@ -80,7 +78,7 @@ class TestReduceL1:
         n, d = 256, 1
         params = RecoveryParams.derive(n, d, 2)
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
-        chi = reduce_l1_norm(mset, SparseApprox.empty(n, d), params, 1.0, 0.0, rng=rng)
+        chi = reduce_l1_norm(mset, 1.0, 0.0, rng=rng)
         assert len(chi) == 0
 
     def test_noisy_head_mass_drops_geometrically(self, rng):
@@ -91,9 +89,7 @@ class TestReduceL1:
             x, xt, _ = noisy_instance(n, d, k, rng, tail_rel=0.05)
             mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
             before = head_l1(x, SparseApprox.empty(n, d))
-            chi = reduce_l1_norm(
-                mset, SparseApprox.empty(n, d), params, 2.0 * x.norm_inf(), 0.0, rng=rng
-            )
+            chi = reduce_l1_norm(mset, 2.0 * x.norm_inf(), 0.0, rng=rng)
             wins += head_l1(x, chi) <= before / 4.0
         assert wins >= trials - 1
 
@@ -106,7 +102,7 @@ class TestReduceL1:
         params = RecoveryParams.derive(n, d, 2)
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
         with pytest.raises(TypeError):
-            reduce_l1_norm(mset, SparseApprox.empty(n, d), params, 1.0, 0.0)
+            reduce_l1_norm(mset, 1.0, 0.0)
 
     def test_counter_tracks_estimation_samples(self, rng):
         n, d, k = 1024, 1, 3
@@ -115,15 +111,7 @@ class TestReduceL1:
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         base = mset.sample_counter
         stats = RunStats()
-        reduce_l1_norm(
-            mset,
-            SparseApprox.empty(n, d),
-            params,
-            2.0 * x.norm_inf(),
-            0.0,
-            rng=rng,
-            stats=stats,
-        )
+        reduce_l1_norm(mset, 2.0 * x.norm_inf(), 0.0, rng=rng, stats=stats)
         assert stats.samples_estimation > 0
         assert mset.sample_counter == base + stats.samples_estimation
 
@@ -133,10 +121,10 @@ def count_decodes(monkeypatch) -> list:
     calls = []
     real = recovery_module.locate_signal
 
-    def counting(mset, r, chi):
+    def counting(mset, r):
         digest = hashlib.sha256(mset.buckets[r].tobytes()).hexdigest()
         calls.append((id(mset), r, digest))
-        return real(mset, r, chi)
+        return real(mset, r)
 
     monkeypatch.setattr(recovery_module, "locate_signal", counting)
     return calls
@@ -153,9 +141,7 @@ class TestLocationReuse:
         x, xt, _ = noisy_instance(n, d, k, rng, tail_rel=tail_rel)
         mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
         calls = count_decodes(monkeypatch)
-        reduce_l1_norm(
-            mset, SparseApprox.empty(n, d), params, 2.0 * x.norm_inf(), 0.0, rng=rng
-        )
+        reduce_l1_norm(mset, 2.0 * x.norm_inf(), 0.0, rng=rng)
         assert len(calls) >= params.r_max
         assert len(set(calls)) == len(calls)
 
@@ -410,6 +396,67 @@ class TestFullPipeline:
         with pytest.raises(ParameterError, match="tunables"):
             sparse_fft_with_stats(xhat, k, params=params, tunables=Tunables())
         sparse_fft_with_stats(xhat, k, params=params)
+
+
+class TestTargetsChecked:
+    """epsilon > 0, mu >= 0 and r_star >= 1, all finite, wherever a stage
+    takes them; before, some of these crashed deep inside a stage and others
+    ran silently."""
+
+    BAD = [
+        ({"epsilon": 0.0}, "epsilon must be finite and > 0"),
+        ({"epsilon": -0.1}, "epsilon must be finite and > 0"),
+        ({"epsilon": float("nan")}, "epsilon must be finite and > 0"),
+        ({"mu": -1.0}, "mu must be finite and >= 0"),
+        ({"mu": float("nan")}, "mu must be finite and >= 0"),
+        ({"r_star": 0.5}, "r_star must be finite and >= 1"),
+        ({"r_star": float("inf")}, "r_star must be finite and >= 1"),
+    ]
+
+    @pytest.mark.parametrize("n,d", [(256, 1), (16, 2)])
+    @pytest.mark.parametrize("with_params", [True, False])
+    @pytest.mark.parametrize("bad,message", BAD)
+    def test_pipeline_checks_its_own_targets(self, n, d, with_params, bad, message, rng):
+        xhat = lib_freq(dense_time(random_sparse_time(n, d, 2, rng)).values, n, d)
+        params = RecoveryParams.derive(n, d, 2) if with_params else None
+        with pytest.raises(ParameterError, match=message):
+            sparse_fft_with_stats(xhat, 2, params=params, **bad)
+
+    @pytest.mark.parametrize(
+        "nu,mu,message",
+        [
+            (float("nan"), 0.0, "nu must be finite and >= 0"),
+            (1.0, float("nan"), "mu must be finite and >= 0"),
+            (1.0, -5.0, "mu must be finite and >= 0"),
+        ],
+    )
+    def test_l1_stage_checks_nu_and_mu(self, nu, mu, message, rng):
+        # A NaN threshold keeps nothing, so the stage used to return an
+        # empty approximation without a word.
+        params = RecoveryParams.derive(256, 1, 2)
+        mset = acquire_measurements(DenseSignal.zeros(256, 1, "frequency"), params, rng)
+        with pytest.raises(ParameterError, match=message):
+            reduce_l1_norm(mset, nu, mu, rng=rng)
+
+    def test_constant_snr_stage_checks_epsilon(self, rng):
+        xhat = DenseSignal.zeros(256, 1, "frequency")
+        with pytest.raises(ParameterError, match="epsilon must be finite and > 0"):
+            recover_at_constant_snr(xhat, SparseApprox.empty(256, 1), 2, 0.0, rng)
+
+    @pytest.mark.parametrize(
+        "nu,r_star,mu,message",
+        [
+            (-1.0, 2.0, 0.0, "nu must be finite and >= 0"),
+            (float("nan"), 2.0, 0.0, "nu must be finite and >= 0"),
+            (1.0, 0.5, 0.0, "r_star must be finite and >= 1"),
+            (1.0, float("inf"), 0.0, "r_star must be finite and >= 1"),
+            (1.0, 2.0, float("nan"), "mu must be finite and >= 0"),
+        ],
+    )
+    def test_inf_norm_stage_checks_its_targets(self, nu, r_star, mu, message, rng):
+        xhat = DenseSignal.zeros(256, 1, "frequency")
+        with pytest.raises(ParameterError, match=message):
+            reduce_inf_norm(xhat, SparseApprox.empty(256, 1), 1, nu, r_star, mu, rng)
 
 
 PINNED = json.loads((pathlib.Path(__file__).parent / "pinned_recovery.json").read_text())
