@@ -195,6 +195,17 @@ def _first_seen(flat: np.ndarray) -> np.ndarray:
 # and its temporaries stay in cache.
 _BLOCK_BYTES = 1 << 20
 
+# Fewest bucket-table rows one batched inverse FFT takes (the last batch of
+# a call may be short): pocketfft costs about half as much per point on 8
+# rows per call as on one, and any row batch gives the same bits.
+_FFT_BATCH_ROWS = 8
+
+# Columns per block of the blocked residual-update product (all of B when B
+# is smaller). Blocks of 8 or more columns reproduce the whole product's
+# bits. Narrow blocks pay a fixed cost per block and a strided subtraction,
+# wide ones a large increment block: 2 MB for 240 rows at 512 columns.
+_UPDATE_COLUMNS = 512
+
 
 def _block_rows(row_bytes: int) -> int:
     """Rows of row_bytes bytes each that fit one block, at least one."""

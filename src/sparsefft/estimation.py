@@ -101,6 +101,7 @@ def estimate_values(
     if locations.min() < 0 or locations.max() >= xhat.N:
         raise ParameterError("a location does not live on the signal grid")
 
+    mask = n - 1  # n is a power of two, so "& mask" is "mod n"
     F = 2 * d
     filt = cached_bucket_filter(n, d, B, F)
     b = filt.b
@@ -119,9 +120,9 @@ def estimate_values(
         read = u[rep, np.ravel_multi_index(cells.T, (b,) * d)]
         if len(chi):
             read = read - _chi_buckets(chi, hashing, z, cells)[0]
-        offsets = (perm.forward_array(coords) - hashing.center_of_array(coords)) % n
+        offsets = (perm.forward_array(coords) - hashing.center_of_array(coords)) & mask
         gain = filt.g_at(offsets)
-        expo = (((coords @ perm.sigma.T) % n) @ z[0]) % n
+        expo = (((coords @ perm.sigma.T) & mask) @ z[0]) & mask
         w[rep] = read / gain * unit_roots(n, -1)[expo]
 
     estimates = coordinatewise_median(w)

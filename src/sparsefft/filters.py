@@ -109,7 +109,7 @@ class BucketFilter:
 
     def g_at(self, offsets: np.ndarray) -> np.ndarray:
         """Vectorized g over an (..., d) array of integer offsets."""
-        gathered = self.g_axis[np.asarray(offsets, dtype=np.int64) % self.n]
+        gathered = self.g_axis[np.asarray(offsets, dtype=np.int64) & (self.n - 1)]
         return gathered.prod(axis=-1)
 
 

@@ -28,26 +28,40 @@ to (m, d) coordinates where the bucket formula needs them.
 The kernels stream, so the stored bucket tables are the only arrays that
 grow with rows times B:
 
-- _bucket_tables works through its rows in blocks of about
-  core._BLOCK_BYTES (1 MiB) of samples. Each block is gathered with one
-  fancy index, weighted in place, folded, and inverted, and its (rows, B)
-  bucket values are written straight into the caller's array (for
+- _bucket_tables gathers its rows in blocks of about core._BLOCK_BYTES
+  (1 MiB) of samples. Each block is gathered with one fancy index, weighted
+  in place, and folded straight into its rows of the caller's array (for
   acquisition, the hashing's slab of MeasurementSet.buckets). So neither a
   full (rows, P) sample table nor a second (rows, B) copy ever exists.
+- The folded rows are inverted in place, in batches of at least
+  core._FFT_BATCH_ROWS (8) rows that may span gather blocks and hashings.
+  A 2^16-sample row fills a whole gather block, and pocketfft takes about
+  35 ns per point on one 32768-point row per call against 13-14 ns on 8
+  or 16 rows (one thread, 2-vCPU KVM host), so the batches, not the
+  gather blocks, set the FFT calls.
 - The fold adds each support axis's length-b chunks in order and the
   ragged last chunk onto the leading residues, so nothing is copied to pad
   the support to a multiple of b.
-- update_residual_measurements builds each hashing's (|chi|, B) gains once
-  and subtracts the increment from the slab in row blocks, and the
+- update_residual_measurements subtracts phases @ weights one block of
+  bucket columns at a time, for all of a hashing's rows at once, and
+  builds each block's (|chi|, width) weights at that block's buckets. So
+  the (|chi|, B) weights are built once and never stored, and no (M, B)
+  increment exists. On a 144 x 32768 table at |chi| = 32 one hashing's
+  update takes 56-58 ms this way against 156-160 ms in 2-row blocks,
+  which reread the whole weights for every block (one thread). The
   acquisition's initial scale is a maximum over row blocks.
 - Every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
 
-Rows and buckets are independent, so the blocks only regroup work: every
-row and bucket comes out as in one pass over everything. The residual
-update's product is the one step whose rounding is the BLAS's; its blocks
-keep at least two rows, because numpy sends a one-row product to gemv,
-which rounds differently from gemm.
+Rows and buckets are independent, so the blocks and batches only regroup
+work: every row and bucket comes out as in one pass over everything. The
+inverse FFT gives the same bits on any number of rows per call, and its
+b^(d/2) scale is a separate step, since folding it into the transform's
+norm would change them. The update's product is the one step whose
+rounding is the BLAS's. Its column blocks are core._UPDATE_COLUMNS (512)
+wide: on eight product shapes under one and two OpenBLAS threads, blocks
+of 8 or more columns gave the whole product's bits, and 2-column blocks
+did not always.
 """
 from __future__ import annotations
 
@@ -62,6 +76,8 @@ from .core import (
     ParameterError,
     RecoveryParams,
     SparseApprox,
+    _FFT_BATCH_ROWS,
+    _UPDATE_COLUMNS,
     _block_rows,
     unit_roots,
 )
@@ -90,20 +106,27 @@ def _support_values(filt: BucketFilter) -> np.ndarray:
 
 def _support_row(hashing: Hashing, grid: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """Filter values gv times the omega^(i . Sigma q) modulation, per offset."""
-    n = hashing.n
-    sq = (hashing.perm.sigma @ hashing.perm.q) % n
-    expo = (grid @ sq) % n
-    return gv * unit_roots(n, 1)[expo]
+    mask = hashing.n - 1
+    sq = (hashing.perm.sigma @ hashing.perm.q) & mask
+    expo = (grid @ sq) & mask
+    return gv * unit_roots(hashing.n, 1)[expo]
 
 
-def _fold_axis(y: np.ndarray, axis: int, b: int) -> np.ndarray:
+def _fold_axis(
+    y: np.ndarray, axis: int, b: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Fold one support axis onto residues mod b: add its length-b chunks in
-    order, the ragged last chunk onto the leading residues only."""
+    order, the ragged last chunk onto the leading residues only. The sums go
+    into out when given (its shape is y's with b on `axis`), else into a new
+    array."""
     width = y.shape[axis]
     head = [slice(None)] * y.ndim
     tail = [slice(None)] * y.ndim
     head[axis] = slice(0, b)
-    out = y[tuple(head)].copy()
+    if out is None:
+        out = y[tuple(head)].copy()
+    else:
+        out[...] = y[tuple(head)]
     for lo in range(b, width, b):
         hi = min(lo + b, width)
         head[axis], tail[axis] = slice(0, hi - lo), slice(lo, hi)
@@ -111,26 +134,37 @@ def _fold_axis(y: np.ndarray, axis: int, b: int) -> np.ndarray:
     return out
 
 
-def _fold_and_invert(y: np.ndarray, filt: BucketFilter) -> np.ndarray:
-    """(M, support-grid) weighted samples -> (M, B) bucket values.
+def _fold_rows(y: np.ndarray, filt: BucketFilter, out: np.ndarray) -> None:
+    """Fold (M, support-grid) weighted samples onto the [b]^d ring, into
+    the C-contiguous (M, B) array out.
 
     Folds the support axes onto residues mod b one at a time, in axis
     order, adding each entry's terms in chunk order, so the sums are those
-    of a zero-padded fold without the padded copy. The leading support
-    offset becomes one roll.
+    of a zero-padded fold without the padded copy. The last axis folds
+    straight into out. The leading support offset is a multiple of b except
+    when b = n, where the support is one ring period and its fold is a copy
+    rolled into place.
     """
     d, b = filt.d, filt.b
     M = y.shape[0]
     y = y.reshape((M,) + (len(filt.support),) * d)
-    for axis in range(1, d + 1):
-        y = _fold_axis(y, axis, b)
+    dst = out.reshape((M,) + (b,) * d)
     shift = int(filt.support[0]) % b
-    axes = tuple(range(1, d + 1))
+    for axis in range(1, d + 1):
+        y = _fold_axis(y, axis, b, dst if axis == d and not shift else None)
     if shift:
-        y = np.roll(y, (shift,) * d, axis=axes)
-    u = fft_axes(y, axes, inverse=True)
+        dst[...] = np.roll(y, (shift,) * d, axis=tuple(range(1, d + 1)))
+
+
+def _invert_rows(u: np.ndarray, filt: BucketFilter) -> None:
+    """Turn the C-contiguous (M, B) folded rows u into bucket values in
+    place: one B-point inverse FFT per row, all rows in one call, then the
+    b^(d/2) scale (a separate step, so the bits do not depend on how the
+    rows are batched)."""
+    d, b = filt.d, filt.b
+    grid = u.reshape((len(u),) + (b,) * d)
+    fft_axes(grid, tuple(range(1, d + 1)), inverse=True, out=grid)
     u *= float(b) ** (d / 2.0)
-    return u.reshape(M, b**d)
 
 
 def _bucket_tables(
@@ -143,13 +177,14 @@ def _bucket_tables(
     """Bucket values of x-hat for every (hashing, modulation) row.
 
     mods[h] is an (M_h, d) array of modulations for hashings[h], and every
-    hashing uses filt. Rows run hashing-major. They are streamed in blocks
-    of about _BLOCK_BYTES of samples: each block of x-hat[Sigma^T (i - a)]
-    over the support offsets i is gathered, weighted by its hashings'
-    filter rows, folded and inverted, and its (rows, B) bucket values go
-    straight into out, a (sum M_h, B) array (allocated when None), which is
-    returned. Reads P = filt.support_size samples per row; the caller
-    accounts them.
+    hashing uses filt. Rows run hashing-major into out, a C-contiguous
+    (sum M_h, B) array (allocated when None), which is returned. The samples
+    are streamed in blocks of about _BLOCK_BYTES: each block of
+    x-hat[Sigma^T (i - a)] over the support offsets i is gathered, weighted
+    by its hashing's filter row, and folded into its rows of out. The rows
+    are then inverted in place, at least _FFT_BATCH_ROWS at a time (the last
+    batch may be short); a batch may span blocks and hashings. Reads
+    P = filt.support_size samples per row; the caller accounts them.
     """
     n, d = xhat.n, xhat.d
     grid = _support_grid(filt)
@@ -164,7 +199,7 @@ def _bucket_tables(
     # n is a power of two, so "& mask" is "mod n" (also for negative
     # differences) and a row-major stride of n is a shift by log2(n) bits.
     mask, bits = n - 1, n.bit_length() - 1
-    filled = done = 0
+    filled = done = inverted = 0
     for hashing, m in zip(hashings, mods):
         sigma = hashing.perm.sigma
         base = (grid @ sigma) & mask
@@ -180,56 +215,53 @@ def _bucket_tables(
             np.multiply(xflat[flat], weight, out=block[filled : filled + hi - lo])
             filled += hi - lo
             lo = hi
-            if filled == step:
-                out[done : done + filled] = _fold_and_invert(block, filt)
+            if filled == step or done + filled == M:
+                _fold_rows(block[:filled], filt, out[done : done + filled])
                 done, filled = done + filled, 0
-    if filled:
-        out[done : done + filled] = _fold_and_invert(block[:filled], filt)
+                if done - inverted >= _FFT_BATCH_ROWS or done == M:
+                    _invert_rows(out[inverted:done], filt)
+                    inverted = done
     return out
 
 
-def _chi_weights(
-    chi: SparseApprox, hashing: Hashing, cells: np.ndarray | None = None
-) -> np.ndarray:
-    """Filter gain G(pi(t) - (n/b) j) of every chi entry t at every bucket j,
-    as a complex (|chi|, B) array, or (|chi|, m) at the bucket coordinates
-    `cells` (an (m, d) array)."""
-    n, d, b = hashing.n, hashing.d, hashing.b
+def _all_cells(b: int, d: int) -> np.ndarray:
+    """Coordinates of every bucket of the [b]^d ring as a (b^d, d) array,
+    in row-major flat order."""
+    return np.indices((b,) * d).reshape(d, -1).T
+
+
+def _chi_weights(chi: SparseApprox, hashing: Hashing, cells: np.ndarray) -> np.ndarray:
+    """Filter gain G(pi(t) - (n/b) j) of every chi entry t at the bucket
+    coordinates j of the (m, d) array cells, as a complex (|chi|, m) array."""
+    n, b, g_axis = hashing.n, hashing.b, hashing.filter.g_axis
     pi = hashing.perm.forward_array(chi.coords_array())
-    g_axis = hashing.filter.g_axis
-    if cells is None:
-        centers = (n // b) * np.arange(b, dtype=np.int64)
-        weights = g_axis[(pi[:, 0, None] - centers) % n]
-        for ax in range(1, d):
-            extra = g_axis[(pi[:, ax, None] - centers) % n]
-            weights = (weights[:, :, None] * extra[:, None, :]).reshape(len(chi), -1)
-    else:
-        offsets = (pi[:, None, :] - (n // b) * cells[None, :, :]) % n
-        weights = g_axis[offsets].prod(axis=-1)
+    centers = (n // b) * cells
+    # One gather per axis, multiplied in axis order: the bits of a product
+    # over the axes, without an (|chi|, m, d) offset array.
+    weights = g_axis[(pi[:, None, 0] - centers[None, :, 0]) & (n - 1)]
+    for ax in range(1, hashing.d):
+        weights *= g_axis[(pi[:, None, ax] - centers[None, :, ax]) & (n - 1)]
     return weights.astype(np.complex128)
 
 
 def _chi_phases(chi: SparseApprox, hashing: Hashing, mods: np.ndarray) -> np.ndarray:
     """chi_t * omega^(a . Sigma t) for every modulation row a of the (M, d)
     array mods and every chi entry t, as an (M, |chi|) array."""
-    n = hashing.n
-    sig_t = (chi.coords_array() @ hashing.perm.sigma.T) % n
-    expo = (mods @ sig_t.T) % n
-    return unit_roots(n, 1)[expo] * chi.values
+    mask = hashing.n - 1
+    sig_t = (chi.coords_array() @ hashing.perm.sigma.T) & mask
+    expo = (mods @ sig_t.T) & mask
+    return unit_roots(hashing.n, 1)[expo] * chi.values
 
 
 def _chi_buckets(
-    chi: SparseApprox,
-    hashing: Hashing,
-    mods: np.ndarray,
-    cells: np.ndarray | None = None,
+    chi: SparseApprox, hashing: Hashing, mods: np.ndarray, cells: np.ndarray
 ) -> np.ndarray:
     """Exact bucket contributions of chi under each modulation.
 
     Entry t adds G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t) to bucket j
-    under modulation a. Returns an (M, B) array over every bucket, or
-    (M, m) at the bucket coordinates `cells` (an (m, d) array), which costs
-    O(m * |chi| * d) and builds no (|chi|, B) table. Reads no samples.
+    under modulation a. Returns an (M, m) array at the bucket coordinates
+    `cells` (an (m, d) array; _all_cells for every bucket), which costs
+    O(m * |chi| * d). Reads no samples.
     """
     return _chi_phases(chi, hashing, mods) @ _chi_weights(chi, hashing, cells)
 
@@ -258,7 +290,7 @@ def hash_to_bins(
     mods = np.asarray(a, dtype=np.int64).reshape(1, hashing.d) % hashing.n
     u = _bucket_tables(xhat, hashing.filter, [hashing], [mods])[0]
     if len(chi):
-        u = u - _chi_buckets(chi, hashing, mods)[0]
+        u = u - _chi_buckets(chi, hashing, mods, _all_cells(hashing.b, hashing.d))[0]
     return u.reshape((hashing.b,) * hashing.d)
 
 
@@ -407,19 +439,6 @@ def _max_abs(table: np.ndarray) -> float:
     return float(np.max(peaks)) if peaks else 0.0
 
 
-def _product_blocks(rows: int, step: int) -> list[tuple[int, int]]:
-    """(lo, hi) row blocks of about step rows for a blocked matrix product.
-
-    numpy hands a one-row product to gemv, which rounds differently from the
-    gemm of the whole product, so a block has at least two rows whenever
-    the product does.
-    """
-    edges = list(range(0, rows, max(2, step))) + [rows]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def update_residual_measurements(
     mset: MeasurementSet, chi_delta: SparseApprox
 ) -> MeasurementSet:
@@ -429,22 +448,24 @@ def update_residual_measurements(
     The contribution of entry t to bucket j under (hashing, modulation a) is
     G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t); it is computed exactly
     from the filter tables, so no spectrum reads happen and repeated updates
-    stay consistent with refreshing from scratch. Each hashing builds its
-    (|chi|, B) weights once and subtracts the increment from its slab one
-    block of rows at a time, so no (M, B) increment is ever formed.
+    stay consistent with refreshing from scratch. Each hashing subtracts
+    phases @ weights from its slab one block of bucket columns at a time,
+    for all rows at once, and builds each block's weights at that block's
+    buckets, so neither an (M, B) increment nor the (|chi|, B) weights are
+    ever formed.
     """
     if chi_delta.n != mset.n or chi_delta.d != mset.d:
         raise ParameterError("chi_delta does not live on the measurement grid")
     if len(chi_delta) == 0:
         return mset
     B = mset.params.B
-    step = _block_rows(16 * B)
+    cells = _all_cells(mset.hashings[0].b, mset.d)
     for r, hashing in enumerate(mset.hashings):
         mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
         phases = _chi_phases(chi_delta, hashing, mods)
-        weights = _chi_weights(chi_delta, hashing)
         slab = mset.buckets[r].reshape(-1, B)
-        for lo, hi in _product_blocks(len(slab), step):
-            slab[lo:hi] -= phases[lo:hi] @ weights
+        for lo in range(0, B, _UPDATE_COLUMNS):
+            cols = slice(lo, lo + _UPDATE_COLUMNS)
+            slab[:, cols] -= phases @ _chi_weights(chi_delta, hashing, cells[cols])
     mset.chi = mset.chi + chi_delta
     return mset

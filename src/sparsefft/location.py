@@ -109,6 +109,7 @@ def _decode_columns(
     fvec = np.zeros((hi - lo, d), dtype=np.int64)
     min_votes = tun.vote_fraction * c_max - 1e-9
 
+    # n and every digit base are powers of two, so "& (m - 1)" is "mod m".
     for s in range(d):
         betas = mset.betas[r, :, s]
         scale = 1
@@ -118,13 +119,13 @@ def _decode_columns(
             step = n // (scale * base)
             meas = table[:, mset.shift_slot(g, s)][:, live]
             xi = meas / safe_ref[:, live]
-            corr_expo = (step * betas[:, None] * fvec[None, :, s]) % n
+            corr_expo = (step * betas[:, None] * fvec[None, :, s]) & (n - 1)
             corrected = xi * unit_roots(n, -1)[corr_expo]
             nearest = np.rint(np.angle(corrected) * (base / (2 * np.pi)))
-            nearest = nearest.astype(np.int64) % base
+            nearest = nearest.astype(np.int64) & (base - 1)
             eta = unit_roots(base, -1)[nearest] * corrected
             ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid[:, live]
-            targets = (np.arange(base)[:, None] * betas[None, :]) % base
+            targets = (np.arange(base)[:, None] * betas[None, :]) & (base - 1)
             votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)
             passed = votes >= min_votes
             unique = passed.sum(axis=0) == 1

@@ -2,7 +2,9 @@
 
 A permutation is a pair (Sigma, q) with Sigma an odd-determinant d x d
 integer matrix mod n, acting on indices as pi(i) = Sigma(i - q) mod n. Odd
-determinant makes Sigma invertible on the ring, so pi is a bijection.
+determinant makes Sigma invertible on the ring (n is a power of two), so pi
+is a bijection; its inverse comes from one Gauss-Jordan elimination mod n
+(_inverse_mod), which also decides the determinant's parity.
 
 A hashing combines a permutation with a bucket count B = b^d and a bucket
 filter of sharpness F: frequency i lands in bucket h(i), the nearest-bucket
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseSignal, ParameterError
+from .core import DenseSignal, ParameterError, is_power_of_two
 from .filters import BucketFilter
 
 __all__ = [
@@ -33,35 +35,31 @@ __all__ = [
 ]
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Exact determinant by Laplace expansion (d is tiny)."""
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    total = 0
-    for col in range(size):
-        minor = [row[:col] + row[col + 1 :] for row in m[1:]]
-        term = m[0][col] * _int_det(minor)
-        total += term if col % 2 == 0 else -term
-    return total
+def _inverse_mod(sigma: np.ndarray, n: int) -> np.ndarray | None:
+    """Inverse of the square integer matrix sigma mod the power of two n, by
+    Gauss-Jordan elimination with odd pivots; None when det(sigma) is even.
 
-
-def _adjugate(m: list[list[int]]) -> list[list[int]]:
-    """Exact adjugate (transpose of cofactors), so m @ adj = det * I."""
-    size = len(m)
-    if size == 1:
-        return [[1]]
-    adj = [[0] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(size):
-            minor = [
-                [m[i][j] for j in range(size) if j != c]
-                for i in range(size)
-                if i != r
-            ]
-            sign = -1 if (r + c) % 2 else 1
-            adj[c][r] = sign * _int_det(minor)
-    return adj
+    Odd numbers are the units mod n, and elimination mod n reduces mod 2 to
+    elimination over GF(2), so an odd pivot exists in every column exactly
+    when the determinant is odd. The inverse mod n is unique.
+    """
+    d = len(sigma)
+    rows = [
+        [int(v) % n for v in row] + [int(i == j) for j in range(d)]
+        for i, row in enumerate(sigma.tolist())
+    ]
+    for c in range(d):
+        pivot = next((r for r in range(c, d) if rows[r][c] & 1), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        unit = pow(rows[c][c], -1, n)
+        rows[c] = [(v * unit) % n for v in rows[c]]
+        for r in range(d):
+            factor = rows[r][c]
+            if r != c and factor:
+                rows[r] = [(v - factor * w) % n for v, w in zip(rows[r], rows[c])]
+    return np.array([row[d:] for row in rows], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +72,8 @@ class SpectrumPermutation:
     sigma_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not is_power_of_two(self.n):
+            raise ParameterError(f"grid side must be a power of two, got n={self.n}")
         sigma = np.asarray(self.sigma, dtype=np.int64) % self.n
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ParameterError(f"sigma must be square, got shape {sigma.shape}")
@@ -81,16 +81,12 @@ class SpectrumPermutation:
         if q.shape != (sigma.shape[0],):
             raise ParameterError("shift q does not match the sigma matrix")
         q.flags.writeable = False
-        rows = sigma.tolist()
-        det = _int_det(rows)
-        if det % 2 == 0:
+        inv = _inverse_mod(sigma, self.n)
+        if inv is None:
             raise ParameterError("sigma must have odd determinant mod n")
-        det_inv = pow(det, -1, self.n)
-        adj = _adjugate(rows)
-        inv = [[(det_inv * entry) % self.n for entry in row] for row in adj]
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "sigma_inv", np.array(inv, dtype=np.int64))
+        object.__setattr__(self, "sigma_inv", inv)
 
     @property
     def d(self) -> int:
@@ -98,15 +94,16 @@ class SpectrumPermutation:
 
     def forward_array(self, coords: np.ndarray) -> np.ndarray:
         """pi over an (m, d) array of indices, returning residues in [0, n)."""
-        shifted = (np.asarray(coords, dtype=np.int64) - self.q) % self.n
-        return (shifted @ self.sigma.T) % self.n
+        mask = self.n - 1
+        shifted = (np.asarray(coords, dtype=np.int64) - self.q) & mask
+        return (shifted @ self.sigma.T) & mask
 
 
 def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPermutation:
     """Uniform odd-determinant Sigma (by rejection) and uniform shift q."""
     while True:
         sigma = rng.integers(0, n, size=(d, d), dtype=np.int64)
-        if _int_det(sigma.tolist()) % 2 == 1:
+        if _inverse_mod(sigma, n) is not None:
             break
     q = rng.integers(0, n, size=d, dtype=np.int64)
     return SpectrumPermutation(n=n, sigma=sigma, q=q)

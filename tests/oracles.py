@@ -7,9 +7,10 @@ machinery. Costs are quadratic or worse, so keep the grids small.
 
 The reference_* functions are different: they are the straightforward
 versions of optimized library kernels (per-digit location vote, per-axis
-fold, per-repetition estimation, per-draw probe sampling). The optimized
-kernels must match them exactly, with np.array_equal, so they share the
-library's arithmetic on purpose.
+fold, per-repetition estimation, per-draw probe sampling, the adjugate
+inverse of a permutation matrix). The optimized kernels must match them
+exactly, with np.array_equal, so they share the library's arithmetic on
+purpose.
 """
 
 from __future__ import annotations
@@ -228,6 +229,35 @@ def reference_estimate(
         expo = (sig_f @ z) % n
         w[rep] = read / gain * np.exp(-2j * np.pi * expo / n)
     return coordinatewise_median(w), samples
+
+
+def _reference_det(m: list[list[int]]) -> int:
+    """Exact integer determinant by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = 0
+    for col in range(len(m)):
+        minor = [row[:col] + row[col + 1 :] for row in m[1:]]
+        term = m[0][col] * _reference_det(minor)
+        total += term if col % 2 == 0 else -term
+    return total
+
+
+def reference_inverse_mod(sigma: np.ndarray, n: int) -> np.ndarray | None:
+    """Inverse of sigma mod the power of two n as det^-1 times the adjugate
+    (the transposed cofactors), or None when the determinant is even."""
+    m = [[int(v) % n for v in row] for row in np.asarray(sigma).tolist()]
+    size = len(m)
+    det = _reference_det(m)
+    if det % 2 == 0:
+        return None
+    adj = [[1]] if size == 1 else [[0] * size for _ in range(size)]
+    for r in range(size if size > 1 else 0):
+        for c in range(size):
+            minor = [[m[i][j] for j in range(size) if j != c] for i in range(size) if i != r]
+            adj[c][r] = (-1) ** (r + c) * _reference_det(minor)
+    det_inv = pow(det, -1, n)
+    return np.array([[(det_inv * v) % n for v in row] for row in adj], dtype=np.int64)
 
 
 def _reference_balanced(betas: list[int], delta: int) -> bool:

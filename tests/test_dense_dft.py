@@ -97,3 +97,15 @@ def test_fft_axes_rejects_non_power_of_two_axis(rng):
     with pytest.raises(ParameterError):
         fft_axes(vals, (0,))
     assert fft_axes(vals, (1,)).shape == (6, 8)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("axes", [(1,), (1, 2), (1, 2, 3)])
+def test_fft_axes_in_place_equals_allocating_call(axes, inverse, rng):
+    # A batch of 5 entries, each transformed along 1, 2 or 3 axes of 8.
+    shape = (5,) + (8,) * len(axes)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = fft_axes(vals, axes, inverse=inverse)
+    a = vals.copy()
+    assert fft_axes(a, axes, inverse=inverse, out=a) is a
+    assert np.array_equal(a, want)

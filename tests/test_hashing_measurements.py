@@ -5,8 +5,9 @@ the predicted gain and phase, a perfectly subtracted signal leaves only
 transform error, and random residuals match the literal double sum over
 every grid point. Acquisition bookkeeping (shift ladder, probe balance,
 sample counting) and in-place residual updates are pinned separately. The
-streaming kernels must give the same bits whatever their block size, and
-acquisition must not hold more than its bucket tables in memory.
+streaming kernels must give the same bits whatever their block and batch
+sizes, acquisition must not hold more than its bucket tables in memory, and
+a residual update must not hold its whole (|chi|, B) weights.
 """
 import tracemalloc
 
@@ -25,11 +26,12 @@ from sparsefft import hashing_measurements as hm
 from sparsefft import recovery
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import (
+    _all_cells,
     _bucket_tables,
     _chi_buckets,
-    _fold_and_invert,
+    _fold_rows,
+    _invert_rows,
     _modulations,
-    _product_blocks,
     _sample_balanced_probes,
     acquire_measurements,
     hash_to_bins,
@@ -306,71 +308,63 @@ class TestResidualUpdates:
 
 
 class TestBlocksAreInvisible:
-    """Blocks regroup independent rows, so any block size gives the same bits."""
+    """Blocks and batches regroup independent rows and columns, so any
+    block size gives the same bits."""
 
-    # 1-D: support width F*b + 1 = 33 is not a multiple of b = 16. The 2-D
-    # and 3-D filters cover the whole ring.
-    @pytest.mark.parametrize("n,d,B,F", [(1024, 1, 16, 2), (16, 2, 16, 4), (8, 3, 64, 6)])
+    # 1-D: support width F*b + 1 = 33 is not a multiple of b = 16; b = n
+    # needs the roll. The 2-D and 3-D filters cover the whole ring.
+    @pytest.mark.parametrize(
+        "n,d,B,F", [(1024, 1, 16, 2), (16, 1, 16, 2), (16, 2, 16, 4), (8, 3, 64, 6)]
+    )
     def test_bucket_tables_equal_single_row_calls(self, n, d, B, F, rng, monkeypatch):
         xhat = freq_signal(rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d), n, d)
         filt = cached_bucket_filter(n, d, B, F)
         hashings = [make_hashing(n, d, B, F, rng) for _ in range(2)]
-        mods = [rng.integers(0, n, size=(count, d)) for count in (5, 2)]
+        mods = [rng.integers(0, n, size=(count, d)) for count in (5, 4)]
         single = [
             _bucket_tables(xhat, filt, [h], [m[j : j + 1]])[0]
             for h, m in zip(hashings, mods)
             for j in range(len(m))
         ]
-        # Three rows per block: the first hashing's five rows span two
-        # blocks, one of them shared with the second hashing, and the last
-        # block is ragged.
+        # Gather blocks of three rows and FFT batches of at least four: the
+        # first batch is rows 0-5, across a block edge (row 3) and a hashing
+        # edge (row 5); the last three rows are the ragged tail.
         monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 16 * filt.support_size)
-        blocks = []
-        fold = hm._fold_and_invert
+        monkeypatch.setattr(hm, "_FFT_BATCH_ROWS", 4)
+        batches = []
+        fft = hm.fft_axes
         monkeypatch.setattr(
-            hm, "_fold_and_invert", lambda y, f: blocks.append(len(y)) or fold(y, f)
+            hm, "fft_axes", lambda v, *a, **kw: batches.append(len(v)) or fft(v, *a, **kw)
         )
-        out = np.full((7, B), np.nan, dtype=np.complex128)
+        out = np.full((9, B), np.nan, dtype=np.complex128)
         assert _bucket_tables(xhat, filt, hashings, mods, out=out) is out
-        assert blocks == [3, 3, 1]
+        assert batches == [6, 3]
         assert np.array_equal(out, np.array(single))
 
-    # c_max * len(shifts) = 121 or 91 rows: one more than a multiple of 2,
-    # 3, 5 and 6.
     @pytest.mark.parametrize(
-        "n,d,k,B,c_max", [(1024, 1, 4, 64, 11), (64, 2, 3, 64, 7), (16, 3, 2, 64, 7)]
+        "n,d,k,B,c_max", [(1024, 1, 4, 256, 11), (64, 2, 3, 256, 7), (16, 3, 2, 512, 7)]
     )
-    @pytest.mark.parametrize("step", [2, 5])
-    def test_update_equals_whole_increment(self, n, d, k, B, c_max, step, rng, monkeypatch):
+    @pytest.mark.parametrize("k_chi", [1, 5])
+    def test_update_equals_whole_increment(self, n, d, k, B, c_max, k_chi, rng, monkeypatch):
         params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max)
         x = random_sparse_time(n, d, k, rng)
         mset = acquire_measurements(freq_signal(dense_time(x), n, d), params, rng)
-        chi = random_sparse_time(n, d, 5, rng)
+        chi = random_sparse_time(n, d, k_chi, rng)
+        cells = _all_cells(mset.hashings[0].b, d)
         expected = mset.buckets.copy()
         for r, hashing in enumerate(mset.hashings):
             mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, n)
-            expected[r] -= _chi_buckets(chi, hashing, mods).reshape(expected[r].shape)
-        # A few rows per block, and one row left over: it joins the last
-        # block, since a one-row product rounds differently.
-        assert (c_max * len(mset.shifts)) % step == 1
-        monkeypatch.setattr(core, "_BLOCK_BYTES", step * 16 * B)
-        used = []
-        spans = hm._product_blocks
+            expected[r] -= _chi_buckets(chi, hashing, mods, cells).reshape(expected[r].shape)
+        # 64-column blocks: B / 64 of them per hashing.
+        monkeypatch.setattr(hm, "_UPDATE_COLUMNS", 64)
+        widths = []
+        weights = hm._chi_weights
         monkeypatch.setattr(
-            hm, "_product_blocks", lambda m, t: used.append(spans(m, t)) or used[-1]
+            hm, "_chi_weights", lambda c, h, j: widths.append(len(j)) or weights(c, h, j)
         )
         update_residual_measurements(mset, chi)
-        assert len(used) == params.r_max
-        assert all(len(blocks) > 2 and blocks[0] == (0, step) for blocks in used)
-        assert all(hi - lo == step + 1 for blocks in used for lo, hi in blocks[-1:])
+        assert widths == [64] * (B // 64) * params.r_max
         assert np.array_equal(mset.buckets, expected)
-
-    def test_product_blocks_never_leave_a_single_row(self):
-        assert _product_blocks(7, 3) == [(0, 3), (3, 7)]
-        assert _product_blocks(8, 3) == [(0, 3), (3, 6), (6, 8)]
-        assert _product_blocks(5, 1) == [(0, 2), (2, 5)]
-        assert _product_blocks(4, 10) == [(0, 4)]
-        assert _product_blocks(1, 3) == [(0, 1)]
 
 
 class TestMemoryBound:
@@ -388,6 +382,24 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak < 2 * mset.buckets.nbytes
+
+    def test_update_peak_stays_below_one_weight_array(self, rng):
+        # |chi| = 32 against 8192 buckets: the full (|chi|, B) complex
+        # weights would take 4 MiB.
+        n = 2**14
+        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1)
+        xhat = DenseSignal(n, 1, rng.normal(size=n) + 1j * rng.normal(size=n), "frequency")
+        acquire_measurements(xhat, params, np.random.default_rng(1))  # warm the caches
+        mset = acquire_measurements(xhat, params, np.random.default_rng(1))
+        flat = rng.choice(n, size=32, replace=False)
+        chi = SparseApprox.from_flat(n, 1, flat, rng.normal(size=32) + 1j * rng.normal(size=32))
+        tracemalloc.start()
+        try:
+            update_residual_measurements(mset, chi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(chi) * params.B * np.dtype(np.complex128).itemsize
 
 
 class TestFoldMatchesPerAxisFold:
@@ -414,8 +426,9 @@ class TestFoldMatchesPerAxisFold:
         else:
             assert width == F * b + 1
         y = rng.normal(size=(3, width**d)) + 1j * rng.normal(size=(3, width**d))
-        got = _fold_and_invert(y, filt)
-        assert got.shape == (3, b**d)
+        got = np.full((3, b**d), np.nan, dtype=np.complex128)
+        _fold_rows(y, filt, got)
+        _invert_rows(got, filt)
         assert np.array_equal(got, reference_fold_and_invert(y, filt))
 
 

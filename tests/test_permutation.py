@@ -16,12 +16,19 @@ from sparsefft.filters import cached_bucket_filter
 from sparsefft.permutation import (
     Hashing,
     SpectrumPermutation,
+    _inverse_mod,
     apply_P,
     is_isolated,
     sample_permutation,
 )
 
-from oracles import all_indices, direct_transform, flat_of, root_table
+from oracles import (
+    all_indices,
+    direct_transform,
+    flat_of,
+    reference_inverse_mod,
+    root_table,
+)
 
 
 def make_hashing(n, d, B, F, rng):
@@ -52,6 +59,41 @@ class TestSampling:
     def test_even_determinant_rejected(self):
         with pytest.raises(ParameterError):
             SpectrumPermutation(n=16, sigma=np.array([[2]]), q=np.zeros(1))
+
+    def test_non_power_of_two_grid_rejected(self):
+        with pytest.raises(ParameterError):
+            SpectrumPermutation(n=12, sigma=np.array([[5]]), q=np.zeros(1))
+
+    @pytest.mark.parametrize("n", [2, 16, 1 << 20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_inverse_matches_adjugate_formula(self, n, d, rng):
+        outcomes = set()
+        for _ in range(300):
+            sigma = rng.integers(0, n, size=(d, d), dtype=np.int64)
+            want = reference_inverse_mod(sigma, n)
+            got = _inverse_mod(sigma, n)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            outcomes.add(want is None)
+        # Both odd and even determinants came up.
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rejection_draws_follow_the_determinant_rule(self, d):
+        n = 16
+        for seed in range(20):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            perm = sample_permutation(n, d, fast)
+            while True:
+                sigma = slow.integers(0, n, size=(d, d), dtype=np.int64)
+                if reference_inverse_mod(sigma, n) is not None:
+                    break
+            q = slow.integers(0, n, size=d, dtype=np.int64)
+            assert np.array_equal(perm.sigma, sigma) and np.array_equal(perm.q, q)
+            assert np.array_equal(perm.sigma_inv, reference_inverse_mod(sigma, n))
+            assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_limited_independence_collision_bound(self, rng):
         # Pr[|Sigma(i - j)| <= t] <= 2 (2t/n)^d plus sampling slack for
