@@ -368,10 +368,11 @@ def _sample_balanced_probes(
     """Uniform probe pairs as (alphas, betas), two (c_max, d) arrays, redrawn
     until every axis is digit-balanced.
 
-    Draws alpha_t, beta_t, alpha_{t+1}, ... with one rng call per index, so
-    the random stream matches drawing the pairs one by one."""
+    Draws alpha_t, beta_t, alpha_{t+1}, ... as the rows of one (2 c_max, d)
+    rng call per attempt; the random stream matches drawing the pairs one by
+    one."""
     for _ in range(1000):
-        draws = np.array([rng.integers(0, n, size=d) for _ in range(2 * c_max)])
+        draws = rng.integers(0, n, size=(2 * c_max, d))
         if _balanced_axes(draws[1::2], delta).all():
             return draws[0::2], draws[1::2]
     raise RuntimeError(

@@ -64,12 +64,16 @@ def _inverse_mod(sigma: np.ndarray, n: int) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumPermutation:
-    """pi(i) = Sigma(i - q) mod n with Sigma invertible mod n."""
+    """pi(i) = Sigma(i - q) mod n with Sigma invertible mod n.
+
+    sigma_inv is computed when left out; a caller that already holds the
+    inverse may pass it, and it is checked against sigma.
+    """
 
     n: int
     sigma: np.ndarray  # (d, d) int64, entries reduced mod n
     q: np.ndarray  # (d,) int64, entries reduced mod n; read-only
-    sigma_inv: np.ndarray = field(init=False, repr=False)
+    sigma_inv: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.n):
@@ -81,9 +85,15 @@ class SpectrumPermutation:
         if q.shape != (sigma.shape[0],):
             raise ParameterError("shift q does not match the sigma matrix")
         q.flags.writeable = False
-        inv = _inverse_mod(sigma, self.n)
-        if inv is None:
-            raise ParameterError("sigma must have odd determinant mod n")
+        if self.sigma_inv is None:
+            inv = _inverse_mod(sigma, self.n)
+            if inv is None:
+                raise ParameterError("sigma must have odd determinant mod n")
+        else:
+            inv = np.asarray(self.sigma_inv, dtype=np.int64) % self.n
+            eye = np.eye(len(sigma), dtype=np.int64)
+            if inv.shape != sigma.shape or not np.array_equal(sigma @ inv % self.n, eye):
+                raise ParameterError("sigma_inv is not the inverse of sigma mod n")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "sigma_inv", inv)
@@ -103,10 +113,11 @@ def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPerm
     """Uniform odd-determinant Sigma (by rejection) and uniform shift q."""
     while True:
         sigma = rng.integers(0, n, size=(d, d), dtype=np.int64)
-        if _inverse_mod(sigma, n) is not None:
+        sigma_inv = _inverse_mod(sigma, n)
+        if sigma_inv is not None:
             break
     q = rng.integers(0, n, size=d, dtype=np.int64)
-    return SpectrumPermutation(n=n, sigma=sigma, q=q)
+    return SpectrumPermutation(n=n, sigma=sigma, q=q, sigma_inv=sigma_inv)
 
 
 def apply_P(perm: SpectrumPermutation, a: np.ndarray, xhat: DenseSignal) -> DenseSignal:

@@ -16,6 +16,14 @@ round's threshold into the set. They differ only in their threshold
 schedules and measurement sets. The inf-norm and constant-SNR stages draw a
 fresh set from the caller's chi (`_fresh_measurements`).
 
+For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
+sparse) bounds nothing. Under that bound every residual coefficient obeys
+|x_i - chi_i| <= x_inf + ||chi||_inf with x_inf = r_star * mu, so a threshold
+above that sum cannot keep a true coefficient. `sparse_fft_with_stats` passes
+x_inf (math.inf when mu = 0) to the l1 and inf-norm stages: a round whose
+threshold is above the bound is idle and makes no reads, and the inf-norm
+stage makes no acquisition at all when its lowest threshold is above it.
+
 Every constant comes from `Tunables`, and this module turns the constants
 into stage geometry. Location buckets follow `core.location_bucket_count`:
 through `RecoveryParams.derive` for the main and inf-norm acquisitions, and at
@@ -130,12 +138,26 @@ def _fresh_measurements(
     return mset
 
 
+def _check_bound(x_inf: float) -> None:
+    """ParameterError unless x_inf is a usable bound on ||x||_inf: > 0, or
+    math.inf for none."""
+    if not x_inf > 0.0:
+        raise ParameterError(f"x_inf must be > 0 (math.inf for no bound), got {x_inf}")
+
+
+def _above_bound(threshold: float, x_inf: float, chi: SparseApprox) -> bool:
+    """True when threshold exceeds every residual coefficient that
+    ||x||_inf <= x_inf allows: |x_i - chi_i| <= x_inf + ||chi||_inf."""
+    return threshold > x_inf + chi.norm_inf()
+
+
 def _threshold_rounds(
     mset: MeasurementSet,
     rounds: list[tuple[float, bool]],
     B_est: int,
     reps: int,
     rng: np.random.Generator,
+    x_inf: float,
 ) -> SparseApprox:
     """Locate, estimate above a threshold, and fold, once per round.
 
@@ -144,13 +166,19 @@ def _threshold_rounds(
     B_est-bucket hashings of mset.source, and folds the estimates above
     threshold into the set (its tables and its chi). Decoding reads the
     tables alone, so the candidates are reused until a round keeps
-    something. A round that keeps nothing ends the loop when marked
-    last_if_idle. Estimation reads are added to mset.sample_counter. Returns
-    the kept values, added round by round.
+    something. A round whose threshold is above x_inf + ||mset.chi||_inf
+    (x_inf bounds ||x||_inf) is idle: it keeps nothing without a locate
+    call, an estimate call or an rng draw. A round that keeps nothing ends
+    the loop when marked last_if_idle. Estimation reads are added to
+    mset.sample_counter. Returns the kept values, added round by round.
     """
     increment = SparseApprox.empty(mset.n, mset.d)
     locations = None
     for threshold, last_if_idle in rounds:
+        if _above_bound(threshold, x_inf, mset.chi):
+            if last_if_idle:
+                break
+            continue
         if locations is None:
             locations = _union_locations(mset)
         kept = SparseApprox.empty(mset.n, mset.d)
@@ -176,6 +204,7 @@ def reduce_l1_norm(
     *,
     rng: np.random.Generator,
     stats: RunStats | None = None,
+    x_inf: float = math.inf,
 ) -> SparseApprox:
     """Shrink the head l1 mass of the residual mset holds from nu * k toward
     mu * k.
@@ -183,11 +212,17 @@ def reduce_l1_norm(
     Runs ~log2(log^4 N) rounds of `_threshold_rounds` over all hashings with
     a geometrically falling acceptance threshold, and stops early once the
     threshold has bottomed out at the noise floor and a round keeps nothing.
-    rng draws the estimation hashings; it must not replay the acquisition's
-    stream. Every accepted increment goes into mset (its tables and its
-    chi); returns the updated total approximation, mset.chi.
+    x_inf bounds ||x||_inf: for a caller's mu > 0, `sparse_fft_with_stats`
+    passes the promised r_star * mu; mu = 0 bounds nothing, and the default
+    math.inf keeps every round. A round whose threshold is above x_inf +
+    ||mset.chi||_inf cannot keep a true coefficient and makes no reads
+    (no locate call, no estimate call, no rng draw). rng draws the
+    estimation hashings; it must not replay the acquisition's stream. Every
+    accepted increment goes into mset (its tables and its chi); returns the
+    updated total approximation, mset.chi.
     """
     _check_targets(nu=nu, mu=mu)
+    _check_bound(x_inf)
     params = mset.params
     tun = params.tunables
     n, d, N = params.n, params.d, params.N
@@ -200,7 +235,7 @@ def reduce_l1_norm(
     heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(inner)]
     rounds = [(head + floor, head <= floor) for head in heads]
     before = mset.sample_counter
-    _threshold_rounds(mset, rounds, B_est, reps, rng)
+    _threshold_rounds(mset, rounds, B_est, reps, rng, x_inf)
     if stats is not None:
         stats.samples_estimation += mset.sample_counter - before
     return mset.chi
@@ -217,32 +252,44 @@ def reduce_inf_norm(
     *,
     tunables: Tunables | None = None,
     stats: RunStats | None = None,
+    x_inf: float = math.inf,
 ) -> SparseApprox:
     """Chase the few coefficients still above the target sup-norm bound.
 
     Self-contained: draws its own ~log N hashings (more than the l1 loop
     uses, because at most k_tilde survivors must all be caught), then runs
     `_threshold_rounds` with a threshold that halves over ceil(log2 r_star)
-    rounds. Returns only the increment found here, not chi plus the
-    increment.
+    rounds. r_star and mu here are the stage's own targets. x_inf bounds the
+    signal, ||x||_inf <= x_inf: for a caller's mu > 0,
+    `sparse_fft_with_stats` passes the promised r_star * mu of that caller;
+    mu = 0 bounds nothing, and the default math.inf keeps every round. A
+    round whose threshold is above x_inf + ||chi||_inf makes no reads, and
+    when even the lowest threshold is, the stage returns the empty
+    increment before it acquires anything (no reads, no rng draws).
+    Returns only the increment found here, not chi plus the increment.
     """
     tun = tunables or Tunables()
     if k_tilde < 1:
         raise ParameterError(f"need k_tilde >= 1, got {k_tilde}")
     _check_targets(nu=nu, mu=mu, r_star=r_star)
+    _check_bound(x_inf)
     n, d = xhat.n, xhat.d
     N = n**d
-    r_max = max(
-        3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / math.sqrt(tun.alpha))
-    )
     T = max(1, math.ceil(math.log2(max(r_star, 2.0))))
-    mset = _fresh_measurements(xhat, chi, k_tilde, rng, r_max=r_max, tunables=tun)
     rounds = [
         (tun.inf_threshold_scale * (nu * 2.0 ** (T - (t + 1)) + mu), False)
         for t in range(T)
     ]
+    if _above_bound(min(threshold for threshold, _ in rounds), x_inf, chi):
+        return SparseApprox.empty(n, d)
+    r_max = max(
+        3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / math.sqrt(tun.alpha))
+    )
+    mset = _fresh_measurements(xhat, chi, k_tilde, rng, r_max=r_max, tunables=tun)
     B_est = estimation_bucket_count(n, d, k_tilde, 1.0, tun)
-    increment = _threshold_rounds(mset, rounds, B_est, _inf_estimate_reps(N, tun), rng)
+    increment = _threshold_rounds(
+        mset, rounds, B_est, _inf_estimate_reps(N, tun), rng, x_inf
+    )
     if stats is not None:
         stats.samples_infnorm += mset.sample_counter
     return increment
@@ -307,8 +354,12 @@ def sparse_fft_with_stats(
 
     mu is the caller's noise floor (mu = 0 means exactly sparse) and r_star
     bounds the initial SNR; together they set the outer round count and the
-    per-round thresholds. The returned stats split spectrum reads by stage,
-    with acquisition (`samples_location`) fixed after startup. Passing
+    per-round thresholds. For mu > 0 the caller promises ||x||_inf <=
+    r_star * mu, and the l1 and inf-norm stages skip, without any read,
+    every round (and the whole inf-norm acquisition) whose threshold is
+    above r_star * mu + ||chi||_inf. mu = 0 bounds nothing, so every round
+    runs. The returned stats split spectrum reads by stage, with
+    acquisition (`samples_location`) fixed after startup. Passing
     params overrides the derived geometry (bucket counts, repetitions); its
     grid must match xhat, its k must equal k, and it brings its own
     tunables, so tunables must then be left out. The epsilon, mu and r_star
@@ -342,13 +393,16 @@ def sparse_fft_with_stats(
     mset = acquire_measurements(xhat, params, rng)
     stats.samples_location = mset.sample_counter
     mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
+    # The caller's mu, not mu_eff: at mu = 0, mu_eff is a numerical floor,
+    # not a bound on x.
+    x_inf = r_star * mu if mu > 0.0 else math.inf
     L4 = _log4(N)
     k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / L4))
 
     norm_baseline = 0.0
     for t in range(params.T):
         nu = 4.0 * mu_eff * L4 ** (params.T - t)
-        reduce_l1_norm(mset, nu, mu_eff, rng=rng, stats=stats)
+        reduce_l1_norm(mset, nu, mu_eff, rng=rng, stats=stats, x_inf=x_inf)
         nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
         if nu_prime > 0.0:
             r_star_inf = max(2.0, nu / nu_prime)
@@ -362,6 +416,7 @@ def sparse_fft_with_stats(
                 rng,
                 tunables=tun,
                 stats=stats,
+                x_inf=x_inf,
             )
             if len(increment) > 0:
                 update_residual_measurements(mset, increment)

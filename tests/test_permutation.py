@@ -56,6 +56,14 @@ class TestSampling:
             assert np.array_equal((perm.sigma @ perm.sigma_inv) % n, eye % n)
             assert np.array_equal((perm.sigma_inv @ perm.sigma) % n, eye % n)
 
+    def test_passed_inverse_is_checked(self, rng):
+        perm = sample_permutation(16, 2, rng)
+        same = SpectrumPermutation(16, perm.sigma, perm.q, sigma_inv=perm.sigma_inv)
+        assert np.array_equal(same.sigma_inv, perm.sigma_inv)
+        for wrong in (perm.sigma_inv + 1, np.eye(3, dtype=np.int64)):
+            with pytest.raises(ParameterError, match="sigma_inv"):
+                SpectrumPermutation(16, perm.sigma, perm.q, sigma_inv=wrong)
+
     def test_even_determinant_rejected(self):
         with pytest.raises(ParameterError):
             SpectrumPermutation(n=16, sigma=np.array([[2]]), q=np.zeros(1))

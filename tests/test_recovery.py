@@ -463,21 +463,13 @@ PINNED = json.loads((pathlib.Path(__file__).parent / "pinned_recovery.json").rea
 PINNED_SEED = 5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("model", SIGNAL_MODELS)
-@pytest.mark.parametrize("n,d,k", [(256, 1, 4), (16, 2, 3), (8, 3, 2)])
-def test_seeded_output_matches_pinned_record(n, d, k, model):
-    """Seeded harness-style runs reproduce outputs recorded before the
-    measurement primitive and the shared threshold loop were factored out.
-
-    The ledger and the support order must match exactly, values to 1e-12
-    relative. A change that means to alter seeded outputs re-records
-    pinned_recovery.json and says so; any other difference is a regression.
-    """
+def pinned_run(n, d, k, model):
+    """The seeded harness-style recovery of the pinned record (its input,
+    arguments and seed, as `harness._run_one` makes the call)."""
     spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
     x, _, mu = generate_signal(spec, PINNED_SEED)
     xhat = DenseSignal(n, d, np.fft.fftn(x.values, norm="ortho"), "frequency")
-    out, stats = sparse_fft_with_stats(
+    return sparse_fft_with_stats(
         xhat,
         k,
         epsilon=spec.epsilon,
@@ -486,6 +478,19 @@ def test_seeded_output_matches_pinned_record(n, d, k, model):
         seed=PINNED_SEED,
         params=spec.recovery_params(mu, PINNED_SEED),
     )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", SIGNAL_MODELS)
+@pytest.mark.parametrize("n,d,k", [(256, 1, 4), (16, 2, 3), (8, 3, 2)])
+def test_seeded_output_matches_pinned_record(n, d, k, model):
+    """Seeded harness-style runs reproduce the recorded outputs.
+
+    The ledger and the support order must match exactly, values to 1e-12
+    relative. A change that means to alter seeded outputs re-records
+    pinned_recovery.json and says so; any other difference is a regression.
+    """
+    out, stats = pinned_run(n, d, k, model)
     want = PINNED[f"{n}^{d} k={k} {model}"]
     assert [
         stats.samples_location,
@@ -496,3 +501,107 @@ def test_seeded_output_matches_pinned_record(n, d, k, model):
     assert out.coords_array().tolist() == want["support"]
     expected = np.array([complex(re, im) for re, im in want["values"]])
     np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=0.0)
+
+
+def count_acquisitions(monkeypatch) -> list:
+    """Record the params of every acquisition the recovery stages make."""
+    calls = []
+    real = recovery_module.acquire_measurements
+
+    def counting(xhat, params, rng):
+        calls.append(params)
+        return real(xhat, params, rng)
+
+    monkeypatch.setattr(recovery_module, "acquire_measurements", counting)
+    return calls
+
+
+class TestNoiseBound:
+    """For mu > 0 the caller promises ||x||_inf <= r_star * mu, so a round
+    whose threshold is above r_star * mu + ||chi||_inf cannot keep a true
+    coefficient; it is skipped before any read. mu = 0 bounds nothing."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_noisy_run_skips_the_inf_norm_acquisition(self, monkeypatch):
+        calls = count_acquisitions(monkeypatch)
+        _, stats = pinned_run(16, 2, 3, "sparse-plus-gaussian-tail")
+        assert stats.samples_infnorm == 0
+        # The main set and the constant-SNR set; no inf-norm set.
+        assert len(calls) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exact_run_keeps_the_inf_norm_net(self, monkeypatch):
+        calls = count_acquisitions(monkeypatch)
+        _, stats = pinned_run(16, 2, 3, "exact-sparse")
+        assert stats.samples_infnorm > 0
+        assert len(calls) == 3
+
+    def test_inf_norm_stage_reads_nothing_under_the_bound(self, monkeypatch, rng):
+        n, d = 256, 1
+        xhat = DenseSignal.zeros(n, d, "frequency")
+        calls = count_acquisitions(monkeypatch)
+        stats = RunStats()
+        state = rng.bit_generator.state
+        # Lowest threshold inf_threshold_scale * (nu + mu) = 5 > 1 + 0.
+        empty = SparseApprox.empty(n, d)
+        increment = reduce_inf_norm(
+            xhat, empty, 1, 1.0, 16.0, 0.0, rng, stats=stats, x_inf=1.0
+        )
+        assert len(increment) == 0
+        assert stats.samples_infnorm == 0 and not calls
+        assert rng.bit_generator.state == state
+
+    def test_inf_norm_stage_acquires_for_a_large_chi_entry(self, monkeypatch, rng):
+        # x = 0, but chi overshoots at one index by more than the lowest
+        # threshold: the residual there is -10, so the stage must look.
+        n, d = 256, 1
+        xhat = DenseSignal.zeros(n, d, "frequency")
+        chi = SparseApprox.from_flat(n, d, [17], [10.0 + 0j])
+        calls = count_acquisitions(monkeypatch)
+        stats = RunStats()
+        increment = reduce_inf_norm(
+            xhat, chi, 1, 1.0, 16.0, 0.0, rng, stats=stats, x_inf=1.0
+        )
+        assert stats.samples_infnorm > 0 and len(calls) == 1
+        assert increment.flat.tolist() == [17]
+        assert abs(increment.values[0] + 10.0) < 1e-6
+
+    def test_idle_rounds_make_no_estimate_and_no_draw(self, monkeypatch):
+        n, d, k = 1024, 1, 3
+        x = random_sparse_time(n, d, k, np.random.default_rng(4), min_mag=2.0)
+        xhat = lib_freq(dense_time(x).values, n, d)
+        params = RecoveryParams.derive(n, d, k)
+        top = x.norm_inf()
+        later = [(1.0, False), (0.5, True)]
+        rounds = [(4.0 * top, False), (2.0 * top, False)] + later
+        thresholds = []
+        real = recovery_module.estimate_values
+
+        def recording(xhat, chi, locations, B, threshold, reps, *, rng):
+            thresholds.append(threshold)
+            return real(xhat, chi, locations, B, threshold, reps, rng=rng)
+
+        monkeypatch.setattr(recovery_module, "estimate_values", recording)
+        results = []
+        for rounds_run, x_inf in ((rounds, top), (later, float("inf"))):
+            mset = acquire_measurements(xhat, params, np.random.default_rng(1))
+            rng = np.random.default_rng(2)
+            increment = recovery_module._threshold_rounds(
+                mset, rounds_run, 256, 3, rng, x_inf
+            )
+            results.append((increment.entries, rng.bit_generator.state))
+        # Each run estimates in the later rounds only.
+        assert thresholds == [threshold for threshold, _ in later] * 2
+        assert results[0] == results[1]
+        assert set(results[0][0]) == x.support()
+
+    @pytest.mark.parametrize("x_inf", [0.0, -1.0, float("nan")])
+    def test_stages_check_the_bound(self, x_inf, rng):
+        xhat = DenseSignal.zeros(256, 1, "frequency")
+        mset = acquire_measurements(xhat, RecoveryParams.derive(256, 1, 2), rng)
+        with pytest.raises(ParameterError, match="x_inf must be > 0"):
+            reduce_l1_norm(mset, 1.0, 0.0, rng=rng, x_inf=x_inf)
+        with pytest.raises(ParameterError, match="x_inf must be > 0"):
+            reduce_inf_norm(
+                xhat, SparseApprox.empty(256, 1), 1, 1.0, 2.0, 0.0, rng, x_inf=x_inf
+            )
