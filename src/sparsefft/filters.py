@@ -8,6 +8,13 @@ box: in time domain a normalized Dirichlet kernel raised to the F-th power,
 (sin(pi*L*j/n) / (L*sin(pi*j/n)))**F with L = b+1. It is 1 at the origin,
 nonnegative for even F, at least 0.47**F on the plateau |j| <= n/(2b), decays
 like (2/(1+(b/n)|j|))**F, and its spectrum is supported on |v| <= F*b/2.
+That spectrum is built from exact integer counts, sqrt(n) * counts / L**F,
+where counts is the F-fold self-convolution of ones(L) taken as F-1
+prefix-sum window sums: O(F^2 * b) int64 work instead of an O(F * b^2)
+float convolution, and values within 2 ulp of the exact rationals. The
+counts must stay below 2**63, so (b+1)**(F-1) >= 2**63 is rejected (F = 4
+allows b up to 2**20, F = 6 up to 4096). The filter tables are read-only:
+cached_bucket_filter shares them between calls.
 
 The flat window is a frequency box of half-width b - b/4 blurred by the
 spectrum of a Kaiser time kernel whose main lobe fits inside b/4 bins:
@@ -113,8 +120,37 @@ class BucketFilter:
         return gathered.prod(axis=-1)
 
 
+def _box_power_counts(L: int, F: int) -> np.ndarray:
+    """counts[m] = number of ways to write m as a sum of F integers in [0, L),
+    for m = 0..F*(L-1): the F-fold self-convolution of ones(L), exactly.
+
+    Each of the F-1 window sums of width L is a difference of prefix sums,
+    so the whole table costs O(F^2 * L) int64 operations. The counts of F-1
+    terms sum to L**(F-1), the largest prefix sum formed, so the caller must
+    keep that below 2**63.
+    """
+    counts = np.ones(L, dtype=np.int64)
+    for _ in range(F - 1):
+        prefix = np.zeros(len(counts) + 2 * L - 1, dtype=np.int64)
+        np.cumsum(counts, out=prefix[L : L + len(counts)])
+        prefix[L + len(counts) :] = prefix[L + len(counts) - 1]
+        counts = prefix[L:] - prefix[:-L]
+    return counts
+
+
 def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
-    """Construct the B-bucket sharpness-F filter for the (n, d) grid."""
+    """Construct the B-bucket sharpness-F filter for the (n, d) grid.
+
+    The spectrum is sqrt(n) * counts / L**F with L = b+1, where counts is
+    the exact integer F-fold self-convolution of a length-L box
+    (_box_power_counts), folded onto the ring in integers. Building it costs
+    O(F^2 * b) int64 work plus the length-n Dirichlet power; before the
+    sqrt(n) scale each value is the correctly rounded quotient whenever
+    L**F < 2**53. The counts are int64, so L**(F-1) >= 2**63 is a
+    ParameterError (2 * L**(F-1) when b = n): F = 2 never overflows, F = 4
+    allows b up to 2**20 and F = 6 up to 4096. The returned tables are
+    read-only, since cached_bucket_filter shares them.
+    """
     if not is_power_of_two(n):
         raise ParameterError(f"grid side must be a power of two, got n={n}")
     if F % 2 != 0 or F < 2 * d:
@@ -124,21 +160,29 @@ def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
         raise ParameterError(f"need at least 4 buckets per axis, got b={b}")
     if b > n:
         raise ParameterError(f"more buckets than frequencies: b={b} > n={n}")
-
+    # The largest integer formed is a count of F-1 terms (at most
+    # L**(F-1)) or a folded count: at most L**(F-1) as well, since the last
+    # term is then fixed mod n, except when b = n, where it can be 0 or n.
     L = b + 1
+    if L ** (F - 1) * (2 if b == n else 1) >= 2**63:
+        raise ParameterError(
+            f"filter spectrum counts overflow int64: (b+1)**(F-1) is too "
+            f"large for b={b}, F={F}"
+        )
+
     g_axis = _dirichlet(n, L) ** F
 
-    # Spectrum: F-fold self-convolution of the box, folded onto the ring.
-    box = np.full(L, 1.0 / L)
-    coeffs = box
-    for _ in range(F - 1):
-        coeffs = np.convolve(coeffs, box)
-    half = (len(coeffs) - 1) // 2  # F*b/2
+    # Spectrum: the exact counts, folded onto the ring, then scaled once.
+    counts = _box_power_counts(L, F)
+    half = (len(counts) - 1) // 2  # F*b/2
     support = _signed_range(n, half)
-    ghat_support = np.zeros(len(support), dtype=np.float64)
+    folded = np.zeros(len(support), dtype=np.int64)
     positions = np.arange(-half, half + 1, dtype=np.int64)
-    np.add.at(ghat_support, (positions - support[0]) % n, coeffs)
+    np.add.at(folded, (positions - support[0]) % n, counts)
+    ghat_support = folded / float(L**F)
     ghat_support *= math.sqrt(n)
+    for table in (g_axis, ghat_support, support):
+        table.flags.writeable = False
 
     return BucketFilter(
         n=n,
@@ -153,8 +197,8 @@ def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
 
 @lru_cache(maxsize=16)
 def cached_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
-    """Shared bucket filters for repeated hashings; treat the tables as
-    read-only."""
+    """Shared bucket filters for repeated hashings (their tables are
+    read-only)."""
     return build_bucket_filter(n, d, B, F)
 
 

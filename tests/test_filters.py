@@ -6,6 +6,7 @@ flat window checks pin the exact plateau/cutoff shape of the ideal spectrum
 and the measured closeness of the constructed window to it.
 """
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -36,6 +37,35 @@ def dense_spectrum(filt):
     dense = np.zeros(filt.n)
     dense[filt.support % filt.n] = filt.ghat_support
     return dense
+
+
+def exact_spectrum(n, b, F):
+    """sqrt(n) * counts / (b+1)**F on the ring to 40 digits, where counts[m]
+    is the number of ways to write m as a sum of F integers in [0, b+1),
+    from Python ints by inclusion-exclusion, centred and folded mod n."""
+    L = b + 1
+    half = F * b // 2
+    folded = [0] * n
+    for m in range(F * b + 1):
+        count = sum(
+            (-1) ** j * math.comb(F, j) * math.comb(m - j * L + F - 1, F - 1)
+            for j in range(m // L + 1)
+        )
+        folded[(m - half) % n] += count
+    with localcontext() as ctx:
+        ctx.prec = 40
+        scale = Decimal(n).sqrt() / Decimal(L**F)
+        return [scale * c for c in folded]
+
+
+def assert_within_ulps(got, want, ulps):
+    """Every float in got is within `ulps` units in the last place of the
+    matching Decimal in want, and exactly zero where want is zero."""
+    for g, w in zip(got.tolist(), want):
+        if w == 0:
+            assert g == 0.0
+        else:
+            assert abs(Decimal(g) - w) <= ulps * Decimal(float(np.spacing(g))), (g, w)
 
 
 class TestBucketFilterBounds:
@@ -100,14 +130,39 @@ class TestBucketFilterSpectrum:
 
     def test_support_array_lists_the_nonzero_offsets(self):
         filt = build_bucket_filter(128, 1, 16, 4)
-        # Reference: sqrt(n) times the 4-fold self-convolution of the
-        # width-17 box, on offsets -32..32 and zero elsewhere on the ring.
-        box = np.full(17, 1.0 / 17)
-        want = np.zeros(128)
-        want[np.arange(-32, 33) % 128] = (
-            np.convolve(np.convolve(np.convolve(box, box), box), box) * math.sqrt(128)
-        )
-        assert np.array_equal(dense_spectrum(filt), want)
+        # Reference: the exact spectrum of the 4-fold self-convolution of the
+        # width-17 box, nonzero on offsets -32..32 and zero elsewhere.
+        assert filt.support.tolist() == list(range(-32, 33))
+        assert_within_ulps(dense_spectrum(filt), exact_spectrum(128, 16, 4), 2)
+
+    @pytest.mark.parametrize(
+        "n,d,B,F",
+        [
+            (64, 1, 8, 2),
+            (64, 1, 8, 4),
+            (64, 1, 8, 6),
+            (64, 2, 256, 4),
+            (1024, 1, 1024, 6),  # (b+1)**F > 2**53: the counts round once
+            # Wrapped supports, F*b/2 >= n/2: the spectrum folds onto the ring.
+            (32, 1, 32, 2),
+            (32, 1, 16, 4),
+            (16, 1, 16, 6),
+            (64, 3, 4096, 6),
+        ],
+    )
+    def test_spectrum_within_two_ulps_of_exact(self, n, d, B, F):
+        filt = build_bucket_filter(n, d, B, F)
+        assert_within_ulps(dense_spectrum(filt), exact_spectrum(n, filt.b, F), 2)
+
+    def test_wide_filter_builds_without_quadratic_convolution(self, monkeypatch):
+        # The b = 2**15 constant-SNR filter of a 2**16 ring: an O(F * b**2)
+        # np.convolve build took 0.2-1.2 s here.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.convolve called while building a filter")
+
+        monkeypatch.setattr(np, "convolve", refuse)
+        filt = build_bucket_filter(2**16, 1, 2**15, 2)
+        assert_within_ulps(dense_spectrum(filt), exact_spectrum(2**16, 2**15, 2), 2)
 
 
 class TestBucketFilterTensor:
@@ -173,6 +228,29 @@ class TestBucketFilterValidation:
 
     def test_cache_returns_shared_instance(self):
         assert cached_bucket_filter(64, 1, 8, 4) is cached_bucket_filter(64, 1, 8, 4)
+
+    @pytest.mark.parametrize("table", ["g_axis", "ghat_support", "support"])
+    def test_shared_tables_are_read_only(self, table):
+        filt = cached_bucket_filter(64, 1, 8, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(filt, table)[0] = 0
+
+    @pytest.mark.parametrize(
+        "n,B,F",
+        [
+            (2**21, 2**21, 4),  # (b+1)**3 >= 2**63
+            (2**13, 2**13, 6),  # (b+1)**5 >= 2**63
+            (4, 4, 28),  # 5**27 < 2**63, but b = n folds two counts together
+        ],
+    )
+    def test_count_overflow_rejected(self, n, B, F):
+        with pytest.raises(ParameterError, match="overflow int64"):
+            build_bucket_filter(n, 1, B, F)
+
+    def test_largest_counts_below_the_limit_still_build(self):
+        # 5**27 < 2**63 and, with b < n, no folded count exceeds it.
+        filt = build_bucket_filter(8, 1, 4, 28)
+        assert_within_ulps(dense_spectrum(filt), exact_spectrum(8, 4, 28), 2)
 
 
 class TestFlatWindowIdeal:

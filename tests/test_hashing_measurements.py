@@ -33,6 +33,7 @@ from sparsefft.hashing_measurements import (
     _invert_rows,
     _modulations,
     _sample_balanced_probes,
+    _support_dots,
     acquire_measurements,
     hash_to_bins,
     update_residual_measurements,
@@ -430,6 +431,23 @@ class TestFoldMatchesPerAxisFold:
         _fold_rows(y, filt, got)
         _invert_rows(got, filt)
         assert np.array_equal(got, reference_fold_and_invert(y, filt))
+
+
+class TestSupportDots:
+    """The outer-sum index arithmetic equals (grid @ coeffs) mod n over the
+    row-major support grid, the matmul it replaces."""
+
+    @pytest.mark.parametrize(
+        "n,d,B,F",
+        [(1024, 1, 16, 2), (64, 1, 64, 2), (64, 2, 256, 4), (16, 2, 256, 4), (16, 3, 512, 6)],
+    )
+    def test_equals_support_grid_matmul(self, n, d, B, F, rng):
+        filt = cached_bucket_filter(n, d, B, F)
+        mesh = np.meshgrid(*([filt.support] * d), indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        coeffs = rng.integers(0, n, size=(d, d + 1))
+        want = ((grid @ coeffs) & (n - 1)).T
+        assert np.array_equal(_support_dots(filt, coeffs), want)
 
 
 class TestProbeSamplingStream:

@@ -459,8 +459,15 @@ class TestTargetsChecked:
             reduce_inf_norm(xhat, SparseApprox.empty(256, 1), 1, nu, r_star, mu, rng)
 
 
-PINNED = json.loads((pathlib.Path(__file__).parent / "pinned_recovery.json").read_text())
+PINNED_PATH = pathlib.Path(__file__).parent / "pinned_recovery.json"
+PINNED = json.loads(PINNED_PATH.read_text())
 PINNED_SEED = 5
+PINNED_GRIDS = [(256, 1, 4), (16, 2, 3), (8, 3, 2)]
+PINNED_RTOL = 1e-12
+
+
+def pinned_key(n, d, k, model):
+    return f"{n}^{d} k={k} {model}"
 
 
 def pinned_run(n, d, k, model):
@@ -482,16 +489,17 @@ def pinned_run(n, d, k, model):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("model", SIGNAL_MODELS)
-@pytest.mark.parametrize("n,d,k", [(256, 1, 4), (16, 2, 3), (8, 3, 2)])
+@pytest.mark.parametrize("n,d,k", PINNED_GRIDS)
 def test_seeded_output_matches_pinned_record(n, d, k, model):
     """Seeded harness-style runs reproduce the recorded outputs.
 
     The ledger and the support order must match exactly, values to 1e-12
     relative. A change that means to alter seeded outputs re-records
-    pinned_recovery.json and says so; any other difference is a regression.
+    pinned_recovery.json with record_pinned.py and says so; any other
+    difference is a regression.
     """
     out, stats = pinned_run(n, d, k, model)
-    want = PINNED[f"{n}^{d} k={k} {model}"]
+    want = PINNED[pinned_key(n, d, k, model)]
     assert [
         stats.samples_location,
         stats.samples_estimation,
@@ -500,7 +508,7 @@ def test_seeded_output_matches_pinned_record(n, d, k, model):
     ] == want["stats"]
     assert out.coords_array().tolist() == want["support"]
     expected = np.array([complex(re, im) for re, im in want["values"]])
-    np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(out.values, expected, rtol=PINNED_RTOL, atol=0.0)
 
 
 def count_acquisitions(monkeypatch) -> list:
