@@ -15,6 +15,7 @@ from .core import (
     RecoveryParams,
     ScaleGuardError,
     SparseApprox,
+    StagePlan,
     Tunables,
     digit_base,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "DenseSignal",
     "SparseApprox",
     "Tunables",
+    "StagePlan",
     "RecoveryParams",
     "forward_dft",
     "inverse_dft",

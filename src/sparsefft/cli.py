@@ -131,7 +131,7 @@ def _check_measurement_reuse(rng: np.random.Generator) -> str | None:
     xhat = forward_dft(x)
     counts = []
     for T in (1, 4):
-        params = RecoveryParams.derive(n, d, k, T=T)
+        params = RecoveryParams.derive(n, d, k, T=T, seed=3)
         _, stats = sparse_fft_with_stats(xhat, k, seed=3, params=params)
         counts.append(stats.samples_location)
     if counts[0] != counts[1]:

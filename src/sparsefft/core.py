@@ -39,6 +39,7 @@ __all__ = [
     "DenseSignal",
     "SparseApprox",
     "Tunables",
+    "StagePlan",
     "RecoveryParams",
 ]
 
@@ -377,8 +378,11 @@ class Tunables:
     """Every proof-driven constant, in one place.
 
     Asymptotic statements leave multiplicative constants and "sufficiently
-    large C" repetition counts open; these defaults are calibrated for grids
-    up to n = 2^20, d <= 4, and are all overridable.
+    large C" repetition counts open, and all of these are overridable. The
+    defaults recover exact-sparse inputs in d = 1 up to n = 2^22, in d = 2 up
+    to 1024^2 (32768^2 on a spectrum oracle) and on 8^3 and 16^3, where every
+    bucket count is capped at n/2. Noisy inputs meet the (1+eps) bound in
+    d = 1 (checked at n = 2^22) but miss it on most measured seeds in d >= 2.
 
     alpha, in (0, 1), is the paper's bucket-size parameter. It sets both
     bucket counts (`location_bucket_count`, `estimation_bucket_count`) and
@@ -452,26 +456,36 @@ def digit_base(n: int) -> int:
     return max(2, 1 << int(0.5 * math.log2(max(2.0, math.log2(max(4, n))))))
 
 
-@dataclass
-class RecoveryParams:
-    """Everything the recovery guarantees quantify over, plus the grid shape.
+def _digit_groups(n: int, delta: int) -> int:
+    """Digit groups of a location ladder over [n]: the fewest G >= 1 with
+    delta^G >= n."""
+    groups, reach = 0, 1
+    while reach < n:
+        reach *= delta
+        groups += 1
+    return max(groups, 1)
 
-    Use `derive` to fill repetition counts and bucket sizes from (n, d, k)
-    and the tunables; direct construction is for tests that pin exact values.
+
+@dataclass(frozen=True, kw_only=True)
+class StagePlan:
+    """The geometry of one recovery stage, fixed before any read.
+
+    The stage acquires r_max hashings of B buckets, c_max probe pairs each
+    (`hashing_measurements.acquire_measurements`), sized for k terms, then
+    makes at most `rounds` estimation calls, each over reps fresh
+    B_est-bucket hashings. Build it with `RecoveryParams.derive`.
     """
 
     n: int
     d: int
     k: int
-    epsilon: float
-    mu: float
-    r_star: float
     F: int
     B: int
     r_max: int
     c_max: int
-    T: int
-    seed: int = 0
+    B_est: int
+    reps: int
+    rounds: int
     tunables: Tunables = field(default_factory=Tunables)
 
     def __post_init__(self) -> None:
@@ -479,22 +493,23 @@ class RecoveryParams:
             raise ParameterError(f"grid side must be a power of two, got n={self.n}")
         if self.d < 1 or self.k < 1:
             raise ParameterError(f"need d >= 1 and k >= 1, got d={self.d}, k={self.k}")
-        _check_targets(epsilon=self.epsilon, mu=self.mu, r_star=self.r_star)
         if self.F % 2 != 0 or self.F < 2 * self.d:
             raise ParameterError(f"F must be even and >= 2d, got F={self.F}, d={self.d}")
-        # Checked before the bucket side, which a grid of n <= 2 cannot fit.
+        # Checked before the bucket sides, which a grid of n <= 2 cannot fit.
         if self.delta >= self.n:
             raise ParameterError(
                 f"digit base {self.delta} needs a grid side above {self.delta}"
             )
-        if bucket_side(self.B, self.d) > self.n:
-            raise ParameterError(
-                f"B={self.B} needs {self.b} buckets per axis, more than n={self.n}"
-            )
+        for B in (self.B, self.B_est):
+            if bucket_side(B, self.d) > self.n:
+                raise ParameterError(
+                    f"B={B} needs {bucket_side(B, self.d)} buckets per axis, "
+                    f"more than n={self.n}"
+                )
         if self.B < self.k:
             raise ParameterError(f"need B >= k, got B={self.B} < k={self.k}")
-        if min(self.r_max, self.c_max, self.T) < 1:
-            raise ParameterError("repetition counts and T must be >= 1")
+        if min(self.r_max, self.c_max, self.reps, self.rounds) < 1:
+            raise ParameterError("repetition and round counts must be >= 1")
         # Location tests each probe against its nearest root only; that is
         # exact when the tolerance disks of adjacent roots cannot overlap.
         # Every ladder base is <= delta, so delta is the binding case.
@@ -505,10 +520,6 @@ class RecoveryParams:
             )
 
     @property
-    def N(self) -> int:
-        return self.n**self.d
-
-    @property
     def b(self) -> int:
         return bucket_side(self.B, self.d)
 
@@ -517,6 +528,53 @@ class RecoveryParams:
         """Digit base for location digits; see `digit_base`."""
         return digit_base(self.n)
 
+    @property
+    def F_est(self) -> int:
+        """Filter order of the estimation hashings: 2d, the least allowed."""
+        return 2 * self.d
+
+    @property
+    def acquisition_reads(self) -> int:
+        """Spectrum reads of one acquisition: r_max * c_max probe pairs
+        under every ladder shift, min(F*b + 1, n)^d each."""
+        shifts = 1 + self.d * _digit_groups(self.n, self.delta)
+        per_pass = min(self.F * self.b + 1, self.n) ** self.d
+        return self.r_max * self.c_max * shifts * per_pass
+
+    @property
+    def estimation_reads(self) -> int:
+        """Spectrum reads of one estimation call."""
+        b_est = bucket_side(self.B_est, self.d)
+        return self.reps * min(self.F_est * b_est + 1, self.n) ** self.d
+
+
+@dataclass(frozen=True, kw_only=True)
+class RecoveryParams:
+    """The recovery plan: the caller's targets, T outer rounds and one
+    `StagePlan` per stage. `main` is the set the l1 loop reuses through all
+    T rounds, `inf_norm` the set each round's inf-norm stage acquires, and
+    `const_snr` the set of the final sweep. Use `derive`.
+    """
+
+    epsilon: float
+    mu: float
+    r_star: float
+    seed: int = 0
+    T: int
+    main: StagePlan
+    inf_norm: StagePlan
+    const_snr: StagePlan
+
+    def __post_init__(self) -> None:
+        _check_targets(epsilon=self.epsilon, mu=self.mu, r_star=self.r_star)
+        if self.T < 1:
+            raise ParameterError(f"need T >= 1, got T={self.T}")
+        if self.const_snr.rounds != 1:
+            raise ParameterError(
+                "the constant-SNR sweep makes one estimation call, got "
+                f"rounds={self.const_snr.rounds}"
+            )
+
     @classmethod
     def derive(
         cls,
@@ -524,7 +582,7 @@ class RecoveryParams:
         d: int,
         k: int,
         *,
-        epsilon: float = 1.0,
+        epsilon: float = 0.1,
         mu: float = 0.0,
         r_star: float = 2.0,
         seed: int = 0,
@@ -535,33 +593,84 @@ class RecoveryParams:
         T: int | None = None,
         tunables: Tunables | None = None,
     ) -> "RecoveryParams":
+        """The plan for k terms over [n]^d at accuracy epsilon; F, B, r_max,
+        c_max and T override the main stage's values.
+
+        Every stage's geometry is computed here and nowhere else, so an
+        invalid stage raises here, and bucket counts capped at n/2 per axis
+        give one RuntimeWarning naming them, before any read.
+        """
+        _check_targets(epsilon=epsilon, mu=mu, r_star=r_star)
         tun = tunables or Tunables()
         N = n**d
         loglog = _loglog2(N)
-        if F is None:
-            F = 2 * d
+        root_alpha = math.sqrt(tun.alpha)
+        c_loc = max(8, math.ceil(tun.probes_coeff / root_alpha * loglog))
+        inf_reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
+        capped = []
+
+        def buckets(name: str, sizer, terms: int, accuracy: float = 1.0) -> int:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                count = sizer(n, d, terms, accuracy, tun)
+            capped.extend(f"{name}: {w.message}" for w in caught)
+            return count
+
+        def stage(*, F: int = 2 * d, c_max: int = c_loc, **geometry) -> StagePlan:
+            return StagePlan(n=n, d=d, F=F, c_max=c_max, tunables=tun, **geometry)
+
         if B is None:
-            B = location_bucket_count(n, d, k, 1.0, tun)
-        if r_max is None:
-            r_max = max(
-                3, math.ceil(tun.location_reps_coeff / math.sqrt(tun.alpha) * loglog)
-            )
-        if c_max is None:
-            c_max = max(8, math.ceil(tun.probes_coeff / math.sqrt(tun.alpha) * loglog))
+            B = buckets("main location", location_bucket_count, k)
+        r_loc = max(3, math.ceil(tun.location_reps_coeff / root_alpha * loglog))
+        k_est = 4 * k
+        B_est = buckets("main estimation", estimation_bucket_count, k_est)
+        # Repetitions grow like loglog N + d^2 + log(B/k), so that a union
+        # bound over the O(k log N) estimates of a run leaves every one accurate.
+        spread = loglog + d * d + math.log2(max(1.0, B_est / k_est))
+        main = stage(
+            k=k,
+            F=2 * d if F is None else F,
+            B=B,
+            r_max=r_loc if r_max is None else r_max,
+            c_max=c_loc if c_max is None else c_max,
+            B_est=B_est,
+            reps=max(1, math.ceil(tun.est_reps_coeff * spread)),
+            rounds=max(1, math.ceil(tun.inner_iters_coeff * loglog)),
+        )
+        # The inf-norm stage's own r_star would be nu / nu' floored at 2.
+        # With L = log2(N)^4, nu / nu' = 4 L^(T-t) / (4 L^(T-t) + 20 L) < 1,
+        # so its threshold halves over ceil(log2 2) = 1 round.
+        k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / _log4(N)))
+        inf_norm = stage(
+            k=k_tilde,
+            B=buckets("inf_norm location", location_bucket_count, k_tilde),
+            r_max=max(3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / root_alpha)),
+            B_est=buckets("inf_norm estimation", estimation_bucket_count, k_tilde),
+            reps=inf_reps,
+            rounds=1,
+        )
+        const_snr = stage(
+            k=2 * k,
+            B=buckets("const_snr location", location_bucket_count, 2 * k, epsilon),
+            r_max=1,
+            B_est=buckets(
+                "const_snr estimation", estimation_bucket_count, 2 * k, epsilon
+            ),
+            reps=inf_reps,
+            rounds=1,
+        )
+        if capped:
+            message = f"plan for k={k} on [{n}]^{d}: " + " / ".join(capped)
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
         if T is None:
             T = max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(_log4(N))))
         return cls(
-            n=n,
-            d=d,
-            k=k,
             epsilon=epsilon,
             mu=mu,
             r_star=r_star,
-            F=F,
-            B=B,
-            r_max=r_max,
-            c_max=c_max,
-            T=T,
             seed=seed,
-            tunables=tun,
+            T=T,
+            main=main,
+            inf_norm=inf_norm,
+            const_snr=const_snr,
         )

@@ -2,8 +2,8 @@
 
 Each repetition hashes the residual into B buckets under a fresh
 permutation and reads one bucket per candidate: u at h(f), unwound by the
-filter gain at f's own offset and the modulation phase. The caller picks B;
-the recovery stages size it with `core.estimation_bucket_count`. The
+filter gain at f's own offset and the modulation phase. The caller picks B
+and the filter order F (a `core.StagePlan`'s B_est and F_est). The
 repetitions are batched: every repetition's (permutation, modulation) is
 drawn first, and one call to the bucket-table primitive
 (hashing_measurements._bucket_tables) gives all r_max bucket tables. chi is
@@ -74,13 +74,14 @@ def estimate_values(
     nu: float,
     r_max: int,
     *,
+    F: int,
     rng: np.random.Generator,
 ) -> EstimateBatch:
     """Estimate the residual (x - chi) at each flat index in L.
 
-    Draws r_max fresh B-bucket hashings from rng; each bins the spectrum
-    alone and consumes |supp(G-hat)| spectrum reads, tallied in the result.
-    All r_max binnings share one fold and one batched IFFT. chi is
+    Draws r_max fresh B-bucket, order-F hashings from rng; each bins the
+    spectrum alone and consumes |supp(G-hat)| spectrum reads, tallied in the
+    result. All r_max binnings share one fold and one batched IFFT. chi is
     subtracted exactly at the buckets read, without touching the spectrum.
     kept holds exactly the estimates with |w_f| > nu.
     """
@@ -102,7 +103,6 @@ def estimate_values(
         raise ParameterError("a location does not live on the signal grid")
 
     mask = n - 1  # n is a power of two, so "& mask" is "mod n"
-    F = 2 * d
     filt = cached_bucket_filter(n, d, B, F)
     b = filt.b
 

@@ -14,9 +14,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
@@ -64,7 +62,7 @@ class ExperimentSpec:
     snr scales the planted head magnitudes relative to the exact noise
     level mu of the generated signal; noisy models need snr >= 2 so every
     head coefficient clears 2 mu. The optional overrides replace the
-    derived recovery geometry, and `constants` overrides individual
+    main stage's derived geometry, and `constants` overrides individual
     tunables, alpha included, by name.
     """
 
@@ -321,36 +319,17 @@ def _run_one(spec: ExperimentSpec, seed: int, digest: str) -> RunRecord:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPARSEFFT_WORKERS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ParameterError(f"SPARSEFFT_WORKERS must be >= 1, got {count}")
-    return count
-
-
 def run_experiment(
     spec: ExperimentSpec,
     *,
     csv_path: str | None = None,
     json_path: str | None = None,
 ) -> list[RunRecord]:
-    """Run the full pipeline once per seed and optionally write result files.
-
-    Seeds run in a thread pool sized by SPARSEFFT_WORKERS (default 1);
-    records are collected and written in seed order regardless of worker
-    scheduling, so output files are deterministic up to the timing columns.
+    """Run the full pipeline once per seed, in seed order, and optionally
+    write result files; they are deterministic up to the timing columns.
     """
     digest = spec_digest(spec)
-    workers = _worker_count()
-    if workers == 1:
-        records = [_run_one(spec, seed, digest) for seed in spec.seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, spec, seed, digest) for seed in spec.seeds]
-            records = [f.result() for f in futures]
+    records = [_run_one(spec, seed, digest) for seed in spec.seeds]
     if csv_path is not None:
         write_csv(csv_path, records)
     if json_path is not None:

@@ -79,11 +79,12 @@ import numpy as np
 from .core import (
     DenseSignal,
     ParameterError,
-    RecoveryParams,
     SparseApprox,
+    StagePlan,
     _FFT_BATCH_ROWS,
     _UPDATE_COLUMNS,
     _block_rows,
+    _digit_groups,
     unit_roots,
 )
 from .dense_dft import fft_axes
@@ -316,7 +317,7 @@ class MeasurementSet:
     counter tracks spectrum reads and is immune to residual updates.
     """
 
-    params: RecoveryParams
+    params: StagePlan
     hashings: list[Hashing]
     alphas: np.ndarray
     betas: np.ndarray
@@ -356,12 +357,7 @@ def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], np.ndarr
     The last group uses the leftover base n / Delta^(G-1), which keeps every
     shift integral and covers all log2(n) bits.
     """
-    groups = 0
-    reach = 1
-    while reach < n:
-        reach *= delta
-        groups += 1
-    groups = max(groups, 1)
+    groups = _digit_groups(n, delta)
     bases = []
     shifts = [np.zeros((1, d), dtype=np.int64)]
     for g in range(1, groups + 1):
@@ -400,7 +396,7 @@ def _modulations(
 
 
 def acquire_measurements(
-    xhat: DenseSignal, params: RecoveryParams, rng: np.random.Generator
+    xhat: DenseSignal, params: StagePlan, rng: np.random.Generator
 ) -> MeasurementSet:
     """Sample hashings and probes, then fill every bucket table from x-hat."""
     if xhat.domain != "frequency":

@@ -17,7 +17,7 @@ given the measurement tables.
 Each probe's corrected ratio is tested against one root only: the one
 nearest to it in phase, found with a single np.angle. That is exact: the
 tolerance disks around two distinct base-th roots are disjoint when
-ratio_tolerance < sin(pi / base) (RecoveryParams enforces it for every
+ratio_tolerance < sin(pi / base) (every StagePlan enforces it for every
 ladder base), so no other root can accept the ratio. A probe then votes for
 every digit whose root index digit * beta_s mod base is that nearest root.
 Buckets that fail a group are dropped from the working set, so later groups

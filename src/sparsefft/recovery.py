@@ -13,8 +13,8 @@ what it keeps into it (`update_residual_measurements`). The l1 and inf-norm
 stages run one shared loop, `_threshold_rounds`: locate candidates in every
 hashing, estimate the residual there, and fold the estimates above the
 round's threshold into the set. They differ only in their threshold
-schedules and measurement sets. The inf-norm and constant-SNR stages draw a
-fresh set from the caller's chi (`_fresh_measurements`).
+schedules and measurement sets. The inf-norm and constant-SNR stages acquire
+a fresh set and subtract the caller's chi from it.
 
 For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
 sparse) bounds nothing. Under that bound every residual coefficient obeys
@@ -24,12 +24,10 @@ x_inf (math.inf when mu = 0) to the l1 and inf-norm stages: a round whose
 threshold is above the bound is idle and makes no reads, and the inf-norm
 stage makes no acquisition at all when its lowest threshold is above it.
 
-Every constant comes from `Tunables`, and this module turns the constants
-into stage geometry. Location buckets follow `core.location_bucket_count`:
-through `RecoveryParams.derive` for the main and inf-norm acquisitions, and at
-the target accuracy epsilon for the constant-SNR stage. Each stage sizes its
-estimation buckets once with `core.estimation_bucket_count` and passes that B
-to `estimate_values`; the l1 stage also sizes its repetitions from it.
+Every constant comes from `Tunables`, and `RecoveryParams.derive` turns
+them into the plan, one `StagePlan` per stage, before the first read. Each
+stage reads its geometry from its record; only the thresholds are computed
+at run time, from mu and the acquisition scale.
 
 Candidates travel between stages as int64 arrays of row-major flat indices:
 `_union_locations` concatenates every hashing's `found` array and keeps
@@ -49,13 +47,11 @@ from .core import (
     ParameterError,
     RecoveryParams,
     SparseApprox,
+    StagePlan,
     Tunables,
     _check_targets,
     _first_seen,
     _log4,
-    _loglog2,
-    estimation_bucket_count,
-    location_bucket_count,
 )
 from .estimation import estimate_values
 from .hashing_measurements import (
@@ -105,39 +101,6 @@ def _union_locations(mset: MeasurementSet) -> np.ndarray:
     return _first_seen(np.concatenate(found))
 
 
-def _l1_estimate_reps(n: int, d: int, k_est: int, B_est: int, tun: Tunables) -> int:
-    """Median repetitions for one l1-stage estimation call over B_est buckets.
-
-    Grows like loglog N + d^2 + log(B/k) so that a union bound over the
-    O(k log N) estimates of a full run still leaves every one accurate.
-    """
-    ratio = max(1.0, B_est / max(1, k_est))
-    return max(
-        1,
-        math.ceil(
-            tun.est_reps_coeff * (_loglog2(n**d) + d * d + math.log2(ratio))
-        ),
-    )
-
-
-def _inf_estimate_reps(N: int, tun: Tunables) -> int:
-    """Median repetitions for one inf-norm or constant-SNR estimation call:
-    ~log2 N, enough for every estimate of a stage to be accurate."""
-    return max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
-
-
-def _fresh_measurements(
-    xhat: DenseSignal, chi: SparseApprox, k: int, rng: np.random.Generator, **derive
-) -> MeasurementSet:
-    """A new measurement set of `RecoveryParams.derive(n, d, k, **derive)`
-    geometry, with chi subtracted from its tables and recorded as its chi.
-    Its sample counter holds the acquisition reads."""
-    params = RecoveryParams.derive(xhat.n, xhat.d, k, **derive)
-    mset = acquire_measurements(xhat, params, rng)
-    update_residual_measurements(mset, chi)
-    return mset
-
-
 def _check_bound(x_inf: float) -> None:
     """ParameterError unless x_inf is a usable bound on ||x||_inf: > 0, or
     math.inf for none."""
@@ -154,24 +117,23 @@ def _above_bound(threshold: float, x_inf: float, chi: SparseApprox) -> bool:
 def _threshold_rounds(
     mset: MeasurementSet,
     rounds: list[tuple[float, bool]],
-    B_est: int,
-    reps: int,
     rng: np.random.Generator,
     x_inf: float,
 ) -> SparseApprox:
     """Locate, estimate above a threshold, and fold, once per round.
 
     Each (threshold, last_if_idle) round unions location candidates over all
-    hashings, estimates the residual against mset.chi from reps fresh
-    B_est-bucket hashings of mset.source, and folds the estimates above
-    threshold into the set (its tables and its chi). Decoding reads the
-    tables alone, so the candidates are reused until a round keeps
-    something. A round whose threshold is above x_inf + ||mset.chi||_inf
-    (x_inf bounds ||x||_inf) is idle: it keeps nothing without a locate
-    call, an estimate call or an rng draw. A round that keeps nothing ends
-    the loop when marked last_if_idle. Estimation reads are added to
-    mset.sample_counter. Returns the kept values, added round by round.
+    hashings, estimates the residual against mset.chi as mset.params plans,
+    and folds the estimates above threshold into the set (its tables and its
+    chi). Decoding reads the tables alone, so the candidates are
+    reused until a round keeps something. A round whose threshold is above
+    x_inf + ||mset.chi||_inf (x_inf bounds ||x||_inf) is idle: it keeps
+    nothing without a locate call, an estimate call or an rng draw. A round
+    that keeps nothing ends the loop when marked last_if_idle. Estimation
+    reads are added to mset.sample_counter. Returns the kept values, added
+    round by round.
     """
+    stage = mset.params
     increment = SparseApprox.empty(mset.n, mset.d)
     locations = None
     for threshold, last_if_idle in rounds:
@@ -184,7 +146,14 @@ def _threshold_rounds(
         kept = SparseApprox.empty(mset.n, mset.d)
         if locations.size:
             batch = estimate_values(
-                mset.source, mset.chi, locations, B_est, threshold, reps, rng=rng
+                mset.source,
+                mset.chi,
+                locations,
+                stage.B_est,
+                threshold,
+                stage.reps,
+                F=stage.F_est,
+                rng=rng,
             )
             mset.sample_counter += batch.samples
             kept = batch.kept
@@ -209,9 +178,10 @@ def reduce_l1_norm(
     """Shrink the head l1 mass of the residual mset holds from nu * k toward
     mu * k.
 
-    Runs ~log2(log^4 N) rounds of `_threshold_rounds` over all hashings with
-    a geometrically falling acceptance threshold, and stops early once the
-    threshold has bottomed out at the noise floor and a round keeps nothing.
+    Runs mset.params.rounds (~log2(log^4 N)) rounds of `_threshold_rounds`
+    with a geometrically falling acceptance threshold, and stops early once
+    the threshold has bottomed out at the noise floor and a round keeps
+    nothing.
     x_inf bounds ||x||_inf: for a caller's mu > 0, `sparse_fft_with_stats`
     passes the promised r_star * mu; mu = 0 bounds nothing, and the default
     math.inf keeps every round. A round whose threshold is above x_inf +
@@ -223,19 +193,13 @@ def reduce_l1_norm(
     """
     _check_targets(nu=nu, mu=mu)
     _check_bound(x_inf)
-    params = mset.params
-    tun = params.tunables
-    n, d, N = params.n, params.d, params.N
+    tun = mset.params.tunables
     mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
-    k_est = 4 * params.k
-    B_est = estimation_bucket_count(n, d, k_est, 1.0, tun)
-    reps = _l1_estimate_reps(n, d, k_est, B_est, tun)
-    inner = max(1, math.ceil(tun.inner_iters_coeff * _loglog2(N)))
     floor = tun.head_bias * mu_eff
-    heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(inner)]
+    heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(mset.params.rounds)]
     rounds = [(head + floor, head <= floor) for head in heads]
     before = mset.sample_counter
-    _threshold_rounds(mset, rounds, B_est, reps, rng, x_inf)
+    _threshold_rounds(mset, rounds, rng, x_inf)
     if stats is not None:
         stats.samples_estimation += mset.sample_counter - before
     return mset.chi
@@ -244,52 +208,36 @@ def reduce_l1_norm(
 def reduce_inf_norm(
     xhat: DenseSignal,
     chi: SparseApprox,
-    k_tilde: int,
+    stage: StagePlan,
     nu: float,
-    r_star: float,
     mu: float,
     rng: np.random.Generator,
     *,
-    tunables: Tunables | None = None,
     stats: RunStats | None = None,
     x_inf: float = math.inf,
 ) -> SparseApprox:
     """Chase the few coefficients still above the target sup-norm bound.
 
-    Self-contained: draws its own ~log N hashings (more than the l1 loop
-    uses, because at most k_tilde survivors must all be caught), then runs
-    `_threshold_rounds` with a threshold that halves over ceil(log2 r_star)
-    rounds. r_star and mu here are the stage's own targets. x_inf bounds the
-    signal, ||x||_inf <= x_inf: for a caller's mu > 0,
-    `sparse_fft_with_stats` passes the promised r_star * mu of that caller;
-    mu = 0 bounds nothing, and the default math.inf keeps every round. A
-    round whose threshold is above x_inf + ||chi||_inf makes no reads, and
-    when even the lowest threshold is, the stage returns the empty
-    increment before it acquires anything (no reads, no rng draws).
-    Returns only the increment found here, not chi plus the increment.
+    Self-contained: acquires its own set of stage geometry (~log N hashings,
+    because at most stage.k survivors must all be caught), subtracts chi,
+    then runs `_threshold_rounds` with a threshold that halves over
+    stage.rounds rounds. nu and mu are the stage's own targets; x_inf bounds
+    ||x||_inf as in `reduce_l1_norm`. When even the lowest threshold is
+    above x_inf + ||chi||_inf, returns the empty increment before any read
+    or rng draw. Returns only the increment found here, not chi plus it.
     """
-    tun = tunables or Tunables()
-    if k_tilde < 1:
-        raise ParameterError(f"need k_tilde >= 1, got {k_tilde}")
-    _check_targets(nu=nu, mu=mu, r_star=r_star)
+    _check_targets(nu=nu, mu=mu)
     _check_bound(x_inf)
-    n, d = xhat.n, xhat.d
-    N = n**d
-    T = max(1, math.ceil(math.log2(max(r_star, 2.0))))
+    tun = stage.tunables
     rounds = [
-        (tun.inf_threshold_scale * (nu * 2.0 ** (T - (t + 1)) + mu), False)
-        for t in range(T)
+        (tun.inf_threshold_scale * (nu * 2.0 ** (stage.rounds - (t + 1)) + mu), False)
+        for t in range(stage.rounds)
     ]
     if _above_bound(min(threshold for threshold, _ in rounds), x_inf, chi):
-        return SparseApprox.empty(n, d)
-    r_max = max(
-        3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / math.sqrt(tun.alpha))
-    )
-    mset = _fresh_measurements(xhat, chi, k_tilde, rng, r_max=r_max, tunables=tun)
-    B_est = estimation_bucket_count(n, d, k_tilde, 1.0, tun)
-    increment = _threshold_rounds(
-        mset, rounds, B_est, _inf_estimate_reps(N, tun), rng, x_inf
-    )
+        return SparseApprox.empty(stage.n, stage.d)
+    mset = acquire_measurements(xhat, stage, rng)
+    update_residual_measurements(mset, chi)
+    increment = _threshold_rounds(mset, rounds, rng, x_inf)
     if stats is not None:
         stats.samples_infnorm += mset.sample_counter
     return increment
@@ -298,42 +246,37 @@ def reduce_inf_norm(
 def recover_at_constant_snr(
     xhat: DenseSignal,
     chi: SparseApprox,
-    k: int,
-    epsilon: float,
+    stage: StagePlan,
     rng: np.random.Generator,
     *,
-    tunables: Tunables | None = None,
     stats: RunStats | None = None,
 ) -> SparseApprox:
     """One locate-and-estimate sweep for a residual with O(1) SNR.
 
-    Uses a single hashing with B = Theta(k / (epsilon alpha^d)) buckets, so
-    the tail noise per bucket is already at the target accuracy; a median
-    over O(log N) estimation repetitions then suffices. Keeps the largest
-    4k estimates above a scale-relative zero floor and returns them as an
-    increment over chi.
+    Uses the stage's single hashing with B = Theta(k / (epsilon alpha^d))
+    buckets, so the tail noise per bucket is already at the target
+    accuracy; a median over O(log N) estimation repetitions then suffices.
+    Keeps the largest snr_keep_factor * stage.k estimates above a
+    scale-relative zero floor and returns them as an increment over chi.
     """
-    tun = tunables or Tunables()
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    _check_targets(epsilon=epsilon)
-    n, d = xhat.n, xhat.d
-    B = location_bucket_count(n, d, k, epsilon, tun)
-    mset = _fresh_measurements(xhat, chi, k, rng, B=B, r_max=1, tunables=tun)
-    kept = SparseApprox.empty(n, d)
+    tun = stage.tunables
+    mset = acquire_measurements(xhat, stage, rng)
+    update_residual_measurements(mset, chi)
+    kept = SparseApprox.empty(stage.n, stage.d)
     locations = locate_signal(mset, 0).found
     if locations.size:
         batch = estimate_values(
             xhat,
             chi,
             locations,
-            estimation_bucket_count(n, d, k, epsilon, tun),
+            stage.B_est,
             tun.zero_floor_rel * mset.initial_scale,
-            _inf_estimate_reps(n**d, tun),
+            stage.reps,
+            F=stage.F_est,
             rng=rng,
         )
         mset.sample_counter += batch.samples
-        kept = batch.kept.largest(tun.snr_keep_factor * k)
+        kept = batch.kept.largest(tun.snr_keep_factor * stage.k)
     if stats is not None:
         stats.samples_constsnr += mset.sample_counter
     return kept
@@ -359,21 +302,17 @@ def sparse_fft_with_stats(
     every round (and the whole inf-norm acquisition) whose threshold is
     above r_star * mu + ||chi||_inf. mu = 0 bounds nothing, so every round
     runs. The returned stats split spectrum reads by stage, with
-    acquisition (`samples_location`) fixed after startup. Passing
-    params overrides the derived geometry (bucket counts, repetitions); its
-    grid must match xhat, its k must equal k, and it brings its own
-    tunables, so tunables must then be left out. The epsilon, mu and r_star
-    arguments are checked either way (see `core._check_targets`).
+    acquisition (`samples_location`) fixed after startup. The run follows
+    `RecoveryParams.derive` of these arguments, or params, whose k, targets
+    and seed must then be those of the call; tunables then go inside it.
     """
     if xhat.domain != "frequency":
         raise ParameterError("recovery expects a frequency-domain signal")
     _check_targets(epsilon=epsilon, mu=mu, r_star=r_star)
-    n, d = xhat.n, xhat.d
-    N = n**d
     if params is None:
         params = RecoveryParams.derive(
-            n,
-            d,
+            xhat.n,
+            xhat.d,
             k,
             epsilon=epsilon,
             mu=mu,
@@ -381,23 +320,29 @@ def sparse_fft_with_stats(
             seed=seed,
             tunables=tunables,
         )
-    elif params.n != n or params.d != d:
-        raise ParameterError("params grid does not match the signal grid")
-    elif params.k != k:
-        raise ParameterError(f"params.k = {params.k} does not match k = {k}")
     elif tunables is not None:
         raise ParameterError("pass tunables inside params, not beside it")
-    tun = params.tunables
+    for name, planned, given in (
+        ("k", params.main.k, k),
+        ("epsilon", params.epsilon, epsilon),
+        ("r_star", params.r_star, r_star),
+        ("mu", params.mu, mu),
+        ("seed", params.seed, seed),
+    ):
+        if planned != given:
+            raise ParameterError(
+                f"params.{name} = {planned} does not match {name} = {given}"
+            )
+    tun = params.main.tunables
     rng = np.random.default_rng(seed)
     stats = RunStats()
-    mset = acquire_measurements(xhat, params, rng)
+    mset = acquire_measurements(xhat, params.main, rng)
     stats.samples_location = mset.sample_counter
     mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
     # The caller's mu, not mu_eff: at mu = 0, mu_eff is a numerical floor,
     # not a bound on x.
     x_inf = r_star * mu if mu > 0.0 else math.inf
-    L4 = _log4(N)
-    k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / L4))
+    L4 = _log4(xhat.N)
 
     norm_baseline = 0.0
     for t in range(params.T):
@@ -405,16 +350,13 @@ def sparse_fft_with_stats(
         reduce_l1_norm(mset, nu, mu_eff, rng=rng, stats=stats, x_inf=x_inf)
         nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
         if nu_prime > 0.0:
-            r_star_inf = max(2.0, nu / nu_prime)
             increment = reduce_inf_norm(
                 xhat,
                 mset.chi,
-                k_tilde,
+                params.inf_norm,
                 nu_prime,
-                r_star_inf,
                 nu_prime,
                 rng,
-                tunables=tun,
                 stats=stats,
                 x_inf=x_inf,
             )
@@ -429,9 +371,7 @@ def sparse_fft_with_stats(
                 f"{norm_now:.3g} after round {t}; the residual is not shrinking"
             )
 
-    final = recover_at_constant_snr(
-        xhat, mset.chi, 2 * k, epsilon, rng, tunables=tun, stats=stats
-    )
+    final = recover_at_constant_snr(xhat, mset.chi, params.const_snr, rng, stats=stats)
     result = (mset.chi + final).drop_below(tun.zero_floor_rel * mset.initial_scale)
     return result, stats
 

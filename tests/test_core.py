@@ -1,5 +1,6 @@
 """Grid arithmetic, sparse approximations, and parameter derivation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from sparsefft import (
     DimensionError,
     ParameterError,
     RecoveryParams,
+    StagePlan,
     SparseApprox,
     Tunables,
     digit_base,
@@ -130,11 +132,11 @@ class TestDigitBase:
 
 class TestRecoveryParams:
     def test_derived_repetition_counts(self):
-        p = RecoveryParams.derive(1024, 1, 5)
+        p = RecoveryParams.derive(1024, 1, 5).main
         assert (p.r_max, p.c_max, p.delta) == (7, 14, 2)
-        p = RecoveryParams.derive(2**16, 1, 8)
+        p = RecoveryParams.derive(2**16, 1, 8).main
         assert (p.r_max, p.c_max, p.delta) == (8, 16, 4)
-        p = RecoveryParams.derive(64, 2, 10)
+        p = RecoveryParams.derive(64, 2, 10).main
         assert (p.r_max, p.c_max, p.delta) == (8, 15, 2)
 
     def test_bucket_count_rounds_up_to_a_power_of_two(self):
@@ -178,11 +180,19 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError, match=message):
             RecoveryParams.derive(64, 1, 2, T=1, **{target: value})
 
+    def test_constant_snr_stage_has_one_round(self):
+        plan = RecoveryParams.derive(256, 1, 2, epsilon=1.0)
+        assert plan.const_snr.rounds == 1
+        with pytest.raises(ParameterError, match="one estimation call, got rounds=2"):
+            dataclasses.replace(
+                plan, const_snr=dataclasses.replace(plan.const_snr, rounds=2)
+            )
+
     def test_more_buckets_per_axis_than_grid_points_rejected(self):
         with pytest.raises(ParameterError, match="16 buckets per axis, more than n=8"):
-            RecoveryParams(
-                n=8, d=1, k=1, epsilon=0.1, mu=0.0, r_star=2.0, F=2, B=16,
-                r_max=3, c_max=8, T=1,
+            StagePlan(
+                n=8, d=1, k=1, F=2, B=16, r_max=3, c_max=8, B_est=4, reps=1,
+                rounds=1,
             )
         with pytest.raises(ParameterError, match="8 buckets per axis, more than n=4"):
             RecoveryParams.derive(4, 2, 1, B=64)
@@ -199,7 +209,7 @@ class TestRecoveryParams:
         # tolerance disks of adjacent roots overlap.
         with pytest.raises(ParameterError, match="ratio_tolerance"):
             RecoveryParams.derive(2**16, 1, 8, tunables=Tunables(ratio_tolerance=0.75))
-        p = RecoveryParams.derive(2**16, 1, 8)
+        p = RecoveryParams.derive(2**16, 1, 8).main
         assert p.delta == 4
         assert p.tunables.ratio_tolerance < math.sin(math.pi / p.delta)
         # Base 2 roots sit at distance 2 apart, so 0.75 is still exact there.
@@ -218,7 +228,7 @@ class TestBucketSide:
             bucket_side(B, d)
 
     def test_params_read_b_from_it(self):
-        p = RecoveryParams.derive(64, 2, 8)
+        p = RecoveryParams.derive(64, 2, 8).main
         assert p.b == bucket_side(p.B, 2) == 32
 
 
@@ -245,7 +255,22 @@ class TestBucketCountCap:
             # 8*16/0.25 = 512 = n/2 exactly: met, not clamped.
             assert location_bucket_count(1024, 1, 16, 1.0, Tunables()) == 512
             assert estimation_bucket_count(2**16, 1, 4, 1.0, Tunables()) == 512
-            assert RecoveryParams.derive(64, 2, 8).B == 1024
+            # 8*8 / 0.25^2 = 1024 = (n/2)^2 exactly on the 64^2 grid.
+            assert location_bucket_count(64, 2, 8, 1.0, Tunables()) == 1024
+            # Every bucket count of this plan fits its grid.
+            RecoveryParams.derive(2**16, 1, 4)
+
+    def test_plan_warns_once_naming_the_capped_stages(self):
+        with pytest.warns(RuntimeWarning) as record:
+            plan = RecoveryParams.derive(64, 2, 8)
+        assert plan.main.B == 1024
+        (warning,) = record
+        message = str(warning.message)
+        # The main stage's location buckets meet their target at the cap;
+        # its estimation buckets and the constant-SNR stage's do not.
+        assert "main location" not in message
+        assert "main estimation: bucket side b=256" in message
+        assert "const_snr location" in message
 
 
 class TestUnitRoots:

@@ -188,7 +188,7 @@ class TestClosedForms:
 class TestCertificationImpliesLocation:
     def test_certified_pairs_are_always_found(self, rng):
         n, d, k = 1024, 1, 4
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         empty = SparseApprox(n, d)
         certified_pairs = 0
         for _ in range(6):
@@ -217,7 +217,7 @@ class TestCertificationImpliesLocation:
 
     def test_profile_shapes_and_nonnegativity(self, rng):
         n, d, k = 256, 1, 3
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         x, = [random_sparse_time(n, d, k, rng)]
         tail = rng.normal(size=n) + 1j * rng.normal(size=n)
         xt = dense_time(x).values + 0.05 * tail / np.linalg.norm(tail)

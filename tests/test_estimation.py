@@ -92,6 +92,7 @@ class TestExactTones:
                 128,
                 0.0,
                 5,
+                F=2 * d,
                 rng=rng,
             )
             assert abs(batch.estimates[0] - x.values[0]) < 1e-7
@@ -102,7 +103,14 @@ class TestExactTones:
         x = random_sparse_time(n, d, 1, rng)
         part = SparseApprox.from_flat(n, d, x.flat, 0.25 * x.values)
         batch = estimate_values(
-            lib_freq(dense_time(x).values, n, d), part, x.flat, 128, 0.0, 5, rng=rng
+            lib_freq(dense_time(x).values, n, d),
+            part,
+            x.flat,
+            128,
+            0.0,
+            5,
+            F=2 * d,
+            rng=rng,
         )
         assert abs(batch.estimates[0] - 0.75 * x.values[0]) < 1e-6
 
@@ -117,12 +125,13 @@ class TestExactTones:
         L = np.concatenate([chi.flat, np.ravel_multi_index(extra.T, shape)])
         args = (L, (n // 2) ** d, 0.0, 5)
         with_chi = estimate_values(
-            lib_freq(x_time, n, d), chi, *args, rng=np.random.default_rng(5)
+            lib_freq(x_time, n, d), chi, *args, F=2 * d, rng=np.random.default_rng(5)
         )
         residual = estimate_values(
             lib_freq(x_time - dense_time(chi).values, n, d),
             SparseApprox(n, d),
             *args,
+            F=2 * d,
             rng=np.random.default_rng(5),
         )
         assert np.array_equal(with_chi.locations, residual.locations)
@@ -141,6 +150,7 @@ class TestExactTones:
             512,
             0.25 * floor,
             7,
+            F=2 * d,
             rng=rng,
         )
         for v, est in zip(x.values, batch.estimates):
@@ -171,7 +181,7 @@ class TestMatchesPerRepetitionLoop:
         L = np.array(list(dict.fromkeys(x.flat.tolist() + extra.tolist())))
         r_max = 5
         fast = np.random.default_rng(11)
-        batch = estimate_values(xhat, chi, L, b**d, 0.0, r_max, rng=fast)
+        batch = estimate_values(xhat, chi, L, b**d, 0.0, r_max, F=2 * d, rng=fast)
         slow = np.random.default_rng(11)
         filt = cached_bucket_filter(n, d, b**d, 2 * d)
         want, samples = reference_estimate(xhat, chi, L, filt, r_max, slow)
@@ -192,6 +202,7 @@ class TestThresholding:
             128,
             0.5,
             5,
+            F=2 * d,
             rng=rng,
         )
         expected = {f for f, e in zip(x.flat.tolist(), batch.estimates) if abs(e) > 0.5}
@@ -208,6 +219,7 @@ class TestThresholding:
             128,
             10.0 * x.norm_inf(),
             5,
+            F=2 * d,
             rng=rng,
         )
         assert len(batch.kept) == 0
@@ -221,7 +233,9 @@ class TestBookkeeping:
         xhat = lib_freq(dense_time(x).values, n, d)
         L = x.flat
         for r in (1, 4, 9):
-            batch = estimate_values(xhat, SparseApprox(n, d), L, 16, 0.0, r, rng=rng)
+            batch = estimate_values(
+                xhat, SparseApprox(n, d), L, 16, 0.0, r, F=2 * d, rng=rng
+            )
             # d=1 and F=2 give a support of F*b + 1 = 33 offsets per pass.
             assert batch.samples == r * 33
 
@@ -235,6 +249,7 @@ class TestBookkeeping:
             16,
             0.0,
             3,
+            F=2 * d,
             rng=rng,
         )
         assert batch.locations.tolist() == x.flat.tolist()
@@ -251,6 +266,7 @@ class TestBookkeeping:
             128,
             0.0,
             3,
+            F=2 * d,
             rng=rng,
         )
         assert batch.locations.size == batch.estimates.size == len(batch.kept) == 0
@@ -270,6 +286,7 @@ class TestBookkeeping:
                 128,
                 0.0,
                 5,
+                F=2 * d,
                 rng=np.random.default_rng(99),
             )
             runs.append(batch.estimates)
@@ -282,22 +299,22 @@ class TestBookkeeping:
         chi = SparseApprox(n, d)
         L = x.flat
         with pytest.raises(ParameterError):
-            estimate_values(dense_time(x), chi, L, 16, 0.0, 3, rng=rng)
+            estimate_values(dense_time(x), chi, L, 16, 0.0, 3, F=2 * d, rng=rng)
         # Bucket counts that are not a power of two, or below 4 per axis,
         # are rejected by the filter construction.
         for B in (0, 2, 5):
             with pytest.raises(ParameterError):
-                estimate_values(xhat, chi, L, B, 0.0, 3, rng=rng)
+                estimate_values(xhat, chi, L, B, 0.0, 3, F=2 * d, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, L, 16, -1.0, 3, rng=rng)
+            estimate_values(xhat, chi, L, 16, -1.0, 3, F=2 * d, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, L, 16, 0.0, 0, rng=rng)
+            estimate_values(xhat, chi, L, 16, 0.0, 0, F=2 * d, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, [n], 16, 0.0, 3, rng=rng)
+            estimate_values(xhat, chi, [n], 16, 0.0, 3, F=2 * d, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, [-1], 16, 0.0, 3, rng=rng)
+            estimate_values(xhat, chi, [-1], 16, 0.0, 3, F=2 * d, rng=rng)
         with pytest.raises(ParameterError):
-            estimate_values(xhat, chi, [[0]], 16, 0.0, 3, rng=rng)
+            estimate_values(xhat, chi, [[0]], 16, 0.0, 3, F=2 * d, rng=rng)
 
 
 class TestFailureRateDecay:
@@ -327,6 +344,7 @@ class TestFailureRateDecay:
                     8,
                     0.0,
                     r,
+                    F=2 * d,
                     rng=rng,
                 )
                 fails += abs(batch.estimates[0] - xt[37]) > thr

@@ -1,19 +1,24 @@
-"""Every exported name resolves, in the package and in each submodule, and
-no module imports a name it never uses.
+"""Every exported name resolves, in the package and in each submodule, no
+module imports a name it never uses, and no field of the recovery plan is
+write-only.
 
 The benchmark's tracer wraps functions by their `__all__` entries, so a
 stale export would otherwise surface only there. The import check is a
 small `ast` walk, so it needs no linter: a name counts as used when the
 module reads it, lists it in `__all__`, or names it in a string annotation.
+The plan check is another: a field counts as read when some attribute load
+of its name appears in the package outside its own class body.
 """
 import ast
 import importlib
 import pathlib
 import pkgutil
+from dataclasses import fields
 
 import pytest
 
 import sparsefft
+from sparsefft import RecoveryParams, StagePlan
 
 MODULES = ["sparsefft"] + [
     f"sparsefft.{info.name}" for info in pkgutil.iter_modules(sparsefft.__path__)
@@ -79,3 +84,42 @@ def test_unused_import_check_sees_every_use():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["C", "D", "os"]
+
+
+def attributes_read(source: str, outside: str) -> set[str]:
+    """Attribute names the module loads, except inside class `outside`."""
+    tree = ast.parse(source)
+    own = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == outside
+        for node in ast.walk(cls)
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in own
+    }
+
+
+@pytest.mark.parametrize("cls", [RecoveryParams, StagePlan])
+def test_every_plan_field_is_read(cls):
+    package = pathlib.Path(sparsefft.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        read |= attributes_read(path.read_text(), cls.__name__)
+    assert [f.name for f in fields(cls) if f.name not in read] == []
+
+
+def test_field_read_check_skips_the_class_body():
+    source = (
+        "class Plan:\n"
+        "    def total(self):\n"
+        "        return self.a + self.b\n"
+        "def use(plan):\n"
+        "    plan.b = 1\n"
+        "    return plan.c\n"
+    )
+    assert attributes_read(source, "Plan") == {"c"}

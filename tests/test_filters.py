@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsefft import ParameterError, RecoveryParams, SparseApprox
+from sparsefft import ParameterError, SparseApprox, StagePlan
 from sparsefft.filters import (
     build_bucket_filter,
     build_flat_window,
@@ -214,9 +214,9 @@ class TestBucketFilterValidation:
         with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
             build_bucket_filter(16, d, B, 2 * d)
         with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
-            RecoveryParams(
-                n=16, d=d, k=1, epsilon=1.0, mu=0.0, r_star=2.0, F=2 * d, B=B,
-                r_max=3, c_max=8, T=1,
+            StagePlan(
+                n=16, d=d, k=1, F=2 * d, B=B, r_max=3, c_max=8, B_est=4**d,
+                reps=1, rounds=1,
             )
         x = SparseApprox.from_flat(16, d, [1], [1.0])
         with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):

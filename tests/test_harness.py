@@ -289,22 +289,6 @@ class TestReproducibility:
         for a, b in zip(first, second):
             assert a.row()[:-2] == b.row()[:-2]
 
-    def test_worker_pool_matches_serial_run(self, monkeypatch):
-        spec = ExperimentSpec(n=512, d=1, k=5, seeds=[0, 1, 2])
-        monkeypatch.delenv("SPARSEFFT_WORKERS", raising=False)
-        serial = run_experiment(spec)
-        monkeypatch.setenv("SPARSEFFT_WORKERS", "3")
-        pooled = run_experiment(spec)
-        assert [r.seed for r in pooled] == [0, 1, 2]
-        for a, b in zip(serial, pooled):
-            assert a.row()[:-2] == b.row()[:-2]
-
-    def test_nonpositive_worker_count_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("SPARSEFFT_WORKERS", "0")
-        spec = ExperimentSpec(n=256, d=1, k=4)
-        with pytest.raises(ParameterError):
-            run_experiment(spec)
-
 
 class TestCli:
     def write_spec(self, tmp_path, **overrides):

@@ -23,7 +23,6 @@ from sparsefft import (
 )
 from sparsefft import core
 from sparsefft import hashing_measurements as hm
-from sparsefft import recovery
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import (
     _all_cells,
@@ -162,7 +161,7 @@ class TestMeanBucketNoise:
 
 class TestAcquisition:
     def test_shift_ladder_and_counter(self, rng):
-        params = RecoveryParams.derive(1024, 1, 5)
+        params = RecoveryParams.derive(1024, 1, 5).main
         xhat = freq_signal(rng.normal(size=1024), 1024, 1)
         mset = acquire_measurements(xhat, params, rng)
         assert params.delta == 2
@@ -174,11 +173,11 @@ class TestAcquisition:
 
     def test_digit_base_for_large_grid(self):
         assert digit_base(2**16) == 4
-        params = RecoveryParams.derive(2**16, 1, 8)
+        params = RecoveryParams.derive(2**16, 1, 8).main
         assert params.delta == 4
 
     def test_every_probe_set_is_balanced(self, rng):
-        params = RecoveryParams.derive(256, 1, 4)
+        params = RecoveryParams.derive(256, 1, 4).main
         xhat = freq_signal(rng.normal(size=256), 256, 1)
         mset = acquire_measurements(xhat, params, rng)
         assert mset.alphas.shape == mset.betas.shape == (params.r_max, params.c_max, 1)
@@ -186,7 +185,7 @@ class TestAcquisition:
             assert _balanced_axes(betas, params.delta).all()
 
     def test_shift_vectors_cover_every_digit_group(self, rng):
-        params = RecoveryParams.derive(64, 2, 3)
+        params = RecoveryParams.derive(64, 2, 3).main
         xhat = freq_signal(rng.normal(size=(64, 64)), 64, 2)
         mset = acquire_measurements(xhat, params, rng)
         n, d = 64, 2
@@ -209,7 +208,7 @@ class TestAcquisition:
     def test_bucket_tables_match_direct_bucketing(self, rng):
         # Acquisition fills m[r, t, w] with hash_to_bins of the modulation
         # a*(1, w_shift) for probe t; spot-check a few cells.
-        params = RecoveryParams.derive(256, 1, 4)
+        params = RecoveryParams.derive(256, 1, 4).main
         x_time = rng.normal(size=256) + 1j * rng.normal(size=256)
         xhat = freq_signal(x_time, 256, 1)
         mset = acquire_measurements(xhat, params, rng)
@@ -249,7 +248,7 @@ class TestResidualUpdates:
     names the approximation the tables no longer hold."""
 
     def _setup(self, rng, n=256, k=5):
-        params = RecoveryParams.derive(n, 1, k)
+        params = RecoveryParams.derive(n, 1, k).main
         x = random_sparse_time(n, 1, k, rng)
         xhat = freq_signal(dense_time(x), n, 1)
         mset = acquire_measurements(xhat, params, rng)
@@ -284,7 +283,9 @@ class TestResidualUpdates:
         params, x, xhat, mset = self._setup(rng)
         chi = x.largest(2)
         update_residual_measurements(mset, chi)
-        assert same_map(recovery._fresh_measurements(xhat, chi, params.k, rng).chi, chi)
+        fresh = acquire_measurements(xhat, params, rng)
+        update_residual_measurements(fresh, chi)
+        assert same_map(fresh.chi, chi)
         scale = float(np.abs(mset.buckets).max())
         for r, t, w in [(0, 0, 0), (1, 3, 2)]:
             a = (mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]) % 256
@@ -347,7 +348,7 @@ class TestBlocksAreInvisible:
     )
     @pytest.mark.parametrize("k_chi", [1, 5])
     def test_update_equals_whole_increment(self, n, d, k, B, c_max, k_chi, rng, monkeypatch):
-        params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max)
+        params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max).main
         x = random_sparse_time(n, d, k, rng)
         mset = acquire_measurements(freq_signal(dense_time(x), n, d), params, rng)
         chi = random_sparse_time(n, d, k_chi, rng)
@@ -373,7 +374,7 @@ class TestMemoryBound:
         # 240 rows of 8192 buckets: a 31.5 MB table whose filter support is
         # the whole 2^14 ring.
         n = 2**14
-        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1)
+        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1).main
         xhat = DenseSignal(n, 1, rng.normal(size=n) + 1j * rng.normal(size=n), "frequency")
         acquire_measurements(xhat, params, np.random.default_rng(1))  # warm the caches
         tracemalloc.start()
@@ -388,7 +389,7 @@ class TestMemoryBound:
         # |chi| = 32 against 8192 buckets: the full (|chi|, B) complex
         # weights would take 4 MiB.
         n = 2**14
-        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1)
+        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1).main
         xhat = DenseSignal(n, 1, rng.normal(size=n) + 1j * rng.normal(size=n), "frequency")
         acquire_measurements(xhat, params, np.random.default_rng(1))  # warm the caches
         mset = acquire_measurements(xhat, params, np.random.default_rng(1))

@@ -76,7 +76,7 @@ class TestCheckBalanced:
 class TestSingleTone:
     def test_exact_recovery_from_every_live_bucket(self, rng):
         n, d = 1024, 1
-        params = RecoveryParams.derive(n, d, 1)
+        params = RecoveryParams.derive(n, d, 1).main
         for _ in range(6):
             x = random_sparse_time(n, d, 1, rng)
             i0 = int(x.flat[0])
@@ -90,7 +90,7 @@ class TestSingleTone:
 
     def test_two_dimensional_tone(self, rng):
         n, d = 64, 2
-        params = RecoveryParams.derive(n, d, 1)
+        params = RecoveryParams.derive(n, d, 1).main
         x = random_sparse_time(n, d, 1, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         for r in range(min(3, params.r_max)):
@@ -99,7 +99,7 @@ class TestSingleTone:
 
     def test_decoding_reads_no_new_samples(self, rng):
         n, d = 1024, 1
-        params = RecoveryParams.derive(n, d, 1)
+        params = RecoveryParams.derive(n, d, 1).main
         x = random_sparse_time(n, d, 1, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         counter = mset.sample_counter
@@ -108,7 +108,7 @@ class TestSingleTone:
 
     def test_decoding_is_deterministic(self, rng):
         n, d = 1024, 1
-        params = RecoveryParams.derive(n, d, 3)
+        params = RecoveryParams.derive(n, d, 3).main
         x = random_sparse_time(n, d, 3, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         first = locate_signal(mset, 1)
@@ -120,7 +120,7 @@ class TestSingleTone:
 class TestResidualAwareness:
     def test_zero_signal_decodes_nothing(self, rng):
         n, d = 256, 1
-        params = RecoveryParams.derive(n, d, 2)
+        params = RecoveryParams.derive(n, d, 2).main
         zero = DenseSignal.zeros(n, d, "frequency")
         mset = acquire_measurements(zero, params, rng)
         result = locate_signal(mset, 0)
@@ -129,7 +129,7 @@ class TestResidualAwareness:
 
     def test_subtracted_tone_disappears(self, rng):
         n, d = 1024, 1
-        params = RecoveryParams.derive(n, d, 2)
+        params = RecoveryParams.derive(n, d, 2).main
         x = random_sparse_time(n, d, 2, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         loud = x.largest(1)
@@ -141,7 +141,7 @@ class TestResidualAwareness:
 
     def test_fully_subtracted_signal_goes_silent(self, rng):
         n, d = 1024, 1
-        params = RecoveryParams.derive(n, d, 2)
+        params = RecoveryParams.derive(n, d, 2).main
         x = random_sparse_time(n, d, 2, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         update_residual_measurements(mset, x)
@@ -154,7 +154,7 @@ class TestNoisyRecall:
         # Spikes of unit order against a tail at one percent of the weakest
         # spike; each hashing should still locate every spike almost always.
         n, d, k = 1024, 1, 5
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         full, pairs = 0, 0
         for _ in range(10):
             x = random_sparse_time(n, d, k, rng)
@@ -172,7 +172,7 @@ class TestNoisyRecall:
 
     def test_validation_errors(self, rng):
         n, d = 256, 1
-        params = RecoveryParams.derive(n, d, 2)
+        params = RecoveryParams.derive(n, d, 2).main
         x = random_sparse_time(n, d, 2, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         with pytest.raises(ParameterError):
@@ -199,7 +199,7 @@ class TestMatchesPerDigitVote:
     @pytest.mark.parametrize("n,d,k,B", GRIDS)
     @pytest.mark.parametrize("tail_rel", [0.0, 0.3, 1.0])
     def test_acquired_tables(self, n, d, k, B, tail_rel, rng):
-        params = RecoveryParams.derive(n, d, k, B=B)
+        params = RecoveryParams.derive(n, d, k, B=B).main
         x = random_sparse_time(n, d, k, rng)
         xt = dense_time(x).values
         if tail_rel:
@@ -215,7 +215,7 @@ class TestMatchesPerDigitVote:
         # Odd hashings get even betas, so several digits can win at once;
         # some references are zeroed on half the probes while their shifted
         # entries sit exactly on roots; some entries are pure noise.
-        params = RecoveryParams.derive(n, d, k, B=B)
+        params = RecoveryParams.derive(n, d, k, B=B).main
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
         mset.betas[1::2] = (2 * mset.betas[1::2]) % n
         R, C, S, nb = mset.buckets.shape
@@ -243,7 +243,7 @@ class TestMatchesPerDigitVote:
 class TestColumnBlocks:
     @pytest.mark.parametrize("n,d,k,B", [(1024, 1, 4, 64), (64, 2, 4, 64), (16, 3, 3, 64)])
     def test_blocked_decode_matches_reference(self, n, d, k, B, rng, monkeypatch):
-        params = RecoveryParams.derive(n, d, k, B=B)
+        params = RecoveryParams.derive(n, d, k, B=B).main
         x = random_sparse_time(n, d, k, rng)
         xt = dense_time(x).values
         tail = rng.normal(size=xt.shape) + 1j * rng.normal(size=xt.shape)

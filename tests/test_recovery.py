@@ -9,6 +9,8 @@ import hashlib
 import json
 import pathlib
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from sparsefft import (
     SparseApprox,
     Tunables,
 )
-from sparsefft import dense_dft, semi_equispaced
+from sparsefft import core, dense_dft, semi_equispaced
 from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal
@@ -62,10 +64,29 @@ def head_l1(x: SparseApprox, chi: SparseApprox) -> float:
     return sum(head_errors(x, chi))
 
 
+def inf_stage(n, d, k=1, rounds=4):
+    """The inf-norm stage of the plan for [n]^d, sized for k survivors, with
+    `rounds` halving threshold rounds (the pipeline's plan has one)."""
+    tun = Tunables()
+    return replace(
+        RecoveryParams.derive(n, d, 1).inf_norm,
+        k=k,
+        B=core.location_bucket_count(n, d, k, 1.0, tun),
+        B_est=core.estimation_bucket_count(n, d, k, 1.0, tun),
+        rounds=rounds,
+    )
+
+
+def snr_stage(n, d, k, epsilon):
+    """The constant-SNR stage that sizes its buckets for k terms (the plan
+    for k / 2, since the pipeline hands that stage 2k)."""
+    return RecoveryParams.derive(n, d, k // 2, epsilon=epsilon).const_snr
+
+
 class TestReduceL1:
     def test_noiseless_head_removed_completely(self, rng):
         n, d, k = 1024, 1, 5
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         x = random_sparse_time(n, d, k, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         chi = reduce_l1_norm(mset, 2.0 * x.norm_inf(), 0.0, rng=rng)
@@ -76,14 +97,14 @@ class TestReduceL1:
 
     def test_zero_signal_stays_empty(self, rng):
         n, d = 256, 1
-        params = RecoveryParams.derive(n, d, 2)
+        params = RecoveryParams.derive(n, d, 2).main
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
         chi = reduce_l1_norm(mset, 1.0, 0.0, rng=rng)
         assert len(chi) == 0
 
     def test_noisy_head_mass_drops_geometrically(self, rng):
         n, d, k = 4096, 1, 8
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         wins, trials = 0, 10
         for _ in range(trials):
             x, xt, _ = noisy_instance(n, d, k, rng, tail_rel=0.05)
@@ -99,14 +120,14 @@ class TestReduceL1:
         # params.seed, so a fallback seeded from params.seed would replay the
         # acquisition stream for the estimation permutations.
         n, d = 256, 1
-        params = RecoveryParams.derive(n, d, 2)
+        params = RecoveryParams.derive(n, d, 2).main
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
         with pytest.raises(TypeError):
             reduce_l1_norm(mset, 1.0, 0.0)
 
     def test_counter_tracks_estimation_samples(self, rng):
         n, d, k = 1024, 1, 3
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         x = random_sparse_time(n, d, k, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         base = mset.sample_counter
@@ -137,7 +158,7 @@ class TestLocationReuse:
     @pytest.mark.parametrize("tail_rel", [0.0, 0.05])
     def test_l1_loop_decodes_each_table_once(self, tail_rel, monkeypatch, rng):
         n, d, k = 1024, 1, 5
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         x, xt, _ = noisy_instance(n, d, k, rng, tail_rel=tail_rel)
         mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
         calls = count_decodes(monkeypatch)
@@ -150,9 +171,8 @@ class TestLocationReuse:
         x = random_sparse_time(n, d, k, rng)
         xhat = lib_freq(dense_time(x).values, n, d)
         calls = count_decodes(monkeypatch)
-        reduce_inf_norm(
-            xhat, SparseApprox.empty(n, d), k, x.norm_inf(), 16.0, 0.0, rng
-        )
+        empty = SparseApprox.empty(n, d)
+        reduce_inf_norm(xhat, empty, inf_stage(n, d, k), x.norm_inf(), 0.0, rng)
         assert calls
         assert len(set(calls)) == len(calls)
 
@@ -165,9 +185,8 @@ class TestReduceInfNorm:
             increment = reduce_inf_norm(
                 lib_freq(dense_time(x).values, n, d),
                 SparseApprox.empty(n, d),
-                1,
+                inf_stage(n, d),
                 1.0,
-                16.0,
                 0.0,
                 rng,
             )
@@ -185,9 +204,8 @@ class TestReduceInfNorm:
             increment = reduce_inf_norm(
                 lib_freq(dense_time(x).values, n, d),
                 SparseApprox.empty(n, d),
-                2,
+                inf_stage(n, d, 2),
                 nu,
-                16.0,
                 0.0,
                 rng,
             )
@@ -199,31 +217,27 @@ class TestReduceInfNorm:
         n, d = 1024, 1
         nu, mu = 1.0, 0.05
         x, xt, _ = noisy_instance(n, d, 3, rng, tail_rel=0.01, min_mag=8.0)
+        stage = inf_stage(n, d, 3)
         increment = reduce_inf_norm(
-            lib_freq(xt, n, d), SparseApprox.empty(n, d), 3, nu, 16.0, mu, rng
+            lib_freq(xt, n, d), SparseApprox.empty(n, d), stage, nu, mu, rng
         )
         residual_head = max(head_errors(x, increment))
         assert residual_head <= 8.0 * (nu + mu)
 
-    def test_requires_positive_budget(self, rng):
-        n, d = 256, 1
-        x = random_sparse_time(n, d, 1, rng)
-        with pytest.raises(ParameterError):
-            reduce_inf_norm(
-                lib_freq(dense_time(x).values, n, d),
-                SparseApprox.empty(n, d),
-                0,
-                1.0,
-                2.0,
-                0.0,
-                rng,
-            )
+    def test_requires_positive_budget(self):
+        # The stage's budget k_tilde is its record's k, checked when the
+        # plan is built.
+        with pytest.raises(ParameterError, match="k >= 1"):
+            replace(inf_stage(256, 1), k=0)
 
 
 class TestConstantSnr:
     def test_zero_signal_returns_empty(self, rng):
         out = recover_at_constant_snr(
-            DenseSignal.zeros(256, 1, "frequency"), SparseApprox.empty(256, 1), 2, 0.5, rng
+            DenseSignal.zeros(256, 1, "frequency"),
+            SparseApprox.empty(256, 1),
+            snr_stage(256, 1, 2, 0.5),
+            rng,
         )
         assert len(out) == 0
 
@@ -237,7 +251,10 @@ class TestConstantSnr:
         for _ in range(trials):
             x = random_sparse_time(n, d, k, rng)
             out = recover_at_constant_snr(
-                lib_freq(dense_time(x).values, n, d), SparseApprox.empty(n, d), k, 0.5, rng
+                lib_freq(dense_time(x).values, n, d),
+                SparseApprox.empty(n, d),
+                snr_stage(n, d, k, 0.5),
+                rng,
             )
             exact += out.support() == x.support()
             got = out.entries
@@ -250,7 +267,10 @@ class TestConstantSnr:
         n, d, k = 1024, 1, 2
         x = random_sparse_time(n, d, 12, rng)
         out = recover_at_constant_snr(
-            lib_freq(dense_time(x).values, n, d), SparseApprox.empty(n, d), k, 0.5, rng
+            lib_freq(dense_time(x).values, n, d),
+            SparseApprox.empty(n, d),
+            snr_stage(n, d, k, 0.5),
+            rng,
         )
         assert len(out) <= 4 * k
 
@@ -261,7 +281,7 @@ class TestConstantSnr:
         for _ in range(trials):
             x, xt, tail = noisy_instance(n, d, k, rng, tail_rel=0.2, min_mag=2.0)
             out = recover_at_constant_snr(
-                lib_freq(xt, n, d), SparseApprox.empty(n, d), k, eps, rng
+                lib_freq(xt, n, d), SparseApprox.empty(n, d), snr_stage(n, d, k, eps), rng
             )
             diff = xt - out.to_dense("time").values
             tail_energy = float(np.sum(np.abs(tail) ** 2))
@@ -397,6 +417,38 @@ class TestFullPipeline:
             sparse_fft_with_stats(xhat, k, params=params, tunables=Tunables())
         sparse_fft_with_stats(xhat, k, params=params)
 
+    @pytest.mark.parametrize(
+        "target,value", [("epsilon", 0.5), ("r_star", 4.0), ("mu", 0.1), ("seed", 1)]
+    )
+    def test_params_must_match_the_targets(self, target, value, rng):
+        # A plan derived for other targets used to run silently with the
+        # arguments' targets and the plan's geometry.
+        n, d, k = 256, 1, 2
+        xhat = lib_freq(dense_time(random_sparse_time(n, d, k, rng)).values, n, d)
+        params = RecoveryParams.derive(n, d, k, **{target: value})
+        with pytest.raises(ParameterError, match=f"params.{target} = {value} does not"):
+            sparse_fft_with_stats(xhat, k, params=params)
+        sparse_fft_with_stats(xhat, k, params=params, **{target: value})
+
+    def test_plan_warns_before_the_run_and_the_run_derives_nothing(
+        self, monkeypatch, rng
+    ):
+        # Every bucket count is capped on 8^3; the plan warns once, when it
+        # is derived, and no stage sizes anything during the run.
+        n, d, k = 8, 3, 2
+        xhat = lib_freq(dense_time(random_sparse_time(n, d, k, rng)).values, n, d)
+        with pytest.warns(RuntimeWarning, match="capped"):
+            params = RecoveryParams.derive(n, d, k)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stage geometry derived during the run")
+
+        monkeypatch.setattr(core, "capped_bucket_count", forbidden)
+        monkeypatch.setattr(RecoveryParams, "derive", forbidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sparse_fft_with_stats(xhat, k, params=params)
+
 
 class TestTargetsChecked:
     """epsilon > 0, mu >= 0 and r_star >= 1, all finite, wherever a stage
@@ -433,30 +485,30 @@ class TestTargetsChecked:
     def test_l1_stage_checks_nu_and_mu(self, nu, mu, message, rng):
         # A NaN threshold keeps nothing, so the stage used to return an
         # empty approximation without a word.
-        params = RecoveryParams.derive(256, 1, 2)
+        params = RecoveryParams.derive(256, 1, 2).main
         mset = acquire_measurements(DenseSignal.zeros(256, 1, "frequency"), params, rng)
         with pytest.raises(ParameterError, match=message):
             reduce_l1_norm(mset, nu, mu, rng=rng)
 
-    def test_constant_snr_stage_checks_epsilon(self, rng):
-        xhat = DenseSignal.zeros(256, 1, "frequency")
+    def test_constant_snr_stage_checks_epsilon(self):
+        # The stage's buckets scale with 1/epsilon; the plan checks epsilon
+        # before it sizes them.
         with pytest.raises(ParameterError, match="epsilon must be finite and > 0"):
-            recover_at_constant_snr(xhat, SparseApprox.empty(256, 1), 2, 0.0, rng)
+            RecoveryParams.derive(256, 1, 2, epsilon=0.0)
 
     @pytest.mark.parametrize(
-        "nu,r_star,mu,message",
+        "nu,mu,message",
         [
-            (-1.0, 2.0, 0.0, "nu must be finite and >= 0"),
-            (float("nan"), 2.0, 0.0, "nu must be finite and >= 0"),
-            (1.0, 0.5, 0.0, "r_star must be finite and >= 1"),
-            (1.0, float("inf"), 0.0, "r_star must be finite and >= 1"),
-            (1.0, 2.0, float("nan"), "mu must be finite and >= 0"),
+            (-1.0, 0.0, "nu must be finite and >= 0"),
+            (float("nan"), 0.0, "nu must be finite and >= 0"),
+            (1.0, float("nan"), "mu must be finite and >= 0"),
         ],
     )
-    def test_inf_norm_stage_checks_its_targets(self, nu, r_star, mu, message, rng):
+    def test_inf_norm_stage_checks_its_targets(self, nu, mu, message, rng):
         xhat = DenseSignal.zeros(256, 1, "frequency")
+        stage = inf_stage(256, 1)
         with pytest.raises(ParameterError, match=message):
-            reduce_inf_norm(xhat, SparseApprox.empty(256, 1), 1, nu, r_star, mu, rng)
+            reduce_inf_norm(xhat, SparseApprox.empty(256, 1), stage, nu, mu, rng)
 
 
 PINNED_PATH = pathlib.Path(__file__).parent / "pinned_recovery.json"
@@ -511,6 +563,36 @@ def test_seeded_output_matches_pinned_record(n, d, k, model):
     np.testing.assert_allclose(out.values, expected, rtol=PINNED_RTOL, atol=0.0)
 
 
+def ledger_splits(total, stage, acquisitions, max_calls):
+    """The (a, m) with total = a * stage.acquisition_reads + m *
+    stage.estimation_reads, for a in acquisitions and 0 <= m <= max_calls."""
+    return [
+        (a, m)
+        for a in acquisitions
+        for m in range(max_calls + 1)
+        if a * stage.acquisition_reads + m * stage.estimation_reads == total
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", SIGNAL_MODELS)
+@pytest.mark.parametrize("n,d,k", PINNED_GRIDS)
+def test_run_stats_follow_the_plan_ledger(n, d, k, model):
+    """Each RunStats field is its stage's acquisition reads (none when the
+    stage is skipped) plus a whole number of its estimation calls, at most
+    `rounds` of them per acquisition or outer round."""
+    spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
+    _, _, mu = generate_signal(spec, PINNED_SEED)
+    plan = spec.recovery_params(mu, PINNED_SEED)
+    _, stats = pinned_run(n, d, k, model)
+    main, inf, snr = plan.main, plan.inf_norm, plan.const_snr
+    assert stats.samples_location == main.acquisition_reads
+    assert ledger_splits(stats.samples_estimation, main, [0], plan.T * main.rounds)
+    calls = plan.T * inf.rounds
+    assert ledger_splits(stats.samples_infnorm, inf, range(plan.T + 1), calls)
+    assert ledger_splits(stats.samples_constsnr, snr, [1], snr.rounds)
+
+
 def count_acquisitions(monkeypatch) -> list:
     """Record the params of every acquisition the recovery stages make."""
     calls = []
@@ -553,7 +635,7 @@ class TestNoiseBound:
         # Lowest threshold inf_threshold_scale * (nu + mu) = 5 > 1 + 0.
         empty = SparseApprox.empty(n, d)
         increment = reduce_inf_norm(
-            xhat, empty, 1, 1.0, 16.0, 0.0, rng, stats=stats, x_inf=1.0
+            xhat, empty, inf_stage(n, d), 1.0, 0.0, rng, stats=stats, x_inf=1.0
         )
         assert len(increment) == 0
         assert stats.samples_infnorm == 0 and not calls
@@ -568,7 +650,7 @@ class TestNoiseBound:
         calls = count_acquisitions(monkeypatch)
         stats = RunStats()
         increment = reduce_inf_norm(
-            xhat, chi, 1, 1.0, 16.0, 0.0, rng, stats=stats, x_inf=1.0
+            xhat, chi, inf_stage(n, d), 1.0, 0.0, rng, stats=stats, x_inf=1.0
         )
         assert stats.samples_infnorm > 0 and len(calls) == 1
         assert increment.flat.tolist() == [17]
@@ -578,25 +660,23 @@ class TestNoiseBound:
         n, d, k = 1024, 1, 3
         x = random_sparse_time(n, d, k, np.random.default_rng(4), min_mag=2.0)
         xhat = lib_freq(dense_time(x).values, n, d)
-        params = RecoveryParams.derive(n, d, k)
+        params = RecoveryParams.derive(n, d, k).main
         top = x.norm_inf()
         later = [(1.0, False), (0.5, True)]
         rounds = [(4.0 * top, False), (2.0 * top, False)] + later
         thresholds = []
         real = recovery_module.estimate_values
 
-        def recording(xhat, chi, locations, B, threshold, reps, *, rng):
+        def recording(xhat, chi, locations, B, threshold, reps, **kwargs):
             thresholds.append(threshold)
-            return real(xhat, chi, locations, B, threshold, reps, rng=rng)
+            return real(xhat, chi, locations, B, threshold, reps, **kwargs)
 
         monkeypatch.setattr(recovery_module, "estimate_values", recording)
         results = []
         for rounds_run, x_inf in ((rounds, top), (later, float("inf"))):
             mset = acquire_measurements(xhat, params, np.random.default_rng(1))
             rng = np.random.default_rng(2)
-            increment = recovery_module._threshold_rounds(
-                mset, rounds_run, 256, 3, rng, x_inf
-            )
+            increment = recovery_module._threshold_rounds(mset, rounds_run, rng, x_inf)
             results.append((increment.entries, rng.bit_generator.state))
         # Each run estimates in the later rounds only.
         assert thresholds == [threshold for threshold, _ in later] * 2
@@ -606,10 +686,16 @@ class TestNoiseBound:
     @pytest.mark.parametrize("x_inf", [0.0, -1.0, float("nan")])
     def test_stages_check_the_bound(self, x_inf, rng):
         xhat = DenseSignal.zeros(256, 1, "frequency")
-        mset = acquire_measurements(xhat, RecoveryParams.derive(256, 1, 2), rng)
+        mset = acquire_measurements(xhat, RecoveryParams.derive(256, 1, 2).main, rng)
         with pytest.raises(ParameterError, match="x_inf must be > 0"):
             reduce_l1_norm(mset, 1.0, 0.0, rng=rng, x_inf=x_inf)
         with pytest.raises(ParameterError, match="x_inf must be > 0"):
             reduce_inf_norm(
-                xhat, SparseApprox.empty(256, 1), 1, 1.0, 2.0, 0.0, rng, x_inf=x_inf
+                xhat,
+                SparseApprox.empty(256, 1),
+                inf_stage(256, 1),
+                1.0,
+                0.0,
+                rng,
+                x_inf=x_inf,
             )
