@@ -548,6 +548,16 @@ class StagePlan:
         return self.reps * min(self.F_est * b_est + 1, self.n) ** self.d
 
 
+def _check_one_round(name: str, stage: StagePlan) -> None:
+    """ParameterError unless the stage plans one estimation call: the
+    inf-norm and constant-SNR stages decode their streamed set once, so a
+    later round would have no candidates of its own."""
+    if stage.rounds != 1:
+        raise ParameterError(
+            f"the {name} makes one estimation call, got rounds={stage.rounds}"
+        )
+
+
 @dataclass(frozen=True, kw_only=True)
 class RecoveryParams:
     """The recovery plan: the caller's targets, T outer rounds and one
@@ -569,11 +579,8 @@ class RecoveryParams:
         _check_targets(epsilon=self.epsilon, mu=self.mu, r_star=self.r_star)
         if self.T < 1:
             raise ParameterError(f"need T >= 1, got T={self.T}")
-        if self.const_snr.rounds != 1:
-            raise ParameterError(
-                "the constant-SNR sweep makes one estimation call, got "
-                f"rounds={self.const_snr.rounds}"
-            )
+        _check_one_round("inf-norm stage", self.inf_norm)
+        _check_one_round("constant-SNR sweep", self.const_snr)
 
     @classmethod
     def derive(
@@ -639,7 +646,8 @@ class RecoveryParams:
         )
         # The inf-norm stage's own r_star would be nu / nu' floored at 2.
         # With L = log2(N)^4, nu / nu' = 4 L^(T-t) / (4 L^(T-t) + 20 L) < 1,
-        # so its threshold halves over ceil(log2 2) = 1 round.
+        # so its halving schedule has ceil(log2 2) = 1 round: one threshold
+        # and one estimation call, which lets it decode its set as it reads.
         k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / _log4(N)))
         inf_norm = stage(
             k=k_tilde,

@@ -9,15 +9,19 @@ sum_j G_{o_i(j)} x_j omega^(a . Sigma j) up to filter leakage. Any number of
 subtracted exactly in bucket space, from the filter's time-domain table
 (_chi_buckets), so it reads no spectrum samples.
 
-The callers are hash_to_bins (one row), acquire_measurements (one call per
-hashing) and estimation.estimate_values (one call for all its
-repetitions). acquire_measurements fills the full table the recovery loop
-consumes: r_max hashings, c_max probe pairs each (redrawn until
-digit-balanced), and one measurement per shift vector in the location
-ladder. All later subtraction of recovered mass goes through
-update_residual_measurements, which applies the same exact rule to the
-stored tables, records the mass in MeasurementSet.chi, and keeps the sample
-counter frozen.
+The callers are hash_to_bins (one row), acquire_measurements and
+estimation.estimate_values (one call for all its repetitions).
+acquire_measurements reads a set's r_max hashings, c_max probe pairs each
+(redrawn until digit-balanced), under every shift vector of the location
+ladder. A stored set, the l1 loop's main set, keeps every table, written
+one hashing at a time; all later subtraction of recovered mass goes
+through update_residual_measurements, which applies the same exact rule to
+the stored tables, records the mass in MeasurementSet.chi, and keeps the
+sample counter frozen. A streamed set, for the inf-norm and constant-SNR
+stages that decode their set once, is read one shift at a time for all
+hashings and decoded as it is read (_sweep): each shift loses the caller's
+chi at the buckets still alive and casts its digit's votes before the next
+is read.
 
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: hash_to_bins takes one (d,)
@@ -25,14 +29,16 @@ modulation a, MeasurementSet.alphas and .betas are (r_max, c_max, d), and
 .shifts is (S, d). chi enters as SparseApprox's flat indices, unravelled
 to (m, d) coordinates where the bucket formula needs them.
 
-The kernels stream, so the stored bucket tables are the only arrays that
-grow with rows times B:
+The kernels stream, so the main set's stored table is the only array of a
+run that grows with rows times B; a streamed set holds two shifts, its
+reference and the current one:
 
 - _bucket_tables gathers its rows in blocks of about core._BLOCK_BYTES
   (1 MiB) of samples. Each block is gathered with one fancy index, weighted
-  in place, and folded straight into its rows of the caller's array (for
-  acquisition, the hashing's slab of MeasurementSet.buckets). So neither a
-  full (rows, P) sample table nor a second (rows, B) copy ever exists.
+  in place, and folded straight into its rows of the caller's array (a
+  hashing's slab of a stored set's MeasurementSet.buckets, or one shift's
+  rows of a streamed set). So neither a full (rows, P) sample table nor a
+  second (rows, B) copy ever exists.
 - The folded rows are inverted in place, in batches of at least
   core._FFT_BATCH_ROWS (8) rows that may span gather blocks and hashings.
   A 2^16-sample row fills a whole gather block, and pocketfft takes about
@@ -48,8 +54,10 @@ grow with rows times B:
   the (|chi|, B) weights are built once and never stored, and no (M, B)
   increment exists. On a 144 x 32768 table at |chi| = 32 one hashing's
   update takes 56-58 ms this way against 156-160 ms in 2-row blocks,
-  which reread the whole weights for every block (one thread). The
-  acquisition's initial scale is a maximum over row blocks.
+  which reread the whole weights for every block (one thread). The sweep
+  subtracts the same way from its reference shift, and from a later shift
+  at its live buckets only. The acquisition's initial scale is a maximum
+  over row blocks.
 - Every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
 - A hashing's support offsets mapped by Sigma, and the exponents of its
@@ -66,7 +74,9 @@ norm would change them. The update's product is the one step whose
 rounding is the BLAS's. Its column blocks are core._UPDATE_COLUMNS (512)
 wide: on eight product shapes under one and two OpenBLAS threads, blocks
 of 8 or more columns gave the whole product's bits, and 2-column blocks
-did not always.
+did not always. The sweep's products at a few live buckets can be
+narrower, but only its decodes leave it, and they equal the stored set's
+on every seeded run compared (see tests/test_recovery.py).
 """
 from __future__ import annotations
 
@@ -85,11 +95,12 @@ from .core import (
     _UPDATE_COLUMNS,
     _block_rows,
     _digit_groups,
+    _first_seen,
     unit_roots,
 )
 from .dense_dft import fft_axes
 from .filters import BucketFilter, cached_bucket_filter
-from .location import _balanced_axes
+from .location import _balanced_axes, _decode_digit, _digit_steps, _unpermute
 from .permutation import Hashing, sample_permutation
 
 __all__ = [
@@ -175,12 +186,37 @@ def _invert_rows(u: np.ndarray, filt: BucketFilter) -> None:
     u *= float(b) ** (d / 2.0)
 
 
+def _gather_setup(
+    filt: BucketFilter, hashing: Hashing
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What _bucket_tables needs of one hashing, whatever the number of rows
+    it serves: (Sigma, the (d, P) support offsets mapped by Sigma, and the
+    (P,) filter row modulated by omega^(i . Sigma q))."""
+    n, d = filt.n, filt.d
+    sigma = hashing.perm.sigma
+    # Rows 0..d-1: the support offsets mapped by Sigma; row d: the exponent
+    # of the omega^(i . Sigma q) modulation of the filter row.
+    sq = (sigma @ hashing.perm.q) & (n - 1)
+    dots = _support_dots(filt, np.column_stack([sigma, sq]))
+    return sigma, dots[:d], _support_values(filt) * unit_roots(n, 1)[dots[d]]
+
+
+def _gather_block(filt: BucketFilter, rows: int) -> np.ndarray:
+    """The buffer _bucket_tables gathers into for calls of up to `rows`
+    rows: min(rows, one block of about _BLOCK_BYTES) rows of P samples."""
+    P = filt.support_size
+    return np.empty((min(_block_rows(16 * P), rows), P), dtype=np.complex128)
+
+
 def _bucket_tables(
     xhat: DenseSignal,
     filt: BucketFilter,
     hashings: list[Hashing],
     mods: list[np.ndarray],
     out: np.ndarray | None = None,
+    *,
+    setups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    block: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bucket values of x-hat for every (hashing, modulation) row.
 
@@ -193,27 +229,28 @@ def _bucket_tables(
     are then inverted in place, at least _FFT_BATCH_ROWS at a time (the last
     batch may be short); a batch may span blocks and hashings. Reads
     P = filt.support_size samples per row; the caller accounts them.
+
+    A caller that reads the same hashings call after call passes what the
+    calls can share: setups[h] = _gather_setup(filt, hashings[h]) and a
+    _gather_block(filt, M) buffer. A fresh block per call costs its page
+    faults every time: one 15-row call per shift over exact-3d-16's
+    constant-SNR set took twice as long as with one block (one thread).
     """
     n, d = xhat.n, xhat.d
-    gv = _support_values(filt)
-    P = len(gv)
+    if setups is None:
+        setups = [_gather_setup(filt, hashing) for hashing in hashings]
     M = sum(len(m) for m in mods)
     if out is None:
         out = np.empty((M, filt.B), dtype=np.complex128)
-    step = _block_rows(16 * P)
-    block = np.empty((min(step, M), P), dtype=np.complex128)
+    if block is None:
+        block = _gather_block(filt, M)
+    step = len(block)
     xflat = xhat.values.reshape(-1)
     # n is a power of two, so "& mask" is "mod n" (also for negative
     # differences) and a row-major stride of n is a shift by log2(n) bits.
     mask, bits = n - 1, n.bit_length() - 1
     filled = done = inverted = 0
-    for hashing, m in zip(hashings, mods):
-        sigma = hashing.perm.sigma
-        # Rows 0..d-1: the support offsets mapped by Sigma; row d: the
-        # exponent of the omega^(i . Sigma q) modulation of the filter row.
-        sq = (sigma @ hashing.perm.q) & mask
-        dots = _support_dots(filt, np.column_stack([sigma, sq]))
-        base, weight = dots[:d], gv * unit_roots(n, 1)[dots[d]]
+    for (sigma, base, weight), m in zip(setups, mods):
         shift = (np.asarray(m, dtype=np.int64) @ sigma) & mask
         lo = 0
         while lo < len(shift):
@@ -240,11 +277,12 @@ def _all_cells(b: int, d: int) -> np.ndarray:
     return np.indices((b,) * d).reshape(d, -1).T
 
 
-def _chi_weights(chi: SparseApprox, hashing: Hashing, cells: np.ndarray) -> np.ndarray:
+def _chi_weights(pi: np.ndarray, hashing: Hashing, cells: np.ndarray) -> np.ndarray:
     """Filter gain G(pi(t) - (n/b) j) of every chi entry t at the bucket
-    coordinates j of the (m, d) array cells, as a complex (|chi|, m) array."""
+    coordinates j of the (m, d) array cells, as a complex (|chi|, m) array;
+    pi is chi's support mapped by the hashing's permutation, an (|chi|, d)
+    array."""
     n, b, g_axis = hashing.n, hashing.b, hashing.filter.g_axis
-    pi = hashing.perm.forward_array(chi.coords_array())
     centers = (n // b) * cells
     # One gather per axis, multiplied in axis order: the bits of a product
     # over the axes, without an (|chi|, m, d) offset array.
@@ -273,7 +311,8 @@ def _chi_buckets(
     `cells` (an (m, d) array; _all_cells for every bucket), which costs
     O(m * |chi| * d). Reads no samples.
     """
-    return _chi_phases(chi, hashing, mods) @ _chi_weights(chi, hashing, cells)
+    pi = hashing.perm.forward_array(chi.coords_array())
+    return _chi_phases(chi, hashing, mods) @ _chi_weights(pi, hashing, cells)
 
 
 def hash_to_bins(
@@ -315,6 +354,13 @@ class MeasurementSet:
     shift 0 is the unshifted reference. The tables hold source - chi, chi
     being the sum of every update since acquisition, in order. The sample
     counter tracks spectrum reads and is immune to residual updates.
+
+    A stored set (acquired without chi; the l1 loop's main set) keeps all S
+    shifts and is the only full table a run holds. A streamed set (acquired
+    with chi, for a stage that decodes once) was decoded while it was read:
+    it keeps only the reference tables, buckets[:, :, :1], and `found`, the
+    union of every hashing's decoded indices. It cannot be decoded or
+    updated again.
     """
 
     params: StagePlan
@@ -329,9 +375,13 @@ class MeasurementSet:
     source: DenseSignal
     chi: SparseApprox
     sample_counter: int = 0
-    # Largest bucket magnitude right after acquisition; relative floors for
-    # mu = 0 inputs and zero pruning are anchored to it.
+    # Largest bucket magnitude right after acquisition, before chi is
+    # subtracted; relative floors for mu = 0 inputs and zero pruning are
+    # anchored to it.
     initial_scale: float = 0.0
+    # A streamed set's candidates: flat indices in the order
+    # recovery._union_locations gives for a stored set; None when stored.
+    found: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -396,13 +446,30 @@ def _modulations(
 
 
 def acquire_measurements(
-    xhat: DenseSignal, params: StagePlan, rng: np.random.Generator
+    xhat: DenseSignal,
+    params: StagePlan,
+    rng: np.random.Generator,
+    *,
+    chi: SparseApprox | None = None,
 ) -> MeasurementSet:
-    """Sample hashings and probes, then fill every bucket table from x-hat."""
+    """Sample hashings and probes, then read every ladder shift from x-hat.
+
+    Without chi the set stores every table, for a caller that decodes and
+    updates it again and again. With chi the set is streamed (_sweep): each
+    shift is read, cleaned of chi at the buckets still alive and decoded
+    before the next is read, so only the reference and the current shift
+    are ever held; the set keeps its reference tables and `found`. Both
+    draw the same hashings and probes from rng, read the same samples, and
+    give the same initial scale; a streamed set's `found` is the stored
+    set's `recovery._union_locations` after update_residual_measurements
+    with chi.
+    """
     if xhat.domain != "frequency":
         raise ParameterError("acquisition expects a frequency-domain signal")
     if xhat.n != params.n or xhat.d != params.d:
         raise ParameterError("parameter grid does not match the signal grid")
+    if chi is not None and (chi.n != params.n or chi.d != params.d):
+        raise ParameterError("chi does not live on the measurement grid")
     n, d = params.n, params.d
     delta = params.delta
     bases, shifts = _digit_ladder(n, d, delta)
@@ -416,25 +483,136 @@ def acquire_measurements(
         alphas[r], betas[r] = _sample_balanced_probes(n, d, params.c_max, delta, rng)
 
     S = len(shifts)
-    buckets = np.empty((params.r_max, params.c_max, S, params.B), dtype=np.complex128)
-    counter = 0
-    for r, hashing in enumerate(hashings):
-        mods = _modulations(alphas[r], betas[r], shifts, n)
-        _bucket_tables(xhat, filt, [hashing], [mods], out=buckets[r].reshape(-1, params.B))
-        counter += mods.shape[0] * filt.support_size
-    return MeasurementSet(
+    held = S if chi is None else 1
+    mset = MeasurementSet(
         params=params,
         hashings=hashings,
         alphas=alphas,
         betas=betas,
         shifts=shifts,
         group_bases=bases,
-        buckets=buckets,
+        buckets=np.empty((params.r_max, params.c_max, held, params.B), dtype=np.complex128),
         source=xhat,
-        chi=SparseApprox.empty(n, d),
-        sample_counter=counter,
-        initial_scale=_max_abs(buckets.reshape(-1, params.B)),
+        chi=SparseApprox.empty(n, d) if chi is None else chi,
+        sample_counter=params.r_max * params.c_max * S * filt.support_size,
     )
+    if chi is not None:
+        mset.initial_scale = _sweep(mset)
+        return mset
+    # One call per hashing writes its contiguous slab; filling the table a
+    # shift at a time would write strided rows, which made these calls about
+    # 8% slower on gauss-2d-64's main set (one thread).
+    for r, hashing in enumerate(hashings):
+        mods = _modulations(alphas[r], betas[r], shifts, n)
+        _bucket_tables(xhat, filt, [hashing], [mods], out=mset.buckets[r].reshape(-1, params.B))
+    mset.initial_scale = _max_abs(mset.buckets.reshape(-1, params.B))
+    return mset
+
+
+def _sweep(mset: MeasurementSet) -> float:
+    """Read a streamed set's ladder shift by shift, subtracting mset.chi and
+    decoding as each shift arrives; store the candidates in mset.found and
+    return the largest bucket magnitude read (before chi).
+
+    Each shift is one _bucket_tables call for all hashings, which share
+    their gather set-ups and one gather block, built before the first. The
+    reference shift goes into mset.buckets and loses chi at every bucket.
+    Each later shift reuses one buffer, loses chi only at the buckets still
+    alive in its hashing, and casts their votes for its digit with
+    location._decode_digit, in blocks of live buckets of about _BLOCK_BYTES
+    per probe-row array. The shifts run in location's decode order (axis by
+    axis, lowest digit group first), so a bucket drops out at the first
+    digit it fails, and every bucket decodes as locate_signal decodes it
+    from the stored tables. chi's weights at a bucket are built at its
+    first digit and kept while it survives: at most |chi| x B of them, and
+    on exact inputs, whose empty buckets fail their first digit, few.
+    """
+    n, B, c_max = mset.n, mset.params.B, mset.params.c_max
+    S = len(mset.shifts)
+    chi, tun = mset.chi, mset.params.tunables
+    filt = mset.hashings[0].filter
+    setups = [_gather_setup(filt, hashing) for hashing in mset.hashings]
+    ref = mset.buckets.reshape(-1, B)
+    current = np.empty_like(ref)
+    block = _gather_block(filt, len(ref))
+    # Blocks of whole hashings: a block that spans two hashings is gathered
+    # in two pieces.
+    block = block[: max(len(block) // c_max, 1) * c_max]
+    cells = _all_cells(filt.b, mset.d)
+    # Per hashing, every shift's modulations, probe-major: shift w's rows
+    # are mods[r][w::S]. chi's phases under them and its permuted support
+    # are built once too.
+    mods = [
+        _modulations(alphas, betas, mset.shifts, n)
+        for alphas, betas in zip(mset.alphas, mset.betas)
+    ]
+    coords = chi.coords_array()
+    pis = [hashing.perm.forward_array(coords) for hashing in mset.hashings]
+    phases = [_chi_phases(chi, h, m) for h, m in zip(mset.hashings, mods)]
+    digits = {w: (s, base, place) for w, s, base, place in _digit_steps(mset)}
+    live = [np.arange(B)] * len(mset.hashings)
+    fvecs = [np.zeros((B, mset.d), dtype=np.int64)] * len(mset.hashings)
+    columns = _block_rows(16 * c_max)
+    invalid = []  # per hashing, the (c_max, B) reference entries below near_zero
+    # Per hashing, chi's weights at its live buckets once a digit has been
+    # read; the survivors' columns carry over. On noisy inputs many buckets
+    # live on: 678 of 1024 after the first digit and 333 after the last on
+    # gauss-2d-64's constant-SNR set with a 72-entry chi.
+    weights = [None] * len(mset.hashings)
+    scale = 0.0
+    for w in [0, *digits]:
+        rows = current if w else ref
+        shift_mods = [m[w::S] for m in mods]
+        _bucket_tables(
+            mset.source, filt, mset.hashings, shift_mods, out=rows, setups=setups, block=block
+        )
+        scale = max(scale, _max_abs(rows))
+        for r, hashing in enumerate(mset.hashings):
+            keep, fvec = live[r], fvecs[r]
+            if w and not keep.size:
+                continue
+            slab = rows[r * c_max : (r + 1) * c_max]
+            shift_phases = phases[r][w::S]
+            if w == 0:
+                if len(chi):
+                    _subtract_chi(slab, shift_phases, pis[r], hashing, cells)
+                invalid.append(np.abs(slab) < tun.near_zero)
+                continue
+            s, base, place = digits[w]
+            votes, carried = [], []
+            for lo in range(0, keep.size, columns):
+                cols = keep[lo : lo + columns]
+                meas = slab[:, cols]
+                if len(chi):
+                    if weights[r] is None:
+                        gains = _chi_weights(pis[r], hashing, cells[cols])
+                    else:
+                        gains = weights[r][:, lo : lo + columns]
+                    meas -= shift_phases @ gains
+                votes.append(
+                    _decode_digit(
+                        meas,
+                        ref[r * c_max : (r + 1) * c_max, cols],
+                        invalid[r][:, cols],
+                        mset.betas[r, :, s],
+                        fvec[lo : lo + columns, s],
+                        n,
+                        int(mset.shifts[w, s]),
+                        base,
+                        tun,
+                    )
+                )
+                if len(chi):
+                    carried.append(gains[:, votes[-1][0]])
+            unique = np.concatenate([u for u, _ in votes])
+            chosen = np.concatenate([c for _, c in votes])
+            live[r], fvecs[r] = keep[unique], fvec[unique]
+            fvecs[r][:, s] += place * chosen[unique]
+            if len(chi):
+                weights[r] = np.concatenate(carried, axis=1)
+    found = [_unpermute(fvec, hashing) for fvec, hashing in zip(fvecs, mset.hashings)]
+    mset.found = _first_seen(np.concatenate(found))
+    return scale
 
 
 def _max_abs(table: np.ndarray) -> float:
@@ -443,6 +621,22 @@ def _max_abs(table: np.ndarray) -> float:
     step = _block_rows(16 * table.shape[1])
     peaks = [np.abs(table[lo : lo + step]).max() for lo in range(0, len(table), step)]
     return float(np.max(peaks)) if peaks else 0.0
+
+
+def _subtract_chi(
+    slab: np.ndarray,
+    phases: np.ndarray,
+    pi: np.ndarray,
+    hashing: Hashing,
+    cells: np.ndarray,
+) -> None:
+    """Subtract chi's bucket contributions phases @ weights from every
+    bucket of a hashing's (M, B) rows in place, one block of
+    _UPDATE_COLUMNS bucket columns at a time, building each block's
+    (|chi|, width) weights at that block's buckets (pi as in _chi_weights)."""
+    for lo in range(0, slab.shape[1], _UPDATE_COLUMNS):
+        cols = slice(lo, lo + _UPDATE_COLUMNS)
+        slab[:, cols] -= phases @ _chi_weights(pi, hashing, cells[cols])
 
 
 def update_residual_measurements(
@@ -458,20 +652,20 @@ def update_residual_measurements(
     phases @ weights from its slab one block of bucket columns at a time,
     for all rows at once, and builds each block's weights at that block's
     buckets, so neither an (M, B) increment nor the (|chi|, B) weights are
-    ever formed.
+    ever formed. A streamed set keeps no shifted tables to update.
     """
+    if mset.found is not None:
+        raise ParameterError("a streamed measurement set cannot be updated")
     if chi_delta.n != mset.n or chi_delta.d != mset.d:
         raise ParameterError("chi_delta does not live on the measurement grid")
     if len(chi_delta) == 0:
         return mset
-    B = mset.params.B
     cells = _all_cells(mset.hashings[0].b, mset.d)
+    coords = chi_delta.coords_array()
     for r, hashing in enumerate(mset.hashings):
         mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
         phases = _chi_phases(chi_delta, hashing, mods)
-        slab = mset.buckets[r].reshape(-1, B)
-        for lo in range(0, B, _UPDATE_COLUMNS):
-            cols = slice(lo, lo + _UPDATE_COLUMNS)
-            slab[:, cols] -= phases @ _chi_weights(chi_delta, hashing, cells[cols])
+        slab = mset.buckets[r].reshape(-1, mset.params.B)
+        _subtract_chi(slab, phases, hashing.perm.forward_array(coords), hashing, cells)
     mset.chi = mset.chi + chi_delta
     return mset

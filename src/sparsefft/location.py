@@ -29,6 +29,12 @@ columns in blocks of about core._BLOCK_BYTES per probe-row array and
 concatenates the blocks' results in bucket order; `found` and `failed` are
 those of one pass over all columns, and the (c_max, B) temporaries of a
 large table never exist.
+
+One digit's vote is one function, _decode_digit, and _digit_steps lists
+the digits in decode order. locate_signal walks them over a stored set's
+tables; a streamed set (hashing_measurements._sweep) walks them as its
+shifts are read, one shift per digit, so it needs only the reference and
+the current shift.
 """
 from __future__ import annotations
 
@@ -40,7 +46,9 @@ import numpy as np
 from .core import ParameterError, _block_rows, _first_seen, unit_roots
 
 if TYPE_CHECKING:
+    from .core import Tunables
     from .hashing_measurements import MeasurementSet
+    from .permutation import Hashing
 
 __all__ = ["LocationResult", "locate_signal"]
 
@@ -71,9 +79,13 @@ class LocationResult:
 def locate_signal(mset: "MeasurementSet", r: int) -> LocationResult:
     """Decode every bucket of hashing r into a candidate index of the
     residual the tables hold. `found` holds flat indices in bucket order;
-    duplicates across buckets are merged.
+    duplicates across buckets are merged. A set that was decoded while it
+    was read (acquired with a chi) keeps no shifted tables to decode.
     """
-    n, d = mset.n, mset.d
+    if mset.found is not None:
+        raise ParameterError(
+            "a streamed measurement set was decoded while it was read; use its found"
+        )
     if not 0 <= r < len(mset.hashings):
         raise ParameterError(f"hashing index {r} out of range")
     B = mset.params.B
@@ -84,9 +96,63 @@ def locate_signal(mset: "MeasurementSet", r: int) -> LocationResult:
         live, fvec = _decode_columns(mset, r, lo, min(lo + step, B))
         failed[live] = False
         decoded.append(fvec)
-    rows = (np.concatenate(decoded) @ mset.hashings[r].perm.sigma_inv.T) % n
-    found = _first_seen(np.ravel_multi_index(rows.T, (n,) * d))
+    found = _unpermute(np.concatenate(decoded), mset.hashings[r])
     return LocationResult(found=found, failed=failed)
+
+
+def _unpermute(fvec: np.ndarray, hashing: "Hashing") -> np.ndarray:
+    """Row-major flat indices of the (m, d) permuted coordinates
+    fvec = Sigma i0 mod n of `hashing`, in row order, each once."""
+    n = hashing.n
+    rows = (fvec @ hashing.perm.sigma_inv.T) % n
+    return _first_seen(np.ravel_multi_index(rows.T, (n,) * hashing.d))
+
+
+def _digit_steps(mset: "MeasurementSet"):
+    """(shift slot, axis, base, place value) of every digit in decode
+    order: axis by axis, lowest digit group first."""
+    for s in range(mset.d):
+        place = 1
+        for g, base in enumerate(mset.group_bases, start=1):
+            yield mset.shift_slot(g, s), s, base, place
+            place *= base
+
+
+def _decode_digit(
+    meas: np.ndarray,
+    ref: np.ndarray,
+    invalid: np.ndarray,
+    betas: np.ndarray,
+    partial: np.ndarray,
+    n: int,
+    step: int,
+    base: int,
+    tun: "Tunables",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vote on one base-`base` digit of one axis of f = Sigma i0 for m
+    buckets: the one decoding step of locate_signal and of the streamed
+    sweep.
+
+    meas is the (c, m) table under the digit's shift (step along the axis),
+    ref the (c, m) unshifted reference and invalid its entries below
+    near_zero, which cast no vote; betas holds the c probes' coefficients on
+    the axis and partial the (m,) value of the axis's lower digits decoded
+    so far. Returns (unique, chosen), two (m,) arrays:
+    whether exactly one digit won its vote, and the winning digit (valid
+    where unique).
+    """
+    xi = meas / np.where(invalid, 1.0, ref)
+    # n and every digit base are powers of two, so "& (m - 1)" is "mod m".
+    corr_expo = (step * betas[:, None] * partial[None, :]) & (n - 1)
+    corrected = xi * unit_roots(n, -1)[corr_expo]
+    nearest = np.rint(np.angle(corrected) * (base / (2 * np.pi)))
+    nearest = nearest.astype(np.int64) & (base - 1)
+    eta = unit_roots(base, -1)[nearest] * corrected
+    ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
+    targets = (np.arange(base)[:, None] * betas[None, :]) & (base - 1)
+    votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)
+    passed = votes >= tun.vote_fraction * len(betas) - 1e-9
+    return passed.sum(axis=0) == 1, passed.argmax(axis=0)
 
 
 def _decode_columns(
@@ -94,44 +160,27 @@ def _decode_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode buckets lo..hi-1 of hashing r: (the buckets that decoded,
     ascending, and their (m, d) permuted coordinates Sigma i0 mod n)."""
-    tun = mset.params.tunables
-    n, d = mset.n, mset.d
-    c_max = mset.betas.shape[1]
     table = mset.buckets[r, :, :, lo:hi]  # (c_max, S, hi - lo)
-
     ref = table[:, 0, :]
-    invalid = np.abs(ref) < tun.near_zero
-    safe_ref = np.where(invalid, 1.0, ref)
-
+    invalid = np.abs(ref) < mset.params.tunables.near_zero
     # Surviving bucket numbers (relative to lo), ascending, and their
     # partial decodes.
     live = np.arange(hi - lo)
-    fvec = np.zeros((hi - lo, d), dtype=np.int64)
-    min_votes = tun.vote_fraction * c_max - 1e-9
-
-    # n and every digit base are powers of two, so "& (m - 1)" is "mod m".
-    for s in range(d):
-        betas = mset.betas[r, :, s]
-        scale = 1
-        for g, base in enumerate(mset.group_bases, start=1):
-            if live.size == 0:
-                break
-            step = n // (scale * base)
-            meas = table[:, mset.shift_slot(g, s)][:, live]
-            xi = meas / safe_ref[:, live]
-            corr_expo = (step * betas[:, None] * fvec[None, :, s]) & (n - 1)
-            corrected = xi * unit_roots(n, -1)[corr_expo]
-            nearest = np.rint(np.angle(corrected) * (base / (2 * np.pi)))
-            nearest = nearest.astype(np.int64) & (base - 1)
-            eta = unit_roots(base, -1)[nearest] * corrected
-            ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid[:, live]
-            targets = (np.arange(base)[:, None] * betas[None, :]) & (base - 1)
-            votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)
-            passed = votes >= min_votes
-            unique = passed.sum(axis=0) == 1
-            chosen = passed.argmax(axis=0)
-            live = live[unique]
-            fvec = fvec[unique]
-            fvec[:, s] += scale * chosen[unique]
-            scale *= base
+    fvec = np.zeros((hi - lo, mset.d), dtype=np.int64)
+    for w, s, base, place in _digit_steps(mset):
+        if live.size == 0:
+            break
+        unique, chosen = _decode_digit(
+            table[:, w][:, live],
+            ref[:, live],
+            invalid[:, live],
+            mset.betas[r, :, s],
+            fvec[:, s],
+            mset.n,
+            int(mset.shifts[w, s]),
+            base,
+            mset.params.tunables,
+        )
+        live, fvec = live[unique], fvec[unique]
+        fvec[:, s] += place * chosen[unique]
     return lo + live, fvec

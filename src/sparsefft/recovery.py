@@ -9,12 +9,17 @@ callable on its own.
 
 A measurement set owns the residual: its tables hold mset.source minus
 mset.chi, so a stage reads the current approximation from mset.chi and adds
-what it keeps into it (`update_residual_measurements`). The l1 and inf-norm
-stages run one shared loop, `_threshold_rounds`: locate candidates in every
-hashing, estimate the residual there, and fold the estimates above the
-round's threshold into the set. They differ only in their threshold
-schedules and measurement sets. The inf-norm and constant-SNR stages acquire
-a fresh set and subtract the caller's chi from it.
+what it keeps into it (`update_residual_measurements`). The l1 loop,
+`_threshold_rounds`, reuses the main set, the run's only stored table,
+through every round: locate candidates in every hashing, estimate the
+residual there, and fold the estimates above the round's threshold into the
+set. The inf-norm and constant-SNR stages decode their fresh sets once, so
+they stream them (`acquire_measurements(..., chi=chi)`): each ladder shift
+is read, cleaned of the caller's chi and decoded before the next, two
+shifts are held at a time, and the set hands over its candidates. Each
+stage then makes one estimation call, above its one threshold.
+`sparse_fft_with_stats` frees the main set before the constant-SNR sweep,
+since only its chi and scale are used after the T rounds.
 
 For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
 sparse) bounds nothing. Under that bound every residual coefficient obeys
@@ -22,7 +27,7 @@ sparse) bounds nothing. Under that bound every residual coefficient obeys
 above that sum cannot keep a true coefficient. `sparse_fft_with_stats` passes
 x_inf (math.inf when mu = 0) to the l1 and inf-norm stages: a round whose
 threshold is above the bound is idle and makes no reads, and the inf-norm
-stage makes no acquisition at all when its lowest threshold is above it.
+stage makes no acquisition at all when its threshold is above it.
 
 Every constant comes from `Tunables`, and `RecoveryParams.derive` turns
 them into the plan, one `StagePlan` per stage, before the first read. Each
@@ -31,7 +36,8 @@ at run time, from mu and the acquisition scale.
 
 Candidates travel between stages as int64 arrays of row-major flat indices:
 `_union_locations` concatenates every hashing's `found` array and keeps
-each index once, in first-seen order, and estimation takes that array as is.
+each index once, in first-seen order (a streamed set's `found` is that
+union), and estimation takes that array as is.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .core import (
     SparseApprox,
     StagePlan,
     Tunables,
+    _check_one_round,
     _check_targets,
     _first_seen,
     _log4,
@@ -114,13 +121,40 @@ def _above_bound(threshold: float, x_inf: float, chi: SparseApprox) -> bool:
     return threshold > x_inf + chi.norm_inf()
 
 
+def _estimate_at(
+    mset: MeasurementSet,
+    locations: np.ndarray,
+    threshold: float,
+    rng: np.random.Generator,
+) -> SparseApprox:
+    """Estimates above threshold of the residual mset holds (mset.source
+    minus mset.chi) at locations, with mset.params's estimation geometry;
+    the reads go on mset.sample_counter. No locations, no call and no draw."""
+    if not locations.size:
+        return SparseApprox.empty(mset.n, mset.d)
+    stage = mset.params
+    batch = estimate_values(
+        mset.source,
+        mset.chi,
+        locations,
+        stage.B_est,
+        threshold,
+        stage.reps,
+        F=stage.F_est,
+        rng=rng,
+    )
+    mset.sample_counter += batch.samples
+    return batch.kept
+
+
 def _threshold_rounds(
     mset: MeasurementSet,
     rounds: list[tuple[float, bool]],
     rng: np.random.Generator,
     x_inf: float,
 ) -> SparseApprox:
-    """Locate, estimate above a threshold, and fold, once per round.
+    """The l1 loop: locate, estimate above a threshold, and fold, once per
+    round.
 
     Each (threshold, last_if_idle) round unions location candidates over all
     hashings, estimates the residual against mset.chi as mset.params plans,
@@ -133,7 +167,6 @@ def _threshold_rounds(
     reads are added to mset.sample_counter. Returns the kept values, added
     round by round.
     """
-    stage = mset.params
     increment = SparseApprox.empty(mset.n, mset.d)
     locations = None
     for threshold, last_if_idle in rounds:
@@ -143,20 +176,7 @@ def _threshold_rounds(
             continue
         if locations is None:
             locations = _union_locations(mset)
-        kept = SparseApprox.empty(mset.n, mset.d)
-        if locations.size:
-            batch = estimate_values(
-                mset.source,
-                mset.chi,
-                locations,
-                stage.B_est,
-                threshold,
-                stage.reps,
-                F=stage.F_est,
-                rng=rng,
-            )
-            mset.sample_counter += batch.samples
-            kept = batch.kept
+        kept = _estimate_at(mset, locations, threshold, rng)
         if len(kept) > 0:
             update_residual_measurements(mset, kept)
             increment = increment + kept
@@ -218,26 +238,23 @@ def reduce_inf_norm(
 ) -> SparseApprox:
     """Chase the few coefficients still above the target sup-norm bound.
 
-    Self-contained: acquires its own set of stage geometry (~log N hashings,
-    because at most stage.k survivors must all be caught), subtracts chi,
-    then runs `_threshold_rounds` with a threshold that halves over
-    stage.rounds rounds. nu and mu are the stage's own targets; x_inf bounds
-    ||x||_inf as in `reduce_l1_norm`. When even the lowest threshold is
+    Self-contained: streams its own set of stage geometry (~log N
+    hashings, because at most stage.k survivors must all be caught),
+    decoded against chi as it is read, then estimates the residual at the
+    candidates and keeps what lies above the one threshold
+    inf_threshold_scale * (nu + mu). nu and mu are the stage's own targets;
+    x_inf bounds ||x||_inf as in `reduce_l1_norm`. When the threshold is
     above x_inf + ||chi||_inf, returns the empty increment before any read
     or rng draw. Returns only the increment found here, not chi plus it.
     """
     _check_targets(nu=nu, mu=mu)
     _check_bound(x_inf)
-    tun = stage.tunables
-    rounds = [
-        (tun.inf_threshold_scale * (nu * 2.0 ** (stage.rounds - (t + 1)) + mu), False)
-        for t in range(stage.rounds)
-    ]
-    if _above_bound(min(threshold for threshold, _ in rounds), x_inf, chi):
+    _check_one_round("inf-norm stage", stage)
+    threshold = stage.tunables.inf_threshold_scale * (nu + mu)
+    if _above_bound(threshold, x_inf, chi):
         return SparseApprox.empty(stage.n, stage.d)
-    mset = acquire_measurements(xhat, stage, rng)
-    update_residual_measurements(mset, chi)
-    increment = _threshold_rounds(mset, rounds, rng, x_inf)
+    mset = acquire_measurements(xhat, stage, rng, chi=chi)
+    increment = _estimate_at(mset, mset.found, threshold, rng)
     if stats is not None:
         stats.samples_infnorm += mset.sample_counter
     return increment
@@ -256,27 +273,16 @@ def recover_at_constant_snr(
     Uses the stage's single hashing with B = Theta(k / (epsilon alpha^d))
     buckets, so the tail noise per bucket is already at the target
     accuracy; a median over O(log N) estimation repetitions then suffices.
-    Keeps the largest snr_keep_factor * stage.k estimates above a
-    scale-relative zero floor and returns them as an increment over chi.
+    The set is streamed, decoded against chi as it is read, so only two
+    ladder shifts of it are held at once. Keeps the largest
+    snr_keep_factor * stage.k estimates above a scale-relative zero floor
+    and returns them as an increment over chi.
     """
+    _check_one_round("constant-SNR sweep", stage)
     tun = stage.tunables
-    mset = acquire_measurements(xhat, stage, rng)
-    update_residual_measurements(mset, chi)
-    kept = SparseApprox.empty(stage.n, stage.d)
-    locations = locate_signal(mset, 0).found
-    if locations.size:
-        batch = estimate_values(
-            xhat,
-            chi,
-            locations,
-            stage.B_est,
-            tun.zero_floor_rel * mset.initial_scale,
-            stage.reps,
-            F=stage.F_est,
-            rng=rng,
-        )
-        mset.sample_counter += batch.samples
-        kept = batch.kept.largest(tun.snr_keep_factor * stage.k)
+    mset = acquire_measurements(xhat, stage, rng, chi=chi)
+    floor = tun.zero_floor_rel * mset.initial_scale
+    kept = _estimate_at(mset, mset.found, floor, rng).largest(tun.snr_keep_factor * stage.k)
     if stats is not None:
         stats.samples_constsnr += mset.sample_counter
     return kept
@@ -371,9 +377,12 @@ def sparse_fft_with_stats(
                 f"{norm_now:.3g} after round {t}; the residual is not shrinking"
             )
 
-    final = recover_at_constant_snr(xhat, mset.chi, params.const_snr, rng, stats=stats)
-    result = (mset.chi + final).drop_below(tun.zero_floor_rel * mset.initial_scale)
-    return result, stats
+    # Only chi and the scale outlive the T rounds: free the main set's table
+    # before the sweep.
+    chi, floor = mset.chi, tun.zero_floor_rel * mset.initial_scale
+    del mset
+    final = recover_at_constant_snr(xhat, chi, params.const_snr, rng, stats=stats)
+    return (chi + final).drop_below(floor), stats
 
 
 def sparse_fft(

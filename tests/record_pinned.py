@@ -12,10 +12,18 @@ count):
 
     PYTHONPATH=src python tests/record_pinned.py
 
+With --check it prints the same report, writes nothing, and exits 1 when
+any case would be recorded anew, so a change that means to keep seeded
+outputs can show that the record stands:
+
+    PYTHONPATH=src python tests/record_pinned.py --check
+
 Re-record only for a change that means to alter seeded outputs, and name
 the cases that moved and their drift in the change's notes.
 """
+import argparse
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -56,8 +64,16 @@ def max_relative_change(old: dict, new: dict) -> float:
     return float(np.max(np.abs(b - a) / np.maximum(np.abs(a), np.finfo(float).tiny)))
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="report only; exit 1 if any case would be re-recorded",
+    )
+    check = parser.parse_args(argv).check
     entries = {}
+    moved = 0
     for n, d, k in PINNED_GRIDS:
         for model in SIGNAL_MODELS:
             key = pinned_key(n, d, k, model)
@@ -66,24 +82,29 @@ def main() -> None:
                 new = record(*pinned_run(n, d, k, model))
             old = PINNED.get(key)
             if old is None:
-                print(f"{key}: new case, recorded")
+                print(f"{key}: new case, {'would be recorded' if check else 'recorded'}")
                 entries[key] = new
+                moved += 1
                 continue
             same_stats = old["stats"] == new["stats"]
             same_support = old["support"] == new["support"]
             drift = max_relative_change(old, new)
             passes = same_stats and same_support and drift <= PINNED_RTOL
             entries[key] = old if passes else new
+            moved += not passes
+            verdict = "kept" if passes else "would be re-recorded" if check else "re-recorded"
             print(
                 f"{key}: stats {'equal' if same_stats else 'CHANGED'}, "
                 f"support {'equal' if same_support else 'CHANGED'}, "
-                f"max relative value change {drift:.3g}, "
-                f"{'re-recorded' if entries[key] is new else 'kept'}"
+                f"max relative value change {drift:.3g}, {verdict}"
             )
+    if check:
+        return 1 if moved else 0
     lines = [f" {json.dumps(key)}: {json.dumps(entry, separators=(',', ':'))}"
              for key, entry in entries.items()]
     PINNED_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -188,6 +188,14 @@ class TestRecoveryParams:
                 plan, const_snr=dataclasses.replace(plan.const_snr, rounds=2)
             )
 
+    def test_inf_norm_stage_has_one_round(self):
+        # Its set is decoded once, while it is read, so a second round
+        # would have no candidates of its own.
+        plan = RecoveryParams.derive(256, 1, 2, epsilon=1.0)
+        assert plan.inf_norm.rounds == 1
+        with pytest.raises(ParameterError, match="inf-norm stage makes one estimation call"):
+            dataclasses.replace(plan, inf_norm=dataclasses.replace(plan.inf_norm, rounds=2))
+
     def test_more_buckets_per_axis_than_grid_points_rejected(self):
         with pytest.raises(ParameterError, match="16 buckets per axis, more than n=8"):
             StagePlan(

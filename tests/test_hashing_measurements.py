@@ -362,7 +362,7 @@ class TestBlocksAreInvisible:
         widths = []
         weights = hm._chi_weights
         monkeypatch.setattr(
-            hm, "_chi_weights", lambda c, h, j: widths.append(len(j)) or weights(c, h, j)
+            hm, "_chi_weights", lambda p, h, j: widths.append(len(j)) or weights(p, h, j)
         )
         update_residual_measurements(mset, chi)
         assert widths == [64] * (B // 64) * params.r_max

@@ -9,6 +9,7 @@ import hashlib
 import json
 import pathlib
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -26,7 +27,11 @@ from sparsefft import core, dense_dft, semi_equispaced
 from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal
-from sparsefft.hashing_measurements import acquire_measurements
+from sparsefft.hashing_measurements import (
+    acquire_measurements,
+    update_residual_measurements,
+)
+from sparsefft.location import locate_signal
 from sparsefft.permutation import SpectrumPermutation
 from sparsefft.recovery import (
     RunStats,
@@ -64,9 +69,10 @@ def head_l1(x: SparseApprox, chi: SparseApprox) -> float:
     return sum(head_errors(x, chi))
 
 
-def inf_stage(n, d, k=1, rounds=4):
+def inf_stage(n, d, k=1, rounds=1):
     """The inf-norm stage of the plan for [n]^d, sized for k survivors, with
-    `rounds` halving threshold rounds (the pipeline's plan has one)."""
+    `rounds` estimation calls (the pipeline's plan, and the only count the
+    stage accepts, is one)."""
     tun = Tunables()
     return replace(
         RecoveryParams.derive(n, d, 1).inf_norm,
@@ -166,15 +172,65 @@ class TestLocationReuse:
         assert len(calls) >= params.r_max
         assert len(set(calls)) == len(calls)
 
-    def test_inf_loop_decodes_each_table_once(self, monkeypatch, rng):
-        n, d, k = 1024, 1, 3
-        x = random_sparse_time(n, d, k, rng)
+
+class TestStreamedSweep:
+    """A set acquired with chi is decoded while it is read, one ladder shift
+    at a time; it must find what the stored set finds after the same chi
+    is subtracted, and never hold a whole table."""
+
+    @pytest.mark.parametrize(
+        "n,d,k,stage", [(1024, 1, 5, "inf_norm"), (64, 2, 4, "const_snr"), (16, 3, 3, "inf_norm")]
+    )
+    def test_streamed_path_equals_stored_path(self, n, d, k, stage, rng):
+        x, xt, _ = noisy_instance(n, d, k, rng, tail_rel=0.05)
+        xhat = lib_freq(xt, n, d)
+        chi = SparseApprox.from_flat(n, d, x.flat[:2], 0.9 * x.values[:2])
+        plan = getattr(RecoveryParams.derive(n, d, k), stage)
+        stored_rng, streamed_rng = np.random.default_rng(11), np.random.default_rng(11)
+        stored = acquire_measurements(xhat, plan, stored_rng)
+        scale = stored.initial_scale
+        update_residual_measurements(stored, chi)
+        want = recovery_module._union_locations(stored)
+        streamed = acquire_measurements(xhat, plan, streamed_rng, chi=chi)
+        assert want.size > 0
+        assert np.array_equal(streamed.found, want)
+        assert streamed.initial_scale == scale
+        assert streamed.sample_counter == stored.sample_counter
+        assert streamed_rng.bit_generator.state == stored_rng.bit_generator.state
+        assert streamed.chi is chi
+        assert np.array_equal(streamed.buckets, stored.buckets[:, :, :1])
+
+    def test_streamed_set_cannot_be_decoded_or_updated(self, rng):
+        n, d = 256, 1
+        xhat = lib_freq(rng.normal(size=n), n, d)
+        chi = SparseApprox.empty(n, d)
+        mset = acquire_measurements(xhat, inf_stage(n, d), rng, chi=chi)
+        with pytest.raises(ParameterError, match="streamed"):
+            locate_signal(mset, 0)
+        with pytest.raises(ParameterError, match="streamed"):
+            update_residual_measurements(mset, SparseApprox.from_flat(n, d, [3], [1.0]))
+
+    def test_sweep_peak_stays_below_its_stored_table(self, rng):
+        # B = n/2 = 8192 buckets: the constant-SNR stage's stored table
+        # would be r_max * c_max * S * B * 16 bytes (31.5 MB here).
+        n, d, k = 2**14, 1, 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stage = RecoveryParams.derive(n, d, k).const_snr
+        assert stage.B == n // 2
+        x = random_sparse_time(n, d, 2 * k, rng)
         xhat = lib_freq(dense_time(x).values, n, d)
-        calls = count_decodes(monkeypatch)
-        empty = SparseApprox.empty(n, d)
-        reduce_inf_norm(xhat, empty, inf_stage(n, d, k), x.norm_inf(), 0.0, rng)
-        assert calls
-        assert len(set(calls)) == len(calls)
+        chi = SparseApprox.from_flat(n, d, x.flat[:k], x.values[:k])
+        recover_at_constant_snr(xhat, chi, stage, np.random.default_rng(1))  # warm the caches
+        tracemalloc.start()
+        try:
+            recover_at_constant_snr(xhat, chi, stage, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        shifts = 1 + d * core._digit_groups(n, stage.delta)
+        table = stage.r_max * stage.c_max * shifts * stage.B * 16
+        assert peak < table
 
 
 class TestReduceInfNorm:
@@ -497,16 +553,17 @@ class TestTargetsChecked:
             RecoveryParams.derive(256, 1, 2, epsilon=0.0)
 
     @pytest.mark.parametrize(
-        "nu,mu,message",
+        "nu,mu,rounds,message",
         [
-            (-1.0, 0.0, "nu must be finite and >= 0"),
-            (float("nan"), 0.0, "nu must be finite and >= 0"),
-            (1.0, float("nan"), "mu must be finite and >= 0"),
+            (-1.0, 0.0, 1, "nu must be finite and >= 0"),
+            (float("nan"), 0.0, 1, "nu must be finite and >= 0"),
+            (1.0, float("nan"), 1, "mu must be finite and >= 0"),
+            (1.0, 0.0, 2, "one estimation call, got rounds=2"),
         ],
     )
-    def test_inf_norm_stage_checks_its_targets(self, nu, mu, message, rng):
+    def test_inf_norm_stage_checks_its_targets(self, nu, mu, rounds, message, rng):
         xhat = DenseSignal.zeros(256, 1, "frequency")
-        stage = inf_stage(256, 1)
+        stage = inf_stage(256, 1, rounds=rounds)
         with pytest.raises(ParameterError, match=message):
             reduce_inf_norm(xhat, SparseApprox.empty(256, 1), stage, nu, mu, rng)
 
@@ -598,9 +655,9 @@ def count_acquisitions(monkeypatch) -> list:
     calls = []
     real = recovery_module.acquire_measurements
 
-    def counting(xhat, params, rng):
+    def counting(xhat, params, rng, **kwargs):
         calls.append(params)
-        return real(xhat, params, rng)
+        return real(xhat, params, rng, **kwargs)
 
     monkeypatch.setattr(recovery_module, "acquire_measurements", counting)
     return calls
