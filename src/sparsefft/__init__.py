@@ -27,14 +27,12 @@ from .harness import ExperimentSpec, RunRecord, generate_signal, run_experiment
 from .hashing_measurements import (
     MeasurementSet,
     acquire_measurements,
-    hash_to_bins,
     update_residual_measurements,
 )
 from .location import LocationResult, locate_signal
 from .permutation import (
     Hashing,
     SpectrumPermutation,
-    apply_P,
     is_isolated,
     sample_permutation,
 )
@@ -71,13 +69,11 @@ __all__ = [
     "SpectrumPermutation",
     "Hashing",
     "sample_permutation",
-    "apply_P",
     "is_isolated",
     "semi_equispaced_fft",
     "shifted_semi_equispaced",
     "MeasurementSet",
     "acquire_measurements",
-    "hash_to_bins",
     "update_residual_measurements",
     "LocationResult",
     "locate_signal",

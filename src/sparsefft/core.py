@@ -577,6 +577,8 @@ class RecoveryParams:
 
     def __post_init__(self) -> None:
         _check_targets(epsilon=self.epsilon, mu=self.mu, r_star=self.r_star)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.T < 1:
             raise ParameterError(f"need T >= 1, got T={self.T}")
         _check_one_round("inf-norm stage", self.inf_norm)

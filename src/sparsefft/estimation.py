@@ -89,7 +89,7 @@ def estimate_values(
         raise ParameterError("estimation expects a frequency-domain signal")
     if chi.n != xhat.n or chi.d != xhat.d:
         raise ParameterError("chi does not live on the signal grid")
-    if nu < 0 or r_max < 1:
+    if not nu >= 0 or r_max < 1:
         raise ParameterError("need nu >= 0, r_max >= 1")
     n, d = xhat.n, xhat.d
 

@@ -9,25 +9,25 @@ sum_j G_{o_i(j)} x_j omega^(a . Sigma j) up to filter leakage. Any number of
 subtracted exactly in bucket space, from the filter's time-domain table
 (_chi_buckets), so it reads no spectrum samples.
 
-The callers are hash_to_bins (one row), acquire_measurements and
-estimation.estimate_values (one call for all its repetitions).
-acquire_measurements reads a set's r_max hashings, c_max probe pairs each
-(redrawn until digit-balanced), under every shift vector of the location
-ladder. A stored set, the l1 loop's main set, keeps every table, written
-one hashing at a time; all later subtraction of recovered mass goes
-through update_residual_measurements, which applies the same exact rule to
-the stored tables, records the mass in MeasurementSet.chi, and keeps the
-sample counter frozen. A streamed set, for the inf-norm and constant-SNR
-stages that decode their set once, is read one shift at a time for all
-hashings and decoded as it is read (_sweep): each shift loses the caller's
-chi at the buckets still alive and casts its digit's votes before the next
-is read.
+The callers are acquire_measurements and estimation.estimate_values (one
+call for all its repetitions). acquire_measurements reads a set's r_max
+hashings, c_max probe pairs each (redrawn until digit-balanced), under
+every shift vector of the location ladder. A stored set, the l1 loop's
+main set, keeps every table, written one hashing at a time; all later
+subtraction of recovered mass goes through update_residual_measurements,
+which applies the same exact rule to the stored tables, records the mass
+in MeasurementSet.chi, and keeps the sample counter frozen. A streamed
+set, for the inf-norm and constant-SNR stages that decode their set once,
+is read one shift at a time for all hashings and decoded as it is read
+(_sweep): each shift loses the caller's chi at the buckets still alive and
+casts its digit's votes before the next is read.
 
 Indices follow the library's one format (see `core`). Modulations, probes
-and shifts are int64 coordinate arrays: hash_to_bins takes one (d,)
-modulation a, MeasurementSet.alphas and .betas are (r_max, c_max, d), and
-.shifts is (S, d). chi enters as SparseApprox's flat indices, unravelled
-to (m, d) coordinates where the bucket formula needs them.
+and shifts are int64 coordinate arrays: _bucket_tables takes an (M_h, d)
+array of modulations per hashing, MeasurementSet.alphas and .betas are
+(r_max, c_max, d), and .shifts is (S, d). chi enters as SparseApprox's
+flat indices, unravelled to (m, d) coordinates where the bucket formula
+needs them.
 
 The kernels stream, so the main set's stored table is the only array of a
 run that grows with rows times B; a streamed set holds two shifts, its
@@ -80,7 +80,6 @@ on every seeded run compared (see tests/test_recovery.py).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 
@@ -105,7 +104,6 @@ from .permutation import Hashing, sample_permutation
 
 __all__ = [
     "MeasurementSet",
-    "hash_to_bins",
     "acquire_measurements",
     "update_residual_measurements",
 ]
@@ -313,34 +311,6 @@ def _chi_buckets(
     """
     pi = hashing.perm.forward_array(chi.coords_array())
     return _chi_phases(chi, hashing, mods) @ _chi_weights(pi, hashing, cells)
-
-
-def hash_to_bins(
-    xhat: DenseSignal, chi: SparseApprox, hashing: Hashing, a: np.ndarray
-) -> np.ndarray:
-    """One bucketing pass over the residual under the (d,) integer
-    modulation a, returning a (b,)*d array.
-
-    Reads |supp(G-hat)| spectrum samples; the caller accounts for them.
-    """
-    if xhat.domain != "frequency":
-        raise ParameterError("hash_to_bins expects a frequency-domain signal")
-    if xhat.n != hashing.n or xhat.d != hashing.d:
-        raise ParameterError("hashing grid does not match the signal grid")
-    if chi.n != xhat.n or chi.d != xhat.d:
-        raise ParameterError("chi does not live on the signal grid")
-    if len(chi) > 4 * max(hashing.B, 64):
-        warnings.warn(
-            f"chi has {len(chi)} entries against B={hashing.B} buckets; "
-            "subtraction will dominate the running time",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    mods = np.asarray(a, dtype=np.int64).reshape(1, hashing.d) % hashing.n
-    u = _bucket_tables(xhat, hashing.filter, [hashing], [mods])[0]
-    if len(chi):
-        u = u - _chi_buckets(chi, hashing, mods, _all_cells(hashing.b, hashing.d))[0]
-    return u.reshape((hashing.b,) * hashing.d)
 
 
 @dataclass(eq=False)

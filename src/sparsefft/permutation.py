@@ -15,7 +15,7 @@ Indices follow the library's one format (see `core`): a single index is a
 row-major flat int, a set of indices a flat int64 array, and where a
 formula needs coordinates they are an (m, d) int64 array (`forward_array`,
 `bucket_of_array`, `center_of_array`) or a (d,) array for one point (the
-shift q, a modulation a).
+shift q).
 """
 from __future__ import annotations
 
@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseSignal, ParameterError, is_power_of_two
+from .core import ParameterError, is_power_of_two
 from .filters import BucketFilter
 
 __all__ = [
     "SpectrumPermutation",
     "Hashing",
     "sample_permutation",
-    "apply_P",
     "is_isolated",
 ]
 
@@ -118,26 +117,6 @@ def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPerm
             break
     q = rng.integers(0, n, size=d, dtype=np.int64)
     return SpectrumPermutation(n=n, sigma=sigma, q=q, sigma_inv=sigma_inv)
-
-
-def apply_P(perm: SpectrumPermutation, a: np.ndarray, xhat: DenseSignal) -> DenseSignal:
-    """Permute and modulate a dense spectrum; a is a (d,) integer vector.
-
-    Entry i of the result is xhat[Sigma^T (i - a)] * omega^(i . Sigma q),
-    which in time domain shuffles samples to pi(i) and modulates them by
-    omega^(a . Sigma i).
-    """
-    if xhat.domain != "frequency":
-        raise ParameterError("apply_P expects a frequency-domain signal")
-    n, d = xhat.n, xhat.d
-    coords = np.indices((n,) * d).reshape(d, -1).T
-    src = ((coords - np.asarray(a, dtype=np.int64)) @ perm.sigma) % n
-    flat_src = np.ravel_multi_index(src.T, (n,) * d)
-    sq = (perm.sigma @ perm.q) % n
-    expo = (coords @ sq) % n
-    phase = np.exp(2j * np.pi * expo / n)
-    values = xhat.values.reshape(-1)[flat_src] * phase
-    return DenseSignal(n=n, d=d, values=values.reshape((n,) * d), domain="frequency")
 
 
 @dataclass(frozen=True, eq=False)

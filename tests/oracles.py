@@ -11,6 +11,13 @@ fold, per-repetition estimation, per-draw probe sampling, the adjugate
 inverse of a permutation matrix). The optimized kernels must match them
 exactly, with np.array_equal, so they share the library's arithmetic on
 purpose.
+
+Two helpers name objects the recovery path never builds whole, because it
+reads the spectrum only at hashed, permuted points: hash_to_bins is one
+(hashing, modulation) bucket table, computed by the library's own
+_bucket_tables and _chi_buckets so that the brute-force sums can check
+them, and apply_P is the dense permuted and modulated spectrum, written
+from its definition for the permutation identity.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from sparsefft import DenseSignal, SparseApprox
+from sparsefft import DenseSignal, ParameterError, SparseApprox
 from sparsefft.dense_dft import fft_axes
 from sparsefft.estimation import coordinatewise_median
 from sparsefft.filters import BucketFilter
-from sparsefft.hashing_measurements import _chi_buckets, hash_to_bins
-from sparsefft.permutation import Hashing, sample_permutation
+from sparsefft.hashing_measurements import _all_cells, _bucket_tables, _chi_buckets
+from sparsefft.permutation import Hashing, SpectrumPermutation, sample_permutation
 
 
 @lru_cache(maxsize=32)
@@ -92,6 +99,38 @@ def brute_bucket_sums(
         off = (pi - (n // b) * h) % n
         out[tuple(h)] = (g_axis[off].prod(axis=1) * phased).sum()
     return out
+
+
+def hash_to_bins(
+    xhat: DenseSignal, chi: SparseApprox, hashing: Hashing, a: np.ndarray
+) -> np.ndarray:
+    """One bucketing pass over the residual xhat - chi under the (d,)
+    integer modulation a, as a (b,)*d array: the library's bucket kernel on
+    one row, then chi's exact bucket contributions subtracted at every
+    bucket."""
+    if xhat.domain != "frequency":
+        raise ParameterError("hash_to_bins expects a frequency-domain signal")
+    mods = np.asarray(a, dtype=np.int64).reshape(1, hashing.d) % hashing.n
+    u = _bucket_tables(xhat, hashing.filter, [hashing], [mods])[0]
+    if len(chi):
+        u = u - _chi_buckets(chi, hashing, mods, _all_cells(hashing.b, hashing.d))[0]
+    return u.reshape((hashing.b,) * hashing.d)
+
+
+def apply_P(perm: SpectrumPermutation, a: np.ndarray, xhat: DenseSignal) -> DenseSignal:
+    """Permute and modulate a dense spectrum; a is a (d,) integer vector.
+
+    Entry i of the result is xhat[Sigma^T (i - a)] * omega^(i . Sigma q),
+    which in time domain shuffles samples to pi(i) and modulates them by
+    omega^(a . Sigma i).
+    """
+    if xhat.domain != "frequency":
+        raise ParameterError("apply_P expects a frequency-domain signal")
+    n, d = xhat.n, xhat.d
+    coords = all_indices(n, d)
+    src = ((coords - np.asarray(a, dtype=np.int64)) @ perm.sigma) % n
+    values = xhat.values[tuple(src.T)] * root_table(n)[(coords @ (perm.sigma @ perm.q)) % n]
+    return DenseSignal(n=n, d=d, values=values.reshape((n,) * d), domain="frequency")
 
 
 def random_sparse_time(

@@ -163,6 +163,12 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError):
             RecoveryParams.derive(64, 1, 5, tunables=Tunables(alpha=1.5))
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take only non-negative seeds; the plan must
+        # refuse one before any read, not hand it on to default_rng.
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            RecoveryParams.derive(256, 1, 2, seed=-1)
+
     @pytest.mark.parametrize(
         "target,value,message",
         [

@@ -225,6 +225,23 @@ class TestThresholding:
         assert len(batch.kept) == 0
         assert len(batch.estimates) == 2
 
+    def test_nan_threshold_rejected(self, rng):
+        # NaN passes a "nu < 0" guard and then fails every "> nu" test, so
+        # it would drop every estimate without a word.
+        n, d = 64, 1
+        x = SparseApprox.from_flat(n, d, [3], [1.0])
+        with pytest.raises(ParameterError, match="nu >= 0"):
+            estimate_values(
+                lib_freq(dense_time(x).values, n, d),
+                SparseApprox(n, d),
+                x.flat,
+                16,
+                float("nan"),
+                3,
+                F=2 * d,
+                rng=rng,
+            )
+
 
 class TestBookkeeping:
     def test_sample_counter_is_reps_times_support(self, rng):

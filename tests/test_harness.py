@@ -321,6 +321,18 @@ class TestCli:
         assert len(read_csv(str(csv_path))) == 1
         assert "spec_hash" in json.loads(json_path.read_text())
 
+    def test_run_reports_negative_seed(self, tmp_path, capsys):
+        code = main(["run", "--spec", self.write_spec(tmp_path, n=64, k=2, seeds=[-1])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "seeds must be non-negative" in err
+
+    def test_help_lists_only_run_and_sweep(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{run,sweep}" in capsys.readouterr().out
+
     def test_run_reports_missing_spec_file(self, tmp_path, capsys):
         code = main(["run", "--spec", str(tmp_path / "nope.json")])
         assert code == 2
@@ -483,14 +495,6 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and message in err
-
-    def test_selftest_passes_and_exits_zero(self, capsys):
-        code = main(["selftest"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "all checks passed" in out
-        assert out.count("PASS") == 7
-        assert "FAIL" not in out
 
 
 class TestSpecValidation:

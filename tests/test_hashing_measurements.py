@@ -1,6 +1,7 @@
 """Bucketed measurements against the brute-force double sum.
 
-hash_to_bins is checked three ways: a single tone lands in its bucket with
+hash_to_bins (in oracles: the bucket kernel on one row, chi subtracted at
+every bucket) is checked three ways: a single tone lands in its bucket with
 the predicted gain and phase, a perfectly subtracted signal leaves only
 transform error, and random residuals match the literal double sum over
 every grid point. Acquisition bookkeeping (shift ladder, probe balance,
@@ -34,7 +35,6 @@ from sparsefft.hashing_measurements import (
     _sample_balanced_probes,
     _support_dots,
     acquire_measurements,
-    hash_to_bins,
     update_residual_measurements,
 )
 from sparsefft.location import _balanced_axes
@@ -44,6 +44,7 @@ from oracles import (
     brute_bucket_sums,
     dense_time,
     direct_transform,
+    hash_to_bins,
     random_sparse_time,
     reference_balanced_probes,
     reference_fold_and_invert,
@@ -127,15 +128,6 @@ class TestBruteForceIdentity:
         u2 = hash_to_bins(freq_signal(x2, n, d), chi2, hashing, a)
         scale = np.abs(u1).max() + np.abs(u2).max()
         assert np.max(np.abs(u_sum - (u1 + u2))) < 1e-9 * max(scale, 1.0)
-
-    def test_heavy_chi_warns_but_computes(self, rng):
-        # 300 entries against B=8 exceeds the 4*max(B, 64) advisory line.
-        n, d = 512, 1
-        hashing = make_hashing(n, d, 8, 4, rng)
-        chi_big = SparseApprox.from_flat(n, d, np.arange(300), np.ones(300))
-        xhat = freq_signal(dense_time(chi_big), n, d)
-        with pytest.warns(RuntimeWarning):
-            hash_to_bins(xhat, chi_big, hashing, np.zeros(d, dtype=np.int64))
 
 
 class TestMeanBucketNoise:

@@ -17,13 +17,13 @@ from sparsefft.permutation import (
     Hashing,
     SpectrumPermutation,
     _inverse_mod,
-    apply_P,
     is_isolated,
     sample_permutation,
 )
 
 from oracles import (
     all_indices,
+    apply_P,
     direct_transform,
     flat_of,
     reference_inverse_mod,

@@ -1,0 +1,29 @@
+"""Smoke test of tests/replay_rss.py, the in-process peak-memory replay of
+the benchmark's measured loop, on the benchmark's 256-point smoke
+workload. It runs in a fresh process, because ru_maxrss is a property of
+the whole process and the tool pins the BLAS threads before NumPy loads."""
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def test_replay_prints_a_peak_per_instance():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(HERE, "replay_rss.py"), "--workload",
+         "smoke-1d-256", "--seed", "3", "--instances", "2"],
+        capture_output=True, text=True, cwd=os.path.dirname(HERE), timeout=150,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["workload"] == "smoke-1d-256" and summary["instances"] == 2
+    rows = lines[:-1]
+    assert [row.split()[1] for row in rows] == ["0", "1", "2"]
+    assert all("ok=True" in row for row in rows[1:])
+    peaks = [float(row.rpartition("peak_rss_mb=")[2]) for row in rows]
+    # Lines print the peak to 0.1 MB; the summary gives it unrounded.
+    assert peaks == sorted(peaks) and 0 < peaks[-1] <= summary["peak_rss_mb"] + 0.05
