@@ -27,9 +27,9 @@ from .harness import ExperimentSpec, RunRecord, generate_signal, run_experiment
 from .hashing_measurements import (
     MeasurementSet,
     acquire_measurements,
+    decode_hashings,
     update_residual_measurements,
 )
-from .location import LocationResult, locate_signal
 from .permutation import (
     Hashing,
     SpectrumPermutation,
@@ -74,9 +74,8 @@ __all__ = [
     "shifted_semi_equispaced",
     "MeasurementSet",
     "acquire_measurements",
+    "decode_hashings",
     "update_residual_measurements",
-    "LocationResult",
-    "locate_signal",
     "EstimateBatch",
     "estimate_values",
     "RunStats",

@@ -94,37 +94,39 @@ def bucket_side(B: int, d: int) -> int:
     return b
 
 
-def capped_bucket_count(n: int, d: int, target: float) -> int:
-    """Smallest B = b^d (b a power of two, 4 <= b <= n/2) with B >= target.
+def capped_bucket_count(n: int, d: int, target: float) -> tuple[int, str | None]:
+    """(B, note): the smallest B = b^d (b a power of two, 4 <= b <= n/2)
+    with B >= target, and None, or a note when b is capped.
 
     When the per-axis side needed for the target exceeds n/2, b is clamped
-    there and a RuntimeWarning names the requested and the capped side: the
+    there and the note names the requested and the capped side: the
     clamped B no longer meets the target, and a bucketing pass at b = n/2
     reads about as many samples as a dense transform.
     """
     b = next_power_of_two(max(4, math.ceil(target ** (1.0 / d))))
     cap = max(4, n // 2)
-    if b > cap:
-        warnings.warn(
-            f"bucket side b={b} needed for B >= {target:.4g} exceeds the n/2 "
-            f"cap on the n={n} grid; capped at b={cap} (B={cap**d})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        b = cap
-    return b**d
+    if b <= cap:
+        return b**d, None
+    return cap**d, (
+        f"bucket side b={b} needed for B >= {target:.4g} exceeds the n/2 "
+        f"cap on the n={n} grid; capped at b={cap} (B={cap**d})"
+    )
 
 
-def location_bucket_count(n: int, d: int, k: int, epsilon: float, tun: Tunables) -> int:
+def location_bucket_count(
+    n: int, d: int, k: int, epsilon: float, tun: Tunables
+) -> tuple[int, str | None]:
     """Location buckets: B >= (bucket_scale / epsilon) * k / alpha^d, capped
-    as in `capped_bucket_count`. epsilon is 1 for the main acquisition and
-    the target accuracy for the constant-SNR stage."""
+    as in `capped_bucket_count`, with its note. epsilon is 1 for the main
+    acquisition and the target accuracy for the constant-SNR stage."""
     return capped_bucket_count(n, d, tun.bucket_scale / epsilon * k / tun.alpha**d)
 
 
-def estimation_bucket_count(n: int, d: int, k: int, epsilon: float, tun: Tunables) -> int:
+def estimation_bucket_count(
+    n: int, d: int, k: int, epsilon: float, tun: Tunables
+) -> tuple[int, str | None]:
     """Estimation buckets: B >= bucket_scale * k / (epsilon * alpha^(2d)),
-    capped as in `capped_bucket_count`."""
+    capped as in `capped_bucket_count`, with its note."""
     return capped_bucket_count(
         n, d, tun.bucket_scale * max(k, 1) / (epsilon * tun.alpha ** (2 * d))
     )
@@ -619,10 +621,9 @@ class RecoveryParams:
         capped = []
 
         def buckets(name: str, sizer, terms: int, accuracy: float = 1.0) -> int:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                count = sizer(n, d, terms, accuracy, tun)
-            capped.extend(f"{name}: {w.message}" for w in caught)
+            count, note = sizer(n, d, terms, accuracy, tun)
+            if note is not None:
+                capped.append(f"{name}: {note}")
             return count
 
         def stage(*, F: int = 2 * d, c_max: int = c_loc, **geometry) -> StagePlan:

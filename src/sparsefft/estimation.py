@@ -83,7 +83,8 @@ def estimate_values(
     spectrum alone and consumes |supp(G-hat)| spectrum reads, tallied in the
     result. All r_max binnings share one fold and one batched IFFT. chi is
     subtracted exactly at the buckets read, without touching the spectrum.
-    kept holds exactly the estimates with |w_f| > nu.
+    kept holds exactly the estimates with |w_f| > nu. A non-finite estimate
+    (a NaN or infinite sample read) is a ParameterError.
     """
     if xhat.domain != "frequency":
         raise ParameterError("estimation expects a frequency-domain signal")
@@ -126,6 +127,10 @@ def estimate_values(
         w[rep] = read / gain * unit_roots(n, -1)[expo]
 
     estimates = coordinatewise_median(w)
+    if not np.isfinite(estimates).all():
+        raise ParameterError(
+            "an estimate is not finite: the spectrum holds a NaN or infinite sample"
+        )
     keep = np.hypot(estimates.real, estimates.imag) > nu
     kept = SparseApprox.from_flat(n, d, locations[keep], estimates[keep])
     return EstimateBatch(locations, estimates, kept, r_max * filt.support_size)

@@ -18,9 +18,12 @@ subtraction of recovered mass goes through update_residual_measurements,
 which applies the same exact rule to the stored tables, records the mass
 in MeasurementSet.chi, and keeps the sample counter frozen. A streamed
 set, for the inf-norm and constant-SNR stages that decode their set once,
-is read one shift at a time for all hashings and decoded as it is read
-(_sweep): each shift loses the caller's chi at the buckets still alive and
-casts its digit's votes before the next is read.
+is read one hashing and one shift at a time and decoded as it is read.
+Both are decoded by one digit walk, _decode_hashing, which takes a
+hashing's shifts one at a time: for a stored set (decode_hashings) views
+of its table, which holds source - chi; for a streamed set fresh reads,
+which lose the caller's chi at the buckets still alive before their
+digit's votes. It returns one array of flat indices per hashing.
 
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: _bucket_tables takes an (M_h, d)
@@ -30,8 +33,9 @@ flat indices, unravelled to (m, d) coordinates where the bucket formula
 needs them.
 
 The kernels stream, so the main set's stored table is the only array of a
-run that grows with rows times B; a streamed set holds two shifts, its
-reference and the current one:
+run that grows with rows times B, and it lives in a memory mapping that
+the next table reuses (_mapped_table); a streamed set holds its reference
+tables and one hashing's current shift:
 
 - _bucket_tables gathers its rows in blocks of about core._BLOCK_BYTES
   (1 MiB) of samples. Each block is gathered with one fancy index, weighted
@@ -54,10 +58,11 @@ reference and the current one:
   the (|chi|, B) weights are built once and never stored, and no (M, B)
   increment exists. On a 144 x 32768 table at |chi| = 32 one hashing's
   update takes 56-58 ms this way against 156-160 ms in 2-row blocks,
-  which reread the whole weights for every block (one thread). The sweep
-  subtracts the same way from its reference shift, and from a later shift
-  at its live buckets only. The acquisition's initial scale is a maximum
-  over row blocks.
+  which reread the whole weights for every block (one thread). A streamed
+  set subtracts the same way from its reference shift, and from a later
+  shift at its live buckets only. The acquisition's initial scale is a maximum
+  over row blocks, and a block holding a NaN or an infinity (a non-finite
+  spectrum sample was read) stops the acquisition.
 - Every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
 - A hashing's support offsets mapped by Sigma, and the exponents of its
@@ -74,12 +79,15 @@ norm would change them. The update's product is the one step whose
 rounding is the BLAS's. Its column blocks are core._UPDATE_COLUMNS (512)
 wide: on eight product shapes under one and two OpenBLAS threads, blocks
 of 8 or more columns gave the whole product's bits, and 2-column blocks
-did not always. The sweep's products at a few live buckets can be
+did not always. A streamed set's products at a few live buckets can be
 narrower, but only its decodes leave it, and they equal the stored set's
 on every seeded run compared (see tests/test_recovery.py).
 """
 from __future__ import annotations
 
+import math
+import mmap
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 
@@ -94,7 +102,6 @@ from .core import (
     _UPDATE_COLUMNS,
     _block_rows,
     _digit_groups,
-    _first_seen,
     unit_roots,
 )
 from .dense_dft import fft_axes
@@ -105,6 +112,7 @@ from .permutation import Hashing, sample_permutation
 __all__ = [
     "MeasurementSet",
     "acquire_measurements",
+    "decode_hashings",
     "update_residual_measurements",
 ]
 
@@ -326,11 +334,11 @@ class MeasurementSet:
     counter tracks spectrum reads and is immune to residual updates.
 
     A stored set (acquired without chi; the l1 loop's main set) keeps all S
-    shifts and is the only full table a run holds. A streamed set (acquired
-    with chi, for a stage that decodes once) was decoded while it was read:
-    it keeps only the reference tables, buckets[:, :, :1], and `found`, the
-    union of every hashing's decoded indices. It cannot be decoded or
-    updated again.
+    shifts, is decoded with decode_hashings, and is the only full table a
+    run holds. A streamed set (acquired with chi, for a stage that decodes
+    once) was decoded while it was read, by the same walk: it keeps only the
+    reference tables, buckets[:, :, :1], and `found`, one array of decoded
+    flat indices per hashing. It cannot be decoded or updated again.
     """
 
     params: StagePlan
@@ -349,9 +357,9 @@ class MeasurementSet:
     # subtracted; relative floors for mu = 0 inputs and zero pruning are
     # anchored to it.
     initial_scale: float = 0.0
-    # A streamed set's candidates: flat indices in the order
-    # recovery._union_locations gives for a stored set; None when stored.
-    found: np.ndarray | None = None
+    # A streamed set's candidates, one array per hashing, as decode_hashings
+    # gives them for a stored set; None when stored.
+    found: list[np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -360,10 +368,6 @@ class MeasurementSet:
     @property
     def d(self) -> int:
         return self.params.d
-
-    @property
-    def delta(self) -> int:
-        return self.params.delta
 
     def shift_slot(self, g: int, s: int) -> int:
         """Flat index of the shift for digit group g (1-based) and axis s."""
@@ -385,6 +389,37 @@ def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], np.ndarr
         bases.append(base)
         shifts.append((n // (delta ** (g - 1) * base)) * np.eye(d, dtype=np.int64))
     return tuple(bases), np.concatenate(shifts)
+
+
+_SPARE_MAPPING: list[mmap.mmap] = []  # the last freed table's, for the next
+
+
+def _mapped_table(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised complex128 array in a private anonymous mapping:
+    the spare one when large enough, else a new one with huge pages
+    requested as numpy requests them. Once the array and all its views are
+    freed, its mapping becomes the spare.
+
+    A run's stored table and its streamed sets' rows live here. Freed in
+    glibc's heap, a table's place went to the next table only if none of
+    numpy's cached small arrays had landed just above it; otherwise the
+    heap grew by a table. A fresh mapping per table would cost its page
+    faults every time: 7-8 ms for 24 MB (2-vCPU KVM host).
+    """
+    size = 16 * math.prod(shape)
+    buf = _SPARE_MAPPING.pop() if _SPARE_MAPPING else None
+    if buf is None or len(buf) < size:
+        # Freeing a malloc'd block of this size lifts glibc's mmap and trim
+        # thresholds to it, as a freed heap table did, so later temporaries
+        # reuse heap pages (exact-3d-16: 200 page faults per call, not 14k).
+        np.empty(size, dtype=np.uint8)
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    flat = np.frombuffer(buf, dtype=np.complex128, count=size // 16)
+    # Views keep `flat` alive, so the mapping moves on once nothing reads it.
+    weakref.finalize(flat, _SPARE_MAPPING.__setitem__, slice(None), [buf])
+    return flat.reshape(shape)
 
 
 def _sample_balanced_probes(
@@ -425,14 +460,14 @@ def acquire_measurements(
     """Sample hashings and probes, then read every ladder shift from x-hat.
 
     Without chi the set stores every table, for a caller that decodes and
-    updates it again and again. With chi the set is streamed (_sweep): each
-    shift is read, cleaned of chi at the buckets still alive and decoded
-    before the next is read, so only the reference and the current shift
-    are ever held; the set keeps its reference tables and `found`. Both
-    draw the same hashings and probes from rng, read the same samples, and
-    give the same initial scale; a streamed set's `found` is the stored
-    set's `recovery._union_locations` after update_residual_measurements
-    with chi.
+    updates it again and again. With chi the set is streamed: each shift is
+    read, cleaned of chi at the buckets still alive and decoded before the
+    next is read, so only the reference tables and one hashing's current
+    shift are ever held; the set keeps its reference tables and `found`.
+    Both draw the same hashings and probes from rng, read the same samples,
+    and give the same initial scale; a streamed set's `found` is the stored
+    set's decode_hashings after update_residual_measurements with chi. A
+    NaN or infinite sample read is a ParameterError.
     """
     if xhat.domain != "frequency":
         raise ParameterError("acquisition expects a frequency-domain signal")
@@ -453,7 +488,10 @@ def acquire_measurements(
         alphas[r], betas[r] = _sample_balanced_probes(n, d, params.c_max, delta, rng)
 
     S = len(shifts)
-    held = S if chi is None else 1
+    if chi is None:
+        table = _mapped_table((params.r_max, params.c_max, S, params.B))
+    else:  # the reference tables, then a slab for the shift being decoded
+        table = _mapped_table((params.r_max + 1, params.c_max, 1, params.B))
     mset = MeasurementSet(
         params=params,
         hashings=hashings,
@@ -461,135 +499,128 @@ def acquire_measurements(
         betas=betas,
         shifts=shifts,
         group_bases=bases,
-        buckets=np.empty((params.r_max, params.c_max, held, params.B), dtype=np.complex128),
+        buckets=table[: params.r_max],
         source=xhat,
         chi=SparseApprox.empty(n, d) if chi is None else chi,
         sample_counter=params.r_max * params.c_max * S * filt.support_size,
     )
-    if chi is not None:
-        mset.initial_scale = _sweep(mset)
+    if chi is None:
+        # One call per hashing writes its contiguous slab; filling the table
+        # a shift at a time would write strided rows, which made these calls
+        # about 8% slower on gauss-2d-64's main set (one thread).
+        for r, hashing in enumerate(hashings):
+            mods = _modulations(alphas[r], betas[r], shifts, n)
+            _bucket_tables(
+                xhat, filt, [hashing], [mods], out=mset.buckets[r].reshape(-1, params.B)
+            )
+        mset.initial_scale = _max_abs(mset.buckets.reshape(-1, params.B))
         return mset
-    # One call per hashing writes its contiguous slab; filling the table a
-    # shift at a time would write strided rows, which made these calls about
-    # 8% slower on gauss-2d-64's main set (one thread).
+    # Streamed: one call per shift of one hashing, sharing the hashing's
+    # gather set-up and one gather block. Every shift is read, also once no
+    # bucket is left to decode, so the reads are those the counter books.
+    current = table[-1, :, 0]
+    block = _gather_block(filt, params.c_max)
+    peaks, mset.found = [], []
     for r, hashing in enumerate(hashings):
+        setups = [_gather_setup(filt, hashing)]
         mods = _modulations(alphas[r], betas[r], shifts, n)
-        _bucket_tables(xhat, filt, [hashing], [mods], out=mset.buckets[r].reshape(-1, params.B))
-    mset.initial_scale = _max_abs(mset.buckets.reshape(-1, params.B))
+
+        def read(w: int) -> np.ndarray:
+            rows = mset.buckets[r, :, 0] if w == 0 else current
+            _bucket_tables(
+                xhat, filt, [hashing], [mods[w::S]], out=rows, setups=setups, block=block
+            )
+            peaks.append(_max_abs(rows))
+            return rows
+
+        mset.found.append(_decode_hashing(mset, r, read, chi if len(chi) else None))
+    mset.initial_scale = max(peaks)
     return mset
 
 
-def _sweep(mset: MeasurementSet) -> float:
-    """Read a streamed set's ladder shift by shift, subtracting mset.chi and
-    decoding as each shift arrives; store the candidates in mset.found and
-    return the largest bucket magnitude read (before chi).
-
-    Each shift is one _bucket_tables call for all hashings, which share
-    their gather set-ups and one gather block, built before the first. The
-    reference shift goes into mset.buckets and loses chi at every bucket.
-    Each later shift reuses one buffer, loses chi only at the buckets still
-    alive in its hashing, and casts their votes for its digit with
-    location._decode_digit, in blocks of live buckets of about _BLOCK_BYTES
-    per probe-row array. The shifts run in location's decode order (axis by
-    axis, lowest digit group first), so a bucket drops out at the first
-    digit it fails, and every bucket decodes as locate_signal decodes it
-    from the stored tables. chi's weights at a bucket are built at its
-    first digit and kept while it survives: at most |chi| x B of them, and
-    on exact inputs, whose empty buckets fail their first digit, few.
-    """
-    n, B, c_max = mset.n, mset.params.B, mset.params.c_max
-    S = len(mset.shifts)
-    chi, tun = mset.chi, mset.params.tunables
-    filt = mset.hashings[0].filter
-    setups = [_gather_setup(filt, hashing) for hashing in mset.hashings]
-    ref = mset.buckets.reshape(-1, B)
-    current = np.empty_like(ref)
-    block = _gather_block(filt, len(ref))
-    # Blocks of whole hashings: a block that spans two hashings is gathered
-    # in two pieces.
-    block = block[: max(len(block) // c_max, 1) * c_max]
-    cells = _all_cells(filt.b, mset.d)
-    # Per hashing, every shift's modulations, probe-major: shift w's rows
-    # are mods[r][w::S]. chi's phases under them and its permuted support
-    # are built once too.
-    mods = [
-        _modulations(alphas, betas, mset.shifts, n)
-        for alphas, betas in zip(mset.alphas, mset.betas)
+def decode_hashings(mset: MeasurementSet) -> list[np.ndarray]:
+    """Decode every hashing of a stored set from its tables, which hold
+    mset.source - mset.chi: one array per hashing of the flat indices its
+    buckets decode to, in bucket order, each once. Reads no samples. A
+    streamed set keeps no shifted tables; its arrays are mset.found."""
+    return [
+        _decode_hashing(mset, r, lambda w: mset.buckets[r, :, w])
+        for r in range(len(mset.hashings))
     ]
-    coords = chi.coords_array()
-    pis = [hashing.perm.forward_array(coords) for hashing in mset.hashings]
-    phases = [_chi_phases(chi, h, m) for h, m in zip(mset.hashings, mods)]
-    digits = {w: (s, base, place) for w, s, base, place in _digit_steps(mset)}
-    live = [np.arange(B)] * len(mset.hashings)
-    fvecs = [np.zeros((B, mset.d), dtype=np.int64)] * len(mset.hashings)
-    columns = _block_rows(16 * c_max)
-    invalid = []  # per hashing, the (c_max, B) reference entries below near_zero
-    # Per hashing, chi's weights at its live buckets once a digit has been
-    # read; the survivors' columns carry over. On noisy inputs many buckets
-    # live on: 678 of 1024 after the first digit and 333 after the last on
-    # gauss-2d-64's constant-SNR set with a 72-entry chi.
-    weights = [None] * len(mset.hashings)
-    scale = 0.0
-    for w in [0, *digits]:
-        rows = current if w else ref
-        shift_mods = [m[w::S] for m in mods]
-        _bucket_tables(
-            mset.source, filt, mset.hashings, shift_mods, out=rows, setups=setups, block=block
-        )
-        scale = max(scale, _max_abs(rows))
-        for r, hashing in enumerate(mset.hashings):
-            keep, fvec = live[r], fvecs[r]
-            if w and not keep.size:
-                continue
-            slab = rows[r * c_max : (r + 1) * c_max]
-            shift_phases = phases[r][w::S]
-            if w == 0:
-                if len(chi):
-                    _subtract_chi(slab, shift_phases, pis[r], hashing, cells)
-                invalid.append(np.abs(slab) < tun.near_zero)
-                continue
-            s, base, place = digits[w]
-            votes, carried = [], []
-            for lo in range(0, keep.size, columns):
-                cols = keep[lo : lo + columns]
-                meas = slab[:, cols]
-                if len(chi):
-                    if weights[r] is None:
-                        gains = _chi_weights(pis[r], hashing, cells[cols])
-                    else:
-                        gains = weights[r][:, lo : lo + columns]
-                    meas -= shift_phases @ gains
-                votes.append(
-                    _decode_digit(
-                        meas,
-                        ref[r * c_max : (r + 1) * c_max, cols],
-                        invalid[r][:, cols],
-                        mset.betas[r, :, s],
-                        fvec[lo : lo + columns, s],
-                        n,
-                        int(mset.shifts[w, s]),
-                        base,
-                        tun,
-                    )
-                )
-                if len(chi):
-                    carried.append(gains[:, votes[-1][0]])
-            unique = np.concatenate([u for u, _ in votes])
-            chosen = np.concatenate([c for _, c in votes])
-            live[r], fvecs[r] = keep[unique], fvec[unique]
-            fvecs[r][:, s] += place * chosen[unique]
-            if len(chi):
-                weights[r] = np.concatenate(carried, axis=1)
-    found = [_unpermute(fvec, hashing) for fvec, hashing in zip(fvecs, mset.hashings)]
-    mset.found = _first_seen(np.concatenate(found))
-    return scale
+
+
+def _decode_hashing(
+    mset: MeasurementSet, r: int, shift_rows, chi: SparseApprox | None = None
+) -> np.ndarray:
+    """The one digit walk: the flat indices hashing r's buckets decode to,
+    in bucket order, each once.
+
+    shift_rows(w) gives the hashing's (c_max, B) rows under shift w, for
+    the reference and then each digit in decode order, so a bucket drops
+    out at the first digit it fails. Rows that still hold chi come with it:
+    the reference loses chi at every bucket, in place, and a later shift at
+    the live buckets only, with chi's weights built at a bucket's first
+    digit and kept while it lives. Digits are voted in blocks of live
+    buckets of about _BLOCK_BYTES per probe-row array.
+    """
+    n, S, tun = mset.n, len(mset.shifts), mset.params.tunables
+    hashing = mset.hashings[r]
+    ref = shift_rows(0)
+    if chi is not None:
+        cells = _all_cells(hashing.b, mset.d)
+        pi = hashing.perm.forward_array(chi.coords_array())
+        mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, n)
+        phases = _chi_phases(chi, hashing, mods)
+        _subtract_chi(ref, phases[0::S], pi, hashing, cells)
+    invalid = np.abs(ref) < tun.near_zero
+    live = np.arange(ref.shape[1])
+    fvec = np.zeros((live.size, mset.d), dtype=np.int64)
+    columns = _block_rows(16 * ref.shape[0])
+    weights = None
+    for w, s, base, place in _digit_steps(mset):
+        rows = shift_rows(w)
+        if not live.size:
+            continue
+        unique = np.empty(live.size, dtype=bool)
+        chosen = np.empty(live.size, dtype=np.int64)
+        carried = []
+        for lo in range(0, live.size, columns):
+            cols, part = live[lo : lo + columns], slice(lo, lo + columns)
+            meas = rows[:, cols]
+            if chi is not None:
+                if weights is None:
+                    gains = _chi_weights(pi, hashing, cells[cols])
+                else:
+                    gains = weights[:, part]
+                meas -= phases[w::S] @ gains
+            unique[part], chosen[part] = _decode_digit(
+                meas,
+                ref[:, cols],
+                invalid[:, cols],
+                mset.betas[r, :, s],
+                fvec[part, s],
+                n,
+                int(mset.shifts[w, s]),
+                base,
+                tun,
+            )
+            if chi is not None:
+                carried.append(gains[:, unique[part]])
+        live, fvec = live[unique], fvec[unique]
+        fvec[:, s] += place * chosen[unique]
+        if chi is not None:
+            weights = np.concatenate(carried, axis=1)
+    return _unpermute(fvec, hashing)
 
 
 def _max_abs(table: np.ndarray) -> float:
     """Largest magnitude in a 2-D complex table (0 when empty), taken one
-    block of rows at a time."""
+    block of rows at a time; a block holding a NaN or an infinity is a
+    ParameterError."""
     step = _block_rows(16 * table.shape[1])
     peaks = [np.abs(table[lo : lo + step]).max() for lo in range(0, len(table), step)]
+    if not np.isfinite(peaks).all():
+        raise ParameterError("the spectrum holds a NaN or infinite sample")
     return float(np.max(peaks)) if peaks else 0.0
 
 

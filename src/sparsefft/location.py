@@ -20,37 +20,30 @@ tolerance disks around two distinct base-th roots are disjoint when
 ratio_tolerance < sin(pi / base) (every StagePlan enforces it for every
 ladder base), so no other root can accept the ratio. A probe then votes for
 every digit whose root index digit * beta_s mod base is that nearest root.
-Buckets that fail a group are dropped from the working set, so later groups
-decode only the survivors. `found` lists the decoded indices as row-major
-flat int64 indices in bucket order, each once.
+Buckets that fail a digit are dropped, so later digits decode only the
+survivors.
 
-Every bucket decodes on its own, so locate_signal works through the bucket
-columns in blocks of about core._BLOCK_BYTES per probe-row array and
-concatenates the blocks' results in bucket order; `found` and `failed` are
-those of one pass over all columns, and the (c_max, B) temporaries of a
-large table never exist.
-
-One digit's vote is one function, _decode_digit, and _digit_steps lists
-the digits in decode order. locate_signal walks them over a stored set's
-tables; a streamed set (hashing_measurements._sweep) walks them as its
-shifts are read, one shift per digit, so it needs only the reference and
-the current shift.
+This module holds the decoding primitives: _digit_steps lists the digits
+in decode order, _decode_digit votes on one of them for a block of buckets,
+and _unpermute turns a hashing's decoded coordinates into flat indices.
+The one walk that drives them over a hashing's shifts, for a stored set's
+tables and for a streamed set as it is read, is
+hashing_measurements._decode_hashing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ParameterError, _block_rows, _first_seen, unit_roots
+from .core import _first_seen, unit_roots
 
 if TYPE_CHECKING:
     from .core import Tunables
     from .hashing_measurements import MeasurementSet
     from .permutation import Hashing
 
-__all__ = ["LocationResult", "locate_signal"]
+__all__ = []
 
 
 def _balanced_axes(betas: np.ndarray, delta: int) -> np.ndarray:
@@ -66,38 +59,6 @@ def _balanced_axes(betas: np.ndarray, delta: int) -> np.ndarray:
     quarter = 4 * ((digits * betas[None]) % delta)
     hits = ((delta <= quarter) & (quarter <= 3 * delta)).sum(axis=1)
     return (hits * 100 >= 49 * betas.shape[0]).all(axis=0) & (betas.shape[0] > 0)
-
-
-@dataclass
-class LocationResult:
-    """Indices recovered from one hashing, plus which buckets gave up."""
-
-    found: np.ndarray  # (m,) int64 flat indices, bucket order, distinct
-    failed: np.ndarray  # (B,) bool; True where no unique digit path survived
-
-
-def locate_signal(mset: "MeasurementSet", r: int) -> LocationResult:
-    """Decode every bucket of hashing r into a candidate index of the
-    residual the tables hold. `found` holds flat indices in bucket order;
-    duplicates across buckets are merged. A set that was decoded while it
-    was read (acquired with a chi) keeps no shifted tables to decode.
-    """
-    if mset.found is not None:
-        raise ParameterError(
-            "a streamed measurement set was decoded while it was read; use its found"
-        )
-    if not 0 <= r < len(mset.hashings):
-        raise ParameterError(f"hashing index {r} out of range")
-    B = mset.params.B
-    step = _block_rows(16 * mset.betas.shape[1])
-    failed = np.ones(B, dtype=bool)
-    decoded = []
-    for lo in range(0, B, step):
-        live, fvec = _decode_columns(mset, r, lo, min(lo + step, B))
-        failed[live] = False
-        decoded.append(fvec)
-    found = _unpermute(np.concatenate(decoded), mset.hashings[r])
-    return LocationResult(found=found, failed=failed)
 
 
 def _unpermute(fvec: np.ndarray, hashing: "Hashing") -> np.ndarray:
@@ -130,8 +91,7 @@ def _decode_digit(
     tun: "Tunables",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vote on one base-`base` digit of one axis of f = Sigma i0 for m
-    buckets: the one decoding step of locate_signal and of the streamed
-    sweep.
+    buckets: the one decoding step of every walk.
 
     meas is the (c, m) table under the digit's shift (step along the axis),
     ref the (c, m) unshifted reference and invalid its entries below
@@ -153,34 +113,3 @@ def _decode_digit(
     votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)
     passed = votes >= tun.vote_fraction * len(betas) - 1e-9
     return passed.sum(axis=0) == 1, passed.argmax(axis=0)
-
-
-def _decode_columns(
-    mset: "MeasurementSet", r: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode buckets lo..hi-1 of hashing r: (the buckets that decoded,
-    ascending, and their (m, d) permuted coordinates Sigma i0 mod n)."""
-    table = mset.buckets[r, :, :, lo:hi]  # (c_max, S, hi - lo)
-    ref = table[:, 0, :]
-    invalid = np.abs(ref) < mset.params.tunables.near_zero
-    # Surviving bucket numbers (relative to lo), ascending, and their
-    # partial decodes.
-    live = np.arange(hi - lo)
-    fvec = np.zeros((hi - lo, mset.d), dtype=np.int64)
-    for w, s, base, place in _digit_steps(mset):
-        if live.size == 0:
-            break
-        unique, chosen = _decode_digit(
-            table[:, w][:, live],
-            ref[:, live],
-            invalid[:, live],
-            mset.betas[r, :, s],
-            fvec[:, s],
-            mset.n,
-            int(mset.shifts[w, s]),
-            base,
-            mset.params.tunables,
-        )
-        live, fvec = live[unique], fvec[unique]
-        fvec[:, s] += place * chosen[unique]
-    return lo + live, fvec

@@ -11,13 +11,13 @@ A measurement set owns the residual: its tables hold mset.source minus
 mset.chi, so a stage reads the current approximation from mset.chi and adds
 what it keeps into it (`update_residual_measurements`). The l1 loop,
 `_threshold_rounds`, reuses the main set, the run's only stored table,
-through every round: locate candidates in every hashing, estimate the
-residual there, and fold the estimates above the round's threshold into the
-set. The inf-norm and constant-SNR stages decode their fresh sets once, so
-they stream them (`acquire_measurements(..., chi=chi)`): each ladder shift
-is read, cleaned of the caller's chi and decoded before the next, two
-shifts are held at a time, and the set hands over its candidates. Each
-stage then makes one estimation call, above its one threshold.
+through every round: decode every hashing (`decode_hashings`), estimate
+the residual at the candidates, and fold the estimates above the round's
+threshold into the set. The inf-norm and constant-SNR stages decode their
+fresh sets once, so they stream them (`acquire_measurements(..., chi=chi)`):
+the same digit walk decodes each ladder shift as it is read, cleaned of the
+caller's chi, and the set hands over its candidates in `found`. Each stage
+then makes one estimation call, above its one threshold.
 `sparse_fft_with_stats` frees the main set before the constant-SNR sweep,
 since only its chi and scale are used after the T rounds.
 
@@ -34,10 +34,9 @@ them into the plan, one `StagePlan` per stage, before the first read. Each
 stage reads its geometry from its record; only the thresholds are computed
 at run time, from mu and the acquisition scale.
 
-Candidates travel between stages as int64 arrays of row-major flat indices:
-`_union_locations` concatenates every hashing's `found` array and keeps
-each index once, in first-seen order (a streamed set's `found` is that
-union), and estimation takes that array as is.
+Candidates travel between stages as one int64 array of row-major flat
+indices per hashing; `_estimate_at` concatenates them and keeps each index
+once, in first-seen order, and estimation takes that union as is.
 """
 
 from __future__ import annotations
@@ -64,9 +63,9 @@ from .estimation import estimate_values
 from .hashing_measurements import (
     MeasurementSet,
     acquire_measurements,
+    decode_hashings,
     update_residual_measurements,
 )
-from .location import locate_signal
 
 __all__ = [
     "RunStats",
@@ -102,12 +101,6 @@ class RunStats:
         )
 
 
-def _union_locations(mset: MeasurementSet) -> np.ndarray:
-    """Candidate flat indices from every hashing, deduped in first-seen order."""
-    found = [locate_signal(mset, r).found for r in range(len(mset.hashings))]
-    return _first_seen(np.concatenate(found))
-
-
 def _check_bound(x_inf: float) -> None:
     """ParameterError unless x_inf is a usable bound on ||x||_inf: > 0, or
     math.inf for none."""
@@ -123,13 +116,15 @@ def _above_bound(threshold: float, x_inf: float, chi: SparseApprox) -> bool:
 
 def _estimate_at(
     mset: MeasurementSet,
-    locations: np.ndarray,
+    found: list[np.ndarray],
     threshold: float,
     rng: np.random.Generator,
 ) -> SparseApprox:
     """Estimates above threshold of the residual mset holds (mset.source
-    minus mset.chi) at locations, with mset.params's estimation geometry;
-    the reads go on mset.sample_counter. No locations, no call and no draw."""
+    minus mset.chi) at the union of the per-hashing candidates found, in
+    first-seen order, with mset.params's estimation geometry; the reads go
+    on mset.sample_counter. No candidates, no call and no draw."""
+    locations = _first_seen(np.concatenate(found))
     if not locations.size:
         return SparseApprox.empty(mset.n, mset.d)
     stage = mset.params
@@ -156,31 +151,31 @@ def _threshold_rounds(
     """The l1 loop: locate, estimate above a threshold, and fold, once per
     round.
 
-    Each (threshold, last_if_idle) round unions location candidates over all
-    hashings, estimates the residual against mset.chi as mset.params plans,
+    Each (threshold, last_if_idle) round decodes every hashing, estimates
+    the residual against mset.chi as mset.params plans at the candidates,
     and folds the estimates above threshold into the set (its tables and its
-    chi). Decoding reads the tables alone, so the candidates are
-    reused until a round keeps something. A round whose threshold is above
+    chi). Decoding reads the tables alone, so the candidates are reused
+    until a round keeps something. A round whose threshold is above
     x_inf + ||mset.chi||_inf (x_inf bounds ||x||_inf) is idle: it keeps
-    nothing without a locate call, an estimate call or an rng draw. A round
+    nothing without a decode, an estimate call or an rng draw. A round
     that keeps nothing ends the loop when marked last_if_idle. Estimation
     reads are added to mset.sample_counter. Returns the kept values, added
     round by round.
     """
     increment = SparseApprox.empty(mset.n, mset.d)
-    locations = None
+    found = None
     for threshold, last_if_idle in rounds:
         if _above_bound(threshold, x_inf, mset.chi):
             if last_if_idle:
                 break
             continue
-        if locations is None:
-            locations = _union_locations(mset)
-        kept = _estimate_at(mset, locations, threshold, rng)
+        if found is None:
+            found = decode_hashings(mset)
+        kept = _estimate_at(mset, found, threshold, rng)
         if len(kept) > 0:
             update_residual_measurements(mset, kept)
             increment = increment + kept
-            locations = None
+            found = None
         elif last_if_idle:
             break
     return increment
@@ -206,7 +201,7 @@ def reduce_l1_norm(
     passes the promised r_star * mu; mu = 0 bounds nothing, and the default
     math.inf keeps every round. A round whose threshold is above x_inf +
     ||mset.chi||_inf cannot keep a true coefficient and makes no reads
-    (no locate call, no estimate call, no rng draw). rng draws the
+    (no decode, no estimate call, no rng draw). rng draws the
     estimation hashings; it must not replay the acquisition's stream. Every
     accepted increment goes into mset (its tables and its chi); returns the
     updated total approximation, mset.chi.

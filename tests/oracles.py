@@ -163,8 +163,8 @@ def dense_time(x: SparseApprox) -> DenseSignal:
     return x.to_dense(domain="time")
 
 
-def reference_locate(mset, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-digit location vote over every bucket: (found, failed), found as
+def reference_locate(mset, r: int) -> np.ndarray:
+    """Per-digit location vote over every bucket of hashing r: the decoded
     flat indices in bucket order, each once.
 
     The straightforward decoder: for every digit group and every candidate
@@ -203,7 +203,7 @@ def reference_locate(mset, r: int) -> tuple[np.ndarray, np.ndarray]:
             scale *= base
     rows = (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n
     found = dict.fromkeys(flat_of(rows, n).tolist())
-    return np.array(list(found), dtype=np.int64), ~alive
+    return np.array(list(found), dtype=np.int64)
 
 
 def _fold_axis(arr: np.ndarray, axis: int, b: int, first: int) -> np.ndarray:

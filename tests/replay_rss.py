@@ -19,10 +19,17 @@ on exact-3d-16 (seed 11, 12 instances, 2-vCPU KVM host), and at 59.2 and
 (and slows the recovery).
 
 Each line gives the instance, its recovery time, whether its output was
-correct, and `ru_maxrss` in MB (as the bench reports it); the last line is
-one JSON object with the workload, seed, instance count and final peak.
+correct, `ru_maxrss` in MB (as the bench reports it), and glibc's heap
+after the instance: `arena_mb`, the bytes the main heap and its other
+arenas hold from the system, and `free_mb`, the free bytes inside them
+(mallinfo2's arena and fordblks; `n/a` where the C library has no
+mallinfo2). A peak that jumps with `arena_mb` while `free_mb` grows too is
+one more heap growth forced by fragmentation, not memory the recovery
+holds. The last line is one JSON object with the workload, seed, instance
+count and final peak.
 """
 import argparse
+import ctypes
 import json
 import os
 import resource
@@ -40,6 +47,33 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _mallinfo2():
+    """glibc's mallinfo2, or None where the C library lacks it."""
+    try:
+        fn = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError):
+        return None
+    fn.restype = _Mallinfo2
+    return fn
+
+
+MALLINFO2 = _mallinfo2()
+
+
+def heap_fields() -> str:
+    """"arena_mb=... free_mb=..." from mallinfo2, or n/a for both."""
+    if MALLINFO2 is None:
+        return "arena_mb=n/a free_mb=n/a"
+    info = MALLINFO2()
+    return f"arena_mb={info.arena / 2**20:.1f} free_mb={info.fordblks / 2**20:.1f}"
+
+
 def main(argv=None) -> int:
     names = sorted(bench_run.workloads.WORKLOADS)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -52,7 +86,7 @@ def main(argv=None) -> int:
         argparse.Namespace(workload=args.workload, seed=args.seed, trace=0),
     )
     bench.setup()
-    print(f"instance 0 (set-up) peak_rss_mb={peak_rss_mb():.1f}")
+    print(f"instance 0 (set-up) peak_rss_mb={peak_rss_mb():.1f} {heap_fields()}")
     ok = True
     for index in range(1, args.instances + 1):
         inst = bench.make_instance(index)
@@ -62,7 +96,7 @@ def main(argv=None) -> int:
         bench.dense_reference(inst, rec)
         ok &= rec.ok
         print(f"instance {index} recover_s={rec.recover_s:.3f} ok={rec.ok} "
-              f"peak_rss_mb={peak_rss_mb():.1f}")
+              f"peak_rss_mb={peak_rss_mb():.1f} {heap_fields()}")
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "instances": args.instances, "peak_rss_mb": peak_rss_mb()}))
     return 0 if ok else 1

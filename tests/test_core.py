@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -140,15 +141,15 @@ class TestRecoveryParams:
         assert (p.r_max, p.c_max, p.delta) == (8, 15, 2)
 
     def test_bucket_count_rounds_up_to_a_power_of_two(self):
-        assert location_bucket_count(1024, 1, 5, 1.0, Tunables()) == 256
-        assert location_bucket_count(1024, 1, 4, 1.0, Tunables()) == 128
+        assert location_bucket_count(1024, 1, 5, 1.0, Tunables())[0] == 256
+        assert location_bucket_count(1024, 1, 4, 1.0, Tunables())[0] == 128
         # the per-axis side is capped at n/2
-        assert location_bucket_count(16, 1, 100, 1.0, Tunables()) == 8
+        assert location_bucket_count(16, 1, 100, 1.0, Tunables())[0] == 8
 
     def test_bucket_count_meets_the_target_when_uncapped(self):
         for k in (1, 3, 8, 17):
             for d in (1, 2):
-                B = location_bucket_count(4096, d, k, 1.0, Tunables())
+                B, _ = location_bucket_count(4096, d, k, 1.0, Tunables())
                 assert B >= 8.0 * k / 0.25**d
                 b = round(B ** (1 / d))
                 assert b**d == B and b & (b - 1) == 0
@@ -253,24 +254,24 @@ def test_log4_is_floored_at_four_points():
 
 
 class TestBucketCountCap:
-    def test_warns_with_requested_and_capped_side(self):
-        with pytest.warns(RuntimeWarning, match=r"b=4096 .*capped at b=8 \(B=8\)"):
-            assert location_bucket_count(16, 1, 100, 1.0, Tunables()) == 8
+    def test_note_names_requested_and_capped_side(self):
+        B, note = location_bucket_count(16, 1, 100, 1.0, Tunables())
+        assert B == 8 and re.search(r"b=4096 .*capped at b=8 \(B=8\)", note)
         # 8*8 / (0.1 * 0.25^2) = 10240 buckets need b = 16384 > 512.
-        with pytest.warns(RuntimeWarning, match=r"b=16384 .*capped at b=512 \(B=512\)"):
-            assert estimation_bucket_count(1024, 1, 8, 0.1, Tunables()) == 512
-        with pytest.warns(RuntimeWarning, match=r"b=128 .*capped at b=8 \(B=64\)"):
-            assert location_bucket_count(16, 2, 50, 1.0, Tunables()) == 64
+        B, note = estimation_bucket_count(1024, 1, 8, 0.1, Tunables())
+        assert B == 512 and re.search(r"b=16384 .*capped at b=512 \(B=512\)", note)
+        B, note = location_bucket_count(16, 2, 50, 1.0, Tunables())
+        assert B == 64 and re.search(r"b=128 .*capped at b=8 \(B=64\)", note)
 
     def test_silent_below_and_at_the_cap(self):
+        assert location_bucket_count(1024, 1, 5, 1.0, Tunables()) == (256, None)
+        # 8*16/0.25 = 512 = n/2 exactly: met, not clamped.
+        assert location_bucket_count(1024, 1, 16, 1.0, Tunables()) == (512, None)
+        assert estimation_bucket_count(2**16, 1, 4, 1.0, Tunables()) == (512, None)
+        # 8*8 / 0.25^2 = 1024 = (n/2)^2 exactly on the 64^2 grid.
+        assert location_bucket_count(64, 2, 8, 1.0, Tunables()) == (1024, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert location_bucket_count(1024, 1, 5, 1.0, Tunables()) == 256
-            # 8*16/0.25 = 512 = n/2 exactly: met, not clamped.
-            assert location_bucket_count(1024, 1, 16, 1.0, Tunables()) == 512
-            assert estimation_bucket_count(2**16, 1, 4, 1.0, Tunables()) == 512
-            # 8*8 / 0.25^2 = 1024 = (n/2)^2 exactly on the 64^2 grid.
-            assert location_bucket_count(64, 2, 8, 1.0, Tunables()) == 1024
             # Every bucket count of this plan fits its grid.
             RecoveryParams.derive(2**16, 1, 4)
 
@@ -285,6 +286,15 @@ class TestBucketCountCap:
         assert "main location" not in message
         assert "main estimation: bucket side b=256" in message
         assert "const_snr location" in message
+
+    def test_plan_warning_shows_once_per_calling_line(self):
+        # Under the default filter a warning shows once per message and
+        # line; deriving must not reset that registry.
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
+            for _ in range(3):
+                RecoveryParams.derive(64, 2, 8)
+        assert len(record) == 1
 
 
 class TestUnitRoots:

@@ -21,8 +21,7 @@ from sparsefft import (
 from sparsefft.dense_dft import fft_grid
 from sparsefft.diagnostics import compute_noise_profile, quantile_top
 from sparsefft.filters import cached_bucket_filter
-from sparsefft.hashing_measurements import acquire_measurements
-from sparsefft.location import locate_signal
+from sparsefft.hashing_measurements import acquire_measurements, decode_hashings
 from sparsefft.permutation import Hashing, SpectrumPermutation
 from sparsefft import RecoveryParams
 
@@ -206,9 +205,7 @@ class TestCertificationImpliesLocation:
                 mset.betas,
                 mset.shifts,
             )
-            found_by_r = [
-                set(locate_signal(mset, r).found.tolist()) for r in range(params.r_max)
-            ]
+            found_by_r = [set(found.tolist()) for found in decode_hashings(mset)]
             for i in x.flat.tolist():
                 for r in profile.certified_hashings(i):
                     certified_pairs += 1

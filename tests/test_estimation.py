@@ -256,6 +256,16 @@ class TestBookkeeping:
             # d=1 and F=2 give a support of F*b + 1 = 33 offsets per pass.
             assert batch.samples == r * 33
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_is_rejected(self, bad, rng):
+        # B = 32 and F = 2 read all F*b + 1 = 65 >= 64 points per pass.
+        n, d = 64, 1
+        x = random_sparse_time(n, d, 2, rng)
+        xhat = lib_freq(dense_time(x).values, n, d)
+        xhat.values[5] = bad
+        with pytest.raises(ParameterError, match="not finite"):
+            estimate_values(xhat, SparseApprox(n, d), x.flat, 32, 0.0, 3, F=2 * d, rng=rng)
+
     def test_duplicate_locations_collapse(self, rng):
         n, d = 256, 1
         x = random_sparse_time(n, d, 1, rng)

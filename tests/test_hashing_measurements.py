@@ -210,6 +210,20 @@ class TestAcquisition:
             direct = hash_to_bins(xhat, empty, mset.hashings[r], a)
             assert np.allclose(mset.buckets[r, t, w], direct.reshape(-1), atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_non_finite_sample_stops_acquisition(self, bad, streamed, rng):
+        # On 64 points with k = 2 every stage reads F*b + 1 = 65 >= n offsets
+        # per pass, so each one reads the bad sample.
+        n, d, k = 64, 1, 2
+        x = random_sparse_time(n, d, k, rng)
+        xhat = freq_signal(dense_time(x), n, d)
+        xhat.values[5] = bad
+        plan = RecoveryParams.derive(n, d, k)
+        stage, chi = (plan.inf_norm, x.largest(1)) if streamed else (plan.main, None)
+        with pytest.raises(ParameterError, match="NaN or infinite"):
+            acquire_measurements(xhat, stage, rng, chi=chi)
+
 
 class TestBucketTables:
     @pytest.mark.parametrize("n,d,B,F", [(64, 1, 16, 2), (16, 2, 16, 4), (8, 3, 64, 6)])
@@ -375,7 +389,10 @@ class TestMemoryBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * mset.buckets.nbytes
+        # The table has a memory mapping of its own, which tracemalloc does
+        # not see, so the peak is that of the temporaries alone: with the
+        # table they stay below two tables.
+        assert peak < mset.buckets.nbytes
 
     def test_update_peak_stays_below_one_weight_array(self, rng):
         # |chi| = 32 against 8192 buckets: the full (|chi|, B) complex

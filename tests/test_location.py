@@ -4,22 +4,23 @@ A single tone makes every measurement ratio an exact root of unity, so
 location must return the tone's index and nothing else; that pins the whole
 shift ladder arithmetic, including multi-axis grids. Probe balance rules are
 checked at their integer boundaries, and noisy-tail recall is measured
-against the supermajority voting threshold. The nearest-root decoder with
-survivor compaction must return exactly what the per-digit vote over every
-bucket (oracles.reference_locate) returns, also when it decodes the
-buckets a few columns at a time.
+against the supermajority voting threshold. The one digit walk
+(hashing_measurements.decode_hashings on a stored set) must return exactly
+what the per-digit vote over every bucket (oracles.reference_locate)
+returns, also when it decodes the buckets a few columns at a time.
 """
 import numpy as np
 import pytest
 
 from sparsefft import core
-from sparsefft import DenseSignal, ParameterError, RecoveryParams
+from sparsefft import DenseSignal, RecoveryParams
 from sparsefft.dense_dft import fft_grid
 from sparsefft.hashing_measurements import (
     acquire_measurements,
+    decode_hashings,
     update_residual_measurements,
 )
-from sparsefft.location import LocationResult, _balanced_axes, locate_signal
+from sparsefft.location import _balanced_axes
 
 from oracles import dense_time, random_sparse_time, reference_locate
 
@@ -81,21 +82,23 @@ class TestSingleTone:
             x = random_sparse_time(n, d, 1, rng)
             i0 = int(x.flat[0])
             mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
-            result = locate_signal(mset, 0)
-            assert i0 in result.found
+            found = decode_hashings(mset)[0]
+            assert i0 in found
             # Every bucket sees the same tone, so nothing else can decode.
-            assert result.found.tolist() == [i0]
+            assert found.tolist() == [i0]
+            # The tone's own bucket decodes it: zeroed references cast no
+            # vote, so with every other bucket zeroed only it can.
             own = mset.hashings[0].bucket_of_array(x.coords_array())[0, 0]
-            assert not result.failed[own]
+            mset.buckets[0][..., np.arange(params.B) != own] = 0.0
+            assert decode_hashings(mset)[0].tolist() == [i0]
 
     def test_two_dimensional_tone(self, rng):
         n, d = 64, 2
         params = RecoveryParams.derive(n, d, 1).main
         x = random_sparse_time(n, d, 1, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
-        for r in range(min(3, params.r_max)):
-            result = locate_signal(mset, r)
-            assert result.found.tolist() == x.flat.tolist()
+        for found in decode_hashings(mset)[:3]:
+            assert found.tolist() == x.flat.tolist()
 
     def test_decoding_reads_no_new_samples(self, rng):
         n, d = 1024, 1
@@ -103,7 +106,7 @@ class TestSingleTone:
         x = random_sparse_time(n, d, 1, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         counter = mset.sample_counter
-        locate_signal(mset, 0)
+        decode_hashings(mset)
         assert mset.sample_counter == counter
 
     def test_decoding_is_deterministic(self, rng):
@@ -111,10 +114,10 @@ class TestSingleTone:
         params = RecoveryParams.derive(n, d, 3).main
         x = random_sparse_time(n, d, 3, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
-        first = locate_signal(mset, 1)
-        second = locate_signal(mset, 1)
-        assert np.array_equal(first.found, second.found)
-        assert np.array_equal(first.failed, second.failed)
+        first = decode_hashings(mset)
+        second = decode_hashings(mset)
+        assert len(first) == len(second) == params.r_max
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestResidualAwareness:
@@ -123,9 +126,9 @@ class TestResidualAwareness:
         params = RecoveryParams.derive(n, d, 2).main
         zero = DenseSignal.zeros(n, d, "frequency")
         mset = acquire_measurements(zero, params, rng)
-        result = locate_signal(mset, 0)
-        assert result.found.size == 0
-        assert result.failed.all()
+        # Every surviving bucket yields an index, so no index means every
+        # bucket of every hashing failed.
+        assert all(found.size == 0 for found in decode_hashings(mset))
 
     def test_subtracted_tone_disappears(self, rng):
         n, d = 1024, 1
@@ -135,9 +138,9 @@ class TestResidualAwareness:
         loud = x.largest(1)
         (quiet,) = np.setdiff1d(x.flat, loud.flat)
         update_residual_measurements(mset, loud)
-        result = locate_signal(mset, 0)
-        assert quiet in result.found
-        assert loud.flat[0] not in result.found
+        found = decode_hashings(mset)[0]
+        assert quiet in found
+        assert loud.flat[0] not in found
 
     def test_fully_subtracted_signal_goes_silent(self, rng):
         n, d = 1024, 1
@@ -145,8 +148,7 @@ class TestResidualAwareness:
         x = random_sparse_time(n, d, 2, rng)
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         update_residual_measurements(mset, x)
-        result = locate_signal(mset, 0)
-        assert result.found.size == 0
+        assert decode_hashings(mset)[0].size == 0
 
 
 class TestNoisyRecall:
@@ -164,27 +166,17 @@ class TestNoisyRecall:
             tail *= 0.01 * floor / np.linalg.norm(tail)
             xt = dense_time(x).values + tail
             mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
-            for r in range(params.r_max):
-                found = set(locate_signal(mset, r).found.tolist())
+            for found in decode_hashings(mset):
                 pairs += 1
-                full += spikes <= found
+                full += spikes <= set(found.tolist())
         assert full >= 0.8 * pairs
-
-    def test_validation_errors(self, rng):
-        n, d = 256, 1
-        params = RecoveryParams.derive(n, d, 2).main
-        x = random_sparse_time(n, d, 2, rng)
-        mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
-        with pytest.raises(ParameterError):
-            locate_signal(mset, params.r_max)
 
 
 def assert_matches_reference(mset):
-    for r in range(len(mset.hashings)):
-        result = locate_signal(mset, r)
-        found, failed = reference_locate(mset, r)
-        assert np.array_equal(result.found, found)
-        assert np.array_equal(result.failed, failed)
+    found = decode_hashings(mset)
+    assert len(found) == len(mset.hashings)
+    for r, got in enumerate(found):
+        assert np.array_equal(got, reference_locate(mset, r))
 
 
 class TestMatchesPerDigitVote:
@@ -252,8 +244,5 @@ class TestColumnBlocks:
         # Five bucket columns per block: 64 buckets split 12 x 5 + 4.
         monkeypatch.setattr(core, "_BLOCK_BYTES", 5 * 16 * params.c_max)
         assert_matches_reference(mset)
-        decoded = [
-            (~locate_signal(mset, r).failed).sum()
-            for r in range(params.r_max)
-        ]
-        assert 0 < sum(decoded) < params.r_max * B
+        decoded = sum(found.size for found in decode_hashings(mset))
+        assert 0 < decoded < params.r_max * B

@@ -29,9 +29,9 @@ from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal
 from sparsefft.hashing_measurements import (
     acquire_measurements,
+    decode_hashings,
     update_residual_measurements,
 )
-from sparsefft.location import locate_signal
 from sparsefft.permutation import SpectrumPermutation
 from sparsefft.recovery import (
     RunStats,
@@ -77,8 +77,8 @@ def inf_stage(n, d, k=1, rounds=1):
     return replace(
         RecoveryParams.derive(n, d, 1).inf_norm,
         k=k,
-        B=core.location_bucket_count(n, d, k, 1.0, tun),
-        B_est=core.estimation_bucket_count(n, d, k, 1.0, tun),
+        B=core.location_bucket_count(n, d, k, 1.0, tun)[0],
+        B_est=core.estimation_bucket_count(n, d, k, 1.0, tun)[0],
         rounds=rounds,
     )
 
@@ -144,16 +144,18 @@ class TestReduceL1:
 
 
 def count_decodes(monkeypatch) -> list:
-    """Record (measurement set, hashing, table digest) for each decode."""
+    """Record (measurement set, hashing, table digest) for each hashing
+    decoded."""
     calls = []
-    real = recovery_module.locate_signal
+    real = recovery_module.decode_hashings
 
-    def counting(mset, r):
-        digest = hashlib.sha256(mset.buckets[r].tobytes()).hexdigest()
-        calls.append((id(mset), r, digest))
-        return real(mset, r)
+    def counting(mset):
+        for r in range(len(mset.hashings)):
+            digest = hashlib.sha256(mset.buckets[r].tobytes()).hexdigest()
+            calls.append((id(mset), r, digest))
+        return real(mset)
 
-    monkeypatch.setattr(recovery_module, "locate_signal", counting)
+    monkeypatch.setattr(recovery_module, "decode_hashings", counting)
     return calls
 
 
@@ -190,23 +192,22 @@ class TestStreamedSweep:
         stored = acquire_measurements(xhat, plan, stored_rng)
         scale = stored.initial_scale
         update_residual_measurements(stored, chi)
-        want = recovery_module._union_locations(stored)
+        want = decode_hashings(stored)
         streamed = acquire_measurements(xhat, plan, streamed_rng, chi=chi)
-        assert want.size > 0
-        assert np.array_equal(streamed.found, want)
+        assert sum(found.size for found in want) > 0
+        assert len(streamed.found) == len(want) == plan.r_max
+        assert all(np.array_equal(a, b) for a, b in zip(streamed.found, want))
         assert streamed.initial_scale == scale
         assert streamed.sample_counter == stored.sample_counter
         assert streamed_rng.bit_generator.state == stored_rng.bit_generator.state
         assert streamed.chi is chi
         assert np.array_equal(streamed.buckets, stored.buckets[:, :, :1])
 
-    def test_streamed_set_cannot_be_decoded_or_updated(self, rng):
+    def test_streamed_set_cannot_be_updated(self, rng):
         n, d = 256, 1
         xhat = lib_freq(rng.normal(size=n), n, d)
         chi = SparseApprox.empty(n, d)
         mset = acquire_measurements(xhat, inf_stage(n, d), rng, chi=chi)
-        with pytest.raises(ParameterError, match="streamed"):
-            locate_signal(mset, 0)
         with pytest.raises(ParameterError, match="streamed"):
             update_residual_measurements(mset, SparseApprox.from_flat(n, d, [3], [1.0]))
 
@@ -230,7 +231,10 @@ class TestStreamedSweep:
             tracemalloc.stop()
         shifts = 1 + d * core._digit_groups(n, stage.delta)
         table = stage.r_max * stage.c_max * shifts * stage.B * 16
-        assert peak < table
+        # The set's reference and current-shift rows have a memory mapping
+        # of their own, which tracemalloc does not see.
+        rows = (stage.r_max + 1) * stage.c_max * stage.B * 16
+        assert peak + rows < table
 
 
 class TestReduceInfNorm:

@@ -1,5 +1,5 @@
-"""Smoke test of tests/replay_rss.py, the in-process peak-memory replay of
-the benchmark's measured loop, on the benchmark's 256-point smoke
+"""Smoke test of tests/replay_rss.py, the in-process peak-memory and heap
+replay of the benchmark's measured loop, on the benchmark's 256-point smoke
 workload. It runs in a fresh process, because ru_maxrss is a property of
 the whole process and the tool pins the BLAS threads before NumPy loads."""
 import json
@@ -24,6 +24,15 @@ def test_replay_prints_a_peak_per_instance():
     rows = lines[:-1]
     assert [row.split()[1] for row in rows] == ["0", "1", "2"]
     assert all("ok=True" in row for row in rows[1:])
-    peaks = [float(row.rpartition("peak_rss_mb=")[2]) for row in rows]
+    fields = [dict(f.split("=") for f in row.split() if "=" in f) for row in rows]
+    peaks = [float(f["peak_rss_mb"]) for f in fields]
     # Lines print the peak to 0.1 MB; the summary gives it unrounded.
     assert peaks == sorted(peaks) and 0 < peaks[-1] <= summary["peak_rss_mb"] + 0.05
+    # glibc's heap beside the peak: both fields, or n/a for both without
+    # mallinfo2.
+    for f in fields:
+        arena, free = f["arena_mb"], f["free_mb"]
+        if arena == "n/a":
+            assert free == "n/a"
+        else:
+            assert 0 <= float(free) <= float(arena) <= peaks[-1] + 0.05
