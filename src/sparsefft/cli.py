@@ -36,7 +36,8 @@ def _print_records(records) -> None:
         print(
             f"seed={rec.seed} l2_ratio={rec.l2_error_ratio:.4g} "
             f"precision={rec.support_precision:.3f} recall={rec.support_recall:.3f} "
-            f"samples={rec.samples_total} generate_ms={rec.generate_ms:.1f} "
+            f"samples={rec.samples_total} residual_peak_rel={rec.residual_peak_rel:.3g} "
+            f"generate_ms={rec.generate_ms:.1f} "
             f"recover_ms={rec.recover_ms:.1f}"
         )
     ratios = [rec.l2_error_ratio for rec in records]

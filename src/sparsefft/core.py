@@ -419,7 +419,9 @@ class Tunables:
     # Relative floor replacing mu = 0 on exact-sparse inputs.
     mu_floor_rel: float = 1e-10
     # Zero-drop floor for nu = 0 estimation and the final support prune,
-    # relative to the residual bucket scale.
+    # relative to the residual bucket scale. It is also the residual
+    # certificate's bound: once the main set's largest residual bucket is
+    # within it, the run skips the inf-norm and constant-SNR stages.
     zero_floor_rel: float = 1e-7
     # Reference measurements below this magnitude vote against every digit.
     near_zero: float = 1e-12

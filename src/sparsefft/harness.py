@@ -169,6 +169,10 @@ class RunRecord:
     samples_infnorm: int
     samples_constsnr: int
     samples_total: int
+    # RunStats.residual_peak_rel: at most zero_floor_rel exactly when the
+    # residual certificate skipped the inf-norm and constant-SNR stages.
+    # Keyword-only, so the timing columns stay last.
+    residual_peak_rel: float = field(default=0.0, kw_only=True)
     generate_ms: float
     recover_ms: float
 
@@ -316,6 +320,7 @@ def _run_one(spec: ExperimentSpec, seed: int, digest: str) -> RunRecord:
         samples_infnorm=stats.samples_infnorm,
         samples_constsnr=stats.samples_constsnr,
         samples_total=stats.total_samples,
+        residual_peak_rel=stats.residual_peak_rel,
         generate_ms=generate_ms,
         recover_ms=recover_ms,
     )

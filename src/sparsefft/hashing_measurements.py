@@ -624,6 +624,13 @@ def _max_abs(table: np.ndarray) -> float:
     return float(np.max(peaks)) if peaks else 0.0
 
 
+def _residual_peak(mset: MeasurementSet) -> float:
+    """Largest |bucket| of a stored set's tables, which hold mset.source -
+    mset.chi, over every hashing, probe and shift, taken as _max_abs takes
+    it; reads no samples."""
+    return _max_abs(mset.buckets.reshape(-1, mset.params.B))
+
+
 def _subtract_chi(
     slab: np.ndarray,
     phases: np.ndarray,

@@ -19,7 +19,27 @@ the same digit walk decodes each ladder shift as it is read, cleaned of the
 caller's chi, and the set hands over its candidates in `found`. Each stage
 then makes one estimation call, above its one threshold.
 `sparse_fft_with_stats` frees the main set before the constant-SNR sweep,
-since only its chi and scale are used after the T rounds.
+since only its chi is used after the rounds.
+
+After each l1 loop the driver certifies the residual without a read. The
+main set's tables are linear measurements of x - chi that the run already
+holds, and their peak, the largest |bucket| over every hashing, probe and
+shift (`_residual_peak`), is compared with the final prune's floor as a
+product, peak <= zero_floor_rel * initial_scale, so an all-zero spectrum
+certifies without a division. Why a clean table set leaves nothing to
+find: a residual coefficient h lands in one bucket of each of the
+r_max >= 3 independent hashings, with the filter's gain at its offset from
+that bucket's center (1 at the center, at least 0.47^(F d) on the
+plateau), and it appears there under r_max * c_max * S different
+modulation phases. So tables that are clean in all of them leave h
+undetected only if h is below the floor over its largest gain, or if other
+residual terms cancel it under every one of those phases. At mu = 0 the l1
+loop's last threshold is already ~1e-9 of the scale, below the final
+prune. When the certificate holds, the run skips that round's inf-norm
+stage, any later outer rounds and the constant-SNR sweep, and returns chi
+pruned at the floor; `RunStats.residual_peak_rel` reports the peak. The
+plan's closed-form ledger (`StagePlan.acquisition_reads`,
+`estimation_reads`) stays the non-adaptive worst case.
 
 For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
 sparse) bounds nothing. Under that bound every residual coefficient obeys
@@ -62,6 +82,7 @@ from .core import (
 from .estimation import estimate_values
 from .hashing_measurements import (
     MeasurementSet,
+    _residual_peak,
     acquire_measurements,
     decode_hashings,
     update_residual_measurements,
@@ -79,17 +100,27 @@ __all__ = [
 
 @dataclass
 class RunStats:
-    """Spectrum accesses split by pipeline stage.
+    """Spectrum accesses split by pipeline stage, and the residual
+    certificate.
 
-    `samples_location` counts the one-off acquisition reads; they do not grow
-    with later iterations. The other three grow with their stage's estimation
-    calls (which draw fresh hashings and so read the spectrum again).
+    `samples_location` counts the main set's one-off acquisition reads; they
+    do not grow with later iterations. `samples_estimation` grows with the
+    l1 loop's estimation calls (which draw fresh hashings and so read the
+    spectrum again). `samples_infnorm` and `samples_constsnr` book their
+    stage's own acquisition as well as its estimation calls, and stay 0 for
+    a stage that is skipped.
+
+    `residual_peak_rel` is the last certificate's peak, the main set's
+    largest residual bucket, over its initial scale (0.0 when that scale is
+    0). The inf-norm and constant-SNR stages were skipped by the
+    certificate exactly when it is <= `Tunables.zero_floor_rel`.
     """
 
     samples_location: int = 0
     samples_estimation: int = 0
     samples_infnorm: int = 0
     samples_constsnr: int = 0
+    residual_peak_rel: float = 0.0
 
     @property
     def total_samples(self) -> int:
@@ -302,8 +333,13 @@ def sparse_fft_with_stats(
     r_star * mu, and the l1 and inf-norm stages skip, without any read,
     every round (and the whole inf-norm acquisition) whose threshold is
     above r_star * mu + ||chi||_inf. mu = 0 bounds nothing, so every round
-    runs. The returned stats split spectrum reads by stage, with
-    acquisition (`samples_location`) fixed after startup. The run follows
+    runs. After each l1 loop the residual certificate (see the module
+    docstring) compares the main set's largest residual bucket with
+    zero_floor_rel * initial_scale; when it holds, the run skips that
+    round's inf-norm stage, later rounds and the constant-SNR sweep. The
+    returned stats split spectrum reads by stage, with acquisition
+    (`samples_location`) fixed after startup, and report the certificate's
+    peak. The run follows
     `RecoveryParams.derive` of these arguments, or params, whose k, targets
     and seed must then be those of the call; tunables then go inside it.
     """
@@ -345,12 +381,15 @@ def sparse_fft_with_stats(
     x_inf = r_star * mu if mu > 0.0 else math.inf
     L4 = _log4(xhat.N)
 
+    floor = tun.zero_floor_rel * mset.initial_scale
     norm_baseline = 0.0
     for t in range(params.T):
         nu = 4.0 * mu_eff * L4 ** (params.T - t)
         reduce_l1_norm(mset, nu, mu_eff, rng=rng, stats=stats, x_inf=x_inf)
+        peak = _residual_peak(mset)
+        certified = peak <= floor
         nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
-        if nu_prime > 0.0:
+        if nu_prime > 0.0 and not certified:
             increment = reduce_inf_norm(
                 xhat,
                 mset.chi,
@@ -371,13 +410,18 @@ def sparse_fft_with_stats(
                 f"approximation l1 mass grew from {norm_baseline:.3g} to "
                 f"{norm_now:.3g} after round {t}; the residual is not shrinking"
             )
+        if certified:
+            break
 
-    # Only chi and the scale outlive the T rounds: free the main set's table
-    # before the sweep.
-    chi, floor = mset.chi, tun.zero_floor_rel * mset.initial_scale
+    scale = mset.initial_scale
+    stats.residual_peak_rel = peak / scale if scale > 0.0 else 0.0
+    # Only chi outlives the rounds: free the main set's table before the
+    # sweep.
+    chi = mset.chi
     del mset
-    final = recover_at_constant_snr(xhat, chi, params.const_snr, rng, stats=stats)
-    return (chi + final).drop_below(floor), stats
+    if not certified:
+        chi = chi + recover_at_constant_snr(xhat, chi, params.const_snr, rng, stats=stats)
+    return chi.drop_below(floor), stats
 
 
 def sparse_fft(
@@ -393,10 +437,13 @@ def sparse_fft(
 ) -> SparseApprox:
     """Recover a k-sparse approximation of the spectrum's inverse transform.
 
-    Reads only O(k log N) positions of xhat (see `sparse_fft_with_stats` for
-    the exact ledger). The output lives on the time side: it approximates the
-    signal x whose transform is xhat, keeping the head coefficients and
-    discarding everything at the mu noise floor.
+    Its reads are bounded by the plan's closed-form ledger
+    (`StagePlan.acquisition_reads` and `estimation_reads` per stage), the
+    non-adaptive worst case; the residual certificate cuts them when it
+    skips the inf-norm and constant-SNR stages, and `sparse_fft_with_stats`
+    returns the reads made. The output lives on the time side: it
+    approximates the signal x whose transform is xhat, keeping the head
+    coefficients and discarding everything at the mu noise floor.
     """
     result, _ = sparse_fft_with_stats(
         xhat, k, epsilon, r_star, mu, seed, tunables=tunables, params=params

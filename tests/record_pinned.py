@@ -2,7 +2,8 @@
 
 Runs test_recovery.pinned_run for every pinned case and prints, per case,
 whether its sample ledger and support equal the record and the largest
-relative change in its values. Cases whose output no longer passes
+relative change in its values; a changed ledger shows each field that
+moved as recorded -> new. Cases whose output no longer passes
 test_seeded_output_matches_pinned_record (a changed ledger or support, or
 a value off by more than PINNED_RTOL relative) are replaced; the others
 keep their recorded bits, so the record moves only where it must. The file
@@ -39,17 +40,28 @@ from test_recovery import (
 )
 
 
+# The RunStats fields of a record's "stats" list, in order.
+STATS_FIELDS = (
+    "samples_location",
+    "samples_estimation",
+    "samples_infnorm",
+    "samples_constsnr",
+)
+
+
 def record(out, stats) -> dict:
     return {
-        "stats": [
-            stats.samples_location,
-            stats.samples_estimation,
-            stats.samples_infnorm,
-            stats.samples_constsnr,
-        ],
+        "stats": [getattr(stats, name) for name in STATS_FIELDS],
         "support": out.coords_array().tolist(),
         "values": [[v.real, v.imag] for v in out.values.tolist()],
     }
+
+
+def stats_change(old: list, new: list) -> str:
+    """The ledger fields that differ, as 'name recorded -> new'."""
+    return ", ".join(
+        f"{name} {a} -> {b}" for name, a, b in zip(STATS_FIELDS, old, new) if a != b
+    )
 
 
 def max_relative_change(old: dict, new: dict) -> float:
@@ -93,8 +105,12 @@ def main(argv=None) -> int:
             entries[key] = old if passes else new
             moved += not passes
             verdict = "kept" if passes else "would be re-recorded" if check else "re-recorded"
+            stats_note = (
+                "equal" if same_stats
+                else f"CHANGED ({stats_change(old['stats'], new['stats'])})"
+            )
             print(
-                f"{key}: stats {'equal' if same_stats else 'CHANGED'}, "
+                f"{key}: stats {stats_note}, "
                 f"support {'equal' if same_support else 'CHANGED'}, "
                 f"max relative value change {drift:.3g}, {verdict}"
             )

@@ -641,7 +641,9 @@ def ledger_splits(total, stage, acquisitions, max_calls):
 def test_run_stats_follow_the_plan_ledger(n, d, k, model):
     """Each RunStats field is its stage's acquisition reads (none when the
     stage is skipped) plus a whole number of its estimation calls, at most
-    `rounds` of them per acquisition or outer round."""
+    `rounds` of them per acquisition or outer round. The constant-SNR stage
+    acquires once, or not at all exactly when the residual certificate
+    held."""
     spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
     _, _, mu = generate_signal(spec, PINNED_SEED)
     plan = spec.recovery_params(mu, PINNED_SEED)
@@ -651,7 +653,8 @@ def test_run_stats_follow_the_plan_ledger(n, d, k, model):
     assert ledger_splits(stats.samples_estimation, main, [0], plan.T * main.rounds)
     calls = plan.T * inf.rounds
     assert ledger_splits(stats.samples_infnorm, inf, range(plan.T + 1), calls)
-    assert ledger_splits(stats.samples_constsnr, snr, [1], snr.rounds)
+    certified = stats.residual_peak_rel <= main.tunables.zero_floor_rel
+    assert ledger_splits(stats.samples_constsnr, snr, [0 if certified else 1], snr.rounds)
 
 
 def count_acquisitions(monkeypatch) -> list:
@@ -681,11 +684,15 @@ class TestNoiseBound:
         assert len(calls) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_exact_run_keeps_the_inf_norm_net(self, monkeypatch):
+    def test_clean_exact_run_certifies(self, monkeypatch):
+        # mu = 0 keeps the inf-norm net (see TestResidualCertificate's
+        # uncleaned run); here the l1 loop clears the residual, so the
+        # certificate skips the net and the sweep.
         calls = count_acquisitions(monkeypatch)
         _, stats = pinned_run(16, 2, 3, "exact-sparse")
-        assert stats.samples_infnorm > 0
-        assert len(calls) == 3
+        assert stats.residual_peak_rel <= Tunables().zero_floor_rel
+        assert stats.samples_infnorm == 0 and stats.samples_constsnr == 0
+        assert len(calls) == 1
 
     def test_inf_norm_stage_reads_nothing_under_the_bound(self, monkeypatch, rng):
         n, d = 256, 1
@@ -760,3 +767,66 @@ class TestNoiseBound:
                 rng,
                 x_inf=x_inf,
             )
+
+
+class TestResidualCertificate:
+    """After the l1 loop the main set's tables measure x - chi. When their
+    peak is within the zero floor the run skips the inf-norm and
+    constant-SNR stages; those stages, run by hand on the returned chi,
+    must then keep nothing above the floor."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n,d,k", [(4096, 1, 4), (32, 2, 4), (16, 3, 2)])
+    def test_certified_runs_leave_the_skipped_stages_nothing(self, n, d, k, monkeypatch):
+        tun = Tunables()
+        scales = []
+        real = recovery_module.acquire_measurements
+
+        def recording(xhat, params, rng, **kwargs):
+            mset = real(xhat, params, rng, **kwargs)
+            scales.append(mset.initial_scale)
+            return mset
+
+        monkeypatch.setattr(recovery_module, "acquire_measurements", recording)
+        for seed in range(8):
+            x = random_sparse_time(n, d, k, np.random.default_rng(100 + seed))
+            xhat = lib_freq(dense_time(x).values, n, d)
+            params = RecoveryParams.derive(n, d, k, seed=seed)
+            scales.clear()
+            out, stats = sparse_fft_with_stats(xhat, k, seed=seed, params=params)
+            # Exact inputs certify; the main set is the run's one acquisition.
+            assert stats.residual_peak_rel <= tun.zero_floor_rel
+            assert len(scales) == 1
+            assert out.support() == x.support()
+            floor = tun.zero_floor_rel * scales[0]
+            # The inf-norm targets of the run's last round at mu = 0.
+            mu_eff = tun.mu_floor_rel * scales[0]
+            nu = core._log4(xhat.N) * (4.0 * mu_eff + 20.0 * mu_eff)
+            rng = np.random.default_rng(10**6 + seed)
+            missed = reduce_inf_norm(xhat, out, params.inf_norm, nu, nu, rng)
+            missed = missed + recover_at_constant_snr(xhat, out, params.const_snr, rng)
+            assert np.all(np.abs(missed.values) <= floor)
+            full = (out + missed).drop_below(floor)
+            assert full.support() == out.support()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_uncleaned_residual_is_not_certified(self, monkeypatch):
+        # An l1 loop that keeps nothing leaves every head in the tables: the
+        # certificate refuses, and at mu = 0 the inf-norm net and the sweep
+        # both read and recover the heads.
+        n, d, k = 16, 2, 3
+        monkeypatch.setattr(
+            recovery_module,
+            "_threshold_rounds",
+            lambda mset, rounds, rng, x_inf: SparseApprox.empty(mset.n, mset.d),
+        )
+        calls = count_acquisitions(monkeypatch)
+        out, stats = pinned_run(n, d, k, "exact-sparse")
+        spec = ExperimentSpec(n=n, d=d, k=k, signal_model="exact-sparse")
+        _, truth, _ = generate_signal(spec, PINNED_SEED)
+        assert stats.residual_peak_rel > Tunables().zero_floor_rel
+        assert stats.samples_estimation == 0
+        assert stats.samples_infnorm > 0 and stats.samples_constsnr > 0
+        assert len(calls) == 3
+        assert truth.support() <= out.support()
+        assert max(head_errors(truth, out)) < 1e-4 * truth.norm_inf()
