@@ -114,6 +114,12 @@ class BucketFilter:
         """Number of frequency samples one bucketing pass reads."""
         return len(self.support) ** self.d
 
+    @property
+    def plateau_gain(self) -> float:
+        """Smallest gain a coefficient has in its own bucket: g at the
+        plateau's edge n/(2b) on every axis."""
+        return float(self.g_axis[self.n // (2 * self.b)]) ** self.d
+
     def g_at(self, offsets: np.ndarray) -> np.ndarray:
         """Vectorized g over an (..., d) array of integer offsets."""
         gathered = self.g_axis[np.asarray(offsets, dtype=np.int64) & (self.n - 1)]

@@ -24,11 +24,12 @@ Buckets that fail a digit are dropped, so later digits decode only the
 survivors.
 
 This module holds the decoding primitives: _digit_steps lists the digits
-in decode order, _decode_digit votes on one of them for a block of buckets,
-and _unpermute turns a hashing's decoded coordinates into flat indices.
-The one walk that drives them over a hashing's shifts, for a stored set's
-tables and for a streamed set as it is read, is
-hashing_measurements._decode_hashing.
+in decode order, _decode_digit votes on one of them for a block of buckets
+(a digit passes with _quorum votes), and _unpermute turns a hashing's
+decoded coordinates into flat indices. The one walk that drives them over
+a hashing's shifts, for a stored set's tables and for a streamed set as it
+is read, is hashing_measurements._decode_hashing; it starts with only the
+buckets that hold a quorum of valid probes.
 """
 from __future__ import annotations
 
@@ -79,6 +80,11 @@ def _digit_steps(mset: "MeasurementSet"):
             place *= base
 
 
+def _quorum(probes: int, tun: "Tunables") -> float:
+    """Votes a digit needs to pass among `probes` probe pairs."""
+    return tun.vote_fraction * probes - 1e-9
+
+
 def _decode_digit(
     meas: np.ndarray,
     ref: np.ndarray,
@@ -111,5 +117,5 @@ def _decode_digit(
     ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
     targets = (np.arange(base)[:, None] * betas[None, :]) & (base - 1)
     votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)
-    passed = votes >= tun.vote_fraction * len(betas) - 1e-9
+    passed = votes >= _quorum(len(betas), tun)
     return passed.sum(axis=0) == 1, passed.argmax(axis=0)

@@ -29,17 +29,32 @@ product, peak <= zero_floor_rel * initial_scale, so an all-zero spectrum
 certifies without a division. Why a clean table set leaves nothing to
 find: a residual coefficient h lands in one bucket of each of the
 r_max >= 3 independent hashings, with the filter's gain at its offset from
-that bucket's center (1 at the center, at least 0.47^(F d) on the
-plateau), and it appears there under r_max * c_max * S different
-modulation phases. So tables that are clean in all of them leave h
-undetected only if h is below the floor over its largest gain, or if other
-residual terms cancel it under every one of those phases. At mu = 0 the l1
-loop's last threshold is already ~1e-9 of the scale, below the final
-prune. When the certificate holds, the run skips that round's inf-norm
-stage, any later outer rounds and the constant-SNR sweep, and returns chi
-pruned at the floor; `RunStats.residual_peak_rel` reports the peak. The
-plan's closed-form ledger (`StagePlan.acquisition_reads`,
-`estimation_reads`) stays the non-adaptive worst case.
+that bucket's center (1 at the center, at least the filter's plateau gain
+g(n/(2b))^d, `BucketFilter.plateau_gain`), and it appears there under
+r_max * c_max * S different modulation phases. So tables that are clean
+in all of them leave h undetected only if h is below the peak over its
+gain, or if other residual terms cancel it under every one of those
+phases. At mu = 0 the l1 loop's last threshold is already ~1e-9 of the
+scale, below the final prune. When the certificate holds, the run skips
+that round's inf-norm stage, any later outer rounds and the constant-SNR
+sweep, and returns chi pruned at the floor; `RunStats.residual_peak_rel`
+reports the peak.
+
+The same argument ends the l1 loop early. Before each decode,
+`_threshold_rounds` scans the tables against `_stop_bound`, min(plateau
+gain * the lowest round threshold, zero_floor_rel * initial_scale): a peak
+within it leaves no coefficient that any later round could keep, short of
+the same cancellation, so the loop ends without decoding the ghosts, the
+buckets whose residue is rounding noise, and without estimating them
+again. The gain factor matters in d = 3, where the plateau gain is as low
+as 2.8e-5 (16^3, b = 8): without it a head still off by ~1e-9 of the scale
+could hide under the bound. The floor cap lets the stop fire only where
+the certificate then holds, so no later stage reads or draws from rng, and
+the output is the one the loop gives without the stop. The scan stops at
+its first row block above the bound, so a run where the stop does not fire
+pays for about one block per decode. The plan's closed-form ledger
+(`StagePlan.acquisition_reads`, `estimation_reads`) stays the
+non-adaptive worst case.
 
 For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
 sparse) bounds nothing. Under that bound every residual coefficient obeys
@@ -113,7 +128,11 @@ class RunStats:
     `residual_peak_rel` is the last certificate's peak, the main set's
     largest residual bucket, over its initial scale (0.0 when that scale is
     0). The inf-norm and constant-SNR stages were skipped by the
-    certificate exactly when it is <= `Tunables.zero_floor_rel`.
+    certificate exactly when it is <= `Tunables.zero_floor_rel`. The l1
+    loop may end before the plan's rounds, when the tables prove that no
+    later round can keep anything (`_stop_bound`), so `samples_estimation`
+    can be fewer calls than `rounds` even where every round's threshold is
+    below the noise bound.
     """
 
     samples_location: int = 0
@@ -173,6 +192,18 @@ def _estimate_at(
     return batch.kept
 
 
+def _stop_bound(mset: MeasurementSet, rounds: list[tuple[float, bool]]) -> float:
+    """The l1 loop's stop: tables of mset whose peak is at most this bound
+    leave no round of `rounds` anything to keep (see the module docstring).
+    It is the lowest round threshold times the filter's plateau gain, the
+    smallest gain a coefficient has in its own bucket, capped at the final
+    prune's floor zero_floor_rel * initial_scale."""
+    lowest = min(threshold for threshold, _ in rounds)
+    gain = mset.hashings[0].filter.plateau_gain
+    floor = mset.params.tunables.zero_floor_rel * mset.initial_scale
+    return min(gain * lowest, floor)
+
+
 def _threshold_rounds(
     mset: MeasurementSet,
     rounds: list[tuple[float, bool]],
@@ -189,18 +220,28 @@ def _threshold_rounds(
     until a round keeps something. A round whose threshold is above
     x_inf + ||mset.chi||_inf (x_inf bounds ||x||_inf) is idle: it keeps
     nothing without a decode, an estimate call or an rng draw. A round
-    that keeps nothing ends the loop when marked last_if_idle. Estimation
-    reads are added to mset.sample_counter. Returns the kept values, added
-    round by round.
+    that keeps nothing ends the loop when marked last_if_idle.
+
+    Before each decode the loop ends when the tables, which hold
+    x - mset.chi, peak at or below `_stop_bound`: then no later round
+    could keep anything, unless residual terms cancel a coefficient under
+    every probe and shift (see the module docstring). The scan ends at its
+    first row block above the bound, and the bound's floor cap lets the
+    stop fire only where the run's residual certificate then holds too, so
+    no later stage reads or draws from rng. Estimation reads are added to
+    mset.sample_counter. Returns the kept values, added round by round.
     """
     increment = SparseApprox.empty(mset.n, mset.d)
     found = None
+    stop = _stop_bound(mset, rounds)
     for threshold, last_if_idle in rounds:
         if _above_bound(threshold, x_inf, mset.chi):
             if last_if_idle:
                 break
             continue
         if found is None:
+            if _residual_peak(mset, above=stop) <= stop:
+                break
             found = decode_hashings(mset)
         kept = _estimate_at(mset, found, threshold, rng)
         if len(kept) > 0:
@@ -227,7 +268,11 @@ def reduce_l1_norm(
     Runs mset.params.rounds (~log2(log^4 N)) rounds of `_threshold_rounds`
     with a geometrically falling acceptance threshold, and stops early once
     the threshold has bottomed out at the noise floor and a round keeps
-    nothing.
+    nothing, or, before any decode, once the tables peak within
+    `_stop_bound` (min(plateau gain * the last threshold, zero_floor_rel *
+    initial_scale)): then no later round could keep anything, unless
+    residual terms cancel each other in every table (see the module
+    docstring).
     x_inf bounds ||x||_inf: for a caller's mu > 0, `sparse_fft_with_stats`
     passes the promised r_star * mu; mu = 0 bounds nothing, and the default
     math.inf keeps every round. A round whose threshold is above x_inf +
@@ -333,7 +378,8 @@ def sparse_fft_with_stats(
     r_star * mu, and the l1 and inf-norm stages skip, without any read,
     every round (and the whole inf-norm acquisition) whose threshold is
     above r_star * mu + ||chi||_inf. mu = 0 bounds nothing, so every round
-    runs. After each l1 loop the residual certificate (see the module
+    runs until the l1 loop's stop proves the rest idle (see the module
+    docstring). After each l1 loop the residual certificate (see the module
     docstring) compares the main set's largest residual bucket with
     zero_floor_rel * initial_scale; when it holds, the run skips that
     round's inf-norm stage, later rounds and the constant-SNR sweep. The
@@ -439,9 +485,10 @@ def sparse_fft(
 
     Its reads are bounded by the plan's closed-form ledger
     (`StagePlan.acquisition_reads` and `estimation_reads` per stage), the
-    non-adaptive worst case; the residual certificate cuts them when it
-    skips the inf-norm and constant-SNR stages, and `sparse_fft_with_stats`
-    returns the reads made. The output lives on the time side: it
+    non-adaptive worst case; the l1 loop's stop and the residual
+    certificate cut them when they end the loop early and skip the
+    inf-norm and constant-SNR stages, and `sparse_fft_with_stats` returns
+    the reads made. The output lives on the time side: it
     approximates the signal x whose transform is xhat, keeping the head
     coefficients and discarding everything at the mu noise floor.
     """

@@ -9,10 +9,12 @@ against the supermajority voting threshold. The one digit walk
 what the per-digit vote over every bucket (oracles.reference_locate)
 returns, also when it decodes the buckets a few columns at a time.
 """
+import math
+
 import numpy as np
 import pytest
 
-from sparsefft import core
+from sparsefft import core, hashing_measurements
 from sparsefft import DenseSignal, RecoveryParams
 from sparsefft.dense_dft import fft_grid
 from sparsefft.hashing_measurements import (
@@ -229,6 +231,37 @@ class TestMatchesPerDigitVote:
             scale *= base
         mset.buckets[:, ::2, 0, ::11] = 0.0
         mset.buckets[:, :, 1:, 5::7] = rng.normal(size=(R, C, S - 1, len(range(5, nb, 7))))
+        assert_matches_reference(mset)
+
+
+class TestQuorumPruning:
+    """The walk starts with only the buckets that hold a digit's quorum of
+    valid probes (references at or above near_zero); no other bucket could
+    win a digit."""
+
+    def test_buckets_short_of_a_quorum_never_reach_the_vote(self, rng, monkeypatch):
+        n, d, k = 1024, 1, 4
+        params = RecoveryParams.derive(n, d, k).main
+        mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
+        quorum = math.ceil(params.tunables.vote_fraction * params.c_max - 1e-9)
+        # Every ratio is 1, but each bucket has quorum - 1 valid probes.
+        mset.buckets[...] = 1.0
+        mset.buckets[:, quorum - 1 :, 0] = 0.0
+        widths = []
+        real = hashing_measurements._decode_digit
+
+        def recording(meas, *args):
+            widths.append(meas.shape[1])
+            return real(meas, *args)
+
+        monkeypatch.setattr(hashing_measurements, "_decode_digit", recording)
+        assert all(found.size == 0 for found in decode_hashings(mset))
+        assert widths == []
+        # One more valid probe puts that one bucket into the walk.
+        mset.buckets[0, quorum - 1, 0, 7] = 1.0
+        found = decode_hashings(mset)
+        assert widths and set(widths) == {1}
+        assert found[0].size <= 1 and all(f.size == 0 for f in found[1:])
         assert_matches_reference(mset)
 
 

@@ -7,6 +7,7 @@ sup-norm capping, and residual energy within a constant factor of the tail.
 """
 import hashlib
 import json
+import math
 import pathlib
 import sys
 import tracemalloc
@@ -26,7 +27,7 @@ from sparsefft import (
 from sparsefft import core, dense_dft, semi_equispaced
 from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
-from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal
+from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal, run_experiment
 from sparsefft.hashing_measurements import (
     acquire_measurements,
     decode_hashings,
@@ -583,21 +584,25 @@ def pinned_key(n, d, k, model):
     return f"{n}^{d} k={k} {model}"
 
 
-def pinned_run(n, d, k, model):
-    """The seeded harness-style recovery of the pinned record (its input,
-    arguments and seed, as `harness._run_one` makes the call)."""
-    spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
-    x, _, mu = generate_signal(spec, PINNED_SEED)
-    xhat = DenseSignal(n, d, np.fft.fftn(x.values, norm="ortho"), "frequency")
+def harness_run(spec, seed):
+    """The seeded harness-style recovery of spec's signal at seed (its
+    input, arguments and seed, as `harness._run_one` makes the call)."""
+    x, _, mu = generate_signal(spec, seed)
+    xhat = DenseSignal(spec.n, spec.d, np.fft.fftn(x.values, norm="ortho"), "frequency")
     return sparse_fft_with_stats(
         xhat,
-        k,
+        spec.k,
         epsilon=spec.epsilon,
         r_star=spec.effective_r_star(),
         mu=mu,
-        seed=PINNED_SEED,
-        params=spec.recovery_params(mu, PINNED_SEED),
+        seed=seed,
+        params=spec.recovery_params(mu, seed),
     )
+
+
+def pinned_run(n, d, k, model):
+    """The seeded harness-style recovery of the pinned record."""
+    return harness_run(ExperimentSpec(n=n, d=d, k=k, signal_model=model), PINNED_SEED)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -830,3 +835,52 @@ class TestResidualCertificate:
         assert len(calls) == 3
         assert truth.support() <= out.support()
         assert max(head_errors(truth, out)) < 1e-4 * truth.norm_inf()
+
+
+class TestL1Stop:
+    """Before each decode the l1 loop ends when the main set's tables, which
+    hold x - chi, peak within `_stop_bound`. The stop only skips rounds
+    that keep nothing, and it fires only where the residual certificate
+    then holds, so every output is the one the loop gives without it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "n,d,k,model",
+        [
+            (4096, 1, 4, "exact-sparse"),
+            (32, 2, 4, "exact-sparse"),
+            (16, 3, 2, "exact-sparse"),
+            (1024, 1, 8, "sparse-plus-gaussian-tail"),
+            (1024, 1, 8, "sparse-plus-adversarial-bucket-tail"),
+        ],
+    )
+    def test_stop_leaves_every_output_unchanged(self, n, d, k, model, monkeypatch):
+        spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
+        seeds = range(8)
+        stopped = [harness_run(spec, seed) for seed in seeds]
+        monkeypatch.setattr(recovery_module, "_stop_bound", lambda mset, rounds: -math.inf)
+        full = [harness_run(spec, seed) for seed in seeds]
+        saved = 0
+        for (out, stats), (want, want_stats) in zip(stopped, full):
+            assert out.flat.tobytes() == want.flat.tobytes()
+            assert out.values.tobytes() == want.values.tobytes()
+            saved += want_stats.samples_estimation - stats.samples_estimation
+            assert stats.samples_estimation <= want_stats.samples_estimation
+            if model == "exact-sparse":
+                assert replace(stats, samples_estimation=0) == replace(
+                    want_stats, samples_estimation=0
+                )
+            else:
+                assert stats == want_stats
+        if n == 4096:
+            assert saved > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exact_three_dimensional_batch_meets_the_guarantee(self):
+        # exact-3d-16's spec. Its plateau gain is 2.8e-5, so a bound without
+        # the gain, or a decoder cut at a fixed fraction of the scale, can
+        # end the refinement while a head is still off by ~1e-9 of the scale.
+        spec = ExperimentSpec(n=16, d=3, k=8, signal_model="exact-sparse", seeds=list(range(32)))
+        records = run_experiment(spec)
+        misses = [rec.seed for rec in records if rec.l2_error_ratio > 1.0 + spec.epsilon]
+        assert misses == []
