@@ -3,8 +3,8 @@
 The library recovers a k-sparse signal from a small number of reads of its
 orthonormal discrete Fourier transform. `sparse_fft` is the main entry
 point; the submodules expose the building blocks (bucket filters, spectrum
-permutations, semi-equispaced evaluation, bucket measurements, location,
-estimation) and a benchmark harness with a CLI.
+permutations, bucket measurements, location, estimation) and a benchmark
+harness with a CLI.
 """
 
 from .core import (
@@ -22,7 +22,7 @@ from .core import (
 from .dense_dft import forward_dft, inverse_dft
 from .diagnostics import NoiseProfile, compute_noise_profile
 from .estimation import EstimateBatch, estimate_values
-from .filters import BucketFilter, FlatWindow, build_bucket_filter, build_flat_window
+from .filters import BucketFilter, build_bucket_filter
 from .harness import ExperimentSpec, RunRecord, generate_signal, run_experiment
 from .hashing_measurements import (
     MeasurementSet,
@@ -44,7 +44,6 @@ from .recovery import (
     sparse_fft,
     sparse_fft_with_stats,
 )
-from .semi_equispaced import semi_equispaced_fft, shifted_semi_equispaced
 
 __version__ = "0.1.0"
 
@@ -63,15 +62,11 @@ __all__ = [
     "forward_dft",
     "inverse_dft",
     "BucketFilter",
-    "FlatWindow",
     "build_bucket_filter",
-    "build_flat_window",
     "SpectrumPermutation",
     "Hashing",
     "sample_permutation",
     "is_isolated",
-    "semi_equispaced_fft",
-    "shifted_semi_equispaced",
     "MeasurementSet",
     "acquire_measurements",
     "decode_hashings",

@@ -1,7 +1,7 @@
-"""Bucketing filters and flat windows.
+"""Bucketing filters.
 
-Both constructions are tensor products of 1-D windows, so each filter stores
-per-axis tables and evaluates d-dimensional values as products of gathers.
+A bucket filter is a tensor product of 1-D windows, so it stores per-axis
+tables and evaluates d-dimensional values as products of gathers.
 
 The bucket filter is the F-fold self-convolution of a width-(b+1) frequency
 box: in time domain a normalized Dirichlet kernel raised to the F-th power,
@@ -15,15 +15,6 @@ float convolution, and values within 2 ulp of the exact rationals. The
 counts must stay below 2**63, so (b+1)**(F-1) >= 2**63 is rejected (F = 4
 allows b up to 2**20, F = 6 up to 4096). The filter tables are read-only:
 cached_bucket_filter shares them between calls.
-
-The flat window is a frequency box of half-width b - b/4 blurred by the
-spectrum of a Kaiser time kernel whose main lobe fits inside b/4 bins:
-exactly 1 on |v| <= b/2, exactly 0 beyond |v| > b, in [0, 1] across the
-transition band. The kernel shape beta controls how far the spectrum can
-be pushed below the target N^-(c+1) deviation; the ring length caps beta
-at sqrt((2*pi*R*V/n)^2 - pi^2) with R = n/2 - 1 and V = b/4, so callers
-needing more accuracy than a given b affords must widen b. Both rules are
-exposed as max_window_beta and required_window_beta.
 """
 from __future__ import annotations
 
@@ -34,39 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ParameterError, bucket_side, is_power_of_two
-from .dense_dft import fft_grid
 
-__all__ = [
-    "BucketFilter",
-    "FlatWindow",
-    "build_bucket_filter",
-    "build_flat_window",
-    "cached_bucket_filter",
-    "max_window_beta",
-    "required_window_beta",
-]
-
-
-def max_window_beta(n: int, b: int) -> float:
-    """Largest Kaiser shape a width-b window can carry on a ring of n points.
-
-    The kernel occupies the whole ring (half-width R = n/2 - 1) and its
-    spectral main lobe must fit inside the b/4 transition bins, which bounds
-    the shape at sqrt((2*pi*R*V/n)^2 - pi^2) with V = b/4.
-    """
-    R = n // 2 - 1
-    V = b // 4
-    reach = 2.0 * math.pi * R * V / n
-    return math.sqrt(max(reach * reach - math.pi**2, 0.0))
-
-
-def required_window_beta(N: int, c: int) -> float:
-    """Kaiser shape needed to push spectral deviation below N**-(c+1).
-
-    Calibrated against measured spectra: deviation tracks 0.4 * exp(-beta),
-    so beta = log(0.4 * N**(c+1)) meets the target with a small margin.
-    """
-    return math.log(0.4) + (c + 1) * math.log(max(N, 4))
+__all__ = ["BucketFilter", "build_bucket_filter", "cached_bucket_filter"]
 
 
 def _dirichlet(n: int, L: int) -> np.ndarray:
@@ -207,86 +167,3 @@ def cached_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
     read-only)."""
     return build_bucket_filter(n, d, B, F)
 
-
-@dataclass
-class FlatWindow:
-    """Per-axis tables for one flat window.
-
-    `offsets`/`g_vals` give the compactly supported time-domain window;
-    `ghat_ideal_axis` is the reference spectrum: exactly 1 on |v| <= b/2,
-    exactly 0 for |v| > b, in [0, 1] on the transition band.
-    """
-
-    n: int
-    d: int
-    b: int
-    c: int
-    offsets: np.ndarray
-    g_vals: np.ndarray
-    ghat_ideal_axis: np.ndarray
-
-    def g_dense_axis(self) -> np.ndarray:
-        """Length-n time-domain window with zeros outside the support."""
-        dense = np.zeros(self.n, dtype=np.float64)
-        dense[self.offsets % self.n] = self.g_vals
-        return dense
-
-
-def build_flat_window(n: int, d: int, b: int, c: int) -> FlatWindow:
-    """Construct the width-b flat window at precision exponent c."""
-    if not is_power_of_two(n):
-        raise ParameterError(f"grid side must be a power of two, got n={n}")
-    if not is_power_of_two(b) or b < 8:
-        raise ParameterError(f"b must be a power of two >= 8, got b={b}")
-    if b > n:
-        raise ParameterError(f"window wider than the ring: b={b} > n={n}")
-    if c < 2:
-        raise ParameterError(f"precision exponent must be >= 2, got c={c}")
-
-    N = n**d
-    V = b // 4
-    h_box = b - V
-    R = n // 2 - 1
-    beta = min(required_window_beta(N, c), max_window_beta(n, b))
-
-    # Time domain: Dirichlet (box of half-width h_box) times a Kaiser kernel
-    # spanning the ring, normalized so the spectrum is exactly 1 at frequency
-    # zero. R = n/2 - 1 keeps the signed offsets collision-free mod n.
-    offsets = _signed_range(n, R)
-    t = offsets.astype(np.float64)
-    L_box = 2 * h_box + 1
-    theta = np.pi * offsets / n
-    num = np.sin(L_box * theta)
-    den = L_box * np.sin(theta)
-    dirichlet = np.ones(offsets.shape, dtype=np.float64)
-    np.divide(num, den, out=dirichlet, where=offsets != 0)
-    kaiser = np.i0(beta * np.sqrt(np.maximum(1.0 - (t / R) ** 2, 0.0))) / np.i0(beta)
-    g_vals = dirichlet * kaiser
-    g_vals /= g_vals.sum() / math.sqrt(n)
-
-    # Ideal spectrum: box of half-width h_box blurred by the Kaiser kernel's
-    # spectrum restricted to |v| <= V (clipped nonnegative, unit mass).
-    # Suffix sums of the blur give the transition ramp, so the plateau
-    # |v| <= h_box - V = b/2 is exactly 1, everything past h_box + V = b is
-    # exactly 0, and the ramp is monotone in [0, 1].
-    kernel_dense = np.zeros(n, dtype=np.float64)
-    kernel_dense[offsets % n] = kaiser
-    kernel_hat = fft_grid(kernel_dense).real
-    blur = np.maximum(np.roll(kernel_hat, V)[: 2 * V + 1], 0.0)
-    blur /= blur.sum()
-    ramp = np.minimum(np.cumsum(blur[::-1])[::-1], 1.0)
-    ideal = np.zeros(n, dtype=np.float64)
-    ideal[np.arange(-(h_box - V), h_box - V + 1, dtype=np.int64) % n] = 1.0
-    for j in range(1, 2 * V + 1):
-        ideal[(h_box - V + j) % n] = ramp[j]
-        ideal[-(h_box - V + j) % n] = ramp[j]
-
-    return FlatWindow(
-        n=n,
-        d=d,
-        b=b,
-        c=c,
-        offsets=offsets,
-        g_vals=g_vals,
-        ghat_ideal_axis=ideal,
-    )

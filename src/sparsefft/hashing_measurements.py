@@ -366,6 +366,10 @@ class MeasurementSet:
     # A streamed set's candidates, one array per hashing, as decode_hashings
     # gives them for a stored set; None when stored.
     found: list[np.ndarray] | None = None
+    # A stored set's table peak, as the last scan that read every block
+    # found it; None once update_residual_measurements has changed the
+    # tables since.
+    residual_peak: float | None = None
 
     @property
     def n(self) -> int:
@@ -520,6 +524,7 @@ def acquire_measurements(
                 xhat, filt, [hashing], [mods], out=mset.buckets[r].reshape(-1, params.B)
             )
         mset.initial_scale = _max_abs(mset.buckets.reshape(-1, params.B))
+        mset.residual_peak = mset.initial_scale
         return mset
     # Streamed: one call per shift of one hashing, sharing the hashing's
     # gather set-up and one gather block. Every shift is read, also once no
@@ -646,8 +651,15 @@ def _max_abs(table: np.ndarray, above: float = math.inf) -> float:
 def _residual_peak(mset: MeasurementSet, above: float = math.inf) -> float:
     """Largest |bucket| of a stored set's tables, which hold mset.source -
     mset.chi, over every hashing, probe and shift, taken as _max_abs takes
-    it (up to the first block above `above`); reads no samples."""
-    return _max_abs(mset.buckets.reshape(-1, mset.params.B), above)
+    it (up to the first block above `above`); reads no samples. A scan that
+    reads every block leaves its peak in mset.residual_peak, and later
+    calls answer from it, without a scan, until the tables change."""
+    if mset.residual_peak is not None:
+        return mset.residual_peak
+    peak = _max_abs(mset.buckets.reshape(-1, mset.params.B), above)
+    if peak <= above:
+        mset.residual_peak = peak
+    return peak
 
 
 def _subtract_chi(
@@ -695,4 +707,5 @@ def update_residual_measurements(
         slab = mset.buckets[r].reshape(-1, mset.params.B)
         _subtract_chi(slab, phases, hashing.perm.forward_array(coords), hashing, cells)
     mset.chi = mset.chi + chi_delta
+    mset.residual_peak = None
     return mset

@@ -52,9 +52,10 @@ could hide under the bound. The floor cap lets the stop fire only where
 the certificate then holds, so no later stage reads or draws from rng, and
 the output is the one the loop gives without the stop. The scan stops at
 its first row block above the bound, so a run where the stop does not fire
-pays for about one block per decode. The plan's closed-form ledger
-(`StagePlan.acquisition_reads`, `estimation_reads`) stays the
-non-adaptive worst case.
+pays for about one block per decode; when it fires, its scan has read
+every block, and the certificate reuses that peak. The plan's
+closed-form ledger (`StagePlan.acquisition_reads`, `estimation_reads`)
+stays the non-adaptive worst case.
 
 For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
 sparse) bounds nothing. Under that bound every residual coefficient obeys
@@ -88,7 +89,6 @@ from .core import (
     RecoveryParams,
     SparseApprox,
     StagePlan,
-    Tunables,
     _check_one_round,
     _check_targets,
     _first_seen,
@@ -367,7 +367,6 @@ def sparse_fft_with_stats(
     mu: float = 0.0,
     seed: int = 0,
     *,
-    tunables: Tunables | None = None,
     params: RecoveryParams | None = None,
 ) -> tuple[SparseApprox, RunStats]:
     """Full recovery pipeline, returning the approximation and a sample ledger.
@@ -385,9 +384,10 @@ def sparse_fft_with_stats(
     round's inf-norm stage, later rounds and the constant-SNR sweep. The
     returned stats split spectrum reads by stage, with acquisition
     (`samples_location`) fixed after startup, and report the certificate's
-    peak. The run follows
-    `RecoveryParams.derive` of these arguments, or params, whose k, targets
-    and seed must then be those of the call; tunables then go inside it.
+    peak. The run follows params, whose k, targets and seed must be those
+    of the call, or else `RecoveryParams.derive` of these arguments at the
+    default `Tunables`; other tunables go in through
+    `RecoveryParams.derive(tunables=...)`.
     """
     if xhat.domain != "frequency":
         raise ParameterError("recovery expects a frequency-domain signal")
@@ -401,10 +401,7 @@ def sparse_fft_with_stats(
             mu=mu,
             r_star=r_star,
             seed=seed,
-            tunables=tunables,
         )
-    elif tunables is not None:
-        raise ParameterError("pass tunables inside params, not beside it")
     for name, planned, given in (
         ("k", params.main.k, k),
         ("epsilon", params.epsilon, epsilon),
@@ -434,8 +431,8 @@ def sparse_fft_with_stats(
         reduce_l1_norm(mset, nu, mu_eff, rng=rng, stats=stats, x_inf=x_inf)
         peak = _residual_peak(mset)
         certified = peak <= floor
-        nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
-        if nu_prime > 0.0 and not certified:
+        if not certified:
+            nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
             increment = reduce_inf_norm(
                 xhat,
                 mset.chi,
@@ -478,7 +475,6 @@ def sparse_fft(
     mu: float = 0.0,
     seed: int = 0,
     *,
-    tunables: Tunables | None = None,
     params: RecoveryParams | None = None,
 ) -> SparseApprox:
     """Recover a k-sparse approximation of the spectrum's inverse transform.
@@ -490,9 +486,9 @@ def sparse_fft(
     inf-norm and constant-SNR stages, and `sparse_fft_with_stats` returns
     the reads made. The output lives on the time side: it
     approximates the signal x whose transform is xhat, keeping the head
-    coefficients and discarding everything at the mu noise floor.
+    coefficients and discarding everything at the mu noise floor. params
+    is the plan, as in `sparse_fft_with_stats`; pass one derived with
+    other tunables to change them.
     """
-    result, _ = sparse_fft_with_stats(
-        xhat, k, epsilon, r_star, mu, seed, tunables=tunables, params=params
-    )
+    result, _ = sparse_fft_with_stats(xhat, k, epsilon, r_star, mu, seed, params=params)
     return result

@@ -1,9 +1,7 @@
-"""Bucketing filter and flat window properties.
+"""Bucketing filter properties.
 
-The bucket filter checks are the three window bounds (plateau floor, decay
-envelope, unit range) plus the spectrum support and tensor structure; the
-flat window checks pin the exact plateau/cutoff shape of the ideal spectrum
-and the measured closeness of the constructed window to it.
+The checks are the three window bounds (plateau floor, decay envelope, unit
+range) plus the spectrum support and tensor structure.
 """
 import math
 from decimal import Decimal, localcontext
@@ -13,14 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsefft import ParameterError, SparseApprox, StagePlan
-from sparsefft.filters import (
-    build_bucket_filter,
-    build_flat_window,
-    cached_bucket_filter,
-    max_window_beta,
-    required_window_beta,
-)
+import sparsefft
+from sparsefft import ParameterError, SparseApprox, StagePlan, filters
+from sparsefft.filters import build_bucket_filter, cached_bucket_filter
 
 from sparsefft.semi_equispaced import semi_equispaced_fft
 
@@ -220,7 +213,7 @@ class TestBucketFilterValidation:
             )
         x = SparseApprox.from_flat(16, d, [1], [1.0])
         with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
-            semi_equispaced_fft(x, B, 2)
+            semi_equispaced_fft(x, B)
 
     def test_too_few_buckets_rejected(self):
         with pytest.raises(ParameterError):
@@ -253,78 +246,22 @@ class TestBucketFilterValidation:
         assert_within_ulps(dense_spectrum(filt), exact_spectrum(8, 4, 28), 2)
 
 
-class TestFlatWindowIdeal:
-    @pytest.mark.parametrize("n,b", [(64, 8), (128, 16), (256, 16), (256, 32)])
-    def test_plateau_cutoff_and_range_exact(self, n, b):
-        fw = build_flat_window(n, 1, b, 2)
-        sv = np.abs(signed_axis(n))
-        ideal = fw.ghat_ideal_axis
-        assert np.all(ideal[sv <= b // 2] == 1.0)
-        assert np.all(ideal[sv > b] == 0.0)
-        assert np.all((ideal >= 0.0) & (ideal <= 1.0))
+class TestExports:
+    def test_only_the_bucket_filter_is_exported(self):
+        assert filters.__all__ == ["BucketFilter", "build_bucket_filter", "cached_bucket_filter"]
 
-    def test_transition_monotone(self):
-        fw = build_flat_window(256, 1, 32, 2)
-        right = fw.ghat_ideal_axis[: 128]
-        assert np.all(np.diff(right) <= 1e-15)
-
-
-class TestFlatWindowAccuracy:
-    def test_example_plateau_within_target(self):
-        n, b, c = 256, 16, 2
-        fw = build_flat_window(n, 1, b, c)
-        spectrum = direct_transform(fw.g_dense_axis().astype(np.complex128), n, 1).real
-        sv = np.abs(signed_axis(n))
-        target = float(n) ** -2
-        assert np.max(np.abs(spectrum[sv <= b // 2] - 1.0)) <= target
-        assert np.max(np.abs(spectrum[sv > b])) <= target
-
-    @pytest.mark.parametrize("n,b,c", [(256, 16, 2), (256, 32, 2), (256, 32, 3), (1024, 64, 2)])
-    def test_l2_distance_to_ideal(self, n, b, c):
-        fw = build_flat_window(n, 1, b, c)
-        spectrum = direct_transform(fw.g_dense_axis().astype(np.complex128), n, 1)
-        dist = np.linalg.norm(spectrum - fw.ghat_ideal_axis)
-        assert dist <= float(n) ** -c
-
-    def test_spectrum_is_one_at_frequency_zero(self):
-        fw = build_flat_window(256, 1, 16, 2)
-        assert fw.g_vals.sum() == pytest.approx(math.sqrt(256), abs=1e-12)
-
-    def test_capped_shape_still_structurally_exact(self):
-        # b=8 on a 64-ring cannot reach the accuracy target; the ideal shape
-        # contracts must survive anyway.
-        fw = build_flat_window(64, 1, 8, 3)
-        sv = np.abs(signed_axis(64))
-        assert np.all(fw.ghat_ideal_axis[sv <= 4] == 1.0)
-        assert np.all(fw.ghat_ideal_axis[sv > 8] == 0.0)
-
-
-class TestBetaRules:
-    def test_required_grows_with_accuracy(self):
-        assert required_window_beta(1024, 3) > required_window_beta(1024, 2)
-        assert required_window_beta(2**16, 2) > required_window_beta(1024, 2)
-
-    def test_cap_grows_with_width(self):
-        assert max_window_beta(256, 32) > max_window_beta(256, 16)
-        assert max_window_beta(1024, 16) > max_window_beta(256, 16)
-
-    def test_example_sizes_feasible(self):
-        assert max_window_beta(256, 32) >= required_window_beta(256, 2)
-        assert max_window_beta(256, 32) >= required_window_beta(256, 3)
-        assert max_window_beta(64, 8) < required_window_beta(64, 2)
-
-
-class TestFlatWindowValidation:
-    def test_rejects_narrow_or_odd_widths(self):
-        with pytest.raises(ParameterError):
-            build_flat_window(256, 1, 4, 2)
-        with pytest.raises(ParameterError):
-            build_flat_window(256, 1, 24, 2)
-
-    def test_rejects_low_precision_exponent(self):
-        with pytest.raises(ParameterError):
-            build_flat_window(256, 1, 16, 1)
-
-    def test_rejects_window_wider_than_ring(self):
-        with pytest.raises(ParameterError):
-            build_flat_window(16, 1, 32, 2)
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            (filters, "FlatWindow"),
+            (filters, "build_flat_window"),
+            (filters, "max_window_beta"),
+            (filters, "required_window_beta"),
+            (sparsefft, "semi_equispaced_fft"),
+            (sparsefft, "shifted_semi_equispaced"),
+        ],
+    )
+    def test_flat_window_names_are_gone(self, module, name):
+        # The recovery path subtracts chi in bucket space, so nothing needs
+        # a flat window, and the package no longer exports the box evaluators.
+        assert not hasattr(module, name)

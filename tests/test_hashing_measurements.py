@@ -32,6 +32,7 @@ from sparsefft.hashing_measurements import (
     _fold_rows,
     _invert_rows,
     _modulations,
+    _residual_peak,
     _sample_balanced_probes,
     _support_dots,
     acquire_measurements,
@@ -313,6 +314,59 @@ class TestResidualUpdates:
         with pytest.raises(ParameterError):
             update_residual_measurements(mset, SparseApprox(128, 1))
 
+
+# (n, d, k, B, c_max): one stored main set per dimension, several row blocks.
+PEAK_SPECS = [(1024, 1, 4, 256, 11), (64, 2, 3, 256, 7), (16, 3, 2, 512, 7)]
+
+
+class TestResidualPeak:
+    """A stored set keeps the peak of its last scan that read every block,
+    and answers from it until update_residual_measurements changes the
+    tables."""
+
+    def _setup(self, n, d, k, B, c_max, rng):
+        params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max).main
+        x = random_sparse_time(n, d, k, rng)
+        mset = acquire_measurements(freq_signal(dense_time(x), n, d), params, rng)
+        return x, mset
+
+    @pytest.mark.parametrize("n,d,k,B,c_max", PEAK_SPECS)
+    def test_acquisition_keeps_its_full_peak(self, n, d, k, B, c_max, rng):
+        _, mset = self._setup(n, d, k, B, c_max, rng)
+        peak = float(np.abs(mset.buckets).max())
+        assert mset.residual_peak == mset.initial_scale == peak
+        assert _residual_peak(mset) == peak
+
+    @pytest.mark.parametrize("n,d,k,B,c_max", PEAK_SPECS)
+    def test_update_drops_the_peak_and_a_full_scan_keeps_the_new_one(
+        self, n, d, k, B, c_max, rng
+    ):
+        x, mset = self._setup(n, d, k, B, c_max, rng)
+        update_residual_measurements(mset, x.largest(1))
+        assert mset.residual_peak is None
+        peak = float(np.abs(mset.buckets).max())
+        # A bound the tables meet: the scan reads every block.
+        assert _residual_peak(mset, above=peak) == peak
+        assert mset.residual_peak == peak
+
+    @pytest.mark.parametrize("n,d,k,B,c_max", PEAK_SPECS)
+    def test_stopped_scan_keeps_no_peak(self, n, d, k, B, c_max, rng, monkeypatch):
+        x, mset = self._setup(n, d, k, B, c_max, rng)
+        update_residual_measurements(mset, x.largest(1))
+        rows = mset.buckets.reshape(-1, B)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 16 * B)  # one row per block
+        first = float(np.abs(rows[0]).max())
+        assert first > 0.0 and len(rows) > 1
+        assert _residual_peak(mset, above=first / 2) == first
+        assert mset.residual_peak is None
+        assert _residual_peak(mset) == float(np.abs(rows).max())
+
+    def test_kept_peak_answers_without_a_scan(self, rng, monkeypatch):
+        _, mset = self._setup(*PEAK_SPECS[0], rng)
+        peak = mset.residual_peak
+        monkeypatch.setattr(hm, "_max_abs", lambda *a, **kw: pytest.fail("scanned"))
+        assert _residual_peak(mset) == peak
+        assert _residual_peak(mset, above=peak / 2) == peak
 
 
 class TestBlocksAreInvisible:

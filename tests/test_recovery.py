@@ -24,7 +24,7 @@ from sparsefft import (
     SparseApprox,
     Tunables,
 )
-from sparsefft import core, dense_dft, semi_equispaced
+from sparsefft import core, dense_dft, hashing_measurements, semi_equispaced
 from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal, run_experiment
@@ -465,18 +465,36 @@ class TestFullPipeline:
         with pytest.raises(ParameterError):
             sparse_fft(dense_time(x), 2)
 
-    def test_params_must_match_k_and_carry_the_tunables(self, rng):
-        # Every stage must see one k and one set of tunables: params.k sizes
-        # the l1 stage while the k argument sizes the later ones, and params
-        # brings its own tunables.
+    def test_params_must_match_k(self, rng):
+        # Every stage must see one k: params.k sizes the l1 stage while the
+        # k argument sizes the later ones.
         n, d, k = 256, 1, 2
         xhat = lib_freq(dense_time(random_sparse_time(n, d, k, rng)).values, n, d)
         params = RecoveryParams.derive(n, d, k)
         with pytest.raises(ParameterError, match="k"):
             sparse_fft_with_stats(xhat, k + 1, params=params)
-        with pytest.raises(ParameterError, match="tunables"):
-            sparse_fft_with_stats(xhat, k, params=params, tunables=Tunables())
         sparse_fft_with_stats(xhat, k, params=params)
+
+    @pytest.mark.parametrize("entry", [sparse_fft, sparse_fft_with_stats])
+    def test_tunables_are_not_a_keyword(self, entry, rng):
+        # Tunables go in through the plan only, so no run can pair a plan
+        # with tunables it was not derived from.
+        xhat = lib_freq(dense_time(random_sparse_time(256, 1, 2, rng)).values, 256, 1)
+        with pytest.raises(TypeError, match="tunables"):
+            entry(xhat, 2, tunables=Tunables())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_follows_the_tunables_of_its_params(self, rng):
+        # Twice the location repetitions double the hashings, and so the
+        # acquisition reads, of the main set.
+        n, d, k = 1024, 1, 4
+        xhat = lib_freq(dense_time(random_sparse_time(n, d, k, rng)).values, n, d)
+        default = RecoveryParams.derive(n, d, k)
+        wider = RecoveryParams.derive(n, d, k, tunables=Tunables(location_reps_coeff=2.0))
+        assert wider.main.r_max > default.main.r_max
+        for params in (default, wider):
+            _, stats = sparse_fft_with_stats(xhat, k, params=params)
+            assert stats.samples_location == params.main.acquisition_reads
 
     @pytest.mark.parametrize(
         "target,value", [("epsilon", 0.5), ("r_star", 4.0), ("mu", 0.1), ("seed", 1)]
@@ -874,6 +892,42 @@ class TestL1Stop:
                 assert stats == want_stats
         if n == 4096:
             assert saved > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_certificate_reads_no_block_after_the_stop_scan(self, monkeypatch):
+        # When the stop fires, its scan has read every block of the main
+        # set's tables; the certificate right after answers from that peak.
+        scans = []  # per _residual_peak call: [bound, peak, blocks read, blocks]
+
+        class CountedRows(np.ndarray):
+            def __getitem__(self, key):
+                scans[-1][2] += 1
+                return np.asarray(self)[key]
+
+        real_peak, real_scan = recovery_module._residual_peak, hashing_measurements._max_abs
+
+        def peak(mset, above=math.inf):
+            scans.append([above, None, 0, 0])
+            scans[-1][1] = real_peak(mset, above)
+            return scans[-1][1]
+
+        def scan(table, above=math.inf):
+            if not scans:  # the acquisition's initial scale
+                return real_scan(table, above)
+            step = hashing_measurements._block_rows(16 * table.shape[1])
+            scans[-1][3] = len(range(0, len(table), step))
+            return real_scan(table.view(CountedRows), above)
+
+        monkeypatch.setattr(recovery_module, "_residual_peak", peak)
+        monkeypatch.setattr(hashing_measurements, "_max_abs", scan)
+        spec = ExperimentSpec(n=4096, d=1, k=4, signal_model="exact-sparse")
+        for seed in range(4):
+            scans.clear()
+            harness_run(spec, seed)
+            *_, (stop, stop_peak, read, blocks), (bound, certified_peak, reread, _) = scans
+            assert stop_peak <= stop and bound == math.inf
+            assert read == blocks > 1
+            assert reread == 0 and certified_peak == stop_peak
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exact_three_dimensional_batch_meets_the_guarantee(self):
