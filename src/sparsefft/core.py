@@ -514,9 +514,16 @@ class StagePlan:
             raise ParameterError(f"need B >= k, got B={self.B} < k={self.k}")
         if min(self.r_max, self.c_max, self.reps, self.rounds) < 1:
             raise ParameterError("repetition and round counts must be >= 1")
-        # Location tests each probe against its nearest root only; that is
-        # exact when the tolerance disks of adjacent roots cannot overlap.
-        # Every ladder base is <= delta, so delta is the binding case.
+        # The location vote finds a probe's nearest root by sign tests, which
+        # it has for bases 2 and 4 only, and tests the probe against that
+        # root alone. That is exact when the tolerance disks of adjacent
+        # roots are disjoint: ratio_tolerance < sin(pi / base). Every ladder
+        # base is <= delta, so delta is the binding case.
+        if not set(self.group_bases) <= {2, 4}:
+            raise ParameterError(
+                f"location digits of base {self.group_bases} at n={self.n}: "
+                "the vote takes bases 2 and 4 only"
+            )
         if self.tunables.ratio_tolerance >= math.sin(math.pi / self.delta):
             raise ParameterError(
                 f"ratio_tolerance {self.tunables.ratio_tolerance} must lie below "
@@ -531,6 +538,14 @@ class StagePlan:
     def delta(self) -> int:
         """Digit base for location digits; see `digit_base`."""
         return digit_base(self.n)
+
+    @property
+    def group_bases(self) -> tuple[int, ...]:
+        """Base of each digit group of the location ladder: delta, and for
+        the last group the leftover n / delta^(G-1), so the groups cover
+        every bit of [n]."""
+        groups = _digit_groups(self.n, self.delta)
+        return (self.delta,) * (groups - 1) + (self.n // self.delta ** (groups - 1),)
 
     @property
     def F_est(self) -> int:

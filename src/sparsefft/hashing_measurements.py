@@ -18,18 +18,29 @@ subtraction of recovered mass goes through update_residual_measurements,
 which applies the same exact rule to the stored tables, records the mass
 in MeasurementSet.chi, and keeps the sample counter frozen. A streamed
 set, for the inf-norm and constant-SNR stages that decode their set once,
-is read one hashing and one shift at a time and decoded as it is read.
-Both are decoded by one digit walk, _decode_hashing, which takes a
-hashing's shifts one at a time: for a stored set (decode_hashings) views
-of its table, which holds source - chi; for a streamed set fresh reads,
-which lose the caller's chi at the buckets still alive before their
-digit's votes. It returns one array of flat indices per hashing. The walk
-starts with only the buckets whose reference holds a digit's quorum of
-valid probes (at least vote_fraction * c_max - 1e-9 entries at or above
-near_zero, location._quorum): an invalid probe casts no vote, so no other
-bucket could win a digit, and skipping them changes no output. On the
-bench's exact workloads (exact-1d-65536, exact-3d-16), a decode after every
-head was subtracted starts with 0-20 of a hashing's 512-1024 buckets.
+is read one shift at a time, for all its hashings in one _bucket_tables
+call, and each shift is decoded as it is read.
+
+Both are decoded by one digit walk, _walk_digits, over the live (hashing,
+bucket) pairs of every hashing of the set together: a _Walk is a block of
+them, in (hashing, bucket) order, which votes each digit with one
+location._decode_digit call. A pair is live when its reference holds a
+digit's quorum of valid probes (at least vote_fraction * c_max - 1e-9
+entries at or above near_zero, location._quorum): an invalid probe casts no
+vote, so no other pair could win a digit, and skipping them changes no
+output. On the bench's exact workloads (exact-1d-65536, exact-3d-16), a
+decode after every head was subtracted starts with 0-20 of a hashing's
+512-1024 buckets. A block computes its pairs' inverse reference once; it
+is sized so that each of its arrays fits one _BLOCK_BYTES block
+(_WALK_ENTRY_BYTES). A stored set (decode_hashings)
+walks its blocks one after the other through every digit, reading views
+of its table, which holds source - chi, so it holds one block's working
+set at a time. A streamed set has one shift in hand at a time, so all its
+blocks vote each digit before the next shift is read; their inverse
+references are never larger than the reference tables the set keeps. Its
+freshly read tables lose the caller's chi at the live pairs only, before
+their digit's votes (_ChiCleaner). The walk gives one array of flat indices
+per hashing.
 
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: _bucket_tables takes an (M_h, d)
@@ -41,14 +52,14 @@ needs them.
 The kernels stream, so the main set's stored table is the only array of a
 run that grows with rows times B, and it lives in a memory mapping that
 the next table reuses (_mapped_table); a streamed set holds its reference
-tables and one hashing's current shift:
+tables and every hashing's tables of the current shift:
 
 - _bucket_tables gathers its rows in blocks of about core._BLOCK_BYTES
   (1 MiB) of samples. Each block is gathered with one fancy index, weighted
   in place, and folded straight into its rows of the caller's array (a
   hashing's slab of a stored set's MeasurementSet.buckets, or one shift's
-  rows of a streamed set). So neither a full (rows, P) sample table nor a
-  second (rows, B) copy ever exists.
+  rows of every hashing of a streamed set). So neither a full (rows, P)
+  sample table nor a second (rows, B) copy ever exists.
 - The folded rows are inverted in place, in batches of at least
   core._FFT_BATCH_ROWS (8) rows that may span gather blocks and hashings.
   A 2^16-sample row fills a whole gather block, and pocketfft takes about
@@ -66,9 +77,9 @@ tables and one hashing's current shift:
   update takes 56-58 ms this way against 156-160 ms in 2-row blocks,
   which reread the whole weights for every block (one thread). A streamed
   set subtracts the same way from its reference shift, and from a later
-  shift at its live buckets only. The acquisition's initial scale is a maximum
-  over row blocks, and a block holding a NaN or an infinity (a non-finite
-  spectrum sample was read) stops the acquisition.
+  shift at its live buckets only. The acquisition's initial scale is a
+  maximum over row blocks, and a block holding a NaN or an infinity (a
+  non-finite spectrum sample was read) stops the acquisition.
 - Every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
 - A hashing's support offsets mapped by Sigma, and the exponents of its
@@ -107,12 +118,18 @@ from .core import (
     _FFT_BATCH_ROWS,
     _UPDATE_COLUMNS,
     _block_rows,
-    _digit_groups,
     unit_roots,
 )
 from .dense_dft import fft_axes
 from .filters import BucketFilter, cached_bucket_filter
-from .location import _balanced_axes, _decode_digit, _digit_steps, _quorum, _unpermute
+from .location import (
+    _balanced_axes,
+    _decode_digit,
+    _digit_steps,
+    _inverse_reference,
+    _quorum,
+    _unpermute,
+)
 from .permutation import Hashing, sample_permutation
 
 __all__ = [
@@ -352,7 +369,6 @@ class MeasurementSet:
     alphas: np.ndarray
     betas: np.ndarray
     shifts: np.ndarray
-    group_bases: tuple[int, ...]
     buckets: np.ndarray
     # The spectrum measurements were taken from; estimation stages read it
     # when they draw fresh hashings.
@@ -379,26 +395,23 @@ class MeasurementSet:
     def d(self) -> int:
         return self.params.d
 
+    @property
+    def group_bases(self) -> tuple[int, ...]:
+        return self.params.group_bases
+
     def shift_slot(self, g: int, s: int) -> int:
         """Flat index of the shift for digit group g (1-based) and axis s."""
         return 1 + (g - 1) * self.d + s
 
 
-def _digit_ladder(n: int, d: int, delta: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Shift vectors 0, then n/(Delta^(g-1) * base_g) e_s per digit group,
-    as an (S, d) array.
-
-    The last group uses the leftover base n / Delta^(G-1), which keeps every
-    shift integral and covers all log2(n) bits.
-    """
-    groups = _digit_groups(n, delta)
-    bases = []
+def _digit_ladder(params: StagePlan) -> np.ndarray:
+    """Shift vectors 0, then n/(Delta^(g-1) * base_g) e_s per digit group g
+    and axis s, as an (S, d) array; base_g is params.group_bases[g - 1]."""
+    n, d, delta = params.n, params.d, params.delta
     shifts = [np.zeros((1, d), dtype=np.int64)]
-    for g in range(1, groups + 1):
-        base = delta if g < groups else n // delta ** (groups - 1)
-        bases.append(base)
+    for g, base in enumerate(params.group_bases, start=1):
         shifts.append((n // (delta ** (g - 1) * base)) * np.eye(d, dtype=np.int64))
-    return tuple(bases), np.concatenate(shifts)
+    return np.concatenate(shifts)
 
 
 _SPARE_MAPPING: list[mmap.mmap] = []  # the last freed table's, for the next
@@ -471,9 +484,10 @@ def acquire_measurements(
 
     Without chi the set stores every table, for a caller that decodes and
     updates it again and again. With chi the set is streamed: each shift is
-    read, cleaned of chi at the buckets still alive and decoded before the
-    next is read, so only the reference tables and one hashing's current
-    shift are ever held; the set keeps its reference tables and `found`.
+    read for every hashing, cleaned of chi at the buckets still alive and
+    decoded before the next is read, so only the reference tables and the
+    current shift's tables are ever held; the set keeps its reference
+    tables and `found`.
     Both draw the same hashings and probes from rng, read the same samples,
     and give the same initial scale; a streamed set's `found` is the stored
     set's decode_hashings after update_residual_measurements with chi. A
@@ -487,7 +501,7 @@ def acquire_measurements(
         raise ParameterError("chi does not live on the measurement grid")
     n, d = params.n, params.d
     delta = params.delta
-    bases, shifts = _digit_ladder(n, d, delta)
+    shifts = _digit_ladder(params)
     filt = cached_bucket_filter(n, d, params.B, params.F)
 
     hashings = []
@@ -500,15 +514,14 @@ def acquire_measurements(
     S = len(shifts)
     if chi is None:
         table = _mapped_table((params.r_max, params.c_max, S, params.B))
-    else:  # the reference tables, then a slab for the shift being decoded
-        table = _mapped_table((params.r_max + 1, params.c_max, 1, params.B))
+    else:  # the reference tables, then the tables of the shift being decoded
+        table = _mapped_table((2 * params.r_max, params.c_max, 1, params.B))
     mset = MeasurementSet(
         params=params,
         hashings=hashings,
         alphas=alphas,
         betas=betas,
         shifts=shifts,
-        group_bases=bases,
         buckets=table[: params.r_max],
         source=xhat,
         chi=SparseApprox.empty(n, d) if chi is None else chi,
@@ -526,25 +539,31 @@ def acquire_measurements(
         mset.initial_scale = _max_abs(mset.buckets.reshape(-1, params.B))
         mset.residual_peak = mset.initial_scale
         return mset
-    # Streamed: one call per shift of one hashing, sharing the hashing's
-    # gather set-up and one gather block. Every shift is read, also once no
-    # bucket is left to decode, so the reads are those the counter books.
-    current = table[-1, :, 0]
-    block = _gather_block(filt, params.c_max)
-    peaks, mset.found = [], []
-    for r, hashing in enumerate(hashings):
-        setups = [_gather_setup(filt, hashing)]
-        mods = _modulations(alphas[r], betas[r], shifts, n)
+    # Streamed: one call per shift reads it for every hashing, sharing the
+    # hashings' gather set-ups and one gather block. Every shift is read,
+    # also once no bucket is left to decode, so the reads are those the
+    # counter books.
+    current = table[params.r_max :].reshape(-1, params.B)
+    setups = [_gather_setup(filt, hashing) for hashing in hashings]
+    mods = [_modulations(alphas[r], betas[r], shifts, n) for r in range(params.r_max)]
+    block = _gather_block(filt, len(current))
+    peaks = []
 
-        def read(w: int) -> np.ndarray:
-            rows = mset.buckets[r, :, 0] if w == 0 else current
-            _bucket_tables(
-                xhat, filt, [hashing], [mods[w::S]], out=rows, setups=setups, block=block
-            )
-            peaks.append(_max_abs(rows))
-            return rows
+    def read(w: int) -> np.ndarray:
+        rows = mset.buckets.reshape(-1, params.B) if w == 0 else current
+        _bucket_tables(
+            xhat, filt, hashings, [m[w::S] for m in mods], out=rows, setups=setups, block=block
+        )
+        peaks.append(_max_abs(rows))
+        return rows.reshape(-1)
 
-        mset.found.append(_decode_hashing(mset, r, read, chi if len(chi) else None))
+    ref = read(0)
+    clean = _ChiCleaner(mset, chi) if len(chi) else None
+    if clean is not None:
+        clean.reference(ref)
+    walks = list(_walks(mset))
+    _walk_digits(mset, walks, read, clean)
+    mset.found = _found(mset, [(walk.r, walk.fvec) for walk in walks])
     mset.initial_scale = max(peaks)
     return mset
 
@@ -553,80 +572,188 @@ def decode_hashings(mset: MeasurementSet) -> list[np.ndarray]:
     """Decode every hashing of a stored set from its tables, which hold
     mset.source - mset.chi: one array per hashing of the flat indices its
     buckets decode to, in bucket order, each once. Reads no samples. A
-    streamed set keeps no shifted tables; its arrays are mset.found."""
+    streamed set keeps no shifted tables; its arrays are mset.found.
+
+    The set's live pairs walk in blocks, one block through every digit
+    before the next, so the walk holds one block's inverse reference."""
+    if mset.found is not None:
+        raise ParameterError("a streamed measurement set was decoded as it was read")
+    B = mset.params.B
+    flat = mset.buckets.reshape(-1)
+    decoded = []
+    for walk in _walks(mset):
+        _walk_digits(mset, [walk], lambda w: flat[w * B :])
+        decoded.append((walk.r, walk.fvec))
+    return _found(mset, decoded)
+
+
+# A block of live pairs holds _BLOCK_BYTES / _WALK_ENTRY_BYTES (probe, pair)
+# entries, so each of the walk's arrays (inverse reference, ratios,
+# correction roots and exponents, float temporaries) fits one block. Larger
+# blocks pay numpy's fixed cost per call on fewer calls: a decode of
+# gauss-2d-64's main set took 0.56 of the per-hashing walk's time at 48 and
+# 0.59 at 64, and peaked at 1.65 MB (tracemalloc) against 1.94 MB.
+_WALK_ENTRY_BYTES = 48
+
+
+class _Walk:
+    """One block of live (hashing, bucket) pairs walking the digits.
+
+    Tables come as flat arrays that hold entry (hashing, probe, bucket) at
+    (hashing * c_max + probe) * stride + bucket. Pair l is hashing r[l]'s
+    bucket at offset off[l] = r[l] * c_max * stride + bucket, in (r, bucket)
+    order; inv is the pairs' (c_max, pairs) inverse reference
+    (location._inverse_reference) and fvec the (pairs, d) digits decoded so
+    far. A pair leaves at the first digit it fails.
+    """
+
+    def __init__(self, mset: MeasurementSet, r: np.ndarray, b: np.ndarray, stride: int):
+        c_max = mset.betas.shape[1]
+        self.mset, self.r = mset, r
+        self.hashing_stride = c_max * stride
+        self.off = r * self.hashing_stride + b
+        self.probe_offsets = np.arange(c_max)[:, None] * stride
+        # betas[s] is the (c_max, r_max) array of the probes' coefficients on axis s.
+        self.betas = np.ascontiguousarray(mset.betas.transpose(2, 1, 0))
+        ref = self.take(mset.buckets.reshape(-1))
+        self.inv = _inverse_reference(ref, mset.params.tunables)
+        self.fvec = np.zeros((r.size, mset.d), dtype=np.int64)
+
+    @property
+    def b(self) -> np.ndarray:
+        """The pairs' buckets."""
+        return self.off - self.r * self.hashing_stride
+
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        """The (c_max, pairs) entries of the pairs in a flat table."""
+        return flat[self.probe_offsets + self.off]
+
+    def vote(self, flat: np.ndarray, w: int, s: int, base: int, place: int) -> None:
+        """Vote on digit (w, s, base, place) of _digit_steps from the shift's
+        flat table; keep the pairs that win it."""
+        mset = self.mset
+        z = self.take(flat)
+        z *= self.inv
+        unique, chosen = _decode_digit(
+            z,
+            self.betas[s].take(self.r, axis=1),
+            self.fvec[:, s],
+            mset.n,
+            int(mset.shifts[w, s]),
+            base,
+            mset.params.tunables,
+        )
+        keep = np.flatnonzero(unique)
+        if keep.size < unique.size:
+            self.r, self.off, self.fvec = self.r[keep], self.off[keep], self.fvec[keep]
+            self.inv = self.inv.take(keep, axis=1)
+            chosen = chosen[keep]
+        self.fvec[:, s] += place * chosen
+
+
+def _walks(mset: MeasurementSet):
+    """The set's live pairs in blocks, each a _Walk: the pairs whose
+    reference holds a digit's quorum of valid probes (location._quorum). A
+    probe below near_zero casts no vote, so no other pair could win a
+    digit. A stored and a streamed set hold their reference tables alike,
+    in mset.buckets[:, :, 0]. The blocks are made as they are asked for."""
+    R, C, S, B = mset.buckets.shape
+    tun = mset.params.tunables
+    r_live, b_live = [], []
+    for r in range(R):
+        invalid = np.abs(mset.buckets[r, :, 0]) < tun.near_zero
+        live = np.flatnonzero(C - invalid.sum(axis=0) >= _quorum(C, tun))
+        r_live.append(np.full(live.size, r))
+        b_live.append(live)
+    r_live, b_live = np.concatenate(r_live), np.concatenate(b_live)
+    size = _block_rows(_WALK_ENTRY_BYTES * C)
+    for lo in range(0, r_live.size, size):
+        yield _Walk(mset, r_live[lo : lo + size], b_live[lo : lo + size], S * B)
+
+
+def _walk_digits(mset: MeasurementSet, walks: list[_Walk], rows, clean=None) -> None:
+    """The one digit walk: every block of `walks` votes on each digit in
+    decode order. rows(w) gives the flat tables of shift w (as _Walk reads
+    them); clean, when given, takes chi out of them at the live pairs
+    first."""
+    for w, s, base, place in _digit_steps(mset):
+        flat = rows(w)
+        if clean is not None:
+            clean(flat, w, walks)
+        for walk in walks:
+            if walk.r.size:
+                walk.vote(flat, w, s, base, place)
+
+
+def _found(
+    mset: MeasurementSet, decoded: list[tuple[np.ndarray, np.ndarray]]
+) -> list[np.ndarray]:
+    """Per hashing, the flat indices its pairs decoded to, in bucket order,
+    each once, from the (r, fvec) arrays that the walks left, in order."""
+    fvec = np.concatenate([f for _, f in decoded] + [np.empty((0, mset.d), dtype=np.int64)])
+    bounds = _hashing_bounds(mset, [r for r, _ in decoded])
     return [
-        _decode_hashing(mset, r, lambda w: mset.buckets[r, :, w])
-        for r in range(len(mset.hashings))
+        _unpermute(fvec[lo:hi], hashing)
+        for hashing, lo, hi in zip(mset.hashings, bounds[:-1], bounds[1:])
     ]
 
 
-def _decode_hashing(
-    mset: MeasurementSet, r: int, shift_rows, chi: SparseApprox | None = None
-) -> np.ndarray:
-    """The one digit walk: the flat indices hashing r's buckets decode to,
-    in bucket order, each once.
+def _hashing_bounds(mset: MeasurementSet, hashings: list[np.ndarray]) -> np.ndarray:
+    """Where each hashing's pairs start in the pairs' hashing arrays,
+    concatenated in order, and where the last ends: an (r_max + 1,) array."""
+    r = np.concatenate(hashings + [np.empty(0, dtype=np.int64)])
+    return np.searchsorted(r, np.arange(len(mset.hashings) + 1))
 
-    shift_rows(w) gives the hashing's (c_max, B) rows under shift w, for
-    the reference and then each digit in decode order, so a bucket drops
-    out at the first digit it fails, and a bucket whose reference has fewer
-    valid probes than a digit's quorum (location._quorum) never enters the
-    walk, since it could win no digit. Rows that still hold chi come with it:
-    the reference loses chi at every bucket, in place, and a later shift at
-    the live buckets only, with chi's weights built at a bucket's first
-    digit and kept while it lives. Digits are voted in blocks of live
-    buckets of about _BLOCK_BYTES per probe-row array.
-    """
-    n, S, tun = mset.n, len(mset.shifts), mset.params.tunables
-    hashing = mset.hashings[r]
-    ref = shift_rows(0)
-    if chi is not None:
-        cells = _all_cells(hashing.b, mset.d)
-        pi = hashing.perm.forward_array(chi.coords_array())
-        mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, n)
-        phases = _chi_phases(chi, hashing, mods)
-        _subtract_chi(ref, phases[0::S], pi, hashing, cells)
-    invalid = np.abs(ref) < tun.near_zero
-    # A probe below near_zero casts no vote, so a bucket with fewer valid
-    # probes than a digit's quorum can never win one: the walk skips it.
-    valid = ref.shape[0] - invalid.sum(axis=0)
-    live = np.flatnonzero(valid >= _quorum(ref.shape[0], tun))
-    fvec = np.zeros((live.size, mset.d), dtype=np.int64)
-    columns = _block_rows(16 * ref.shape[0])
-    weights = None
-    for w, s, base, place in _digit_steps(mset):
-        rows = shift_rows(w)
-        if not live.size:
-            continue
-        unique = np.empty(live.size, dtype=bool)
-        chosen = np.empty(live.size, dtype=np.int64)
-        carried = []
-        for lo in range(0, live.size, columns):
-            cols, part = live[lo : lo + columns], slice(lo, lo + columns)
-            meas = rows[:, cols]
-            if chi is not None:
-                if weights is None:
-                    gains = _chi_weights(pi, hashing, cells[cols])
-                else:
-                    gains = weights[:, part]
-                meas -= phases[w::S] @ gains
-            unique[part], chosen[part] = _decode_digit(
-                meas,
-                ref[:, cols],
-                invalid[:, cols],
-                mset.betas[r, :, s],
-                fvec[part, s],
-                n,
-                int(mset.shifts[w, s]),
-                base,
-                tun,
-            )
-            if chi is not None:
-                carried.append(gains[:, unique[part]])
-        live, fvec = live[unique], fvec[unique]
-        fvec[:, s] += place * chosen[unique]
-        if chi is not None:
-            weights = np.concatenate(carried, axis=1)
-    return _unpermute(fvec, hashing)
+
+class _ChiCleaner:
+    """Takes a streamed set's chi out of its freshly read tables: from the
+    reference at every bucket, and from a later shift at the live pairs
+    only. chi's phases are made for one shift at a time, and its weights at
+    a bucket at the first digit, kept (real, as the filter is) while the
+    bucket lives. Each hashing's live buckets are cleaned in blocks whose
+    (c_max, width) rows fill about _BLOCK_BYTES."""
+
+    def __init__(self, mset: MeasurementSet, chi: SparseApprox) -> None:
+        self.mset, self.chi = mset, chi
+        self.cells = _all_cells(mset.hashings[0].b, mset.d)
+        coords = chi.coords_array()
+        self.pi = [h.perm.forward_array(coords) for h in mset.hashings]
+        self.mods = [
+            _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
+            for r in range(len(mset.hashings))
+        ]
+        # Per hashing: the live buckets at the last digit and chi's weights there.
+        self.weights: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(mset.hashings)
+
+    def _rows(self, flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(len(self.mset.hashings), -1, self.mset.params.B)
+
+    def _phases(self, r: int, w: int) -> np.ndarray:
+        S = len(self.mset.shifts)
+        return _chi_phases(self.chi, self.mset.hashings[r], self.mods[r][w::S])
+
+    def reference(self, flat: np.ndarray) -> None:
+        for r, (hashing, rows) in enumerate(zip(self.mset.hashings, self._rows(flat))):
+            _subtract_chi(rows, self._phases(r, 0), self.pi[r], hashing, self.cells)
+
+    def __call__(self, flat: np.ndarray, w: int, walks: list[_Walk]) -> None:
+        b_live = np.concatenate([walk.b for walk in walks] + [np.empty(0, dtype=np.int64)])
+        bounds = _hashing_bounds(self.mset, [walk.r for walk in walks])
+        columns = _block_rows(16 * self.mset.betas.shape[1])
+        for r, (hashing, rows) in enumerate(zip(self.mset.hashings, self._rows(flat))):
+            live = b_live[bounds[r] : bounds[r + 1]]
+            if not live.size:
+                continue
+            if self.weights[r] is None:
+                gains = _chi_weights(self.pi[r], hashing, self.cells[live]).real.copy()
+            else:
+                kept, gains = self.weights[r]
+                gains = gains[:, np.searchsorted(kept, live)]
+            self.weights[r] = live, gains
+            phases = self._phases(r, w)
+            for lo in range(0, live.size, columns):
+                cols = live[lo : lo + columns]
+                rows[:, cols] -= phases @ gains[:, lo : lo + columns].astype(np.complex128)
 
 
 def _max_abs(table: np.ndarray, above: float = math.inf) -> float:

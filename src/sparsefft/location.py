@@ -14,22 +14,31 @@ Digits run through base Delta groups, with a final group of base
 n / Delta^(G-1) so every bit of f is covered. Decoding is deterministic
 given the measurement tables.
 
-Each probe's corrected ratio is tested against one root only: the one
-nearest to it in phase, found with a single np.angle. That is exact: the
-tolerance disks around two distinct base-th roots are disjoint when
-ratio_tolerance < sin(pi / base) (every StagePlan enforces it for every
-ladder base), so no other root can accept the ratio. A probe then votes for
-every digit whose root index digit * beta_s mod base is that nearest root.
-Buckets that fail a digit are dropped, so later digits decode only the
-survivors.
+A walk computes each pair's inverse reference once (_inverse_reference:
+1 / ref, and 0 at a probe whose reference is below near_zero), so a digit's
+ratios are one product, meas * inv, and a probe that casts no vote has
+ratio 0, which no root accepts. Each corrected ratio z is tested against
+one root only, the nearest, found by sign tests: for base 2 the sign of
+Re z, for base 4 the signs of Re z + Im z and Re z - Im z. The probe is
+accepted when |z - root|^2 = |z|^2 - 2 * (its largest projection on a root)
++ 1 is below ratio_tolerance^2. That is exact: the tolerance disks around
+two distinct base-th roots are disjoint when ratio_tolerance < sin(pi /
+base), so no other root can accept the ratio, and StagePlan allows only
+ladders of bases 2 and 4, with that tolerance. A probe then votes for every
+digit whose root index digit * beta_s mod base is that nearest root; even
+betas give several such digits, so each digit's targets are compared in
+full. Buckets that fail a digit are dropped, so later digits decode only
+the survivors.
 
 This module holds the decoding primitives: _digit_steps lists the digits
-in decode order, _decode_digit votes on one of them for a block of buckets
-(a digit passes with _quorum votes), and _unpermute turns a hashing's
-decoded coordinates into flat indices. The one walk that drives them over
-a hashing's shifts, for a stored set's tables and for a streamed set as it
-is read, is hashing_measurements._decode_hashing; it starts with only the
-buckets that hold a quorum of valid probes.
+in decode order, _inverse_reference makes a walk's inverse references,
+_decode_digit votes on one digit for a block of buckets (a digit passes
+with _quorum votes), and _unpermute turns a hashing's decoded coordinates
+into flat indices. The one walk that drives them, over the live (hashing,
+bucket) pairs of every hashing of a set together, for a stored set's
+tables and for a streamed set as it is read, is
+hashing_measurements._walk_digits; it starts with only the pairs whose
+reference holds a quorum of valid probes.
 """
 from __future__ import annotations
 
@@ -85,10 +94,17 @@ def _quorum(probes: int, tun: "Tunables") -> float:
     return tun.vote_fraction * probes - 1e-9
 
 
+def _inverse_reference(ref: np.ndarray, tun: "Tunables") -> np.ndarray:
+    """1 / ref entrywise, and 0 where |ref| < near_zero: a probe whose
+    reference is that small casts no vote, and a ratio of 0 accepts no
+    root (ratio_tolerance < 1)."""
+    inv = np.zeros_like(ref)
+    np.reciprocal(ref, out=inv, where=~(np.abs(ref) < tun.near_zero))
+    return inv
+
+
 def _decode_digit(
-    meas: np.ndarray,
-    ref: np.ndarray,
-    invalid: np.ndarray,
+    z: np.ndarray,
     betas: np.ndarray,
     partial: np.ndarray,
     n: int,
@@ -99,23 +115,42 @@ def _decode_digit(
     """Vote on one base-`base` digit of one axis of f = Sigma i0 for m
     buckets: the one decoding step of every walk.
 
-    meas is the (c, m) table under the digit's shift (step along the axis),
-    ref the (c, m) unshifted reference and invalid its entries below
-    near_zero, which cast no vote; betas holds the c probes' coefficients on
-    the axis and partial the (m,) value of the axis's lower digits decoded
-    so far. Returns (unique, chosen), two (m,) arrays:
-    whether exactly one digit won its vote, and the winning digit (valid
-    where unique).
+    z is the (c, m) table of ratios meas * inv of the measurements under
+    the digit's shift (step along the axis) to their references, inv being
+    the references' _inverse_reference, so a probe that casts no vote has
+    ratio 0. betas holds each probe's coefficient on the axis, (c, m), and
+    partial the (m,) value of the axis's lower digits decoded so far. z and
+    betas are overwritten. Returns (unique, chosen), two (m,) arrays: whether
+    exactly one digit won its vote, and the least winning digit (valid
+    where unique). base is 2 or 4 (StagePlan checks every ladder).
     """
-    xi = meas / np.where(invalid, 1.0, ref)
+    residues = (betas & (base - 1)).astype(np.int8)
     # n and every digit base are powers of two, so "& (m - 1)" is "mod m".
-    corr_expo = (step * betas[:, None] * partial[None, :]) & (n - 1)
-    corrected = xi * unit_roots(n, -1)[corr_expo]
-    nearest = np.rint(np.angle(corrected) * (base / (2 * np.pi)))
-    nearest = nearest.astype(np.int64) & (base - 1)
-    eta = unit_roots(base, -1)[nearest] * corrected
-    ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
-    targets = (np.arange(base)[:, None] * betas[None, :]) & (base - 1)
-    votes = (ok & (nearest == targets[:, :, None])).sum(axis=1)
+    corr = (step * partial) & (n - 1)
+    if corr.any():
+        betas *= corr
+        betas &= n - 1
+        z *= unit_roots(n, -1)[betas]
+    re, im = z.real, z.imag
+    # The root omega_base^j nearest to z, by sign tests; near and far are
+    # z's components along and across it, so |z - omega_base^j|^2 =
+    # |z|^2 - 2 near + 1 = (near - 1)^2 + far^2.
+    near, far = np.abs(re), np.abs(im)
+    if base == 2:
+        nearest = np.signbit(re).view(np.int8)
+    else:
+        lower = np.signbit(re + im).view(np.int8)
+        nearest = 2 * lower + (lower ^ np.signbit(re - im).view(np.int8))
+        near, far = np.maximum(near, far), np.minimum(near, far, out=far)
+    near -= 1.0
+    near *= near
+    far *= far
+    near += far
+    # A rejected probe's code is at least base and matches no target.
+    rejected = ~(near < tun.ratio_tolerance**2)
+    code = nearest + base * rejected.view(np.int8)
+    targets = (np.arange(base, dtype=np.int8)[:, None, None] * residues) & (base - 1)
+    counts = np.min_scalar_type(len(betas))
+    votes = (code == targets).view(np.uint8).sum(axis=1, dtype=counts)
     passed = votes >= _quorum(len(betas), tun)
-    return passed.sum(axis=0) == 1, passed.argmax(axis=0)
+    return passed.sum(axis=0, dtype=np.uint8) == 1, passed.argmax(axis=0)

@@ -6,11 +6,11 @@ backs the library's dense_dft), folding tricks, and cached filter
 machinery. Costs are quadratic or worse, so keep the grids small.
 
 The reference_* functions are different: they are the straightforward
-versions of optimized library kernels (per-digit location vote, per-axis
-fold, per-repetition estimation, per-draw probe sampling, the adjugate
-inverse of a permutation matrix). The optimized kernels must match them
-exactly, with np.array_equal, so they share the library's arithmetic on
-purpose.
+versions of optimized library kernels (per-digit location vote, the
+angle-based vote of one digit, per-axis fold, per-repetition estimation,
+per-draw probe sampling, the adjugate inverse of a permutation matrix).
+The optimized kernels must match them exactly, with np.array_equal, so
+they share the library's arithmetic on purpose.
 
 Two helpers name objects the recovery path never builds whole, because it
 reads the spectrum only at hashed, permuted points: hash_to_bins is one
@@ -204,6 +204,41 @@ def reference_locate(mset, r: int) -> np.ndarray:
     rows = (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n
     found = dict.fromkeys(flat_of(rows, n).tolist())
     return np.array(list(found), dtype=np.int64)
+
+
+def reference_vote(
+    meas: np.ndarray,
+    ref: np.ndarray,
+    invalid: np.ndarray,
+    betas: np.ndarray,
+    partial: np.ndarray,
+    n: int,
+    step: int,
+    base: int,
+    tun,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One digit's vote for m buckets by the angle of each ratio: the rule
+    location._decode_digit replaces with sign tests.
+
+    meas and ref are (c, m) tables under the digit's shift and unshifted,
+    invalid marks the references that cast no vote, betas is (c, m) and
+    partial (m,). Each corrected ratio's nearest base-th root comes from
+    np.angle and rint, and the probe is accepted when the ratio rotated
+    onto 1 by that root lies within ratio_tolerance of 1. Returns
+    (unique, chosen): whether exactly one digit passed, and the first digit
+    that passed.
+    """
+    xi = meas / np.where(invalid, 1.0, ref)
+    corr_expo = (step * betas * partial[None, :]) & (n - 1)
+    corrected = xi * np.exp(-2j * np.pi * corr_expo / n)
+    nearest = np.rint(np.angle(corrected) * (base / (2 * np.pi)))
+    nearest = nearest.astype(np.int64) & (base - 1)
+    eta = np.exp(-2j * np.pi * nearest / base) * corrected
+    ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
+    targets = (np.arange(base)[:, None, None] * betas[None]) & (base - 1)
+    votes = (ok & (nearest == targets)).sum(axis=1)
+    passed = votes >= tun.vote_fraction * len(betas) - 1e-9
+    return passed.sum(axis=0) == 1, passed.argmax(axis=0)
 
 
 def _fold_axis(arr: np.ndarray, axis: int, b: int, first: int) -> np.ndarray:

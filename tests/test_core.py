@@ -130,6 +130,25 @@ class TestDigitBase:
             b = digit_base(2**e)
             assert b >= 2 and b & (b - 1) == 0
 
+    @staticmethod
+    def plan(n: int) -> StagePlan:
+        return StagePlan(n=n, d=1, k=1, F=2, B=2, r_max=1, c_max=1, B_est=2, reps=1, rounds=1)
+
+    def test_every_ladder_base_is_two_or_four(self):
+        # The location vote's sign tests exist for bases 2 and 4 only.
+        for e in range(2, 63):
+            n = 2**e
+            assert digit_base(n) in (2, 4)
+            bases = self.plan(n).group_bases
+            assert set(bases) <= {2, 4}
+            assert math.prod(bases) == n
+
+    def test_plan_rejects_a_ladder_of_another_base(self):
+        # log2 log2 2^64 = 6, so the digit base is 2^3.
+        assert digit_base(2**64) == 8
+        with pytest.raises(ParameterError, match="bases 2 and 4"):
+            self.plan(2**64)
+
 
 class TestRecoveryParams:
     def test_derived_repetition_counts(self):

@@ -4,27 +4,34 @@ A single tone makes every measurement ratio an exact root of unity, so
 location must return the tone's index and nothing else; that pins the whole
 shift ladder arithmetic, including multi-axis grids. Probe balance rules are
 checked at their integer boundaries, and noisy-tail recall is measured
-against the supermajority voting threshold. The one digit walk
-(hashing_measurements.decode_hashings on a stored set) must return exactly
-what the per-digit vote over every bucket (oracles.reference_locate)
-returns, also when it decodes the buckets a few columns at a time.
+against the supermajority voting threshold. The sign-test vote of one
+digit (location._decode_digit) must give what the angle-based vote
+(oracles.reference_vote) gives. The one digit walk, over the live pairs of
+every hashing of a set (decode_hashings on a stored set, the acquisition of
+a streamed one), must return exactly what the per-digit vote over every
+bucket (oracles.reference_locate) returns, also when its blocks of pairs
+are a few pairs wide, and it must hold no more memory than one hashing's
+walk did.
 """
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from sparsefft import core, hashing_measurements
-from sparsefft import DenseSignal, RecoveryParams
+from sparsefft import DenseSignal, ParameterError, RecoveryParams, SparseApprox, Tunables
 from sparsefft.dense_dft import fft_grid
+from sparsefft.harness import ExperimentSpec, generate_signal
 from sparsefft.hashing_measurements import (
     acquire_measurements,
     decode_hashings,
     update_residual_measurements,
 )
-from sparsefft.location import _balanced_axes
+from sparsefft.location import _balanced_axes, _decode_digit, _inverse_reference
 
-from oracles import dense_time, random_sparse_time, reference_locate
+from oracles import dense_time, random_sparse_time, reference_locate, reference_vote
 
 
 def lib_freq(values_time: np.ndarray, n: int, d: int) -> DenseSignal:
@@ -235,9 +242,9 @@ class TestMatchesPerDigitVote:
 
 
 class TestQuorumPruning:
-    """The walk starts with only the buckets that hold a digit's quorum of
-    valid probes (references at or above near_zero); no other bucket could
-    win a digit."""
+    """The walk starts with only the pairs whose reference holds a digit's
+    quorum of valid probes (references at or above near_zero); no other
+    pair could win a digit."""
 
     def test_buckets_short_of_a_quorum_never_reach_the_vote(self, rng, monkeypatch):
         n, d, k = 1024, 1, 4
@@ -250,32 +257,179 @@ class TestQuorumPruning:
         widths = []
         real = hashing_measurements._decode_digit
 
-        def recording(meas, *args):
-            widths.append(meas.shape[1])
-            return real(meas, *args)
+        def recording(z, *args):
+            widths.append(z.shape[1])
+            return real(z, *args)
 
         monkeypatch.setattr(hashing_measurements, "_decode_digit", recording)
         assert all(found.size == 0 for found in decode_hashings(mset))
         assert widths == []
-        # One more valid probe puts that one bucket into the walk.
+        # One more valid probe puts that one bucket into the walk; in two
+        # hashings, both buckets go into one vote per digit.
         mset.buckets[0, quorum - 1, 0, 7] = 1.0
         found = decode_hashings(mset)
         assert widths and set(widths) == {1}
         assert found[0].size <= 1 and all(f.size == 0 for f in found[1:])
         assert_matches_reference(mset)
+        widths.clear()
+        mset.buckets[2, quorum - 1, 0, 9] = 1.0
+        found = decode_hashings(mset)
+        assert widths[0] == 2 and set(widths) <= {1, 2}
+        assert len(widths) <= len(mset.shifts) - 1
+        assert all(f.size == 0 for i, f in enumerate(found) if i not in (0, 2))
+        assert_matches_reference(mset)
+
+
+class TestSignTestVote:
+    """_decode_digit finds each ratio's nearest root by sign tests and
+    accepts it by |z - root|^2; it must give the angle-based vote's
+    (unique, chosen) (oracles.reference_vote)."""
+
+    @pytest.mark.parametrize("n,base,scale", [(1024, 2, 8), (2**16, 4, 16)])
+    def test_matches_the_angle_vote(self, n, base, scale, rng):
+        tun = Tunables()
+        c, m = 15, 800
+        step = n // (scale * base)
+        betas = rng.integers(0, n, size=(c, m))
+        # Even betas give a probe several digits, and betas = 0 mod base all.
+        betas[:, ::3] &= ~1
+        betas[:, 1::7] &= ~(base - 1)
+        partial = rng.integers(0, scale, size=m)
+        planted = rng.integers(0, base, size=m)
+        # Per column, the share of probes at the planted digit's root: on it,
+        # or 1e-9 inside the tolerance circle around it. The others sit 1e-9
+        # outside the circle, at another root, or anywhere.
+        share = rng.choice([0.4, 0.6, 0.7, 0.9, 1.0], size=m)
+        at_planted = rng.random((c, m)) < share
+        kind = np.where(at_planted, rng.integers(0, 2, (c, m)), rng.integers(2, 5, (c, m)))
+        root = (planted * betas) % base
+        root = np.where(kind == 3, (root + rng.integers(1, base, (c, m))) % base, root)
+        radius = np.choose(
+            np.minimum(kind, 3),
+            [0.0, tun.ratio_tolerance - 1e-9, tun.ratio_tolerance + 1e-9, 0.0],
+        )
+        angle = np.exp(2j * np.pi * rng.random((c, m)))
+        corrected = np.exp(2j * np.pi * root / base) + radius * angle
+        anywhere = kind == 4
+        corrected[anywhere] = 2 * (rng.random(anywhere.sum()) + 1j * rng.random(anywhere.sum()))
+        ratio = corrected * np.exp(2j * np.pi * ((step * betas * partial) % n) / n)
+        ref = rng.normal(size=(c, m)) + 1j * rng.normal(size=(c, m))
+        # References that cast no vote: zero, and just below near_zero.
+        ref[rng.random((c, m)) < 0.1] = 0.0
+        ref[:, 5::11] *= 0.5 * tun.near_zero / np.abs(ref[:, 5::11]).clip(1e-300)
+        meas = ratio * ref
+        invalid = np.abs(ref) < tun.near_zero
+        want = reference_vote(meas, ref, invalid, betas, partial, n, step, base, tun)
+        z = meas * _inverse_reference(ref, tun)
+        got = _decode_digit(z, betas.copy(), partial, n, step, base, tun)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # The tables reach every outcome: unique digits, none and several.
+        assert 0 < want[0].sum() < m
+        assert len(set(want[1][want[0]].tolist())) == base
+
+    def test_probe_without_a_reference_accepts_no_root(self):
+        tun = Tunables()
+        ref = np.array([[0.0, 1e-13, 1.0]], dtype=np.complex128)
+        inv = _inverse_reference(ref, tun)
+        assert inv.tolist() == [[0.0, 0.0, 1.0]]
 
 
 class TestColumnBlocks:
-    @pytest.mark.parametrize("n,d,k,B", [(1024, 1, 4, 64), (64, 2, 4, 64), (16, 3, 3, 64)])
-    def test_blocked_decode_matches_reference(self, n, d, k, B, rng, monkeypatch):
-        params = RecoveryParams.derive(n, d, k, B=B).main
+    """The walk's blocks of live pairs may end inside a hashing or between
+    two, and a hashing may have no live pair; the decode is the per-digit
+    vote's either way, for a stored and a streamed set."""
+
+    GRIDS = [(1024, 1, 4, 64), (64, 2, 4, 64), (16, 3, 3, 64)]
+
+    @staticmethod
+    def blocks_of(pairs, params, monkeypatch):
+        bytes_per_pair = hashing_measurements._WALK_ENTRY_BYTES * params.c_max
+        monkeypatch.setattr(core, "_BLOCK_BYTES", pairs * bytes_per_pair)
+
+    @staticmethod
+    def noisy_input(n, d, k, rng):
         x = random_sparse_time(n, d, k, rng)
         xt = dense_time(x).values
         tail = rng.normal(size=xt.shape) + 1j * rng.normal(size=xt.shape)
-        xt = xt + tail * (0.3 / np.linalg.norm(tail))
-        mset = acquire_measurements(lib_freq(xt, n, d), params, rng)
-        # Five bucket columns per block: 64 buckets split 12 x 5 + 4.
-        monkeypatch.setattr(core, "_BLOCK_BYTES", 5 * 16 * params.c_max)
+        return x, lib_freq(xt + tail * (0.3 / np.linalg.norm(tail)), n, d)
+
+    @pytest.mark.parametrize("n,d,k,B", GRIDS)
+    @pytest.mark.parametrize("pairs", [5, 8])
+    def test_blocked_decode_matches_reference(self, n, d, k, B, pairs, rng, monkeypatch):
+        params = RecoveryParams.derive(n, d, k, B=B).main
+        _, xhat = self.noisy_input(n, d, k, rng)
+        mset = acquire_measurements(xhat, params, rng)
+        # Every bucket of hashing 0 is live and none of hashing 1, so blocks
+        # of 8 pairs end between hashings 0 and 2, and blocks of 5 inside
+        # hashings and across that boundary.
+        mset.buckets[1, :, 0] = 0.0
+        self.blocks_of(pairs, params, monkeypatch)
+        first = next(hashing_measurements._walks(mset))
+        assert first.r.size == pairs and set(first.r.tolist()) == {0}
         assert_matches_reference(mset)
-        decoded = sum(found.size for found in decode_hashings(mset))
-        assert 0 < decoded < params.r_max * B
+        found = decode_hashings(mset)
+        assert found[1].size == 0
+        assert 0 < sum(f.size for f in found) < params.r_max * B
+
+    @pytest.mark.parametrize("n,d,k,B", GRIDS)
+    def test_blocked_streamed_decode_matches_reference(self, n, d, k, B, rng, monkeypatch):
+        params = RecoveryParams.derive(n, d, k, B=B).main
+        x, xhat = self.noisy_input(n, d, k, rng)
+        chi = SparseApprox.from_flat(n, d, x.flat[:2], 0.9 * x.values[:2])
+        stored = acquire_measurements(xhat, params, np.random.default_rng(7))
+        update_residual_measurements(stored, chi)
+        stored.buckets[1, :, 0] = 0.0
+        # The streamed set loses hashing 1's reference the same way, after
+        # chi has been taken out of it.
+        real = hashing_measurements._ChiCleaner.reference
+
+        def dropping(self, flat):
+            real(self, flat)
+            flat.reshape(params.r_max, params.c_max, -1)[1] = 0.0
+
+        monkeypatch.setattr(hashing_measurements._ChiCleaner, "reference", dropping)
+        self.blocks_of(5, params, monkeypatch)
+        streamed = acquire_measurements(xhat, params, np.random.default_rng(7), chi=chi)
+        assert np.array_equal(streamed.buckets, stored.buckets[:, :, :1])
+        assert streamed.found[1].size == 0
+        assert sum(f.size for f in streamed.found) > 0
+        for r, got in enumerate(streamed.found):
+            assert np.array_equal(got, reference_locate(stored, r))
+
+    def test_streamed_set_is_not_decoded_again(self, rng):
+        n, d, k = 256, 1, 2
+        params = RecoveryParams.derive(n, d, k).inf_norm
+        x = random_sparse_time(n, d, k, rng)
+        xhat = lib_freq(dense_time(x).values, n, d)
+        streamed = acquire_measurements(xhat, params, rng, chi=SparseApprox.empty(n, d))
+        with pytest.raises(ParameterError, match="streamed"):
+            decode_hashings(streamed)
+
+
+class TestWorkingSet:
+    """A decode of gauss-2d-64's main set (8 hashings x 15 probes x 13
+    shifts x 1024 buckets) holds no more memory than the walk that decoded
+    one hashing at a time, which peaked at 1.94 MB here: the walk over
+    every hashing holds one block of pairs at a time."""
+
+    def test_decode_peak_stays_within_one_hashing_walk(self):
+        spec = ExperimentSpec(
+            n=64, d=2, k=8, signal_model="sparse-plus-gaussian-tail", snr=10.0, epsilon=0.1
+        )
+        x, _, mu = generate_signal(spec, 3)
+        xhat = DenseSignal(64, 2, np.fft.fftn(x.values, norm="ortho"), "frequency")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            params = spec.recovery_params(mu, 3).main
+        mset = acquire_measurements(xhat, params, np.random.default_rng(3))
+        assert mset.buckets.shape == (8, 15, 13, 1024)
+        found = decode_hashings(mset)  # warm the caches
+        assert sum(f.size for f in found) > 1000
+        tracemalloc.start()
+        try:
+            decode_hashings(mset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The per-hashing walk's peak on this set, to the byte.
+        assert peak <= 1_937_848
