@@ -323,7 +323,8 @@ class TestSignTestVote:
         z = meas * _inverse_reference(ref, tun)
         got = _decode_digit(z, betas.copy(), partial, n, step, base, tun)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        # The tables reach every outcome: unique digits, none and several.
+        # Some columns elect one digit and some do not, and every digit wins
+        # somewhere.
         assert 0 < want[0].sum() < m
         assert len(set(want[1][want[0]].tolist())) == base
 
