@@ -18,29 +18,27 @@ subtraction of recovered mass goes through update_residual_measurements,
 which applies the same exact rule to the stored tables, records the mass
 in MeasurementSet.chi, and keeps the sample counter frozen. A streamed
 set, for the inf-norm and constant-SNR stages that decode their set once,
-is read one shift at a time, for all its hashings in one _bucket_tables
-call, and each shift is decoded as it is read.
+is read one hashing and one shift at a time and decoded as it is read.
 
-Both are decoded by one digit walk, _walk_digits, over the live (hashing,
-bucket) pairs of every hashing of the set together: a _Walk is a block of
-them, in (hashing, bucket) order, which votes each digit with one
-location._decode_digit call. A pair is live when its reference holds a
-digit's quorum of valid probes (at least vote_fraction * c_max - 1e-9
-entries at or above near_zero, location._quorum): an invalid probe casts no
-vote, so no other pair could win a digit, and skipping them changes no
-output. On the bench's exact workloads (exact-1d-65536, exact-3d-16), a
-decode after every head was subtracted starts with 0-20 of a hashing's
-512-1024 buckets. A block computes its pairs' inverse reference once; it
-is sized so that each of its arrays fits one _BLOCK_BYTES block
-(_WALK_ENTRY_BYTES). A stored set (decode_hashings)
-walks its blocks one after the other through every digit, reading views
-of its table, which holds source - chi, so it holds one block's working
-set at a time. A streamed set has one shift in hand at a time, so all its
-blocks vote each digit before the next shift is read; their inverse
-references are never larger than the reference tables the set keeps. Its
-freshly read tables lose the caller's chi at the live pairs only, before
-their digit's votes (_ChiCleaner). The walk gives one array of flat indices
-per hashing.
+Both are decoded by one digit walk, _walk_digits, over blocks of live
+(hashing, bucket) pairs: a _Walk is a block of them, in (hashing, bucket)
+order, which votes each digit with one location._decode_digit call. A
+pair is live when its reference holds a digit's quorum of valid probes (at
+least vote_fraction * c_max - 1e-9 entries at or above near_zero,
+location._quorum): an invalid probe casts no vote, so no other pair could
+win a digit, and skipping them changes no output. On the bench's exact
+workloads (exact-1d-65536, exact-3d-16), a decode after every head was
+subtracted starts with 0-20 of a hashing's 512-1024 buckets. A block
+computes its pairs' inverse reference once; it holds at most B pairs, and
+few enough that each of its arrays fits one _BLOCK_BYTES block
+(_WALK_ENTRY_BYTES). A stored set (decode_hashings) cuts the live pairs of
+all its hashings together into blocks, so one block may span hashings
+whose live pairs are few, and walks them one after the other through
+every digit, reading views of its table, which holds source - chi. A
+streamed set walks one hashing at a time: that hashing's blocks vote each
+digit before its next shift is read, and its freshly read tables lose the
+caller's chi at the live buckets only, before their digit's votes
+(_ChiCleaner). The walk gives one array of flat indices per hashing.
 
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: _bucket_tables takes an (M_h, d)
@@ -52,14 +50,14 @@ needs them.
 The kernels stream, so the main set's stored table is the only array of a
 run that grows with rows times B, and it lives in a memory mapping that
 the next table reuses (_mapped_table); a streamed set holds its reference
-tables and every hashing's tables of the current shift:
+tables and one hashing's current shift:
 
 - _bucket_tables gathers its rows in blocks of about core._BLOCK_BYTES
   (1 MiB) of samples. Each block is gathered with one fancy index, weighted
   in place, and folded straight into its rows of the caller's array (a
   hashing's slab of a stored set's MeasurementSet.buckets, or one shift's
-  rows of every hashing of a streamed set). So neither a full (rows, P)
-  sample table nor a second (rows, B) copy ever exists.
+  rows of a streamed set). So neither a full (rows, P) sample table nor a
+  second (rows, B) copy ever exists.
 - The folded rows are inverted in place, in batches of at least
   core._FFT_BATCH_ROWS (8) rows that may span gather blocks and hashings.
   A 2^16-sample row fills a whole gather block, and pocketfft takes about
@@ -484,10 +482,9 @@ def acquire_measurements(
 
     Without chi the set stores every table, for a caller that decodes and
     updates it again and again. With chi the set is streamed: each shift is
-    read for every hashing, cleaned of chi at the buckets still alive and
-    decoded before the next is read, so only the reference tables and the
-    current shift's tables are ever held; the set keeps its reference
-    tables and `found`.
+    read, cleaned of chi at the buckets still alive and decoded before the
+    next is read, so only the reference tables and one hashing's current
+    shift are ever held; the set keeps its reference tables and `found`.
     Both draw the same hashings and probes from rng, read the same samples,
     and give the same initial scale; a streamed set's `found` is the stored
     set's decode_hashings after update_residual_measurements with chi. A
@@ -514,8 +511,8 @@ def acquire_measurements(
     S = len(shifts)
     if chi is None:
         table = _mapped_table((params.r_max, params.c_max, S, params.B))
-    else:  # the reference tables, then the tables of the shift being decoded
-        table = _mapped_table((2 * params.r_max, params.c_max, 1, params.B))
+    else:  # the reference tables, then a slab for the shift being decoded
+        table = _mapped_table((params.r_max + 1, params.c_max, 1, params.B))
     mset = MeasurementSet(
         params=params,
         hashings=hashings,
@@ -539,31 +536,31 @@ def acquire_measurements(
         mset.initial_scale = _max_abs(mset.buckets.reshape(-1, params.B))
         mset.residual_peak = mset.initial_scale
         return mset
-    # Streamed: one call per shift reads it for every hashing, sharing the
-    # hashings' gather set-ups and one gather block. Every shift is read,
-    # also once no bucket is left to decode, so the reads are those the
-    # counter books.
-    current = table[params.r_max :].reshape(-1, params.B)
-    setups = [_gather_setup(filt, hashing) for hashing in hashings]
-    mods = [_modulations(alphas[r], betas[r], shifts, n) for r in range(params.r_max)]
-    block = _gather_block(filt, len(current))
-    peaks = []
+    # Streamed: one call per shift of one hashing, sharing the hashing's
+    # gather set-up and one gather block. Every shift is read, also once no
+    # bucket is left to decode, so the reads are those the counter books.
+    current = table[-1, :, 0]
+    block = _gather_block(filt, params.c_max)
+    peaks, mset.found = [], []
+    for r, hashing in enumerate(hashings):
+        setups = [_gather_setup(filt, hashing)]
+        mods = _modulations(alphas[r], betas[r], shifts, n)
 
-    def read(w: int) -> np.ndarray:
-        rows = mset.buckets.reshape(-1, params.B) if w == 0 else current
-        _bucket_tables(
-            xhat, filt, hashings, [m[w::S] for m in mods], out=rows, setups=setups, block=block
-        )
-        peaks.append(_max_abs(rows))
-        return rows.reshape(-1)
+        def read(w: int) -> np.ndarray:
+            rows = mset.buckets[r, :, 0] if w == 0 else current
+            _bucket_tables(
+                xhat, filt, [hashing], [mods[w::S]], out=rows, setups=setups, block=block
+            )
+            peaks.append(_max_abs(rows))
+            return rows.reshape(-1)
 
-    ref = read(0)
-    clean = _ChiCleaner(mset, chi) if len(chi) else None
-    if clean is not None:
-        clean.reference(ref)
-    walks = list(_walks(mset))
-    _walk_digits(mset, walks, read, clean)
-    mset.found = _found(mset, [(walk.r, walk.fvec) for walk in walks])
+        ref = read(0)
+        clean = _ChiCleaner(mset, r, chi) if len(chi) else None
+        if clean is not None:
+            clean.reference(ref)
+        walks = list(_walks(mset, range(r, r + 1)))
+        _walk_digits(mset, walks, read, clean)
+        mset.found += _found(mset, [(walk.r, walk.fvec) for walk in walks], range(r, r + 1))
     mset.initial_scale = max(peaks)
     return mset
 
@@ -581,10 +578,10 @@ def decode_hashings(mset: MeasurementSet) -> list[np.ndarray]:
     B = mset.params.B
     flat = mset.buckets.reshape(-1)
     decoded = []
-    for walk in _walks(mset):
+    for walk in _walks(mset, range(len(mset.hashings))):
         _walk_digits(mset, [walk], lambda w: flat[w * B :])
         decoded.append((walk.r, walk.fvec))
-    return _found(mset, decoded)
+    return _found(mset, decoded, range(len(mset.hashings)))
 
 
 # A block of live pairs holds _BLOCK_BYTES / _WALK_ENTRY_BYTES (probe, pair)
@@ -592,7 +589,13 @@ def decode_hashings(mset: MeasurementSet) -> list[np.ndarray]:
 # correction roots and exponents, float temporaries) fits one block. Larger
 # blocks pay numpy's fixed cost per call on fewer calls: a decode of
 # gauss-2d-64's main set took 0.56 of the per-hashing walk's time at 48 and
-# 0.59 at 64, and peaked at 1.65 MB (tracemalloc) against 1.94 MB.
+# 0.59 at 64 (one thread). A block also holds at most B pairs, as many as
+# one hashing has buckets, so a decode holds less than a walk of one
+# hashing at a time did: on the bench's main sets it peaked (tracemalloc)
+# at 1.23, 1.37 and 0.66 MB against 1.94, 2.04 and 0.90 MB (gauss-2d-64,
+# exact-1d-65536, exact-3d-16). That cap made a fresh main set's decode
+# 2-5% slower at 1024 buckets and 15% at exact-3d-16's 512, where a block
+# spanned three hashings.
 _WALK_ENTRY_BYTES = 48
 
 
@@ -600,29 +603,25 @@ class _Walk:
     """One block of live (hashing, bucket) pairs walking the digits.
 
     Tables come as flat arrays that hold entry (hashing, probe, bucket) at
-    (hashing * c_max + probe) * stride + bucket. Pair l is hashing r[l]'s
-    bucket at offset off[l] = r[l] * c_max * stride + bucket, in (r, bucket)
-    order; inv is the pairs' (c_max, pairs) inverse reference
-    (location._inverse_reference) and fvec the (pairs, d) digits decoded so
-    far. A pair leaves at the first digit it fails.
+    ((hashing - first) * c_max + probe) * stride + bucket, first being the
+    first hashing walked. Pair l is hashing r[l]'s bucket b[l], in (r, b)
+    order, at offset off[l] of the tables; inv is the pairs' (c_max, pairs)
+    inverse reference (location._inverse_reference) and fvec the (pairs, d)
+    digits decoded so far. A pair leaves at the first digit it fails.
     """
 
-    def __init__(self, mset: MeasurementSet, r: np.ndarray, b: np.ndarray, stride: int):
+    def __init__(
+        self, mset: MeasurementSet, r: np.ndarray, b: np.ndarray, first: int, stride: int
+    ):
         c_max = mset.betas.shape[1]
-        self.mset, self.r = mset, r
-        self.hashing_stride = c_max * stride
-        self.off = r * self.hashing_stride + b
+        self.mset, self.r, self.b = mset, r, b
+        self.off = (r - first) * (c_max * stride) + b
         self.probe_offsets = np.arange(c_max)[:, None] * stride
         # betas[s] is the (c_max, r_max) array of the probes' coefficients on axis s.
         self.betas = np.ascontiguousarray(mset.betas.transpose(2, 1, 0))
-        ref = self.take(mset.buckets.reshape(-1))
+        ref = self.take(mset.buckets[first:].reshape(-1))
         self.inv = _inverse_reference(ref, mset.params.tunables)
         self.fvec = np.zeros((r.size, mset.d), dtype=np.int64)
-
-    @property
-    def b(self) -> np.ndarray:
-        """The pairs' buckets."""
-        return self.off - self.r * self.hashing_stride
 
     def take(self, flat: np.ndarray) -> np.ndarray:
         """The (c_max, pairs) entries of the pairs in a flat table."""
@@ -645,30 +644,31 @@ class _Walk:
         )
         keep = np.flatnonzero(unique)
         if keep.size < unique.size:
-            self.r, self.off, self.fvec = self.r[keep], self.off[keep], self.fvec[keep]
-            self.inv = self.inv.take(keep, axis=1)
+            self.r, self.b, self.off = self.r[keep], self.b[keep], self.off[keep]
+            self.fvec, self.inv = self.fvec[keep], self.inv.take(keep, axis=1)
             chosen = chosen[keep]
         self.fvec[:, s] += place * chosen
 
 
-def _walks(mset: MeasurementSet):
-    """The set's live pairs in blocks, each a _Walk: the pairs whose
-    reference holds a digit's quorum of valid probes (location._quorum). A
-    probe below near_zero casts no vote, so no other pair could win a
-    digit. A stored and a streamed set hold their reference tables alike,
-    in mset.buckets[:, :, 0]. The blocks are made as they are asked for."""
-    R, C, S, B = mset.buckets.shape
+def _walks(mset: MeasurementSet, hashings: range):
+    """The live pairs of the given hashings, in blocks, each a _Walk: the
+    pairs whose reference holds a digit's quorum of valid probes
+    (location._quorum). A probe below near_zero casts no vote, so no other
+    pair could win a digit. A stored and a streamed set hold their
+    reference tables alike, in mset.buckets[:, :, 0]. The blocks are made
+    as they are asked for."""
+    _, C, S, B = mset.buckets.shape
     tun = mset.params.tunables
-    r_live, b_live = [], []
-    for r in range(R):
+    r_live, b_live = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r in hashings:
         invalid = np.abs(mset.buckets[r, :, 0]) < tun.near_zero
         live = np.flatnonzero(C - invalid.sum(axis=0) >= _quorum(C, tun))
         r_live.append(np.full(live.size, r))
         b_live.append(live)
     r_live, b_live = np.concatenate(r_live), np.concatenate(b_live)
-    size = _block_rows(_WALK_ENTRY_BYTES * C)
+    size = min(_block_rows(_WALK_ENTRY_BYTES * C), B)
     for lo in range(0, r_live.size, size):
-        yield _Walk(mset, r_live[lo : lo + size], b_live[lo : lo + size], S * B)
+        yield _Walk(mset, r_live[lo : lo + size], b_live[lo : lo + size], hashings.start, S * B)
 
 
 def _walk_digits(mset: MeasurementSet, walks: list[_Walk], rows, clean=None) -> None:
@@ -686,74 +686,61 @@ def _walk_digits(mset: MeasurementSet, walks: list[_Walk], rows, clean=None) -> 
 
 
 def _found(
-    mset: MeasurementSet, decoded: list[tuple[np.ndarray, np.ndarray]]
+    mset: MeasurementSet, decoded: list[tuple[np.ndarray, np.ndarray]], hashings: range
 ) -> list[np.ndarray]:
-    """Per hashing, the flat indices its pairs decoded to, in bucket order,
-    each once, from the (r, fvec) arrays that the walks left, in order."""
+    """Per hashing of `hashings`, the flat indices its pairs decoded to, in
+    bucket order, each once, from the (r, fvec) arrays that the walks of
+    those hashings left, in order."""
+    r = np.concatenate([r for r, _ in decoded] + [np.empty(0, dtype=np.int64)])
     fvec = np.concatenate([f for _, f in decoded] + [np.empty((0, mset.d), dtype=np.int64)])
-    bounds = _hashing_bounds(mset, [r for r, _ in decoded])
+    bounds = np.searchsorted(r, np.arange(hashings.start, hashings.stop + 1))
     return [
-        _unpermute(fvec[lo:hi], hashing)
-        for hashing, lo, hi in zip(mset.hashings, bounds[:-1], bounds[1:])
+        _unpermute(fvec[lo:hi], mset.hashings[h])
+        for h, lo, hi in zip(hashings, bounds[:-1], bounds[1:])
     ]
 
 
-def _hashing_bounds(mset: MeasurementSet, hashings: list[np.ndarray]) -> np.ndarray:
-    """Where each hashing's pairs start in the pairs' hashing arrays,
-    concatenated in order, and where the last ends: an (r_max + 1,) array."""
-    r = np.concatenate(hashings + [np.empty(0, dtype=np.int64)])
-    return np.searchsorted(r, np.arange(len(mset.hashings) + 1))
-
-
 class _ChiCleaner:
-    """Takes a streamed set's chi out of its freshly read tables: from the
-    reference at every bucket, and from a later shift at the live pairs
-    only. chi's phases are made for one shift at a time, and its weights at
-    a bucket at the first digit, kept (real, as the filter is) while the
-    bucket lives. Each hashing's live buckets are cleaned in blocks whose
-    (c_max, width) rows fill about _BLOCK_BYTES."""
+    """Takes a streamed set's chi out of hashing r's freshly read (c_max, B)
+    tables: from the reference at every bucket, and from a later shift at
+    the live buckets only. chi's phases are made for one shift at a time,
+    and its weights at a bucket at the first digit, kept (real, as the
+    filter is) while the bucket lives. The live buckets are cleaned in
+    blocks whose (c_max, width) rows fill about _BLOCK_BYTES."""
 
-    def __init__(self, mset: MeasurementSet, chi: SparseApprox) -> None:
-        self.mset, self.chi = mset, chi
-        self.cells = _all_cells(mset.hashings[0].b, mset.d)
-        coords = chi.coords_array()
-        self.pi = [h.perm.forward_array(coords) for h in mset.hashings]
-        self.mods = [
-            _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
-            for r in range(len(mset.hashings))
-        ]
-        # Per hashing: the live buckets at the last digit and chi's weights there.
-        self.weights: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(mset.hashings)
+    def __init__(self, mset: MeasurementSet, r: int, chi: SparseApprox) -> None:
+        self.mset, self.r, self.chi = mset, r, chi
+        self.hashing = mset.hashings[r]
+        self.cells = _all_cells(self.hashing.b, mset.d)
+        self.pi = self.hashing.perm.forward_array(chi.coords_array())
+        self.mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
+        # The live buckets at the last digit and chi's weights there.
+        self.weights: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _phases(self, w: int) -> np.ndarray:
+        return _chi_phases(self.chi, self.hashing, self.mods[w :: len(self.mset.shifts)])
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(len(self.mset.hashings), -1, self.mset.params.B)
-
-    def _phases(self, r: int, w: int) -> np.ndarray:
-        S = len(self.mset.shifts)
-        return _chi_phases(self.chi, self.mset.hashings[r], self.mods[r][w::S])
+        return flat.reshape(-1, self.mset.params.B)
 
     def reference(self, flat: np.ndarray) -> None:
-        for r, (hashing, rows) in enumerate(zip(self.mset.hashings, self._rows(flat))):
-            _subtract_chi(rows, self._phases(r, 0), self.pi[r], hashing, self.cells)
+        _subtract_chi(self._rows(flat), self._phases(0), self.pi, self.hashing, self.cells)
 
     def __call__(self, flat: np.ndarray, w: int, walks: list[_Walk]) -> None:
-        b_live = np.concatenate([walk.b for walk in walks] + [np.empty(0, dtype=np.int64)])
-        bounds = _hashing_bounds(self.mset, [walk.r for walk in walks])
+        live = np.concatenate([walk.b for walk in walks] + [np.empty(0, dtype=np.int64)])
+        if not live.size:
+            return
+        if self.weights is None:
+            gains = _chi_weights(self.pi, self.hashing, self.cells[live]).real.copy()
+        else:
+            kept, gains = self.weights
+            gains = gains[:, np.searchsorted(kept, live)]
+        self.weights = live, gains
+        rows, phases = self._rows(flat), self._phases(w)
         columns = _block_rows(16 * self.mset.betas.shape[1])
-        for r, (hashing, rows) in enumerate(zip(self.mset.hashings, self._rows(flat))):
-            live = b_live[bounds[r] : bounds[r + 1]]
-            if not live.size:
-                continue
-            if self.weights[r] is None:
-                gains = _chi_weights(self.pi[r], hashing, self.cells[live]).real.copy()
-            else:
-                kept, gains = self.weights[r]
-                gains = gains[:, np.searchsorted(kept, live)]
-            self.weights[r] = live, gains
-            phases = self._phases(r, w)
-            for lo in range(0, live.size, columns):
-                cols = live[lo : lo + columns]
-                rows[:, cols] -= phases @ gains[:, lo : lo + columns].astype(np.complex128)
+        for lo in range(0, live.size, columns):
+            cols = live[lo : lo + columns]
+            rows[:, cols] -= phases @ gains[:, lo : lo + columns].astype(np.complex128)
 
 
 def _max_abs(table: np.ndarray, above: float = math.inf) -> float:

@@ -34,11 +34,11 @@ This module holds the decoding primitives: _digit_steps lists the digits
 in decode order, _inverse_reference makes a walk's inverse references,
 _decode_digit votes on one digit for a block of buckets (a digit passes
 with _quorum votes), and _unpermute turns a hashing's decoded coordinates
-into flat indices. The one walk that drives them, over the live (hashing,
-bucket) pairs of every hashing of a set together, for a stored set's
-tables and for a streamed set as it is read, is
-hashing_measurements._walk_digits; it starts with only the pairs whose
-reference holds a quorum of valid probes.
+into flat indices. The one walk that drives them is
+hashing_measurements._walk_digits, over blocks of live (hashing, bucket)
+pairs: those of every hashing of a stored set together, and those of one
+hashing at a time of a streamed set as it is read. It starts with only the
+pairs whose reference holds a quorum of valid probes.
 """
 from __future__ import annotations
 

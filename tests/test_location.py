@@ -7,11 +7,11 @@ checked at their integer boundaries, and noisy-tail recall is measured
 against the supermajority voting threshold. The sign-test vote of one
 digit (location._decode_digit) must give what the angle-based vote
 (oracles.reference_vote) gives. The one digit walk, over the live pairs of
-every hashing of a set (decode_hashings on a stored set, the acquisition of
-a streamed one), must return exactly what the per-digit vote over every
-bucket (oracles.reference_locate) returns, also when its blocks of pairs
-are a few pairs wide, and it must hold no more memory than one hashing's
-walk did.
+every hashing of a stored set (decode_hashings) or of one hashing at a time
+of a streamed set (its acquisition), must return exactly what the
+per-digit vote over every bucket (oracles.reference_locate) returns, also
+when its blocks of pairs are a few pairs wide, and it must hold no more
+memory than one hashing's walk did.
 """
 import math
 import tracemalloc
@@ -355,18 +355,19 @@ class TestColumnBlocks:
         return x, lib_freq(xt + tail * (0.3 / np.linalg.norm(tail)), n, d)
 
     @pytest.mark.parametrize("n,d,k,B", GRIDS)
-    @pytest.mark.parametrize("pairs", [5, 8])
+    @pytest.mark.parametrize("pairs", [5, 8, 100])
     def test_blocked_decode_matches_reference(self, n, d, k, B, pairs, rng, monkeypatch):
         params = RecoveryParams.derive(n, d, k, B=B).main
         _, xhat = self.noisy_input(n, d, k, rng)
         mset = acquire_measurements(xhat, params, rng)
         # Every bucket of hashing 0 is live and none of hashing 1, so blocks
         # of 8 pairs end between hashings 0 and 2, and blocks of 5 inside
-        # hashings and across that boundary.
+        # hashings and across that boundary. A block holds at most B pairs,
+        # so a budget of 100 gives blocks of 64 that end between hashings.
         mset.buckets[1, :, 0] = 0.0
         self.blocks_of(pairs, params, monkeypatch)
-        first = next(hashing_measurements._walks(mset))
-        assert first.r.size == pairs and set(first.r.tolist()) == {0}
+        first = next(hashing_measurements._walks(mset, range(params.r_max)))
+        assert first.r.size == min(pairs, B) and set(first.r.tolist()) == {0}
         assert_matches_reference(mset)
         found = decode_hashings(mset)
         assert found[1].size == 0
@@ -386,9 +387,12 @@ class TestColumnBlocks:
 
         def dropping(self, flat):
             real(self, flat)
-            flat.reshape(params.r_max, params.c_max, -1)[1] = 0.0
+            if self.r == 1:
+                flat[:] = 0.0
 
         monkeypatch.setattr(hashing_measurements._ChiCleaner, "reference", dropping)
+        # Blocks of 5 pairs end inside each hashing's 64 live buckets (the
+        # tail keeps every reference valid).
         self.blocks_of(5, params, monkeypatch)
         streamed = acquire_measurements(xhat, params, np.random.default_rng(7), chi=chi)
         assert np.array_equal(streamed.buckets, stored.buckets[:, :, :1])
@@ -408,29 +412,39 @@ class TestColumnBlocks:
 
 
 class TestWorkingSet:
-    """A decode of gauss-2d-64's main set (8 hashings x 15 probes x 13
-    shifts x 1024 buckets) holds no more memory than the walk that decoded
-    one hashing at a time, which peaked at 1.94 MB here: the walk over
-    every hashing holds one block of pairs at a time."""
+    """A decode of a bench workload's main set holds no more memory than
+    the walk that decoded one hashing at a time: a block holds at most one
+    hashing's buckets, and the walk holds one block at a time. The bounds
+    are that walk's tracemalloc peaks on these sets, to the byte."""
 
-    def test_decode_peak_stays_within_one_hashing_walk(self):
-        spec = ExperimentSpec(
-            n=64, d=2, k=8, signal_model="sparse-plus-gaussian-tail", snr=10.0, epsilon=0.1
-        )
+    @pytest.mark.parametrize(
+        "spec,shape,least_found,bound",
+        [
+            (
+                dict(n=64, d=2, k=8, signal_model="sparse-plus-gaussian-tail",
+                     snr=10.0, epsilon=0.1),
+                (8, 15, 13, 1024), 1000, 1_937_848,
+            ),
+            (dict(n=1 << 16, d=1, k=32, signal_model="exact-sparse"), (8, 16, 9, 1024), 200, 2_039_440),
+            (dict(n=16, d=3, k=8, signal_model="exact-sparse"), (8, 15, 13, 512), 60, 899_592),
+        ],
+        ids=["gauss-2d-64", "exact-1d-65536", "exact-3d-16"],
+    )
+    def test_decode_peak_stays_within_one_hashing_walk(self, spec, shape, least_found, bound):
+        spec = ExperimentSpec(**spec)
         x, _, mu = generate_signal(spec, 3)
-        xhat = DenseSignal(64, 2, np.fft.fftn(x.values, norm="ortho"), "frequency")
+        xhat = DenseSignal(spec.n, spec.d, np.fft.fftn(x.values, norm="ortho"), "frequency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             params = spec.recovery_params(mu, 3).main
         mset = acquire_measurements(xhat, params, np.random.default_rng(3))
-        assert mset.buckets.shape == (8, 15, 13, 1024)
+        assert mset.buckets.shape == shape
         found = decode_hashings(mset)  # warm the caches
-        assert sum(f.size for f in found) > 1000
+        assert sum(f.size for f in found) >= least_found
         tracemalloc.start()
         try:
             decode_hashings(mset)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The per-hashing walk's peak on this set, to the byte.
-        assert peak <= 1_937_848
+        assert peak <= bound
