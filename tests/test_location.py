@@ -425,8 +425,14 @@ class TestWorkingSet:
                      snr=10.0, epsilon=0.1),
                 (8, 15, 13, 1024), 1000, 1_937_848,
             ),
-            (dict(n=1 << 16, d=1, k=32, signal_model="exact-sparse"), (8, 16, 9, 1024), 200, 2_039_440),
-            (dict(n=16, d=3, k=8, signal_model="exact-sparse"), (8, 15, 13, 512), 60, 899_592),
+            (
+                dict(n=1 << 16, d=1, k=32, signal_model="exact-sparse"),
+                (8, 16, 9, 1024), 200, 2_039_440,
+            ),
+            (
+                dict(n=16, d=3, k=8, signal_model="exact-sparse"),
+                (8, 15, 13, 512), 60, 899_592,
+            ),
         ],
         ids=["gauss-2d-64", "exact-1d-65536", "exact-3d-16"],
     )
