@@ -7,10 +7,12 @@ and the filter order F (a `core.StagePlan`'s B_est and F_est). The
 repetitions are batched: every repetition's (permutation, modulation) is
 drawn first, and one call to the bucket-table primitive
 (hashing_measurements._bucket_tables) gives all r_max bucket tables. chi is
-subtracted only at the buckets read, by the same exact rule the stored
-tables use (_chi_buckets). The coordinatewise median over repetitions is
-within twice the typical per-repetition error of the true value, so a
-handful of repetitions drives the failure probability down geometrically.
+subtracted only at the buckets read, one column per location, by the
+library's one chi product (hashing_measurements._subtract_chi), which the
+measurement tables go through too. The coordinatewise median over
+repetitions is within twice the typical per-repetition error of the true
+value, so a handful of repetitions drives the failure probability down
+geometrically.
 Locations are row-major flat int64 indices; an EstimateBatch holds them and
 their estimates as aligned arrays. Estimates at or below the magnitude
 threshold nu (by np.hypot, which equals abs()) are left out of `kept`.
@@ -29,7 +31,7 @@ from .core import (
     unit_roots,
 )
 from .filters import cached_bucket_filter
-from .hashing_measurements import _bucket_tables, _chi_buckets
+from .hashing_measurements import _bucket_tables, _subtract_chi
 from .permutation import Hashing, sample_permutation
 
 __all__ = ["EstimateBatch", "coordinatewise_median", "estimate_values"]
@@ -119,8 +121,7 @@ def estimate_values(
         perm = hashing.perm
         cells = hashing.bucket_of_array(coords)
         read = u[rep, np.ravel_multi_index(cells.T, (b,) * d)]
-        if len(chi):
-            read = read - _chi_buckets(chi, hashing, z, cells)[0]
+        _subtract_chi(read[None], chi, hashing, z, cells)
         offsets = (perm.forward_array(coords) - hashing.center_of_array(coords)) & mask
         gain = filt.g_at(offsets)
         expo = (((coords @ perm.sigma.T) & mask) @ z[0]) & mask

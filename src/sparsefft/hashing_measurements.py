@@ -5,9 +5,12 @@ for a hashing and a modulation a it reads the spectrum on the filter's
 compact support, weights the samples by the filter, folds them onto the
 [b]^d ring, and takes one B-point inverse FFT. Bucket h(i) then holds
 sum_j G_{o_i(j)} x_j omega^(a . Sigma j) up to filter leakage. Any number of
-(hashing, modulation) rows can go through one call. The chi term is
-subtracted exactly in bucket space, from the filter's time-domain table
-(_chi_buckets), so it reads no spectrum samples.
+(hashing, modulation) rows can go through one call. Every table likewise
+loses chi through one product, _subtract_chi, which builds chi's exact
+bucket contributions from the filter's time-domain table and so reads no
+spectrum samples: a stored set's tables in update_residual_measurements, a
+streamed set's tables as they are read, and the buckets that
+estimation.estimate_values reads.
 
 The callers are acquire_measurements and estimation.estimate_values (one
 call for all its repetitions). acquire_measurements reads a set's r_max
@@ -36,9 +39,10 @@ all its hashings together into blocks, so one block may span hashings
 whose live pairs are few, and walks them one after the other through
 every digit, reading views of its table, which holds source - chi. A
 streamed set walks one hashing at a time: that hashing's blocks vote each
-digit before its next shift is read, and its freshly read tables lose the
-caller's chi at the live buckets only, before their digit's votes
-(_ChiCleaner). The walk gives one array of flat indices per hashing.
+digit before its next shift is read. The read takes the caller's chi out
+of the fresh tables (_subtract_chi): at every bucket of the reference, and
+at the live buckets only of a later shift, before its digit's votes. The
+walk gives one array of flat indices per hashing.
 
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: _bucket_tables takes an (M_h, d)
@@ -67,17 +71,20 @@ tables and one hashing's current shift:
 - The fold adds each support axis's length-b chunks in order and the
   ragged last chunk onto the leading residues, so nothing is copied to pad
   the support to a multiple of b.
-- update_residual_measurements subtracts phases @ weights one block of
-  bucket columns at a time, for all of a hashing's rows at once, and
-  builds each block's (|chi|, width) weights at that block's buckets. So
-  the (|chi|, B) weights are built once and never stored, and no (M, B)
-  increment exists. On a 144 x 32768 table at |chi| = 32 one hashing's
-  update takes 56-58 ms this way against 156-160 ms in 2-row blocks,
-  which reread the whole weights for every block (one thread). A streamed
-  set subtracts the same way from its reference shift, and from a later
-  shift at its live buckets only. The acquisition's initial scale is a
-  maximum over row blocks, and a block holding a NaN or an infinity (a
-  non-finite spectrum sample was read) stops the acquisition.
+- _subtract_chi subtracts phases @ weights one block of _UPDATE_COLUMNS
+  bucket columns at a time, for all of its rows at once, and builds each
+  block's (|chi|, width) weights at that block's buckets, every column's
+  or the live ones'. So neither the (|chi|, B) weights nor an (M, B)
+  increment is ever held. On a 144 x 32768 table at |chi| = 32 one
+  hashing's update takes 56-58 ms this way against 156-160 ms in 2-row
+  blocks, which reread the whole weights for every block (one thread). A
+  streamed set builds its live buckets' weights again at every digit
+  rather than keep them: kept, the (|chi|, live) gains of a 2^14-point
+  constant-SNR stage at |chi| = 256 raised its acquisition's tracemalloc
+  peak from 7.4 to 54.5 MB.
+- The acquisition's initial scale is a maximum over row blocks, and a
+  block holding a NaN or an infinity (a non-finite spectrum sample was
+  read) stops the acquisition.
 - Every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
 - A hashing's support offsets mapped by Sigma, and the exponents of its
@@ -90,13 +97,14 @@ Rows and buckets are independent, so the blocks and batches only regroup
 work: every row and bucket comes out as in one pass over everything. The
 inverse FFT gives the same bits on any number of rows per call, and its
 b^(d/2) scale is a separate step, since folding it into the transform's
-norm would change them. The update's product is the one step whose
-rounding is the BLAS's. Its column blocks are core._UPDATE_COLUMNS (512)
-wide: on eight product shapes under one and two OpenBLAS threads, blocks
-of 8 or more columns gave the whole product's bits, and 2-column blocks
-did not always. A streamed set's products at a few live buckets can be
-narrower, but only its decodes leave it, and they equal the stored set's
-on every seeded run compared (see tests/test_recovery.py).
+norm would change them. The chi product is the one step whose rounding
+is the BLAS's. Its column blocks are core._UPDATE_COLUMNS (512) wide: on
+eight product shapes under one and two OpenBLAS threads, blocks of 8 or
+more columns gave the whole product's bits, and 2-column blocks did not
+always. A streamed set's last block of live buckets and an estimate's read
+row can be narrower; only decodes and estimates leave them, and a streamed
+set's decodes equal the stored set's on every seeded run compared (see
+tests/test_recovery.py).
 """
 from __future__ import annotations
 
@@ -126,6 +134,7 @@ from .location import (
     _digit_steps,
     _inverse_reference,
     _quorum,
+    _silent,
     _unpermute,
 )
 from .permutation import Hashing, sample_permutation
@@ -319,27 +328,41 @@ def _chi_weights(pi: np.ndarray, hashing: Hashing, cells: np.ndarray) -> np.ndar
     return weights.astype(np.complex128)
 
 
-def _chi_phases(chi: SparseApprox, hashing: Hashing, mods: np.ndarray) -> np.ndarray:
-    """chi_t * omega^(a . Sigma t) for every modulation row a of the (M, d)
-    array mods and every chi entry t, as an (M, |chi|) array."""
-    mask = hashing.n - 1
-    sig_t = (chi.coords_array() @ hashing.perm.sigma.T) & mask
-    expo = (mods @ sig_t.T) & mask
-    return unit_roots(hashing.n, 1)[expo] * chi.values
+def _subtract_chi(
+    rows: np.ndarray,
+    chi: SparseApprox,
+    hashing: Hashing,
+    mods: np.ndarray,
+    cells: np.ndarray,
+    live: np.ndarray | None = None,
+) -> None:
+    """Subtract chi's exact bucket contributions from a hashing's (M, m)
+    rows in place: the library's one chi product. Row i was taken under
+    modulation mods[i] and column c is the bucket at coordinates cells[c]
+    (an (m, d) array; _all_cells for every bucket); entry t adds
+    G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t) to bucket j under
+    modulation a. Every column is cleaned, or only the columns `live`.
+    Reads no samples.
 
-
-def _chi_buckets(
-    chi: SparseApprox, hashing: Hashing, mods: np.ndarray, cells: np.ndarray
-) -> np.ndarray:
-    """Exact bucket contributions of chi under each modulation.
-
-    Entry t adds G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t) to bucket j
-    under modulation a. Returns an (M, m) array at the bucket coordinates
-    `cells` (an (m, d) array; _all_cells for every bucket), which costs
-    O(m * |chi| * d). Reads no samples.
+    The (M, |chi|) phases are built once, and phases @ weights is
+    subtracted one block of _UPDATE_COLUMNS columns at a time, with each
+    block's (|chi|, width) weights built at that block's buckets, so
+    neither the (|chi|, m) weights nor an (M, m) increment is ever formed.
     """
-    pi = hashing.perm.forward_array(chi.coords_array())
-    return _chi_phases(chi, hashing, mods) @ _chi_weights(pi, hashing, cells)
+    width = rows.shape[1] if live is None else live.size
+    if not len(chi) or not width:
+        return
+    mask = hashing.n - 1
+    coords = chi.coords_array()
+    sig_t = (coords @ hashing.perm.sigma.T) & mask
+    phases = unit_roots(hashing.n, 1)[(mods @ sig_t.T) & mask] * chi.values
+    pi = hashing.perm.forward_array(coords)
+    for lo in range(0, width, _UPDATE_COLUMNS):
+        if live is None:
+            cols = slice(lo, lo + _UPDATE_COLUMNS)
+        else:
+            cols = live[lo : lo + _UPDATE_COLUMNS]
+        rows[:, cols] -= phases @ _chi_weights(pi, hashing, cells[cols])
 
 
 @dataclass(eq=False)
@@ -539,8 +562,11 @@ def acquire_measurements(
     # Streamed: one call per shift of one hashing, sharing the hashing's
     # gather set-up and one gather block. Every shift is read, also once no
     # bucket is left to decode, so the reads are those the counter books.
+    # Each shift loses chi after its peak is taken: at every bucket of the
+    # reference, and at the live buckets only of a later shift.
     current = table[-1, :, 0]
     block = _gather_block(filt, params.c_max)
+    cells = _all_cells(filt.b, d)
     peaks, mset.found = [], []
     for r, hashing in enumerate(hashings):
         setups = [_gather_setup(filt, hashing)]
@@ -552,14 +578,15 @@ def acquire_measurements(
                 xhat, filt, [hashing], [mods[w::S]], out=rows, setups=setups, block=block
             )
             peaks.append(_max_abs(rows))
+            live = None
+            if w:
+                live = np.concatenate([walk.b for walk in walks] + [np.empty(0, np.int64)])
+            _subtract_chi(rows, chi, hashing, mods[w::S], cells, live)
             return rows.reshape(-1)
 
-        ref = read(0)
-        clean = _ChiCleaner(mset, r, chi) if len(chi) else None
-        if clean is not None:
-            clean.reference(ref)
+        read(0)
         walks = list(_walks(mset, range(r, r + 1)))
-        _walk_digits(mset, walks, read, clean)
+        _walk_digits(mset, walks, read)
         mset.found += _found(mset, [(walk.r, walk.fvec) for walk in walks], range(r, r + 1))
     mset.initial_scale = max(peaks)
     return mset
@@ -653,7 +680,7 @@ class _Walk:
 def _walks(mset: MeasurementSet, hashings: range):
     """The live pairs of the given hashings, in blocks, each a _Walk: the
     pairs whose reference holds a digit's quorum of valid probes
-    (location._quorum). A probe below near_zero casts no vote, so no other
+    (location._quorum). A location._silent probe casts no vote, so no other
     pair could win a digit. A stored and a streamed set hold their
     reference tables alike, in mset.buckets[:, :, 0]. The blocks are made
     as they are asked for."""
@@ -661,7 +688,7 @@ def _walks(mset: MeasurementSet, hashings: range):
     tun = mset.params.tunables
     r_live, b_live = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for r in hashings:
-        invalid = np.abs(mset.buckets[r, :, 0]) < tun.near_zero
+        invalid = _silent(mset.buckets[r, :, 0], tun)
         live = np.flatnonzero(C - invalid.sum(axis=0) >= _quorum(C, tun))
         r_live.append(np.full(live.size, r))
         b_live.append(live)
@@ -671,15 +698,12 @@ def _walks(mset: MeasurementSet, hashings: range):
         yield _Walk(mset, r_live[lo : lo + size], b_live[lo : lo + size], hashings.start, S * B)
 
 
-def _walk_digits(mset: MeasurementSet, walks: list[_Walk], rows, clean=None) -> None:
+def _walk_digits(mset: MeasurementSet, walks: list[_Walk], rows) -> None:
     """The one digit walk: every block of `walks` votes on each digit in
-    decode order. rows(w) gives the flat tables of shift w (as _Walk reads
-    them); clean, when given, takes chi out of them at the live pairs
-    first."""
+    decode order. rows(w) gives the flat tables of shift w, as _Walk reads
+    them."""
     for w, s, base, place in _digit_steps(mset):
         flat = rows(w)
-        if clean is not None:
-            clean(flat, w, walks)
         for walk in walks:
             if walk.r.size:
                 walk.vote(flat, w, s, base, place)
@@ -698,49 +722,6 @@ def _found(
         _unpermute(fvec[lo:hi], mset.hashings[h])
         for h, lo, hi in zip(hashings, bounds[:-1], bounds[1:])
     ]
-
-
-class _ChiCleaner:
-    """Takes a streamed set's chi out of hashing r's freshly read (c_max, B)
-    tables: from the reference at every bucket, and from a later shift at
-    the live buckets only. chi's phases are made for one shift at a time,
-    and its weights at a bucket at the first digit, kept (real, as the
-    filter is) while the bucket lives. The live buckets are cleaned in
-    blocks whose (c_max, width) rows fill about _BLOCK_BYTES."""
-
-    def __init__(self, mset: MeasurementSet, r: int, chi: SparseApprox) -> None:
-        self.mset, self.r, self.chi = mset, r, chi
-        self.hashing = mset.hashings[r]
-        self.cells = _all_cells(self.hashing.b, mset.d)
-        self.pi = self.hashing.perm.forward_array(chi.coords_array())
-        self.mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
-        # The live buckets at the last digit and chi's weights there.
-        self.weights: tuple[np.ndarray, np.ndarray] | None = None
-
-    def _phases(self, w: int) -> np.ndarray:
-        return _chi_phases(self.chi, self.hashing, self.mods[w :: len(self.mset.shifts)])
-
-    def _rows(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(-1, self.mset.params.B)
-
-    def reference(self, flat: np.ndarray) -> None:
-        _subtract_chi(self._rows(flat), self._phases(0), self.pi, self.hashing, self.cells)
-
-    def __call__(self, flat: np.ndarray, w: int, walks: list[_Walk]) -> None:
-        live = np.concatenate([walk.b for walk in walks] + [np.empty(0, dtype=np.int64)])
-        if not live.size:
-            return
-        if self.weights is None:
-            gains = _chi_weights(self.pi, self.hashing, self.cells[live]).real.copy()
-        else:
-            kept, gains = self.weights
-            gains = gains[:, np.searchsorted(kept, live)]
-        self.weights = live, gains
-        rows, phases = self._rows(flat), self._phases(w)
-        columns = _block_rows(16 * self.mset.betas.shape[1])
-        for lo in range(0, live.size, columns):
-            cols = live[lo : lo + columns]
-            rows[:, cols] -= phases @ gains[:, lo : lo + columns].astype(np.complex128)
 
 
 def _max_abs(table: np.ndarray, above: float = math.inf) -> float:
@@ -776,22 +757,6 @@ def _residual_peak(mset: MeasurementSet, above: float = math.inf) -> float:
     return peak
 
 
-def _subtract_chi(
-    slab: np.ndarray,
-    phases: np.ndarray,
-    pi: np.ndarray,
-    hashing: Hashing,
-    cells: np.ndarray,
-) -> None:
-    """Subtract chi's bucket contributions phases @ weights from every
-    bucket of a hashing's (M, B) rows in place, one block of
-    _UPDATE_COLUMNS bucket columns at a time, building each block's
-    (|chi|, width) weights at that block's buckets (pi as in _chi_weights)."""
-    for lo in range(0, slab.shape[1], _UPDATE_COLUMNS):
-        cols = slice(lo, lo + _UPDATE_COLUMNS)
-        slab[:, cols] -= phases @ _chi_weights(pi, hashing, cells[cols])
-
-
 def update_residual_measurements(
     mset: MeasurementSet, chi_delta: SparseApprox
 ) -> MeasurementSet:
@@ -800,12 +765,10 @@ def update_residual_measurements(
 
     The contribution of entry t to bucket j under (hashing, modulation a) is
     G(pi(t) - (n/b) j) * chi_t * omega^(a . Sigma t); it is computed exactly
-    from the filter tables, so no spectrum reads happen and repeated updates
-    stay consistent with refreshing from scratch. Each hashing subtracts
-    phases @ weights from its slab one block of bucket columns at a time,
-    for all rows at once, and builds each block's weights at that block's
-    buckets, so neither an (M, B) increment nor the (|chi|, B) weights are
-    ever formed. A streamed set keeps no shifted tables to update.
+    from the filter tables (_subtract_chi, on all of a hashing's rows at
+    once), so no spectrum reads happen and repeated updates stay consistent
+    with refreshing from scratch. A streamed set keeps no shifted tables to
+    update.
     """
     if mset.found is not None:
         raise ParameterError("a streamed measurement set cannot be updated")
@@ -814,12 +777,10 @@ def update_residual_measurements(
     if len(chi_delta) == 0:
         return mset
     cells = _all_cells(mset.hashings[0].b, mset.d)
-    coords = chi_delta.coords_array()
     for r, hashing in enumerate(mset.hashings):
         mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
-        phases = _chi_phases(chi_delta, hashing, mods)
         slab = mset.buckets[r].reshape(-1, mset.params.B)
-        _subtract_chi(slab, phases, hashing.perm.forward_array(coords), hashing, cells)
+        _subtract_chi(slab, chi_delta, hashing, mods, cells)
     mset.chi = mset.chi + chi_delta
     mset.residual_peak = None
     return mset

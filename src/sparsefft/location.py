@@ -31,14 +31,15 @@ full. Buckets that fail a digit are dropped, so later digits decode only
 the survivors.
 
 This module holds the decoding primitives: _digit_steps lists the digits
-in decode order, _inverse_reference makes a walk's inverse references,
-_decode_digit votes on one digit for a block of buckets (a digit passes
-with _quorum votes), and _unpermute turns a hashing's decoded coordinates
-into flat indices. The one walk that drives them is
-hashing_measurements._walk_digits, over blocks of live (hashing, bucket)
-pairs: those of every hashing of a stored set together, and those of one
-hashing at a time of a streamed set as it is read. It starts with only the
-pairs whose reference holds a quorum of valid probes.
+in decode order, _silent is the one cut below which a probe casts no vote,
+_inverse_reference makes a walk's inverse references, _decode_digit votes
+on one digit for a block of buckets (a digit passes with _quorum votes),
+and _unpermute turns a hashing's decoded coordinates into flat indices.
+The one walk that drives them is hashing_measurements._walk_digits, over
+blocks of live (hashing, bucket) pairs: those of every hashing of a stored
+set together, and those of one hashing at a time of a streamed set as it
+is read. It starts with only the pairs whose reference holds a quorum of
+valid probes.
 """
 from __future__ import annotations
 
@@ -94,12 +95,19 @@ def _quorum(probes: int, tun: "Tunables") -> float:
     return tun.vote_fraction * probes - 1e-9
 
 
+def _silent(ref: np.ndarray, tun: "Tunables") -> np.ndarray:
+    """Where a probe's reference is too small for the probe to vote:
+    |ref| < near_zero. The walk's one zero cut: it picks the live pairs
+    (hashing_measurements._walks) and the probes _inverse_reference
+    zeroes."""
+    return np.abs(ref) < tun.near_zero
+
+
 def _inverse_reference(ref: np.ndarray, tun: "Tunables") -> np.ndarray:
-    """1 / ref entrywise, and 0 where |ref| < near_zero: a probe whose
-    reference is that small casts no vote, and a ratio of 0 accepts no
-    root (ratio_tolerance < 1)."""
+    """1 / ref entrywise, and 0 where the probe is _silent: it casts no
+    vote, and a ratio of 0 accepts no root (ratio_tolerance < 1)."""
     inv = np.zeros_like(ref)
-    np.reciprocal(ref, out=inv, where=~(np.abs(ref) < tun.near_zero))
+    np.reciprocal(ref, out=inv, where=~_silent(ref, tun))
     return inv
 
 

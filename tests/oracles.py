@@ -10,14 +10,18 @@ versions of optimized library kernels (per-digit location vote, the
 angle-based vote of one digit, per-axis fold, per-repetition estimation,
 per-draw probe sampling, the adjugate inverse of a permutation matrix).
 The optimized kernels must match them exactly, with np.array_equal, so
-they share the library's arithmetic on purpose.
+they share the library's arithmetic on purpose; the one exception is chi's
+contribution to an estimate, which reference_estimate sums directly
+(chi_bucket_sums), so with a nonempty chi it matches to rounding only.
 
 Two helpers name objects the recovery path never builds whole, because it
 reads the spectrum only at hashed, permuted points: hash_to_bins is one
 (hashing, modulation) bucket table, computed by the library's own
-_bucket_tables and _chi_buckets so that the brute-force sums can check
-them, and apply_P is the dense permuted and modulated spectrum, written
-from its definition for the permutation identity.
+_bucket_tables so that the brute-force sums can check it, with chi's
+contribution summed directly (chi_bucket_sums), and apply_P is the dense
+permuted and modulated spectrum, written from its definition for the
+permutation identity. chi_bucket_sums shares no code with the library's
+chi product, so the oracles that subtract chi check it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from sparsefft import DenseSignal, ParameterError, SparseApprox
 from sparsefft.dense_dft import fft_axes
 from sparsefft.estimation import coordinatewise_median
 from sparsefft.filters import BucketFilter
-from sparsefft.hashing_measurements import _all_cells, _bucket_tables, _chi_buckets
+from sparsefft.hashing_measurements import _bucket_tables
 from sparsefft.permutation import Hashing, SpectrumPermutation, sample_permutation
 
 
@@ -101,19 +105,34 @@ def brute_bucket_sums(
     return out
 
 
+def chi_bucket_sums(
+    chi: SparseApprox, hashing: Hashing, a: np.ndarray, cells: np.ndarray
+) -> np.ndarray:
+    """chi's contribution sum_t G(pi(t) - (n/b) j) chi_t w^(a . Sigma t) to
+    the bucket at each coordinate j of the (m, d) cells under the (d,)
+    modulation a, summed directly over chi's entries, as an (m,) array."""
+    n, b = hashing.n, hashing.b
+    coords = chi.coords_array()
+    pi = hashing.perm.forward_array(coords)
+    expo = (coords @ ((hashing.perm.sigma.T @ a) % n)) % n
+    phased = chi.values * np.exp(2j * np.pi * expo / n)
+    off = (pi[None, :, :] - (n // b) * cells[:, None, :]) % n
+    return (hashing.filter.g_axis[off].prod(axis=2) * phased).sum(axis=1)
+
+
 def hash_to_bins(
     xhat: DenseSignal, chi: SparseApprox, hashing: Hashing, a: np.ndarray
 ) -> np.ndarray:
     """One bucketing pass over the residual xhat - chi under the (d,)
     integer modulation a, as a (b,)*d array: the library's bucket kernel on
-    one row, then chi's exact bucket contributions subtracted at every
-    bucket."""
+    one row, then chi's exact bucket contributions (chi_bucket_sums)
+    subtracted at every bucket."""
     if xhat.domain != "frequency":
         raise ParameterError("hash_to_bins expects a frequency-domain signal")
     mods = np.asarray(a, dtype=np.int64).reshape(1, hashing.d) % hashing.n
     u = _bucket_tables(xhat, hashing.filter, [hashing], [mods])[0]
     if len(chi):
-        u = u - _chi_buckets(chi, hashing, mods, _all_cells(hashing.b, hashing.d))[0]
+        u = u - chi_bucket_sums(chi, hashing, mods[0], all_indices(hashing.b, hashing.d))
     return u.reshape((hashing.b,) * hashing.d)
 
 
@@ -276,7 +295,8 @@ def reference_estimate(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
     """Median estimates at each (distinct) flat location from r_max separate
-    hash_to_bins calls, one repetition at a time: (estimates in location
+    hash_to_bins calls, one repetition at a time, chi's contribution summed
+    directly at the buckets read (chi_bucket_sums): (estimates in location
     order, samples read)."""
     n, d, b, B, F = xhat.n, xhat.d, filt.b, filt.B, filt.F
     coords = np.stack(np.unravel_index(locations, (n,) * d), axis=-1)
@@ -296,7 +316,7 @@ def reference_estimate(
             flat = flat * b + buckets[:, ax]
         read = u[flat]
         if len(chi):
-            read = read - _chi_buckets(chi, hashing, z[None, :], buckets)[0]
+            read = read - chi_bucket_sums(chi, hashing, z, buckets)
         offsets = (pi - (n // b) * buckets) % n
         gain = filt.g_at(offsets)
         sig_f = (coords @ perm.sigma.T) % n

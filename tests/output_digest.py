@@ -43,6 +43,7 @@ import warnings  # noqa: E402
 import numpy as np  # noqa: E402
 
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec  # noqa: E402
+from spec_fields import parse_spec  # noqa: E402
 from test_recovery import PINNED_GRIDS, PINNED_SEED, harness_run  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,21 +73,9 @@ def cases(args):
     if args.workload is not None:
         spec = ExperimentSpec(**WORKLOADS[args.workload].spec)
     else:
-        spec = ExperimentSpec(**dict(_field(item) for item in args.spec))
+        spec = ExperimentSpec(**parse_spec(args.spec))
     for i in range(args.instances):
         yield f"instance {i}", spec, instance_seed(args.seed, i)
-
-
-def _field(item: str):
-    """One key=value spec field, the value read as an int, a float or a
-    string, in that order."""
-    key, _, text = item.partition("=")
-    for kind in (int, float):
-        try:
-            return key, kind(text)
-        except ValueError:
-            pass
-    return key, text
 
 
 def main(argv=None) -> int:

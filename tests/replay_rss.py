@@ -2,12 +2,18 @@
 peak resident memory after each.
 
     python tests/replay_rss.py --workload gauss-2d-64 --seed 11 --instances 12
+    python tests/replay_rss.py --spec n=65536 d=1 k=32 \
+        signal_model=sparse-plus-gaussian-tail --instances 4
 
 Run from the repository root. It loads `Bench` from perfbench/run.py, which
 pins the BLAS thread pools to one before NumPy loads, and runs the bench's
 in-process set-up (imports and the cold instance 0), then instances
 1..--instances as the measured loop runs them: build the input, time one
 recovery, check it against the planted truth, time the dense reference.
+The input is a benchmark workload's (perfbench/workloads.py) or an
+ExperimentSpec given field by field (--spec, parsed as
+tests/output_digest.py parses it), so a memory claim off the benchmark's
+workloads is replayed with the benchmark's own loop.
 It leaves out what the bench adds around that loop: the set-up probe
 subprocesses and the traced pass. So the peak it prints is the recovery's
 own, with the dense reference, and a bench `peak_rss_mb` above it comes
@@ -25,8 +31,8 @@ arenas hold from the system, and `free_mb`, the free bytes inside them
 (mallinfo2's arena and fordblks; `n/a` where the C library has no
 mallinfo2). A peak that jumps with `arena_mb` while `free_mb` grows too is
 one more heap growth forced by fragmentation, not memory the recovery
-holds. The last line is one JSON object with the workload, seed, instance
-count and final peak.
+holds. The last line is one JSON object with the workload (null for
+--spec), its spec fields, the seed, the instance count and the final peak.
 """
 import argparse
 import ctypes
@@ -41,6 +47,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run as bench_run  # noqa: E402  (pins the thread pools before numpy loads)
 
 sys.path.insert(0, bench_run.SRC)
+
+from spec_fields import parse_spec  # noqa: E402
 
 
 def peak_rss_mb() -> float:
@@ -77,13 +85,18 @@ def heap_fields() -> str:
 def main(argv=None) -> int:
     names = sorted(bench_run.workloads.WORKLOADS)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=names)
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=names)
+    what.add_argument("--spec", nargs="+", metavar="FIELD=VALUE")
     ap.add_argument("--seed", type=bench_run._nonnegative_int, default=0)
     ap.add_argument("--instances", type=int, default=12)
     args = ap.parse_args(argv)
+    if args.workload is not None:
+        workload = bench_run.workloads.WORKLOADS[args.workload]
+    else:
+        workload = bench_run.workloads.Workload("spec", parse_spec(args.spec), "")
     bench = bench_run.Bench(
-        bench_run.workloads.WORKLOADS[args.workload],
-        argparse.Namespace(workload=args.workload, seed=args.seed, trace=0),
+        workload, argparse.Namespace(workload=args.workload, seed=args.seed, trace=0)
     )
     bench.setup()
     print(f"instance 0 (set-up) peak_rss_mb={peak_rss_mb():.1f} {heap_fields()}")
@@ -97,7 +110,7 @@ def main(argv=None) -> int:
         ok &= rec.ok
         print(f"instance {index} recover_s={rec.recover_s:.3f} ok={rec.ok} "
               f"peak_rss_mb={peak_rss_mb():.1f} {heap_fields()}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed,
+    print(json.dumps({"workload": args.workload, "spec": workload.spec, "seed": args.seed,
                       "instances": args.instances, "peak_rss_mb": peak_rss_mb()}))
     return 0 if ok else 1
 

@@ -160,7 +160,9 @@ class TestExactTones:
 
 
 class TestMatchesPerRepetitionLoop:
-    """Batched repetitions equal one hash_to_bins call per repetition."""
+    """Batched repetitions equal one hash_to_bins call per repetition: to
+    the bit without chi, and to rounding with chi, whose contribution the
+    reference sums directly."""
 
     @pytest.mark.parametrize(
         "n,d,b",
@@ -180,15 +182,19 @@ class TestMatchesPerRepetitionLoop:
         extra = np.ravel_multi_index(rng.integers(0, n, size=(5, d)).T, shape)
         L = np.array(list(dict.fromkeys(x.flat.tolist() + extra.tolist())))
         r_max = 5
-        fast = np.random.default_rng(11)
-        batch = estimate_values(xhat, chi, L, b**d, 0.0, r_max, F=2 * d, rng=fast)
-        slow = np.random.default_rng(11)
         filt = cached_bucket_filter(n, d, b**d, 2 * d)
-        want, samples = reference_estimate(xhat, chi, L, filt, r_max, slow)
-        assert np.array_equal(batch.locations, L)
-        assert np.array_equal(batch.estimates, want)
-        assert batch.samples == samples
-        assert fast.bit_generator.state == slow.bit_generator.state
+        for residual in (SparseApprox.empty(n, d), chi):
+            fast = np.random.default_rng(11)
+            batch = estimate_values(xhat, residual, L, b**d, 0.0, r_max, F=2 * d, rng=fast)
+            slow = np.random.default_rng(11)
+            want, samples = reference_estimate(xhat, residual, L, filt, r_max, slow)
+            assert np.array_equal(batch.locations, L)
+            if len(residual):
+                assert np.abs(batch.estimates - want).max() < 1e-12 * np.abs(want).max()
+            else:
+                assert np.array_equal(batch.estimates, want)
+            assert batch.samples == samples
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestThresholding:

@@ -26,9 +26,7 @@ from sparsefft import core
 from sparsefft import hashing_measurements as hm
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import (
-    _all_cells,
     _bucket_tables,
-    _chi_buckets,
     _fold_rows,
     _invert_rows,
     _modulations,
@@ -42,7 +40,9 @@ from sparsefft.location import _balanced_axes
 from sparsefft.permutation import Hashing, sample_permutation
 
 from oracles import (
+    all_indices,
     brute_bucket_sums,
+    chi_bucket_sums,
     dense_time,
     direct_transform,
     hash_to_bins,
@@ -410,13 +410,12 @@ class TestBlocksAreInvisible:
     def test_update_equals_whole_increment(self, n, d, k, B, c_max, k_chi, rng, monkeypatch):
         params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max).main
         x = random_sparse_time(n, d, k, rng)
-        mset = acquire_measurements(freq_signal(dense_time(x), n, d), params, rng)
+        xhat = freq_signal(dense_time(x), n, d)
+        mset = acquire_measurements(xhat, params, np.random.default_rng(5))
         chi = random_sparse_time(n, d, k_chi, rng)
-        cells = _all_cells(mset.hashings[0].b, d)
-        expected = mset.buckets.copy()
-        for r, hashing in enumerate(mset.hashings):
-            mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, n)
-            expected[r] -= _chi_buckets(chi, hashing, mods, cells).reshape(expected[r].shape)
+        # The whole increment: one block of _UPDATE_COLUMNS >= B columns.
+        whole = acquire_measurements(xhat, params, np.random.default_rng(5))
+        update_residual_measurements(whole, chi)
         # 64-column blocks: B / 64 of them per hashing.
         monkeypatch.setattr(hm, "_UPDATE_COLUMNS", 64)
         widths = []
@@ -424,9 +423,19 @@ class TestBlocksAreInvisible:
         monkeypatch.setattr(
             hm, "_chi_weights", lambda p, h, j: widths.append(len(j)) or weights(p, h, j)
         )
+        expected = mset.buckets.copy()
         update_residual_measurements(mset, chi)
         assert widths == [64] * (B // 64) * params.r_max
-        assert np.array_equal(mset.buckets, expected)
+        assert np.array_equal(mset.buckets, whole.buckets)
+        # Both equal chi's contribution summed directly, to rounding.
+        cells = all_indices(mset.hashings[0].b, d)
+        for r, hashing in enumerate(mset.hashings):
+            mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, n)
+            expected[r] -= np.array(
+                [chi_bucket_sums(chi, hashing, a, cells) for a in mods]
+            ).reshape(expected[r].shape)
+        scale = np.abs(expected).max()
+        assert np.abs(mset.buckets - expected).max() < 1e-12 * scale
 
 
 class TestMemoryBound:

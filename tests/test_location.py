@@ -382,15 +382,16 @@ class TestColumnBlocks:
         update_residual_measurements(stored, chi)
         stored.buckets[1, :, 0] = 0.0
         # The streamed set loses hashing 1's reference the same way, after
-        # chi has been taken out of it.
-        real = hashing_measurements._ChiCleaner.reference
+        # chi has been taken out of it: the reference is the one call that
+        # cleans every column, under the unshifted modulations alphas[1].
+        real = hashing_measurements._subtract_chi
 
-        def dropping(self, flat):
-            real(self, flat)
-            if self.r == 1:
-                flat[:] = 0.0
+        def dropping(rows, chi, hashing, mods, cells, live=None):
+            real(rows, chi, hashing, mods, cells, live)
+            if live is None and np.array_equal(mods, stored.alphas[1]):
+                rows[:] = 0.0
 
-        monkeypatch.setattr(hashing_measurements._ChiCleaner, "reference", dropping)
+        monkeypatch.setattr(hashing_measurements, "_subtract_chi", dropping)
         # Blocks of 5 pairs end inside each hashing's 64 live buckets (the
         # tail keeps every reference valid).
         self.blocks_of(5, params, monkeypatch)

@@ -237,6 +237,30 @@ class TestStreamedSweep:
         rows = (stage.r_max + 1) * stage.c_max * stage.B * 16
         assert peak + rows < table
 
+    def test_streamed_chi_peak_stays_below_one_gain_table(self, rng):
+        # A noisy input keeps most buckets live through the first digits,
+        # and |chi| = 256 against B = 8192 buckets: one (|chi|, B) float64
+        # table of chi's filter gains would take 16 MB. chi is taken out in
+        # blocks of bucket columns, so no such table is held.
+        n, d, k = 2**14, 1, 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stage = RecoveryParams.derive(n, d, k).const_snr
+        assert (stage.B, stage.c_max) == (n // 2, 16)
+        _, xt, _ = noisy_instance(n, d, k, rng, tail_rel=0.3)
+        xhat = lib_freq(xt, n, d)
+        flat = rng.choice(n, size=256, replace=False)
+        chi = SparseApprox.from_flat(n, d, flat, rng.normal(size=256) + 1j * rng.normal(size=256))
+        streamed = acquire_measurements(xhat, stage, np.random.default_rng(1), chi=chi)
+        assert sum(found.size for found in streamed.found) > 0  # and warm the caches
+        tracemalloc.start()
+        try:
+            acquire_measurements(xhat, stage, np.random.default_rng(1), chi=chi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(chi) * stage.B * np.dtype(np.float64).itemsize
+
 
 class TestReduceInfNorm:
     def test_lone_spike_cleared_to_float_precision(self, rng):

@@ -1,26 +1,39 @@
 """Smoke test of tests/replay_rss.py, the in-process peak-memory and heap
 replay of the benchmark's measured loop, on the benchmark's 256-point smoke
-workload. It runs in a fresh process, because ru_maxrss is a property of
-the whole process and the tool pins the BLAS threads before NumPy loads."""
+workload, named or given field by field. It runs in a fresh process,
+because ru_maxrss is a property of the whole process and the tool pins the
+BLAS threads before NumPy loads."""
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 HERE = os.path.dirname(os.path.abspath(__file__))
+SMOKE = {"n": 256, "d": 1, "k": 4, "signal_model": "exact-sparse"}
 
 
-def test_replay_prints_a_peak_per_instance():
+@pytest.mark.parametrize(
+    "what,workload",
+    [
+        (["--workload", "smoke-1d-256"], "smoke-1d-256"),
+        (["--spec"] + [f"{key}={value}" for key, value in SMOKE.items()], None),
+    ],
+    ids=["workload", "spec"],
+)
+def test_replay_prints_a_peak_per_instance(what, workload):
     proc = subprocess.run(
-        [sys.executable, os.path.join(HERE, "replay_rss.py"), "--workload",
-         "smoke-1d-256", "--seed", "3", "--instances", "2"],
+        [sys.executable, os.path.join(HERE, "replay_rss.py"), *what,
+         "--seed", "3", "--instances", "2"],
         capture_output=True, text=True, cwd=os.path.dirname(HERE), timeout=150,
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     summary = json.loads(lines[-1])
-    assert summary["workload"] == "smoke-1d-256" and summary["instances"] == 2
+    assert summary["workload"] == workload and summary["instances"] == 2
+    assert summary["spec"] == SMOKE
     rows = lines[:-1]
     assert [row.split()[1] for row in rows] == ["0", "1", "2"]
     assert all("ok=True" in row for row in rows[1:])
