@@ -399,7 +399,8 @@ class Tunables:
     # c_max ~ probes_coeff/sqrt(alpha) * loglogN.
     location_reps_coeff: float = 1.0
     probes_coeff: float = 2.0
-    # Inner iterations of the L1 reduction: ceil(4 * loglogN) (= log2 of log^4 N).
+    # Rounds of the L1 reduction, `StagePlan.rounds`: ceil(4 * loglogN)
+    # (= log2 of log^4 N).
     inner_iters_coeff: float = 4.0
     # Estimation repetitions: est_reps_coeff * (loglogN + d^2 + log2(B/k)).
     est_reps_coeff: float = 1.0
@@ -410,7 +411,8 @@ class Tunables:
     l1_threshold_frac: float = 1.0 / 1000.0
     head_bias: float = 4.0
     # Infinity-norm stage: hashings ~ inf_hashings_coeff/sqrt(alpha) * log2 N,
-    # estimation reps ~ inf_est_reps_coeff * log2 N, threshold 5*(nu 2^..+mu).
+    # estimation reps ~ inf_est_reps_coeff * log2 N, threshold
+    # inf_threshold_scale * (nu + mu).
     inf_hashings_coeff: float = 0.2
     inf_est_reps_coeff: float = 0.5
     inf_threshold_scale: float = 5.0
@@ -475,9 +477,11 @@ class StagePlan:
     """The geometry of one recovery stage, fixed before any read.
 
     The stage acquires r_max hashings of B buckets, c_max probe pairs each
-    (`hashing_measurements.acquire_measurements`), sized for k terms, then
-    makes at most `rounds` estimation calls, each over reps fresh
-    B_est-bucket hashings. Build it with `RecoveryParams.derive`.
+    (`hashing_measurements.acquire_measurements`), sized for k terms, and
+    each of its estimation calls draws reps fresh B_est-bucket hashings. The
+    l1 loop reuses the main stage's set for at most `rounds` calls; the
+    inf-norm and constant-SNR sweeps make one. Build it with
+    `RecoveryParams.derive`.
     """
 
     n: int
@@ -489,7 +493,6 @@ class StagePlan:
     c_max: int
     B_est: int
     reps: int
-    rounds: int
     tunables: Tunables = field(default_factory=Tunables)
 
     def __post_init__(self) -> None:
@@ -512,8 +515,8 @@ class StagePlan:
                 )
         if self.B < self.k:
             raise ParameterError(f"need B >= k, got B={self.B} < k={self.k}")
-        if min(self.r_max, self.c_max, self.reps, self.rounds) < 1:
-            raise ParameterError("repetition and round counts must be >= 1")
+        if min(self.r_max, self.c_max, self.reps) < 1:
+            raise ParameterError("repetition counts must be >= 1")
         # The location vote finds a probe's nearest root by sign tests, which
         # it has for bases 2 and 4 only, and tests the probe against that
         # root alone. That is exact when the tolerance disks of adjacent
@@ -548,6 +551,12 @@ class StagePlan:
         return (self.delta,) * (groups - 1) + (self.n // self.delta ** (groups - 1),)
 
     @property
+    def rounds(self) -> int:
+        """Threshold-halving rounds of the l1 loop over this stage's set:
+        ceil(inner_iters_coeff * log2 log2 N), at least 1."""
+        return max(1, math.ceil(self.tunables.inner_iters_coeff * _loglog2(self.n**self.d)))
+
+    @property
     def F_est(self) -> int:
         """Filter order of the estimation hashings: 2d, the least allowed."""
         return 2 * self.d
@@ -565,16 +574,6 @@ class StagePlan:
         """Spectrum reads of one estimation call."""
         b_est = bucket_side(self.B_est, self.d)
         return self.reps * min(self.F_est * b_est + 1, self.n) ** self.d
-
-
-def _check_one_round(name: str, stage: StagePlan) -> None:
-    """ParameterError unless the stage plans one estimation call: the
-    inf-norm and constant-SNR stages decode their streamed set once, so a
-    later round would have no candidates of its own."""
-    if stage.rounds != 1:
-        raise ParameterError(
-            f"the {name} makes one estimation call, got rounds={stage.rounds}"
-        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -600,8 +599,6 @@ class RecoveryParams:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.T < 1:
             raise ParameterError(f"need T >= 1, got T={self.T}")
-        _check_one_round("inf-norm stage", self.inf_norm)
-        _check_one_round("constant-SNR sweep", self.const_snr)
 
     @classmethod
     def derive(
@@ -662,7 +659,6 @@ class RecoveryParams:
             c_max=c_loc if c_max is None else c_max,
             B_est=B_est,
             reps=max(1, math.ceil(tun.est_reps_coeff * spread)),
-            rounds=max(1, math.ceil(tun.inner_iters_coeff * loglog)),
         )
         # The inf-norm stage's own r_star would be nu / nu' floored at 2.
         # With L = log2(N)^4, nu / nu' = 4 L^(T-t) / (4 L^(T-t) + 20 L) < 1,
@@ -675,7 +671,6 @@ class RecoveryParams:
             r_max=max(3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / root_alpha)),
             B_est=buckets("inf_norm estimation", estimation_bucket_count, k_tilde),
             reps=inf_reps,
-            rounds=1,
         )
         const_snr = stage(
             k=2 * k,
@@ -685,7 +680,6 @@ class RecoveryParams:
                 "const_snr estimation", estimation_bucket_count, 2 * k, epsilon
             ),
             reps=inf_reps,
-            rounds=1,
         )
         if capped:
             message = f"plan for k={k} on [{n}]^{d}: " + " / ".join(capped)

@@ -10,7 +10,7 @@ callable on its own.
 A measurement set owns the residual: its tables hold mset.source minus
 mset.chi, so a stage reads the current approximation from mset.chi and adds
 what it keeps into it (`update_residual_measurements`). The l1 loop,
-`_threshold_rounds`, reuses the main set, the run's only stored table,
+`reduce_l1_norm`, reuses the main set, the run's only stored table,
 through every round: decode every hashing (`decode_hashings`), estimate
 the residual at the candidates, and fold the estimates above the round's
 threshold into the set. The inf-norm and constant-SNR stages decode their
@@ -41,7 +41,7 @@ sweep, and returns chi pruned at the floor; `RunStats.residual_peak_rel`
 reports the peak.
 
 The same argument ends the l1 loop early. Before each decode,
-`_threshold_rounds` scans the tables against `_stop_bound`, min(plateau
+`reduce_l1_norm` scans the tables against its stop bound, min(plateau
 gain * the lowest round threshold, zero_floor_rel * initial_scale): a peak
 within it leaves no coefficient that any later round could keep, short of
 the same cancellation, so the loop ends without decoding the ghosts, the
@@ -71,8 +71,8 @@ stage reads its geometry from its record; only the thresholds are computed
 at run time, from mu and the acquisition scale.
 
 Candidates travel between stages as one int64 array of row-major flat
-indices per hashing; `_estimate_at` concatenates them and keeps each index
-once, in first-seen order, and estimation takes that union as is.
+indices per hashing; `_estimate_at` concatenates them, and estimation
+keeps each index once, in first-seen order.
 """
 
 from __future__ import annotations
@@ -89,9 +89,7 @@ from .core import (
     RecoveryParams,
     SparseApprox,
     StagePlan,
-    _check_one_round,
     _check_targets,
-    _first_seen,
     _log4,
 )
 from .estimation import estimate_values
@@ -129,10 +127,10 @@ class RunStats:
     largest residual bucket, over its initial scale (0.0 when that scale is
     0). The inf-norm and constant-SNR stages were skipped by the
     certificate exactly when it is <= `Tunables.zero_floor_rel`. The l1
-    loop may end before the plan's rounds, when the tables prove that no
-    later round can keep anything (`_stop_bound`), so `samples_estimation`
-    can be fewer calls than `rounds` even where every round's threshold is
-    below the noise bound.
+    loop may end before the plan's `StagePlan.rounds`, when the tables
+    prove that no later round can keep anything (its stop bound, see
+    `reduce_l1_norm`), so `samples_estimation` can be fewer calls than
+    `rounds` even where every round's threshold is below the noise bound.
     """
 
     samples_location: int = 0
@@ -174,7 +172,7 @@ def _estimate_at(
     minus mset.chi) at the union of the per-hashing candidates found, in
     first-seen order, with mset.params's estimation geometry; the reads go
     on mset.sample_counter. No candidates, no call and no draw."""
-    locations = _first_seen(np.concatenate(found))
+    locations = np.concatenate(found)
     if not locations.size:
         return SparseApprox.empty(mset.n, mset.d)
     stage = mset.params
@@ -192,67 +190,6 @@ def _estimate_at(
     return batch.kept
 
 
-def _stop_bound(mset: MeasurementSet, rounds: list[tuple[float, bool]]) -> float:
-    """The l1 loop's stop: tables of mset whose peak is at most this bound
-    leave no round of `rounds` anything to keep (see the module docstring).
-    It is the lowest round threshold times the filter's plateau gain, the
-    smallest gain a coefficient has in its own bucket, capped at the final
-    prune's floor zero_floor_rel * initial_scale."""
-    lowest = min(threshold for threshold, _ in rounds)
-    gain = mset.hashings[0].filter.plateau_gain
-    floor = mset.params.tunables.zero_floor_rel * mset.initial_scale
-    return min(gain * lowest, floor)
-
-
-def _threshold_rounds(
-    mset: MeasurementSet,
-    rounds: list[tuple[float, bool]],
-    rng: np.random.Generator,
-    x_inf: float,
-) -> SparseApprox:
-    """The l1 loop: locate, estimate above a threshold, and fold, once per
-    round.
-
-    Each (threshold, last_if_idle) round decodes every hashing, estimates
-    the residual against mset.chi as mset.params plans at the candidates,
-    and folds the estimates above threshold into the set (its tables and its
-    chi). Decoding reads the tables alone, so the candidates are reused
-    until a round keeps something. A round whose threshold is above
-    x_inf + ||mset.chi||_inf (x_inf bounds ||x||_inf) is idle: it keeps
-    nothing without a decode, an estimate call or an rng draw. A round
-    that keeps nothing ends the loop when marked last_if_idle.
-
-    Before each decode the loop ends when the tables, which hold
-    x - mset.chi, peak at or below `_stop_bound`: then no later round
-    could keep anything, unless residual terms cancel a coefficient under
-    every probe and shift (see the module docstring). The scan ends at its
-    first row block above the bound, and the bound's floor cap lets the
-    stop fire only where the run's residual certificate then holds too, so
-    no later stage reads or draws from rng. Estimation reads are added to
-    mset.sample_counter. Returns the kept values, added round by round.
-    """
-    increment = SparseApprox.empty(mset.n, mset.d)
-    found = None
-    stop = _stop_bound(mset, rounds)
-    for threshold, last_if_idle in rounds:
-        if _above_bound(threshold, x_inf, mset.chi):
-            if last_if_idle:
-                break
-            continue
-        if found is None:
-            if _residual_peak(mset, above=stop) <= stop:
-                break
-            found = decode_hashings(mset)
-        kept = _estimate_at(mset, found, threshold, rng)
-        if len(kept) > 0:
-            update_residual_measurements(mset, kept)
-            increment = increment + kept
-            found = None
-        elif last_if_idle:
-            break
-    return increment
-
-
 def reduce_l1_norm(
     mset: MeasurementSet,
     nu: float,
@@ -263,24 +200,37 @@ def reduce_l1_norm(
     x_inf: float = math.inf,
 ) -> SparseApprox:
     """Shrink the head l1 mass of the residual mset holds from nu * k toward
-    mu * k.
+    mu * k: the l1 loop.
 
-    Runs mset.params.rounds (~log2(log^4 N)) rounds of `_threshold_rounds`
-    with a geometrically falling acceptance threshold, and stops early once
-    the threshold has bottomed out at the noise floor and a round keeps
-    nothing, or, before any decode, once the tables peak within
-    `_stop_bound` (min(plateau gain * the last threshold, zero_floor_rel *
-    initial_scale)): then no later round could keep anything, unless
-    residual terms cancel each other in every table (see the module
-    docstring).
+    Round t of at most mset.params.rounds (~log2(log^4 N)) has the head
+    l1_threshold_frac * nu * 2^-t and the threshold head + head_bias *
+    mu_eff, where mu_eff is mu floored at mu_floor_rel * initial_scale.
+    The round decodes every hashing (`decode_hashings`), estimates the
+    residual against mset.chi at the candidates, and folds the estimates
+    above its threshold into mset (its tables and its chi). Decoding reads
+    the tables alone, so the candidates are reused until a round keeps
+    something. Once the head is at or below the floor head_bias * mu_eff,
+    a round that keeps nothing ends the loop.
+
     x_inf bounds ||x||_inf: for a caller's mu > 0, `sparse_fft_with_stats`
     passes the promised r_star * mu; mu = 0 bounds nothing, and the default
     math.inf keeps every round. A round whose threshold is above x_inf +
-    ||mset.chi||_inf cannot keep a true coefficient and makes no reads
-    (no decode, no estimate call, no rng draw). rng draws the
-    estimation hashings; it must not replay the acquisition's stream. Every
-    accepted increment goes into mset (its tables and its chi); returns the
-    updated total approximation, mset.chi.
+    ||mset.chi||_inf cannot keep a true coefficient and is idle: it makes
+    no decode, no estimate call and no rng draw.
+
+    Before each decode the loop ends when the tables, which hold x -
+    mset.chi, peak within the stop bound min(plateau gain * the lowest
+    round threshold, zero_floor_rel * initial_scale): then no later round
+    could keep anything, unless residual terms cancel a coefficient under
+    every probe and shift (see the module docstring). The scan ends at its
+    first row block above the bound, and the bound's floor cap lets the
+    stop fire only where the run's residual certificate then holds too, so
+    no later stage reads or draws from rng.
+
+    rng draws the estimation hashings; it must not replay the
+    acquisition's stream. Estimation reads go on mset.sample_counter and
+    on stats.samples_estimation. Returns the updated total approximation,
+    mset.chi.
     """
     _check_targets(nu=nu, mu=mu)
     _check_bound(x_inf)
@@ -288,9 +238,24 @@ def reduce_l1_norm(
     mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
     floor = tun.head_bias * mu_eff
     heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(mset.params.rounds)]
-    rounds = [(head + floor, head <= floor) for head in heads]
+    gain = mset.hashings[0].filter.plateau_gain
+    stop = min(gain * (heads[-1] + floor), tun.zero_floor_rel * mset.initial_scale)
     before = mset.sample_counter
-    _threshold_rounds(mset, rounds, rng, x_inf)
+    found = None
+    for head in heads:
+        threshold = head + floor
+        if not _above_bound(threshold, x_inf, mset.chi):
+            if found is None:
+                if _residual_peak(mset, above=stop) <= stop:
+                    break
+                found = decode_hashings(mset)
+            kept = _estimate_at(mset, found, threshold, rng)
+            if len(kept) > 0:
+                update_residual_measurements(mset, kept)
+                found = None
+                continue
+        if head <= floor:
+            break
     if stats is not None:
         stats.samples_estimation += mset.sample_counter - before
     return mset.chi
@@ -320,7 +285,6 @@ def reduce_inf_norm(
     """
     _check_targets(nu=nu, mu=mu)
     _check_bound(x_inf)
-    _check_one_round("inf-norm stage", stage)
     threshold = stage.tunables.inf_threshold_scale * (nu + mu)
     if _above_bound(threshold, x_inf, chi):
         return SparseApprox.empty(stage.n, stage.d)
@@ -349,7 +313,6 @@ def recover_at_constant_snr(
     snr_keep_factor * stage.k estimates above a scale-relative zero floor
     and returns them as an increment over chi.
     """
-    _check_one_round("constant-SNR sweep", stage)
     tun = stage.tunables
     mset = acquire_measurements(xhat, stage, rng, chi=chi)
     floor = tun.zero_floor_rel * mset.initial_scale

@@ -35,23 +35,15 @@ from test_recovery import (
     PINNED_GRIDS,
     PINNED_PATH,
     PINNED_RTOL,
+    PINNED_STATS_FIELDS,
     pinned_key,
     pinned_run,
 )
 
 
-# The RunStats fields of a record's "stats" list, in order.
-STATS_FIELDS = (
-    "samples_location",
-    "samples_estimation",
-    "samples_infnorm",
-    "samples_constsnr",
-)
-
-
 def record(out, stats) -> dict:
     return {
-        "stats": [getattr(stats, name) for name in STATS_FIELDS],
+        "stats": [getattr(stats, name) for name in PINNED_STATS_FIELDS],
         "support": out.coords_array().tolist(),
         "values": [[v.real, v.imag] for v in out.values.tolist()],
     }
@@ -60,7 +52,7 @@ def record(out, stats) -> dict:
 def stats_change(old: list, new: list) -> str:
     """The ledger fields that differ, as 'name recorded -> new'."""
     return ", ".join(
-        f"{name} {a} -> {b}" for name, a, b in zip(STATS_FIELDS, old, new) if a != b
+        f"{name} {a} -> {b}" for name, a, b in zip(PINNED_STATS_FIELDS, old, new) if a != b
     )
 
 

@@ -132,7 +132,7 @@ class TestDigitBase:
 
     @staticmethod
     def plan(n: int) -> StagePlan:
-        return StagePlan(n=n, d=1, k=1, F=2, B=2, r_max=1, c_max=1, B_est=2, reps=1, rounds=1)
+        return StagePlan(n=n, d=1, k=1, F=2, B=2, r_max=1, c_max=1, B_est=2, reps=1)
 
     def test_every_ladder_base_is_two_or_four(self):
         # The location vote's sign tests exist for bases 2 and 4 only.
@@ -158,6 +158,16 @@ class TestRecoveryParams:
         assert (p.r_max, p.c_max, p.delta) == (8, 16, 4)
         p = RecoveryParams.derive(64, 2, 10).main
         assert (p.r_max, p.c_max, p.delta) == (8, 15, 2)
+
+    def test_l1_round_count_is_derived_from_the_grid(self):
+        # ceil(inner_iters_coeff * log2 log2 N): a property of the stage's
+        # grid and tunables, not a stored field a plan could contradict.
+        assert "rounds" not in {f.name for f in dataclasses.fields(StagePlan)}
+        for n, d, rounds in ((1024, 1, 14), (2**16, 1, 16), (64, 2, 15)):
+            plan = RecoveryParams.derive(n, d, 2)
+            assert plan.main.rounds == plan.inf_norm.rounds == rounds
+        tun = Tunables(inner_iters_coeff=1.0)
+        assert RecoveryParams.derive(2**16, 1, 2, tunables=tun).main.rounds == 4
 
     def test_bucket_count_rounds_up_to_a_power_of_two(self):
         assert location_bucket_count(1024, 1, 5, 1.0, Tunables())[0] == 256
@@ -206,27 +216,10 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError, match=message):
             RecoveryParams.derive(64, 1, 2, T=1, **{target: value})
 
-    def test_constant_snr_stage_has_one_round(self):
-        plan = RecoveryParams.derive(256, 1, 2, epsilon=1.0)
-        assert plan.const_snr.rounds == 1
-        with pytest.raises(ParameterError, match="one estimation call, got rounds=2"):
-            dataclasses.replace(
-                plan, const_snr=dataclasses.replace(plan.const_snr, rounds=2)
-            )
-
-    def test_inf_norm_stage_has_one_round(self):
-        # Its set is decoded once, while it is read, so a second round
-        # would have no candidates of its own.
-        plan = RecoveryParams.derive(256, 1, 2, epsilon=1.0)
-        assert plan.inf_norm.rounds == 1
-        with pytest.raises(ParameterError, match="inf-norm stage makes one estimation call"):
-            dataclasses.replace(plan, inf_norm=dataclasses.replace(plan.inf_norm, rounds=2))
-
     def test_more_buckets_per_axis_than_grid_points_rejected(self):
         with pytest.raises(ParameterError, match="16 buckets per axis, more than n=8"):
             StagePlan(
                 n=8, d=1, k=1, F=2, B=16, r_max=3, c_max=8, B_est=4, reps=1,
-                rounds=1,
             )
         with pytest.raises(ParameterError, match="8 buckets per axis, more than n=4"):
             RecoveryParams.derive(4, 2, 1, B=64)

@@ -209,7 +209,7 @@ class TestBucketFilterValidation:
         with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
             StagePlan(
                 n=16, d=d, k=1, F=2 * d, B=B, r_max=3, c_max=8, B_est=4**d,
-                reps=1, rounds=1,
+                reps=1,
             )
         x = SparseApprox.from_flat(16, d, [1], [1.0])
         with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):

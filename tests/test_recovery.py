@@ -70,17 +70,14 @@ def head_l1(x: SparseApprox, chi: SparseApprox) -> float:
     return sum(head_errors(x, chi))
 
 
-def inf_stage(n, d, k=1, rounds=1):
-    """The inf-norm stage of the plan for [n]^d, sized for k survivors, with
-    `rounds` estimation calls (the pipeline's plan, and the only count the
-    stage accepts, is one)."""
+def inf_stage(n, d, k=1):
+    """The inf-norm stage of the plan for [n]^d, sized for k survivors."""
     tun = Tunables()
     return replace(
         RecoveryParams.derive(n, d, 1).inf_norm,
         k=k,
         B=core.location_bucket_count(n, d, k, 1.0, tun)[0],
         B_est=core.estimation_bucket_count(n, d, k, 1.0, tun)[0],
-        rounds=rounds,
     )
 
 
@@ -101,6 +98,34 @@ class TestReduceL1:
         assert chi.support() <= x.support()
         # The tables now hold the residual, which should be near zero.
         assert np.abs(mset.buckets).max() < 1e-6 * mset.initial_scale
+
+    def test_threshold_schedule(self, monkeypatch):
+        # Heads l1_threshold_frac * nu * 2^-t of 4, 2, 1, 1/2, ... times
+        # ||x||_inf = 3, and mu chosen so that head 6 equals the floor
+        # head_bias * mu. Under x_inf = 1.5 ||x||_inf rounds 0 and 1 are
+        # idle; round 2 keeps nothing and round 3 the three large spikes;
+        # rounds 4 to 6 find the small one below their thresholds, and
+        # round 6, the first with head <= floor, ends the loop without it.
+        n, d = 1024, 1
+        phases = np.exp(2j * np.pi * np.array([0.1, 0.4, 0.7, 0.9]))
+        values = np.array([3.0, 2.5, 2.2, 0.33]) * phases
+        x = SparseApprox.from_flat(n, d, [17, 300, 641, 900], values)
+        params = RecoveryParams.derive(n, d, len(x)).main
+        tun = params.tunables
+        top = x.norm_inf()
+        nu = 4.0 * top / tun.l1_threshold_frac
+        mu = tun.l1_threshold_frac * nu * 0.5**6 / tun.head_bias
+        rng = np.random.default_rng(6)
+        mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
+        assert mu > tun.mu_floor_rel * mset.initial_scale  # so mu_eff = mu
+        thresholds = record_thresholds(monkeypatch)
+        chi = reduce_l1_norm(mset, nu, mu, rng=rng, x_inf=1.5 * top)
+        floor = tun.head_bias * mu
+        assert thresholds == [
+            tun.l1_threshold_frac * nu * 0.5**t + floor for t in range(2, 7)
+        ]
+        assert len(thresholds) <= params.rounds
+        assert chi.support() == {17, 300, 641}
 
     def test_zero_signal_stays_empty(self, rng):
         n, d = 256, 1
@@ -600,17 +625,16 @@ class TestTargetsChecked:
             RecoveryParams.derive(256, 1, 2, epsilon=0.0)
 
     @pytest.mark.parametrize(
-        "nu,mu,rounds,message",
+        "nu,mu,message",
         [
-            (-1.0, 0.0, 1, "nu must be finite and >= 0"),
-            (float("nan"), 0.0, 1, "nu must be finite and >= 0"),
-            (1.0, float("nan"), 1, "mu must be finite and >= 0"),
-            (1.0, 0.0, 2, "one estimation call, got rounds=2"),
+            (-1.0, 0.0, "nu must be finite and >= 0"),
+            (float("nan"), 0.0, "nu must be finite and >= 0"),
+            (1.0, float("nan"), "mu must be finite and >= 0"),
         ],
     )
-    def test_inf_norm_stage_checks_its_targets(self, nu, mu, rounds, message, rng):
+    def test_inf_norm_stage_checks_its_targets(self, nu, mu, message, rng):
         xhat = DenseSignal.zeros(256, 1, "frequency")
-        stage = inf_stage(256, 1, rounds=rounds)
+        stage = inf_stage(256, 1)
         with pytest.raises(ParameterError, match=message):
             reduce_inf_norm(xhat, SparseApprox.empty(256, 1), stage, nu, mu, rng)
 
@@ -620,6 +644,13 @@ PINNED = json.loads(PINNED_PATH.read_text())
 PINNED_SEED = 5
 PINNED_GRIDS = [(256, 1, 4), (16, 2, 3), (8, 3, 2)]
 PINNED_RTOL = 1e-12
+# The RunStats fields of a record's "stats" list, in order.
+PINNED_STATS_FIELDS = (
+    "samples_location",
+    "samples_estimation",
+    "samples_infnorm",
+    "samples_constsnr",
+)
 
 
 def pinned_key(n, d, k, model):
@@ -653,19 +684,14 @@ def pinned_run(n, d, k, model):
 def test_seeded_output_matches_pinned_record(n, d, k, model):
     """Seeded harness-style runs reproduce the recorded outputs.
 
-    The ledger and the support order must match exactly, values to 1e-12
-    relative. A change that means to alter seeded outputs re-records
-    pinned_recovery.json with record_pinned.py and says so; any other
-    difference is a regression.
+    The ledger (the sample counts of PINNED_STATS_FIELDS) and the support
+    order must match exactly, values to 1e-12 relative. A change that
+    means to alter seeded outputs re-records pinned_recovery.json with
+    record_pinned.py and says so; any other difference is a regression.
     """
     out, stats = pinned_run(n, d, k, model)
     want = PINNED[pinned_key(n, d, k, model)]
-    assert [
-        stats.samples_location,
-        stats.samples_estimation,
-        stats.samples_infnorm,
-        stats.samples_constsnr,
-    ] == want["stats"]
+    assert [getattr(stats, name) for name in PINNED_STATS_FIELDS] == want["stats"]
     assert out.coords_array().tolist() == want["support"]
     expected = np.array([complex(re, im) for re, im in want["values"]])
     np.testing.assert_allclose(out.values, expected, rtol=PINNED_RTOL, atol=0.0)
@@ -686,11 +712,11 @@ def ledger_splits(total, stage, acquisitions, max_calls):
 @pytest.mark.parametrize("model", SIGNAL_MODELS)
 @pytest.mark.parametrize("n,d,k", PINNED_GRIDS)
 def test_run_stats_follow_the_plan_ledger(n, d, k, model):
-    """Each RunStats field is its stage's acquisition reads (none when the
-    stage is skipped) plus a whole number of its estimation calls, at most
-    `rounds` of them per acquisition or outer round. The constant-SNR stage
-    acquires once, or not at all exactly when the residual certificate
-    held."""
+    """The main set is acquired once, and the l1 loop makes a whole number
+    of estimation calls, at most `rounds` per outer round. Each sweep
+    acquisition makes exactly one estimation call: the inf-norm stage
+    acquires at most once per outer round, and the constant-SNR stage
+    once, or not at all exactly when the residual certificate held."""
     spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
     _, _, mu = generate_signal(spec, PINNED_SEED)
     plan = spec.recovery_params(mu, PINNED_SEED)
@@ -698,10 +724,11 @@ def test_run_stats_follow_the_plan_ledger(n, d, k, model):
     main, inf, snr = plan.main, plan.inf_norm, plan.const_snr
     assert stats.samples_location == main.acquisition_reads
     assert ledger_splits(stats.samples_estimation, main, [0], plan.T * main.rounds)
-    calls = plan.T * inf.rounds
-    assert ledger_splits(stats.samples_infnorm, inf, range(plan.T + 1), calls)
+    inf_sweep = inf.acquisition_reads + inf.estimation_reads
+    assert stats.samples_infnorm in [a * inf_sweep for a in range(plan.T + 1)]
     certified = stats.residual_peak_rel <= main.tunables.zero_floor_rel
-    assert ledger_splits(stats.samples_constsnr, snr, [0 if certified else 1], snr.rounds)
+    snr_sweep = snr.acquisition_reads + snr.estimation_reads
+    assert stats.samples_constsnr == (0 if certified else snr_sweep)
 
 
 def count_acquisitions(monkeypatch) -> list:
@@ -715,6 +742,20 @@ def count_acquisitions(monkeypatch) -> list:
 
     monkeypatch.setattr(recovery_module, "acquire_measurements", counting)
     return calls
+
+
+def record_thresholds(monkeypatch) -> list:
+    """Record the threshold of every estimation call the recovery stages
+    make."""
+    thresholds = []
+    real = recovery_module.estimate_values
+
+    def recording(xhat, chi, locations, B, threshold, reps, **kwargs):
+        thresholds.append(threshold)
+        return real(xhat, chi, locations, B, threshold, reps, **kwargs)
+
+    monkeypatch.setattr(recovery_module, "estimate_values", recording)
+    return thresholds
 
 
 class TestNoiseBound:
@@ -772,29 +813,31 @@ class TestNoiseBound:
         assert abs(increment.values[0] + 10.0) < 1e-6
 
     def test_idle_rounds_make_no_estimate_and_no_draw(self, monkeypatch):
+        # The same loop twice: from nu under x_inf = ||x||_inf, where the
+        # heads 4, 2 and 1 times ||x||_inf leave the first three rounds
+        # idle, and from nu / 8 without a bound, which starts at the fourth
+        # head. mu puts the floor at the seventh head of the first run, so
+        # both runs end on the same threshold. The idle rounds must leave
+        # no trace.
         n, d, k = 1024, 1, 3
         x = random_sparse_time(n, d, k, np.random.default_rng(4), min_mag=2.0)
         xhat = lib_freq(dense_time(x).values, n, d)
         params = RecoveryParams.derive(n, d, k).main
+        tun = params.tunables
         top = x.norm_inf()
-        later = [(1.0, False), (0.5, True)]
-        rounds = [(4.0 * top, False), (2.0 * top, False)] + later
-        thresholds = []
-        real = recovery_module.estimate_values
-
-        def recording(xhat, chi, locations, B, threshold, reps, **kwargs):
-            thresholds.append(threshold)
-            return real(xhat, chi, locations, B, threshold, reps, **kwargs)
-
-        monkeypatch.setattr(recovery_module, "estimate_values", recording)
+        nu = 4.0 * top / tun.l1_threshold_frac
+        mu = tun.l1_threshold_frac * nu * 0.5**6 / tun.head_bias
+        thresholds = record_thresholds(monkeypatch)
         results = []
-        for rounds_run, x_inf in ((rounds, top), (later, float("inf"))):
+        for nu_run, x_inf in ((nu, top), (nu / 8.0, math.inf)):
             mset = acquire_measurements(xhat, params, np.random.default_rng(1))
             rng = np.random.default_rng(2)
-            increment = recovery_module._threshold_rounds(mset, rounds_run, rng, x_inf)
-            results.append((increment.entries, rng.bit_generator.state))
-        # Each run estimates in the later rounds only.
-        assert thresholds == [threshold for threshold, _ in later] * 2
+            chi = reduce_l1_norm(mset, nu_run, mu, rng=rng, x_inf=x_inf)
+            results.append((chi.entries, rng.bit_generator.state))
+        calls = len(thresholds) // 2
+        assert calls > 0 and thresholds[:calls] == thresholds[calls:]
+        assert thresholds[0] < top < 2.0 * thresholds[0]
+        assert thresholds[-1] == 2.0 * tun.head_bias * mu
         assert results[0] == results[1]
         assert set(results[0][0]) == x.support()
 
@@ -863,9 +906,7 @@ class TestResidualCertificate:
         # both read and recover the heads.
         n, d, k = 16, 2, 3
         monkeypatch.setattr(
-            recovery_module,
-            "_threshold_rounds",
-            lambda mset, rounds, rng, x_inf: SparseApprox.empty(mset.n, mset.d),
+            recovery_module, "reduce_l1_norm", lambda mset, *args, **kwargs: mset.chi
         )
         calls = count_acquisitions(monkeypatch)
         out, stats = pinned_run(n, d, k, "exact-sparse")
@@ -879,9 +920,20 @@ class TestResidualCertificate:
         assert max(head_errors(truth, out)) < 1e-4 * truth.norm_inf()
 
 
+def disable_l1_stop(monkeypatch) -> None:
+    """Make the l1 loop's stop scans (those with a finite bound) never
+    pass; the certificate's full scan is left as it is."""
+    real = recovery_module._residual_peak
+
+    def never_within(mset, above=math.inf):
+        return math.inf if above < math.inf else real(mset, above)
+
+    monkeypatch.setattr(recovery_module, "_residual_peak", never_within)
+
+
 class TestL1Stop:
     """Before each decode the l1 loop ends when the main set's tables, which
-    hold x - chi, peak within `_stop_bound`. The stop only skips rounds
+    hold x - chi, peak within its stop bound. The stop only skips rounds
     that keep nothing, and it fires only where the residual certificate
     then holds, so every output is the one the loop gives without it."""
 
@@ -900,7 +952,7 @@ class TestL1Stop:
         spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
         seeds = range(8)
         stopped = [harness_run(spec, seed) for seed in seeds]
-        monkeypatch.setattr(recovery_module, "_stop_bound", lambda mset, rounds: -math.inf)
+        disable_l1_stop(monkeypatch)
         full = [harness_run(spec, seed) for seed in seeds]
         saved = 0
         for (out, stats), (want, want_stats) in zip(stopped, full):
@@ -916,6 +968,29 @@ class TestL1Stop:
                 assert stats == want_stats
         if n == 4096:
             assert saved > 0
+
+    def test_stop_waits_for_the_last_round_threshold(self, monkeypatch):
+        # The second spike, 1e-8 of the first, lies below the zero floor
+        # zero_floor_rel * initial_scale but above the last round's
+        # threshold (nu puts the last head at 1/8 of it), so a round still
+        # keeps it; the stop, bounded at that last threshold, must let it.
+        n, d = 1024, 1
+        small = 1e-8
+        phases = np.exp(2j * np.pi * np.array([0.1, 0.6]))
+        x = SparseApprox.from_flat(n, d, [17, 300], np.array([1.0, small]) * phases)
+        xhat = lib_freq(dense_time(x).values, n, d)
+        params = RecoveryParams.derive(n, d, len(x)).main
+        nu = small / 8.0 * 2.0 ** (params.rounds - 1) / params.tunables.l1_threshold_frac
+        runs = []
+        for stop in (True, False):
+            if not stop:
+                disable_l1_stop(monkeypatch)
+            mset = acquire_measurements(xhat, params, np.random.default_rng(1))
+            assert small < params.tunables.zero_floor_rel * mset.initial_scale
+            chi = reduce_l1_norm(mset, nu, 0.0, rng=np.random.default_rng(2))
+            runs.append(chi.entries)
+        assert runs[0] == runs[1]
+        assert set(runs[0]) == x.support()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_certificate_reads_no_block_after_the_stop_scan(self, monkeypatch):
