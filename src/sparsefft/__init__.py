@@ -27,9 +27,9 @@ from .harness import ExperimentSpec, RunRecord, generate_signal, run_experiment
 from .hashing_measurements import (
     MeasurementSet,
     acquire_measurements,
-    decode_hashings,
     update_residual_measurements,
 )
+from .location import decode_hashings
 from .permutation import (
     Hashing,
     SpectrumPermutation,

@@ -382,9 +382,9 @@ class Tunables:
     Asymptotic statements leave multiplicative constants and "sufficiently
     large C" repetition counts open, and all of these are overridable. The
     defaults recover exact-sparse inputs in d = 1 up to n = 2^22, in d = 2 up
-    to 1024^2 (32768^2 on a spectrum oracle) and on 8^3 and 16^3, where every
-    bucket count is capped at n/2. Noisy inputs meet the (1+eps) bound in
-    d = 1 (checked at n = 2^22) but miss it on most measured seeds in d >= 2.
+    to 1024^2 and on 8^3 and 16^3, where every bucket count is capped at
+    n/2. Noisy inputs meet the (1+eps) bound in d = 1 (checked at n = 2^22)
+    but miss it on most measured seeds in d >= 2.
 
     alpha, in (0, 1), is the paper's bucket-size parameter. It sets both
     bucket counts (`location_bucket_count`, `estimation_bucket_count`) and
@@ -462,16 +462,6 @@ def digit_base(n: int) -> int:
     return max(2, 1 << int(0.5 * math.log2(max(2.0, math.log2(max(4, n))))))
 
 
-def _digit_groups(n: int, delta: int) -> int:
-    """Digit groups of a location ladder over [n]: the fewest G >= 1 with
-    delta^G >= n."""
-    groups, reach = 0, 1
-    while reach < n:
-        reach *= delta
-        groups += 1
-    return max(groups, 1)
-
-
 @dataclass(frozen=True, kw_only=True)
 class StagePlan:
     """The geometry of one recovery stage, fixed before any read.
@@ -545,10 +535,32 @@ class StagePlan:
     @property
     def group_bases(self) -> tuple[int, ...]:
         """Base of each digit group of the location ladder: delta, and for
-        the last group the leftover n / delta^(G-1), so the groups cover
-        every bit of [n]."""
-        groups = _digit_groups(self.n, self.delta)
+        the last group the leftover n / delta^(G-1), G being the fewest
+        groups with delta^G >= n, so the groups cover every bit of [n]."""
+        groups = max(1, -(-(self.n.bit_length() - 1) // (self.delta.bit_length() - 1)))
         return (self.delta,) * (groups - 1) + (self.n // self.delta ** (groups - 1),)
+
+    @property
+    def digit_steps(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(shift slot, axis, base, place value) of every location digit in
+        decode order: axis by axis, lowest digit group first. Group g
+        (0-based) of axis s reads slot 1 + g * d + s of `shifts`."""
+        bases = self.group_bases
+        return tuple(
+            (1 + g * self.d + s, s, base, math.prod(bases[:g]))
+            for s in range(self.d)
+            for g, base in enumerate(bases)
+        )
+
+    @property
+    def shifts(self) -> np.ndarray:
+        """The location ladder's shift vectors as an (S, d) int64 array: the
+        unshifted reference 0, then n / (place * base) e_s at each digit
+        step's slot, so a digit's ratios turn by omega_base per unit of it."""
+        shifts = np.zeros((1 + self.d * len(self.group_bases), self.d), dtype=np.int64)
+        for w, s, base, place in self.digit_steps:
+            shifts[w, s] = self.n // (place * base)
+        return shifts
 
     @property
     def rounds(self) -> int:
@@ -562,18 +574,27 @@ class StagePlan:
         return 2 * self.d
 
     @property
+    def pass_sides(self) -> dict[str, int]:
+        """Samples per axis that one pass of the stage's location and of its
+        estimation filter reads: the filter's support, F*b + 1 wide, or all
+        n once that spans the grid."""
+        filters = {"location": (self.F, self.B), "estimation": (self.F_est, self.B_est)}
+        return {
+            kind: min(F * bucket_side(B, self.d) + 1, self.n) for kind, (F, B) in filters.items()
+        }
+
+    @property
     def acquisition_reads(self) -> int:
         """Spectrum reads of one acquisition: r_max * c_max probe pairs
-        under every ladder shift, min(F*b + 1, n)^d each."""
-        shifts = 1 + self.d * _digit_groups(self.n, self.delta)
-        per_pass = min(self.F * self.b + 1, self.n) ** self.d
-        return self.r_max * self.c_max * shifts * per_pass
+        under every ladder shift, one location pass each."""
+        per_pass = self.pass_sides["location"] ** self.d
+        return self.r_max * self.c_max * len(self.shifts) * per_pass
 
     @property
     def estimation_reads(self) -> int:
-        """Spectrum reads of one estimation call."""
-        b_est = bucket_side(self.B_est, self.d)
-        return self.reps * min(self.F_est * b_est + 1, self.n) ** self.d
+        """Spectrum reads of one estimation call: one estimation pass per
+        repetition."""
+        return self.reps * self.pass_sides["estimation"] ** self.d
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -622,8 +643,10 @@ class RecoveryParams:
         c_max and T override the main stage's values.
 
         Every stage's geometry is computed here and nowhere else, so an
-        invalid stage raises here, and bucket counts capped at n/2 per axis
-        give one RuntimeWarning naming them, before any read.
+        invalid stage raises here. Bucket counts capped at n/2 per axis, and
+        location or estimation passes whose filter support spans the grid
+        (F*b + 1 >= n: each pass reads all N samples), give one
+        RuntimeWarning naming them, before any read.
         """
         _check_targets(epsilon=epsilon, mu=mu, r_star=r_star)
         tun = tunables or Tunables()
@@ -632,12 +655,12 @@ class RecoveryParams:
         root_alpha = math.sqrt(tun.alpha)
         c_loc = max(8, math.ceil(tun.probes_coeff / root_alpha * loglog))
         inf_reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
-        capped = []
+        notes = []
 
         def buckets(name: str, sizer, terms: int, accuracy: float = 1.0) -> int:
             count, note = sizer(n, d, terms, accuracy, tun)
             if note is not None:
-                capped.append(f"{name}: {note}")
+                notes.append(f"{name}: {note}")
             return count
 
         def stage(*, F: int = 2 * d, c_max: int = c_loc, **geometry) -> StagePlan:
@@ -681,8 +704,12 @@ class RecoveryParams:
             ),
             reps=inf_reps,
         )
-        if capped:
-            message = f"plan for k={k} on [{n}]^{d}: " + " / ".join(capped)
+        for name, plan in (("main", main), ("inf_norm", inf_norm), ("const_snr", const_snr)):
+            for kind, side in plan.pass_sides.items():
+                if side == n:
+                    notes.append(f"{name} {kind}: F*b+1 >= n, so each pass reads all {N} samples")
+        if notes:
+            message = f"plan for k={k} on [{n}]^{d}: " + " / ".join(notes)
             warnings.warn(message, RuntimeWarning, stacklevel=2)
         if T is None:
             T = max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(_log4(N))))

@@ -119,11 +119,11 @@ def estimate_values(
     w = np.empty((r_max, coords.shape[0]), dtype=np.complex128)
     for rep, (hashing, z) in enumerate(zip(hashings, zs)):
         perm = hashing.perm
-        cells = hashing.bucket_of_array(coords)
+        pi = perm.forward_array(coords)
+        cells = hashing.bucket_of_images(pi)
         read = u[rep, np.ravel_multi_index(cells.T, (b,) * d)]
         _subtract_chi(read[None], chi, hashing, z, cells)
-        offsets = (perm.forward_array(coords) - hashing.center_of_array(coords)) & mask
-        gain = filt.g_at(offsets)
+        gain = filt.g_at((pi - (n // b) * cells) & mask)
         expo = (((coords @ perm.sigma.T) & mask) @ z[0]) & mask
         w[rep] = read / gain * unit_roots(n, -1)[expo]
 

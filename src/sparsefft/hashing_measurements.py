@@ -15,34 +15,18 @@ estimation.estimate_values reads.
 The callers are acquire_measurements and estimation.estimate_values (one
 call for all its repetitions). acquire_measurements reads a set's r_max
 hashings, c_max probe pairs each (redrawn until digit-balanced), under
-every shift vector of the location ladder. A stored set, the l1 loop's
-main set, keeps every table, written one hashing at a time; all later
-subtraction of recovered mass goes through update_residual_measurements,
-which applies the same exact rule to the stored tables, records the mass
-in MeasurementSet.chi, and keeps the sample counter frozen. A streamed
-set, for the inf-norm and constant-SNR stages that decode their set once,
-is read one hashing and one shift at a time and decoded as it is read.
+every shift vector of the plan's location ladder (StagePlan.shifts). A
+stored set, the l1 loop's main set, keeps every table, written one hashing
+at a time; all later subtraction of recovered mass goes through
+update_residual_measurements, which applies the same exact rule to the
+stored tables, records the mass in MeasurementSet.chi, and keeps the
+sample counter frozen. A streamed set, for the inf-norm and constant-SNR
+stages that decode their set once, is read one hashing and one shift at a
+time and decoded as it is read.
 
-Both are decoded by one digit walk, _walk_digits, over blocks of live
-(hashing, bucket) pairs: a _Walk is a block of them, in (hashing, bucket)
-order, which votes each digit with one location._decode_digit call. A
-pair is live when its reference holds a digit's quorum of valid probes (at
-least vote_fraction * c_max - 1e-9 entries at or above near_zero,
-location._quorum): an invalid probe casts no vote, so no other pair could
-win a digit, and skipping them changes no output. On the bench's exact
-workloads (exact-1d-65536, exact-3d-16), a decode after every head was
-subtracted starts with 0-20 of a hashing's 512-1024 buckets. A block
-computes its pairs' inverse reference once; it holds at most B pairs, and
-few enough that each of its arrays fits one _BLOCK_BYTES block
-(_WALK_ENTRY_BYTES). A stored set (decode_hashings) cuts the live pairs of
-all its hashings together into blocks, so one block may span hashings
-whose live pairs are few, and walks them one after the other through
-every digit, reading views of its table, which holds source - chi. A
-streamed set walks one hashing at a time: that hashing's blocks vote each
-digit before its next shift is read. The read takes the caller's chi out
-of the fresh tables (_subtract_chi): at every bucket of the reference, and
-at the live buckets only of a later shift, before its digit's votes. The
-walk gives one array of flat indices per hashing.
+Both are decoded by location's one digit walk: a stored set by
+location.decode_hashings, a streamed set by location._decode_as_read, which
+decides the live buckets and asks the acquisition for each shift's tables.
 
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: _bucket_tables takes an (M_h, d)
@@ -128,21 +112,12 @@ from .core import (
 )
 from .dense_dft import fft_axes
 from .filters import BucketFilter, cached_bucket_filter
-from .location import (
-    _balanced_axes,
-    _decode_digit,
-    _digit_steps,
-    _inverse_reference,
-    _quorum,
-    _silent,
-    _unpermute,
-)
+from .location import _balanced_axes, _decode_as_read
 from .permutation import Hashing, sample_permutation
 
 __all__ = [
     "MeasurementSet",
     "acquire_measurements",
-    "decode_hashings",
     "update_residual_measurements",
 ]
 
@@ -378,11 +353,11 @@ class MeasurementSet:
     counter tracks spectrum reads and is immune to residual updates.
 
     A stored set (acquired without chi; the l1 loop's main set) keeps all S
-    shifts, is decoded with decode_hashings, and is the only full table a
-    run holds. A streamed set (acquired with chi, for a stage that decodes
-    once) was decoded while it was read, by the same walk: it keeps only the
-    reference tables, buckets[:, :, :1], and `found`, one array of decoded
-    flat indices per hashing. It cannot be decoded or updated again.
+    shifts, is decoded with location.decode_hashings, and is the only full
+    table a run holds. A streamed set (acquired with chi, for a stage that
+    decodes once) was decoded while it was read, by the same walk: it keeps
+    only the reference tables, buckets[:, :, :1], and `found`, one array of
+    decoded flat indices per hashing. It cannot be decoded or updated again.
     """
 
     params: StagePlan
@@ -415,24 +390,6 @@ class MeasurementSet:
     @property
     def d(self) -> int:
         return self.params.d
-
-    @property
-    def group_bases(self) -> tuple[int, ...]:
-        return self.params.group_bases
-
-    def shift_slot(self, g: int, s: int) -> int:
-        """Flat index of the shift for digit group g (1-based) and axis s."""
-        return 1 + (g - 1) * self.d + s
-
-
-def _digit_ladder(params: StagePlan) -> np.ndarray:
-    """Shift vectors 0, then n/(Delta^(g-1) * base_g) e_s per digit group g
-    and axis s, as an (S, d) array; base_g is params.group_bases[g - 1]."""
-    n, d, delta = params.n, params.d, params.delta
-    shifts = [np.zeros((1, d), dtype=np.int64)]
-    for g, base in enumerate(params.group_bases, start=1):
-        shifts.append((n // (delta ** (g - 1) * base)) * np.eye(d, dtype=np.int64))
-    return np.concatenate(shifts)
 
 
 _SPARE_MAPPING: list[mmap.mmap] = []  # the last freed table's, for the next
@@ -521,7 +478,7 @@ def acquire_measurements(
         raise ParameterError("chi does not live on the measurement grid")
     n, d = params.n, params.d
     delta = params.delta
-    shifts = _digit_ladder(params)
+    shifts = params.shifts
     filt = cached_bucket_filter(n, d, params.B, params.F)
 
     hashings = []
@@ -562,8 +519,8 @@ def acquire_measurements(
     # Streamed: one call per shift of one hashing, sharing the hashing's
     # gather set-up and one gather block. Every shift is read, also once no
     # bucket is left to decode, so the reads are those the counter books.
-    # Each shift loses chi after its peak is taken: at every bucket of the
-    # reference, and at the live buckets only of a later shift.
+    # Each shift loses chi after its peak is taken, at the buckets the
+    # decoder asks for.
     current = table[-1, :, 0]
     block = _gather_block(filt, params.c_max)
     cells = _all_cells(filt.b, d)
@@ -572,156 +529,18 @@ def acquire_measurements(
         setups = [_gather_setup(filt, hashing)]
         mods = _modulations(alphas[r], betas[r], shifts, n)
 
-        def read(w: int) -> np.ndarray:
+        def read(w: int, live: np.ndarray | None) -> np.ndarray:
             rows = mset.buckets[r, :, 0] if w == 0 else current
             _bucket_tables(
                 xhat, filt, [hashing], [mods[w::S]], out=rows, setups=setups, block=block
             )
             peaks.append(_max_abs(rows))
-            live = None
-            if w:
-                live = np.concatenate([walk.b for walk in walks] + [np.empty(0, np.int64)])
             _subtract_chi(rows, chi, hashing, mods[w::S], cells, live)
-            return rows.reshape(-1)
+            return rows
 
-        read(0)
-        walks = list(_walks(mset, range(r, r + 1)))
-        _walk_digits(mset, walks, read)
-        mset.found += _found(mset, [(walk.r, walk.fvec) for walk in walks], range(r, r + 1))
+        mset.found.append(_decode_as_read(mset, r, read))
     mset.initial_scale = max(peaks)
     return mset
-
-
-def decode_hashings(mset: MeasurementSet) -> list[np.ndarray]:
-    """Decode every hashing of a stored set from its tables, which hold
-    mset.source - mset.chi: one array per hashing of the flat indices its
-    buckets decode to, in bucket order, each once. Reads no samples. A
-    streamed set keeps no shifted tables; its arrays are mset.found.
-
-    The set's live pairs walk in blocks, one block through every digit
-    before the next, so the walk holds one block's inverse reference."""
-    if mset.found is not None:
-        raise ParameterError("a streamed measurement set was decoded as it was read")
-    B = mset.params.B
-    flat = mset.buckets.reshape(-1)
-    decoded = []
-    for walk in _walks(mset, range(len(mset.hashings))):
-        _walk_digits(mset, [walk], lambda w: flat[w * B :])
-        decoded.append((walk.r, walk.fvec))
-    return _found(mset, decoded, range(len(mset.hashings)))
-
-
-# A block of live pairs holds _BLOCK_BYTES / _WALK_ENTRY_BYTES (probe, pair)
-# entries, so each of the walk's arrays (inverse reference, ratios,
-# correction roots and exponents, float temporaries) fits one block. Larger
-# blocks pay numpy's fixed cost per call on fewer calls: a decode of
-# gauss-2d-64's main set took 0.56 of the per-hashing walk's time at 48 and
-# 0.59 at 64 (one thread). A block also holds at most B pairs, as many as
-# one hashing has buckets, so a decode holds less than a walk of one
-# hashing at a time did: on the bench's main sets it peaked (tracemalloc)
-# at 1.23, 1.37 and 0.66 MB against 1.94, 2.04 and 0.90 MB (gauss-2d-64,
-# exact-1d-65536, exact-3d-16). That cap made a fresh main set's decode
-# 2-5% slower at 1024 buckets and 15% at exact-3d-16's 512, where a block
-# spanned three hashings.
-_WALK_ENTRY_BYTES = 48
-
-
-class _Walk:
-    """One block of live (hashing, bucket) pairs walking the digits.
-
-    Tables come as flat arrays that hold entry (hashing, probe, bucket) at
-    ((hashing - first) * c_max + probe) * stride + bucket, first being the
-    first hashing walked. Pair l is hashing r[l]'s bucket b[l], in (r, b)
-    order, at offset off[l] of the tables; inv is the pairs' (c_max, pairs)
-    inverse reference (location._inverse_reference) and fvec the (pairs, d)
-    digits decoded so far. A pair leaves at the first digit it fails.
-    """
-
-    def __init__(
-        self, mset: MeasurementSet, r: np.ndarray, b: np.ndarray, first: int, stride: int
-    ):
-        c_max = mset.betas.shape[1]
-        self.mset, self.r, self.b = mset, r, b
-        self.off = (r - first) * (c_max * stride) + b
-        self.probe_offsets = np.arange(c_max)[:, None] * stride
-        # betas[s] is the (c_max, r_max) array of the probes' coefficients on axis s.
-        self.betas = np.ascontiguousarray(mset.betas.transpose(2, 1, 0))
-        ref = self.take(mset.buckets[first:].reshape(-1))
-        self.inv = _inverse_reference(ref, mset.params.tunables)
-        self.fvec = np.zeros((r.size, mset.d), dtype=np.int64)
-
-    def take(self, flat: np.ndarray) -> np.ndarray:
-        """The (c_max, pairs) entries of the pairs in a flat table."""
-        return flat[self.probe_offsets + self.off]
-
-    def vote(self, flat: np.ndarray, w: int, s: int, base: int, place: int) -> None:
-        """Vote on digit (w, s, base, place) of _digit_steps from the shift's
-        flat table; keep the pairs that win it."""
-        mset = self.mset
-        z = self.take(flat)
-        z *= self.inv
-        unique, chosen = _decode_digit(
-            z,
-            self.betas[s].take(self.r, axis=1),
-            self.fvec[:, s],
-            mset.n,
-            int(mset.shifts[w, s]),
-            base,
-            mset.params.tunables,
-        )
-        keep = np.flatnonzero(unique)
-        if keep.size < unique.size:
-            self.r, self.b, self.off = self.r[keep], self.b[keep], self.off[keep]
-            self.fvec, self.inv = self.fvec[keep], self.inv.take(keep, axis=1)
-            chosen = chosen[keep]
-        self.fvec[:, s] += place * chosen
-
-
-def _walks(mset: MeasurementSet, hashings: range):
-    """The live pairs of the given hashings, in blocks, each a _Walk: the
-    pairs whose reference holds a digit's quorum of valid probes
-    (location._quorum). A location._silent probe casts no vote, so no other
-    pair could win a digit. A stored and a streamed set hold their
-    reference tables alike, in mset.buckets[:, :, 0]. The blocks are made
-    as they are asked for."""
-    _, C, S, B = mset.buckets.shape
-    tun = mset.params.tunables
-    r_live, b_live = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for r in hashings:
-        invalid = _silent(mset.buckets[r, :, 0], tun)
-        live = np.flatnonzero(C - invalid.sum(axis=0) >= _quorum(C, tun))
-        r_live.append(np.full(live.size, r))
-        b_live.append(live)
-    r_live, b_live = np.concatenate(r_live), np.concatenate(b_live)
-    size = min(_block_rows(_WALK_ENTRY_BYTES * C), B)
-    for lo in range(0, r_live.size, size):
-        yield _Walk(mset, r_live[lo : lo + size], b_live[lo : lo + size], hashings.start, S * B)
-
-
-def _walk_digits(mset: MeasurementSet, walks: list[_Walk], rows) -> None:
-    """The one digit walk: every block of `walks` votes on each digit in
-    decode order. rows(w) gives the flat tables of shift w, as _Walk reads
-    them."""
-    for w, s, base, place in _digit_steps(mset):
-        flat = rows(w)
-        for walk in walks:
-            if walk.r.size:
-                walk.vote(flat, w, s, base, place)
-
-
-def _found(
-    mset: MeasurementSet, decoded: list[tuple[np.ndarray, np.ndarray]], hashings: range
-) -> list[np.ndarray]:
-    """Per hashing of `hashings`, the flat indices its pairs decoded to, in
-    bucket order, each once, from the (r, fvec) arrays that the walks of
-    those hashings left, in order."""
-    r = np.concatenate([r for r, _ in decoded] + [np.empty(0, dtype=np.int64)])
-    fvec = np.concatenate([f for _, f in decoded] + [np.empty((0, mset.d), dtype=np.int64)])
-    bounds = np.searchsorted(r, np.arange(hashings.start, hashings.stop + 1))
-    return [
-        _unpermute(fvec[lo:hi], mset.hashings[h])
-        for h, lo, hi in zip(hashings, bounds[:-1], bounds[1:])
-    ]
 
 
 def _max_abs(table: np.ndarray, above: float = math.inf) -> float:

@@ -10,36 +10,46 @@ probe pairs. A probe pair votes for a digit when the corrected ratio sits
 within 1/3 of 1; a digit needs a 3/5 supermajority, and a bucket that
 produces zero or several winning digits is dropped.
 
-Digits run through base Delta groups, with a final group of base
+Digits run through the plan's ladder, axis by axis (StagePlan.digit_steps
+and StagePlan.shifts): base Delta groups, with a final group of base
 n / Delta^(G-1) so every bit of f is covered. Decoding is deterministic
 given the measurement tables.
 
-A walk computes each pair's inverse reference once (_inverse_reference:
-1 / ref, and 0 at a probe whose reference is below near_zero), so a digit's
-ratios are one product, meas * inv, and a probe that casts no vote has
-ratio 0, which no root accepts. Each corrected ratio z is tested against
-one root only, the nearest, found by sign tests: for base 2 the sign of
-Re z, for base 4 the signs of Re z + Im z and Re z - Im z. The probe is
-accepted when |z - root|^2 = |z|^2 - 2 * (its largest projection on a root)
-+ 1 is below ratio_tolerance^2. That is exact: the tolerance disks around
-two distinct base-th roots are disjoint when ratio_tolerance < sin(pi /
-base), so no other root can accept the ratio, and StagePlan allows only
-ladders of bases 2 and 4, with that tolerance. A probe then votes for every
-digit whose root index digit * beta_s mod base is that nearest root; even
-betas give several such digits, so each digit's targets are compared in
-full. Buckets that fail a digit are dropped, so later digits decode only
-the survivors.
+The inverse reference (_inverse_reference: 1 / ref, and 0 at a probe whose
+reference is below near_zero, the one zero cut, _silent) makes a digit's
+ratios one product, meas * inv, and a probe that casts no vote has ratio
+0, which no root accepts. Each corrected ratio z is tested against one
+root only, the nearest, found by sign tests: for base 2 the sign of Re z,
+for base 4 the signs of Re z + Im z and Re z - Im z. The probe is accepted
+when |z - root|^2 = |z|^2 - 2 * (its largest projection on a root) + 1 is
+below ratio_tolerance^2. That is exact: the tolerance disks around two
+distinct base-th roots are disjoint when ratio_tolerance < sin(pi / base),
+so no other root can accept the ratio, and StagePlan allows only ladders
+of bases 2 and 4, with that tolerance. A probe then votes for every digit
+whose root index digit * beta_s mod base is that nearest root; even betas
+give several such digits, so each digit's targets are compared in full.
 
-This module holds the decoding primitives: _digit_steps lists the digits
-in decode order, _silent is the one cut below which a probe casts no vote,
-_inverse_reference makes a walk's inverse references, _decode_digit votes
-on one digit for a block of buckets (a digit passes with _quorum votes),
-and _unpermute turns a hashing's decoded coordinates into flat indices.
-The one walk that drives them is hashing_measurements._walk_digits, over
-blocks of live (hashing, bucket) pairs: those of every hashing of a stored
-set together, and those of one hashing at a time of a streamed set as it
-is read. It starts with only the pairs whose reference holds a quorum of
-valid probes.
+One walk, _walk_digits, decodes every set. It runs over blocks of live
+(hashing, bucket) pairs, each a _Walk, in (hashing, bucket) order, which
+vote on each digit with one _decode_digit call; a pair leaves at the first
+digit it fails, and _unpermute turns the survivors' coordinates into flat
+indices, one array per hashing. A pair is live when its reference holds a
+digit's quorum of valid probes (_quorum): no other pair could win a digit,
+so skipping them changes no output. On the bench's exact workloads
+(exact-1d-65536, exact-3d-16), a decode after every head was subtracted
+starts with 0-20 of a hashing's 512-1024 buckets. A block computes its
+pairs' inverse reference once; it holds at most B pairs, and few enough
+that each of its arrays fits one core._BLOCK_BYTES block
+(_WALK_ENTRY_BYTES).
+
+A stored set (decode_hashings) cuts the live pairs of all its hashings
+together into blocks, so one block may span hashings whose live pairs are
+few, and walks them one after the other through every digit, reading views
+of its table, which holds source - chi. A streamed set is decoded one
+hashing at a time as its acquisition reads it (_decode_as_read): that
+hashing's blocks vote each digit before its next shift is read, and the
+read takes the caller's chi out of the fresh tables at every bucket of the
+reference, and at the live buckets only of a later shift.
 """
 from __future__ import annotations
 
@@ -47,14 +57,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import _first_seen, unit_roots
+from .core import ParameterError, _block_rows, _first_seen, unit_roots
 
 if TYPE_CHECKING:
     from .core import Tunables
     from .hashing_measurements import MeasurementSet
     from .permutation import Hashing
 
-__all__ = []
+__all__ = ["decode_hashings"]
 
 
 def _balanced_axes(betas: np.ndarray, delta: int) -> np.ndarray:
@@ -80,16 +90,6 @@ def _unpermute(fvec: np.ndarray, hashing: "Hashing") -> np.ndarray:
     return _first_seen(np.ravel_multi_index(rows.T, (n,) * hashing.d))
 
 
-def _digit_steps(mset: "MeasurementSet"):
-    """(shift slot, axis, base, place value) of every digit in decode
-    order: axis by axis, lowest digit group first."""
-    for s in range(mset.d):
-        place = 1
-        for g, base in enumerate(mset.group_bases, start=1):
-            yield mset.shift_slot(g, s), s, base, place
-            place *= base
-
-
 def _quorum(probes: int, tun: "Tunables") -> float:
     """Votes a digit needs to pass among `probes` probe pairs."""
     return tun.vote_fraction * probes - 1e-9
@@ -98,8 +98,7 @@ def _quorum(probes: int, tun: "Tunables") -> float:
 def _silent(ref: np.ndarray, tun: "Tunables") -> np.ndarray:
     """Where a probe's reference is too small for the probe to vote:
     |ref| < near_zero. The walk's one zero cut: it picks the live pairs
-    (hashing_measurements._walks) and the probes _inverse_reference
-    zeroes."""
+    (_walks) and the probes _inverse_reference zeroes."""
     return np.abs(ref) < tun.near_zero
 
 
@@ -162,3 +161,150 @@ def _decode_digit(
     votes = (code == targets).view(np.uint8).sum(axis=1, dtype=counts)
     passed = votes >= _quorum(len(betas), tun)
     return passed.sum(axis=0, dtype=np.uint8) == 1, passed.argmax(axis=0)
+
+
+def decode_hashings(mset: "MeasurementSet") -> list[np.ndarray]:
+    """Decode every hashing of a stored set from its tables, which hold
+    mset.source - mset.chi: one array per hashing of the flat indices its
+    buckets decode to, in bucket order, each once. Reads no samples. A
+    streamed set keeps no shifted tables; its arrays are mset.found.
+
+    The set's live pairs walk in blocks, one block through every digit
+    before the next, so the walk holds one block's inverse reference."""
+    if mset.found is not None:
+        raise ParameterError("a streamed measurement set was decoded as it was read")
+    B = mset.params.B
+    flat = mset.buckets.reshape(-1)
+    decoded = []
+    for walk in _walks(mset, range(len(mset.hashings))):
+        _walk_digits(mset, [walk], lambda w: flat[w * B :])
+        decoded.append((walk.r, walk.fvec))
+    return _found(mset, decoded, range(len(mset.hashings)))
+
+
+def _decode_as_read(mset: "MeasurementSet", r: int, read) -> np.ndarray:
+    """Decode hashing r of a streamed set while its acquisition reads it,
+    as decode_hashings decodes a stored set's hashing. read(w, live) reads
+    shift w into (c_max, B) rows, the reference into mset.buckets[r, :, 0],
+    takes chi out of them at the bucket columns `live` (all when None) and
+    returns them: the reference at every bucket, a later shift at the
+    buckets still live before its digit's votes."""
+    read(0, None)
+    walks = list(_walks(mset, range(r, r + 1)))
+
+    def rows(w: int) -> np.ndarray:
+        live = np.concatenate([walk.b for walk in walks] + [np.empty(0, np.int64)])
+        return read(w, live).reshape(-1)
+
+    _walk_digits(mset, walks, rows)
+    return _found(mset, [(walk.r, walk.fvec) for walk in walks], range(r, r + 1))[0]
+
+
+# A block of live pairs holds _BLOCK_BYTES / _WALK_ENTRY_BYTES (probe, pair)
+# entries, so each of the walk's arrays (inverse reference, ratios,
+# correction roots and exponents, float temporaries) fits one block. Larger
+# blocks pay numpy's fixed cost per call on fewer calls: a decode of
+# gauss-2d-64's main set took 0.56 of the per-hashing walk's time at 48 and
+# 0.59 at 64 (one thread). A block also holds at most B pairs, as many as
+# one hashing has buckets, so a decode holds less than a walk of one
+# hashing at a time did: on the bench's main sets it peaked (tracemalloc)
+# at 1.23, 1.37 and 0.66 MB against 1.94, 2.04 and 0.90 MB (gauss-2d-64,
+# exact-1d-65536, exact-3d-16). That cap made a fresh main set's decode
+# 2-5% slower at 1024 buckets and 15% at exact-3d-16's 512, where a block
+# spanned three hashings.
+_WALK_ENTRY_BYTES = 48
+
+
+class _Walk:
+    """One block of live (hashing, bucket) pairs walking the digits.
+
+    Tables come as flat arrays that hold entry (hashing, probe, bucket) at
+    ((hashing - first) * c_max + probe) * stride + bucket, first being the
+    first hashing walked. Pair l is hashing r[l]'s bucket b[l], in (r, b)
+    order, at offset off[l] of the tables; inv is the pairs' (c_max, pairs)
+    inverse reference (_inverse_reference) and fvec the (pairs, d) digits
+    decoded so far. A pair leaves at the first digit it fails.
+    """
+
+    def __init__(
+        self, mset: "MeasurementSet", r: np.ndarray, b: np.ndarray, first: int, stride: int
+    ):
+        c_max = mset.betas.shape[1]
+        self.mset, self.r, self.b = mset, r, b
+        self.off = (r - first) * (c_max * stride) + b
+        self.probe_offsets = np.arange(c_max)[:, None] * stride
+        # betas[s] is the (c_max, r_max) array of the probes' coefficients on axis s.
+        self.betas = np.ascontiguousarray(mset.betas.transpose(2, 1, 0))
+        ref = self.take(mset.buckets[first:].reshape(-1))
+        self.inv = _inverse_reference(ref, mset.params.tunables)
+        self.fvec = np.zeros((r.size, mset.d), dtype=np.int64)
+
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        """The (c_max, pairs) entries of the pairs in a flat table."""
+        return flat[self.probe_offsets + self.off]
+
+    def vote(self, flat: np.ndarray, w: int, s: int, base: int, place: int) -> None:
+        """Vote on digit (w, s, base, place) of StagePlan.digit_steps from
+        the shift's flat table; keep the pairs that win it."""
+        mset = self.mset
+        z = self.take(flat)
+        z *= self.inv
+        unique, chosen = _decode_digit(
+            z,
+            self.betas[s].take(self.r, axis=1),
+            self.fvec[:, s],
+            mset.n,
+            int(mset.shifts[w, s]),
+            base,
+            mset.params.tunables,
+        )
+        keep = np.flatnonzero(unique)
+        if keep.size < unique.size:
+            self.r, self.b, self.off = self.r[keep], self.b[keep], self.off[keep]
+            self.fvec, self.inv = self.fvec[keep], self.inv.take(keep, axis=1)
+            chosen = chosen[keep]
+        self.fvec[:, s] += place * chosen
+
+
+def _walks(mset: "MeasurementSet", hashings: range):
+    """The live pairs of the given hashings, in blocks, each a _Walk. A
+    stored and a streamed set hold their reference tables alike, in
+    mset.buckets[:, :, 0]. The blocks are made as they are asked for."""
+    _, C, S, B = mset.buckets.shape
+    tun = mset.params.tunables
+    r_live, b_live = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r in hashings:
+        invalid = _silent(mset.buckets[r, :, 0], tun)
+        live = np.flatnonzero(C - invalid.sum(axis=0) >= _quorum(C, tun))
+        r_live.append(np.full(live.size, r))
+        b_live.append(live)
+    r_live, b_live = np.concatenate(r_live), np.concatenate(b_live)
+    size = min(_block_rows(_WALK_ENTRY_BYTES * C), B)
+    for lo in range(0, r_live.size, size):
+        yield _Walk(mset, r_live[lo : lo + size], b_live[lo : lo + size], hashings.start, S * B)
+
+
+def _walk_digits(mset: "MeasurementSet", walks: list[_Walk], rows) -> None:
+    """The one digit walk: every block of `walks` votes on each digit in
+    the plan's decode order. rows(w) gives the flat tables of shift w, as
+    _Walk reads them."""
+    for w, s, base, place in mset.params.digit_steps:
+        flat = rows(w)
+        for walk in walks:
+            if walk.r.size:
+                walk.vote(flat, w, s, base, place)
+
+
+def _found(
+    mset: "MeasurementSet", decoded: list[tuple[np.ndarray, np.ndarray]], hashings: range
+) -> list[np.ndarray]:
+    """Per hashing of `hashings`, the flat indices its pairs decoded to, in
+    bucket order, each once, from the (r, fvec) arrays that the walks of
+    those hashings left, in order."""
+    r = np.concatenate([r for r, _ in decoded] + [np.empty(0, dtype=np.int64)])
+    fvec = np.concatenate([f for _, f in decoded] + [np.empty((0, mset.d), dtype=np.int64)])
+    bounds = np.searchsorted(r, np.arange(hashings.start, hashings.stop + 1))
+    return [
+        _unpermute(fvec[lo:hi], mset.hashings[h])
+        for h, lo, hi in zip(hashings, bounds[:-1], bounds[1:])
+    ]

@@ -153,7 +153,10 @@ class Hashing:
 
     def bucket_of_array(self, coords: np.ndarray) -> np.ndarray:
         """Nearest-bucket rounding of pi(i) * b/n, componentwise mod b."""
-        pi = self.perm.forward_array(coords)
+        return self.bucket_of_images(self.perm.forward_array(coords))
+
+    def bucket_of_images(self, pi: np.ndarray) -> np.ndarray:
+        """bucket_of_array from the (m, d) images pi(i) themselves."""
         return ((2 * pi * self.b + self.n) // (2 * self.n)) % self.b
 
     def center_of_array(self, coords: np.ndarray) -> np.ndarray:

@@ -97,9 +97,9 @@ from .hashing_measurements import (
     MeasurementSet,
     _residual_peak,
     acquire_measurements,
-    decode_hashings,
     update_residual_measurements,
 )
+from .location import decode_hashings
 
 __all__ = [
     "RunStats",

@@ -201,25 +201,22 @@ def reference_locate(mset, r: int) -> np.ndarray:
     alive = np.ones(B, dtype=bool)
     fvec = np.zeros((B, d), dtype=np.int64)
     min_votes = tun.vote_fraction * c_max - 1e-9
-    for s in range(d):
+    for w, s, base, place in params.digit_steps:
         betas = mset.betas[r, :, s]
-        scale = 1
-        for g, base in enumerate(mset.group_bases, start=1):
-            step = n // (scale * base)
-            xi = mset.buckets[r, :, mset.shift_slot(g, s), :] / safe_ref
-            corr_expo = (step * betas[:, None] * fvec[None, :, s]) % n
-            corrected = xi * np.exp(-2j * np.pi * corr_expo / n)
-            votes = np.empty((base, B), dtype=np.int64)
-            for digit in range(base):
-                root = np.exp(-2j * np.pi * ((digit * betas) % base) / base)
-                eta = root[:, None] * corrected
-                ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
-                votes[digit] = ok.sum(axis=0)
-            passed = votes >= min_votes
-            n_pass = passed.sum(axis=0)
-            alive &= n_pass == 1
-            fvec[:, s] += scale * np.where(n_pass == 1, passed.argmax(axis=0), 0)
-            scale *= base
+        step = n // (place * base)
+        xi = mset.buckets[r, :, w, :] / safe_ref
+        corr_expo = (step * betas[:, None] * fvec[None, :, s]) % n
+        corrected = xi * np.exp(-2j * np.pi * corr_expo / n)
+        votes = np.empty((base, B), dtype=np.int64)
+        for digit in range(base):
+            root = np.exp(-2j * np.pi * ((digit * betas) % base) / base)
+            eta = root[:, None] * corrected
+            ok = (np.abs(eta - 1.0) < tun.ratio_tolerance) & ~invalid
+            votes[digit] = ok.sum(axis=0)
+        passed = votes >= min_votes
+        n_pass = passed.sum(axis=0)
+        alive &= n_pass == 1
+        fvec[:, s] += place * np.where(n_pass == 1, passed.argmax(axis=0), 0)
     rows = (fvec[alive] @ mset.hashings[r].perm.sigma_inv.T) % n
     found = dict.fromkeys(flat_of(rows, n).tolist())
     return np.array(list(found), dtype=np.int64)

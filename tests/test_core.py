@@ -295,9 +295,36 @@ class TestBucketCountCap:
         message = str(warning.message)
         # The main stage's location buckets meet their target at the cap;
         # its estimation buckets and the constant-SNR stage's do not.
-        assert "main location" not in message
+        assert "main location: bucket side" not in message
         assert "main estimation: bucket side b=256" in message
         assert "const_snr location" in message
+
+    @pytest.mark.parametrize(
+        "n,d,k,stages",
+        [
+            (64, 2, 8, ["main", "inf_norm", "const_snr"]),
+            (16, 3, 8, ["main", "inf_norm", "const_snr"]),
+            (2**16, 1, 32, ["const_snr"]),
+        ],
+        ids=["gauss-2d-64", "exact-3d-16", "exact-1d-65536"],
+    )
+    def test_plan_names_every_pass_that_reads_the_whole_grid(self, n, d, k, stages):
+        # F*b + 1 >= n: the filter's support spans the grid, so one
+        # location or estimation pass reads all N samples.
+        with pytest.warns(RuntimeWarning) as record:
+            plan = RecoveryParams.derive(n, d, k)
+        (warning,) = record
+        message = str(warning.message)
+        kinds = ("location", "estimation")
+        named = [
+            f"{stage} {kind}"
+            for stage in ("main", "inf_norm", "const_snr")
+            for kind in kinds
+            if f"{stage} {kind}: F*b+1 >= n, so each pass reads all {n**d} samples" in message
+        ]
+        assert named == [f"{stage} {kind}" for stage in stages for kind in kinds]
+        for stage in stages:
+            assert getattr(plan, stage).pass_sides == {"location": n, "estimation": n}
 
     def test_plan_warning_shows_once_per_calling_line(self):
         # Under the default filter a warning shows once per message and

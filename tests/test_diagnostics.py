@@ -21,7 +21,8 @@ from sparsefft import (
 from sparsefft.dense_dft import fft_grid
 from sparsefft.diagnostics import compute_noise_profile, quantile_top
 from sparsefft.filters import cached_bucket_filter
-from sparsefft.hashing_measurements import acquire_measurements, decode_hashings
+from sparsefft.hashing_measurements import acquire_measurements
+from sparsefft.location import decode_hashings
 from sparsefft.permutation import Hashing, SpectrumPermutation
 from sparsefft import RecoveryParams
 

@@ -1,5 +1,6 @@
 """Every exported name resolves, in the package and in each submodule, no
-module imports a name it never uses, and no field of the recovery plan is
+module imports a name it never uses, no module but `location` imports the
+digit walk's private names, and no field of the recovery plan is
 write-only.
 
 The benchmark's tracer wraps functions by their `__all__` entries, so a
@@ -84,6 +85,39 @@ def test_unused_import_check_sees_every_use():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["C", "D", "os"]
+
+
+# The digit walk and its vote primitives: location's own, so that the one
+# decoder has one home.
+WALK_NAMES = {
+    "_decode_digit",
+    "_inverse_reference",
+    "_quorum",
+    "_silent",
+    "_Walk",
+    "_walks",
+    "_walk_digits",
+}
+
+
+def names_imported(source: str) -> set[str]:
+    """Names a module's `from ... import` statements bring in."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_only_location_imports_the_digit_walk():
+    offenders = {}
+    for name in MODULES:
+        source = pathlib.Path(importlib.import_module(name).__file__).read_text()
+        walk_names = names_imported(source) & WALK_NAMES
+        if walk_names and name != "sparsefft.location":
+            offenders[name] = walk_names
+    assert offenders == {}
 
 
 def attributes_read(source: str, outside: str) -> set[str]:

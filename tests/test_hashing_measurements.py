@@ -183,10 +183,10 @@ class TestAcquisition:
         mset = acquire_measurements(xhat, params, rng)
         n, d = 64, 2
         delta = params.delta
-        groups = len(mset.group_bases)
+        groups = len(params.group_bases)
         assert len(mset.shifts) == 1 + d * groups
         reach = 1
-        for base in mset.group_bases:
+        for base in params.group_bases:
             reach *= base
         assert reach == n
 

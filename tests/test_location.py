@@ -1,17 +1,20 @@
-"""Digit-by-digit index decoding from bucket ratio measurements.
+"""Digit-by-digit index decoding from bucket ratio measurements: the
+`location` module, the library's one decoder.
 
 A single tone makes every measurement ratio an exact root of unity, so
 location must return the tone's index and nothing else; that pins the whole
-shift ladder arithmetic, including multi-axis grids. Probe balance rules are
-checked at their integer boundaries, and noisy-tail recall is measured
-against the supermajority voting threshold. The sign-test vote of one
-digit (location._decode_digit) must give what the angle-based vote
-(oracles.reference_vote) gives. The one digit walk, over the live pairs of
-every hashing of a stored set (decode_hashings) or of one hashing at a time
-of a streamed set (its acquisition), must return exactly what the
-per-digit vote over every bucket (oracles.reference_locate) returns, also
-when its blocks of pairs are a few pairs wide, and it must hold no more
-memory than one hashing's walk did.
+shift ladder arithmetic (StagePlan.shifts and StagePlan.digit_steps),
+including multi-axis grids. Probe balance rules are checked at their
+integer boundaries, and noisy-tail recall is measured against the
+supermajority voting threshold. The sign-test vote of one digit
+(location._decode_digit) must give what the angle-based vote
+(oracles.reference_vote) gives. The one digit walk (location._walk_digits),
+over the live pairs of every hashing of a stored set
+(location.decode_hashings) or of one hashing at a time of a streamed set
+as its acquisition reads it (location._decode_as_read), must return
+exactly what the per-digit vote over every bucket
+(oracles.reference_locate) returns, also when its blocks of pairs are a few
+pairs wide, and it must hold no more memory than one hashing's walk did.
 """
 import math
 import tracemalloc
@@ -20,16 +23,17 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsefft import core, hashing_measurements
+from sparsefft import core, hashing_measurements, location
 from sparsefft import DenseSignal, ParameterError, RecoveryParams, SparseApprox, Tunables
 from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import ExperimentSpec, generate_signal
-from sparsefft.hashing_measurements import (
-    acquire_measurements,
+from sparsefft.hashing_measurements import acquire_measurements, update_residual_measurements
+from sparsefft.location import (
+    _balanced_axes,
+    _decode_digit,
+    _inverse_reference,
     decode_hashings,
-    update_residual_measurements,
 )
-from sparsefft.location import _balanced_axes, _decode_digit, _inverse_reference
 
 from oracles import dense_time, random_sparse_time, reference_locate, reference_vote
 
@@ -224,18 +228,13 @@ class TestMatchesPerDigitVote:
         ref = rng.normal(size=(R, C, nb)) * np.exp(2j * np.pi * rng.random((R, C, nb)))
         ref[:, :, ::11] = 1.0
         spread = rng.choice([0.0, 0.03, 0.1, 0.3], size=(R, 1, nb))
-        scale = 1
         mset.buckets[:, :, 0] = ref
-        for g, base in enumerate(mset.group_bases, start=1):
-            step = n // (scale * base)
-            for s in range(d):
-                betas = mset.betas[:, :, s]
-                expo = (step * betas[:, :, None] * planted[:, None, :, s]) % n
-                jitter = rng.normal(size=(R, C, nb)) + 1j * rng.normal(size=(R, C, nb))
-                mset.buckets[:, :, mset.shift_slot(g, s)] = ref * (
-                    np.exp(2j * np.pi * expo / n) + spread * jitter
-                )
-            scale *= base
+        for w, s, base, place in params.digit_steps:
+            step = n // (place * base)
+            betas = mset.betas[:, :, s]
+            expo = (step * betas[:, :, None] * planted[:, None, :, s]) % n
+            jitter = rng.normal(size=(R, C, nb)) + 1j * rng.normal(size=(R, C, nb))
+            mset.buckets[:, :, w] = ref * (np.exp(2j * np.pi * expo / n) + spread * jitter)
         mset.buckets[:, ::2, 0, ::11] = 0.0
         mset.buckets[:, :, 1:, 5::7] = rng.normal(size=(R, C, S - 1, len(range(5, nb, 7))))
         assert_matches_reference(mset)
@@ -255,13 +254,13 @@ class TestQuorumPruning:
         mset.buckets[...] = 1.0
         mset.buckets[:, quorum - 1 :, 0] = 0.0
         widths = []
-        real = hashing_measurements._decode_digit
+        real = location._decode_digit
 
         def recording(z, *args):
             widths.append(z.shape[1])
             return real(z, *args)
 
-        monkeypatch.setattr(hashing_measurements, "_decode_digit", recording)
+        monkeypatch.setattr(location, "_decode_digit", recording)
         assert all(found.size == 0 for found in decode_hashings(mset))
         assert widths == []
         # One more valid probe puts that one bucket into the walk; in two
@@ -344,7 +343,7 @@ class TestColumnBlocks:
 
     @staticmethod
     def blocks_of(pairs, params, monkeypatch):
-        bytes_per_pair = hashing_measurements._WALK_ENTRY_BYTES * params.c_max
+        bytes_per_pair = location._WALK_ENTRY_BYTES * params.c_max
         monkeypatch.setattr(core, "_BLOCK_BYTES", pairs * bytes_per_pair)
 
     @staticmethod
@@ -366,7 +365,7 @@ class TestColumnBlocks:
         # so a budget of 100 gives blocks of 64 that end between hashings.
         mset.buckets[1, :, 0] = 0.0
         self.blocks_of(pairs, params, monkeypatch)
-        first = next(hashing_measurements._walks(mset, range(params.r_max)))
+        first = next(location._walks(mset, range(params.r_max)))
         assert first.r.size == min(pairs, B) and set(first.r.tolist()) == {0}
         assert_matches_reference(mset)
         found = decode_hashings(mset)

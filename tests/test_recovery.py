@@ -19,6 +19,7 @@ import pytest
 
 from sparsefft import (
     DenseSignal,
+    DivergenceError,
     ParameterError,
     RecoveryParams,
     SparseApprox,
@@ -28,11 +29,8 @@ from sparsefft import core, dense_dft, hashing_measurements, semi_equispaced
 from sparsefft import recovery as recovery_module
 from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal, run_experiment
-from sparsefft.hashing_measurements import (
-    acquire_measurements,
-    decode_hashings,
-    update_residual_measurements,
-)
+from sparsefft.hashing_measurements import acquire_measurements, update_residual_measurements
+from sparsefft.location import decode_hashings
 from sparsefft.permutation import SpectrumPermutation
 from sparsefft.recovery import (
     RunStats,
@@ -255,8 +253,7 @@ class TestStreamedSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        shifts = 1 + d * core._digit_groups(n, stage.delta)
-        table = stage.r_max * stage.c_max * shifts * stage.B * 16
+        table = stage.r_max * stage.c_max * len(stage.shifts) * stage.B * 16
         # The set's reference and current-shift rows have a memory mapping
         # of their own, which tracemalloc does not see.
         rows = (stage.r_max + 1) * stage.c_max * stage.B * 16
@@ -756,6 +753,80 @@ def record_thresholds(monkeypatch) -> list:
 
     monkeypatch.setattr(recovery_module, "estimate_values", recording)
     return thresholds
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOuterRounds:
+    """Rounds t >= 1 of the paper's outer loop, which no harness default
+    runs: T = ceil(ln r_star / ln log2(N)^4) is 1 up to r_star = 2 * snr =
+    log2(N)^4, and 2 at snr 1e5 on 1024 points. A second round reduces the
+    same main set again, with no new acquisition, and a round whose
+    approximation outgrows divergence_factor times round 0's l1 mass ends
+    the run."""
+
+    @staticmethod
+    def run(snr, T, seed=0):
+        """The harness-style run of 1024 points, k = 4, Gaussian tail at
+        snr, under a plan of T outer rounds."""
+        spec = ExperimentSpec(n=1024, d=1, k=4, signal_model="sparse-plus-gaussian-tail", snr=snr)
+        x, _, mu = generate_signal(spec, seed)
+        xhat = DenseSignal(spec.n, spec.d, np.fft.fftn(x.values, norm="ortho"), "frequency")
+        params = spec.recovery_params(mu, seed)
+        return sparse_fft_with_stats(
+            xhat,
+            spec.k,
+            epsilon=spec.epsilon,
+            r_star=spec.effective_r_star(),
+            mu=mu,
+            seed=seed,
+            params=replace(params, T=T),
+        )
+
+    @staticmethod
+    def count_calls(monkeypatch, *names) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(recovery_module, name)
+
+            def counting(*args, name=name, real=real, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(recovery_module, name, counting)
+        return calls
+
+    def test_second_round_reduces_the_same_main_set(self, monkeypatch):
+        # At snr 10 the plan has T = 1; this run asks for 2.
+        assert RecoveryParams.derive(1024, 1, 4, r_star=20.0).T == 1
+        _, one = self.run(10.0, T=1)
+        calls = self.count_calls(monkeypatch, "reduce_l1_norm", "reduce_inf_norm")
+        out, two = self.run(10.0, T=2)
+        assert calls == {"reduce_l1_norm": 2, "reduce_inf_norm": 2}
+        assert two.samples_location == one.samples_location
+        assert len(out) > 0
+
+    def test_runaway_round_raises_divergence(self, monkeypatch):
+        real = recovery_module.reduce_inf_norm
+        factor = Tunables().divergence_factor
+        baseline = []
+
+        def runaway(xhat, chi, stage, *args, **kwargs):
+            increment = real(xhat, chi, stage, *args, **kwargs)
+            if not baseline:  # round 0: the mass the check compares against
+                baseline.append((chi + increment).norm1())
+                return increment
+            # Round 1: one new coefficient worth twice the allowed growth.
+            free = np.setdiff1d(np.arange(xhat.N), chi.flat)[0]
+            return SparseApprox.from_flat(xhat.n, xhat.d, [free], [2 * factor * baseline[0]])
+
+        monkeypatch.setattr(recovery_module, "reduce_inf_norm", runaway)
+        # The plan's own T = 2 at snr 1e5, whose round 0 keeps the heads: at
+        # snr 10 round 0 keeps nothing, and the check's baseline would be
+        # round 1's mass.
+        assert RecoveryParams.derive(1024, 1, 4, r_star=2e5).T == 2
+        with pytest.raises(DivergenceError, match="after round 1"):
+            self.run(1e5, T=2)
+        assert len(baseline) == 1 and baseline[0] > 0
 
 
 class TestNoiseBound:
