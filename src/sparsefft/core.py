@@ -537,7 +537,7 @@ class StagePlan:
         """Base of each digit group of the location ladder: delta, and for
         the last group the leftover n / delta^(G-1), G being the fewest
         groups with delta^G >= n, so the groups cover every bit of [n]."""
-        groups = max(1, -(-(self.n.bit_length() - 1) // (self.delta.bit_length() - 1)))
+        groups = max(1, math.ceil(math.log2(self.n) / math.log2(self.delta)))
         return (self.delta,) * (groups - 1) + (self.n // self.delta ** (groups - 1),)
 
     @property
