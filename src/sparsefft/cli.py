@@ -82,13 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rerun a spec across parameter values")
     p_sweep.add_argument("--spec", required=True, help="path to the base spec JSON")
-    p_sweep.add_argument(
-        "--param",
-        required=True,
-        help="spec field or tunable to vary; B, F, r_max and c_max set only the "
-        "main acquisition: the estimation filters stay at F = 2d and the "
-        "inf-norm and constant-SNR stages keep their derived geometry",
-    )
+    p_sweep.add_argument("--param", required=True, help="spec field or tunable to vary")
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated values, e.g. 8,16,32"
     )

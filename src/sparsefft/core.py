@@ -468,7 +468,8 @@ class StagePlan:
 
     The stage acquires r_max hashings of B buckets, c_max probe pairs each
     (`hashing_measurements.acquire_measurements`), sized for k terms, and
-    each of its estimation calls draws reps fresh B_est-bucket hashings. The
+    each of its estimation calls draws reps fresh B_est-bucket hashings. Both
+    kinds of hashing use the filter of order F. The
     l1 loop reuses the main stage's set for at most `rounds` calls; the
     inf-norm and constant-SNR sweeps make one. Build it with
     `RecoveryParams.derive`.
@@ -569,18 +570,13 @@ class StagePlan:
         return max(1, math.ceil(self.tunables.inner_iters_coeff * _loglog2(self.n**self.d)))
 
     @property
-    def F_est(self) -> int:
-        """Filter order of the estimation hashings: 2d, the least allowed."""
-        return 2 * self.d
-
-    @property
     def pass_sides(self) -> dict[str, int]:
         """Samples per axis that one pass of the stage's location and of its
         estimation filter reads: the filter's support, F*b + 1 wide, or all
         n once that spans the grid."""
-        filters = {"location": (self.F, self.B), "estimation": (self.F_est, self.B_est)}
+        buckets = {"location": self.B, "estimation": self.B_est}
         return {
-            kind: min(F * bucket_side(B, self.d) + 1, self.n) for kind, (F, B) in filters.items()
+            kind: min(self.F * bucket_side(B, self.d) + 1, self.n) for kind, B in buckets.items()
         }
 
     @property
@@ -620,6 +616,11 @@ class RecoveryParams:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.T < 1:
             raise ParameterError(f"need T >= 1, got T={self.T}")
+        shared = (self.main.n, self.main.d, self.main.tunables)
+        for name in ("inf_norm", "const_snr"):
+            stage = getattr(self, name)
+            if (stage.n, stage.d, stage.tunables) != shared:
+                raise ParameterError(f"{name} stage differs from main in n, d or tunables")
 
     @classmethod
     def derive(
@@ -632,18 +633,13 @@ class RecoveryParams:
         mu: float = 0.0,
         r_star: float = 2.0,
         seed: int = 0,
-        F: int | None = None,
-        B: int | None = None,
-        r_max: int | None = None,
-        c_max: int | None = None,
-        T: int | None = None,
         tunables: Tunables | None = None,
     ) -> "RecoveryParams":
-        """The plan for k terms over [n]^d at accuracy epsilon; F, B, r_max,
-        c_max and T override the main stage's values.
+        """The plan for k terms over [n]^d at accuracy epsilon.
 
-        Every stage's geometry is computed here and nowhere else, so an
-        invalid stage raises here. Bucket counts capped at n/2 per axis, and
+        Every stage's geometry is computed here and nowhere else. Any other
+        geometry is `dataclasses.replace` of the plan or of one stage, which
+        validates the result again. Bucket counts capped at n/2 per axis, and
         location or estimation passes whose filter support spans the grid
         (F*b + 1 >= n: each pass reads all N samples), give one
         RuntimeWarning naming them, before any read.
@@ -663,11 +659,10 @@ class RecoveryParams:
                 notes.append(f"{name}: {note}")
             return count
 
-        def stage(*, F: int = 2 * d, c_max: int = c_loc, **geometry) -> StagePlan:
-            return StagePlan(n=n, d=d, F=F, c_max=c_max, tunables=tun, **geometry)
+        def stage(**geometry) -> StagePlan:
+            return StagePlan(n=n, d=d, F=2 * d, c_max=c_loc, tunables=tun, **geometry)
 
-        if B is None:
-            B = buckets("main location", location_bucket_count, k)
+        B = buckets("main location", location_bucket_count, k)
         r_loc = max(3, math.ceil(tun.location_reps_coeff / root_alpha * loglog))
         k_est = 4 * k
         B_est = buckets("main estimation", estimation_bucket_count, k_est)
@@ -676,10 +671,8 @@ class RecoveryParams:
         spread = loglog + d * d + math.log2(max(1.0, B_est / k_est))
         main = stage(
             k=k,
-            F=2 * d if F is None else F,
             B=B,
-            r_max=r_loc if r_max is None else r_max,
-            c_max=c_loc if c_max is None else c_max,
+            r_max=r_loc,
             B_est=B_est,
             reps=max(1, math.ceil(tun.est_reps_coeff * spread)),
         )
@@ -711,14 +704,12 @@ class RecoveryParams:
         if notes:
             message = f"plan for k={k} on [{n}]^{d}: " + " / ".join(notes)
             warnings.warn(message, RuntimeWarning, stacklevel=2)
-        if T is None:
-            T = max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(_log4(N))))
         return cls(
             epsilon=epsilon,
             mu=mu,
             r_star=r_star,
             seed=seed,
-            T=T,
+            T=max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(_log4(N)))),
             main=main,
             inf_norm=inf_norm,
             const_snr=const_snr,

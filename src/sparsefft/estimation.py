@@ -3,7 +3,7 @@
 Each repetition hashes the residual into B buckets under a fresh
 permutation and reads one bucket per candidate: u at h(f), unwound by the
 filter gain at f's own offset and the modulation phase. The caller picks B
-and the filter order F (a `core.StagePlan`'s B_est and F_est). The
+and the filter order F (a `core.StagePlan`'s B_est and F). The
 repetitions are batched: every repetition's (permutation, modulation) is
 drawn first, and one call to the bucket-table primitive
 (hashing_measurements._bucket_tables) gives all r_max bucket tables. chi is

@@ -61,8 +61,7 @@ class ExperimentSpec:
 
     snr scales the planted head magnitudes relative to the exact noise
     level mu of the generated signal; noisy models need snr >= 2 so every
-    head coefficient clears 2 mu. The optional overrides replace the
-    main stage's derived geometry, and `constants` overrides individual
+    head coefficient clears 2 mu. `constants` overrides individual
     tunables, alpha included, by name.
     """
 
@@ -74,10 +73,6 @@ class ExperimentSpec:
     epsilon: float = 0.1
     seeds: list[int] = field(default_factory=lambda: [0])
     r_star: float | None = None
-    B: int | None = None
-    F: int | None = None
-    r_max: int | None = None
-    c_max: int | None = None
     constants: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
@@ -121,10 +116,6 @@ class ExperimentSpec:
             mu=mu,
             r_star=self.effective_r_star(),
             seed=seed,
-            F=self.F,
-            B=self.B,
-            r_max=self.r_max,
-            c_max=self.c_max,
             tunables=self.tunables(),
         )
 
@@ -360,13 +351,6 @@ def run_sweep(
     is rejected. Returns {value: records}; the optional CSV is tidy (one row
     per run, with the swept parameter and value as leading columns) so error
     and sample curves can be plotted directly.
-
-    The geometry overrides B, F, r_max and c_max set only the main
-    acquisition: the estimation filters stay at F_est = 2d, and the
-    inf-norm and constant-SNR stages keep their derived geometry. So a
-    sweep over F leaves part of the reads at F = 2d: 13% on the 64^2
-    Gaussian-tail bench workload, 45% on the 16^3 and 85% on the 2^16
-    exact-sparse ones.
     """
     spec_fields = {f.name for f in fields(spec)} - {"seeds", "signal_model", "constants"}
     if param not in spec_fields | _TUNABLE_NAMES:

@@ -502,7 +502,7 @@ def acquire_measurements(
         buckets=table[: params.r_max],
         source=xhat,
         chi=SparseApprox.empty(n, d) if chi is None else chi,
-        sample_counter=params.r_max * params.c_max * S * filt.support_size,
+        sample_counter=params.acquisition_reads,
     )
     if chi is None:
         # One call per hashing writes its contiguous slab; filling the table

@@ -183,7 +183,7 @@ def _estimate_at(
         stage.B_est,
         threshold,
         stage.reps,
-        F=stage.F_est,
+        F=stage.F,
         rng=rng,
     )
     mset.sample_counter += batch.samples
@@ -350,7 +350,8 @@ def sparse_fft_with_stats(
     peak. The run follows params, whose k, targets and seed must be those
     of the call, or else `RecoveryParams.derive` of these arguments at the
     default `Tunables`; other tunables go in through
-    `RecoveryParams.derive(tunables=...)`.
+    `RecoveryParams.derive(tunables=...)`, and other geometry through
+    `dataclasses.replace` of that plan or of one of its stages.
     """
     if xhat.domain != "frequency":
         raise ParameterError("recovery expects a frequency-domain signal")

@@ -22,20 +22,31 @@ contribution summed directly (chi_bucket_sums), and apply_P is the dense
 permuted and modulated spectrum, written from its definition for the
 permutation identity. chi_bucket_sums shares no code with the library's
 chi product, so the oracles that subtract chi check it.
+
+main_stage is the derived main stage with some fields replaced, the way a
+test picks geometry the plan would not derive.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
-from sparsefft import DenseSignal, ParameterError, SparseApprox
+from sparsefft import DenseSignal, ParameterError, RecoveryParams, SparseApprox, StagePlan
 from sparsefft.dense_dft import fft_axes
 from sparsefft.estimation import coordinatewise_median
 from sparsefft.filters import BucketFilter
 from sparsefft.hashing_measurements import _bucket_tables
 from sparsefft.permutation import Hashing, SpectrumPermutation, sample_permutation
+
+
+def main_stage(n: int, d: int, k: int, **fields) -> StagePlan:
+    """`RecoveryParams.derive(n, d, k).main` with each given field replaced;
+    a field given as None keeps its derived value."""
+    main = RecoveryParams.derive(n, d, k).main
+    return replace(main, **{name: value for name, value in fields.items() if value is not None})
 
 
 @lru_cache(maxsize=32)

@@ -25,6 +25,8 @@ from sparsefft.core import (
     unit_roots,
 )
 
+from oracles import main_stage
+
 
 class TestDenseSignal:
     def test_shape_and_domain_validation(self):
@@ -187,11 +189,26 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError):
             RecoveryParams.derive(100, 1, 5)
         with pytest.raises(ParameterError):
-            RecoveryParams.derive(64, 2, 5, F=3)
+            main_stage(64, 2, 5, F=3)
         with pytest.raises(ParameterError):
-            RecoveryParams.derive(64, 1, 32, B=16)
+            main_stage(64, 1, 32, B=16)
         with pytest.raises(ParameterError):
             RecoveryParams.derive(64, 1, 5, tunables=Tunables(alpha=1.5))
+
+    @pytest.mark.parametrize("name", ["inf_norm", "const_snr"])
+    def test_stages_share_main_grid_and_tunables(self, name):
+        # Checked when the plan is built: a stage of another grid would
+        # raise only once its acquisition ran, and one with other tunables
+        # would run silently with them.
+        plan = RecoveryParams.derive(64, 2, 8)
+        other_grid = getattr(RecoveryParams.derive(32, 2, 8), name)
+        other_tunables = dataclasses.replace(
+            getattr(plan, name), tunables=Tunables(bucket_scale=3.0)
+        )
+        for stage in (other_grid, other_tunables):
+            with pytest.raises(ParameterError, match=f"{name} stage differs from main"):
+                dataclasses.replace(plan, **{name: stage})
+        assert dataclasses.replace(plan, **{name: getattr(plan, name)}) == plan
 
     def test_negative_seed_rejected(self):
         # numpy's generators take only non-negative seeds; the plan must
@@ -214,7 +231,7 @@ class TestRecoveryParams:
         # NaN passes every <= and < test, so each range check needs an
         # explicit finiteness test.
         with pytest.raises(ParameterError, match=message):
-            RecoveryParams.derive(64, 1, 2, T=1, **{target: value})
+            RecoveryParams.derive(64, 1, 2, **{target: value})
 
     def test_more_buckets_per_axis_than_grid_points_rejected(self):
         with pytest.raises(ParameterError, match="16 buckets per axis, more than n=8"):
@@ -222,8 +239,8 @@ class TestRecoveryParams:
                 n=8, d=1, k=1, F=2, B=16, r_max=3, c_max=8, B_est=4, reps=1,
             )
         with pytest.raises(ParameterError, match="8 buckets per axis, more than n=4"):
-            RecoveryParams.derive(4, 2, 1, B=64)
-        RecoveryParams.derive(4, 2, 1, B=16)
+            main_stage(4, 2, 1, B=64)
+        main_stage(4, 2, 1, B=16)
 
     def test_two_point_grid_rejected_at_construction(self):
         # The bucket rule's floor b = 4 exceeds n = 2; the digit base fails

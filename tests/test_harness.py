@@ -263,7 +263,6 @@ class TestSerialization:
             snr=4.0,
             epsilon=0.2,
             seeds=[3, 4],
-            B=32,
             constants={"bucket_scale": 3.0},
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
@@ -398,6 +397,8 @@ class TestCli:
         [
             ({"n": 64, "d": 1, "k": 2, "alpah": 0.3}, "unknown spec keys: alpah"),
             ({"n": 64, "d": 1, "k": 2, "alpha": 0.3}, 'go under "constants": alpha'),
+            # Geometry is derived from the spec, not given in it.
+            ({"n": 64, "d": 1, "k": 2, "B": 16}, "error: unknown spec keys: B\n"),
             ({"d": 1, "k": 2}, "spec lacks required keys: n"),
             ([64, 1, 2], "a spec must be a JSON object"),
         ],
@@ -531,10 +532,10 @@ class TestSpecValidation:
     def test_rejects_mistyped_fields(self):
         # An int field takes an int but not a bool; a float field takes both
         # ints and floats.
-        for bad in ({"d": True}, {"k": 4.0}, {"seeds": [0, "1"]}, {"B": 64.0}):
+        for bad in ({"d": True}, {"k": 4.0}, {"seeds": [0, "1"]}, {"r_star": "4"}):
             with pytest.raises(ParameterError, match="must be of type"):
                 ExperimentSpec(**{"n": 64, "d": 1, "k": 4, **bad})
-        ExperimentSpec(n=64, d=1, k=4, snr=10, epsilon=1, r_star=4, B=16)
+        ExperimentSpec(n=64, d=1, k=4, snr=10, epsilon=1, r_star=4)
         with pytest.raises(ParameterError, match="snr_keep_factor must be of type int"):
             Tunables(snr_keep_factor=4.0)
         with pytest.raises(ParameterError, match="alpha must be of type float"):

@@ -46,6 +46,7 @@ from oracles import (
     dense_time,
     direct_transform,
     hash_to_bins,
+    main_stage,
     random_sparse_time,
     reference_balanced_probes,
     reference_fold_and_invert,
@@ -325,7 +326,7 @@ class TestResidualPeak:
     tables."""
 
     def _setup(self, n, d, k, B, c_max, rng):
-        params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max).main
+        params = main_stage(n, d, k, B=B, c_max=c_max)
         x = random_sparse_time(n, d, k, rng)
         mset = acquire_measurements(freq_signal(dense_time(x), n, d), params, rng)
         return x, mset
@@ -408,7 +409,7 @@ class TestBlocksAreInvisible:
     )
     @pytest.mark.parametrize("k_chi", [1, 5])
     def test_update_equals_whole_increment(self, n, d, k, B, c_max, k_chi, rng, monkeypatch):
-        params = RecoveryParams.derive(n, d, k, B=B, c_max=c_max).main
+        params = main_stage(n, d, k, B=B, c_max=c_max)
         x = random_sparse_time(n, d, k, rng)
         xhat = freq_signal(dense_time(x), n, d)
         mset = acquire_measurements(xhat, params, np.random.default_rng(5))
@@ -443,7 +444,7 @@ class TestMemoryBound:
         # 240 rows of 8192 buckets: a 31.5 MB table whose filter support is
         # the whole 2^14 ring.
         n = 2**14
-        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1).main
+        params = main_stage(n, 1, 4, B=2**13, r_max=1)
         xhat = DenseSignal(n, 1, rng.normal(size=n) + 1j * rng.normal(size=n), "frequency")
         acquire_measurements(xhat, params, np.random.default_rng(1))  # warm the caches
         tracemalloc.start()
@@ -461,7 +462,7 @@ class TestMemoryBound:
         # |chi| = 32 against 8192 buckets: the full (|chi|, B) complex
         # weights would take 4 MiB.
         n = 2**14
-        params = RecoveryParams.derive(n, 1, 4, B=2**13, r_max=1).main
+        params = main_stage(n, 1, 4, B=2**13, r_max=1)
         xhat = DenseSignal(n, 1, rng.normal(size=n) + 1j * rng.normal(size=n), "frequency")
         acquire_measurements(xhat, params, np.random.default_rng(1))  # warm the caches
         mset = acquire_measurements(xhat, params, np.random.default_rng(1))

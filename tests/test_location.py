@@ -35,7 +35,7 @@ from sparsefft.location import (
     decode_hashings,
 )
 
-from oracles import dense_time, random_sparse_time, reference_locate, reference_vote
+from oracles import dense_time, main_stage, random_sparse_time, reference_locate, reference_vote
 
 
 def lib_freq(values_time: np.ndarray, n: int, d: int) -> DenseSignal:
@@ -204,7 +204,7 @@ class TestMatchesPerDigitVote:
     @pytest.mark.parametrize("n,d,k,B", GRIDS)
     @pytest.mark.parametrize("tail_rel", [0.0, 0.3, 1.0])
     def test_acquired_tables(self, n, d, k, B, tail_rel, rng):
-        params = RecoveryParams.derive(n, d, k, B=B).main
+        params = main_stage(n, d, k, B=B)
         x = random_sparse_time(n, d, k, rng)
         xt = dense_time(x).values
         if tail_rel:
@@ -220,7 +220,7 @@ class TestMatchesPerDigitVote:
         # Odd hashings get even betas, so several digits can win at once;
         # some references are zeroed on half the probes while their shifted
         # entries sit exactly on roots; some entries are pure noise.
-        params = RecoveryParams.derive(n, d, k, B=B).main
+        params = main_stage(n, d, k, B=B)
         mset = acquire_measurements(DenseSignal.zeros(n, d, "frequency"), params, rng)
         mset.betas[1::2] = (2 * mset.betas[1::2]) % n
         R, C, S, nb = mset.buckets.shape
@@ -356,7 +356,7 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("n,d,k,B", GRIDS)
     @pytest.mark.parametrize("pairs", [5, 8, 100])
     def test_blocked_decode_matches_reference(self, n, d, k, B, pairs, rng, monkeypatch):
-        params = RecoveryParams.derive(n, d, k, B=B).main
+        params = main_stage(n, d, k, B=B)
         _, xhat = self.noisy_input(n, d, k, rng)
         mset = acquire_measurements(xhat, params, rng)
         # Every bucket of hashing 0 is live and none of hashing 1, so blocks
@@ -374,7 +374,7 @@ class TestColumnBlocks:
 
     @pytest.mark.parametrize("n,d,k,B", GRIDS)
     def test_blocked_streamed_decode_matches_reference(self, n, d, k, B, rng, monkeypatch):
-        params = RecoveryParams.derive(n, d, k, B=B).main
+        params = main_stage(n, d, k, B=B)
         x, xhat = self.noisy_input(n, d, k, rng)
         chi = SparseApprox.from_flat(n, d, x.flat[:2], 0.9 * x.values[:2])
         stored = acquire_measurements(xhat, params, np.random.default_rng(7))

@@ -489,7 +489,7 @@ class TestFullPipeline:
         xhat = lib_freq(dense_time(x).values, n, d)
         counts = []
         for T in (1, 4):
-            params = RecoveryParams.derive(n, d, k, T=T, seed=7)
+            params = replace(RecoveryParams.derive(n, d, k, seed=7), T=T)
             _, stats = sparse_fft_with_stats(xhat, k, seed=7, params=params)
             counts.append(stats.samples_location)
         assert counts[0] == counts[1]
@@ -541,6 +541,31 @@ class TestFullPipeline:
         for params in (default, wider):
             _, stats = sparse_fft_with_stats(xhat, k, params=params)
             assert stats.samples_location == params.main.acquisition_reads
+
+    def test_replaced_filter_order_reaches_every_pass(self, monkeypatch, rng):
+        # F = 2d + 2 on the main stage widens its location and its
+        # estimation passes alike to F*b + 1 samples, both below n here.
+        n, d, k = 2**16, 1, 4
+        xhat = lib_freq(dense_time(random_sparse_time(n, d, k, rng)).values, n, d)
+        plan = RecoveryParams.derive(n, d, k)
+        main = replace(plan.main, F=2 * d + 2)
+        assert (main.B, main.B_est) == (128, 2048)
+        assert main.pass_sides == {"location": 4 * 128 + 1, "estimation": 4 * 2048 + 1}
+        assert main.estimation_reads == main.reps * (4 * 2048 + 1)
+        batches = []
+        real = recovery_module.estimate_values
+        monkeypatch.setattr(
+            recovery_module,
+            "estimate_values",
+            lambda *args, **kwargs: batches.append(real(*args, **kwargs)) or batches[-1],
+        )
+        _, stats = sparse_fft_with_stats(xhat, k, params=replace(plan, main=main))
+        assert stats.samples_location == main.acquisition_reads
+        # Exact input: the certificate holds after the l1 loop, so every
+        # estimation call is the main stage's.
+        assert stats.samples_infnorm == stats.samples_constsnr == 0
+        assert batches and all(batch.samples == main.estimation_reads for batch in batches)
+        assert stats.samples_estimation == len(batches) * main.estimation_reads
 
     @pytest.mark.parametrize(
         "target,value", [("epsilon", 0.5), ("r_star", 4.0), ("mu", 0.1), ("seed", 1)]
