@@ -662,6 +662,7 @@ class RecoveryParams:
         def stage(**geometry) -> StagePlan:
             return StagePlan(n=n, d=d, F=2 * d, c_max=c_loc, tunables=tun, **geometry)
 
+        # Main's B is sized first: the warning lists its notes in this order.
         B = buckets("main location", location_bucket_count, k)
         r_loc = max(3, math.ceil(tun.location_reps_coeff / root_alpha * loglog))
         k_est = 4 * k

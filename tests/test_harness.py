@@ -397,10 +397,10 @@ class TestCli:
         [
             ({"n": 64, "d": 1, "k": 2, "alpah": 0.3}, "unknown spec keys: alpah"),
             ({"n": 64, "d": 1, "k": 2, "alpha": 0.3}, 'go under "constants": alpha'),
-            # Geometry is derived from the spec, not given in it.
-            ({"n": 64, "d": 1, "k": 2, "B": 16}, "error: unknown spec keys: B\n"),
             ({"d": 1, "k": 2}, "spec lacks required keys: n"),
             ([64, 1, 2], "a spec must be a JSON object"),
+            # Geometry is derived from the spec, not given in it.
+            ({"n": 64, "d": 1, "k": 2, "B": 16}, "error: unknown spec keys: B\n"),
         ],
     )
     def test_run_reports_bad_spec_keys(self, tmp_path, capsys, data, message):
