@@ -13,14 +13,13 @@ from .core import (
     DivergenceError,
     ParameterError,
     RecoveryParams,
-    ScaleGuardError,
     SparseApprox,
     StagePlan,
     Tunables,
     digit_base,
 )
 from .dense_dft import forward_dft, inverse_dft
-from .diagnostics import NoiseProfile, compute_noise_profile
+from .diagnostics import NoiseProfile, ScaleGuardError, compute_noise_profile
 from .estimation import EstimateBatch, estimate_values
 from .filters import BucketFilter, build_bucket_filter
 from .harness import ExperimentSpec, RunRecord, generate_signal, run_experiment

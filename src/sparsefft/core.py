@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "ParameterError",
     "DimensionError",
-    "ScaleGuardError",
     "DivergenceError",
     "is_power_of_two",
     "next_power_of_two",
@@ -50,10 +49,6 @@ class ParameterError(ValueError):
 
 class DimensionError(ParameterError):
     """Two objects over incompatible grids were combined."""
-
-
-class ScaleGuardError(RuntimeError):
-    """A brute-force diagnostic was asked to run beyond its cost budget."""
 
 
 class DivergenceError(RuntimeError):
@@ -255,9 +250,6 @@ class DenseSignal:
         """Total number of grid points n^d."""
         return self.n**self.d
 
-    def copy(self) -> "DenseSignal":
-        return DenseSignal(self.n, self.d, self.values.copy(), self.domain)
-
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
 
@@ -430,8 +422,6 @@ class Tunables:
     # Abort if the approximation's l1 mass exceeds this multiple of its
     # first-iteration value.
     divergence_factor: float = 10.0
-    # Cost ceiling for brute-force diagnostics (N * |S| operations).
-    diagnostic_budget: int = 200_000_000
 
     def __post_init__(self) -> None:
         _check_field_types(self)
@@ -443,9 +433,8 @@ class Tunables:
             raise ParameterError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.vote_fraction > 1.0:
             raise ParameterError(f"vote_fraction must be <= 1, got {self.vote_fraction}")
-        for name in ("snr_keep_factor", "diagnostic_budget"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.snr_keep_factor < 1:
+            raise ParameterError(f"snr_keep_factor must be >= 1, got {self.snr_keep_factor}")
 
 
 def _loglog2(n_total: int) -> float:
@@ -523,10 +512,6 @@ class StagePlan:
                 f"ratio_tolerance {self.tunables.ratio_tolerance} must lie below "
                 f"sin(pi/{self.delta}) = {math.sin(math.pi / self.delta):.4f}"
             )
-
-    @property
-    def b(self) -> int:
-        return bucket_side(self.B, self.d)
 
     @property
     def delta(self) -> int:
@@ -678,9 +663,10 @@ class RecoveryParams:
             reps=max(1, math.ceil(tun.est_reps_coeff * spread)),
         )
         # The inf-norm stage's own r_star would be nu / nu' floored at 2.
-        # With L = log2(N)^4, nu / nu' = 4 L^(T-t) / (4 L^(T-t) + 20 L) < 1,
-        # so its halving schedule has ceil(log2 2) = 1 round: one threshold
-        # and one estimation call, which lets it decode its set as it reads.
+        # With `schedule`'s nu and nu', nu / nu' = 4 L^(T-t) / (4 L^(T-t) +
+        # 20 L) < 1, so its halving schedule has ceil(log2 2) = 1 round: one
+        # threshold and one estimation call, which lets it decode its set as
+        # it reads.
         k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / _log4(N)))
         inf_norm = stage(
             k=k_tilde,
@@ -715,3 +701,25 @@ class RecoveryParams:
             inf_norm=inf_norm,
             const_snr=const_snr,
         )
+
+    def schedule(
+        self, initial_scale: float
+    ) -> tuple[float, float, float, list[float], list[float]]:
+        """The run's thresholds from the main set's initial scale: (mu_eff,
+        x_inf, floor, nu, nu_prime).
+
+        mu_eff is mu floored at mu_floor_rel * initial_scale. x_inf bounds
+        ||x||_inf by the caller's promise r_star * mu, and is math.inf at
+        mu = 0, where mu_eff is a numerical floor, not a bound on x. floor,
+        zero_floor_rel * initial_scale, is the residual certificate's bound
+        and the final prune's. With L = log2(N)^4, outer round t < T targets
+        nu[t] = 4 mu_eff L^(T-t) in the l1 loop and nu_prime[t] = L (4 mu_eff
+        L^(T-t-1) + 20 mu_eff) in the inf-norm stage.
+        """
+        tun = self.main.tunables
+        mu_eff = max(self.mu, tun.mu_floor_rel * initial_scale)
+        x_inf = self.r_star * self.mu if self.mu > 0.0 else math.inf
+        L, T = _log4(self.main.n**self.main.d), self.T
+        nu = [4.0 * mu_eff * L ** (T - t) for t in range(T)]
+        nu_prime = [L * (4.0 * mu_eff * L ** (T - t - 1) + 20.0 * mu_eff) for t in range(T)]
+        return mu_eff, x_inf, tun.zero_floor_rel * initial_scale, nu, nu_prime

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DenseSignal, ParameterError, is_power_of_two
 
-__all__ = ["fft_grid", "fft_axes", "forward_dft", "inverse_dft"]
+__all__ = ["fft_axes", "forward_dft", "inverse_dft"]
 
 
 def _transform(
@@ -32,12 +32,6 @@ def _transform(
             raise ParameterError(f"axis {axis} has non power-of-two length {m}")
     fn = np.fft.ifftn if inverse else np.fft.fftn
     return fn(arr, axes=axes, norm="ortho", out=out)
-
-
-def fft_grid(values: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Orthonormal transform of a (n,)*d complex array along every axis."""
-    arr = np.asarray(values, dtype=np.complex128)
-    return _transform(arr, tuple(range(arr.ndim)), inverse)
 
 
 def fft_axes(
@@ -58,7 +52,7 @@ def forward_dft(x: DenseSignal) -> DenseSignal:
     """Time domain to frequency domain, 1/sqrt(N) normalization."""
     if x.domain != "time":
         raise ParameterError(f"forward transform expects a time signal, got {x.domain!r}")
-    return DenseSignal(x.n, x.d, fft_grid(x.values, inverse=False), "frequency")
+    return DenseSignal(x.n, x.d, _transform(x.values, tuple(range(x.d)), False), "frequency")
 
 
 def inverse_dft(xhat: DenseSignal) -> DenseSignal:
@@ -67,4 +61,5 @@ def inverse_dft(xhat: DenseSignal) -> DenseSignal:
         raise ParameterError(
             f"inverse transform expects a frequency signal, got {xhat.domain!r}"
         )
-    return DenseSignal(xhat.n, xhat.d, fft_grid(xhat.values, inverse=True), "time")
+    values = _transform(xhat.values, tuple(range(xhat.d)), True)
+    return DenseSignal(xhat.n, xhat.d, values, "time")

@@ -16,26 +16,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DenseSignal,
-    ParameterError,
-    ScaleGuardError,
-    SparseApprox,
-    Tunables,
-    digit_base,
-)
+from .core import DenseSignal, ParameterError, SparseApprox, Tunables, digit_base
 from .dense_dft import fft_axes
 from .location import _balanced_axes
 from .permutation import Hashing, is_isolated
 
-__all__ = ["NoiseProfile", "compute_noise_profile", "quantile_top"]
+__all__ = ["ScaleGuardError", "NoiseProfile", "compute_noise_profile", "quantile_top"]
 
+# Cost ceiling for brute-force diagnostics (N * |S| operations).
+_DIAGNOSTIC_BUDGET = 200_000_000
 # Multiplier on mu in the per-hashing tail aggregate. The aggregate charges
 # each shift only for the part of its tail quantile above this floor.
 _MU_FLOOR_FACTOR = 40.0
 # Both sufficient conditions for location compare noise against this
 # fraction of the element's own magnitude.
 _LOCATE_MARGIN = 1.0 / 20.0
+
+
+class ScaleGuardError(RuntimeError):
+    """A brute-force diagnostic was asked to run beyond its cost budget."""
 
 
 def quantile_top(values: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
@@ -151,10 +150,10 @@ def compute_noise_profile(
         raise ParameterError("heavy set must be nonempty")
     n, d = x.n, x.d
     N = x.N
-    if N * s_flat.size > tun.diagnostic_budget:
+    if N * s_flat.size > _DIAGNOSTIC_BUDGET:
         raise ScaleGuardError(
             f"N * |S| = {N * s_flat.size} exceeds the diagnostic budget "
-            f"{tun.diagnostic_budget}"
+            f"{_DIAGNOSTIC_BUDGET}"
         )
     if s_flat[0] < 0 or s_flat[-1] >= N:
         raise ParameterError("heavy set does not live on the signal grid")

@@ -31,9 +31,9 @@ decides the live buckets and asks the acquisition for each shift's tables.
 Indices follow the library's one format (see `core`). Modulations, probes
 and shifts are int64 coordinate arrays: _bucket_tables takes an (M_h, d)
 array of modulations per hashing, MeasurementSet.alphas and .betas are
-(r_max, c_max, d), and .shifts is (S, d). chi enters as SparseApprox's
-flat indices, unravelled to (m, d) coordinates where the bucket formula
-needs them.
+(r_max, c_max, d), and the plan's StagePlan.shifts is (S, d); the set
+keeps no copy of it. chi enters as SparseApprox's flat indices, unravelled
+to (m, d) coordinates where the bucket formula needs them.
 
 The kernels stream, so the main set's stored table is the only array of a
 run that grows with rows times B, and it lives in a memory mapping that
@@ -345,12 +345,13 @@ class MeasurementSet:
     """Every bucket value the recovery loop is allowed to look at.
 
     buckets[r, t, w] is the [b]^d table (flattened row-major) for hashing r,
-    probe pair t = (alphas[r, t], betas[r, t]), and shift shifts[w]; it was
-    taken under the modulation alphas[r, t] + betas[r, t] * shifts[w] mod n.
-    alphas and betas are (r_max, c_max, d) and shifts is (S, d), all int64;
-    shift 0 is the unshifted reference. The tables hold source - chi, chi
-    being the sum of every update since acquisition, in order. The sample
-    counter tracks spectrum reads and is immune to residual updates.
+    probe pair t = (alphas[r, t], betas[r, t]), and shift w of the plan's
+    ladder, params.shifts (S, d); it was taken under the modulation
+    alphas[r, t] + betas[r, t] * params.shifts[w] mod n. alphas and betas
+    are (r_max, c_max, d) int64 arrays; shift 0 is the unshifted reference.
+    The tables hold source - chi, chi being the sum of every update since
+    acquisition, in order. The sample counter tracks spectrum reads and is
+    immune to residual updates.
 
     A stored set (acquired without chi; the l1 loop's main set) keeps all S
     shifts, is decoded with location.decode_hashings, and is the only full
@@ -364,7 +365,6 @@ class MeasurementSet:
     hashings: list[Hashing]
     alphas: np.ndarray
     betas: np.ndarray
-    shifts: np.ndarray
     buckets: np.ndarray
     # The spectrum measurements were taken from; estimation stages read it
     # when they draw fresh hashings.
@@ -498,7 +498,6 @@ def acquire_measurements(
         hashings=hashings,
         alphas=alphas,
         betas=betas,
-        shifts=shifts,
         buckets=table[: params.r_max],
         source=xhat,
         chi=SparseApprox.empty(n, d) if chi is None else chi,
@@ -596,8 +595,9 @@ def update_residual_measurements(
     if len(chi_delta) == 0:
         return mset
     cells = _all_cells(mset.hashings[0].b, mset.d)
+    shifts = mset.params.shifts
     for r, hashing in enumerate(mset.hashings):
-        mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, mset.n)
+        mods = _modulations(mset.alphas[r], mset.betas[r], shifts, mset.n)
         slab = mset.buckets[r].reshape(-1, mset.params.B)
         _subtract_chi(slab, chi_delta, hashing, mods, cells)
     mset.chi = mset.chi + chi_delta

@@ -243,9 +243,9 @@ class _Walk:
         """The (c_max, pairs) entries of the pairs in a flat table."""
         return flat[self.probe_offsets + self.off]
 
-    def vote(self, flat: np.ndarray, w: int, s: int, base: int, place: int) -> None:
-        """Vote on digit (w, s, base, place) of StagePlan.digit_steps from
-        the shift's flat table; keep the pairs that win it."""
+    def vote(self, flat: np.ndarray, s: int, step: int, base: int, place: int) -> None:
+        """Vote on axis s's digit of this base and place value from the flat
+        table of its shift, step along the axis; keep the pairs that win it."""
         mset = self.mset
         z = self.take(flat)
         z *= self.inv
@@ -254,7 +254,7 @@ class _Walk:
             self.betas[s].take(self.r, axis=1),
             self.fvec[:, s],
             mset.n,
-            int(mset.shifts[w, s]),
+            step,
             base,
             mset.params.tunables,
         )
@@ -288,11 +288,12 @@ def _walk_digits(mset: "MeasurementSet", walks: list[_Walk], rows) -> None:
     """The one digit walk: every block of `walks` votes on each digit in
     the plan's decode order. rows(w) gives the flat tables of shift w, as
     _Walk reads them."""
+    shifts = mset.params.shifts
     for w, s, base, place in mset.params.digit_steps:
         flat = rows(w)
         for walk in walks:
             if walk.r.size:
-                walk.vote(flat, w, s, base, place)
+                walk.vote(flat, s, int(shifts[w, s]), base, place)
 
 
 def _found(

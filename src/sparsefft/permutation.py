@@ -121,8 +121,8 @@ def sample_permutation(n: int, d: int, rng: np.random.Generator) -> SpectrumPerm
 
 @dataclass(frozen=True, eq=False)
 class Hashing:
-    """A permutation plus a bucket filter: H = (pi, B, F), with B and F read
-    from the filter."""
+    """A permutation plus a bucket filter: H = (pi, B, F), B and F being
+    the filter's."""
 
     perm: SpectrumPermutation
     filter: BucketFilter
@@ -138,14 +138,6 @@ class Hashing:
     @property
     def d(self) -> int:
         return self.perm.d
-
-    @property
-    def B(self) -> int:
-        return self.filter.B
-
-    @property
-    def F(self) -> int:
-        return self.filter.F
 
     @property
     def b(self) -> int:
@@ -178,7 +170,7 @@ def is_isolated(
     of pi(S - {i}) may fall in the ell_inf ball of radius (n/b) 2^t around
     i's bucket center. scale=None checks every scale.
     """
-    n, d, b = hashing.n, hashing.d, hashing.b
+    n, d, b, F = hashing.n, hashing.d, hashing.b, hashing.filter.F
     S = np.asarray(S, dtype=np.int64)
     others = S[S != i]
     if not others.size:
@@ -192,7 +184,7 @@ def is_isolated(
     def ok(t: int) -> bool:
         radius = (n // b) << t
         count = int((dist <= radius).sum())
-        threshold = (2 * np.pi) ** (-d * hashing.F) * alpha ** (d / 2) * 2.0 ** ((t + 1) * d + t)
+        threshold = (2 * np.pi) ** (-d * F) * alpha ** (d / 2) * 2.0 ** ((t + 1) * d + t)
         return count <= threshold
 
     if scale is not None:
@@ -202,7 +194,7 @@ def is_isolated(
         if not ok(t):
             return False
         radius = (n // b) << t
-        threshold = (2 * np.pi) ** (-d * hashing.F) * alpha ** (d / 2) * 2.0 ** ((t + 1) * d + t)
+        threshold = (2 * np.pi) ** (-d * F) * alpha ** (d / 2) * 2.0 ** ((t + 1) * d + t)
         if radius >= n // 2 and threshold >= len(others):
             return True
         t += 1

@@ -61,14 +61,16 @@ For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
 sparse) bounds nothing. Under that bound every residual coefficient obeys
 |x_i - chi_i| <= x_inf + ||chi||_inf with x_inf = r_star * mu, so a threshold
 above that sum cannot keep a true coefficient. `sparse_fft_with_stats` passes
-x_inf (math.inf when mu = 0) to the l1 and inf-norm stages: a round whose
-threshold is above the bound is idle and makes no reads, and the inf-norm
-stage makes no acquisition at all when its threshold is above it.
+the schedule's x_inf (math.inf when mu = 0) to the l1 and inf-norm stages:
+a round whose threshold is above the bound is idle and makes no reads, and
+the inf-norm stage makes no acquisition at all when its threshold is above
+it.
 
 Every constant comes from `Tunables`, and `RecoveryParams.derive` turns
 them into the plan, one `StagePlan` per stage, before the first read. Each
-stage reads its geometry from its record; only the thresholds are computed
-at run time, from mu and the acquisition scale.
+stage reads its geometry from its record. The thresholds wait for the main
+set's initial scale, and the plan's `RecoveryParams.schedule` computes all
+of them from it; the driver only calls the stages with them.
 
 Candidates travel between stages as one int64 array of row-major flat
 indices per hashing; `_estimate_at` concatenates them, and estimation
@@ -90,7 +92,6 @@ from .core import (
     SparseApprox,
     StagePlan,
     _check_targets,
-    _log4,
 )
 from .estimation import estimate_values
 from .hashing_measurements import (
@@ -351,7 +352,9 @@ def sparse_fft_with_stats(
     of the call, or else `RecoveryParams.derive` of these arguments at the
     default `Tunables`; other tunables go in through
     `RecoveryParams.derive(tunables=...)`, and other geometry through
-    `dataclasses.replace` of that plan or of one of its stages.
+    `dataclasses.replace` of that plan or of one of its stages. Once
+    checked, the plan alone drives the run: its seed seeds the generator,
+    and `RecoveryParams.schedule` gives every threshold.
     """
     if xhat.domain != "frequency":
         raise ParameterError("recovery expects a frequency-domain signal")
@@ -377,32 +380,23 @@ def sparse_fft_with_stats(
             raise ParameterError(
                 f"params.{name} = {planned} does not match {name} = {given}"
             )
-    tun = params.main.tunables
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(params.seed)
     stats = RunStats()
     mset = acquire_measurements(xhat, params.main, rng)
     stats.samples_location = mset.sample_counter
-    mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
-    # The caller's mu, not mu_eff: at mu = 0, mu_eff is a numerical floor,
-    # not a bound on x.
-    x_inf = r_star * mu if mu > 0.0 else math.inf
-    L4 = _log4(xhat.N)
-
-    floor = tun.zero_floor_rel * mset.initial_scale
+    mu_eff, x_inf, floor, nu, nu_prime = params.schedule(mset.initial_scale)
     norm_baseline = 0.0
     for t in range(params.T):
-        nu = 4.0 * mu_eff * L4 ** (params.T - t)
-        reduce_l1_norm(mset, nu, mu_eff, rng=rng, stats=stats, x_inf=x_inf)
+        reduce_l1_norm(mset, nu[t], mu_eff, rng=rng, stats=stats, x_inf=x_inf)
         peak = _residual_peak(mset)
         certified = peak <= floor
         if not certified:
-            nu_prime = L4 * (4.0 * mu_eff * L4 ** (params.T - (t + 1)) + 20.0 * mu_eff)
             increment = reduce_inf_norm(
                 xhat,
                 mset.chi,
                 params.inf_norm,
-                nu_prime,
-                nu_prime,
+                nu_prime[t],
+                nu_prime[t],
                 rng,
                 stats=stats,
                 x_inf=x_inf,
@@ -412,7 +406,7 @@ def sparse_fft_with_stats(
         norm_now = mset.chi.norm1()
         if norm_baseline == 0.0:
             norm_baseline = norm_now
-        elif norm_now > tun.divergence_factor * norm_baseline:
+        elif norm_now > params.main.tunables.divergence_factor * norm_baseline:
             raise DivergenceError(
                 f"approximation l1 mass grew from {norm_baseline:.3g} to "
                 f"{norm_now:.3g} after round {t}; the residual is not shrinking"

@@ -171,6 +171,23 @@ class TestRecoveryParams:
         tun = Tunables(inner_iters_coeff=1.0)
         assert RecoveryParams.derive(2**16, 1, 2, tunables=tun).main.rounds == 4
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("r_star,T", [(2.0, 1), (1e5, 2), (1e9, 3)])
+    def test_schedule_follows_the_outer_loop_law(self, r_star, T, mu):
+        # With L = log2(1024)^4 = 10^4, T = ceil(ln r_star / ln L) is 1, 2
+        # and 3; the schedule gives each round t < T its two targets.
+        plan = RecoveryParams.derive(1024, 1, 4, mu=mu, r_star=r_star)
+        tun, scale, L = plan.main.tunables, 3.0, 10.0**4
+        mu_eff = max(mu, tun.mu_floor_rel * scale)
+        assert plan.T == T
+        assert plan.schedule(scale) == (
+            mu_eff,
+            r_star * mu if mu > 0.0 else math.inf,
+            tun.zero_floor_rel * scale,
+            [4.0 * mu_eff * L ** (T - t) for t in range(T)],
+            [L * (4.0 * mu_eff * L ** (T - t - 1) + 20.0 * mu_eff) for t in range(T)],
+        )
+
     def test_bucket_count_rounds_up_to_a_power_of_two(self):
         assert location_bucket_count(1024, 1, 5, 1.0, Tunables())[0] == 256
         assert location_bucket_count(1024, 1, 4, 1.0, Tunables())[0] == 128
@@ -270,10 +287,6 @@ class TestBucketSide:
     def test_rejects_every_other_count(self, B, d):
         with pytest.raises(ParameterError, match=f"B={B} is not a power of 2"):
             bucket_side(B, d)
-
-    def test_params_read_b_from_it(self):
-        p = RecoveryParams.derive(64, 2, 8).main
-        assert p.b == bucket_side(p.B, 2) == 32
 
 
 def test_log4_is_floored_at_four_points():

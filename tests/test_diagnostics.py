@@ -4,8 +4,6 @@ Closed-form cases use an identity permutation so every gain is a direct
 filter-table lookup; the certification implication (all certified hashings
 actually locate the element) is exercised against live measurement sets.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,7 @@ from sparsefft import (
     SparseApprox,
     Tunables,
 )
-from sparsefft.dense_dft import fft_grid
+from sparsefft import diagnostics
 from sparsefft.diagnostics import compute_noise_profile, quantile_top
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.hashing_measurements import acquire_measurements
@@ -30,8 +28,8 @@ from oracles import dense_time, random_sparse_time
 
 
 def lib_freq(values_time, n, d):
-    vals = fft_grid(np.asarray(values_time, dtype=np.complex128).reshape((n,) * d))
-    return DenseSignal(n=n, d=d, values=vals, domain="frequency")
+    vals = np.asarray(values_time, dtype=np.complex128).reshape((n,) * d)
+    return DenseSignal(n=n, d=d, values=np.fft.fftn(vals, norm="ortho"), domain="frequency")
 
 
 def identity_hashing(n: int, B: int, F: int) -> Hashing:
@@ -204,7 +202,7 @@ class TestCertificationImpliesLocation:
                 mset.hashings,
                 mset.alphas,
                 mset.betas,
-                mset.shifts,
+                mset.params.shifts,
             )
             found_by_r = [set(found.tolist()) for found in decode_hashings(mset)]
             for i in x.flat.tolist():
@@ -227,9 +225,9 @@ class TestCertificationImpliesLocation:
             mset.hashings,
             mset.alphas,
             mset.betas,
-            mset.shifts,
+            mset.params.shifts,
         )
-        R, W, S = params.r_max, len(mset.shifts), k
+        R, W, S = params.r_max, len(mset.params.shifts), k
         assert profile.head_per_hashing.shape == (R, S)
         assert profile.tail_per_shift.shape == (R, W, S)
         assert profile.tail_per_hashing.shape == (R, S)
@@ -247,10 +245,10 @@ class TestCertificationImpliesLocation:
 
 
 class TestGuardsAndValidation:
-    def test_budget_guard_trips(self, rng):
+    def test_budget_guard_trips(self, rng, monkeypatch):
         n, d = 64, 1
         x = random_sparse_time(n, d, 17, rng)
-        tight = dataclasses.replace(Tunables(), diagnostic_budget=1000)
+        monkeypatch.setattr(diagnostics, "_DIAGNOSTIC_BUDGET", 1000)
         with pytest.raises(ScaleGuardError):
             compute_noise_profile(
                 dense_time(x),
@@ -259,7 +257,6 @@ class TestGuardsAndValidation:
                 [identity_hashing(n, 8, 4)],
                 *plain_probes(8),
                 ORIGIN,
-                tunables=tight,
             )
 
     def test_validation_errors(self, rng):

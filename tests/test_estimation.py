@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sparsefft import DenseSignal, ParameterError, SparseApprox
-from sparsefft.dense_dft import fft_grid
 from sparsefft.diagnostics import quantile_top
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.estimation import (
@@ -22,8 +21,8 @@ from oracles import dense_time, random_sparse_time, reference_estimate
 
 
 def lib_freq(values_time, n, d):
-    vals = fft_grid(np.asarray(values_time, dtype=np.complex128).reshape((n,) * d))
-    return DenseSignal(n=n, d=d, values=vals, domain="frequency")
+    vals = np.asarray(values_time, dtype=np.complex128).reshape((n,) * d)
+    return DenseSignal(n=n, d=d, values=np.fft.fftn(vals, norm="ortho"), domain="frequency")
 
 
 class TestCoordinatewiseMedian:

@@ -549,10 +549,9 @@ class TestSpecValidation:
             ({"mu_floor_rel": float("inf")}, "mu_floor_rel must be finite and > 0"),
             ({"near_zero": 0.0}, "near_zero must be finite and > 0"),
             ({"snr_keep_factor": 0}, "snr_keep_factor must be >= 1"),
-            ({"diagnostic_budget": 0}, "diagnostic_budget must be >= 1"),
         ],
     )
     def test_rejects_out_of_range_tunables(self, bad, message):
         with pytest.raises(ParameterError, match=message):
             Tunables(**bad)
-        Tunables(vote_fraction=1.0, snr_keep_factor=1, diagnostic_budget=1)
+        Tunables(vote_fraction=1.0, snr_keep_factor=1)

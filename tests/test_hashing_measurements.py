@@ -159,10 +159,10 @@ class TestAcquisition:
         xhat = freq_signal(rng.normal(size=1024), 1024, 1)
         mset = acquire_measurements(xhat, params, rng)
         assert params.delta == 2
-        assert mset.shifts.shape == (1 + 1 * 10, 1)
-        assert mset.shifts[0].tolist() == [0]
+        assert mset.params.shifts.shape == (1 + 1 * 10, 1)
+        assert mset.params.shifts[0].tolist() == [0]
         support = mset.hashings[0].filter.support_size
-        expected = params.r_max * params.c_max * len(mset.shifts) * support
+        expected = params.r_max * params.c_max * len(mset.params.shifts) * support
         assert mset.sample_counter == expected
 
     def test_digit_base_for_large_grid(self):
@@ -185,7 +185,7 @@ class TestAcquisition:
         n, d = 64, 2
         delta = params.delta
         groups = len(params.group_bases)
-        assert len(mset.shifts) == 1 + d * groups
+        assert len(mset.params.shifts) == 1 + d * groups
         reach = 1
         for base in params.group_bases:
             reach *= base
@@ -208,7 +208,7 @@ class TestAcquisition:
         mset = acquire_measurements(xhat, params, rng)
         empty = SparseApprox(256, 1)
         for r, t, w in [(0, 0, 0), (1, 2, 1), (2, 1, 3)]:
-            a = (mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]) % 256
+            a = (mset.alphas[r, t] + mset.betas[r, t] * mset.params.shifts[w]) % 256
             direct = hash_to_bins(xhat, empty, mset.hashings[r], a)
             assert np.allclose(mset.buckets[r, t, w], direct.reshape(-1), atol=1e-10)
 
@@ -296,7 +296,7 @@ class TestResidualUpdates:
         assert same_map(fresh.chi, chi)
         scale = float(np.abs(mset.buckets).max())
         for r, t, w in [(0, 0, 0), (1, 3, 2)]:
-            a = (mset.alphas[r, t] + mset.betas[r, t] * mset.shifts[w]) % 256
+            a = (mset.alphas[r, t] + mset.betas[r, t] * mset.params.shifts[w]) % 256
             fresh = hash_to_bins(xhat, chi, mset.hashings[r], a)
             assert np.max(np.abs(mset.buckets[r, t, w] - fresh.reshape(-1))) < 1e-6 * max(
                 scale, 1.0
@@ -431,7 +431,7 @@ class TestBlocksAreInvisible:
         # Both equal chi's contribution summed directly, to rounding.
         cells = all_indices(mset.hashings[0].b, d)
         for r, hashing in enumerate(mset.hashings):
-            mods = _modulations(mset.alphas[r], mset.betas[r], mset.shifts, n)
+            mods = _modulations(mset.alphas[r], mset.betas[r], mset.params.shifts, n)
             expected[r] -= np.array(
                 [chi_bucket_sums(chi, hashing, a, cells) for a in mods]
             ).reshape(expected[r].shape)

@@ -27,7 +27,6 @@ from sparsefft import (
 )
 from sparsefft import core, dense_dft, hashing_measurements, semi_equispaced
 from sparsefft import recovery as recovery_module
-from sparsefft.dense_dft import fft_grid
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec, generate_signal, run_experiment
 from sparsefft.hashing_measurements import acquire_measurements, update_residual_measurements
 from sparsefft.location import decode_hashings
@@ -45,8 +44,8 @@ from oracles import dense_time, random_sparse_time
 
 
 def lib_freq(values_time, n, d):
-    vals = fft_grid(np.asarray(values_time, dtype=np.complex128).reshape((n,) * d))
-    return DenseSignal(n=n, d=d, values=vals, domain="frequency")
+    vals = np.asarray(values_time, dtype=np.complex128).reshape((n,) * d)
+    return DenseSignal(n=n, d=d, values=np.fft.fftn(vals, norm="ortho"), domain="frequency")
 
 
 def noisy_instance(n, d, k, rng, tail_rel=0.01, min_mag=1.0):
@@ -431,7 +430,11 @@ class TestFullPipeline:
         def forbidden(*args, **kwargs):
             raise AssertionError("full-grid transform on the recovery path")
 
-        banned = (semi_equispaced.shifted_semi_equispaced, dense_dft.fft_grid)
+        banned = (
+            semi_equispaced.shifted_semi_equispaced,
+            dense_dft.forward_dft,
+            dense_dft.inverse_dft,
+        )
         for name, module in list(sys.modules.items()):
             if name == "sparsefft" or name.startswith("sparsefft."):
                 for attr, value in list(vars(module).items()):
@@ -819,6 +822,47 @@ class TestOuterRounds:
 
             monkeypatch.setattr(recovery_module, name, counting)
         return calls
+
+    @pytest.mark.parametrize(
+        "constants,l1_rounds,inf_rounds",
+        [(None, 2, 1), ({"zero_floor_rel": 1e-13}, 3, 3)],
+    )
+    def test_every_round_runs_on_the_plan_schedule(
+        self, monkeypatch, constants, l1_rounds, inf_rounds
+    ):
+        # snr 1e9 gives r_star 2e9 and T = 3. Each round hands the l1 loop
+        # (nu_t, mu_eff, x_inf) and the inf-norm stage (nu'_t, nu'_t, x_inf).
+        # At the default floor the residual certificate holds after round 1
+        # and ends the run; at a floor of 1e-13 every round runs.
+        spec = ExperimentSpec(
+            n=1024,
+            d=1,
+            k=8,
+            signal_model="sparse-plus-gaussian-tail",
+            snr=1e9,
+            constants=constants,
+        )
+        l1_calls, inf_calls = [], []
+        real_l1, real_inf = recovery_module.reduce_l1_norm, recovery_module.reduce_inf_norm
+
+        def l1(mset, nu, mu, **kwargs):
+            l1_calls.append((mset.initial_scale, nu, mu, kwargs["x_inf"]))
+            return real_l1(mset, nu, mu, **kwargs)
+
+        def inf(xhat, chi, stage, nu, mu, rng, **kwargs):
+            inf_calls.append((nu, mu, kwargs["x_inf"]))
+            return real_inf(xhat, chi, stage, nu, mu, rng, **kwargs)
+
+        monkeypatch.setattr(recovery_module, "reduce_l1_norm", l1)
+        monkeypatch.setattr(recovery_module, "reduce_inf_norm", inf)
+        harness_run(spec, 0)
+        _, _, mu = generate_signal(spec, 0)
+        plan = spec.recovery_params(mu, 0)
+        scale = l1_calls[0][0]
+        mu_eff, x_inf, _, nu, nu_prime = plan.schedule(scale)
+        assert plan.T == 3 and 0.0 < mu_eff == mu < x_inf < math.inf
+        assert l1_calls == [(scale, nu[t], mu_eff, x_inf) for t in range(l1_rounds)]
+        assert inf_calls == [(nu_prime[t], nu_prime[t], x_inf) for t in range(inf_rounds)]
 
     def test_second_round_reduces_the_same_main_set(self, monkeypatch):
         # At snr 10 the plan has T = 1; this run asks for 2.
