@@ -89,17 +89,53 @@ def bucket_side(B: int, d: int) -> int:
     return b
 
 
+# Fewest buckets per axis a bucket filter takes; see `_filter_side`.
+_MIN_SIDE = 4
+
+
+def _filter_side(n: int, d: int, B: int, F: int) -> int:
+    """Per-axis side b of the B-bucket filter of order F on the n^d grid:
+    the one rule for which (B, F) filters exist, read by `StagePlan` and
+    `filters.build_bucket_filter`. F must be even and >= 2d, B = b^d with
+    _MIN_SIDE <= b <= n, and the filter's int64 spectrum counts must stay
+    below 2**63: the largest is a count of F-1 terms, at most
+    (b+1)**(F-1), or a folded count, at most that as well (the last term
+    is then fixed mod n), except when b = n, where it can be 0 or n and
+    the bound doubles. F = 2 never overflows, F = 4 allows b up to 2**20
+    and F = 6 up to 4096. Any other geometry is a ParameterError."""
+    if F % 2 != 0 or F < 2 * d:
+        raise ParameterError(f"F must be even and >= 2d, got F={F}, d={d}")
+    b = bucket_side(B, d)
+    if b < _MIN_SIDE:
+        raise ParameterError(f"need at least {_MIN_SIDE} buckets per axis, got b={b}")
+    if b > n:
+        raise ParameterError(f"B={B} needs {b} buckets per axis, more than n={n}")
+    if (b + 1) ** (F - 1) * (2 if b == n else 1) >= 2**63:
+        raise ParameterError(
+            f"filter spectrum counts overflow int64: (b+1)**(F-1) is too "
+            f"large for b={b}, F={F}"
+        )
+    return b
+
+
+def _pass_width(n: int, b: int, F: int) -> int:
+    """Samples per axis that one pass of a b-sided filter of order F reads:
+    its spectrum's support, F*b + 1 wide, or all n once that spans the
+    ring."""
+    return min(F * b + 1, n)
+
+
 def capped_bucket_count(n: int, d: int, target: float) -> tuple[int, str | None]:
-    """(B, note): the smallest B = b^d (b a power of two, 4 <= b <= n/2)
-    with B >= target, and None, or a note when b is capped.
+    """(B, note): the smallest B = b^d (b a power of two, _MIN_SIDE <= b
+    <= n/2) with B >= target, and None, or a note when b is capped.
 
     When the per-axis side needed for the target exceeds n/2, b is clamped
     there and the note names the requested and the capped side: the
     clamped B no longer meets the target, and a bucketing pass at b = n/2
     reads about as many samples as a dense transform.
     """
-    b = next_power_of_two(max(4, math.ceil(target ** (1.0 / d))))
-    cap = max(4, n // 2)
+    b = next_power_of_two(max(_MIN_SIDE, math.ceil(target ** (1.0 / d))))
+    cap = max(_MIN_SIDE, n // 2)
     if b <= cap:
         return b**d, None
     return cap**d, (
@@ -391,9 +427,6 @@ class Tunables:
     # c_max ~ probes_coeff/sqrt(alpha) * loglogN.
     location_reps_coeff: float = 1.0
     probes_coeff: float = 2.0
-    # Rounds of the L1 reduction, `StagePlan.rounds`: ceil(4 * loglogN)
-    # (= log2 of log^4 N).
-    inner_iters_coeff: float = 4.0
     # Estimation repetitions: est_reps_coeff * (loglogN + d^2 + log2(B/k)).
     est_reps_coeff: float = 1.0
     # Fraction of probes that must accept a digit, and the acceptance radius.
@@ -480,19 +513,14 @@ class StagePlan:
             raise ParameterError(f"grid side must be a power of two, got n={self.n}")
         if self.d < 1 or self.k < 1:
             raise ParameterError(f"need d >= 1 and k >= 1, got d={self.d}, k={self.k}")
-        if self.F % 2 != 0 or self.F < 2 * self.d:
-            raise ParameterError(f"F must be even and >= 2d, got F={self.F}, d={self.d}")
-        # Checked before the bucket sides, which a grid of n <= 2 cannot fit.
+        # Checked before the filters, whose sides a grid of n <= 2 cannot fit.
         if self.delta >= self.n:
             raise ParameterError(
                 f"digit base {self.delta} needs a grid side above {self.delta}"
             )
+        # Every filter the stage builds passes here, before any read.
         for B in (self.B, self.B_est):
-            if bucket_side(B, self.d) > self.n:
-                raise ParameterError(
-                    f"B={B} needs {bucket_side(B, self.d)} buckets per axis, "
-                    f"more than n={self.n}"
-                )
+            _filter_side(self.n, self.d, B, self.F)
         if self.B < self.k:
             raise ParameterError(f"need B >= k, got B={self.B} < k={self.k}")
         if min(self.r_max, self.c_max, self.reps) < 1:
@@ -527,13 +555,16 @@ class StagePlan:
         return (self.delta,) * (groups - 1) + (self.n // self.delta ** (groups - 1),)
 
     @property
-    def digit_steps(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(shift slot, axis, base, place value) of every location digit in
-        decode order: axis by axis, lowest digit group first. Group g
-        (0-based) of axis s reads slot 1 + g * d + s of `shifts`."""
+    def digit_steps(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(shift slot, axis, base, place value, step) of every location
+        digit in decode order: axis by axis, lowest digit group first. Group
+        g (0-based) of axis s reads slot 1 + g * d + s of `shifts`, whose
+        shift is step = n / (place * base) along the axis, so the digit's
+        ratios turn by omega_base per unit of it."""
         bases = self.group_bases
+        places = [math.prod(bases[:g]) for g in range(len(bases))]
         return tuple(
-            (1 + g * self.d + s, s, base, math.prod(bases[:g]))
+            (1 + g * self.d + s, s, base, places[g], self.n // (places[g] * base))
             for s in range(self.d)
             for g, base in enumerate(bases)
         )
@@ -541,35 +572,44 @@ class StagePlan:
     @property
     def shifts(self) -> np.ndarray:
         """The location ladder's shift vectors as an (S, d) int64 array: the
-        unshifted reference 0, then n / (place * base) e_s at each digit
-        step's slot, so a digit's ratios turn by omega_base per unit of it."""
-        shifts = np.zeros((1 + self.d * len(self.group_bases), self.d), dtype=np.int64)
-        for w, s, base, place in self.digit_steps:
-            shifts[w, s] = self.n // (place * base)
+        unshifted reference 0, then each digit's step along its axis at its
+        slot (`digit_steps`)."""
+        steps = self.digit_steps
+        shifts = np.zeros((1 + len(steps), self.d), dtype=np.int64)
+        for w, s, _, _, step in steps:
+            shifts[w, s] = step
         return shifts
 
     @property
     def rounds(self) -> int:
         """Threshold-halving rounds of the l1 loop over this stage's set:
-        ceil(inner_iters_coeff * log2 log2 N), at least 1."""
-        return max(1, math.ceil(self.tunables.inner_iters_coeff * _loglog2(self.n**self.d)))
+        ceil(log2 L), at least 1, with L = log2(N)^4 the per-round SNR
+        shrink factor of `RecoveryParams.schedule`."""
+        return max(1, math.ceil(math.log2(_log4(self.n**self.d))))
 
     @property
     def pass_sides(self) -> dict[str, int]:
         """Samples per axis that one pass of the stage's location and of its
-        estimation filter reads: the filter's support, F*b + 1 wide, or all
-        n once that spans the grid."""
+        estimation filter reads (`_pass_width`)."""
         buckets = {"location": self.B, "estimation": self.B_est}
         return {
-            kind: min(self.F * bucket_side(B, self.d) + 1, self.n) for kind, B in buckets.items()
+            kind: _pass_width(self.n, bucket_side(B, self.d), self.F)
+            for kind, B in buckets.items()
         }
+
+    def floors(self, scale: float) -> tuple[float, float]:
+        """(mu floor, zero floor) of a set at this scale: mu_floor_rel *
+        scale, the noise level that replaces mu = 0, and zero_floor_rel *
+        scale, the magnitude at or below which a coefficient is zero."""
+        tun = self.tunables
+        return tun.mu_floor_rel * scale, tun.zero_floor_rel * scale
 
     @property
     def acquisition_reads(self) -> int:
         """Spectrum reads of one acquisition: r_max * c_max probe pairs
         under every ladder shift, one location pass each."""
         per_pass = self.pass_sides["location"] ** self.d
-        return self.r_max * self.c_max * len(self.shifts) * per_pass
+        return self.r_max * self.c_max * (1 + len(self.digit_steps)) * per_pass
 
     @property
     def estimation_reads(self) -> int:
@@ -716,10 +756,10 @@ class RecoveryParams:
         nu[t] = 4 mu_eff L^(T-t) in the l1 loop and nu_prime[t] = L (4 mu_eff
         L^(T-t-1) + 20 mu_eff) in the inf-norm stage.
         """
-        tun = self.main.tunables
-        mu_eff = max(self.mu, tun.mu_floor_rel * initial_scale)
+        mu_floor, floor = self.main.floors(initial_scale)
+        mu_eff = max(self.mu, mu_floor)
         x_inf = self.r_star * self.mu if self.mu > 0.0 else math.inf
         L, T = _log4(self.main.n**self.main.d), self.T
         nu = [4.0 * mu_eff * L ** (T - t) for t in range(T)]
         nu_prime = [L * (4.0 * mu_eff * L ** (T - t - 1) + 20.0 * mu_eff) for t in range(T)]
-        return mu_eff, x_inf, tun.zero_floor_rel * initial_scale, nu, nu_prime
+        return mu_eff, x_inf, floor, nu, nu_prime

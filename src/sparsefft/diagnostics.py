@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import DenseSignal, ParameterError, SparseApprox, Tunables, digit_base
 from .dense_dft import fft_axes
+from .hashing_measurements import _modulations
 from .location import _balanced_axes
 from .permutation import Hashing, is_isolated
 
@@ -212,9 +213,9 @@ def compute_noise_profile(
             inverse=True,
         ).reshape(S_count, N) * math.sqrt(N)
 
+        mods = _modulations(alphas[r], betas[r], shifts, n).reshape(-1, W, d)
         for w_pos in range(W):
-            z = (alphas[r] + betas[r] * shifts[w_pos][None, :]) % n
-            zt = (z @ perm.sigma) % n
+            zt = (mods[:, w_pos] @ perm.sigma) % n
             vals = np.abs(T[:, np.ravel_multi_index(zt.T, (n,) * d)]) / own[:, None]
             tail_w[r, w_pos] = quantile_top(vals.T, 0.2, axis=0)
 

@@ -12,9 +12,9 @@ That spectrum is built from exact integer counts, sqrt(n) * counts / L**F,
 where counts is the F-fold self-convolution of ones(L) taken as F-1
 prefix-sum window sums: O(F^2 * b) int64 work instead of an O(F * b^2)
 float convolution, and values within 2 ulp of the exact rationals. The
-counts must stay below 2**63, so (b+1)**(F-1) >= 2**63 is rejected (F = 4
-allows b up to 2**20, F = 6 up to 4096). The filter tables are read-only:
-cached_bucket_filter shares them between calls.
+counts must stay below 2**63 (core._filter_side, the rule that says which
+filters exist). The filter tables are read-only: cached_bucket_filter
+shares them between calls.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ParameterError, bucket_side, is_power_of_two
+from .core import ParameterError, _filter_side, _pass_width, bucket_side, is_power_of_two
 
 __all__ = ["BucketFilter", "build_bucket_filter", "cached_bucket_filter"]
 
@@ -38,13 +38,6 @@ def _dirichlet(n: int, L: int) -> np.ndarray:
     out = np.ones(n, dtype=np.float64)
     np.divide(num, den, out=out, where=j > 0)
     return out
-
-
-def _signed_range(n: int, halfwidth: int) -> np.ndarray:
-    """Contiguous signed offsets: -w..w, or one full ring period if too wide."""
-    if 2 * halfwidth + 1 >= n:
-        return np.arange(-(n // 2), n - (n // 2), dtype=np.int64)
-    return np.arange(-halfwidth, halfwidth + 1, dtype=np.int64)
 
 
 @dataclass
@@ -112,36 +105,23 @@ def build_bucket_filter(n: int, d: int, B: int, F: int) -> BucketFilter:
     (_box_power_counts), folded onto the ring in integers. Building it costs
     O(F^2 * b) int64 work plus the length-n Dirichlet power; before the
     sqrt(n) scale each value is the correctly rounded quotient whenever
-    L**F < 2**53. The counts are int64, so L**(F-1) >= 2**63 is a
-    ParameterError (2 * L**(F-1) when b = n): F = 2 never overflows, F = 4
-    allows b up to 2**20 and F = 6 up to 4096. The returned tables are
-    read-only, since cached_bucket_filter shares them.
+    L**F < 2**53. `core._filter_side` decides which (n, d, B, F) have a
+    filter (a ParameterError for any other, count overflow included). The
+    returned tables are read-only, since cached_bucket_filter shares them.
     """
     if not is_power_of_two(n):
         raise ParameterError(f"grid side must be a power of two, got n={n}")
-    if F % 2 != 0 or F < 2 * d:
-        raise ParameterError(f"F must be even and >= 2d, got F={F}, d={d}")
-    b = bucket_side(B, d)
-    if b < 4:
-        raise ParameterError(f"need at least 4 buckets per axis, got b={b}")
-    if b > n:
-        raise ParameterError(f"more buckets than frequencies: b={b} > n={n}")
-    # The largest integer formed is a count of F-1 terms (at most
-    # L**(F-1)) or a folded count: at most L**(F-1) as well, since the last
-    # term is then fixed mod n, except when b = n, where it can be 0 or n.
+    b = _filter_side(n, d, B, F)
     L = b + 1
-    if L ** (F - 1) * (2 if b == n else 1) >= 2**63:
-        raise ParameterError(
-            f"filter spectrum counts overflow int64: (b+1)**(F-1) is too "
-            f"large for b={b}, F={F}"
-        )
-
     g_axis = _dirichlet(n, L) ** F
 
     # Spectrum: the exact counts, folded onto the ring, then scaled once.
+    # The support is the pass width's contiguous signed offsets: -F*b/2 ..
+    # F*b/2, or one full ring period once that spans it.
     counts = _box_power_counts(L, F)
     half = (len(counts) - 1) // 2  # F*b/2
-    support = _signed_range(n, half)
+    width = _pass_width(n, b, F)
+    support = np.arange(-(width // 2), width - width // 2, dtype=np.int64)
     folded = np.zeros(len(support), dtype=np.int64)
     positions = np.arange(-half, half + 1, dtype=np.int64)
     np.add.at(folded, (positions - support[0]) % n, counts)

@@ -10,10 +10,10 @@ probe pairs. A probe pair votes for a digit when the corrected ratio sits
 within 1/3 of 1; a digit needs a 3/5 supermajority, and a bucket that
 produces zero or several winning digits is dropped.
 
-Digits run through the plan's ladder, axis by axis (StagePlan.digit_steps
-and StagePlan.shifts): base Delta groups, with a final group of base
-n / Delta^(G-1) so every bit of f is covered. Decoding is deterministic
-given the measurement tables.
+Digits run through the plan's ladder, axis by axis (StagePlan.digit_steps,
+which gives each digit's shift slot and step): base Delta groups, with a
+final group of base n / Delta^(G-1) so every bit of f is covered. Decoding
+is deterministic given the measurement tables.
 
 The inverse reference (_inverse_reference: 1 / ref, and 0 at a probe whose
 reference is below near_zero, the one zero cut, _silent) makes a digit's
@@ -288,12 +288,11 @@ def _walk_digits(mset: "MeasurementSet", walks: list[_Walk], rows) -> None:
     """The one digit walk: every block of `walks` votes on each digit in
     the plan's decode order. rows(w) gives the flat tables of shift w, as
     _Walk reads them."""
-    shifts = mset.params.shifts
-    for w, s, base, place in mset.params.digit_steps:
+    for w, s, base, place, step in mset.params.digit_steps:
         flat = rows(w)
         for walk in walks:
             if walk.r.size:
-                walk.vote(flat, s, int(shifts[w, s]), base, place)
+                walk.vote(flat, s, step, base, place)
 
 
 def _found(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError, is_power_of_two
+from .core import ParameterError, Tunables, is_power_of_two
 from .filters import BucketFilter
 
 __all__ = [
@@ -161,7 +161,7 @@ def is_isolated(
     S: np.ndarray,
     hashing: Hashing,
     scale: int | None = None,
-    alpha: float = 0.25,
+    alpha: float = Tunables.alpha,
 ) -> bool:
     """Whether flat index i's bucket neighborhood is sparse enough in
     pi(S - {i}), S an array of flat indices.
@@ -181,11 +181,12 @@ def is_isolated(
     delta = (pi - center) % n
     dist = np.minimum(delta, n - delta).max(axis=1)
 
+    def allowed(t: int) -> float:
+        """The most elements of pi(S - {i}) that scale t admits."""
+        return (2 * np.pi) ** (-d * F) * alpha ** (d / 2) * 2.0 ** ((t + 1) * d + t)
+
     def ok(t: int) -> bool:
-        radius = (n // b) << t
-        count = int((dist <= radius).sum())
-        threshold = (2 * np.pi) ** (-d * F) * alpha ** (d / 2) * 2.0 ** ((t + 1) * d + t)
-        return count <= threshold
+        return int((dist <= (n // b) << t).sum()) <= allowed(t)
 
     if scale is not None:
         return ok(scale)
@@ -193,8 +194,6 @@ def is_isolated(
     while True:
         if not ok(t):
             return False
-        radius = (n // b) << t
-        threshold = (2 * np.pi) ** (-d * F) * alpha ** (d / 2) * 2.0 ** ((t + 1) * d + t)
-        if radius >= n // 2 and threshold >= len(others):
+        if (n // b) << t >= n // 2 and allowed(t) >= len(others):
             return True
         t += 1

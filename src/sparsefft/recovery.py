@@ -236,11 +236,12 @@ def reduce_l1_norm(
     _check_targets(nu=nu, mu=mu)
     _check_bound(x_inf)
     tun = mset.params.tunables
-    mu_eff = max(mu, tun.mu_floor_rel * mset.initial_scale)
+    mu_floor, zero_floor = mset.params.floors(mset.initial_scale)
+    mu_eff = max(mu, mu_floor)
     floor = tun.head_bias * mu_eff
     heads = [tun.l1_threshold_frac * nu * 0.5**t for t in range(mset.params.rounds)]
     gain = mset.hashings[0].filter.plateau_gain
-    stop = min(gain * (heads[-1] + floor), tun.zero_floor_rel * mset.initial_scale)
+    stop = min(gain * (heads[-1] + floor), zero_floor)
     before = mset.sample_counter
     found = None
     for head in heads:
@@ -316,7 +317,7 @@ def recover_at_constant_snr(
     """
     tun = stage.tunables
     mset = acquire_measurements(xhat, stage, rng, chi=chi)
-    floor = tun.zero_floor_rel * mset.initial_scale
+    _, floor = stage.floors(mset.initial_scale)
     kept = _estimate_at(mset, mset.found, floor, rng).largest(tun.snr_keep_factor * stage.k)
     if stats is not None:
         stats.samples_constsnr += mset.sample_counter

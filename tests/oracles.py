@@ -212,7 +212,7 @@ def reference_locate(mset, r: int) -> np.ndarray:
     alive = np.ones(B, dtype=bool)
     fvec = np.zeros((B, d), dtype=np.int64)
     min_votes = tun.vote_fraction * c_max - 1e-9
-    for w, s, base, place in params.digit_steps:
+    for w, s, base, place, _ in params.digit_steps:
         betas = mset.betas[r, :, s]
         step = n // (place * base)
         xi = mset.buckets[r, :, w, :] / safe_ref

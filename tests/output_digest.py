@@ -19,6 +19,11 @@ Each line gives an instance, its signal seed and the SHA-256 of its output:
 the support, the bits of its values and every RunStats field. The last line
 is the SHA-256 of all of them. Two versions of the package that print the
 same total gave the same outputs, to the last bit, on every instance.
+
+Before a spec's first instance, a `plan <sha256>` line on stderr gives the
+SHA-256 of the plan the harness derives for it (plan_digest); stdout keeps
+the instance lines and the total alone. Two versions that print the same
+plan lines derived the same geometry, reads and warning text.
 """
 import os
 import sys
@@ -62,6 +67,36 @@ def output_digest(out, stats) -> str:
     return h.hexdigest()
 
 
+def plan_digest(spec) -> str:
+    """SHA-256 of the plan the harness derives for spec: T, every stage's
+    fields, l1 rounds, pass sides, shift ladder and reads, and the text of
+    the derivation's RuntimeWarnings. A stage's tunables are left out: they
+    are the spec's own, and their record changes whenever a knob is added
+    or removed. Nothing digested depends on the signal's mu or seed, so the
+    plan is derived at mu = 0 and seed 0."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = spec.recovery_params(0.0, 0)
+    h = hashlib.sha256()
+    h.update(f"T={params.T!r};".encode())
+    for name in ("main", "inf_norm", "const_snr"):
+        stage = getattr(params, name)
+        record = {f.name: getattr(stage, f.name) for f in dataclasses.fields(stage)}
+        del record["tunables"]
+        record.update(
+            rounds=stage.rounds,
+            pass_sides=stage.pass_sides,
+            shifts=stage.shifts.tolist(),
+            acquisition_reads=stage.acquisition_reads,
+            estimation_reads=stage.estimation_reads,
+        )
+        h.update(f"{name}={record!r};".encode())
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning):
+            h.update(f"warning={w.message};".encode())
+    return h.hexdigest()
+
+
 def cases(args):
     """(label, spec, seed) of every instance the arguments ask for."""
     if args.pinned:
@@ -90,7 +125,11 @@ def main(argv=None) -> int:
     total = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        planned = None
         for label, spec, seed in cases(args):
+            if spec != planned:
+                print(f"plan {plan_digest(spec)}", file=sys.stderr, flush=True)
+                planned = spec
             digest = output_digest(*harness_run(spec, seed))
             total.update(digest.encode())
             print(f"{label} seed={seed} {digest}", flush=True)

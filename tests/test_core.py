@@ -25,6 +25,8 @@ from sparsefft.core import (
     unit_roots,
 )
 
+from sparsefft.filters import build_bucket_filter
+
 from oracles import main_stage
 
 
@@ -134,7 +136,7 @@ class TestDigitBase:
 
     @staticmethod
     def plan(n: int) -> StagePlan:
-        return StagePlan(n=n, d=1, k=1, F=2, B=2, r_max=1, c_max=1, B_est=2, reps=1)
+        return StagePlan(n=n, d=1, k=1, F=2, B=4, r_max=1, c_max=1, B_est=4, reps=1)
 
     def test_every_ladder_base_is_two_or_four(self):
         # The location vote's sign tests exist for bases 2 and 4 only.
@@ -162,14 +164,12 @@ class TestRecoveryParams:
         assert (p.r_max, p.c_max, p.delta) == (8, 15, 2)
 
     def test_l1_round_count_is_derived_from_the_grid(self):
-        # ceil(inner_iters_coeff * log2 log2 N): a property of the stage's
-        # grid and tunables, not a stored field a plan could contradict.
+        # ceil(log2 L) with L = log2(N)^4: a property of the stage's grid,
+        # not a stored field a plan could contradict.
         assert "rounds" not in {f.name for f in dataclasses.fields(StagePlan)}
         for n, d, rounds in ((1024, 1, 14), (2**16, 1, 16), (64, 2, 15)):
             plan = RecoveryParams.derive(n, d, 2)
             assert plan.main.rounds == plan.inf_norm.rounds == rounds
-        tun = Tunables(inner_iters_coeff=1.0)
-        assert RecoveryParams.derive(2**16, 1, 2, tunables=tun).main.rounds == 4
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     @pytest.mark.parametrize("r_star,T", [(2.0, 1), (1e5, 2), (1e9, 3)])
@@ -275,6 +275,61 @@ class TestRecoveryParams:
         assert p.tunables.ratio_tolerance < math.sin(math.pi / p.delta)
         # Base 2 roots sit at distance 2 apart, so 0.75 is still exact there.
         RecoveryParams.derive(1024, 1, 8, tunables=Tunables(ratio_tolerance=0.75))
+
+
+class TestStageGeometryLaws:
+    """The plan and the filter share one rule for which (B, F) filters
+    exist and one law for the pass width, and the ladder's steps have one
+    home, so a plan that validates builds its filters and its ledger counts
+    their supports."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "n,d,change,message",
+        [
+            (64, 1, {"F": 3}, "F must be even and >= 2d"),
+            (64, 2, {"F": 2}, "F must be even and >= 2d"),
+            (64, 1, {"B": 2}, "at least 4 buckets per axis"),
+            (64, 1, {"B_est": 2}, "at least 4 buckets per axis"),
+            (64, 1, {"B": 128}, "128 buckets per axis, more than n=64"),
+            # 5**27 < 2**63, but at b = n two counts fold together.
+            (4, 1, {"F": 28}, "overflow int64"),
+            (2**14, 1, {"B": 2**13, "F": 6}, "overflow int64"),
+        ],
+    )
+    def test_plan_rejects_every_geometry_the_filter_rejects(self, n, d, change, message):
+        main = RecoveryParams.derive(n, d, 1).main
+        B = change.get("B", change.get("B_est", main.B))
+        with pytest.raises(ParameterError, match=message):
+            build_bucket_filter(n, d, B, change.get("F", main.F))
+        with pytest.raises(ParameterError, match=message):
+            dataclasses.replace(main, **change)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "n,d,k", [(4, 1, 1), (1024, 1, 4), (2**16, 1, 32), (64, 2, 8), (16, 3, 8)]
+    )
+    def test_pass_sides_are_the_built_filters_supports(self, n, d, k):
+        # n = 4 caps every side at b = n; 64^2 and 16^3 read the full ring.
+        plan = RecoveryParams.derive(n, d, k)
+        assert n > 4 or bucket_side(plan.main.B, d) == n
+        for stage in (plan.main, plan.inf_norm, plan.const_snr):
+            for kind, B in (("location", stage.B), ("estimation", stage.B_est)):
+                filt = build_bucket_filter(n, d, B, stage.F)
+                assert stage.pass_sides[kind] == len(filt.support)
+            passes = stage.r_max * stage.c_max * len(stage.shifts)
+            assert stage.acquisition_reads == passes * stage.pass_sides["location"] ** d
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n,d", [(1024, 1), (2**16, 1), (64, 2), (16, 3)])
+    def test_each_digit_step_is_its_shift(self, n, d):
+        main = RecoveryParams.derive(n, d, 2).main
+        shifts = main.shifts
+        assert len(shifts) == 1 + len(main.digit_steps)
+        assert not shifts[0].any()
+        for w, s, base, place, step in main.digit_steps:
+            assert step == n // (place * base)
+            assert shifts[w].tolist() == [step if axis == s else 0 for axis in range(d)]
 
 
 class TestBucketSide:

@@ -132,6 +132,24 @@ class TestSingleTone:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+    def test_decode_takes_each_step_from_the_digit_steps(self, rng, monkeypatch):
+        # The walk reads each digit's step where the ladder is stated,
+        # StagePlan.digit_steps; it never builds the plan's shift array.
+        n, d = 64, 2
+        params = RecoveryParams.derive(n, d, 2).main
+        x = random_sparse_time(n, d, 2, rng)
+        mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
+        want = decode_hashings(mset)
+
+        def unread(plan):
+            raise AssertionError("the decode read StagePlan.shifts")
+
+        monkeypatch.setattr(type(params), "shifts", property(unread))
+        got = decode_hashings(mset)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert any(x.flat[0] in found for found in got)
+
+
 class TestResidualAwareness:
     def test_zero_signal_decodes_nothing(self, rng):
         n, d = 256, 1
@@ -228,7 +246,7 @@ class TestMatchesPerDigitVote:
         ref[:, :, ::11] = 1.0
         spread = rng.choice([0.0, 0.03, 0.1, 0.3], size=(R, 1, nb))
         mset.buckets[:, :, 0] = ref
-        for w, s, base, place in params.digit_steps:
+        for w, s, base, place, _ in params.digit_steps:
             step = n // (place * base)
             betas = mset.betas[:, :, s]
             expo = (step * betas[:, :, None] * planted[:, None, :, s]) % n

@@ -1,17 +1,20 @@
 """Smoke test of tests/output_digest.py, the digest of seeded recovery
 outputs that shows a change keeps them bit for bit: a rerun gives the same
 digest, and a one-ulp change of one value or a changed RunStats field
-gives another."""
+gives another. The plan digest changes with the plan's geometry, its round
+count and the text of its warning."""
+import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
-from sparsefft import Tunables
+from sparsefft import StagePlan, Tunables
 from sparsefft.harness import ExperimentSpec
 
-from output_digest import WORKLOADS, instance_seed, output_digest
+from output_digest import WORKLOADS, instance_seed, output_digest, plan_digest
 from spec_fields import parse_spec
 from test_recovery import harness_run
 
@@ -81,3 +84,26 @@ def test_script_digests_a_tuned_spec():
     assert digest == output_digest(*harness_run(tuned, instance_seed(0, 0)))
     untuned = ExperimentSpec(n=256, d=1, k=2)
     assert digest != output_digest(*harness_run(untuned, instance_seed(0, 0)))
+
+
+def test_plan_digest_reads_the_geometry_rounds_and_warning(monkeypatch):
+    spec = ExperimentSpec(**WORKLOADS["smoke-1d-256"].spec)
+    digest = plan_digest(spec)
+    assert plan_digest(spec) == digest
+    assert plan_digest(dataclasses.replace(spec, k=spec.k + 1)) != digest
+    with monkeypatch.context() as patch:
+        patch.setattr(StagePlan, "rounds", property(lambda plan: 1))
+        assert plan_digest(spec) != digest
+    warn = warnings.warn
+    with monkeypatch.context() as patch:
+        patch.setattr(warnings, "warn", lambda message, *a, **kw: warn(message + ".", *a, **kw))
+        assert plan_digest(spec) != digest
+    proc = subprocess.run(
+        [sys.executable, os.path.join(HERE, "output_digest.py"), "--workload",
+         "smoke-1d-256", "--instances", "1"],
+        capture_output=True, text=True, cwd=os.path.dirname(HERE), timeout=150,
+        check=False,
+        env=dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(HERE), "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [f"plan {digest}"]

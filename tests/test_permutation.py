@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsefft import DenseSignal, ParameterError
+from sparsefft import DenseSignal, ParameterError, Tunables
 from sparsefft.filters import cached_bucket_filter
 from sparsefft.permutation import (
     Hashing,
@@ -300,6 +300,20 @@ class TestIsolation:
     def test_empty_rest_is_isolated(self, rng):
         h = make_hashing(64, 1, 8, 4, rng)
         assert is_isolated(3, np.array([3]), h)
+
+    @pytest.mark.parametrize("t", range(7))
+    def test_scale_threshold_is_the_stated_count(self, t):
+        # At scale t at most (2 pi)^(-dF) alpha^(d/2) 2^((t+1)d + t) others
+        # may lie within (n/b) 2^t of i's bucket center, alpha being
+        # Tunables' by default: here d = 1, F = 2 and all others lie within
+        # n/b. Under the identity permutation index 0 sits on its center.
+        n, b = 4096, 8
+        perm = SpectrumPermutation(n=n, sigma=np.eye(1, dtype=np.int64), q=np.zeros(1))
+        h = Hashing(perm, cached_bucket_filter(n, 1, b, 2))
+        allowed = (2 * np.pi) ** -2 * Tunables().alpha ** 0.5 * 2.0 ** (2 * t + 1)
+        most = int(allowed)
+        assert is_isolated(0, np.arange(most + 1), h, scale=t)
+        assert not is_isolated(0, np.arange(most + 2), h, scale=t)
 
     def test_isolation_probability_floor(self, rng):
         # Random supports of size 2k under B >= 8 k / alpha^d buckets:
