@@ -38,7 +38,6 @@ from .permutation import (
 from .recovery import (
     RunStats,
     recover_at_constant_snr,
-    reduce_inf_norm,
     reduce_l1_norm,
     sparse_fft,
     sparse_fft_with_stats,
@@ -74,7 +73,6 @@ __all__ = [
     "estimate_values",
     "RunStats",
     "reduce_l1_norm",
-    "reduce_inf_norm",
     "recover_at_constant_snr",
     "sparse_fft",
     "sparse_fft_with_stats",

@@ -435,20 +435,16 @@ class Tunables:
     # Thresholding inside the L1 loop: (l1_threshold_frac * nu * 2^-t) + head_bias * mu.
     l1_threshold_frac: float = 1.0 / 1000.0
     head_bias: float = 4.0
-    # Infinity-norm stage: hashings ~ inf_hashings_coeff/sqrt(alpha) * log2 N,
-    # estimation reps ~ inf_est_reps_coeff * log2 N, threshold
-    # inf_threshold_scale * (nu + mu).
-    inf_hashings_coeff: float = 0.2
-    inf_est_reps_coeff: float = 0.5
-    inf_threshold_scale: float = 5.0
-    # Constant-SNR stage keeps the top snr_keep_factor * k estimates.
+    # Constant-SNR stage: estimation reps ~ snr_est_reps_coeff * log2 N, and
+    # it keeps the top snr_keep_factor * k estimates.
+    snr_est_reps_coeff: float = 0.5
     snr_keep_factor: int = 4
     # Relative floor replacing mu = 0 on exact-sparse inputs.
     mu_floor_rel: float = 1e-10
     # Zero-drop floor for nu = 0 estimation and the final support prune,
     # relative to the residual bucket scale. It is also the residual
     # certificate's bound: once the main set's largest residual bucket is
-    # within it, the run skips the inf-norm and constant-SNR stages.
+    # within it, the run skips the constant-SNR stage.
     zero_floor_rel: float = 1e-7
     # Reference measurements below this magnitude vote against every digit.
     near_zero: float = 1e-12
@@ -491,10 +487,9 @@ class StagePlan:
     The stage acquires r_max hashings of B buckets, c_max probe pairs each
     (`hashing_measurements.acquire_measurements`), sized for k terms, and
     each of its estimation calls draws reps fresh B_est-bucket hashings. Both
-    kinds of hashing use the filter of order F. The
-    l1 loop reuses the main stage's set for at most `rounds` calls; the
-    inf-norm and constant-SNR sweeps make one. Build it with
-    `RecoveryParams.derive`.
+    kinds of hashing use the filter of order F. The l1 loop reuses the main
+    stage's set for at most `rounds` calls; the constant-SNR sweep makes
+    one. Build it with `RecoveryParams.derive`.
     """
 
     n: int
@@ -621,9 +616,8 @@ class StagePlan:
 @dataclass(frozen=True, kw_only=True)
 class RecoveryParams:
     """The recovery plan: the caller's targets, T outer rounds and one
-    `StagePlan` per stage. `main` is the set the l1 loop reuses through all
-    T rounds, `inf_norm` the set each round's inf-norm stage acquires, and
-    `const_snr` the set of the final sweep. Use `derive`.
+    `StagePlan` per stage: `main`, the set the l1 loop reuses through all
+    T rounds, and `const_snr`, the set of the final sweep. Use `derive`.
     """
 
     epsilon: float
@@ -632,7 +626,6 @@ class RecoveryParams:
     seed: int = 0
     T: int
     main: StagePlan
-    inf_norm: StagePlan
     const_snr: StagePlan
 
     def __post_init__(self) -> None:
@@ -641,11 +634,9 @@ class RecoveryParams:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.T < 1:
             raise ParameterError(f"need T >= 1, got T={self.T}")
-        shared = (self.main.n, self.main.d, self.main.tunables)
-        for name in ("inf_norm", "const_snr"):
-            stage = getattr(self, name)
-            if (stage.n, stage.d, stage.tunables) != shared:
-                raise ParameterError(f"{name} stage differs from main in n, d or tunables")
+        main, snr = self.main, self.const_snr
+        if (snr.n, snr.d, snr.tunables) != (main.n, main.d, main.tunables):
+            raise ParameterError("const_snr stage differs from main in n, d or tunables")
 
     @classmethod
     def derive(
@@ -675,7 +666,6 @@ class RecoveryParams:
         loglog = _loglog2(N)
         root_alpha = math.sqrt(tun.alpha)
         c_loc = max(8, math.ceil(tun.probes_coeff / root_alpha * loglog))
-        inf_reps = max(1, math.ceil(tun.inf_est_reps_coeff * math.log2(N)))
         notes = []
 
         def buckets(name: str, sizer, terms: int, accuracy: float = 1.0) -> int:
@@ -702,19 +692,6 @@ class RecoveryParams:
             B_est=B_est,
             reps=max(1, math.ceil(tun.est_reps_coeff * spread)),
         )
-        # The inf-norm stage's own r_star would be nu / nu' floored at 2.
-        # With `schedule`'s nu and nu', nu / nu' = 4 L^(T-t) / (4 L^(T-t) +
-        # 20 L) < 1, so its halving schedule has ceil(log2 2) = 1 round: one
-        # threshold and one estimation call, which lets it decode its set as
-        # it reads.
-        k_tilde = max(1, math.ceil(tun.snr_keep_factor * k / _log4(N)))
-        inf_norm = stage(
-            k=k_tilde,
-            B=buckets("inf_norm location", location_bucket_count, k_tilde),
-            r_max=max(3, math.ceil(tun.inf_hashings_coeff * math.log2(N) / root_alpha)),
-            B_est=buckets("inf_norm estimation", estimation_bucket_count, k_tilde),
-            reps=inf_reps,
-        )
         const_snr = stage(
             k=2 * k,
             B=buckets("const_snr location", location_bucket_count, 2 * k, epsilon),
@@ -722,9 +699,9 @@ class RecoveryParams:
             B_est=buckets(
                 "const_snr estimation", estimation_bucket_count, 2 * k, epsilon
             ),
-            reps=inf_reps,
+            reps=max(1, math.ceil(tun.snr_est_reps_coeff * math.log2(N))),
         )
-        for name, plan in (("main", main), ("inf_norm", inf_norm), ("const_snr", const_snr)):
+        for name, plan in (("main", main), ("const_snr", const_snr)):
             for kind, side in plan.pass_sides.items():
                 if side == n:
                     notes.append(f"{name} {kind}: F*b+1 >= n, so each pass reads all {N} samples")
@@ -738,28 +715,23 @@ class RecoveryParams:
             seed=seed,
             T=max(1, math.ceil(math.log(max(r_star, 2.0)) / math.log(_log4(N)))),
             main=main,
-            inf_norm=inf_norm,
             const_snr=const_snr,
         )
 
-    def schedule(
-        self, initial_scale: float
-    ) -> tuple[float, float, float, list[float], list[float]]:
+    def schedule(self, initial_scale: float) -> tuple[float, float, float, list[float]]:
         """The run's thresholds from the main set's initial scale: (mu_eff,
-        x_inf, floor, nu, nu_prime).
+        x_inf, floor, nu).
 
         mu_eff is mu floored at mu_floor_rel * initial_scale. x_inf bounds
         ||x||_inf by the caller's promise r_star * mu, and is math.inf at
         mu = 0, where mu_eff is a numerical floor, not a bound on x. floor,
         zero_floor_rel * initial_scale, is the residual certificate's bound
         and the final prune's. With L = log2(N)^4, outer round t < T targets
-        nu[t] = 4 mu_eff L^(T-t) in the l1 loop and nu_prime[t] = L (4 mu_eff
-        L^(T-t-1) + 20 mu_eff) in the inf-norm stage.
+        nu[t] = 4 mu_eff L^(T-t) in the l1 loop.
         """
         mu_floor, floor = self.main.floors(initial_scale)
         mu_eff = max(self.mu, mu_floor)
         x_inf = self.r_star * self.mu if self.mu > 0.0 else math.inf
         L, T = _log4(self.main.n**self.main.d), self.T
         nu = [4.0 * mu_eff * L ** (T - t) for t in range(T)]
-        nu_prime = [L * (4.0 * mu_eff * L ** (T - t - 1) + 20.0 * mu_eff) for t in range(T)]
-        return mu_eff, x_inf, floor, nu, nu_prime
+        return mu_eff, x_inf, floor, nu

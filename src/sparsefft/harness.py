@@ -148,7 +148,11 @@ class ExperimentSpec:
 
 @dataclass
 class RunRecord:
-    """Metrics of one recovery run against its generated ground truth."""
+    """Metrics of one recovery run against its generated ground truth.
+
+    The sample columns are the run's `RunStats` ledger; `samples_infnorm`
+    is always 0, as there, since the pipeline has no inf-norm stage.
+    """
 
     spec_hash: str
     seed: int
@@ -161,8 +165,8 @@ class RunRecord:
     samples_constsnr: int
     samples_total: int
     # RunStats.residual_peak_rel: at most zero_floor_rel exactly when the
-    # residual certificate skipped the inf-norm and constant-SNR stages.
-    # Keyword-only, so the timing columns stay last.
+    # residual certificate skipped the constant-SNR stage. Keyword-only, so
+    # the timing columns stay last.
     residual_peak_rel: float = field(default=0.0, kw_only=True)
     generate_ms: float
     recover_ms: float

@@ -20,9 +20,9 @@ stored set, the l1 loop's main set, keeps every table, written one hashing
 at a time; all later subtraction of recovered mass goes through
 update_residual_measurements, which applies the same exact rule to the
 stored tables, records the mass in MeasurementSet.chi, and keeps the
-sample counter frozen. A streamed set, for the inf-norm and constant-SNR
-stages that decode their set once, is read one hashing and one shift at a
-time and decoded as it is read.
+sample counter frozen. A streamed set, for the constant-SNR stage that
+decodes its set once, is read one hashing and one shift at a time and
+decoded as it is read.
 
 Both are decoded by location's one digit walk: a stored set by
 location.decode_hashings, a streamed set by location._decode_as_read, which

@@ -1,11 +1,20 @@
 """Outer recovery loops: from bucket measurements to a sparse spectrum.
 
-The full pipeline runs three stages. An l1-norm reduction loop shrinks the
-residual head mass geometrically while reusing one fixed measurement set, an
-optional inf-norm reduction knocks down stray large coefficients with fresh
-measurements, and a final constant-SNR pass re-estimates everything once the
-residual is flat. `sparse_fft` wires the stages together; each stage is also
-callable on its own.
+The full pipeline runs two stages. An l1-norm reduction loop shrinks the
+residual head mass geometrically while reusing one fixed measurement set,
+and a final constant-SNR pass re-estimates everything once the residual is
+flat. `sparse_fft` wires the stages together; each stage is also callable
+on its own.
+
+The paper's driver also runs an inf-norm reduction after each l1 loop, with
+fresh measurements. It has no stage here. Under the driver's targets it
+took nu'[t] = L (4 mu_eff L^(T-t-1) + 20 mu_eff) as both of its noise
+levels, so its threshold, 10 nu'[t], was at least 240 L mu_eff, with
+L = log2(N)^4. Every residual coefficient is at most x_inf + ||chi||_inf,
+and at T = 1, x_inf = r_star mu <= L mu, so there it could keep nothing
+unless chi had overshot some coefficient by ~239 x_inf; at T >= 2 its
+round 0 could not act either. It read nothing on the benchmark workloads,
+and where it did act (1024 points at snr 2e6, T = 2) it changed no miss.
 
 A measurement set owns the residual: its tables hold mset.source minus
 mset.chi, so a stage reads the current approximation from mset.chi and adds
@@ -13,11 +22,11 @@ what it keeps into it (`update_residual_measurements`). The l1 loop,
 `reduce_l1_norm`, reuses the main set, the run's only stored table,
 through every round: decode every hashing (`decode_hashings`), estimate
 the residual at the candidates, and fold the estimates above the round's
-threshold into the set. The inf-norm and constant-SNR stages decode their
-fresh sets once, so they stream them (`acquire_measurements(..., chi=chi)`):
-the same digit walk decodes each ladder shift as it is read, cleaned of the
-caller's chi, and the set hands over its candidates in `found`. Each stage
-then makes one estimation call, above its one threshold.
+threshold into the set. The constant-SNR stage decodes its fresh set once,
+so it streams it (`acquire_measurements(..., chi=chi)`): the same digit walk
+decodes each ladder shift as it is read, cleaned of the caller's chi, and
+the set hands over its candidates in `found`. The stage then makes one
+estimation call, above its one threshold.
 `sparse_fft_with_stats` frees the main set before the constant-SNR sweep,
 since only its chi is used after the rounds.
 
@@ -36,9 +45,8 @@ in all of them leave h undetected only if h is below the peak over its
 gain, or if other residual terms cancel it under every one of those
 phases. At mu = 0 the l1 loop's last threshold is already ~1e-9 of the
 scale, below the final prune. When the certificate holds, the run skips
-that round's inf-norm stage, any later outer rounds and the constant-SNR
-sweep, and returns chi pruned at the floor; `RunStats.residual_peak_rel`
-reports the peak.
+any later outer rounds and the constant-SNR sweep, and returns chi pruned
+at the floor; `RunStats.residual_peak_rel` reports the peak.
 
 The same argument ends the l1 loop early. Before each decode,
 `reduce_l1_norm` scans the tables against its stop bound, min(plateau
@@ -61,10 +69,8 @@ For mu > 0 the caller promises ||x||_inf <= r_star * mu; mu = 0 (exactly
 sparse) bounds nothing. Under that bound every residual coefficient obeys
 |x_i - chi_i| <= x_inf + ||chi||_inf with x_inf = r_star * mu, so a threshold
 above that sum cannot keep a true coefficient. `sparse_fft_with_stats` passes
-the schedule's x_inf (math.inf when mu = 0) to the l1 and inf-norm stages:
-a round whose threshold is above the bound is idle and makes no reads, and
-the inf-norm stage makes no acquisition at all when its threshold is above
-it.
+the schedule's x_inf (math.inf when mu = 0) to the l1 loop: a round whose
+threshold is above the bound is idle and makes no reads.
 
 Every constant comes from `Tunables`, and `RecoveryParams.derive` turns
 them into the plan, one `StagePlan` per stage, before the first read. Each
@@ -105,7 +111,6 @@ from .location import decode_hashings
 __all__ = [
     "RunStats",
     "reduce_l1_norm",
-    "reduce_inf_norm",
     "recover_at_constant_snr",
     "sparse_fft",
     "sparse_fft_with_stats",
@@ -120,14 +125,16 @@ class RunStats:
     `samples_location` counts the main set's one-off acquisition reads; they
     do not grow with later iterations. `samples_estimation` grows with the
     l1 loop's estimation calls (which draw fresh hashings and so read the
-    spectrum again). `samples_infnorm` and `samples_constsnr` book their
-    stage's own acquisition as well as its estimation calls, and stay 0 for
-    a stage that is skipped.
+    spectrum again). `samples_constsnr` books the sweep's own acquisition
+    as well as its estimation call, and stays 0 when the sweep is skipped.
+    `samples_infnorm` is always 0: the pipeline has no inf-norm stage (see
+    the module docstring). The field stays so that ledgers and records
+    keep their columns.
 
     `residual_peak_rel` is the last certificate's peak, the main set's
     largest residual bucket, over its initial scale (0.0 when that scale is
-    0). The inf-norm and constant-SNR stages were skipped by the
-    certificate exactly when it is <= `Tunables.zero_floor_rel`. The l1
+    0). The constant-SNR stage was skipped by the certificate exactly when
+    it is <= `Tunables.zero_floor_rel`. The l1
     loop may end before the plan's `StagePlan.rounds`, when the tables
     prove that no later round can keep anything (its stop bound, see
     `reduce_l1_norm`), so `samples_estimation` can be fewer calls than
@@ -263,40 +270,6 @@ def reduce_l1_norm(
     return mset.chi
 
 
-def reduce_inf_norm(
-    xhat: DenseSignal,
-    chi: SparseApprox,
-    stage: StagePlan,
-    nu: float,
-    mu: float,
-    rng: np.random.Generator,
-    *,
-    stats: RunStats | None = None,
-    x_inf: float = math.inf,
-) -> SparseApprox:
-    """Chase the few coefficients still above the target sup-norm bound.
-
-    Self-contained: streams its own set of stage geometry (~log N
-    hashings, because at most stage.k survivors must all be caught),
-    decoded against chi as it is read, then estimates the residual at the
-    candidates and keeps what lies above the one threshold
-    inf_threshold_scale * (nu + mu). nu and mu are the stage's own targets;
-    x_inf bounds ||x||_inf as in `reduce_l1_norm`. When the threshold is
-    above x_inf + ||chi||_inf, returns the empty increment before any read
-    or rng draw. Returns only the increment found here, not chi plus it.
-    """
-    _check_targets(nu=nu, mu=mu)
-    _check_bound(x_inf)
-    threshold = stage.tunables.inf_threshold_scale * (nu + mu)
-    if _above_bound(threshold, x_inf, chi):
-        return SparseApprox.empty(stage.n, stage.d)
-    mset = acquire_measurements(xhat, stage, rng, chi=chi)
-    increment = _estimate_at(mset, mset.found, threshold, rng)
-    if stats is not None:
-        stats.samples_infnorm += mset.sample_counter
-    return increment
-
-
 def recover_at_constant_snr(
     xhat: DenseSignal,
     chi: SparseApprox,
@@ -339,15 +312,13 @@ def sparse_fft_with_stats(
     mu is the caller's noise floor (mu = 0 means exactly sparse) and r_star
     bounds the initial SNR; together they set the outer round count and the
     per-round thresholds. For mu > 0 the caller promises ||x||_inf <=
-    r_star * mu, and the l1 and inf-norm stages skip, without any read,
-    every round (and the whole inf-norm acquisition) whose threshold is
-    above r_star * mu + ||chi||_inf. mu = 0 bounds nothing, so every round
-    runs until the l1 loop's stop proves the rest idle (see the module
-    docstring). After each l1 loop the residual certificate (see the module
-    docstring) compares the main set's largest residual bucket with
-    zero_floor_rel * initial_scale; when it holds, the run skips that
-    round's inf-norm stage, later rounds and the constant-SNR sweep. The
-    returned stats split spectrum reads by stage, with acquisition
+    r_star * mu, and the l1 loop skips, without any read, every round whose
+    threshold is above r_star * mu + ||chi||_inf. mu = 0 bounds nothing, so
+    every round runs until the l1 loop's stop proves the rest idle (see the
+    module docstring). After each l1 loop the residual certificate (see the
+    module docstring) compares the main set's largest residual bucket with
+    zero_floor_rel * initial_scale; when it holds, the run skips later
+    rounds and the constant-SNR sweep. The returned stats split spectrum reads by stage, with acquisition
     (`samples_location`) fixed after startup, and report the certificate's
     peak. The run follows params, whose k, targets and seed must be those
     of the call, or else `RecoveryParams.derive` of these arguments at the
@@ -385,25 +356,12 @@ def sparse_fft_with_stats(
     stats = RunStats()
     mset = acquire_measurements(xhat, params.main, rng)
     stats.samples_location = mset.sample_counter
-    mu_eff, x_inf, floor, nu, nu_prime = params.schedule(mset.initial_scale)
+    mu_eff, x_inf, floor, nu = params.schedule(mset.initial_scale)
     norm_baseline = 0.0
     for t in range(params.T):
         reduce_l1_norm(mset, nu[t], mu_eff, rng=rng, stats=stats, x_inf=x_inf)
         peak = _residual_peak(mset)
         certified = peak <= floor
-        if not certified:
-            increment = reduce_inf_norm(
-                xhat,
-                mset.chi,
-                params.inf_norm,
-                nu_prime[t],
-                nu_prime[t],
-                rng,
-                stats=stats,
-                x_inf=x_inf,
-            )
-            if len(increment) > 0:
-                update_residual_measurements(mset, increment)
         norm_now = mset.chi.norm1()
         if norm_baseline == 0.0:
             norm_baseline = norm_now
@@ -442,7 +400,7 @@ def sparse_fft(
     (`StagePlan.acquisition_reads` and `estimation_reads` per stage), the
     non-adaptive worst case; the l1 loop's stop and the residual
     certificate cut them when they end the loop early and skip the
-    inf-norm and constant-SNR stages, and `sparse_fft_with_stats` returns
+    constant-SNR stage, and `sparse_fft_with_stats` returns
     the reads made. The output lives on the time side: it
     approximates the signal x whose transform is xhat, keeping the head
     coefficients and discarding everything at the mu noise floor. params

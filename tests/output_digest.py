@@ -43,10 +43,12 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import typing  # noqa: E402
 import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from sparsefft import RecoveryParams, StagePlan  # noqa: E402
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec  # noqa: E402
 from spec_fields import parse_spec  # noqa: E402
 from test_recovery import PINNED_GRIDS, PINNED_SEED, harness_run  # noqa: E402
@@ -67,9 +69,15 @@ def output_digest(out, stats) -> str:
     return h.hexdigest()
 
 
+def stage_names() -> list[str]:
+    """The RecoveryParams fields that hold a StagePlan, in field order."""
+    hints = typing.get_type_hints(RecoveryParams)
+    return [f.name for f in dataclasses.fields(RecoveryParams) if hints[f.name] is StagePlan]
+
+
 def plan_digest(spec) -> str:
     """SHA-256 of the plan the harness derives for spec: T, every stage's
-    fields, l1 rounds, pass sides, shift ladder and reads, and the text of
+    (stage_names) fields, l1 rounds, pass sides, shift ladder and reads, and the text of
     the derivation's RuntimeWarnings. A stage's tunables are left out: they
     are the spec's own, and their record changes whenever a knob is added
     or removed. Nothing digested depends on the signal's mu or seed, so the
@@ -79,7 +87,7 @@ def plan_digest(spec) -> str:
         params = spec.recovery_params(0.0, 0)
     h = hashlib.sha256()
     h.update(f"T={params.T!r};".encode())
-    for name in ("main", "inf_norm", "const_snr"):
+    for name in stage_names():
         stage = getattr(params, name)
         record = {f.name: getattr(stage, f.name) for f in dataclasses.fields(stage)}
         del record["tunables"]

@@ -169,13 +169,13 @@ class TestRecoveryParams:
         assert "rounds" not in {f.name for f in dataclasses.fields(StagePlan)}
         for n, d, rounds in ((1024, 1, 14), (2**16, 1, 16), (64, 2, 15)):
             plan = RecoveryParams.derive(n, d, 2)
-            assert plan.main.rounds == plan.inf_norm.rounds == rounds
+            assert plan.main.rounds == plan.const_snr.rounds == rounds
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     @pytest.mark.parametrize("r_star,T", [(2.0, 1), (1e5, 2), (1e9, 3)])
     def test_schedule_follows_the_outer_loop_law(self, r_star, T, mu):
         # With L = log2(1024)^4 = 10^4, T = ceil(ln r_star / ln L) is 1, 2
-        # and 3; the schedule gives each round t < T its two targets.
+        # and 3; the schedule gives each round t < T its l1 target.
         plan = RecoveryParams.derive(1024, 1, 4, mu=mu, r_star=r_star)
         tun, scale, L = plan.main.tunables, 3.0, 10.0**4
         mu_eff = max(mu, tun.mu_floor_rel * scale)
@@ -185,7 +185,6 @@ class TestRecoveryParams:
             r_star * mu if mu > 0.0 else math.inf,
             tun.zero_floor_rel * scale,
             [4.0 * mu_eff * L ** (T - t) for t in range(T)],
-            [L * (4.0 * mu_eff * L ** (T - t - 1) + 20.0 * mu_eff) for t in range(T)],
         )
 
     def test_bucket_count_rounds_up_to_a_power_of_two(self):
@@ -212,20 +211,19 @@ class TestRecoveryParams:
         with pytest.raises(ParameterError):
             RecoveryParams.derive(64, 1, 5, tunables=Tunables(alpha=1.5))
 
-    @pytest.mark.parametrize("name", ["inf_norm", "const_snr"])
-    def test_stages_share_main_grid_and_tunables(self, name):
+    def test_stages_share_main_grid_and_tunables(self):
         # Checked when the plan is built: a stage of another grid would
         # raise only once its acquisition ran, and one with other tunables
         # would run silently with them.
         plan = RecoveryParams.derive(64, 2, 8)
-        other_grid = getattr(RecoveryParams.derive(32, 2, 8), name)
+        other_grid = RecoveryParams.derive(32, 2, 8).const_snr
         other_tunables = dataclasses.replace(
-            getattr(plan, name), tunables=Tunables(bucket_scale=3.0)
+            plan.const_snr, tunables=Tunables(bucket_scale=3.0)
         )
         for stage in (other_grid, other_tunables):
-            with pytest.raises(ParameterError, match=f"{name} stage differs from main"):
-                dataclasses.replace(plan, **{name: stage})
-        assert dataclasses.replace(plan, **{name: getattr(plan, name)}) == plan
+            with pytest.raises(ParameterError, match="const_snr stage differs from main"):
+                dataclasses.replace(plan, const_snr=stage)
+        assert dataclasses.replace(plan, const_snr=plan.const_snr) == plan
 
     def test_negative_seed_rejected(self):
         # numpy's generators take only non-negative seeds; the plan must
@@ -313,7 +311,7 @@ class TestStageGeometryLaws:
         # n = 4 caps every side at b = n; 64^2 and 16^3 read the full ring.
         plan = RecoveryParams.derive(n, d, k)
         assert n > 4 or bucket_side(plan.main.B, d) == n
-        for stage in (plan.main, plan.inf_norm, plan.const_snr):
+        for stage in (plan.main, plan.const_snr):
             for kind, B in (("location", stage.B), ("estimation", stage.B_est)):
                 filt = build_bucket_filter(n, d, B, stage.F)
                 assert stage.pass_sides[kind] == len(filt.support)
@@ -387,8 +385,8 @@ class TestBucketCountCap:
     @pytest.mark.parametrize(
         "n,d,k,stages",
         [
-            (64, 2, 8, ["main", "inf_norm", "const_snr"]),
-            (16, 3, 8, ["main", "inf_norm", "const_snr"]),
+            (64, 2, 8, ["main", "const_snr"]),
+            (16, 3, 8, ["main", "const_snr"]),
             (2**16, 1, 32, ["const_snr"]),
         ],
         ids=["gauss-2d-64", "exact-3d-16", "exact-1d-65536"],
@@ -403,7 +401,7 @@ class TestBucketCountCap:
         kinds = ("location", "estimation")
         named = [
             f"{stage} {kind}"
-            for stage in ("main", "inf_norm", "const_snr")
+            for stage in ("main", "const_snr")
             for kind in kinds
             if f"{stage} {kind}: F*b+1 >= n, so each pass reads all {n**d} samples" in message
         ]
@@ -453,3 +451,4 @@ def test_tunables_defaults_are_the_documented_constants():
     assert t.vote_fraction == pytest.approx(3 / 5)
     assert t.ratio_tolerance == pytest.approx(1 / 3)
     assert math.isclose(t.l1_threshold_frac, 1e-3)
+    assert t.snr_est_reps_coeff == 0.5

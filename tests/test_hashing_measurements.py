@@ -222,7 +222,7 @@ class TestAcquisition:
         xhat = freq_signal(dense_time(x), n, d)
         xhat.values[5] = bad
         plan = RecoveryParams.derive(n, d, k)
-        stage, chi = (plan.inf_norm, x.largest(1)) if streamed else (plan.main, None)
+        stage, chi = (plan.const_snr, x.largest(1)) if streamed else (plan.main, None)
         with pytest.raises(ParameterError, match="NaN or infinite"):
             acquire_measurements(xhat, stage, rng, chi=chi)
 

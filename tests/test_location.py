@@ -420,7 +420,7 @@ class TestColumnBlocks:
 
     def test_streamed_set_is_not_decoded_again(self, rng):
         n, d, k = 256, 1, 2
-        params = RecoveryParams.derive(n, d, k).inf_norm
+        params = RecoveryParams.derive(n, d, k).const_snr
         x = random_sparse_time(n, d, k, rng)
         xhat = lib_freq(dense_time(x).values, n, d)
         streamed = acquire_measurements(xhat, params, rng, chi=SparseApprox.empty(n, d))

@@ -2,7 +2,7 @@
 outputs that shows a change keeps them bit for bit: a rerun gives the same
 digest, and a one-ulp change of one value or a changed RunStats field
 gives another. The plan digest changes with the plan's geometry, its round
-count and the text of its warning."""
+count and the text of its warning, and reads every stage the plan holds."""
 import dataclasses
 import os
 import subprocess
@@ -14,7 +14,7 @@ import numpy as np
 from sparsefft import StagePlan, Tunables
 from sparsefft.harness import ExperimentSpec
 
-from output_digest import WORKLOADS, instance_seed, output_digest, plan_digest
+from output_digest import WORKLOADS, instance_seed, output_digest, plan_digest, stage_names
 from spec_fields import parse_spec
 from test_recovery import harness_run
 
@@ -107,3 +107,28 @@ def test_plan_digest_reads_the_geometry_rounds_and_warning(monkeypatch):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [f"plan {digest}"]
+
+
+def test_plan_digest_reads_every_stage_of_the_plan(monkeypatch):
+    # The stages are the plan's StagePlan fields, not a list of names the
+    # tool keeps: one more repetition in any stage changes the digest.
+    spec = ExperimentSpec(**WORKLOADS["smoke-1d-256"].spec)
+    plan = spec.recovery_params(0.0, 0)
+    stages = [
+        f.name for f in dataclasses.fields(plan) if isinstance(getattr(plan, f.name), StagePlan)
+    ]
+    assert stage_names() == stages == ["main", "const_snr"]
+    digest = plan_digest(spec)
+    real = ExperimentSpec.recovery_params
+    for name in stages:
+
+        def one_more_rep(self, mu, seed, name=name):
+            params = real(self, mu, seed)
+            stage = getattr(params, name)
+            return dataclasses.replace(
+                params, **{name: dataclasses.replace(stage, reps=stage.reps + 1)}
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ExperimentSpec, "recovery_params", one_more_rep)
+            assert plan_digest(spec) != digest
