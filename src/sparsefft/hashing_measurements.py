@@ -81,14 +81,21 @@ Rows and buckets are independent, so the blocks and batches only regroup
 work: every row and bucket comes out as in one pass over everything. The
 inverse FFT gives the same bits on any number of rows per call, and its
 b^(d/2) scale is a separate step, since folding it into the transform's
-norm would change them. The chi product is the one step whose rounding
-is the BLAS's. Its column blocks are core._UPDATE_COLUMNS (512) wide: on
-eight product shapes under one and two OpenBLAS threads, blocks of 8 or
-more columns gave the whole product's bits, and 2-column blocks did not
-always. A streamed set's last block of live buckets and an estimate's read
-row can be narrower; only decodes and estimates leave them, and a streamed
-set's decodes equal the stored set's on every seeded run compared (see
-tests/test_recovery.py).
+norm would change them. The chi product is the one step that runs
+through the BLAS. It is real, since the filter gains are: the complex
+product of the same values it replaced rounded differently under one and
+two OpenBLAS threads, and the real one gave the same bits under both on
+every seeded input compared (tests/test_recovery.py runs the pinned cases
+under one thread). That is measured, not guaranteed: OpenBLAS splits some
+products with few rows and a long chi differently by thread count, e.g.
+16 x 644 by 644 x 512. Its column blocks are core._UPDATE_COLUMNS (512)
+wide: on eight real product shapes under one and two OpenBLAS threads,
+blocks of 8 or more columns gave the whole product's bits on seven (on the
+eighth, 4 rows by |chi| = 644, only whole blocks did), and 1- and 2-column
+blocks did not always. A streamed set's last block of live buckets and an
+estimate's read row can be narrower; only decodes and estimates leave
+them, and a streamed set's decodes equal the stored set's on every seeded
+run compared (see tests/test_recovery.py).
 """
 from __future__ import annotations
 
@@ -290,9 +297,9 @@ def _all_cells(b: int, d: int) -> np.ndarray:
 
 def _chi_weights(pi: np.ndarray, hashing: Hashing, cells: np.ndarray) -> np.ndarray:
     """Filter gain G(pi(t) - (n/b) j) of every chi entry t at the bucket
-    coordinates j of the (m, d) array cells, as a complex (|chi|, m) array;
-    pi is chi's support mapped by the hashing's permutation, an (|chi|, d)
-    array."""
+    coordinates j of the (m, d) array cells, as a real (|chi|, m) float64
+    array; pi is chi's support mapped by the hashing's permutation, an
+    (|chi|, d) array."""
     n, b, g_axis = hashing.n, hashing.b, hashing.filter.g_axis
     centers = (n // b) * cells
     # One gather per axis, multiplied in axis order: the bits of a product
@@ -300,7 +307,7 @@ def _chi_weights(pi: np.ndarray, hashing: Hashing, cells: np.ndarray) -> np.ndar
     weights = g_axis[(pi[:, None, 0] - centers[None, :, 0]) & (n - 1)]
     for ax in range(1, hashing.d):
         weights *= g_axis[(pi[:, None, ax] - centers[None, :, ax]) & (n - 1)]
-    return weights.astype(np.complex128)
+    return weights
 
 
 def _subtract_chi(
@@ -319,10 +326,14 @@ def _subtract_chi(
     modulation a. Every column is cleaned, or only the columns `live`.
     Reads no samples.
 
-    The (M, |chi|) phases are built once, and phases @ weights is
+    The (M, |chi|) phases are built once, and their real and imaginary
+    parts are stacked into one (2M, |chi|) real array. phases @ weights is
     subtracted one block of _UPDATE_COLUMNS columns at a time, with each
-    block's (|chi|, width) weights built at that block's buckets, so
-    neither the (|chi|, m) weights nor an (M, m) increment is ever formed.
+    block's real (|chi|, width) weights built at that block's buckets, as
+    one real product whose top half is the increment's real part and whose
+    bottom half its imaginary part. So neither the (|chi|, m) weights nor an
+    (M, m) increment is ever formed, and no complex BLAS product runs (see
+    the module docstring on thread counts).
     """
     width = rows.shape[1] if live is None else live.size
     if not len(chi) or not width:
@@ -331,13 +342,21 @@ def _subtract_chi(
     coords = chi.coords_array()
     sig_t = (coords @ hashing.perm.sigma.T) & mask
     phases = unit_roots(hashing.n, 1)[(mods @ sig_t.T) & mask] * chi.values
+    M = len(phases)
+    parts = np.concatenate([phases.real, phases.imag])
     pi = hashing.perm.forward_array(coords)
     for lo in range(0, width, _UPDATE_COLUMNS):
         if live is None:
             cols = slice(lo, lo + _UPDATE_COLUMNS)
         else:
             cols = live[lo : lo + _UPDATE_COLUMNS]
-        rows[:, cols] -= phases @ _chi_weights(pi, hashing, cells[cols])
+        product = parts @ _chi_weights(pi, hashing, cells[cols])
+        if live is None:
+            rows.real[:, cols] -= product[:M]
+            rows.imag[:, cols] -= product[M:]
+        else:
+            rows[:, cols] -= product[:M] + 1j * product[M:]
+        del product  # so that two blocks' products are never held at once
 
 
 @dataclass(eq=False)

@@ -7,9 +7,9 @@ moved as recorded -> new. Cases whose output no longer passes
 test_seeded_output_matches_pinned_record (a changed ledger or support, or
 a value off by more than PINNED_RTOL relative) are replaced; the others
 keep their recorded bits, so the record moves only where it must. The file
-keeps its layout, one case per line. Run from the repository root, under the environment
-the tier-1 tests run in (the noisy 8^3 cases depend on the BLAS thread
-count):
+keeps its layout, one case per line. Run from the repository root; the
+outputs do not depend on the BLAS thread count, which
+test_single_thread_output_matches_pinned_record checks:
 
     PYTHONPATH=src python tests/record_pinned.py
 
@@ -37,16 +37,9 @@ from test_recovery import (
     PINNED_RTOL,
     PINNED_STATS_FIELDS,
     pinned_key,
+    pinned_record,
     pinned_run,
 )
-
-
-def record(out, stats) -> dict:
-    return {
-        "stats": [getattr(stats, name) for name in PINNED_STATS_FIELDS],
-        "support": out.coords_array().tolist(),
-        "values": [[v.real, v.imag] for v in out.values.tolist()],
-    }
 
 
 def stats_change(old: list, new: list) -> str:
@@ -83,7 +76,7 @@ def main(argv=None) -> int:
             key = pinned_key(n, d, k, model)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                new = record(*pinned_run(n, d, k, model))
+                new = pinned_record(*pinned_run(n, d, k, model))
             old = PINNED.get(key)
             if old is None:
                 print(f"{key}: new case, {'would be recorded' if check else 'recorded'}")

@@ -439,6 +439,33 @@ class TestBlocksAreInvisible:
         assert np.abs(mset.buckets - expected).max() < 1e-12 * scale
 
 
+class TestChiProduct:
+    """The chi product is real: the filter gains are real float64, and a
+    hashing's rows lose the real and the imaginary part of one stacked
+    real product, at every column or at the live ones alike."""
+
+    @pytest.mark.parametrize("n,d,B", [(1024, 1, 256), (64, 2, 256), (16, 3, 512)])
+    def test_live_columns_lose_the_bits_all_columns_lose(self, n, d, B, rng):
+        hashing = make_hashing(n, d, B, 2 * d, rng)
+        chi = random_sparse_time(n, d, 5, rng)
+        mods = rng.integers(0, n, size=(6, d))
+        cells = hm._all_cells(hashing.b, d)
+        pi = hashing.perm.forward_array(chi.coords_array())
+        weights = hm._chi_weights(pi, hashing, cells)
+        assert weights.dtype == np.float64 and weights.shape == (len(chi), B)
+        rows = rng.normal(size=(6, B)) + 1j * rng.normal(size=(6, B))
+        every, gathered = rows.copy(), rows.copy()
+        hm._subtract_chi(every, chi, hashing, mods, cells)
+        hm._subtract_chi(gathered, chi, hashing, mods, cells, live=np.arange(B))
+        assert np.array_equal(every, gathered)
+        live = np.sort(rng.choice(B, size=B // 3, replace=False))
+        some = rows.copy()
+        hm._subtract_chi(some, chi, hashing, mods, cells, live=live)
+        assert np.array_equal(some[:, live], every[:, live])
+        dead = np.setdiff1d(np.arange(B), live)
+        assert np.array_equal(some[:, dead], rows[:, dead])
+
+
 class TestMemoryBound:
     def test_acquisition_peak_stays_below_two_tables(self, rng):
         # 240 rows of 8192 buckets: a 31.5 MB table whose filter support is
@@ -459,8 +486,9 @@ class TestMemoryBound:
         assert peak < mset.buckets.nbytes
 
     def test_update_peak_stays_below_one_weight_array(self, rng):
-        # |chi| = 32 against 8192 buckets: the full (|chi|, B) complex
-        # weights would take 4 MiB.
+        # |chi| = 32 against 8192 buckets: the full (|chi|, B) weights would
+        # take 4 MiB as the complex128 array the product once took (2 MiB
+        # as its float64 gains).
         n = 2**14
         params = main_stage(n, 1, 4, B=2**13, r_max=1)
         xhat = DenseSignal(n, 1, rng.normal(size=n) + 1j * rng.normal(size=n), "frequency")

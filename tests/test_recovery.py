@@ -8,7 +8,9 @@ and residual energy within a constant factor of the tail.
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -581,6 +583,7 @@ class TestTargetsChecked:
         with pytest.raises(ParameterError, match="epsilon must be finite and > 0"):
             RecoveryParams.derive(256, 1, 2, epsilon=0.0)
 
+
 PINNED_PATH = pathlib.Path(__file__).parent / "pinned_recovery.json"
 PINNED = json.loads(PINNED_PATH.read_text())
 PINNED_SEED = 5
@@ -620,6 +623,28 @@ def pinned_run(n, d, k, model):
     return harness_run(ExperimentSpec(n=n, d=d, k=k, signal_model=model), PINNED_SEED)
 
 
+def pinned_record(out, stats) -> dict:
+    """A run's entry in pinned_recovery.json: its PINNED_STATS_FIELDS, its
+    support as coordinates and its values as [re, im] pairs."""
+    return {
+        "stats": [getattr(stats, name) for name in PINNED_STATS_FIELDS],
+        "support": out.coords_array().tolist(),
+        "values": [[v.real, v.imag] for v in out.values.tolist()],
+    }
+
+
+def assert_matches_pinned(got: dict, key: str) -> None:
+    """The ledger and the support order of got equal those recorded under
+    key exactly, and its values are within PINNED_RTOL relative."""
+    want = PINNED[key]
+    assert got["stats"] == want["stats"]
+    assert got["support"] == want["support"]
+    values, expected = (
+        np.array([complex(re, im) for re, im in entry["values"]]) for entry in (got, want)
+    )
+    np.testing.assert_allclose(values, expected, rtol=PINNED_RTOL, atol=0.0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("model", SIGNAL_MODELS)
 @pytest.mark.parametrize("n,d,k", PINNED_GRIDS)
@@ -631,12 +656,49 @@ def test_seeded_output_matches_pinned_record(n, d, k, model):
     means to alter seeded outputs re-records pinned_recovery.json with
     record_pinned.py and says so; any other difference is a regression.
     """
-    out, stats = pinned_run(n, d, k, model)
-    want = PINNED[pinned_key(n, d, k, model)]
-    assert [getattr(stats, name) for name in PINNED_STATS_FIELDS] == want["stats"]
-    assert out.coords_array().tolist() == want["support"]
-    expected = np.array([complex(re, im) for re, im in want["values"]])
-    np.testing.assert_allclose(out.values, expected, rtol=PINNED_RTOL, atol=0.0)
+    key = pinned_key(n, d, k, model)
+    assert_matches_pinned(pinned_record(*pinned_run(n, d, k, model)), key)
+
+
+# Run in a fresh process, since a BLAS reads its thread count when it loads.
+SINGLE_THREAD_RUNS = """
+import json, sys, warnings
+sys.path.insert(0, sys.argv[1])
+from test_recovery import PINNED_GRIDS, SIGNAL_MODELS, pinned_key, pinned_record, pinned_run
+warnings.simplefilter("ignore", RuntimeWarning)
+print(json.dumps({
+    pinned_key(n, d, k, model): pinned_record(*pinned_run(n, d, k, model))
+    for n, d, k in PINNED_GRIDS
+    for model in SIGNAL_MODELS
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def single_thread_records() -> dict:
+    """Every pinned case's record, run in one subprocess under one BLAS
+    thread."""
+    here = pathlib.Path(__file__).parent
+    src = str(here.parent / "src")
+    path = os.pathsep.join([src, os.environ["PYTHONPATH"]]) if "PYTHONPATH" in os.environ else src
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", SINGLE_THREAD_RUNS, str(here)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("model", SIGNAL_MODELS)
+@pytest.mark.parametrize("n,d,k", PINNED_GRIDS)
+def test_single_thread_output_matches_pinned_record(n, d, k, model, single_thread_records):
+    """The pinned record holds under one BLAS thread too: the record the
+    in-process test reads under the default thread count. The chi product,
+    the library's one BLAS call, is real so that its bits do not depend on
+    the thread count (see hashing_measurements)."""
+    key = pinned_key(n, d, k, model)
+    assert_matches_pinned(single_thread_records[key], key)
 
 
 def ledger_splits(total, stage, acquisitions, max_calls):
