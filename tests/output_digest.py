@@ -77,11 +77,11 @@ def stage_names() -> list[str]:
 
 def plan_digest(spec) -> str:
     """SHA-256 of the plan the harness derives for spec: T, every stage's
-    (stage_names) fields, l1 rounds, pass sides, shift ladder and reads, and the text of
-    the derivation's RuntimeWarnings. A stage's tunables are left out: they
-    are the spec's own, and their record changes whenever a knob is added
-    or removed. Nothing digested depends on the signal's mu or seed, so the
-    plan is derived at mu = 0 and seed 0."""
+    (stage_names) fields, l1 rounds, pass sides, shift ladder and reads,
+    and the text of the derivation's RuntimeWarnings. A stage's tunables
+    are left out: they are the spec's own, and their record changes
+    whenever a knob is added or removed. Nothing digested depends on the
+    signal's mu or seed, so the plan is derived at mu = 0 and seed 0."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         params = spec.recovery_params(0.0, 0)
