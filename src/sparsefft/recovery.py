@@ -157,19 +157,6 @@ class RunStats:
         )
 
 
-def _check_bound(x_inf: float) -> None:
-    """ParameterError unless x_inf is a usable bound on ||x||_inf: > 0, or
-    math.inf for none."""
-    if not x_inf > 0.0:
-        raise ParameterError(f"x_inf must be > 0 (math.inf for no bound), got {x_inf}")
-
-
-def _above_bound(threshold: float, x_inf: float, chi: SparseApprox) -> bool:
-    """True when threshold exceeds every residual coefficient that
-    ||x||_inf <= x_inf allows: |x_i - chi_i| <= x_inf + ||chi||_inf."""
-    return threshold > x_inf + chi.norm_inf()
-
-
 def _estimate_at(
     mset: MeasurementSet,
     found: list[np.ndarray],
@@ -241,7 +228,8 @@ def reduce_l1_norm(
     mset.chi.
     """
     _check_targets(nu=nu, mu=mu)
-    _check_bound(x_inf)
+    if not x_inf > 0.0:
+        raise ParameterError(f"x_inf must be > 0 (math.inf for no bound), got {x_inf}")
     tun = mset.params.tunables
     mu_floor, zero_floor = mset.params.floors(mset.initial_scale)
     mu_eff = max(mu, mu_floor)
@@ -253,7 +241,9 @@ def reduce_l1_norm(
     found = None
     for head in heads:
         threshold = head + floor
-        if not _above_bound(threshold, x_inf, mset.chi):
+        # ||x||_inf <= x_inf bounds every residual coefficient:
+        # |x_i - chi_i| <= x_inf + ||chi||_inf.
+        if threshold <= x_inf + mset.chi.norm_inf():
             if found is None:
                 if _residual_peak(mset, above=stop) <= stop:
                     break
