@@ -417,6 +417,11 @@ class Tunables:
     alpha, in (0, 1), is the paper's bucket-size parameter. It sets both
     bucket counts (`location_bucket_count`, `estimation_bucket_count`) and
     the 1/sqrt(alpha) growth of the hashing and probe counts.
+
+    No magnitude here is absolute: every floor and cut is a multiple of
+    mu or of a set's initial scale (`StagePlan.floors`), so a run on x
+    scaled by a power of two, with mu scaled alike, gives the scaled output
+    and the same reads.
     """
 
     alpha: float = 0.25
@@ -439,15 +444,14 @@ class Tunables:
     # it keeps the top snr_keep_factor * k estimates.
     snr_est_reps_coeff: float = 0.5
     snr_keep_factor: int = 4
-    # Relative floor replacing mu = 0 on exact-sparse inputs.
+    # Relative floor replacing mu = 0 on exact-sparse inputs. At the
+    # plateau gain it is also the digit walk's zero cut (location._zero_cut).
     mu_floor_rel: float = 1e-10
     # Zero-drop floor for nu = 0 estimation and the final support prune,
     # relative to the residual bucket scale. It is also the residual
     # certificate's bound: once the main set's largest residual bucket is
     # within it, the run skips the constant-SNR stage.
     zero_floor_rel: float = 1e-7
-    # Reference measurements below this magnitude vote against every digit.
-    near_zero: float = 1e-12
     # Abort if the approximation's l1 mass exceeds this multiple of its
     # first-iteration value.
     divergence_factor: float = 10.0

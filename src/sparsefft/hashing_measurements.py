@@ -68,7 +68,10 @@ tables and one hashing's current shift:
   peak from 7.4 to 54.5 MB.
 - The acquisition's initial scale is a maximum over row blocks, and a
   block holding a NaN or an infinity (a non-finite spectrum sample was
-  read) stops the acquisition.
+  read) stops the acquisition. A streamed set keeps it as a running
+  maximum while it is read, each shift's peak taken before chi leaves it,
+  so the decode of each hashing reads the scale of every table read so
+  far, and the set ends with the stored set's scale.
 - Every root of unity is a lookup in core.unit_roots, so no call evaluates
   a complex exponential.
 - A hashing's support offsets mapped by Sigma, and the exponents of its
@@ -391,8 +394,9 @@ class MeasurementSet:
     chi: SparseApprox
     sample_counter: int = 0
     # Largest bucket magnitude right after acquisition, before chi is
-    # subtracted; relative floors for mu = 0 inputs and zero pruning are
-    # anchored to it.
+    # subtracted; relative floors for mu = 0 inputs and zero pruning, and
+    # the digit walk's zero cut, are anchored to it. A streamed set raises
+    # it to each table's peak as the table is read.
     initial_scale: float = 0.0
     # A streamed set's candidates, one array per hashing, as decode_hashings
     # gives them for a stored set; None when stored.
@@ -542,7 +546,7 @@ def acquire_measurements(
     current = table[-1, :, 0]
     block = _gather_block(filt, params.c_max)
     cells = _all_cells(filt.b, d)
-    peaks, mset.found = [], []
+    mset.found = []
     for r, hashing in enumerate(hashings):
         setups = [_gather_setup(filt, hashing)]
         mods = _modulations(alphas[r], betas[r], shifts, n)
@@ -552,12 +556,11 @@ def acquire_measurements(
             _bucket_tables(
                 xhat, filt, [hashing], [mods[w::S]], out=rows, setups=setups, block=block
             )
-            peaks.append(_max_abs(rows))
+            mset.initial_scale = max(mset.initial_scale, _max_abs(rows))
             _subtract_chi(rows, chi, hashing, mods[w::S], cells, live)
             return rows
 
         mset.found.append(_decode_as_read(mset, r, read))
-    mset.initial_scale = max(peaks)
     return mset
 
 

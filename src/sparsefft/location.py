@@ -15,12 +15,23 @@ which gives each digit's shift slot and step): base Delta groups, with a
 final group of base n / Delta^(G-1) so every bit of f is covered. Decoding
 is deterministic given the measurement tables.
 
-The inverse reference (_inverse_reference: 1 / ref, and 0 at a probe whose
-reference is below near_zero, the one zero cut, _silent) makes a digit's
-ratios one product, meas * inv, and a probe that casts no vote has ratio
-0, which no root accepts. Each corrected ratio z is tested against one
-root only, the nearest, found by sign tests: for base 2 the sign of Re z,
-for base 4 the signs of Re z + Im z and Re z - Im z. The probe is accepted
+The walk's one zero cut is scale-free: a probe whose reference has
+|ref| <= cut casts no vote (_silent), with cut = plateau gain *
+mu_floor_rel * initial_scale (_zero_cut), the set's own mu floor
+(StagePlan.floors) as a coefficient at the plateau edge of its bucket
+reads it. Any coefficient above the l1 loop's lowest threshold, head_bias
+* mu_eff >= head_bias * mu floor, reads at least head_bias times the cut
+in its own bucket, up to the cancellation caveat of the residual
+certificate (see recovery): its gain there is at least the plateau gain.
+The cut scales with the input, so the walk commutes with scaling x by a
+power of two, and a set of scale 0 silences every probe.
+
+The inverse reference (_inverse_reference: 1 / ref, and 0 at a silent
+probe) makes a digit's ratios one product, meas * inv, and a probe that
+casts no vote has ratio 0, which no root accepts. Each corrected ratio z
+is tested against one root only, the nearest, found by sign tests: for
+base 2 the sign of Re z, for base 4 the signs of Re z + Im z and Re z -
+Im z. The probe is accepted
 when |z - root|^2 = |z|^2 - 2 * (its largest projection on a root) + 1 is
 below ratio_tolerance^2. That is exact: the tolerance disks around two
 distinct base-th roots are disjoint when ratio_tolerance < sin(pi / base),
@@ -95,18 +106,26 @@ def _quorum(probes: int, tun: "Tunables") -> float:
     return tun.vote_fraction * probes - 1e-9
 
 
-def _silent(ref: np.ndarray, tun: "Tunables") -> np.ndarray:
+def _zero_cut(mset: "MeasurementSet") -> float:
+    """The walk's zero cut for a set: plateau gain * mu_floor_rel *
+    initial_scale, the set's mu floor at the plateau edge of a bucket."""
+    mu_floor, _ = mset.params.floors(mset.initial_scale)
+    return mset.hashings[0].filter.plateau_gain * mu_floor
+
+
+def _silent(ref: np.ndarray, cut: float) -> np.ndarray:
     """Where a probe's reference is too small for the probe to vote:
-    |ref| < near_zero. The walk's one zero cut: it picks the live pairs
-    (_walks) and the probes _inverse_reference zeroes."""
-    return np.abs(ref) < tun.near_zero
+    |ref| <= cut, the set's _zero_cut. It picks the live pairs (_walks) and
+    the probes _inverse_reference zeroes; at cut = 0 only zeros are
+    silent."""
+    return np.abs(ref) <= cut
 
 
-def _inverse_reference(ref: np.ndarray, tun: "Tunables") -> np.ndarray:
-    """1 / ref entrywise, and 0 where the probe is _silent: it casts no
-    vote, and a ratio of 0 accepts no root (ratio_tolerance < 1)."""
+def _inverse_reference(ref: np.ndarray, cut: float) -> np.ndarray:
+    """1 / ref entrywise, and 0 where the probe is _silent under cut: it
+    casts no vote, and a ratio of 0 accepts no root (ratio_tolerance < 1)."""
     inv = np.zeros_like(ref)
-    np.reciprocal(ref, out=inv, where=~_silent(ref, tun))
+    np.reciprocal(ref, out=inv, where=~_silent(ref, cut))
     return inv
 
 
@@ -222,12 +241,19 @@ class _Walk:
     ((hashing - first) * c_max + probe) * stride + bucket, first being the
     first hashing walked. Pair l is hashing r[l]'s bucket b[l], in (r, b)
     order, at offset off[l] of the tables; inv is the pairs' (c_max, pairs)
-    inverse reference (_inverse_reference) and fvec the (pairs, d) digits
-    decoded so far. A pair leaves at the first digit it fails.
+    inverse reference (_inverse_reference under the set's zero cut, `cut`)
+    and fvec the (pairs, d) digits decoded so far. A pair leaves at the
+    first digit it fails.
     """
 
     def __init__(
-        self, mset: "MeasurementSet", r: np.ndarray, b: np.ndarray, first: int, stride: int
+        self,
+        mset: "MeasurementSet",
+        r: np.ndarray,
+        b: np.ndarray,
+        first: int,
+        stride: int,
+        cut: float,
     ):
         c_max = mset.betas.shape[1]
         self.mset, self.r, self.b = mset, r, b
@@ -236,7 +262,7 @@ class _Walk:
         # betas[s] is the (c_max, r_max) array of the probes' coefficients on axis s.
         self.betas = np.ascontiguousarray(mset.betas.transpose(2, 1, 0))
         ref = self.take(mset.buckets[first:].reshape(-1))
-        self.inv = _inverse_reference(ref, mset.params.tunables)
+        self.inv = _inverse_reference(ref, cut)
         self.fvec = np.zeros((r.size, mset.d), dtype=np.int64)
 
     def take(self, flat: np.ndarray) -> np.ndarray:
@@ -269,19 +295,22 @@ class _Walk:
 def _walks(mset: "MeasurementSet", hashings: range):
     """The live pairs of the given hashings, in blocks, each a _Walk. A
     stored and a streamed set hold their reference tables alike, in
-    mset.buckets[:, :, 0]. The blocks are made as they are asked for."""
+    mset.buckets[:, :, 0]. The set's _zero_cut is taken once, before the
+    first block; the blocks are made as they are asked for."""
     _, C, S, B = mset.buckets.shape
     tun = mset.params.tunables
+    cut = _zero_cut(mset)
     r_live, b_live = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for r in hashings:
-        invalid = _silent(mset.buckets[r, :, 0], tun)
+        invalid = _silent(mset.buckets[r, :, 0], cut)
         live = np.flatnonzero(C - invalid.sum(axis=0) >= _quorum(C, tun))
         r_live.append(np.full(live.size, r))
         b_live.append(live)
     r_live, b_live = np.concatenate(r_live), np.concatenate(b_live)
     size = min(_block_rows(_WALK_ENTRY_BYTES * C), B)
     for lo in range(0, r_live.size, size):
-        yield _Walk(mset, r_live[lo : lo + size], b_live[lo : lo + size], hashings.start, S * B)
+        r, b = r_live[lo : lo + size], b_live[lo : lo + size]
+        yield _Walk(mset, r, b, hashings.start, S * B, cut)
 
 
 def _walk_digits(mset: "MeasurementSet", walks: list[_Walk], rows) -> None:

@@ -200,14 +200,18 @@ def reference_locate(mset, r: int) -> np.ndarray:
     The straightforward decoder: for every digit group and every candidate
     digit, rotate each probe's corrected ratio by that digit's root and
     count the probes landing within ratio_tolerance of 1, over all B
-    buckets, including those that already failed an earlier group.
+    buckets, including those that already failed an earlier group. A
+    probe casts no vote when its reference is at most the set's cut, its mu
+    floor as the plateau edge of a bucket reads it: plateau gain *
+    mu_floor_rel * initial_scale.
     """
     params = mset.params
     tun = params.tunables
     n, d, B = mset.n, mset.d, params.B
     c_max = mset.betas.shape[1]
     ref = mset.buckets[r, :, 0, :]
-    invalid = np.abs(ref) < tun.near_zero
+    cut = mset.hashings[r].filter.plateau_gain * tun.mu_floor_rel * mset.initial_scale
+    invalid = np.abs(ref) <= cut
     safe_ref = np.where(invalid, 1.0, ref)
     alive = np.ones(B, dtype=bool)
     fvec = np.zeros((B, d), dtype=np.int64)

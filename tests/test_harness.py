@@ -547,7 +547,6 @@ class TestSpecValidation:
         [
             ({"head_bias": float("nan")}, "head_bias must be finite and > 0"),
             ({"mu_floor_rel": float("inf")}, "mu_floor_rel must be finite and > 0"),
-            ({"near_zero": 0.0}, "near_zero must be finite and > 0"),
             ({"snr_keep_factor": 0}, "snr_keep_factor must be >= 1"),
         ],
     )

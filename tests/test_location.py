@@ -259,8 +259,8 @@ class TestMatchesPerDigitVote:
 
 class TestQuorumPruning:
     """The walk starts with only the pairs whose reference holds a digit's
-    quorum of valid probes (references at or above near_zero); no other
-    pair could win a digit."""
+    quorum of valid probes (references above the set's zero cut); no
+    other pair could win a digit."""
 
     def test_buckets_short_of_a_quorum_never_reach_the_vote(self, rng, monkeypatch):
         n, d, k = 1024, 1, 4
@@ -330,13 +330,15 @@ class TestSignTestVote:
         corrected[anywhere] = 2 * (rng.random(anywhere.sum()) + 1j * rng.random(anywhere.sum()))
         ratio = corrected * np.exp(2j * np.pi * ((step * betas * partial) % n) / n)
         ref = rng.normal(size=(c, m)) + 1j * rng.normal(size=(c, m))
-        # References that cast no vote: zero, and just below near_zero.
+        # References that cast no vote: zero, at the cut, and just below it.
+        cut = 1e-3
         ref[rng.random((c, m)) < 0.1] = 0.0
-        ref[:, 5::11] *= 0.5 * tun.near_zero / np.abs(ref[:, 5::11]).clip(1e-300)
+        ref[:, 5::11] *= 0.5 * cut / np.abs(ref[:, 5::11]).clip(1e-300)
+        ref[:, 7::13] = cut
         meas = ratio * ref
-        invalid = np.abs(ref) < tun.near_zero
+        invalid = np.abs(ref) <= cut
         want = reference_vote(meas, ref, invalid, betas, partial, n, step, base, tun)
-        z = meas * _inverse_reference(ref, tun)
+        z = meas * _inverse_reference(ref, cut)
         got = _decode_digit(z, betas.copy(), partial, n, step, base, tun)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         # Some columns elect one digit and some do not, and every digit wins
@@ -345,10 +347,12 @@ class TestSignTestVote:
         assert len(set(want[1][want[0]].tolist())) == base
 
     def test_probe_without_a_reference_accepts_no_root(self):
-        tun = Tunables()
-        ref = np.array([[0.0, 1e-13, 1.0]], dtype=np.complex128)
-        inv = _inverse_reference(ref, tun)
-        assert inv.tolist() == [[0.0, 0.0, 1.0]]
+        # A reference at or below the cut casts no vote; at cut 0 only a
+        # zero one does.
+        ref = np.array([[0.0, 0.5e-3, 1e-3, 2e-3, 1.0]], dtype=np.complex128)
+        inv = _inverse_reference(ref, 1e-3)
+        assert inv.tolist() == [[0.0, 0.0, 0.0, 500.0, 1.0]]
+        assert _inverse_reference(ref, 0.0).tolist() == [[0.0, 2000.0, 1000.0, 500.0, 1.0]]
 
 
 class TestColumnBlocks:
