@@ -5,6 +5,7 @@ keeps them bit for bit.
     PYTHONPATH=src python tests/output_digest.py --spec n=1024 d=1 k=8 \\
         signal_model=sparse-plus-gaussian-tail snr=1e9 --instances 6
     PYTHONPATH=src python tests/output_digest.py --pinned
+    PYTHONPATH=src python tests/output_digest.py --workload exact-3d-16 --scale 2**-20
 
 Run from the repository root. Instance i (i = 0, 1, ...) of a benchmark
 workload (perfbench/workloads.py, which is only read) or of an
@@ -19,6 +20,12 @@ Each line gives an instance, its signal seed and the SHA-256 of its output:
 the support, the bits of its values and every RunStats field. The last line
 is the SHA-256 of all of them. Two versions of the package that print the
 same total gave the same outputs, to the last bit, on every instance.
+
+With --scale C, a power of two, each instance recovers C times its signal
+with mu times C, and the output is divided by C before it is hashed. The
+total then equals the unscaled run's exactly when the pipeline commutes
+with scaling: every output value is C times the unscaled one, and every
+RunStats field is the same.
 
 Before a spec's first instance, a `plan <sha256>` line on stderr gives the
 SHA-256 of the plan the harness derives for it (plan_digest); stdout keeps
@@ -43,12 +50,13 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import math  # noqa: E402
 import typing  # noqa: E402
 import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sparsefft import RecoveryParams, StagePlan  # noqa: E402
+from sparsefft import RecoveryParams, SparseApprox, StagePlan  # noqa: E402
 from sparsefft.harness import SIGNAL_MODELS, ExperimentSpec  # noqa: E402
 from spec_fields import parse_spec  # noqa: E402
 from test_recovery import PINNED_GRIDS, PINNED_SEED, harness_run  # noqa: E402
@@ -67,6 +75,22 @@ def output_digest(out, stats) -> str:
     for f in dataclasses.fields(stats):
         h.update(f"{f.name}={getattr(stats, f.name)!r};".encode())
     return h.hexdigest()
+
+
+def power_of_two(text: str) -> float:
+    """A --scale value: a power of two, given as a number or as 2**E."""
+    base, _, exponent = text.partition("**")
+    value = float(base) ** float(exponent) if exponent else float(text)
+    if not (math.isfinite(value) and value > 0.0 and math.frexp(value)[0] == 0.5):
+        raise argparse.ArgumentTypeError(f"not a power of two: {text}")
+    return value
+
+
+def scaled_run(spec, seed, scale: float):
+    """harness_run of spec's signal times scale, with mu times scale; the
+    output is divided by scale, which is exact for a power of two."""
+    out, stats = harness_run(spec, seed, scale)
+    return SparseApprox.from_flat(out.n, out.d, out.flat, out.values / scale), stats
 
 
 def stage_names() -> list[str]:
@@ -129,6 +153,7 @@ def main(argv=None) -> int:
     what.add_argument("--pinned", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--instances", type=int, default=40)
+    ap.add_argument("--scale", type=power_of_two, default=1.0, metavar="C")
     args = ap.parse_args(argv)
     total = hashlib.sha256()
     with warnings.catch_warnings():
@@ -138,7 +163,7 @@ def main(argv=None) -> int:
             if spec != planned:
                 print(f"plan {plan_digest(spec)}", file=sys.stderr, flush=True)
                 planned = spec
-            digest = output_digest(*harness_run(spec, seed))
+            digest = output_digest(*scaled_run(spec, seed, args.scale))
             total.update(digest.encode())
             print(f"{label} seed={seed} {digest}", flush=True)
     print(f"total {total.hexdigest()}")

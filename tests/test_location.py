@@ -33,6 +33,7 @@ from sparsefft.location import (
     _inverse_reference,
     decode_hashings,
 )
+from sparsefft.permutation import SpectrumPermutation
 
 from oracles import dense_time, main_stage, random_sparse_time, reference_locate, reference_vote
 
@@ -179,6 +180,41 @@ class TestResidualAwareness:
         mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
         update_residual_measurements(mset, x)
         assert decode_hashings(mset)[0].size == 0
+
+
+class TestZeroCut:
+    """The walk's zero cut is the set's mu floor as a coefficient at the
+    plateau edge of its bucket reads it (location._zero_cut), so a
+    coefficient above the l1 loop's lowest threshold, head_bias * mu floor,
+    reads at least head_bias times the cut even where its gain is least."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_small_coefficient_at_the_bucket_edge_decodes(self, rng, monkeypatch):
+        n, d = 1024, 1
+        params = RecoveryParams.derive(n, d, 2).main
+        tun = params.tunables
+        edge = n // (2 * params.B)  # in 1-D the bucket side b is B
+        small_at = 300
+        head_at = small_at - edge + n // 2
+        # Identity Sigma and q = small_at - edge put the small coefficient
+        # at offset -edge of its bucket, where its gain is the plateau
+        # gain, and the head at the center of the bucket half the ring away,
+        # in every hashing.
+        perm = SpectrumPermutation(n=n, sigma=np.eye(d, dtype=np.int64), q=[small_at - edge])
+        monkeypatch.setattr(hashing_measurements, "sample_permutation", lambda *args: perm)
+        small = 2 * tun.head_bias * tun.mu_floor_rel
+        values = np.array([small, 1.0]) * np.exp(2j * np.pi * rng.random(2))
+        x = SparseApprox.from_flat(n, d, [small_at, head_at], values)
+        mset = acquire_measurements(lib_freq(dense_time(x).values, n, d), params, rng)
+        assert mset.initial_scale == pytest.approx(1.0)  # the unit head's reading
+        update_residual_measurements(mset, SparseApprox.from_flat(n, d, [head_at], values[1:]))
+        cut = mset.hashings[0].filter.plateau_gain * tun.mu_floor_rel * mset.initial_scale
+        # Every reference of the small coefficient's bucket reads between
+        # head_bias and head_bias^2 times the cut.
+        own = mset.hashings[0].bucket_of_array(np.array([[small_at]]))[0, 0]
+        reading = np.abs(mset.buckets[:, :, 0, own])
+        assert tun.head_bias * cut < reading.min() <= reading.max() < tun.head_bias**2 * cut
+        assert all(small_at in found for found in decode_hashings(mset))
 
 
 class TestNoisyRecall:

@@ -1,8 +1,10 @@
 """Smoke test of tests/output_digest.py, the digest of seeded recovery
 outputs that shows a change keeps them bit for bit: a rerun gives the same
 digest, and a one-ulp change of one value or a changed RunStats field
-gives another. The plan digest changes with the plan's geometry, its round
-count and the text of its warning, and reads every stage the plan holds."""
+gives another; a run scaled by a power of two (--scale) gives the unscaled
+total. The plan digest changes with the plan's geometry, its round count
+and the text of its warning, and reads every stage the plan holds."""
+import argparse
 import dataclasses
 import os
 import subprocess
@@ -10,11 +12,20 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
 from sparsefft import StagePlan, Tunables
 from sparsefft.harness import ExperimentSpec
 
-from output_digest import WORKLOADS, instance_seed, output_digest, plan_digest, stage_names
+from output_digest import (
+    WORKLOADS,
+    instance_seed,
+    main,
+    output_digest,
+    plan_digest,
+    power_of_two,
+    stage_names,
+)
 from spec_fields import parse_spec
 from test_recovery import harness_run
 
@@ -57,6 +68,21 @@ def test_script_prints_a_line_per_case_and_a_total():
         ["instance", "0"], ["instance", "1"], ["total", lines[-1].split()[1]]
     ]
     assert lines[1].split()[-1] == output_digest(*smoke_run(1))
+
+
+def test_scaled_runs_give_the_unscaled_total(capsys):
+    # Recovering 2^-20 or 2^20 times each signal, with mu alike, and hashing
+    # the output divided back, prints the unscaled run's lines.
+    totals = []
+    for scale in ("1", "2**-20", "1048576"):
+        assert main(["--workload", "smoke-1d-256", "--instances", "2", "--scale", scale]) == 0
+        totals.append(capsys.readouterr().out)
+    assert totals[0].split()[3] == output_digest(*smoke_run(0))
+    assert totals[1] == totals[0] == totals[2]
+    assert [power_of_two(text) for text in ("2**-20", "0.5", "1024")] == [2.0**-20, 0.5, 1024.0]
+    for text in ("3", "0", "-2", "inf", "2**0.5"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not a power of two"):
+            power_of_two(text)
 
 
 def test_spec_words_file_tunables_under_constants():

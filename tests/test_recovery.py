@@ -602,19 +602,20 @@ def pinned_key(n, d, k, model):
     return f"{n}^{d} k={k} {model}"
 
 
-def harness_run(spec, seed):
+def harness_run(spec, seed, scale=1.0):
     """The seeded harness-style recovery of spec's signal at seed (its
-    input, arguments and seed, as `harness._run_one` makes the call)."""
+    input, arguments and seed, as `harness._run_one` makes the call); with
+    a scale, of the signal times scale, with mu times scale."""
     x, _, mu = generate_signal(spec, seed)
-    xhat = DenseSignal(spec.n, spec.d, np.fft.fftn(x.values, norm="ortho"), "frequency")
+    xhat = DenseSignal(spec.n, spec.d, np.fft.fftn(scale * x.values, norm="ortho"), "frequency")
     return sparse_fft_with_stats(
         xhat,
         spec.k,
         epsilon=spec.epsilon,
         r_star=spec.effective_r_star(),
-        mu=mu,
+        mu=scale * mu,
         seed=seed,
-        params=spec.recovery_params(mu, seed),
+        params=spec.recovery_params(scale * mu, seed),
     )
 
 
@@ -1100,3 +1101,55 @@ class TestL1Stop:
         records = run_experiment(spec)
         misses = [rec.seed for rec in records if rec.l2_error_ratio > 1.0 + spec.epsilon]
         assert misses == []
+        # Every output is exactly the planted support: k entries.
+        assert all(rec.support_precision == rec.support_recall == 1.0 for rec in records)
+
+
+class TestScaleInvariance:
+    """Every floor and cut of a run is a multiple of mu or of a set's
+    initial scale, so the signal times a power of two c, with mu times c,
+    gives c times the output, bit for bit, and the same RunStats."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "n,d,k,model",
+        [
+            (4096, 1, 8, "exact-sparse"),
+            (1024, 1, 8, "sparse-plus-gaussian-tail"),
+            (32, 2, 4, "exact-sparse"),
+            (32, 2, 4, "sparse-plus-adversarial-bucket-tail"),
+            (16, 3, 8, "exact-sparse"),
+            (16, 3, 4, "sparse-plus-gaussian-tail"),
+        ],
+    )
+    def test_scaled_input_gives_the_scaled_output(self, n, d, k, model):
+        spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model)
+        out, stats = harness_run(spec, 0)
+        for c in (2.0**-30, 2.0**-20, 2.0**20):
+            got, got_stats = harness_run(spec, 0, scale=c)
+            assert got.flat.tobytes() == out.flat.tobytes()
+            assert got.values.tobytes() == (c * out.values).tobytes()
+            assert got_stats == stats
+
+
+class TestSeedBatches:
+    """Miss counts over seeds 0-7, fixed before the batches were run; an
+    exact batch also recovers exactly its k planted entries. The 16^3,
+    k = 8 exact batch is TestL1Stop's, over seeds 0-31."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "n,d,k,model,misses",
+        [
+            (4096, 1, 8, "sparse-plus-gaussian-tail", 0),
+            (4096, 1, 8, "sparse-plus-adversarial-bucket-tail", 0),
+            (32, 2, 4, "exact-sparse", 0),
+            (32, 2, 4, "sparse-plus-adversarial-bucket-tail", 0),
+        ],
+    )
+    def test_batch_miss_count(self, n, d, k, model, misses):
+        spec = ExperimentSpec(n=n, d=d, k=k, signal_model=model, seeds=list(range(8)))
+        records = run_experiment(spec)
+        assert sum(rec.l2_error_ratio > 1.0 + spec.epsilon for rec in records) == misses
+        if model == "exact-sparse":
+            assert all(rec.support_precision == rec.support_recall == 1.0 for rec in records)
