@@ -219,6 +219,14 @@ def _ball_coords(n: int, d: int, center: np.ndarray, radius: int) -> np.ndarray:
     return np.ravel_multi_index(coords.T, (n,) * d)
 
 
+def _energy(values: np.ndarray) -> float:
+    """Sum of |v|^2 over an array, as a plain pairwise sum. np.linalg.norm
+    goes through a BLAS dot product whose rounding, on large arrays,
+    depends on the BLAS thread count; this sum's does not."""
+    values = values.reshape(-1)
+    return float(np.sum(values.real**2 + values.imag**2))
+
+
 def generate_signal(
     spec: ExperimentSpec, seed: int
 ) -> tuple[DenseSignal, SparseApprox, float]:
@@ -229,7 +237,9 @@ def generate_signal(
     realized draw. Head magnitudes are snr * mu times a uniform [1, 2]
     factor (uniform [1, 2] outright when the tail is empty), so they clear
     2 mu whenever snr >= 2. Gaussian tails target total energy k; the
-    adversarial model packs the same energy into one sup-norm ball.
+    adversarial model packs the same energy into one sup-norm ball. mu is
+    taken by _energy, so the draw's bits do not depend on the BLAS thread
+    count.
     """
     N = spec.n**spec.d
     if spec.k > N // 4:
@@ -261,7 +271,7 @@ def generate_signal(
             + 1j * rng.standard_normal(tail_cells.size)
         )
         values[tail_cells] = tail_vals
-        mu_true = float(np.linalg.norm(tail_vals) / math.sqrt(k))
+        mu_true = math.sqrt(_energy(tail_vals)) / math.sqrt(k)
     else:
         mu_true = 0.0
 
@@ -292,9 +302,9 @@ def _run_one(spec: ExperimentSpec, seed: int, digest: str) -> RunRecord:
     )
     recover_ms = (time.perf_counter() - start) * 1e3
 
-    x_norm = x.norm2()
-    err = np.linalg.norm(x.values - output.to_dense("time").values) ** 2
-    tail_energy = np.linalg.norm(x.values - truth.to_dense("time").values) ** 2
+    x_norm = math.sqrt(_energy(x.values))
+    err = _energy(x.values - output.to_dense("time").values)
+    tail_energy = _energy(x.values - truth.to_dense("time").values)
     # The denominator is floored so exactly sparse runs (tail 0) report a
     # finite ratio; 1e-9 of the signal norm tracks the pipeline's own
     # subtraction accuracy.

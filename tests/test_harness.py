@@ -9,6 +9,10 @@ through main() with real files under tmp_path.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +33,19 @@ from sparsefft.harness import (
     write_csv,
     write_json,
 )
+
+
+# The 2^16, k = 8 Gaussian signal of seed instance_seed(0, 0): its bits and
+# mu, printed by a fresh interpreter.
+DRAW_DIGEST = """
+import hashlib, sys
+import numpy as np
+from sparsefft.harness import ExperimentSpec, generate_signal
+spec = ExperimentSpec(n=1 << 16, d=1, k=8, signal_model="sparse-plus-gaussian-tail")
+seed = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
+x, _, mu = generate_signal(spec, seed)
+print(hashlib.sha256(x.values.tobytes()).hexdigest(), repr(mu))
+"""
 
 
 def tail_of(x, truth):
@@ -82,6 +99,24 @@ class TestGenerateSignal:
         x, truth, mu = generate_signal(spec, seed=7)
         want = np.linalg.norm(tail_of(x, truth)) / np.sqrt(16)
         assert abs(mu - want) < 1e-12 * want
+
+    def test_draw_does_not_depend_on_the_blas_thread_count(self):
+        # The tail's norm by a BLAS dot product rounded differently under
+        # one and two OpenBLAS threads at 2^16, and so did mu and the heads.
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        path = os.pathsep.join([src, os.environ["PYTHONPATH"]]) if "PYTHONPATH" in os.environ else src
+        draws = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", DRAW_DIGEST],
+                capture_output=True, text=True, env=env, timeout=120, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            draws.append(proc.stdout)
+        assert draws[0] == draws[1]
 
     def test_gaussian_tail_energy_hits_target_on_average(self):
         spec = ExperimentSpec(
