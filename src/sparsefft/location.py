@@ -30,15 +30,15 @@ The inverse reference (_inverse_reference: 1 / ref, and 0 at a silent
 probe) makes a digit's ratios one product, meas * inv, and a probe that
 casts no vote has ratio 0, which no root accepts. Each corrected ratio z
 is tested against one root only, the nearest, found by sign tests: for
-base 2 the sign of Re z, for base 4 the signs of Re z + Im z and Re z -
-Im z. The probe is accepted
-when |z - root|^2 = |z|^2 - 2 * (its largest projection on a root) + 1 is
-below ratio_tolerance^2. That is exact: the tolerance disks around two
-distinct base-th roots are disjoint when ratio_tolerance < sin(pi / base),
-so no other root can accept the ratio, and StagePlan allows only ladders
-of bases 2 and 4, with that tolerance. A probe then votes for every digit
-whose root index digit * beta_s mod base is that nearest root; even betas
-give several such digits, so each digit's targets are compared in full.
+base 2 the sign of Re z, for base 4 the signs of Re z + Im z and
+Re z - Im z. The probe is accepted when |z - root|^2 = |z|^2 - 2 * (its
+largest projection on a root) + 1 is below ratio_tolerance^2. That is
+exact: the tolerance disks around two distinct base-th roots are disjoint
+when ratio_tolerance < sin(pi / base), so no other root can accept the
+ratio, and StagePlan allows only ladders of bases 2 and 4, with that
+tolerance. A probe then votes for every digit whose root index
+digit * beta_s mod base is that nearest root; even betas give several such
+digits, so each digit's targets are compared in full.
 
 One walk, _walk_digits, decodes every set. It runs over blocks of live
 (hashing, bucket) pairs, each a _Walk, in (hashing, bucket) order, which

@@ -86,13 +86,6 @@ def power_of_two(text: str) -> float:
     return value
 
 
-def scaled_run(spec, seed, scale: float):
-    """harness_run of spec's signal times scale, with mu times scale; the
-    output is divided by scale, which is exact for a power of two."""
-    out, stats = harness_run(spec, seed, scale)
-    return SparseApprox.from_flat(out.n, out.d, out.flat, out.values / scale), stats
-
-
 def stage_names() -> list[str]:
     """The RecoveryParams fields that hold a StagePlan, in field order."""
     hints = typing.get_type_hints(RecoveryParams)
@@ -163,7 +156,10 @@ def main(argv=None) -> int:
             if spec != planned:
                 print(f"plan {plan_digest(spec)}", file=sys.stderr, flush=True)
                 planned = spec
-            digest = output_digest(*scaled_run(spec, seed, args.scale))
+            out, stats = harness_run(spec, seed, args.scale)
+            # Exact, since the scale is a power of two.
+            out = SparseApprox.from_flat(out.n, out.d, out.flat, out.values / args.scale)
+            digest = output_digest(out, stats)
             total.update(digest.encode())
             print(f"{label} seed={seed} {digest}", flush=True)
     print(f"total {total.hexdigest()}")
